@@ -2,9 +2,10 @@
 
 `solve` reads a Matrix Market file, runs the eigensolver, writes the
 eigenvalues as JSON and (optionally) the per-block potential trace as CSV,
-and prints a short summary.  `info` derives and prints the parameters a run
-would use, without solving.  All randomness flows from --seed; when absent a
-seed is drawn from the system entropy source and recorded in the outputs.
+and prints a short summary.  `info` prints the seed and the parameters that
+`solve` with that seed would use, without solving; both work them out with
+``driver.prepare``.  All randomness flows from --seed; when absent a seed is
+drawn from the system entropy source and recorded in the outputs.
 Exit codes: 0 success, 2 bad input or configuration, 3 probabilistic failure
 that survived all retries.
 """
@@ -14,11 +15,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from .driver import SolveConfig, solve
+from .driver import SolveConfig, prepare, solve
 from .errors import (
     BudgetExceeded,
     HessqrError,
@@ -26,37 +24,11 @@ from .errors import (
     SolveFailure,
 )
 from .mmio import read_matrix_market
-from .params import derive_globals, derive_run_params, required_precision
+from .params import derive_run_params, required_precision
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_PROBABILISTIC = 3
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    delta: float = 1e-6
-    phi: float = 0.01
-    seed: Optional[int] = None
-    bits: int = 53
-    B: Optional[float] = None
-    Gamma: Optional[float] = None
-    Sigma: Optional[float] = None
-    preprocess: bool = True
-    threads: int = 1
-    out_json: Optional[str] = None
-    out_trace: Optional[str] = None
-
-    def validate(self):
-        if self.delta <= 0:
-            raise ParseError(f"--delta must be > 0, got {self.delta}")
-        if not (0.0 < self.phi < 1.0):
-            raise ParseError(f"--phi must be in (0,1), got {self.phi}")
-        if self.bits < 24:
-            raise ParseError(f"--bits must be >= 24, got {self.bits}")
-        if self.threads < 1:
-            raise ParseError(f"--threads must be >= 1, got {self.threads}")
 
 
 @dataclass
@@ -122,57 +94,37 @@ def _trace_rows(result):
     return rows
 
 
-def run(config):
-    """Execute a solve per the config; writes outputs, returns a RunReport."""
-    config.validate()
-    a = read_matrix_market(config.input_path)
-    solve_cfg = SolveConfig(
-        delta=config.delta,
-        phi=config.phi,
-        seed=config.seed,
-        bits=config.bits,
-        B=config.B,
-        Gamma=config.Gamma,
-        Sigma=config.Sigma,
-        preprocess=config.preprocess,
-        threads=config.threads,
-    )
+def run(input_path, config, out_json=None, out_trace=None):
+    """Solve the Matrix Market file; writes the outputs, returns a RunReport."""
+    a = read_matrix_market(input_path)
     t0 = time.perf_counter()
-    result = solve(a, solve_cfg)
+    result = solve(a, config)
     wall = time.perf_counter() - t0
 
     document = _json_document(result, config)
     rows = _trace_rows(result)
-    if config.out_json:
-        with open(config.out_json, "w", encoding="ascii") as fh:
+    if out_json:
+        with open(out_json, "w", encoding="ascii") as fh:
             json.dump(document, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if config.out_trace:
-        with open(config.out_trace, "w", encoding="ascii") as fh:
+    if out_trace:
+        with open(out_trace, "w", encoding="ascii") as fh:
             fh.write("block_id,iteration,psi_k,branch,shift_re,shift_im\n")
             for block_id, it, psi, branch, sre, sim in rows:
                 fh.write(f"{block_id},{it},{psi!r},{branch},{sre!r},{sim!r}\n")
     return RunReport(document=document, trace_rows=rows, wall_time=wall, seed=result.seed)
 
 
-def info(config):
-    """Derived parameters for the configured run; no solve.  Returns lines."""
-    config.validate()
-    a = read_matrix_market(config.input_path)
-    n = a.shape[0]
-    norm_f = float(np.linalg.norm(a))
-    sigma = config.Sigma if config.Sigma is not None else 2.0 * max(norm_f, 1e-300)
-    delta_abs = config.delta * max(norm_f, 1e-300) / 2.0
-    if config.B is not None:
-        B = config.B
-    else:
-        B = max(1.0, n / max(delta_abs, 1e-300))
-    Gamma = config.Gamma if config.Gamma is not None else (max(delta_abs, 1e-300) / n) ** 2
-    gd = derive_globals(B, Gamma, sigma, n)
-    rp = derive_run_params(n, min(delta_abs, sigma), config.phi, gd)
-    bits = required_precision(n, gd.k, gd.Sigma, gd.B, gd.Gamma, rp.delta, config.phi)
-    lines = [
+def info(input_path, config):
+    """The seed and parameters `solve` would run with; no solve.  Returns lines."""
+    a = read_matrix_market(input_path)
+    h, gd, delta, seed = prepare(a, config)
+    n = h.n
+    rp = derive_run_params(n, delta, config.phi, gd)
+    bits = required_precision(n, gd.k, gd.Sigma, gd.B, gd.Gamma, delta, config.phi)
+    return [
         f"n = {n}",
+        f"seed = {seed}",
         f"B = {gd.B:.6g}",
         f"Gamma = {gd.Gamma:.6g}",
         f"Sigma = {gd.Sigma:.6g}",
@@ -186,12 +138,6 @@ def info(config):
         f"required bits = {bits}",
         f"configured bits = {config.bits}",
     ]
-    if config.bits < bits:
-        lines.append(
-            f"WARNING: configured precision ({config.bits} bits) is below the "
-            f"requirement ({bits} bits)"
-        )
-    return lines
 
 
 def _build_parser():
@@ -213,7 +159,9 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="master seed; drawn from entropy when omitted")
         p.add_argument("--bits", type=int, default=53,
-                       help="working mantissa bits (default 53; >53 uses the slow extended backend)")
+                       help="working mantissa bits (default 53); above 53 the run "
+                            "switches to mpmath number types, whose precision it "
+                            "does not yet raise")
         p.add_argument("--B", type=float, default=None,
                        help="eigenvector condition bound override")
         p.add_argument("--gamma-gap", type=float, default=None, dest="gamma_gap",
@@ -222,8 +170,6 @@ def _build_parser():
                        help="norm bound override (Sigma)")
         p.add_argument("--no-preprocess", action="store_true",
                        help="input is already Hessenberg; skip perturb+reduce")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent blocks")
         if name == "solve":
             p.add_argument("--out-json", default=None,
                            help="eigenvalue output file (JSON)")
@@ -233,8 +179,14 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    return RunConfig(
-        input_path=args.input,
+    """The SolveConfig the arguments ask for; out-of-range values raise ParseError."""
+    if args.delta <= 0:
+        raise ParseError(f"--delta must be > 0, got {args.delta}")
+    if not (0.0 < args.phi < 1.0):
+        raise ParseError(f"--phi must be in (0,1), got {args.phi}")
+    if args.bits < 24:
+        raise ParseError(f"--bits must be >= 24, got {args.bits}")
+    return SolveConfig(
         delta=args.delta,
         phi=args.phi,
         seed=args.seed,
@@ -243,28 +195,25 @@ def _config_from_args(args):
         Gamma=args.gamma_gap,
         Sigma=args.sigma,
         preprocess=not args.no_preprocess,
-        threads=args.threads,
-        out_json=getattr(args, "out_json", None),
-        out_trace=getattr(args, "out_trace", None),
     )
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
+        config = _config_from_args(args)
         if args.command == "info":
-            for line in info(config):
+            for line in info(args.input, config):
                 print(line)
             return EXIT_OK
-        report = run(config)
+        report = run(args.input, config, out_json=args.out_json, out_trace=args.out_trace)
         doc = report.document
         print(
             f"solved n={doc['n']} seed={report.seed} "
             f"eigenvalues={len(doc['eigenvalues'])} wall={report.wall_time:.3f}s"
         )
-        if not config.out_json:
+        if not args.out_json:
             print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     except (SolveFailure, BudgetExceeded) as exc:

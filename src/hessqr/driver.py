@@ -7,14 +7,16 @@ deflated at every sub-threshold entry and the pieces recurse.  Blocks of
 dimension at most k go straight to the small eigenvalue solver.  Probabilistic
 failure events are retried a fixed number of times with fresh randomness
 before the run aborts.  Every block owns a deterministic random substream
-derived from the master seed and its position in the deflation tree, so
-results are byte-reproducible for any thread count.
+derived from the master seed and its position in the deflation tree, so a
+run is byte-reproducible from its seed.
+
+``prepare`` is the one place a run's parameters are worked out from the
+input and a ``SolveConfig``: the seed, the Hessenberg form, the bounds
+(B, Gamma, Sigma) and the absolute accuracy.  ``solve`` runs on its output,
+and ``hessqr info`` prints it.
 """
 
-import math
 import time
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +35,7 @@ from .iqr import HessenbergMatrix, potential
 from .params import (
     GlobalData,
     RunParams,
+    default_bounds,
     derive_globals,
     derive_run_params,
     required_precision,
@@ -211,7 +214,7 @@ class SolveResult:
     wall_time: float
 
 
-def shifted_qr(h, delta, phi, gd, solver=None, seed=0, threads=1):
+def shifted_qr(h, delta, phi, gd, solver=None, seed=0):
     """Eigenvalues of some H' with ||H' - H|| <= delta, w.p. >= 1 - phi.
 
     Needs Sigma >= 2||H||, B >= 2 kappa_V(H), Gamma <= gap(H)/2, delta <=
@@ -226,29 +229,11 @@ def shifted_qr(h, delta, phi, gd, solver=None, seed=0, threads=1):
     root = DeflationNode(path=(), start=0, dim=h.n)
 
     pending = [(root, h, True)]
-    if threads <= 1:
-        while pending:
-            node, blk, is_root = pending.pop(0)
-            tree.add(node)
-            children = _process_block(node, blk, gd, params, solver, seed, is_root)
-            pending = [(c, b, False) for c, b in children] + pending
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {}
-            for node, blk, is_root in pending:
-                tree.add(node)
-                futures[pool.submit(
-                    _process_block, node, blk, gd, params, solver, seed, is_root
-                )] = node
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    futures.pop(fut)
-                    for child, blk in fut.result():
-                        tree.add(child)
-                        futures[pool.submit(
-                            _process_block, child, blk, gd, params, solver, seed, False
-                        )] = child
+    while pending:
+        node, blk, is_root = pending.pop(0)
+        tree.add(node)
+        children = _process_block(node, blk, gd, params, solver, seed, is_root)
+        pending = [(c, b, False) for c, b in children] + pending
 
     eigs = []
     for leaf in sorted(tree.leaves(), key=lambda nd: nd.start):
@@ -269,14 +254,18 @@ def shifted_qr(h, delta, phi, gd, solver=None, seed=0, threads=1):
     )
 
 
+def _norm2(a):
+    return float(np.linalg.norm(a, 2)) if a.shape[0] > 1 else float(abs(a[0, 0]))
+
+
 def preprocess(a, delta, rng, B=None, Gamma=None, Sigma=None):
     """Arbitrary square matrix -> (Hessenberg form, GlobalData).
 
     Adds an iid complex Gaussian perturbation scaled to spectral norm
     delta*||A||/2 (norm measured, then scaled), reduces by Householder
     reflectors, and sets Sigma = 2 * Frobenius bound.  B and Gamma default to
-    the perturbation-scale heuristic B = n/delta_pre, Gamma = (delta_pre/n)^2,
-    both overridable."""
+    the perturbation-scale heuristic of ``params.default_bounds`` with scale
+    delta_pre = delta*||A||/2, both overridable."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -286,8 +275,7 @@ def preprocess(a, delta, rng, B=None, Gamma=None, Sigma=None):
     if delta < 0:
         raise ParameterError(f"perturbation accuracy must be >= 0, got {delta!r}")
 
-    norm_a = float(np.linalg.norm(a, 2)) if n > 1 else float(abs(a[0, 0]))
-    delta_pre = delta * norm_a / 2.0
+    delta_pre = delta * _norm2(a) / 2.0
     if delta_pre > 0:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g_norm = float(np.linalg.norm(g, 2))
@@ -307,21 +295,14 @@ def preprocess(a, delta, rng, B=None, Gamma=None, Sigma=None):
     h = HessenbergMatrix(hess, validate=False)
 
     sigma = Sigma if Sigma is not None else 2.0 * float(np.linalg.norm(hess))
-    if B is None or Gamma is None:
-        if delta_pre <= 0:
-            raise ParameterError(
-                "auto B/Gamma need a positive perturbation scale; pass "
-                "explicit bounds when delta = 0"
-            )
-        B = B if B is not None else max(1.0, n / delta_pre)
-        Gamma = Gamma if Gamma is not None else (delta_pre / n) ** 2
+    B, Gamma = default_bounds(n, delta_pre, B, Gamma)
     gd = derive_globals(B, Gamma, sigma, n)
     return h, gd
 
 
 @dataclass
 class SolveConfig:
-    """Library entry-point configuration (everything overridable)."""
+    """Configuration of one run, for the library entry point and the CLI."""
 
     delta: float = 1e-6
     phi: float = 0.01
@@ -331,8 +312,37 @@ class SolveConfig:
     Gamma: Optional[float] = None
     Sigma: Optional[float] = None
     preprocess: bool = True
-    threads: int = 1
     solver: object = None
+
+
+def prepare(a, config):
+    """The parameters a run works with: (h, gd, delta, seed).
+
+    The seed is drawn from the system entropy source when the config has
+    none.  With preprocessing on, ``preprocess`` perturbs and reduces the
+    input (its randomness derived from the seed), and delta is the absolute
+    accuracy delta*||A||_2/2.  Without it, the input must already be upper
+    Hessenberg, delta is delta*||H||_F, B and Gamma default to the
+    ``params.default_bounds`` heuristic with scale delta/2, and Sigma to
+    2||H||_F.  ``solve`` runs on exactly this, and ``hessqr info`` prints it."""
+    seed = config.seed
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy % (2**63))
+    tiny = np.finfo(float).tiny
+    if config.preprocess:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))
+        h, gd = preprocess(
+            a, config.delta, rng, B=config.B, Gamma=config.Gamma, Sigma=config.Sigma
+        )
+        delta = max(config.delta * _norm2(np.asarray(a, dtype=np.complex128)) / 2.0, tiny)
+    else:
+        h = a if isinstance(a, HessenbergMatrix) else HessenbergMatrix(a)
+        norm_h = float(h.frobenius_norm())
+        sigma = config.Sigma if config.Sigma is not None else 2.0 * norm_h
+        delta = max(config.delta * max(norm_h, 1e-300), tiny)
+        B, Gamma = default_bounds(h.n, delta / 2.0, config.B, config.Gamma)
+        gd = derive_globals(B, Gamma, sigma, h.n)
+    return h, gd, delta, seed
 
 
 def solve(a, config=None):
@@ -341,59 +351,10 @@ def solve(a, config=None):
     With preprocessing on, the input is Gaussian-perturbed by delta*||A||/2
     and Hessenberg-reduced, then the recursive driver runs with absolute
     accuracy delta*||A||/2; without it, the input must already be upper
-    Hessenberg.  Warns when the configured precision is below the worst-case
-    requirement (the run continues)."""
+    Hessenberg (see ``prepare``).  The result reports the mantissa bits the
+    worst-case analysis requires as ``required_bits``."""
     config = config or SolveConfig()
-    seed = config.seed
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**63))
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))
-
-    if config.preprocess:
-        h, gd = preprocess(
-            a, config.delta, rng, B=config.B, Gamma=config.Gamma, Sigma=config.Sigma
-        )
-        a_arr = np.asarray(a, dtype=np.complex128)
-        norm_a = (
-            float(np.linalg.norm(a_arr, 2)) if a_arr.shape[0] > 1 else float(abs(a_arr[0, 0]))
-        )
-        delta_abs = max(config.delta * norm_a / 2.0, np.finfo(float).tiny)
-    else:
-        h = a if isinstance(a, HessenbergMatrix) else HessenbergMatrix(a)
-        sigma = config.Sigma if config.Sigma is not None else 2.0 * float(h.frobenius_norm())
-        norm_ref = float(h.frobenius_norm())
-        delta_abs = max(config.delta * max(norm_ref, 1e-300), np.finfo(float).tiny)
-        if config.B is None or config.Gamma is None:
-            scale = delta_abs / 2.0
-            B = config.B if config.B is not None else max(1.0, h.n / scale)
-            Gamma = config.Gamma if config.Gamma is not None else (scale / h.n) ** 2
-        else:
-            B, Gamma = config.B, config.Gamma
-        gd = derive_globals(B, Gamma, sigma, h.n)
-
+    h, gd, delta, seed = prepare(a, config)
     if config.bits > 53:
-        if config.threads > 1:
-            raise ParameterError("extended-precision runs are single-threaded")
         h = h.to_extended()
-
-    bits_needed = required_precision(
-        h.n, gd.k, gd.Sigma, gd.B, gd.Gamma, delta_abs, config.phi
-    )
-    if config.bits < bits_needed:
-        warnings.warn(
-            f"configured precision ({config.bits} bits) is below the "
-            f"worst-case requirement ({bits_needed} bits); results are not "
-            "covered by the convergence guarantee",
-            stacklevel=2,
-        )
-
-    result = shifted_qr(
-        h,
-        delta_abs,
-        config.phi,
-        gd,
-        solver=config.solver,
-        seed=seed,
-        threads=config.threads,
-    )
-    return result
+    return shifted_qr(h, delta, config.phi, gd, solver=config.solver, seed=seed)

@@ -8,7 +8,6 @@ one unit roundoff, overflow and underflow ignored.
 """
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -21,35 +20,6 @@ UNIT_ROUNDOFF_64 = 2.0 ** (1 - BINARY64_BITS)
 # Constants left free by the k-th root routine's contract; see the ledger.
 ROOT_TOL_FLOOR = 4  # smallest admissible eps is ROOT_TOL_FLOOR * k * u
 ROOT_ITER_FACTOR = 4  # Newton budget is ROOT_ITER_FACTOR * k * log(k log(1/eps))
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Mantissa length of the working arithmetic.
-
-    unit_roundoff is 2**(1 - mantissa_bits); the Givens error model needs
-    unit_roundoff <= 1/24, i.e. at least 6 mantissa bits.
-    """
-
-    mantissa_bits: int = BINARY64_BITS
-
-    def __post_init__(self):
-        if self.mantissa_bits < 6:
-            raise DomainError(
-                f"mantissa_bits={self.mantissa_bits}: unit roundoff must be <= 1/24"
-            )
-
-    @property
-    def unit_roundoff(self):
-        return 2.0 ** (1 - self.mantissa_bits)
-
-    @property
-    def is_binary64(self):
-        return self.mantissa_bits <= BINARY64_BITS
-
-    def workprec(self):
-        """mpmath context manager for the extended-precision path."""
-        return mpmath.workprec(self.mantissa_bits)
 
 
 def is_mp_scalar(z):

@@ -5,12 +5,13 @@ measure, kappa_V / gap estimation, promising-value verification, and
 eigenvalue matching. Row iterations, resolvent solves and determinant
 residuals run in mpmath at ~double-double precision; eigenvector-based
 quantities (kappa_V, gap, spectral weights) come from LAPACK at binary64,
-which sits many orders below every tolerance that consumes them.  Nothing in
-this module is used by the production solver path.
+which sits many orders below every tolerance that consumes them.  The
+production solver never imports this module; the mpmath primitives both need
+(Hessenberg reduction, the Hyman recurrence, block splitting and the lock on
+mpmath's global precision) live in ``smalleig``.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import mpmath
@@ -19,9 +20,15 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi
+from .smalleig import (
+    MP_LOCK,
+    _hessenberg_mp,
+    _hyman_kappa,
+    _mp_row_norm,
+    _split_blocks,
+    _to_mp,
+)
 
-# mpmath working precision is process-global; serialize all uses.
-MP_LOCK = threading.RLock()
 ORACLE_PREC = 120
 DESK_DIM_LIMIT = 64
 MP_EIG_DIM_LIMIT = 16  # full extended-precision treatment below this size
@@ -36,24 +43,11 @@ def _as_array(m):
     return a
 
 
-def _to_mp(a):
-    n = a.shape[0]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = mpmath.mpc(complex(a[i, j]))
-    return out
-
-
 def _mpc_of(z):
     """mpc conversion that keeps extended precision when already present."""
     if isinstance(z, (mpmath.mpc, mpmath.mpf)):
         return mpmath.mpc(z)
     return mpmath.mpc(complex(z))
-
-
-def _mp_row_norm(row):
-    return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in row))
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +110,6 @@ def resolvent_tau(h, shifts, prec=ORACLE_PREC):
 # Hyman determinant recurrence and reference eigenvalues
 
 
-def _hyman_kappa(H, z, n):
-    """kappa(z), kappa'(z) with det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag).
-
-    H must be unreduced Hessenberg (object array of mpmath numbers)."""
-    x = [mpmath.mpc(0)] * n
-    xp = [mpmath.mpc(0)] * n
-    x[n - 1] = mpmath.mpc(1)
-    for i in range(n - 1, 0, -1):
-        acc = mpmath.mpc(0)
-        accp = mpmath.mpc(0)
-        for j in range(i, n):
-            acc += H[i, j] * x[j]
-            accp += H[i, j] * xp[j]
-        x[i - 1] = (z * x[i] - acc) / H[i, i - 1]
-        xp[i - 1] = (x[i] + z * xp[i] - accp) / H[i, i - 1]
-    kap = -z * x[0]
-    kapp = -x[0] - z * xp[0]
-    for j in range(n):
-        kap += H[0, j] * x[j]
-        kapp += H[0, j] * xp[j]
-    return kap, kapp
-
-
 def hyman_residual(m, lam, prec=ORACLE_PREC):
     """|det(M - lam)| evaluated through the Hessenberg/Hyman route (mpmath)."""
     a = _as_array(m)
@@ -158,43 +129,6 @@ def hyman_residual(m, lam, prec=ORACLE_PREC):
             for i in range(1, d):
                 det *= abs(blk[i, i - 1])
         return +det
-
-
-def _hessenberg_mp(H):
-    """Householder reduction to Hessenberg form at the ambient precision."""
-    n = H.shape[0]
-    H = H.copy()
-    for c in range(n - 2):
-        x = H[c + 1 :, c].copy()
-        normx = _mp_row_norm(x)
-        if normx == 0:
-            continue
-        x0 = x[0]
-        ph = x0 / abs(x0) if x0 != 0 else mpmath.mpc(1)
-        u = x
-        u[0] = u[0] + ph * normx
-        unorm2 = mpmath.fsum(abs(z) ** 2 for z in u)
-        if unorm2 == 0:
-            continue
-        b = 2 / unorm2
-        w = np.conj(u) @ H[c + 1 :, c:]
-        H[c + 1 :, c:] = H[c + 1 :, c:] - b * np.outer(u, w)
-        w2 = H[:, c + 1 :] @ u
-        H[:, c + 1 :] = H[:, c + 1 :] - b * np.outer(w2, np.conj(u))
-        H[c + 2 :, c] = mpmath.mpc(0)
-    return H
-
-
-def _split_blocks(H, n):
-    """Index ranges of the diagonal blocks between exactly-zero subdiagonals."""
-    spans = []
-    start = 0
-    for i in range(n - 1):
-        if H[i + 1, i] == 0:
-            spans.append((start, i + 1))
-            start = i + 1
-    spans.append((start, n))
-    return spans
 
 
 def _newton_polish_block(blk, d, seeds, prec):

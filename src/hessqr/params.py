@@ -84,6 +84,24 @@ def globals_with_degree(B, k, Gamma, Sigma, n0):
                       n0=int(n0), k=int(k), alpha=alpha, theta=theta)
 
 
+def default_bounds(n, scale, B=None, Gamma=None):
+    """(B, Gamma), each defaulting to the perturbation-scale heuristic.
+
+    A perturbation of size ``scale`` makes B = max(1, n/scale) and
+    Gamma = (scale/n)^2 plausible bounds on kappa_V and on the eigenvalue
+    gap; values given explicitly are kept."""
+    if B is not None and Gamma is not None:
+        return B, Gamma
+    if scale <= 0:
+        raise ParameterError(
+            "auto B/Gamma need a positive perturbation scale; pass "
+            "explicit bounds when delta = 0"
+        )
+    B = B if B is not None else max(1.0, n / scale)
+    Gamma = Gamma if Gamma is not None else (scale / n) ** 2
+    return B, Gamma
+
+
 @dataclass(frozen=True)
 class RunParams:
     """Per-run accuracy/failure/iteration budget."""
@@ -180,8 +198,8 @@ def required_precision(n, k, Sigma, B, Gamma, delta, phi):
 
     Unpacks the explicit minimum over the driver term, the dichotomy
     subroutine, and the shifting strategy, with the potential lower-bounded by
-    the working accuracy.  The driver warns (does not abort) when configured
-    below this.
+    the working accuracy.  Runs report it (``SolveResult.required_bits``, the
+    CLI's JSON and ``hessqr info``) next to the configured precision.
     """
     alpha, theta = derive_constants(B, k)
     omega = min(delta, Gamma / (8.0 * n**2 * B**2)) / (4.0 * n)

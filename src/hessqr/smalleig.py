@@ -10,19 +10,98 @@ certified.  Deterministic: no randomness anywhere, output sorted by (re, im).
 Any object with a compatible ``solve(m, beta, phi)`` may be injected in its
 place; the probabilistic failure budget phi is not consumed here (failure
 surfaces as an exception instead of a silent wrong answer).
+
+The mpmath primitives defined here (Hessenberg reduction, the Hyman
+recurrence, block splitting and ``MP_LOCK``) are shared with ``oracle``,
+which imports them from this module.
 """
 
 import math
+import threading
 
 import mpmath
 import numpy as np
 
 from .errors import DimensionError, SmallEigFailure
 from .kernel import is_mp_array
-from .oracle import MP_LOCK, _hessenberg_mp, _hyman_kappa, _split_blocks, _to_mp
 
+# mpmath working precision is process-global; serialize all uses.
+MP_LOCK = threading.RLock()
 _MIN_PREC = 120
 _MAX_PREC = 960
+
+
+def _to_mp(a):
+    n = a.shape[0]
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = mpmath.mpc(complex(a[i, j]))
+    return out
+
+
+def _mp_row_norm(row):
+    return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in row))
+
+
+def _hyman_kappa(H, z, n):
+    """kappa(z), kappa'(z) with det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag).
+
+    H must be unreduced Hessenberg (object array of mpmath numbers)."""
+    x = [mpmath.mpc(0)] * n
+    xp = [mpmath.mpc(0)] * n
+    x[n - 1] = mpmath.mpc(1)
+    for i in range(n - 1, 0, -1):
+        acc = mpmath.mpc(0)
+        accp = mpmath.mpc(0)
+        for j in range(i, n):
+            acc += H[i, j] * x[j]
+            accp += H[i, j] * xp[j]
+        x[i - 1] = (z * x[i] - acc) / H[i, i - 1]
+        xp[i - 1] = (x[i] + z * xp[i] - accp) / H[i, i - 1]
+    kap = -z * x[0]
+    kapp = -x[0] - z * xp[0]
+    for j in range(n):
+        kap += H[0, j] * x[j]
+        kapp += H[0, j] * xp[j]
+    return kap, kapp
+
+
+def _hessenberg_mp(H):
+    """Householder reduction to Hessenberg form at the ambient precision."""
+    n = H.shape[0]
+    H = H.copy()
+    for c in range(n - 2):
+        x = H[c + 1 :, c].copy()
+        normx = _mp_row_norm(x)
+        if normx == 0:
+            continue
+        x0 = x[0]
+        ph = x0 / abs(x0) if x0 != 0 else mpmath.mpc(1)
+        u = x
+        u[0] = u[0] + ph * normx
+        unorm2 = mpmath.fsum(abs(z) ** 2 for z in u)
+        if unorm2 == 0:
+            continue
+        b = 2 / unorm2
+        w = np.conj(u) @ H[c + 1 :, c:]
+        H[c + 1 :, c:] = H[c + 1 :, c:] - b * np.outer(u, w)
+        w2 = H[:, c + 1 :] @ u
+        H[:, c + 1 :] = H[:, c + 1 :] - b * np.outer(w2, np.conj(u))
+        H[c + 2 :, c] = mpmath.mpc(0)
+    return H
+
+
+def _split_blocks(H, n):
+    """Index ranges of the diagonal blocks between exactly-zero subdiagonals."""
+    spans = []
+    start = 0
+    for i in range(n - 1):
+        if H[i + 1, i] == 0:
+            spans.append((start, i + 1))
+            start = i + 1
+    spans.append((start, n))
+    return spans
 
 
 def _aberth_block(blk, d, prec):
@@ -73,9 +152,6 @@ def _aberth_block(blk, d, prec):
 
 
 def _certify_block(blk, d, roots, beta_cert):
-    scale = max(
-        1.0, max(abs(complex(blk[i, j])) for i in range(d) for j in range(d))
-    )
     tr = mpmath.fsum(blk[i, i] for i in range(d))
     if abs(sum(roots) - tr) > d * beta_cert:
         return False
@@ -85,7 +161,6 @@ def _certify_block(blk, d, roots, beta_cert):
             continue
         if kapp == 0 or abs(d * kap / kapp) > beta_cert:
             return False
-    _ = scale
     return True
 
 

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from hessqr.cli import EXIT_BAD_INPUT, EXIT_OK, RunConfig, info, main, run
+from hessqr.cli import EXIT_BAD_INPUT, EXIT_OK, main, run
+from hessqr.driver import SolveConfig
 from hessqr.errors import ParseError
 from hessqr.mmio import read_matrix_market
 
@@ -99,19 +100,14 @@ def _identity_mtx(tmp_path):
     )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 class TestRun:
     def test_identity_base_case(self, tmp_path):
-        cfg = RunConfig(
-            input_path=_identity_mtx(tmp_path),
-            seed=3,
-            preprocess=False,
-            B=1.0,
-            Gamma=1e-3,
+        report = run(
+            _identity_mtx(tmp_path),
+            SolveConfig(seed=3, preprocess=False, B=1.0, Gamma=1e-3),
             out_json=str(tmp_path / "out.json"),
             out_trace=str(tmp_path / "out.csv"),
         )
-        report = run(cfg)
         assert sorted(v.real for v in report.eigenvalues) == pytest.approx([1.0, 1.0], abs=1e-9)
         assert report.trace_rows == []
         doc = json.loads((tmp_path / "out.json").read_text())
@@ -120,29 +116,21 @@ class TestRun:
         assert trace == ["block_id,iteration,psi_k,branch,shift_re,shift_im"]
 
     def test_json_roundtrip_exact(self, tmp_path):
-        cfg = RunConfig(
-            input_path=FIXTURE,
-            seed=11,
-            preprocess=False,
-            B=1.0,
-            Gamma=1e-3,
+        report = run(
+            FIXTURE,
+            SolveConfig(seed=11, preprocess=False, B=1.0, Gamma=1e-3),
             out_json=str(tmp_path / "out.json"),
         )
-        report = run(cfg)
         doc = json.loads((tmp_path / "out.json").read_text())
         back = [complex(e["re"], e["im"]) for e in doc["eigenvalues"]]
         assert back == report.eigenvalues
 
     def test_trace_rows_within_budget(self, tmp_path):
-        cfg = RunConfig(
-            input_path=FIXTURE,
-            seed=11,
-            preprocess=False,
-            B=1.0,
-            Gamma=1e-3,
+        report = run(
+            FIXTURE,
+            SolveConfig(seed=11, preprocess=False, B=1.0, Gamma=1e-3),
             out_trace=str(tmp_path / "t.csv"),
         )
-        report = run(cfg)
         budget = report.document["params"]["n_dec_budget"]
         per_block = {}
         for row in report.trace_rows:
@@ -150,7 +138,6 @@ class TestRun:
         assert per_block and all(v <= budget + 1 for v in per_block.values())
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 class TestMain:
     def test_solve_exit_codes(self, tmp_path, capsys):
         path = _identity_mtx(tmp_path)
@@ -176,20 +163,62 @@ class TestMain:
         path = _identity_mtx(tmp_path)
         assert main(["solve", path, "--phi", "2.0"]) == EXIT_BAD_INPUT
         assert main(["solve", path, "--bits", "8"]) == EXIT_BAD_INPUT
+        assert main(["solve", path, "--delta", "0"]) == EXIT_BAD_INPUT
+
+    def test_unknown_option_exit_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", _identity_mtx(tmp_path), "--threads", "2"])
+        assert exc.value.code == EXIT_BAD_INPUT
 
     def test_info_reports_parameters(self, tmp_path, capsys):
         path = _identity_mtx(tmp_path)
-        code = main(["info", path, "--B", "1", "--gamma-gap", "1e-3"])
+        code = main(["info", path, "--seed", "4", "--B", "1", "--gamma-gap", "1e-3"])
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "k = 4" in out
-        assert "gamma = 0.2" in out
-        assert "WARNING" in out  # 53 bits < requirement at these parameters
+        lines = _info_lines(capsys.readouterr().out)
+        assert lines["seed"] == "4"
+        assert lines["k"] == "4"
+        assert lines["gamma"] == "0.2"
+        assert int(lines["required bits"]) > 53  # binary64 is not covered here
+        assert lines["configured bits"] == "53"
 
-    def test_info_no_warning_when_bits_sufficient(self, tmp_path, capsys):
-        path = _identity_mtx(tmp_path)
-        code = main(
-            ["info", path, "--B", "1", "--gamma-gap", "1e-3", "--bits", "4000"]
-        )
-        assert code == EXIT_OK
-        assert "WARNING" not in capsys.readouterr().out
+
+def _info_lines(out):
+    return dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+
+
+def _random_mtx(tmp_path, n, hessenberg):
+    rng = np.random.default_rng(90 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if hessenberg:
+        a = np.triu(a, -1)
+    lines = ["%%MatrixMarket matrix array complex general", f"{n} {n}"]
+    lines += [f"{float(z.real)!r} {float(z.imag)!r}" for z in a.T.ravel()]
+    return _write(tmp_path, "a.mtx", "\n".join(lines) + "\n")
+
+
+class TestInfoMatchesSolve:
+    """`info` prints the parameters that `solve` with the same seed runs with."""
+
+    @pytest.mark.parametrize(
+        "options, hessenberg",
+        [
+            ([], False),  # default parameters: k >= n, one direct solve
+            (["--no-preprocess", "--B", "1", "--gamma-gap", "1e-3"], True),
+            # omega = delta/(4n): the absolute delta must agree as well
+            (["--no-preprocess", "--B", "1", "--gamma-gap", "1e-3", "--delta", "1e-9"], True),
+        ],
+    )
+    def test_printed_parameters_equal_solve_output(self, tmp_path, capsys, options, hessenberg):
+        path = _random_mtx(tmp_path, 6, hessenberg)
+        assert main(["info", path, "--seed", "21"] + options) == EXIT_OK
+        printed = _info_lines(capsys.readouterr().out)
+        out = tmp_path / "e.json"
+        assert main(["solve", path, "--seed", "21", "--out-json", str(out)] + options) == EXIT_OK
+        doc = json.loads(out.read_text())
+        gd, params = doc["globals"], doc["params"]
+        for key in ("B", "Gamma", "Sigma"):
+            assert printed[key] == f"{gd[key]:.6g}", key
+        assert printed["k"] == str(gd["k"])
+        assert printed["omega"] == f"{params['omega']:.6g}"
+        assert printed["required bits"] == str(params["required_bits"])
+        assert printed["seed"] == str(doc["seed"]) == "21"

@@ -6,7 +6,6 @@ import pytest
 from hessqr.errors import DomainError, ToleranceError
 from hessqr.kernel import (
     UNIT_ROUNDOFF_64,
-    PrecisionConfig,
     apply_givens_left,
     apply_givens_right,
     kth_root,
@@ -15,18 +14,6 @@ from hessqr.kernel import (
 )
 
 U = UNIT_ROUNDOFF_64
-
-
-class TestPrecisionConfig:
-    def test_binary64_roundoff(self):
-        cfg = PrecisionConfig(53)
-        assert cfg.unit_roundoff == 2.0**-52
-        assert cfg.is_binary64
-
-    def test_givens_model_floor(self):
-        with pytest.raises(DomainError):
-            PrecisionConfig(5)
-        assert PrecisionConfig(6).unit_roundoff <= 1 / 24
 
 
 class TestKthRoot:

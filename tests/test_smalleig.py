@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hessqr
+from hessqr import oracle, smalleig
 from hessqr.errors import SmallEigFailure
 from hessqr.oracle import matched_distance, ref_eigs
 from hessqr.smalleig import CharPolySolver
@@ -92,3 +98,20 @@ class TestCharPolySolver:
         assert matched_distance(
             np.array([complex(v) for v in vals]), ref_eigs(m)
         ) <= 1e-13
+
+
+class TestModuleBoundary:
+    def test_solver_import_leaves_oracle_unloaded(self):
+        src = os.path.dirname(os.path.dirname(hessqr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, hessqr; "
+            "print(sorted(m for m in ('hessqr.oracle', 'scipy.optimize') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_one_mpmath_lock(self):
+        assert oracle.MP_LOCK is smalleig.MP_LOCK
