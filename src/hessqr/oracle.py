@@ -7,8 +7,9 @@ residuals run in mpmath at ~double-double precision; eigenvector-based
 quantities (kappa_V, gap, spectral weights) come from LAPACK at binary64,
 which sits many orders below every tolerance that consumes them.  The
 production solver never imports this module; the mpmath primitives both need
-(Hessenberg reduction, the Hyman recurrence, block splitting and the lock on
-mpmath's global precision) live in ``smalleig``.
+(Hessenberg reduction, the Hyman recurrence, block splitting, the root
+certificate with its disjoint-disk check, and the lock on mpmath's global
+precision) live in ``smalleig``.
 """
 
 import math
@@ -22,6 +23,8 @@ from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi
 from .smalleig import (
     MP_LOCK,
+    _certify_block,
+    _disjoint,
     _hessenberg_mp,
     _hyman_kappa,
     _mp_row_norm,
@@ -150,18 +153,11 @@ def _newton_polish_block(blk, d, seeds, prec):
             if abs(step) <= tol * (1 + abs(z)):
                 break
         roots.append(z)
-    # certify: every polished point is provably within reach of a root, the
-    # multiset is complete (trace identity), and no two seeds collapsed.
-    bound = mpmath.mpf(2) ** (-(prec // 2))
-    tr = mpmath.fsum(blk[i, i] for i in range(d))
-    trace_err = abs(sum(roots) - tr)
-    ok = trace_err <= d * bound * scale
-    for z in roots:
-        kap, kapp = _hyman_kappa(blk, z, d)
-        if kapp == 0 or abs(d * kap / kapp) > bound * scale:
-            ok = False
-            break
-    return roots, ok
+    # certify: every polished point is provably within reach of a root
+    # (trace identity, per-root radius) and the inclusion disks are pairwise
+    # disjoint, so no two seeds collapsed and the multiset is complete.
+    radii = _certify_block(blk, d, roots, mpmath.mpf(2) ** (-(prec // 2)) * scale)
+    return roots, radii is not None and _disjoint(roots, radii)
 
 
 def _ref_eigs_mp(a, prec, mp_out):
@@ -237,7 +233,7 @@ def _ref_eigs_longdouble(a):
     A = _hessenberg_longdouble(a)
     n = A.shape[0]
     vals = []
-    for start, stop in _ld_split_blocks(A):
+    for start, stop in _split_blocks(A, n):
         d = stop - start
         blk = A[start:stop, start:stop]
         if d == 1:
@@ -270,26 +266,15 @@ def _ref_eigs_longdouble(a):
     return np.array(vals, dtype=np.complex128)
 
 
-def _ld_split_blocks(A):
-    n = A.shape[0]
-    spans = []
-    start = 0
-    for i in range(n - 1):
-        if A[i + 1, i] == 0:
-            spans.append((start, i + 1))
-            start = i + 1
-    spans.append((start, n))
-    return spans
-
-
 def ref_eigs(m, mp_out=False, prec=None):
     """Reference eigenvalues (test ground truth), dim <= 64.
 
     Below dim 17: LAPACK seeds polished by Newton on the Hyman determinant in
-    mpmath, with a per-root forward certificate and a trace identity check
-    (escalating precision on failure).  Larger desk sizes use the same scheme
-    in 80-bit arithmetic, which sits far below every tolerance consuming it at
-    those sizes; uncertified blocks fall back to the extended path.
+    mpmath, with a per-root forward certificate, a trace identity check and
+    pairwise-disjoint inclusion disks (escalating precision on failure).
+    Larger desk sizes use the same scheme in 80-bit arithmetic, which sits far
+    below every tolerance consuming it at those sizes; uncertified blocks fall
+    back to the extended path.
     """
     a = _as_array(m)
     n = a.shape[0]

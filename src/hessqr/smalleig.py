@@ -1,19 +1,33 @@
 """Default small eigenvalue solver: certified forward-approximate eigenvalues.
 
-Reduces the input to Hessenberg form in extended precision, evaluates the
-characteristic polynomial through a Hyman-style determinant recurrence, and
-locates the roots with Ehrlich-Aberth followed by Newton polish.  Each output
-carries a residual certificate (deg * |p/p'| plus a trace identity), and the
-working precision escalates until the requested absolute forward accuracy is
-certified.  Deterministic: no randomness anywhere, output sorted by (re, im).
+Works in mpmath at >= 120 bits on the Hessenberg form of the input (reduced
+by Householder reflections unless the input already has exact zeros below the
+subdiagonal) and evaluates the characteristic polynomial of each unreduced
+diagonal block through the Hyman determinant recurrence.  Each block is
+solved in one of two tiers:
+
+1. Fast: LAPACK eigenvalues of the block rounded to complex128 seed Newton
+   iterations on the Hyman determinant.  The roots are accepted only if the
+   trace identity holds, every inclusion radius d * |p/p'| is within the
+   requested accuracy, and the inclusion disks are pairwise disjoint.  Each of
+   the d disjoint disks holds at least one root of the degree-d polynomial, so
+   each holds exactly one: the output multiset is complete and matched.
+2. Fallback, for clusters, defective blocks and any failed check:
+   Ehrlich-Aberth from a circle followed by Newton polish, accepted on the
+   trace identity and the per-root radii alone.
+
+If neither tier certifies a block, the working precision doubles and the
+solve restarts, up to a cap; past it the solver raises SmallEigFailure.
+Deterministic: no randomness anywhere, output sorted by (re, im).
 
 Any object with a compatible ``solve(m, beta, phi)`` may be injected in its
 place; the probabilistic failure budget phi is not consumed here (failure
 surfaces as an exception instead of a silent wrong answer).
 
 The mpmath primitives defined here (Hessenberg reduction, the Hyman
-recurrence, block splitting and ``MP_LOCK``) are shared with ``oracle``,
-which imports them from this module.
+recurrence, block splitting, the root certificate with its disjoint-disk
+check, and ``MP_LOCK``) are shared with ``oracle``, which imports them from
+this module.
 """
 
 import math
@@ -22,13 +36,14 @@ import threading
 import mpmath
 import numpy as np
 
-from .errors import DimensionError, SmallEigFailure
+from .errors import DimensionError, DomainError, SmallEigFailure, StructureError
 from .kernel import is_mp_array
 
 # mpmath working precision is process-global; serialize all uses.
 MP_LOCK = threading.RLock()
 _MIN_PREC = 120
 _MAX_PREC = 960
+_NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 2-3 at 120 bits
 
 
 def _to_mp(a):
@@ -152,28 +167,100 @@ def _aberth_block(blk, d, prec):
 
 
 def _certify_block(blk, d, roots, beta_cert):
+    """Inclusion radii d * |kappa/kappa'| of the roots, or None.
+
+    The disk of that radius about a root holds a root of the block.  None
+    unless the trace identity holds within d * beta_cert and every radius is
+    within beta_cert.  The comparisons are written so that NaN fails them."""
     tr = mpmath.fsum(blk[i, i] for i in range(d))
-    if abs(sum(roots) - tr) > d * beta_cert:
-        return False
+    if not abs(sum(roots) - tr) <= d * beta_cert:
+        return None
+    radii = []
     for z in roots:
         kap, kapp = _hyman_kappa(blk, z, d)
         if kap == 0:
+            radii.append(mpmath.mpf(0))
             continue
-        if kapp == 0 or abs(d * kap / kapp) > beta_cert:
-            return False
+        if kapp == 0:
+            return None
+        r = d * abs(kap / kapp)
+        if not r <= beta_cert:
+            return None
+        radii.append(r)
+    return radii
+
+
+def _disjoint(centers, radii):
+    """True when the closed disks are pairwise disjoint.
+
+    With d disjoint inclusion disks for a degree-d polynomial, each disk holds
+    exactly one root, so a doubled root cannot hide a missing one."""
+    for i in range(len(centers)):
+        for j in range(i):
+            if not abs(centers[i] - centers[j]) > radii[i] + radii[j]:
+                return False
     return True
+
+
+def _isolated_roots(blk, d, prec, beta_cert):
+    """Fast tier: Newton from LAPACK seeds, certified with disjoint disks.
+
+    None sends the block to the Aberth fallback."""
+    flat = np.array([[complex(blk[i, j]) for j in range(d)] for i in range(d)])
+    try:
+        seeds = np.linalg.eigvals(flat)
+    except np.linalg.LinAlgError:
+        return None
+    tol = mpmath.mpf(2) ** (-(prec // 2))
+    roots = []
+    for s in seeds:
+        z = mpmath.mpc(complex(s))
+        for _ in range(_NEWTON_STEPS):
+            kap, kapp = _hyman_kappa(blk, z, d)
+            if kap == 0:
+                break
+            if kapp == 0:
+                return None
+            step = kap / kapp
+            z -= step
+            if abs(step) <= tol * (1 + abs(z)):
+                break
+        roots.append(z)
+    radii = _certify_block(blk, d, roots, beta_cert)
+    if radii is None or not _disjoint(roots, radii):
+        return None
+    return roots
+
+
+def _is_hessenberg(a, n):
+    return all(a[i, j] == 0 for i in range(2, n) for j in range(i - 1))
+
+
+def _frobenius_scale(flat):
+    """max(1, ||flat||_F) without squaring entries near the overflow threshold."""
+    peak = float(np.abs(flat).max())
+    if peak == 0:
+        return 1.0
+    scale = peak * float(np.linalg.norm(flat / peak))
+    if not math.isfinite(scale):
+        raise DomainError("matrix norm overflows binary64")
+    return max(1.0, scale)
 
 
 class CharPolySolver:
     """SmallEigSolver backed by the characteristic polynomial.
 
     solve(m, beta, phi) returns forward beta-approximations of Spec(m):
-    |lambda_hat_i - lambda_i| <= beta under a matching.  Certification is
-    capped at the representation limit of the output type (binary64 input
-    yields binary64 output), which is far below every working-accuracy scale
-    the driver produces.  phi is accepted for interface compatibility; this
-    solver is deterministic and raises SmallEigFailure instead of failing
-    silently.
+    |lambda_hat_i - lambda_i| <= beta under a matching.  Each unreduced block
+    is certified either by pairwise-disjoint inclusion disks around Newton
+    roots seeded from LAPACK, or, when that fails (clusters, defective
+    blocks), by the trace identity and per-root radii of an Ehrlich-Aberth
+    solve; see the module docstring.  Certification is capped at the
+    representation limit of the output type (binary64 input yields binary64
+    output), which is far below every working-accuracy scale the driver
+    produces.  phi is accepted for interface compatibility; this solver is
+    deterministic and raises SmallEigFailure instead of failing silently.
+    Non-finite entries raise StructureError.
     """
 
     def __init__(self, min_bits=_MIN_PREC, max_bits=_MAX_PREC):
@@ -198,18 +285,20 @@ class CharPolySolver:
             )
         else:
             flat = a.astype(np.complex128)
-        scale = max(1.0, float(np.linalg.norm(flat)))
+        if not np.isfinite(flat).all():
+            raise StructureError("matrix has entries that are not finite in binary64")
+        scale = _frobenius_scale(flat)
         # Representation floor: a binary64 result cannot certify below ~ulp.
         beta_eff = max(float(beta), 8.0 * 2.0**-52 * scale) if not extended else float(beta)
+        hessenberg = _is_hessenberg(a, n)
 
         prec = max(self.min_bits, int(math.log2(scale / beta_eff)) + 60)
         prec = min(prec, self.max_bits)
         while True:
             with MP_LOCK, mpmath.workprec(prec):
-                if extended:
-                    H = _hessenberg_mp(a.copy())
-                else:
-                    H = _hessenberg_mp(_to_mp(flat))
+                H = a if extended else _to_mp(flat)
+                if not hessenberg:
+                    H = _hessenberg_mp(H)
                 beta_cert = mpmath.mpf(beta_eff) / 2
                 vals = []
                 good = True
@@ -219,10 +308,12 @@ class CharPolySolver:
                     if d == 1:
                         vals.append(blk[0, 0])
                         continue
-                    roots = _aberth_block(blk, d, prec)
-                    if not _certify_block(blk, d, roots, beta_cert):
-                        good = False
-                        break
+                    roots = _isolated_roots(blk, d, prec, beta_cert)
+                    if roots is None:
+                        roots = _aberth_block(blk, d, prec)
+                        if _certify_block(blk, d, roots, beta_cert) is None:
+                            good = False
+                            break
                     vals.extend(roots)
                 if good:
                     vals.sort(key=lambda z: (float(z.real), float(z.imag)))

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import settings
 
 from hessqr.iqr import HessenbergMatrix
+
+# Property tests draw the same examples on every run and may take as long as
+# an mpmath solve needs.
+settings.register_profile(
+    "hessqr", deadline=None, derandomize=True, max_examples=50, database=None
+)
+settings.load_profile("hessqr")
 
 
 def random_hessenberg(rng, n, scale=1.0):

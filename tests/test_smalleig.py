@@ -2,16 +2,48 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from conftest import random_hessenberg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hessqr
 from hessqr import oracle, smalleig
-from hessqr.errors import SmallEigFailure
+from hessqr.errors import (
+    DomainError,
+    HessqrError,
+    OracleError,
+    SmallEigFailure,
+    StructureError,
+)
 from hessqr.oracle import matched_distance, ref_eigs
 from hessqr.smalleig import CharPolySolver
 
 SOLVER = CharPolySolver()
+
+
+def companion(coeffs):
+    """Companion matrix with first row coeffs: unreduced upper Hessenberg."""
+    n = len(coeffs)
+    c = np.zeros((n, n), dtype=complex)
+    c[0, :] = coeffs
+    return c + np.diag(np.ones(n - 1), -1)
+
+
+@pytest.fixture
+def aberth_calls(monkeypatch):
+    """Counts the fallback tier's Ehrlich-Aberth block solves."""
+    calls = []
+    original = smalleig._aberth_block
+
+    def counting(blk, d, prec):
+        calls.append((d, prec))
+        return original(blk, d, prec)
+
+    monkeypatch.setattr(smalleig, "_aberth_block", counting)
+    return calls
 
 
 class TestCharPolySolver:
@@ -60,21 +92,17 @@ class TestCharPolySolver:
         j = np.diag(np.ones(3), 1).astype(complex)
         assert SOLVER.solve(j, 1e-18, 0.1) == [0j, 0j, 0j, 0j]
 
-    def test_multiple_root_cluster(self):
-        # companion of (z-1)^4: defective but unreduced; the cluster still
-        # certifies by escalating precision
-        c = np.zeros((4, 4), dtype=complex)
-        c[0, :] = [4.0, -6.0, 4.0, -1.0]
-        c += np.diag(np.ones(3), -1)
-        vals = SOLVER.solve(c, 1e-10, 0.1)
+    def test_multiple_root_cluster(self, aberth_calls):
+        # companion of (z-1)^4: defective but unreduced; overlapping disks
+        # send it to the Aberth fallback, which certifies by escalating
+        # precision
+        vals = SOLVER.solve(companion([4.0, -6.0, 4.0, -1.0]), 1e-10, 0.1)
+        assert aberth_calls
+        assert len(vals) == 4
         assert all(abs(v - 1.0) <= 1e-10 for v in vals)
 
     def test_defective_beyond_precision_fails_loudly(self):
-        import mpmath
-
-        c = np.zeros((4, 4), dtype=complex)
-        c[0, :] = [4.0, -6.0, 4.0, -1.0]
-        c += np.diag(np.ones(3), -1)
+        c = companion([4.0, -6.0, 4.0, -1.0])
         obj = np.empty((4, 4), dtype=object)
         for i in range(4):
             for j in range(4):
@@ -85,8 +113,6 @@ class TestCharPolySolver:
             SOLVER.solve(obj, 1e-80, 0.1)
 
     def test_extended_input_roundtrip(self):
-        import mpmath
-
         rng = np.random.default_rng(34)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         obj = np.empty((3, 3), dtype=object)
@@ -98,6 +124,104 @@ class TestCharPolySolver:
         assert matched_distance(
             np.array([complex(v) for v in vals]), ref_eigs(m)
         ) <= 1e-13
+
+
+class TestTwoTiers:
+    def test_fast_path_matches_forced_aberth(self, monkeypatch, aberth_calls):
+        rng = np.random.default_rng(35)
+        sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
+        cases = [random_hessenberg(rng, n).a for n in sizes]
+        fast = [SOLVER.solve(m, 1e-10, 0.1) for m in cases]
+        assert aberth_calls == []
+        monkeypatch.setattr(smalleig, "_isolated_roots", lambda blk, d, prec, beta_cert: None)
+        forced = [SOLVER.solve(m, 1e-10, 0.1) for m in cases]
+        assert len(aberth_calls) == len(cases)
+        assert fast == forced
+
+    def test_isolation_rejects_duplicated_root(self):
+        # roots +-e of z^2 - e^2; the list [e, e] passes the trace identity
+        # and has exact residuals, yet misses -e by 2e
+        with mpmath.workprec(120):
+            e = mpmath.mpf(2) ** -60
+            blk = np.array([[0, e * e], [1, 0]], dtype=object) * mpmath.mpc(1)
+            beta_cert = mpmath.mpf(1e-15)
+            radii = smalleig._certify_block(blk, 2, [e, e], beta_cert)
+            assert radii == [0, 0]
+            assert not smalleig._disjoint([e, e], radii)
+            good = smalleig._certify_block(blk, 2, [e, -e], beta_cert)
+            assert smalleig._disjoint([e, -e], good)
+
+    def test_hessenberg_input_skips_reduction(self, monkeypatch):
+        reductions = []
+        original = smalleig._hessenberg_mp
+
+        def counting(h):
+            reductions.append(h.shape[0])
+            return original(h)
+
+        monkeypatch.setattr(smalleig, "_hessenberg_mp", counting)
+        rng = np.random.default_rng(36)
+        h = random_hessenberg(rng, 5).a
+        assert matched_distance(np.array(SOLVER.solve(h, 1e-12, 0.1)), ref_eigs(h)) <= 1e-12
+        assert reductions == []
+        dense = rng.standard_normal((5, 5)) + 0j
+        SOLVER.solve(dense, 1e-12, 0.1)
+        assert reductions == [5]
+
+
+class TestExtremeInputs:
+    def test_inf_rejected(self):
+        with pytest.raises(StructureError):
+            SOLVER.solve(np.array([[1.0, np.inf], [1.0, 0.0]], dtype=complex), 1e-10, 0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(StructureError):
+            SOLVER.solve(np.array([[1.0, np.nan], [1.0, 0.0]], dtype=complex), 1e-10, 0.1)
+
+    def test_entries_near_overflow(self):
+        m = np.array([[1e300, 2e300], [1e300, -1e300]], dtype=complex)
+        vals = SOLVER.solve(m, 1e-10, 0.1)
+        expected = np.array([-np.sqrt(3.0), np.sqrt(3.0)]) * 1e300
+        assert np.allclose(np.array(vals), expected, rtol=1e-14, atol=0)
+
+    def test_norm_overflow_rejected(self):
+        with pytest.raises(DomainError):
+            SOLVER.solve(np.full((2, 2), 1e308, dtype=complex), 1e-10, 0.1)
+
+
+@st.composite
+def hard_matrices(draw):
+    """Companion, lower-Jordan, sparse and dense small matrices, scaled by 2^e."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["companion", "jordan", "zeros", "dense"]))
+    ints = st.integers(-3, 3)
+    if kind == "companion":
+        a = companion(draw(st.lists(ints, min_size=n, max_size=n)))
+    elif kind == "jordan":
+        # one defective block: lambda on the diagonal, ones below it
+        a = draw(ints) * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), -1)
+    else:
+        entries = st.sampled_from([0, 0, 0, 1, -2, 1j]) if kind == "zeros" else ints
+        flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+        a = np.array(flat, dtype=complex).reshape(n, n)
+    return np.ldexp(1.0, draw(st.sampled_from([-200, 0, 200]))) * a
+
+
+class TestHardInputs:
+    @given(hard_matrices())
+    def test_certified_or_loud(self, a):
+        n = a.shape[0]
+        beta = 1e-8 * max(1.0, float(np.linalg.norm(a)))
+        try:
+            vals = SOLVER.solve(a, beta, 0.1)
+        except HessqrError:
+            return
+        assert len(vals) == n
+        try:
+            ref = ref_eigs(a)
+        except OracleError:
+            return
+        assert matched_distance(np.array(vals), ref) <= beta
 
 
 class TestModuleBoundary:
