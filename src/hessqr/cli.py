@@ -159,9 +159,9 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="master seed; drawn from entropy when omitted")
         p.add_argument("--bits", type=int, default=53,
-                       help="working mantissa bits (default 53); above 53 the run "
-                            "switches to mpmath number types, whose precision it "
-                            "does not yet raise")
+                       help="working mantissa bits (default 53); any other value "
+                            "runs the QR iteration on mpmath numbers at that "
+                            "precision")
         p.add_argument("--B", type=float, default=None,
                        help="eigenvector condition bound override")
         p.add_argument("--gamma-gap", type=float, default=None, dest="gamma_gap",

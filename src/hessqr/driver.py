@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -31,7 +32,7 @@ from .errors import (
     SolveFailure,
     StructureError,
 )
-from .iqr import HessenbergMatrix, potential
+from .iqr import HessenbergMatrix, potential, split_blocks
 from .params import (
     GlobalData,
     RunParams,
@@ -41,8 +42,8 @@ from .params import (
     required_precision,
 )
 from .ritz import ritz_or_decouple
-from .shifting import Branch, sh_step
-from .smalleig import DEFAULT_SOLVER
+from .shifting import sh_step
+from .smalleig import DEFAULT_SOLVER, MP_LOCK
 
 MAX_RETRIES = 3
 
@@ -56,23 +57,14 @@ def deflate(h, omega, k=None):
     matrix with nothing at or below omega returns as a single block."""
     a = h.a.copy()
     n = h.n
-    cuts = []
-    for i in range(n - 1):
-        if a[i + 1, i] == 0:
-            cuts.append(i + 1)
     k_span = n - 1 if k is None else min(k, n - 1)
     for i in range(n - 1 - k_span, n - 1):
-        if abs(a[i + 1, i]) <= omega and (i + 1) not in cuts:
+        if abs(a[i + 1, i]) <= omega:
             a[i + 1, i] = 0
-            cuts.append(i + 1)
-    cuts = sorted(set(cuts))
-    blocks = []
-    start = 0
-    for c in cuts + [n]:
-        if c > start:
-            blocks.append(HessenbergMatrix(a[start:c, start:c], validate=False))
-            start = c
-    return blocks
+    return [
+        HessenbergMatrix(a[start:stop, start:stop], validate=False)
+        for start, stop in split_blocks(a, n)
+    ]
 
 
 @dataclass
@@ -110,14 +102,6 @@ class DeflationTree:
 
     def leaves(self):
         return [n for n in self.ordered() if n.eigenvalues is not None]
-
-    def total_sh_steps(self):
-        return sum(
-            1
-            for n in self.nodes.values()
-            for rec in n.trace
-            if rec.branch in (Branch.RITZ_SHIFT.value, Branch.EXCEPTIONAL.value)
-        )
 
 
 def _node_rng(seed, path):
@@ -223,7 +207,7 @@ def shifted_qr(h, delta, phi, gd, solver=None, seed=0):
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
     solver = solver or DEFAULT_SOLVER
-    params = derive_run_params(h.n, delta, phi, gd, seed=seed)
+    params = derive_run_params(h.n, delta, phi, gd)
     t0 = time.perf_counter()
     tree = DeflationTree()
     root = DeflationNode(path=(), start=0, dim=h.n)
@@ -351,10 +335,16 @@ def solve(a, config=None):
     With preprocessing on, the input is Gaussian-perturbed by delta*||A||/2
     and Hessenberg-reduced, then the recursive driver runs with absolute
     accuracy delta*||A||/2; without it, the input must already be upper
-    Hessenberg (see ``prepare``).  The result reports the mantissa bits the
+    Hessenberg (see ``prepare``).  A run with ``bits`` other than 53 works on
+    mpmath numbers at that precision from the Hessenberg form on (IQR sweeps,
+    tau products, Ritz values); the small solver certifies at its own, higher
+    precision either way.  The result reports the mantissa bits the
     worst-case analysis requires as ``required_bits``."""
     config = config or SolveConfig()
     h, gd, delta, seed = prepare(a, config)
-    if config.bits > 53:
-        h = h.to_extended()
-    return shifted_qr(h, delta, config.phi, gd, solver=config.solver, seed=seed)
+    if config.bits == 53:
+        return shifted_qr(h, delta, config.phi, gd, solver=config.solver, seed=seed)
+    with MP_LOCK, mpmath.workprec(config.bits):
+        return shifted_qr(
+            h.to_extended(), delta, config.phi, gd, solver=config.solver, seed=seed
+        )

@@ -6,6 +6,9 @@ Q is never materialized here -- tests accumulate it from the stored rotations.
 The diagonal of each triangular factor is kept real nonnegative (the unique
 positive-diagonal QR convention), which pins down the bottom-right entries
 (R_l)_{nn} whose product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.
+``split_blocks`` is the one block splitter: the driver's deflation, the small
+solver and the oracle all cut Hessenberg matrices at exactly-zero
+subdiagonals through it.
 """
 
 import math
@@ -64,14 +67,6 @@ class HessenbergMatrix:
     def copy(self):
         return HessenbergMatrix(self.a, validate=False)
 
-    def subdiagonal_abs(self):
-        """Moduli of the n-1 subdiagonal entries, top to bottom."""
-        n = self.n
-        vals = [abs(self.a[i + 1, i]) for i in range(n - 1)]
-        if self.is_extended:
-            return vals
-        return np.array(vals)
-
     def bottom_subdiagonal_abs(self, k):
         """Moduli of the bottom k subdiagonal entries h_(i,i-1), i=n-k+1..n."""
         n = self.n
@@ -111,6 +106,21 @@ class HessenbergMatrix:
         return HessenbergMatrix(out, validate=False)
 
 
+def split_blocks(a, n):
+    """Index ranges of the diagonal blocks of a between exactly-zero subdiagonals.
+
+    Works on any square array (complex128, clongdouble or mpmath objects);
+    the ranges come back top to bottom and cover 0..n."""
+    spans = []
+    start = 0
+    for i in range(n - 1):
+        if a[i + 1, i] == 0:
+            spans.append((start, i + 1))
+            start = i + 1
+    spans.append((start, n))
+    return spans
+
+
 @dataclass(frozen=True)
 class ShiftList:
     """Roots s_1..s_m of a monic shift polynomial, applied in order."""
@@ -148,7 +158,6 @@ class IqrResult:
     next_h: HessenbergMatrix
     r_nn_per_step: list
     steps: Optional[list] = None  # list[StepRotations] when keep_rotations
-    r_factors: Optional[list] = None  # per-step triangular factors, ditto
 
 
 def _zero_below_subdiagonal(a):
@@ -201,7 +210,6 @@ def iqr_single(h, s, keep_rotations=False):
         r_nn = abs(rnn)
         phase = rnn / r_nn
     a[n - 1, n - 1] = r_nn
-    r_factor = a.copy() if keep_rotations else None
 
     for i in range(n - 1):
         g = rotations[i]
@@ -217,8 +225,7 @@ def iqr_single(h, s, keep_rotations=False):
 
     out = HessenbergMatrix(a, validate=False)
     steps = [StepRotations(rotations, phase)] if keep_rotations else None
-    r_factors = [r_factor] if keep_rotations else None
-    return IqrResult(out, [r_nn], steps, r_factors)
+    return IqrResult(out, [r_nn], steps)
 
 
 def iqr_multi(h, shifts, keep_rotations=False):
@@ -228,31 +235,23 @@ def iqr_multi(h, shifts, keep_rotations=False):
     cur = h
     r_nns = []
     steps = [] if keep_rotations else None
-    r_factors = [] if keep_rotations else None
     for s in shifts.roots:
         res = iqr_single(cur, s, keep_rotations=keep_rotations)
         cur = res.next_h
         r_nns.extend(res.r_nn_per_step)
         if keep_rotations:
             steps.extend(res.steps)
-            r_factors.extend(res.r_factors)
-    return IqrResult(cur, r_nns, steps, r_factors)
+    return IqrResult(cur, r_nns, steps)
 
 
-class CompTauResult(NamedTuple):
-    value: float
-    trusted: Optional[bool]
-
-
-def comp_tau(h, shifts, dist_bound=None, kappa_bound=None):
+def comp_tau(h, shifts):
     """tau_p(H)^m from the bottom-right entries of the triangular factors.
 
     Returns fl((R_1)_nn * ... * (R_m)_nn), which approximates
     ||e_n* p(H)^{-1}||^{-1} with relative error <= 0.001 when the shifts stay
-    far enough from the spectrum for the working precision.  When the caller
-    supplies a distance lower bound and a kappa_V upper bound, `trusted`
-    reports whether that worst-case precision condition is certifiable;
-    otherwise it is None and the value is returned as computed.
+    far enough from the spectrum for the working precision (the worst-case
+    requirement is part of ``params.required_precision``).  The value is a
+    float, or an mpmath number on extended input.
     """
     if not isinstance(shifts, ShiftList):
         shifts = ShiftList(tuple(shifts))
@@ -262,24 +261,7 @@ def comp_tau(h, shifts, dist_bound=None, kappa_bound=None):
         value = value * v
     if not h.is_extended:
         value = float(value)
-    trusted = None
-    if dist_bound is not None and kappa_bound is not None:
-        trusted = comp_tau_precision_ok(
-            h.n, shifts.degree, float(h.frobenius_norm()), kappa_bound, dist_bound
-        )
-    return CompTauResult(value, trusted)
-
-
-def comp_tau_precision_ok(n, m, norm_bound, kappa_bound, dist_bound, bits=53):
-    """Worst-case certificate u <= u_CompTau, evaluated in log2 space."""
-    if dist_bound <= 0 or norm_bound <= 0:
-        return False
-    shift_radius_factor = 4.0  # (2 + 2C) with the shift radius C||H|| <= ||H||
-    log2_u_req = (
-        -math.log2(6.0e3 * kappa_bound * 32.0 * n**1.5)
-        + 2.0 * m * (math.log2(dist_bound) - math.log2(shift_radius_factor * norm_bound))
-    )
-    return -(bits - 1) <= log2_u_req
+    return value
 
 
 def _scaled_product(values):

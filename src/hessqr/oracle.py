@@ -3,13 +3,15 @@
 Dense row iterations, resolvent solves, reference eigensolves, the spectral
 measure, kappa_V / gap estimation, promising-value verification, and
 eigenvalue matching. Row iterations, resolvent solves and determinant
-residuals run in mpmath at ~double-double precision; eigenvector-based
+residuals run in mpmath at ~double-double precision; reference eigenvalues
+run in mpmath or clongdouble (see ``ref_eigs``); eigenvector-based
 quantities (kappa_V, gap, spectral weights) come from LAPACK at binary64,
 which sits many orders below every tolerance that consumes them.  The
-production solver never imports this module; the mpmath primitives both need
-(Hessenberg reduction, the Hyman recurrence, block splitting, the root
-certificate with its disjoint-disk check, and the lock on mpmath's global
-precision) live in ``smalleig``.
+production solver never imports this module.  The numeric primitives both
+need have one implementation each, written for either arithmetic: the
+Householder reduction, the Hyman recurrence and the root certificate with its
+disjoint-disk check live in ``smalleig`` (with the lock on mpmath's global
+precision), and block splitting is ``iqr.split_blocks``.
 """
 
 import math
@@ -20,15 +22,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, DomainError, OracleError, SingularityError
-from .iqr import HessenbergMatrix, ShiftList, iqr_multi
+from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
 from .smalleig import (
     MP_LOCK,
     _certify_block,
     _disjoint,
-    _hessenberg_mp,
+    _hessenberg,
     _hyman_kappa,
-    _mp_row_norm,
-    _split_blocks,
     _to_mp,
 )
 
@@ -70,7 +70,7 @@ def dense_en_p_norm(h, shifts, prec=ORACLE_PREC):
         for s in shifts.roots:
             s = _mpc_of(s)
             row = row @ H - s * row
-        return +_mp_row_norm(row)
+        return +mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in row))
 
 
 def resolvent_power_norm(h, r, k, prec=ORACLE_PREC):
@@ -118,10 +118,10 @@ def hyman_residual(m, lam, prec=ORACLE_PREC):
     a = _as_array(m)
     n = a.shape[0]
     with MP_LOCK, mpmath.workprec(prec):
-        H = _hessenberg_mp(_to_mp(a))
+        H = _hessenberg(_to_mp(a))
         lam = _mpc_of(lam)
         det = mpmath.mpf(1)
-        for start, stop in _split_blocks(H, n):
+        for start, stop in split_blocks(H, n):
             d = stop - start
             blk = H[start:stop, start:stop]
             if d == 1:
@@ -134,30 +134,46 @@ def hyman_residual(m, lam, prec=ORACLE_PREC):
         return +det
 
 
-def _newton_polish_block(blk, d, seeds, prec):
-    """Newton on the Hyman determinant from complete LAPACK seeds."""
-    roots = []
-    scale = float(max(1.0, max(abs(complex(blk[i, j])) for i in range(d) for j in range(d))))
-    tol = mpmath.mpf(2) ** (-(prec - 10))
-    for s in seeds:
-        z = mpmath.mpc(complex(s))
-        for _ in range(60):
-            kap, kapp = _hyman_kappa(blk, z, d)
-            if kap == 0:
-                break
-            if kapp == 0:
-                z += tol * (1 + abs(z))
-                continue
-            step = kap / kapp
-            z -= step
-            if abs(step) <= tol * (1 + abs(z)):
-                break
-        roots.append(z)
-    # certify: every polished point is provably within reach of a root
-    # (trace identity, per-root radius) and the inclusion disks are pairwise
-    # disjoint, so no two seeds collapsed and the multiset is complete.
-    radii = _certify_block(blk, d, roots, mpmath.mpf(2) ** (-(prec // 2)) * scale)
-    return roots, radii is not None and _disjoint(roots, radii)
+def _polished_eigs(H, n, num, tol, radius):
+    """Certified eigenvalues of Hessenberg H in its own arithmetic, or None.
+
+    Each unreduced block is seeded by LAPACK on its complex128 rounding (num
+    converts a seed into the arithmetic of H), and each seed is polished by
+    Newton on the Hyman determinant until |step| <= tol (1 + |z|).  A block is
+    accepted when the trace identity holds, every inclusion radius is within
+    radius * max(1, max |b_ij|), and the inclusion disks are pairwise
+    disjoint, so no two seeds collapsed onto one root.  The values come back
+    sorted by (re, im)."""
+    vals = []
+    for start, stop in split_blocks(H, n):
+        d = stop - start
+        blk = H[start:stop, start:stop]
+        if d == 1:
+            vals.append(blk[0, 0])
+            continue
+        flat = np.array([[complex(blk[i, j]) for j in range(d)] for i in range(d)])
+        scale = max(1.0, float(np.abs(flat).max()))
+        roots = []
+        for s in np.linalg.eigvals(flat):
+            z = num(s)
+            for _ in range(60):
+                kap, kapp = _hyman_kappa(blk, z, d)
+                if kap == 0:
+                    break
+                if kapp == 0:
+                    z += tol * (1 + abs(z))
+                    continue
+                step = kap / kapp
+                z -= step
+                if abs(step) <= tol * (1 + abs(z)):
+                    break
+            roots.append(z)
+        radii = _certify_block(blk, d, roots, radius * scale)
+        if radii is None or not _disjoint(roots, radii):
+            return None
+        vals.extend(roots)
+    vals.sort(key=lambda z: (float(z.real), float(z.imag)))
+    return vals
 
 
 def _ref_eigs_mp(a, prec, mp_out):
@@ -165,116 +181,28 @@ def _ref_eigs_mp(a, prec, mp_out):
     for attempt in range(3):
         p = prec * (2**attempt)
         with MP_LOCK, mpmath.workprec(p):
-            H = _hessenberg_mp(_to_mp(a))
-            vals = []
-            good = True
-            for start, stop in _split_blocks(H, n):
-                d = stop - start
-                blk = H[start:stop, start:stop]
-                if d == 1:
-                    vals.append(blk[0, 0])
-                    continue
-                blk_f = np.array(
-                    [[complex(blk[i, j]) for j in range(d)] for i in range(d)]
-                )
-                seeds = np.linalg.eigvals(blk_f)
-                roots, ok = _newton_polish_block(blk, d, seeds, p)
-                if not ok:
-                    good = False
-                    break
-                vals.extend(roots)
-            if good:
-                vals.sort(key=lambda z: (float(z.real), float(z.imag)))
-                if mp_out:
-                    return vals
-                return np.array([complex(z) for z in vals])
+            vals = _polished_eigs(
+                _hessenberg(_to_mp(a)),
+                n,
+                mpmath.mpc,
+                mpmath.mpf(2) ** (-(p - 10)),
+                mpmath.mpf(2) ** (-(p // 2)),
+            )
+            if vals is not None:
+                return vals if mp_out else np.array([complex(z) for z in vals])
     raise OracleError("reference eigensolve could not certify its accuracy")
-
-
-def _hessenberg_longdouble(a):
-    A = a.astype(np.clongdouble)
-    n = A.shape[0]
-    for c in range(n - 2):
-        x = A[c + 1 :, c].copy()
-        normx = np.sqrt(float((np.abs(x) ** 2).sum()))
-        if normx == 0:
-            continue
-        ph = x[0] / np.abs(x[0]) if x[0] != 0 else np.clongdouble(1)
-        u = x
-        u[0] = u[0] + ph * np.clongdouble(normx)
-        unorm2 = (np.abs(u) ** 2).sum()
-        if unorm2 == 0:
-            continue
-        b = np.clongdouble(2) / unorm2
-        w = u.conj() @ A[c + 1 :, c:]
-        A[c + 1 :, c:] -= b * np.outer(u, w)
-        w2 = A[:, c + 1 :] @ u
-        A[:, c + 1 :] -= b * np.outer(w2, u.conj())
-        A[c + 2 :, c] = 0
-    return A
-
-
-def _hyman_kappa_ld(H, z):
-    n = H.shape[0]
-    x = np.zeros(n, dtype=np.clongdouble)
-    xp = np.zeros(n, dtype=np.clongdouble)
-    x[n - 1] = 1
-    for i in range(n - 1, 0, -1):
-        acc = H[i, i:] @ x[i:]
-        accp = H[i, i:] @ xp[i:]
-        x[i - 1] = (z * x[i] - acc) / H[i, i - 1]
-        xp[i - 1] = (x[i] + z * xp[i] - accp) / H[i, i - 1]
-    kap = H[0, :] @ x - z * x[0]
-    kapp = H[0, :] @ xp - x[0] - z * xp[0]
-    return kap, kapp
-
-
-def _ref_eigs_longdouble(a):
-    A = _hessenberg_longdouble(a)
-    n = A.shape[0]
-    vals = []
-    for start, stop in _split_blocks(A, n):
-        d = stop - start
-        blk = A[start:stop, start:stop]
-        if d == 1:
-            vals.append(complex(blk[0, 0]))
-            continue
-        scale = max(1.0, float(np.abs(blk.astype(np.complex128)).max()))
-        seeds = np.linalg.eigvals(blk.astype(np.complex128))
-        ok = True
-        polished = []
-        for s in seeds:
-            z = np.clongdouble(s.real) + 1j * np.clongdouble(s.imag)
-            for _ in range(6):
-                kap, kapp = _hyman_kappa_ld(blk, z)
-                if kapp == 0:
-                    break
-                step = kap / kapp
-                z = z - step
-                if abs(complex(step)) <= 1e-18 * (1.0 + abs(complex(z))):
-                    break
-            kap, kapp = _hyman_kappa_ld(blk, z)
-            if kapp == 0 or abs(complex(d * kap / kapp)) > 1e-12 * scale:
-                ok = False
-                break
-            polished.append(complex(z))
-        if not ok:
-            # rare: fall back to the certified extended path for this block
-            polished = list(_ref_eigs_mp(blk.astype(np.complex128), 2 * ORACLE_PREC, False))
-        vals.extend(polished)
-    vals.sort(key=lambda z: (z.real, z.imag))
-    return np.array(vals, dtype=np.complex128)
 
 
 def ref_eigs(m, mp_out=False, prec=None):
     """Reference eigenvalues (test ground truth), dim <= 64.
 
-    Below dim 17: LAPACK seeds polished by Newton on the Hyman determinant in
-    mpmath, with a per-root forward certificate, a trace identity check and
-    pairwise-disjoint inclusion disks (escalating precision on failure).
-    Larger desk sizes use the same scheme in 80-bit arithmetic, which sits far
-    below every tolerance consuming it at those sizes; uncertified blocks fall
-    back to the extended path.
+    Householder reduction, LAPACK seeds, Newton on the Hyman determinant, and
+    a certificate per block: the trace identity, every inclusion radius, and
+    pairwise-disjoint inclusion disks (``_polished_eigs``).  Below dim 17, or
+    with ``mp_out``, this runs in mpmath at ``prec`` (default 140) bits,
+    doubling on failure.  Larger desk sizes run the same code in clongdouble
+    (80-bit on x86), which sits far below every tolerance consuming it at
+    those sizes; if that fails to certify, the matrix goes to the mpmath path.
     """
     a = _as_array(m)
     n = a.shape[0]
@@ -283,9 +211,14 @@ def ref_eigs(m, mp_out=False, prec=None):
     if n == 1:
         val = [mpmath.mpc(complex(a[0, 0]))] if mp_out else np.array([a[0, 0]])
         return val
+    prec = prec or 140
     if mp_out or n <= MP_EIG_DIM_LIMIT:
-        return _ref_eigs_mp(a, prec or 140, mp_out)
-    return _ref_eigs_longdouble(a)
+        return _ref_eigs_mp(a, prec, mp_out)
+    H = _hessenberg(a.astype(np.clongdouble))
+    vals = _polished_eigs(H, n, np.clongdouble, 1e-18, 1e-12)
+    if vals is None:
+        return _ref_eigs_mp(a, prec, False)
+    return np.array([complex(z) for z in vals])
 
 
 # ---------------------------------------------------------------------------

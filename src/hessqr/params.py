@@ -11,8 +11,7 @@ under- or overflow.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
 
@@ -112,13 +111,9 @@ class RunParams:
     phi_working: float
     n_dec: float          # real-valued bound from the budget equation
     n_dec_budget: int     # usable iterations: floor(n_dec)
-    seed: Optional[int] = None
-
-    def with_seed(self, seed):
-        return replace(self, seed=seed)
 
 
-def derive_run_params(n, delta, phi, gd, seed=None):
+def derive_run_params(n, delta, phi, gd):
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not (0 < delta <= gd.Sigma):
@@ -132,7 +127,7 @@ def derive_run_params(n, delta, phi, gd, seed=None):
     phi_working = (phi / (3.0 * n**2)) / n_dec
     return RunParams(delta=float(delta), phi=float(phi), omega=omega,
                      phi_working=phi_working, n_dec=n_dec,
-                     n_dec_budget=max(1, math.floor(n_dec)), seed=seed)
+                     n_dec_budget=max(1, math.floor(n_dec)))
 
 
 def regularization_scales(omega, Sigma, k, phi):

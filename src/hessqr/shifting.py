@@ -40,16 +40,6 @@ class Branch(Enum):
     EXCEPTIONAL = "exceptional"
 
 
-@dataclass(frozen=True)
-class ExcParams:
-    """Exceptional-shift geometry: disk radius, net resolution, candidates."""
-
-    r_hat: float
-    epsilon: float
-    xi: float
-    net_points: tuple
-
-
 @dataclass
 class ShStepOutcome:
     next_h: HessenbergMatrix
@@ -82,7 +72,7 @@ def find(h, ritz, gd):
         taus = []
         for cand in (current[:half], current[half:]):
             roots = tuple(r for r in cand for _ in range(rep))
-            taus.append(comp_tau(h, ShiftList(roots)).value)
+            taus.append(comp_tau(h, ShiftList(roots)))
         current = current[:half] if taus[0] <= taus[1] else current[half:]
     return current[0]
 
@@ -177,7 +167,7 @@ def sh_step(h, ritz, omega, phi, rng, gd):
     psi_before = potential(h, k)
     r = find(h, ritz, gd)
 
-    tau_k = comp_tau(h, ShiftList.repeated(r, k)).value
+    tau_k = comp_tau(h, ShiftList.repeated(r, k))
     mant, ex = potential_pow_k(h, k)
     threshold = scaled_to_float(mant, ex, (1.0 - gd.gamma) ** k)
     if tau_k < threshold:

@@ -24,10 +24,11 @@ Any object with a compatible ``solve(m, beta, phi)`` may be injected in its
 place; the probabilistic failure budget phi is not consumed here (failure
 surfaces as an exception instead of a silent wrong answer).
 
-The mpmath primitives defined here (Hessenberg reduction, the Hyman
-recurrence, block splitting, the root certificate with its disjoint-disk
-check, and ``MP_LOCK``) are shared with ``oracle``, which imports them from
-this module.
+The primitives defined here (Householder reduction, the Hyman recurrence,
+and the root certificate with its disjoint-disk check) are written once and
+run in the arithmetic of their input: object arrays of mpmath numbers here,
+and also numpy clongdouble arrays in ``oracle``, which imports them together
+with ``MP_LOCK``.  Blocks are cut by ``iqr.split_blocks``.
 """
 
 import math
@@ -37,6 +38,7 @@ import mpmath
 import numpy as np
 
 from .errors import DimensionError, DomainError, SmallEigFailure, StructureError
+from .iqr import split_blocks
 from .kernel import is_mp_array
 
 # mpmath working precision is process-global; serialize all uses.
@@ -55,20 +57,17 @@ def _to_mp(a):
     return out
 
 
-def _mp_row_norm(row):
-    return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in row))
-
-
 def _hyman_kappa(H, z, n):
     """kappa(z), kappa'(z) with det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag).
 
-    H must be unreduced Hessenberg (object array of mpmath numbers)."""
-    x = [mpmath.mpc(0)] * n
-    xp = [mpmath.mpc(0)] * n
-    x[n - 1] = mpmath.mpc(1)
+    H must be unreduced Hessenberg; the recurrence runs in the arithmetic of H
+    and z (mpmath numbers or numpy clongdouble)."""
+    x = [0] * n
+    xp = [0] * n
+    x[n - 1] = 1
     for i in range(n - 1, 0, -1):
-        acc = mpmath.mpc(0)
-        accp = mpmath.mpc(0)
+        acc = 0
+        accp = 0
         for j in range(i, n):
             acc += H[i, j] * x[j]
             accp += H[i, j] * xp[j]
@@ -82,20 +81,24 @@ def _hyman_kappa(H, z, n):
     return kap, kapp
 
 
-def _hessenberg_mp(H):
-    """Householder reduction to Hessenberg form at the ambient precision."""
+def _hessenberg(H):
+    """Householder reduction to Hessenberg form in the arithmetic of H.
+
+    H is an object array of mpmath numbers (reduced at the ambient precision)
+    or a clongdouble array."""
     n = H.shape[0]
     H = H.copy()
+    zero = H[0, 0] * 0
     for c in range(n - 2):
         x = H[c + 1 :, c].copy()
-        normx = _mp_row_norm(x)
+        normx = sum(abs(z) ** 2 for z in x) ** 0.5
         if normx == 0:
             continue
         x0 = x[0]
-        ph = x0 / abs(x0) if x0 != 0 else mpmath.mpc(1)
+        ph = x0 / abs(x0) if x0 != 0 else 1
         u = x
         u[0] = u[0] + ph * normx
-        unorm2 = mpmath.fsum(abs(z) ** 2 for z in u)
+        unorm2 = sum(abs(z) ** 2 for z in u)
         if unorm2 == 0:
             continue
         b = 2 / unorm2
@@ -103,20 +106,8 @@ def _hessenberg_mp(H):
         H[c + 1 :, c:] = H[c + 1 :, c:] - b * np.outer(u, w)
         w2 = H[:, c + 1 :] @ u
         H[:, c + 1 :] = H[:, c + 1 :] - b * np.outer(w2, np.conj(u))
-        H[c + 2 :, c] = mpmath.mpc(0)
+        H[c + 2 :, c] = zero
     return H
-
-
-def _split_blocks(H, n):
-    """Index ranges of the diagonal blocks between exactly-zero subdiagonals."""
-    spans = []
-    start = 0
-    for i in range(n - 1):
-        if H[i + 1, i] == 0:
-            spans.append((start, i + 1))
-            start = i + 1
-    spans.append((start, n))
-    return spans
 
 
 def _aberth_block(blk, d, prec):
@@ -171,15 +162,16 @@ def _certify_block(blk, d, roots, beta_cert):
 
     The disk of that radius about a root holds a root of the block.  None
     unless the trace identity holds within d * beta_cert and every radius is
-    within beta_cert.  The comparisons are written so that NaN fails them."""
-    tr = mpmath.fsum(blk[i, i] for i in range(d))
+    within beta_cert.  The comparisons are written so that NaN fails them.
+    Works on mpmath and clongdouble blocks alike."""
+    tr = sum(blk[i, i] for i in range(d))
     if not abs(sum(roots) - tr) <= d * beta_cert:
         return None
     radii = []
     for z in roots:
         kap, kapp = _hyman_kappa(blk, z, d)
         if kap == 0:
-            radii.append(mpmath.mpf(0))
+            radii.append(abs(kap))
             continue
         if kapp == 0:
             return None
@@ -298,11 +290,11 @@ class CharPolySolver:
             with MP_LOCK, mpmath.workprec(prec):
                 H = a if extended else _to_mp(flat)
                 if not hessenberg:
-                    H = _hessenberg_mp(H)
+                    H = _hessenberg(H)
                 beta_cert = mpmath.mpf(beta_eff) / 2
                 vals = []
                 good = True
-                for start, stop in _split_blocks(H, n):
+                for start, stop in split_blocks(H, n):
                     d = stop - start
                     blk = H[start:stop, start:stop]
                     if d == 1:

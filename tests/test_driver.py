@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg
+from hessqr import iqr
 from hessqr.driver import (
     SolveConfig,
     deflate,
@@ -178,6 +180,21 @@ class TestSolveEntryPoint:
             SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, delta=1e-6, bits=80),
         )
         assert matched_distance(res64.eigenvalues, res80.eigenvalues) <= 1e-6
+
+    def test_bits_sets_the_sweep_precision(self, monkeypatch):
+        precisions = []
+        original = iqr.iqr_single
+
+        def spy(h, s, keep_rotations=False):
+            precisions.append((mpmath.mp.prec, h.is_extended))
+            return original(h, s, keep_rotations)
+
+        monkeypatch.setattr(iqr, "iqr_single", spy)
+        rng = np.random.default_rng(81)
+        a = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
+        solve(a, SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, delta=1e-6, bits=80))
+        assert precisions and set(precisions) == {(80, True)}
+        assert mpmath.mp.prec == 53
 
     def test_full_pipeline_with_preprocess(self):
         rng = np.random.default_rng(82)

@@ -104,6 +104,30 @@ class TestRefEigs:
         got = ref_eigs(a)
         assert matched_distance(got, evals) <= 1e-12
 
+    def test_duplicated_seed_is_not_certified(self, monkeypatch):
+        # n = 17..64 runs in clongdouble: when LAPACK hands it one seed twice,
+        # both polish onto the same root, the disjoint-disk check rejects the
+        # block, and the matrix goes to the mpmath path (a second, honest call)
+        rng = np.random.default_rng(28)
+        n = 20
+        evals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = q @ np.diag(evals) @ q.conj().T
+        eigvals = np.linalg.eigvals
+        calls = []
+
+        def duplicating(m):
+            seeds = eigvals(m)
+            if not calls:
+                seeds[1] = seeds[0]
+            calls.append(m.shape[0])
+            return seeds
+
+        monkeypatch.setattr(np.linalg, "eigvals", duplicating)
+        got = ref_eigs(a)
+        assert matched_distance(got, evals) <= 1e-10
+        assert calls == [n, n]
+
 
 class TestSpectralMeasure:
     def test_weights_sum_to_one(self, rng):

@@ -153,13 +153,13 @@ class TestTwoTiers:
 
     def test_hessenberg_input_skips_reduction(self, monkeypatch):
         reductions = []
-        original = smalleig._hessenberg_mp
+        original = smalleig._hessenberg
 
         def counting(h):
             reductions.append(h.shape[0])
             return original(h)
 
-        monkeypatch.setattr(smalleig, "_hessenberg_mp", counting)
+        monkeypatch.setattr(smalleig, "_hessenberg", counting)
         rng = np.random.default_rng(36)
         h = random_hessenberg(rng, 5).a
         assert matched_distance(np.array(SOLVER.solve(h, 1e-12, 0.1)), ref_eigs(h)) <= 1e-12
