@@ -89,6 +89,8 @@ def _trace_rows(result):
                     rec.branch,
                     complex(shift).real,
                     complex(shift).imag,
+                    rec.psi_after,
+                    rec.retries,
                 )
             )
     return rows
@@ -109,9 +111,11 @@ def run(input_path, config, out_json=None, out_trace=None):
             fh.write("\n")
     if out_trace:
         with open(out_trace, "w", encoding="ascii") as fh:
-            fh.write("block_id,iteration,psi_k,branch,shift_re,shift_im\n")
-            for block_id, it, psi, branch, sre, sim in rows:
-                fh.write(f"{block_id},{it},{psi!r},{branch},{sre!r},{sim!r}\n")
+            fh.write("block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries\n")
+            for block_id, it, psi, branch, sre, sim, psi_after, retries in rows:
+                fh.write(
+                    f"{block_id},{it},{psi!r},{branch},{sre!r},{sim!r},{psi_after!r},{retries}\n"
+                )
     return RunReport(document=document, trace_rows=rows, wall_time=wall, seed=result.seed)
 
 

@@ -120,7 +120,7 @@ def _retry(fn, label):
     ) from last
 
 
-def _process_block(node, h, gd, params, solver, seed, is_root):
+def _process_block(node, h, gd, params, seed, is_root):
     """Run one block to deflation (or solve it directly); returns children."""
     k = gd.k
     n0 = gd.n0
@@ -129,7 +129,7 @@ def _process_block(node, h, gd, params, solver, seed, is_root):
             acc, tol = params.delta, params.phi
         else:
             acc, tol = params.delta / n0, params.phi / (3.0 * n0)
-        vals = solver.solve(h.a, acc, tol)
+        vals = DEFAULT_SOLVER.solve(h.a, acc, tol)
         node.eigenvalues = [complex(v) for v in vals]
         return []
 
@@ -146,7 +146,7 @@ def _process_block(node, h, gd, params, solver, seed, is_root):
             )
         psi_before = potential(h, k)
         outcome, retries_rod = _retry(
-            lambda: ritz_or_decouple(h, omega, phi_w, solver, rng, gd),
+            lambda: ritz_or_decouple(h, omega, phi_w, DEFAULT_SOLVER, rng, gd),
             f"ritz_or_decouple (block {node.block_id})",
         )
         if outcome.dec:
@@ -198,7 +198,7 @@ class SolveResult:
     wall_time: float
 
 
-def shifted_qr(h, delta, phi, gd, solver=None, seed=0):
+def shifted_qr(h, delta, phi, gd, seed=0):
     """Eigenvalues of some H' with ||H' - H|| <= delta, w.p. >= 1 - phi.
 
     Needs Sigma >= 2||H||, B >= 2 kappa_V(H), Gamma <= gap(H)/2, delta <=
@@ -206,7 +206,6 @@ def shifted_qr(h, delta, phi, gd, solver=None, seed=0):
     SolveResult; .eigenvalues is the multiset Lambda."""
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
-    solver = solver or DEFAULT_SOLVER
     params = derive_run_params(h.n, delta, phi, gd)
     t0 = time.perf_counter()
     tree = DeflationTree()
@@ -216,7 +215,7 @@ def shifted_qr(h, delta, phi, gd, solver=None, seed=0):
     while pending:
         node, blk, is_root = pending.pop(0)
         tree.add(node)
-        children = _process_block(node, blk, gd, params, solver, seed, is_root)
+        children = _process_block(node, blk, gd, params, seed, is_root)
         pending = [(c, b, False) for c, b in children] + pending
 
     eigs = []
@@ -296,7 +295,6 @@ class SolveConfig:
     Gamma: Optional[float] = None
     Sigma: Optional[float] = None
     preprocess: bool = True
-    solver: object = None
 
 
 def prepare(a, config):
@@ -343,8 +341,6 @@ def solve(a, config=None):
     config = config or SolveConfig()
     h, gd, delta, seed = prepare(a, config)
     if config.bits == 53:
-        return shifted_qr(h, delta, config.phi, gd, solver=config.solver, seed=seed)
+        return shifted_qr(h, delta, config.phi, gd, seed=seed)
     with MP_LOCK, mpmath.workprec(config.bits):
-        return shifted_qr(
-            h.to_extended(), delta, config.phi, gd, solver=config.solver, seed=seed
-        )
+        return shifted_qr(h.to_extended(), delta, config.phi, gd, seed=seed)

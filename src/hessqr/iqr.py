@@ -2,7 +2,10 @@
 
 A degree-1 step factors H - s = QR by a sweep of Givens rotations and forms
 the next iterate R*Q + s; higher degrees compose degree-1 steps in root order.
-Q is never materialized here -- tests accumulate it from the stored rotations.
+The sweep is written once: it runs in the arithmetic of the matrix, complex128
+or mpmath numbers at the ambient precision, and only ``make_givens`` looks at
+which one it is.  Each rotation is kept as its 2x2 matrix; Q is never
+materialized here -- tests accumulate it from the stored matrices.
 The diagonal of each triangular factor is kept real nonnegative (the unique
 positive-diagonal QR convention), which pins down the bottom-right entries
 (R_l)_{nn} whose product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.
@@ -19,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .errors import DimensionError, DomainError, StructureError
-from .kernel import IDENTITY_ROTATION, is_mp_array, kth_root, make_givens
+from .kernel import is_mp_array, kth_root, make_givens, norm, to_mp
 
 
 def _finite_all(a):
@@ -84,26 +87,14 @@ class HessenbergMatrix:
         return self.a[self.n - k :, self.n - k :].copy()
 
     def frobenius_norm(self):
-        if self.is_extended:
-            return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in self.a.ravel()))
-        return float(np.linalg.norm(self.a))
+        return norm(self.a)
 
     def to_extended(self):
-        """Copy with entries converted exactly to mpmath numbers."""
-        out = np.empty(self.a.shape, dtype=object)
-        for i in range(self.n):
-            for j in range(self.n):
-                z = complex(self.a[i, j]) if not self.is_extended else self.a[i, j]
-                out[i, j] = mpmath.mpc(z)
-        return HessenbergMatrix(out, validate=False)
+        """Copy with entries converted to mpmath numbers (exactly, at >= 53 bits)."""
+        return HessenbergMatrix(to_mp(self.a), validate=False)
 
     def to_float(self):
-        if not self.is_extended:
-            return self.copy()
-        out = np.array(
-            [[complex(z) for z in row] for row in self.a], dtype=np.complex128
-        )
-        return HessenbergMatrix(out, validate=False)
+        return HessenbergMatrix(self.a.astype(np.complex128), validate=False)
 
 
 def split_blocks(a, n):
@@ -147,7 +138,10 @@ class ShiftList:
 
 
 class StepRotations(NamedTuple):
-    """Givens sweep of one degree-1 step plus the last-diagonal phase fix."""
+    """Givens sweep of one degree-1 step plus the last-diagonal phase fix.
+
+    rotations[i] is the 2x2 matrix applied to rows i, i+1, or None where the
+    column was already zero."""
 
     rotations: list
     phase: complex
@@ -160,31 +154,20 @@ class IqrResult:
     steps: Optional[list] = None  # list[StepRotations] when keep_rotations
 
 
-def _zero_below_subdiagonal(a):
-    n = a.shape[0]
-    for i in range(2, n):
-        a[i, : i - 1] = 0
-
-
 def iqr_single(h, s, keep_rotations=False):
     """One implicit QR step with shift s.
 
     Backward stable: there is a unitary Q (product of the stored rotations)
     with ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
     ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.  Costs 7 n^2 operations.
+    Writes nothing below the subdiagonal: rotation i touches rows i, i+1 from
+    column i+1 on (left) and rows < i+2 of columns i, i+1 (right), and the
+    phase scales column n-1.
     """
     n = h.n
     if n < 2:
         raise DimensionError("iqr_single needs n >= 2")
-    extended = h.is_extended
     a = h.a.copy()
-    if extended:
-        s = mpmath.mpc(s)
-        one = mpmath.mpf(1)
-    else:
-        s = complex(s)
-        one = 1.0
-
     for i in range(n):
         a[i, i] = a[i, i] - s
 
@@ -192,36 +175,28 @@ def iqr_single(h, s, keep_rotations=False):
     for i in range(n - 1):
         x0, x1 = a[i, i], a[i + 1, i]
         if x0 == 0 and x1 == 0:
-            g = IDENTITY_ROTATION
+            L, r = None, 0.0
         else:
-            g = make_givens(x0, x1)
-            a[i : i + 2, i + 1 :] = g.left_matrix() @ a[i : i + 2, i + 1 :]
-        a[i, i] = g.norm
+            L, r = make_givens(x0, x1)
+            a[i : i + 2, i + 1 :] = L @ a[i : i + 2, i + 1 :]
+        a[i, i] = r
         a[i + 1, i] = 0
-        rotations.append(g)
+        rotations.append(L)
 
     # Make the last diagonal entry real nonnegative; the phase is absorbed
     # into Q so the factorization keeps the positive-diagonal convention.
     rnn = a[n - 1, n - 1]
-    if rnn == 0:
-        phase = one
-        r_nn = abs(rnn)
-    else:
-        r_nn = abs(rnn)
-        phase = rnn / r_nn
+    r_nn = abs(rnn)
+    phase = rnn / r_nn if rnn != 0 else 1
     a[n - 1, n - 1] = r_nn
 
-    for i in range(n - 1):
-        g = rotations[i]
-        if g.is_identity():
-            continue
-        m = min(i + 2, n)
-        a[:m, i : i + 2] = a[:m, i : i + 2] @ g.left_matrix().conj().T
+    for i, L in enumerate(rotations):
+        if L is not None:
+            a[: i + 2, i : i + 2] = a[: i + 2, i : i + 2] @ L.conj().T
     a[:, n - 1] = a[:, n - 1] * phase
 
     for i in range(n):
         a[i, i] = a[i, i] + s
-    _zero_below_subdiagonal(a)
 
     out = HessenbergMatrix(a, validate=False)
     steps = [StepRotations(rotations, phase)] if keep_rotations else None
@@ -253,15 +228,7 @@ def comp_tau(h, shifts):
     requirement is part of ``params.required_precision``).  The value is a
     float, or an mpmath number on extended input.
     """
-    if not isinstance(shifts, ShiftList):
-        shifts = ShiftList(tuple(shifts))
-    res = iqr_multi(h, shifts)
-    value = 1.0
-    for v in res.r_nn_per_step:
-        value = value * v
-    if not h.is_extended:
-        value = float(value)
-    return value
+    return math.prod(iqr_multi(h, shifts).r_nn_per_step)
 
 
 def _scaled_product(values):

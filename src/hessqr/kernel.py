@@ -1,10 +1,13 @@
 """Precision model, complex Givens rotations, disk sampling, Newton k-th roots.
 
-Every kernel runs on either binary64 scalars (numpy complex128, the production
-path) or mpmath numbers held in object arrays (the extended-precision path used
-by the oracle and by runs configured above 53 mantissa bits). The floating
-point model is the usual one: add/sub/mul/div/sqrt with relative error at most
-one unit roundoff, overflow and underflow ignored.
+The QR sweep and the helpers here are written once for two arithmetics:
+numpy complex128 arrays (binary64, the production path) and object arrays of
+mpmath numbers at the ambient ``mpmath.mp.prec`` (runs configured above 53
+mantissa bits, and the oracle).  ``to_mp`` converts a complex128 array to the
+second kind exactly and ``.astype(np.complex128)`` rounds back; ``norm`` and
+``make_givens`` compute their square roots in the arithmetic of their input.
+The floating point model is the usual one: add/sub/mul/div/sqrt with relative
+error at most one unit roundoff, overflow and underflow ignored.
 """
 
 import math
@@ -22,81 +25,44 @@ ROOT_TOL_FLOOR = 4  # smallest admissible eps is ROOT_TOL_FLOOR * k * u
 ROOT_ITER_FACTOR = 4  # Newton budget is ROOT_ITER_FACTOR * k * log(k log(1/eps))
 
 
-def is_mp_scalar(z):
-    return isinstance(z, (mpmath.mpc, mpmath.mpf))
-
-
 def is_mp_array(a):
     return a.dtype == object
 
 
-class GivensRotation:
-    """Unitary 2x2 rotation sending a complex pair x to (||x||, 0).
+_MP_TYPES = (mpmath.mpc, mpmath.mpf)
 
-    Stored as the first row (c, s) = (conj(x0), conj(x1)) / ||x||, so the
-    applied matrix is [[c, s], [-conj(s), conj(c)]].  |c|^2 + |s|^2 = 1 within
-    a few units of roundoff.  For real input, c is the usual real cosine; for
-    complex input it carries the phase needed to make the result real
-    nonnegative (the positive-diagonal QR convention).
-    """
-
-    __slots__ = ("c", "s", "norm")
-
-    def __init__(self, c, s, norm):
-        self.c = c
-        self.s = s
-        self.norm = norm
-
-    def left_matrix(self):
-        c, s = self.c, self.s
-        if is_mp_scalar(c) or is_mp_scalar(s):
-            out = np.empty((2, 2), dtype=object)
-            out[0, 0], out[0, 1] = c, s
-            out[1, 0], out[1, 1] = -mpmath.conj(s), mpmath.conj(c)
-            return out
-        return np.array([[c, s], [-np.conj(s), np.conj(c)]])
-
-    def is_identity(self):
-        return self.s == 0 and self.c == 1
+# Elementwise mpmath.mpc: an object array rounded to the ambient precision
+# (exact from complex128 at 53 bits or more).
+to_mp = np.frompyfunc(mpmath.mpc, 1, 1)
 
 
-IDENTITY_ROTATION = GivensRotation(1.0 + 0.0j, 0.0 + 0.0j, 0.0)
+def norm(a):
+    """Frobenius norm of a, in the arithmetic of a."""
+    if is_mp_array(a):
+        return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in a.ravel()))
+    return float(np.linalg.norm(a))
 
 
 def make_givens(x0, x1):
-    """Rotation with left_matrix() @ (x0, x1) = (||x||, 0), ||x|| real >= 0.
+    """(L, r): the unitary L = [[c, s], [-conj(s), conj(c)]] with L @ x = (r, 0).
 
-    The norm is computed with relative error about 2u.  Raises on the
-    degenerate all-zero input.
+    (c, s) = conj(x) / r and r = ||x|| is real and nonnegative, computed with
+    relative error about 2u: by np.hypot in binary64, by mpmath.sqrt when
+    either entry is an mpmath number (L is then an object array).  For complex
+    input c carries the phase that makes r real (the positive-diagonal QR
+    convention).  Raises on the degenerate all-zero input.
     """
-    if is_mp_scalar(x0) or is_mp_scalar(x1):
-        x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
-        if x0 == 0 and x1 == 0:
-            raise DomainError("make_givens: zero vector has no defined rotation")
-        r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
-        return GivensRotation(mpmath.conj(x0) / r, mpmath.conj(x1) / r, r)
-    x0 = complex(x0)
-    x1 = complex(x1)
     if x0 == 0 and x1 == 0:
         raise DomainError("make_givens: zero vector has no defined rotation")
-    r = float(np.hypot(np.hypot(x0.real, x0.imag), np.hypot(x1.real, x1.imag)))
-    return GivensRotation(x0.conjugate() / r, x1.conjugate() / r, r)
-
-
-def apply_givens_left(g, rows):
-    """Apply the rotation to a 2-row block: rows <- L @ rows."""
-    rows = np.asarray(rows)
-    if rows.shape[0] != 2:
-        raise DomainError("apply_givens_left expects a 2-row block")
-    return g.left_matrix() @ rows
-
-
-def apply_givens_right(g, cols):
-    """Right-multiply a 2-column block by the adjoint rotation: cols @ L*."""
-    cols = np.asarray(cols)
-    if cols.shape[-1] != 2:
-        raise DomainError("apply_givens_right expects a 2-column block")
-    return cols @ g.left_matrix().conj().T
+    if isinstance(x0, _MP_TYPES) or isinstance(x1, _MP_TYPES):
+        x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
+        r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
+    else:
+        x0, x1 = complex(x0), complex(x1)
+        # np.hypot, not math.hypot: they differ in the last bit on some inputs
+        r = float(np.hypot(np.hypot(x0.real, x0.imag), np.hypot(x1.real, x1.imag)))
+    c, s = x0.conjugate() / r, x1.conjugate() / r
+    return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
 
 
 def kth_root(a, k, eps):

@@ -23,14 +23,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
-from .smalleig import (
-    MP_LOCK,
-    _certify_block,
-    _disjoint,
-    _hessenberg,
-    _hyman_kappa,
-    _to_mp,
-)
+from .kernel import to_mp
+from .smalleig import MP_LOCK, _certify_block, _disjoint, _hessenberg, _hyman_kappa
 
 ORACLE_PREC = 120
 DESK_DIM_LIMIT = 64
@@ -64,7 +58,7 @@ def dense_en_p_norm(h, shifts, prec=ORACLE_PREC):
     a = _as_array(h)
     n = a.shape[0]
     with MP_LOCK, mpmath.workprec(prec):
-        H = _to_mp(a)
+        H = to_mp(a)
         row = np.array([mpmath.mpc(0)] * n, dtype=object)
         row[n - 1] = mpmath.mpc(1)
         for s in shifts.roots:
@@ -118,7 +112,7 @@ def hyman_residual(m, lam, prec=ORACLE_PREC):
     a = _as_array(m)
     n = a.shape[0]
     with MP_LOCK, mpmath.workprec(prec):
-        H = _hessenberg(_to_mp(a))
+        H = _hessenberg(to_mp(a))
         lam = _mpc_of(lam)
         det = mpmath.mpf(1)
         for start, stop in split_blocks(H, n):
@@ -151,7 +145,7 @@ def _polished_eigs(H, n, num, tol, radius):
         if d == 1:
             vals.append(blk[0, 0])
             continue
-        flat = np.array([[complex(blk[i, j]) for j in range(d)] for i in range(d)])
+        flat = blk.astype(np.complex128)
         scale = max(1.0, float(np.abs(flat).max()))
         roots = []
         for s in np.linalg.eigvals(flat):
@@ -182,7 +176,7 @@ def _ref_eigs_mp(a, prec, mp_out):
         p = prec * (2**attempt)
         with MP_LOCK, mpmath.workprec(p):
             vals = _polished_eigs(
-                _hessenberg(_to_mp(a)),
+                _hessenberg(to_mp(a)),
                 n,
                 mpmath.mpc,
                 mpmath.mpf(2) ** (-(p - 10)),
@@ -347,10 +341,8 @@ def accumulate_q(steps, n):
     """Unitary Q implied by the stored rotation sweeps (binary64 product)."""
     Q = np.eye(n, dtype=np.complex128)
     for step in steps:
-        for i, g in enumerate(step.rotations):
-            if g.is_identity():
-                continue
-            L = g.left_matrix()
-            Q[:, i : i + 2] = Q[:, i : i + 2] @ L.conj().T
+        for i, L in enumerate(step.rotations):
+            if L is not None:
+                Q[:, i : i + 2] = Q[:, i : i + 2] @ L.conj().T
         Q[:, n - 1] *= step.phase
     return Q

@@ -10,7 +10,6 @@ a single degree-k step, or the probabilistic guarantee failed and the caller
 may retry.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -24,8 +23,8 @@ from .iqr import (
     potential_pow_k,
     scaled_to_float,
 )
-from .kernel import is_mp_array, sample_disk
-from .params import GlobalData, regularization_scales
+from .kernel import norm, sample_disk
+from .params import regularization_scales
 
 
 class SmallEigSolver(Protocol):
@@ -79,14 +78,6 @@ def regularize(r_list, params, rng):
     )
 
 
-def _row_norm(v):
-    if is_mp_array(v):
-        import mpmath
-
-        return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in v))
-    return float(np.linalg.norm(v))
-
-
 def optimal(h, shifts, gd):
     """One-sided theta-optimality certificate.
 
@@ -104,31 +95,19 @@ def optimal(h, shifts, gd):
     if n <= k:
         raise DimensionError(f"optimal needs n > k, got n={n}")
     a = h.a
-    if h.is_extended:
-        import mpmath
-
-        v = np.array([mpmath.mpc(0)] * n, dtype=object)
-        v[n - 1] = mpmath.mpc(1)
-    else:
-        v = np.zeros(n, dtype=np.complex128)
-        v[n - 1] = 1.0
+    v = np.zeros_like(a[n - 1])
+    v[n - 1] = 1
     lo = n - 1
     for s in shifts.roots:
         lo_new = max(lo - 1, 0)
         # (H* v) on the active window, then subtract conj(s) v
         seg = a[lo:, lo_new:].conj().T @ v[lo:]
-        if h.is_extended:
-            import mpmath
-
-            sc = mpmath.conj(mpmath.mpc(s))
-        else:
-            sc = np.conj(np.complex128(s))
         out = np.zeros_like(v)
         out[lo_new:] = seg
-        out[lo:] = out[lo:] - sc * v[lo:]
+        out[lo:] = out[lo:] - np.conj(s) * v[lo:]
         v = out
         lo = lo_new
-    norm_v = _row_norm(v[lo:])
+    norm_v = norm(v[lo:])
     mant, ex = potential_pow_k(h, k)
     threshold = scaled_to_float(mant, ex, 0.999 * gd.theta**k)
     return not (float(norm_v) >= threshold)

@@ -8,13 +8,10 @@ matrix or contracts the potential.  `sh_step` wires the two together and
 reports which branch fired.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import (
     DimensionError,
@@ -32,7 +29,7 @@ from .iqr import (
     scaled_to_float,
 )
 from .kernel import kth_root, sample_disk
-from .params import GlobalData, exc_epsilon
+from .params import exc_epsilon
 
 
 class Branch(Enum):

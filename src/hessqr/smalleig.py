@@ -39,22 +39,13 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SmallEigFailure, StructureError
 from .iqr import split_blocks
-from .kernel import is_mp_array
+from .kernel import is_mp_array, to_mp
 
 # mpmath working precision is process-global; serialize all uses.
 MP_LOCK = threading.RLock()
 _MIN_PREC = 120
 _MAX_PREC = 960
 _NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 2-3 at 120 bits
-
-
-def _to_mp(a):
-    n = a.shape[0]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = mpmath.mpc(complex(a[i, j]))
-    return out
 
 
 def _hyman_kappa(H, z, n):
@@ -198,7 +189,7 @@ def _isolated_roots(blk, d, prec, beta_cert):
     """Fast tier: Newton from LAPACK seeds, certified with disjoint disks.
 
     None sends the block to the Aberth fallback."""
-    flat = np.array([[complex(blk[i, j]) for j in range(d)] for i in range(d)])
+    flat = blk.astype(np.complex128)
     try:
         seeds = np.linalg.eigvals(flat)
     except np.linalg.LinAlgError:
@@ -255,10 +246,6 @@ class CharPolySolver:
     Non-finite entries raise StructureError.
     """
 
-    def __init__(self, min_bits=_MIN_PREC, max_bits=_MAX_PREC):
-        self.min_bits = min_bits
-        self.max_bits = max_bits
-
     def solve(self, m, beta, phi):
         a = np.asarray(m)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -270,13 +257,7 @@ class CharPolySolver:
         if beta <= 0 or not math.isfinite(beta):
             raise SmallEigFailure(f"invalid forward accuracy beta={beta!r}")
 
-        if extended:
-            flat = np.array(
-                [[complex(a[i, j]) for j in range(n)] for i in range(n)],
-                dtype=np.complex128,
-            )
-        else:
-            flat = a.astype(np.complex128)
+        flat = a.astype(np.complex128)
         if not np.isfinite(flat).all():
             raise StructureError("matrix has entries that are not finite in binary64")
         scale = _frobenius_scale(flat)
@@ -284,11 +265,10 @@ class CharPolySolver:
         beta_eff = max(float(beta), 8.0 * 2.0**-52 * scale) if not extended else float(beta)
         hessenberg = _is_hessenberg(a, n)
 
-        prec = max(self.min_bits, int(math.log2(scale / beta_eff)) + 60)
-        prec = min(prec, self.max_bits)
+        prec = min(max(_MIN_PREC, int(math.log2(scale / beta_eff)) + 60), _MAX_PREC)
         while True:
             with MP_LOCK, mpmath.workprec(prec):
-                H = a if extended else _to_mp(flat)
+                H = a if extended else to_mp(flat)
                 if not hessenberg:
                     H = _hessenberg(H)
                 beta_cert = mpmath.mpf(beta_eff) / 2
@@ -312,12 +292,12 @@ class CharPolySolver:
                     if extended:
                         return [mpmath.mpc(z) for z in vals]
                     return [complex(z) for z in vals]
-            if prec >= self.max_bits:
+            if prec >= _MAX_PREC:
                 raise SmallEigFailure(
                     f"could not certify forward accuracy {beta_eff:g} "
-                    f"at {self.max_bits} bits (clustered or defective input)"
+                    f"at {_MAX_PREC} bits (clustered or defective input)"
                 )
-            prec = min(2 * prec, self.max_bits)
+            prec = min(2 * prec, _MAX_PREC)
 
 
 DEFAULT_SOLVER = CharPolySolver()

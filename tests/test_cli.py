@@ -113,7 +113,7 @@ class TestRun:
         doc = json.loads((tmp_path / "out.json").read_text())
         assert len(doc["eigenvalues"]) == 2
         trace = (tmp_path / "out.csv").read_text().splitlines()
-        assert trace == ["block_id,iteration,psi_k,branch,shift_re,shift_im"]
+        assert trace == ["block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries"]
 
     def test_json_roundtrip_exact(self, tmp_path):
         report = run(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -81,12 +82,15 @@ class TestIqrSingle:
             iqr_single(HessenbergMatrix(np.array([[1.0]])), 0.0)
 
     def test_structural_zeros_exact(self):
+        # on complex128 and on mpmath input alike
         rng = np.random.default_rng(11)
         h = random_hessenberg(rng, 9)
-        res = iqr_multi(h, ShiftList((0.3, -0.2j, 1.1)))
-        a = res.next_h.a
-        for i in range(2, 9):
-            assert not a[i, : i - 1].any()
+        with mpmath.workprec(80):
+            for start in (h, h.to_extended()):
+                a = iqr_multi(start, ShiftList((0.3, -0.2j, 1.1))).next_h.a
+                assert a.dtype == start.a.dtype
+                for i in range(2, 9):
+                    assert all(z == 0 for z in a[i, : i - 1])
 
     def test_backward_stability_sample(self):
         rng = np.random.default_rng(12)

@@ -1,13 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hessqr.errors import DomainError, ToleranceError
 from hessqr.kernel import (
     UNIT_ROUNDOFF_64,
-    apply_givens_left,
-    apply_givens_right,
     kth_root,
     make_givens,
     sample_disk,
@@ -54,36 +53,29 @@ class TestKthRoot:
 
 class TestGivens:
     def test_identity_case(self):
-        g = make_givens(1.0, 0.0)
-        assert g.c == 1 and g.s == 0 and g.norm == 1.0
+        L, r = make_givens(1.0, 0.0)
+        assert L[0, 0] == 1 and L[0, 1] == 0 and r == 1.0
 
     def test_permutation_case(self):
-        g = make_givens(0.0, 1.0)
-        assert g.c == 0 and abs(g.s) == 1 and g.norm == 1.0
+        L, r = make_givens(0.0, 1.0)
+        assert L[0, 0] == 0 and abs(L[0, 1]) == 1 and r == 1.0
 
     def test_three_four_five(self):
-        g = make_givens(3.0, 4.0)
-        assert g.norm == pytest.approx(5.0, abs=4 * U)
-        assert g.c == pytest.approx(3 / 5) and g.s == pytest.approx(4 / 5)
+        L, r = make_givens(3.0, 4.0)
+        assert r == pytest.approx(5.0, abs=4 * U)
+        assert L[0, 0] == pytest.approx(3 / 5) and L[0, 1] == pytest.approx(4 / 5)
         col = np.array([[5.0], [0.0]], dtype=complex)
-        out = apply_givens_left(g, col)
+        out = L @ col
         np.testing.assert_allclose(out.ravel(), [3.0, -4.0], atol=8 * U * 5)
 
     def test_right_apply_is_adjoint(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        g = make_givens(*x)
-        L = g.left_matrix()
+        L, _ = make_givens(*x)
         np.testing.assert_allclose(L @ L.conj().T, np.eye(2), atol=1e-15)
-        cols = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        np.testing.assert_allclose(
-            apply_givens_right(g, cols), cols @ L.conj().T, atol=1e-15
-        )
         # left then right-apply conjugates: rows recoverable through L^H
         rows = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-        np.testing.assert_allclose(
-            L.conj().T @ apply_givens_left(g, rows), rows, atol=1e-14
-        )
+        np.testing.assert_allclose(L.conj().T @ (L @ rows), rows, atol=1e-14)
 
     def test_degenerate_input(self):
         with pytest.raises(DomainError):
@@ -94,12 +86,27 @@ class TestGivens:
         rng = np.random.default_rng(3)
         for _ in range(10_000):
             x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            g = make_givens(*x)
-            out = apply_givens_left(g, x.reshape(2, 1)).ravel()
+            L, r = make_givens(*x)
+            out = L @ x
             norm = np.linalg.norm(x)
             assert abs(out[1]) <= 8 * U * norm
             assert abs(out[0] - norm) <= 8 * U * norm
-            assert abs(abs(g.c) ** 2 + abs(g.s) ** 2 - 1.0) <= 4 * U
+            assert abs(abs(L[0, 0]) ** 2 + abs(L[0, 1]) ** 2 - 1.0) <= 4 * U
+
+    def test_mpmath_input(self):
+        # object-dtype L, unitary and zeroing at the ambient 80 bits
+        with mpmath.workprec(80):
+            x = np.array([mpmath.mpc(1, 2) / 3, mpmath.mpc(-5, 7) / 11])
+            L, r = make_givens(*x)
+            assert L.dtype == object
+            tol = mpmath.mpf(2) ** -70
+            gram = L @ L.conj().T
+            for i in range(2):
+                for j in range(2):
+                    assert abs(gram[i, j] - (i == j)) <= tol
+            out = L @ x
+            assert abs(out[0] - r) <= tol and abs(out[1]) <= tol
+            assert abs(r - mpmath.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)) <= tol
 
 
 class TestSampleDisk:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -89,6 +90,8 @@ class TestOptimal:
             gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 8)
             ritz = ShiftList(tuple(complex(v) for v in ref_eigs(h.corner(4))))
             assert optimal(h, ritz, gd)
+            with mpmath.workprec(80):
+                assert optimal(h.to_extended(), ritz, gd)
 
     def test_far_shifts_not_optimal(self):
         rng = np.random.default_rng(43)
@@ -97,6 +100,8 @@ class TestOptimal:
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 6)
         far = ShiftList((1e3 * norm,) * 4)
         assert not optimal(h, far, gd)
+        with mpmath.workprec(80):
+            assert not optimal(h.to_extended(), far, gd)
 
     def test_agrees_with_dense_oracle(self):
         # outside the comparison margin band the flag matches the oracle
