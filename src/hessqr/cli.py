@@ -24,7 +24,7 @@ from .errors import (
     SolveFailure,
 )
 from .mmio import read_matrix_market
-from .params import derive_run_params, required_precision
+from .params import derive_run_params, normalize, required_precision
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -125,7 +125,8 @@ def info(input_path, config):
     h, gd, delta, seed = prepare(a, config)
     n = h.n
     rp = derive_run_params(n, delta, config.phi, gd)
-    bits = required_precision(n, gd.k, gd.Sigma, gd.B, gd.Gamma, delta, config.phi)
+    _, gd_n, delta_n = normalize(gd, delta)
+    bits = required_precision(n, gd.k, gd_n.Sigma, gd.B, gd_n.Gamma, delta_n, config.phi)
     return [
         f"n = {n}",
         f"seed = {seed}",

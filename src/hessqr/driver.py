@@ -17,7 +17,7 @@ and ``hessqr info`` prints it.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import mpmath
@@ -33,12 +33,14 @@ from .errors import (
     StructureError,
 )
 from .iqr import HessenbergMatrix, potential, split_blocks
+from .kernel import ldexp
 from .params import (
     GlobalData,
     RunParams,
     default_bounds,
     derive_globals,
     derive_run_params,
+    normalize,
     required_precision,
 )
 from .ritz import ritz_or_decouple
@@ -120,8 +122,11 @@ def _retry(fn, label):
     ) from last
 
 
-def _process_block(node, h, gd, params, seed, is_root):
-    """Run one block to deflation (or solve it directly); returns children."""
+def _process_block(node, h, gd, params, seed, is_root, e):
+    """Run one block to deflation (or solve it directly); returns children.
+
+    h, gd and params are in the units of ``normalize``; the eigenvalues and
+    the trace records written to the node are multiplied back by 2^e."""
     k = gd.k
     n0 = gd.n0
     if h.n <= k:
@@ -130,7 +135,7 @@ def _process_block(node, h, gd, params, seed, is_root):
         else:
             acc, tol = params.delta / n0, params.phi / (3.0 * n0)
         vals = DEFAULT_SOLVER.solve(h.a, acc, tol)
-        node.eigenvalues = [complex(v) for v in vals]
+        node.eigenvalues = [ldexp(complex(v), e) for v in vals]
         return []
 
     rng = _node_rng(seed, node.path)
@@ -145,38 +150,31 @@ def _process_block(node, h, gd, params, seed, is_root):
                 trace=node.trace,
             )
         psi_before = potential(h, k)
-        outcome, retries_rod = _retry(
+        outcome, retries = _retry(
             lambda: ritz_or_decouple(h, omega, phi_w, DEFAULT_SOLVER, rng, gd),
             f"ritz_or_decouple (block {node.block_id})",
         )
         if outcome.dec:
-            h = outcome.next_h
-            node.trace.append(
-                IterationRecord(
-                    index=iteration,
-                    psi_before=psi_before,
-                    psi_after=potential(h, k),
-                    branch="decouple",
-                    shift=complex(outcome.culprit),
-                    retries=retries_rod,
-                )
+            h, branch, shift = outcome.next_h, "decouple", outcome.culprit
+        else:
+            step, retries_sh = _retry(
+                lambda: sh_step(h, outcome.ritz_values, omega, phi_w, rng, gd),
+                f"sh_step (block {node.block_id})",
             )
-            break
-        step, retries_sh = _retry(
-            lambda: sh_step(h, outcome.ritz_values, omega, phi_w, rng, gd),
-            f"sh_step (block {node.block_id})",
-        )
-        h = step.next_h
+            h, branch, shift = step.next_h, step.branch.value, step.shift_used.roots[0]
+            retries += retries_sh
         node.trace.append(
             IterationRecord(
                 index=iteration,
-                psi_before=step.psi_before,
-                psi_after=step.psi_after,
-                branch=step.branch.value,
-                shift=complex(step.shift_used.roots[0]),
-                retries=retries_rod + retries_sh,
+                psi_before=ldexp(psi_before, e),
+                psi_after=ldexp(potential(h, k), e),
+                branch=branch,
+                shift=ldexp(complex(shift), e),
+                retries=retries,
             )
         )
+        if outcome.dec:
+            break
 
     blocks = deflate(h, omega, k)
     children = []
@@ -203,19 +201,27 @@ def shifted_qr(h, delta, phi, gd, seed=0):
 
     Needs Sigma >= 2||H||, B >= 2 kappa_V(H), Gamma <= gap(H)/2, delta <=
     Sigma (caller contracts; only cheap checks run here).  Returns the full
-    SolveResult; .eigenvalues is the multiset Lambda."""
+    SolveResult; .eigenvalues is the multiset Lambda.
+
+    The iteration is homogeneous in H, so it runs on H / 2^e with Sigma,
+    Gamma and delta divided by 2^e as well (``params.normalize``; e is the
+    binary exponent of Sigma).  That scaling is exact up to underflow, and
+    it keeps every quantity the loop forms inside the binary64 range, for
+    any e.  Everything returned is in the caller's units: eigenvalues, each
+    trace record's psi and shift, ``globals_used`` and ``run_params``."""
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
-    params = derive_run_params(h.n, delta, phi, gd)
+    e, gd_n, delta_n = normalize(gd, delta)
+    params = derive_run_params(h.n, delta_n, phi, gd_n)
     t0 = time.perf_counter()
     tree = DeflationTree()
     root = DeflationNode(path=(), start=0, dim=h.n)
 
-    pending = [(root, h, True)]
+    pending = [(root, HessenbergMatrix(ldexp(h.a, -e), validate=False), True)]
     while pending:
         node, blk, is_root = pending.pop(0)
         tree.add(node)
-        children = _process_block(node, blk, gd, params, seed, is_root)
+        children = _process_block(node, blk, gd_n, params, seed, is_root, e)
         pending = [(c, b, False) for c, b in children] + pending
 
     eigs = []
@@ -225,12 +231,12 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     if len(eigs) != h.n:
         raise SolveFailure(f"eigenvalue count {len(eigs)} != dimension {h.n}")
 
-    bits = required_precision(h.n, gd.k, gd.Sigma, gd.B, gd.Gamma, delta, phi)
+    bits = required_precision(h.n, gd.k, gd_n.Sigma, gd.B, gd_n.Gamma, delta_n, phi)
     return SolveResult(
         eigenvalues=eigs,
         tree=tree,
         globals_used=gd,
-        run_params=params,
+        run_params=replace(params, delta=float(delta), omega=ldexp(params.omega, e)),
         required_bits=bits,
         seed=seed,
         wall_time=time.perf_counter() - t0,
@@ -274,10 +280,9 @@ def preprocess(a, delta, rng, B=None, Gamma=None, Sigma=None):
         hess = ht
     else:
         hess = a.copy()
-    hess = np.triu(hess, -1)
-    h = HessenbergMatrix(hess, validate=False)
+    h = HessenbergMatrix(np.triu(hess, -1), validate=False)
 
-    sigma = Sigma if Sigma is not None else 2.0 * float(np.linalg.norm(hess))
+    sigma = Sigma if Sigma is not None else 2.0 * h.frobenius_norm()
     B, Gamma = default_bounds(n, delta_pre, B, Gamma)
     gd = derive_globals(B, Gamma, sigma, n)
     return h, gd
@@ -321,7 +326,7 @@ def prepare(a, config):
         h = a if isinstance(a, HessenbergMatrix) else HessenbergMatrix(a)
         norm_h = float(h.frobenius_norm())
         sigma = config.Sigma if config.Sigma is not None else 2.0 * norm_h
-        delta = max(config.delta * max(norm_h, 1e-300), tiny)
+        delta = max(config.delta * norm_h, tiny)
         B, Gamma = default_bounds(h.n, delta / 2.0, config.B, config.Gamma)
         gd = derive_globals(B, Gamma, sigma, h.n)
     return h, gd, delta, seed

@@ -14,10 +14,6 @@ class DomainError(HessqrError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class ToleranceError(HessqrError, ValueError):
-    """A requested tolerance is unachievable at the working precision."""
-
-
 class DimensionError(HessqrError, ValueError):
     """Matrix or vector dimensions do not satisfy the operation's contract."""
 

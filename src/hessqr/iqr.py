@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .errors import DimensionError, DomainError, StructureError
-from .kernel import is_mp_array, kth_root, make_givens, norm, to_mp
+from .kernel import is_mp_array, ldexp, log2, make_givens, norm, to_mp
 
 
 def _finite_all(a):
@@ -67,9 +67,6 @@ class HessenbergMatrix:
     def is_extended(self):
         return is_mp_array(self.a)
 
-    def copy(self):
-        return HessenbergMatrix(self.a, validate=False)
-
     def bottom_subdiagonal_abs(self, k):
         """Moduli of the bottom k subdiagonal entries h_(i,i-1), i=n-k+1..n."""
         n = self.n
@@ -87,7 +84,10 @@ class HessenbergMatrix:
         return self.a[self.n - k :, self.n - k :].copy()
 
     def frobenius_norm(self):
-        return norm(self.a)
+        """||H||_F in the arithmetic of H, formed on H / 2^e with 2^e above the
+        largest modulus, so that no square under- or overflows."""
+        e = math.frexp(float(np.abs(self.a).max(initial=0)))[1]
+        return ldexp(norm(ldexp(self.a, -e)), e)
 
     def to_extended(self):
         """Copy with entries converted to mpmath numbers (exactly, at >= 53 bits)."""
@@ -231,49 +231,19 @@ def comp_tau(h, shifts):
     return math.prod(iqr_multi(h, shifts).r_nn_per_step)
 
 
-def _scaled_product(values):
-    """Product of nonnegative floats as (mantissa in [0.5, 1), exponent)."""
-    m_acc, e_acc = 1.0, 0
-    for v in values:
-        mant, ex = math.frexp(v)
-        m_acc *= mant
-        e_acc += ex
-        if m_acc < 2.0**-500:
-            mant, ex = math.frexp(m_acc)
-            m_acc, e_acc = mant, e_acc + ex
-    mant, ex = math.frexp(m_acc)
-    return mant, e_acc + ex
+def log2_potential_pow_k(h, k):
+    """log2 psi_k(H)^k: the sum of log2 of the bottom k subdiagonal moduli.
 
-
-def potential_pow_k(h, k):
-    """psi_k(H)^k as an exponent-tracked float pair (mantissa, exponent).
-
-    The product of the bottom k subdiagonal moduli accumulates with relative
-    error <= k*u, far inside the 1 - 0.999^(1/k) budget, and the split
-    exponent avoids under/overflow for any desk-scale magnitudes.
-    """
-    n = h.n
-    if n <= k:
-        raise DimensionError(f"potential of order k={k} needs n > k, got n={n}")
-    vals = [float(v) for v in h.bottom_subdiagonal_abs(k)]
-    if any(v == 0.0 for v in vals):
-        return 0.0, 0
-    return _scaled_product(vals)
+    math.fsum adds the logarithms with one rounding, so the error is that of
+    the k logarithms, about u log2(psi^k) absolute; -inf when one modulus is
+    zero (or, on mpmath input, below the binary64 range).  Needs n > k."""
+    return math.fsum(log2(v) for v in h.bottom_subdiagonal_abs(k))
 
 
 def potential(h, k):
-    """psi_k(H): k-th root of the product of the bottom k subdiagonal moduli.
+    """psi_k(H) = 2^(L/k) with L = log2 psi_k(H)^k, as a float.
 
-    Relative error at most 1 - 0.999^(1/k) (the floating k-th root bound)."""
-    mant, ex = potential_pow_k(h, k)
-    if mant == 0.0:
-        return 0.0
-    eps = 0.5 * (1.0 - 0.999 ** (1.0 / k))
-    q, r = divmod(ex, k)
-    root = kth_root(math.ldexp(mant, r), k, eps)
-    return math.ldexp(root, q)
-
-
-def scaled_to_float(mant, ex, scale=1.0):
-    """scale * mant * 2**ex as a float; may under/overflow to 0/inf."""
-    return math.ldexp(scale * mant, ex)
+    The driver calls it on the normalized matrix (||H|| < 1, see
+    ``driver.shifted_qr``), where the relative error is a small multiple of
+    u log2(1/psi), far inside the 1 - 0.999^(1/k) budget of the analysis."""
+    return 2.0 ** (log2_potential_pow_k(h, k) / k)

@@ -1,28 +1,26 @@
-"""Precision model, complex Givens rotations, disk sampling, Newton k-th roots.
+"""Precision model, complex Givens rotations, power-of-two scaling, disk sampling.
 
 The QR sweep and the helpers here are written once for two arithmetics:
 numpy complex128 arrays (binary64, the production path) and object arrays of
 mpmath numbers at the ambient ``mpmath.mp.prec`` (runs configured above 53
 mantissa bits, and the oracle).  ``to_mp`` converts a complex128 array to the
 second kind exactly and ``.astype(np.complex128)`` rounds back; ``norm`` and
-``make_givens`` compute their square roots in the arithmetic of their input.
+``make_givens`` compute their square roots in the arithmetic of their input,
+and ``ldexp`` scales either kind by a power of two.
 The floating point model is the usual one: add/sub/mul/div/sqrt with relative
-error at most one unit roundoff, overflow and underflow ignored.
+error at most one unit roundoff, overflow and underflow ignored.  Nothing
+the QR iteration forms can overflow, because the driver runs it on H / 2^e
+with ||H / 2^e|| < 1 (see ``driver.shifted_qr``).
 """
-
 import math
 
 import mpmath
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError
 
 BINARY64_BITS = 53
 UNIT_ROUNDOFF_64 = 2.0 ** (1 - BINARY64_BITS)
-
-# Constants left free by the k-th root routine's contract; see the ledger.
-ROOT_TOL_FLOOR = 4  # smallest admissible eps is ROOT_TOL_FLOOR * k * u
-ROOT_ITER_FACTOR = 4  # Newton budget is ROOT_ITER_FACTOR * k * log(k log(1/eps))
 
 
 def is_mp_array(a):
@@ -65,64 +63,26 @@ def make_givens(x0, x1):
     return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
 
 
-def kth_root(a, k, eps):
-    """a**(1/k) for a > 0 with relative error at most eps.
+def ldexp(z, e):
+    """z * 2**e for floats, complex numbers, complex128 arrays, and mpmath
+    numbers or object arrays of them.  Unlike z * 2.0**e it works for
+    |e| > 1023 and never flips the sign of a zero real or imaginary part."""
+    if isinstance(z, np.ndarray) and not is_mp_array(z):
+        out = np.empty_like(z)
+        out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+        return out
+    if isinstance(z, complex):
+        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+    if isinstance(z, float):
+        return math.ldexp(z, e)
+    return z * mpmath.ldexp(1, e)
 
-    Bisection brackets the root inside [min(1, a), max(1, a)], then Newton
-    iterates from the upper end (monotone from above for x > 0).  The
-    tolerance must satisfy ROOT_TOL_FLOOR*k*u <= eps <= 1/2.
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError(f"kth_root: k must be a positive integer, got {k!r}")
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"kth_root: need a > 0, got {a!r}")
-    if not (ROOT_TOL_FLOOR * k * UNIT_ROUNDOFF_64 <= eps <= 0.5):
-        raise ToleranceError(
-            f"kth_root: eps={eps!r} outside [{ROOT_TOL_FLOOR}*k*u, 1/2] for k={k}"
-        )
-    if k == 1:
-        return a
-    if a == 1.0:
-        return 1.0
-    k = int(k)
 
-    log2_a = math.log2(a)
-
-    def above_root(x):
-        # sign of x^k - a, overflow-safe: decide in log space outside a
-        # narrow tie band, exactly (with split exponents) inside it
-        lg = k * math.log2(x)
-        if lg > log2_a + 1e-9:
-            return True
-        if lg < log2_a - 1e-9:
-            return False
-        mx, ex = math.frexp(x)
-        ma, ea = math.frexp(a)
-        return math.ldexp(mx**k, ex * k - ea) >= ma
-
-    lo, hi = (a, 1.0) if a < 1.0 else (1.0, a)
-    # Tighten the bracket until Newton sits in its fast basin.
-    while hi - lo > lo / (2.0 * k):
-        mid = 0.5 * (lo + hi)
-        if above_root(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    budget = int(ROOT_ITER_FACTOR * k * math.log(k * math.log(1.0 / eps) + 2.0)) + 8
-    x = hi
-    for _ in range(budget):
-        # (x^k - a) / (k x^(k-1)) rearranged so no intermediate overflows
-        step = (x - a / x ** (k - 1)) / k
-        x_new = x - step
-        if x_new <= 0.0:  # roundoff overshoot near tiny roots
-            x_new = 0.5 * x
-        if abs(step) <= 0.25 * eps * x:
-            x = x_new
-            break
-        x = x_new
-    return x
+def log2(x):
+    """log2 of a nonnegative number as a float; -inf for zero, and for an
+    mpmath number that rounds to zero in binary64."""
+    x = float(x)
+    return math.log2(x) if x > 0 else -math.inf
 
 
 def sample_disk(center, radius, rng):

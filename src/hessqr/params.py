@@ -5,13 +5,16 @@ and the norm bound Sigma.  From B alone come the shift degree k (smallest
 power of two taming the B-dependent blowup), the promising parameter alpha,
 the optimality parameter theta, and the decoupling rate gamma = 0.2.  From
 (n, delta, phi) come the working accuracy omega, the per-call failure budget,
-and the iteration budget N_dec of each decoupling loop.  All precision
-requirements are evaluated in log2 space so extreme parameters cannot
-under- or overflow.
+and the iteration budget N_dec of each decoupling loop.
+
+The formulas run in binary64 and some square magnitudes (omega^2 in
+``regularization_scales``, and through it eta1 in the precision budget), so
+the driver and ``hessqr info`` evaluate them on the values of ``normalize``,
+with Sigma in [1/2, 1), where only extreme ratios to Sigma under- or overflow.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, ParameterError
 
@@ -66,18 +69,15 @@ class GlobalData:
 
 def derive_globals(B, Gamma, Sigma, n0):
     """GlobalData with the degree k set honestly from B."""
-    k = derive_degree(B)
-    alpha, theta = derive_constants(B, k)
-    return GlobalData(B=float(B), Gamma=float(Gamma), Sigma=float(Sigma),
-                      n0=int(n0), k=k, alpha=alpha, theta=theta)
+    return globals_with_degree(B, derive_degree(B), Gamma, Sigma, n0)
 
 
 def globals_with_degree(B, k, Gamma, Sigma, n0):
-    """GlobalData with an explicitly chosen degree (tests, overrides).
+    """GlobalData with an explicitly chosen degree.
 
-    alpha and theta still follow the (B, k) formulas; the degree equation is
-    not enforced, so the worst-case convergence guarantee may not apply.
-    """
+    alpha and theta follow the (B, k) formulas; the degree equation is not
+    enforced, so for k below ``derive_degree(B)`` the worst-case convergence
+    guarantee may not apply."""
     alpha, theta = derive_constants(B, k)
     return GlobalData(B=float(B), Gamma=float(Gamma), Sigma=float(Sigma),
                       n0=int(n0), k=int(k), alpha=alpha, theta=theta)
@@ -99,6 +99,18 @@ def default_bounds(n, scale, B=None, Gamma=None):
     B = B if B is not None else max(1.0, n / scale)
     Gamma = Gamma if Gamma is not None else (scale / n) ** 2
     return B, Gamma
+
+
+def normalize(gd, delta):
+    """(e, gd', delta'): Sigma, Gamma and delta divided by 2^e.
+
+    e is the binary exponent of Sigma, so Sigma' lies in [1/2, 1).  Division
+    by a power of two is exact unless it underflows, and the QR iteration is
+    homogeneous in H, so a run on H / 2^e with these values is the same run
+    in other units (Gamma is a length in omega's formula)."""
+    e = math.frexp(gd.Sigma)[1]
+    gd = replace(gd, Sigma=math.ldexp(gd.Sigma, -e), Gamma=math.ldexp(gd.Gamma, -e))
+    return e, gd, math.ldexp(delta, -e)
 
 
 @dataclass(frozen=True)
@@ -194,12 +206,13 @@ def required_precision(n, k, Sigma, B, Gamma, delta, phi):
     Unpacks the explicit minimum over the driver term, the dichotomy
     subroutine, and the shifting strategy, with the potential lower-bounded by
     the working accuracy.  Runs report it (``SolveResult.required_bits``, the
-    CLI's JSON and ``hessqr info``) next to the configured precision.
+    CLI's JSON and ``hessqr info``) next to the configured precision.  Both
+    pass the Sigma, Gamma and delta of ``normalize``.
     """
-    alpha, theta = derive_constants(B, k)
-    omega = min(delta, Gamma / (8.0 * n**2 * B**2)) / (4.0 * n)
-    n_dec = math.log(Sigma / omega) / math.log(1.0 / REDUCTION_FACTOR)
-    phi_working = (phi / (3.0 * n**2)) / n_dec
+    gd = globals_with_degree(B, k, Gamma, Sigma, n)
+    alpha, theta = gd.alpha, gd.theta
+    rp = derive_run_params(n, delta, phi, gd)
+    omega, n_dec, phi_working = rp.omega, rp.n_dec, rp.phi_working
     _, _, eta1 = regularization_scales(omega, Sigma, k, phi_working)
 
     # driver term

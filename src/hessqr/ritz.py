@@ -10,20 +10,15 @@ a single degree-k step, or the probabilistic guarantee failed and the caller
 may retry.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
 
 from .errors import DichotomyMiss, DimensionError, ParameterError, PreconditionError
-from .iqr import (
-    HessenbergMatrix,
-    ShiftList,
-    iqr_multi,
-    potential_pow_k,
-    scaled_to_float,
-)
-from .kernel import norm, sample_disk
+from .iqr import HessenbergMatrix, ShiftList, iqr_multi, log2_potential_pow_k
+from .kernel import log2, norm, sample_disk
 from .params import regularization_scales
 
 
@@ -45,7 +40,6 @@ class RegularizationParams:
 
     eta1: float
     eta2: float
-    beta: float
 
     def __post_init__(self):
         if self.eta1 < 0 or self.eta2 < 0:
@@ -107,10 +101,9 @@ def optimal(h, shifts, gd):
         out[lo:] = out[lo:] - np.conj(s) * v[lo:]
         v = out
         lo = lo_new
-    norm_v = norm(v[lo:])
-    mant, ex = potential_pow_k(h, k)
-    threshold = scaled_to_float(mant, ex, 0.999 * gd.theta**k)
-    return not (float(norm_v) >= threshold)
+    # not optimal when ||v|| >= 0.999 theta^k psi_k(H)^k (compared in log2)
+    bound = math.log2(0.999) + k * math.log2(gd.theta) + log2_potential_pow_k(h, k)
+    return not (log2(norm(v[lo:])) >= bound)
 
 
 def ritz_or_decouple(h, omega, phi, solver, rng, gd):
@@ -139,7 +132,7 @@ def ritz_or_decouple(h, omega, phi, solver, rng, gd):
             f"small solver returned {len(ritz)} values for a {k}x{k} corner"
         )
     checked = regularize(
-        ShiftList(tuple(ritz)), RegularizationParams(eta1, eta2, beta), rng
+        ShiftList(tuple(ritz)), RegularizationParams(eta1, eta2), rng
     )
     if optimal(h, checked, gd):
         return RitzOutcome(next_h=h, ritz_values=checked, dec=False)

@@ -24,11 +24,10 @@ from .iqr import (
     ShiftList,
     comp_tau,
     iqr_multi,
+    log2_potential_pow_k,
     potential,
-    potential_pow_k,
-    scaled_to_float,
 )
-from .kernel import kth_root, sample_disk
+from .kernel import log2, sample_disk
 from .params import exc_epsilon
 
 
@@ -114,25 +113,18 @@ def net_size_bound(epsilon):
 def exc_params(gd, xi, psi_hat):
     """Candidate-disk radius and net resolution from the global data."""
     k = gd.k
-    eps_root = 1e-12
-    r_hat = (
-        kth_root(2.0, k, eps_root)
-        * gd.alpha
-        * kth_root(gd.B, k, eps_root)
-        * gd.theta
-        * psi_hat
-    )
+    r_hat = 2.0 ** (1.0 / k) * gd.alpha * gd.B ** (1.0 / k) * gd.theta * psi_hat
     epsilon = exc_epsilon(k, gd.alpha, gd.theta, gd.gamma, xi, gd.B)
     return r_hat, epsilon
 
 
-def exc(h, r, omega, xi, phi, rng, gd):
+def exc(h, r, omega, xi, rng, gd):
     """Exceptional-shift candidates around a stagnating promising value.
 
     Scales and translates the cached net to D(r, R_hat) with a uniform random
     offset of radius eps * R_hat; points pushed outside the disk are projected
-    radially back onto its boundary.  With probability >= 1 - phi some
-    candidate decouples or contracts the potential."""
+    radially back onto its boundary.  With high probability some candidate
+    decouples or contracts the potential (``sh_step`` reports a failure)."""
     k = gd.k
     if not h.is_unreduced(omega, k):
         raise PreconditionError("exc needs an omega-unreduced matrix")
@@ -165,9 +157,8 @@ def sh_step(h, ritz, omega, phi, rng, gd):
     r = find(h, ritz, gd)
 
     tau_k = comp_tau(h, ShiftList.repeated(r, k))
-    mant, ex = potential_pow_k(h, k)
-    threshold = scaled_to_float(mant, ex, (1.0 - gd.gamma) ** k)
-    if tau_k < threshold:
+    # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
+    if log2(tau_k) < k * math.log2(1.0 - gd.gamma) + log2_potential_pow_k(h, k):
         res = iqr_multi(h, ShiftList.repeated(r, k))
         return ShStepOutcome(
             next_h=res.next_h,
@@ -178,7 +169,7 @@ def sh_step(h, ritz, omega, phi, rng, gd):
         )
 
     xi = 0.999 * (1.0 - gd.gamma)
-    candidates = exc(h, r, omega, xi, phi, rng, gd)
+    candidates = exc(h, r, omega, xi, rng, gd)
     target = 1.002 * (1.0 - gd.gamma) * psi_before
     for s in candidates.roots:
         res = iqr_multi(h, ShiftList.repeated(s, k))

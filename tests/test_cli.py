@@ -186,14 +186,15 @@ def _info_lines(out):
     return dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
 
 
-def _random_mtx(tmp_path, n, hessenberg):
+def _random_mtx(tmp_path, n, hessenberg, e=0):
+    """A random n x n matrix times 2^e (the same one for every e)."""
     rng = np.random.default_rng(90 + n)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 2.0**e
     if hessenberg:
         a = np.triu(a, -1)
     lines = ["%%MatrixMarket matrix array complex general", f"{n} {n}"]
     lines += [f"{float(z.real)!r} {float(z.imag)!r}" for z in a.T.ravel()]
-    return _write(tmp_path, "a.mtx", "\n".join(lines) + "\n")
+    return _write(tmp_path, f"a{e}.mtx", "\n".join(lines) + "\n")
 
 
 class TestInfoMatchesSolve:
@@ -222,3 +223,22 @@ class TestInfoMatchesSolve:
         assert printed["omega"] == f"{params['omega']:.6g}"
         assert printed["required bits"] == str(params["required_bits"])
         assert printed["seed"] == str(doc["seed"]) == "21"
+
+
+class TestExtremeScaling:
+    def test_info_and_solve_at_two_to_the_600(self, tmp_path, capsys):
+        # 2^600 overflows psi^k, omega^2 and the squares in ||H||_F, and
+        # 2^-600 underflows them; info and solve give the 2^0 answers
+        bits, eigs = {}, {}
+        for e in (0, 600, -600):
+            path = _random_mtx(tmp_path, 6, True, e)
+            options = ["--seed", "21", "--no-preprocess", "--B", "1"]
+            options += ["--gamma-gap", repr(1e-3 * 2.0**e)]
+            assert main(["info", path] + options) == EXIT_OK
+            bits[e] = _info_lines(capsys.readouterr().out)["required bits"]
+            out = tmp_path / f"e{e}.json"
+            assert main(["solve", path, "--out-json", str(out)] + options) == EXIT_OK
+            doc = json.loads(out.read_text())
+            eigs[e] = [complex(v["re"], v["im"]) * 2.0**-e for v in doc["eigenvalues"]]
+        assert bits[600] == bits[-600] == bits[0] and int(bits[0]) > 53
+        assert eigs[600] == eigs[-600] == eigs[0]

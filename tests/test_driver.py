@@ -119,6 +119,62 @@ class TestShiftedQr:
                     )
 
 
+class TestScaleEquivariance:
+    """The iteration is homogeneous in H: scaling H, Sigma, Gamma and delta by
+    2^e scales every eigenvalue, psi and shift by 2^e and changes nothing
+    else, for exponents far outside the range where psi_k(H)^k, the
+    optimality threshold or beta = omega^2 / (1616 Sigma) fit in binary64."""
+
+    @staticmethod
+    def _run(e):
+        rng = np.random.default_rng(76)
+        h, _ = near_normal_hessenberg(rng, 12, perturb=1e-4)
+        # exactly representable at every scale below: no entry and no bound
+        # lands in the subnormal range
+        delta, gamma, sigma = 2.0**-24, 2.0**-13, 2 * float(h.frobenius_norm())
+        assert np.abs(h.a[h.a != 0]).min() > 2.0**-20
+        scaled = HessenbergMatrix(h.a * 2.0**e)
+        gd = derive_globals(1.0, Gamma=gamma * 2.0**e, Sigma=sigma * 2.0**e, n0=12)
+        return shifted_qr(scaled, delta * 2.0**e, 0.05, gd, seed=6)
+
+    @staticmethod
+    def _records(res):
+        return [
+            (path, [(r.branch, r.shift, r.psi_before, r.psi_after) for r in node.trace])
+            for path, node in sorted(res.tree.nodes.items())
+        ]
+
+    @pytest.mark.parametrize("e", [-1000, -600, -280, 0, 280, 600, 1000])
+    def test_power_of_two_scaling(self, e):
+        base, res = self._run(0), self._run(e)
+        np.testing.assert_array_equal(res.eigenvalues, base.eigenvalues * 2.0**e)
+        assert any(rec[0] == "ritz_shift" for _, recs in self._records(base) for rec in recs)
+        scaled = [
+            (path, [(b, s * 2.0**e, p * 2.0**e, q * 2.0**e) for b, s, p, q in recs])
+            for path, recs in self._records(base)
+        ]
+        assert self._records(res) == scaled
+        assert res.required_bits == base.required_bits
+
+    @pytest.mark.parametrize("bits", [53, 80])
+    def test_solve_with_preprocessing(self, bits):
+        # the same through solve: perturbation, Hessenberg reduction, the
+        # Frobenius norm behind Sigma and, at 80 bits, mpmath sweeps
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+
+        def run(e):
+            config = SolveConfig(seed=3, B=1.0, Gamma=1e-3 * 2.0**e, bits=bits)
+            return solve(a * 2.0**e, config)
+
+        base = run(0)
+        assert any(node.trace for node in base.tree.nodes.values())
+        for e in (-1000, 1000):
+            res = run(e)
+            np.testing.assert_array_equal(res.eigenvalues, base.eigenvalues * 2.0**e)
+            assert res.required_bits == base.required_bits
+
+
 class TestPreprocess:
     def test_hessenberg_output_structure(self):
         rng = np.random.default_rng(76)

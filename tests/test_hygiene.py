@@ -32,3 +32,66 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Parameters an interface fixes: CharPolySolver.solve takes the phi that the
+# SmallEigSolver protocol names, and ignores it.
+ALLOWED_UNUSED = {("CharPolySolver.solve", "phi")}
+
+
+def unused_parameters(source):
+    """(line, qualified function name, parameter) for every parameter that its
+    function's body never mentions.
+
+    self and cls are not counted, and methods of Protocol classes, which are
+    interface stubs, are skipped."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any(ast.unparse(base).endswith("Protocol") for base in child.bases):
+                    continue
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None
+                ]
+                used = {n.id for n in ast.walk(child) if isinstance(n, ast.Name)}
+                for p in params:
+                    if p.arg not in used and p.arg not in ("self", "cls"):
+                        found.append((p.lineno, name, p.arg))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(f for f in found if f[1:] not in ALLOWED_UNUSED)
+
+
+def test_detects_an_unused_parameter():
+    src = (
+        "from typing import Protocol\n"
+        "class P(Protocol):\n"
+        "    def solve(self, m, beta): ...\n"
+        "class S:\n"
+        "    def solve(self, m, beta):\n"
+        "        def inner(x, y):\n"
+        "            return m + y\n"
+        "        return inner\n"
+        "def f(a, *args, b=1, **kw):\n"
+        "    return lambda: a + b\n"
+    )
+    assert unused_parameters(src) == [
+        (5, "S.solve", "beta"),
+        (6, "S.solve.inner", "x"),
+        (9, "f", "args"),
+        (9, "f", "kw"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []

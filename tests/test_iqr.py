@@ -12,8 +12,8 @@ from hessqr.iqr import (
     comp_tau,
     iqr_multi,
     iqr_single,
+    log2_potential_pow_k,
     potential,
-    potential_pow_k,
 )
 from hessqr.kernel import UNIT_ROUNDOFF_64 as U
 from hessqr.oracle import (
@@ -198,8 +198,27 @@ class TestPotential:
             a[i + 1, i] = v
         psi = potential(HessenbergMatrix(a), 4)
         assert psi == pytest.approx(10 ** (-155), rel=1e-3)
-        mant, ex = potential_pow_k(HessenbergMatrix(a), 4)
-        assert mant * 2.0**ex == 0 or ex < -1000  # raw product underflows floats
+        log2_psi_k = log2_potential_pow_k(HessenbergMatrix(a), 4)
+        assert log2_psi_k == pytest.approx(-620 * math.log2(10), rel=1e-14)
+        assert 2.0**log2_psi_k == 0  # the raw product underflows floats
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_against_mpmath(self, k):
+        # test_extreme_magnitudes' graded subdiagonals, and random matrices
+        # at 2^-50 and 2^50
+        graded = np.triu(np.ones((9, 9), dtype=complex), -1)
+        for i in range(8):
+            graded[i + 1, i] = [1e-160, 1e-170, 1e-150, 1e-140][i % 4]
+        rng = np.random.default_rng(19)
+        mats = [graded] + [
+            random_hessenberg(rng, 9, scale=2.0**e).a for e in (-50, 50) for _ in range(20)
+        ]
+        for a in mats:
+            with mpmath.workprec(200):
+                exact = mpmath.fprod(abs(mpmath.mpc(a[i, i - 1])) for i in range(9 - k, 9))
+                exact = exact ** (mpmath.mpf(1) / k)
+                err = abs(potential(HessenbergMatrix(a), k) - exact) / exact
+            assert err <= 1e-13
 
     def test_variational_identity_sample(self):
         # psi_k(H) = ||e_n* chi_k(H)||^(1/k) with chi_k from corner eigenvalues

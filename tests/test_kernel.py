@@ -1,54 +1,11 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
 
-from hessqr.errors import DomainError, ToleranceError
-from hessqr.kernel import (
-    UNIT_ROUNDOFF_64,
-    kth_root,
-    make_givens,
-    sample_disk,
-)
+from hessqr.errors import DomainError
+from hessqr.kernel import UNIT_ROUNDOFF_64, make_givens, sample_disk
 
 U = UNIT_ROUNDOFF_64
-
-
-class TestKthRoot:
-    def test_identity(self):
-        assert kth_root(1.0, 7, 1e-6) == 1.0
-
-    def test_exact_power(self):
-        assert abs(kth_root(16.0, 4, 1e-12) - 2.0) <= 2e-12
-
-    def test_brute_force_cross_check(self):
-        # independent check: exponentiate the result back
-        r = kth_root(0.37, 8, 1e-10)
-        assert abs(r**8 - 0.37) <= 3 * 8 * 1e-10 * 0.37
-        assert abs(r - 0.8831311742799497) <= 1e-10
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            kth_root(0.0, 3, 1e-6)
-        with pytest.raises(DomainError):
-            kth_root(-1.0, 3, 1e-6)
-        with pytest.raises(ToleranceError):
-            kth_root(2.0, 4, 15 * U)  # below 4*k*u
-        with pytest.raises(ToleranceError):
-            kth_root(2.0, 4, 0.75)
-
-    def test_relative_error_invariant(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            a = float(10.0 ** rng.uniform(-30, 30))
-            k = int(rng.choice([2, 3, 4, 5, 8, 16]))
-            eps = float(10.0 ** rng.uniform(-12, -1))
-            if eps < 4 * k * U:
-                continue
-            r = kth_root(a, k, eps)
-            assert abs(r**k - a) <= 3 * k * eps * a
-            assert abs(r - a ** (1.0 / k)) <= 1.05 * eps * a ** (1.0 / k)
 
 
 class TestGivens:

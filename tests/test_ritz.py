@@ -45,12 +45,12 @@ def _test_globals(B, k, sigma, n):
 class TestRegularize:
     def test_zero_radius_identity(self, rng):
         shifts = ShiftList((1.0 + 1j, -2.0))
-        out = regularize(shifts, RegularizationParams(0.0, 0.0, 0.0), rng)
+        out = regularize(shifts, RegularizationParams(0.0, 0.0), rng)
         assert out.roots == shifts.roots
 
     def test_support_bound(self):
         rng = np.random.default_rng(40)
-        params = RegularizationParams(0.01, 0.1, 0.2)
+        params = RegularizationParams(0.01, 0.1)
         base = ShiftList((0.5 + 0.5j,))
         for _ in range(10_000):
             out = regularize(base, params, rng)
@@ -58,9 +58,9 @@ class TestRegularize:
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            RegularizationParams(0.2, 0.1, 0.3)
+            RegularizationParams(0.2, 0.1)
         with pytest.raises(ParameterError):
-            RegularizationParams(-0.1, 0.1, 0.3)
+            RegularizationParams(-0.1, 0.1)
 
     def test_exclusion_probability(self):
         # fixed 4x4 with gap 1; shifts sitting exactly on eigenvalues is the
@@ -69,7 +69,7 @@ class TestRegularize:
         eigs = np.array([0.0, 1.0, 1.0j, 1.0 + 1.0j])
         eta2, k = 0.05, 2
         eta1 = 0.1 * eta2
-        params = RegularizationParams(eta1, eta2, 2 * eta2)
+        params = RegularizationParams(eta1, eta2)
         shifts = ShiftList((eigs[0], eigs[1]))
         bad = 0
         trials = 10_000

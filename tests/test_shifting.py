@@ -119,7 +119,7 @@ class TestExc:
         gd = _globals(1.0, 4, h)
         r = 0.2 + 0.1j
         xi = 0.999 * (1 - gd.gamma)
-        cands = exc(h, r, 1e-9, xi, 0.05, rng, gd)
+        cands = exc(h, r, 1e-9, xi, rng, gd)
         r_hat, eps = exc_params(gd, xi, potential(h, 4))
         assert all(abs(s - r) <= r_hat * (1 + 1e-12) for s in cands.roots)
         # radius bound implied by the construction: 2^(1/k) (1.001) theta
@@ -133,7 +133,7 @@ class TestExc:
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
         xi = 0.999 * (1 - gd.gamma)
-        cands = exc(h, 0.1, 1e-9, xi, 0.05, rng, gd)
+        cands = exc(h, 0.1, 1e-9, xi, rng, gd)
         _, eps = exc_params(gd, xi, potential(h, 4))
         assert cands.degree == len(build_net(eps))
         assert cands.degree <= net_size_bound(eps)
@@ -161,7 +161,7 @@ class TestExc:
             if psi == 0:
                 continue
             trials += 1
-            cands = exc(h, r, 1e-11, xi, phi, rng, gd)
+            cands = exc(h, r, 1e-11, xi, rng, gd)
             r_hat, eps = exc_params(gd, xi, psi)
             eta = eps * r_hat * math.sqrt(phi) / math.sqrt(3 * n)
             d = min(abs(s - e) for s in cands.roots for e in eigs)
@@ -176,7 +176,7 @@ class TestExc:
         h = HessenbergMatrix(a)
         gd = _globals(1.0, 4, h)
         with pytest.raises(PreconditionError):
-            exc(h, 0.0, 1e-9, 0.8, 0.05, rng, gd)
+            exc(h, 0.0, 1e-9, 0.8, rng, gd)
 
 
 class TestShStep:
