@@ -9,7 +9,8 @@ quantities (kappa_V, gap, spectral weights) come from LAPACK at binary64,
 which sits many orders below every tolerance that consumes them.  The
 production solver never imports this module.  The numeric primitives both
 need have one implementation each, written for either arithmetic: the
-Householder reduction, the Hyman recurrence and the root certificate with its
+Householder reduction, the vectorized Hyman recurrence with its running
+error bounds, Newton from LAPACK seeds and the root certificate with its
 disjoint-disk check live in ``smalleig`` (with the lock on mpmath's global
 precision), and block splitting is ``iqr.split_blocks``.
 """
@@ -24,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
 from .kernel import to_mp
-from .smalleig import MP_LOCK, _certify_block, _disjoint, _hessenberg, _hyman_kappa
+from .smalleig import _U_LD, MP_LOCK, _hessenberg, _hyman, _isolated_roots
 
 ORACLE_PREC = 120
 DESK_DIM_LIMIT = 64
@@ -113,57 +114,39 @@ def hyman_residual(m, lam, prec=ORACLE_PREC):
     n = a.shape[0]
     with MP_LOCK, mpmath.workprec(prec):
         H = _hessenberg(to_mp(a))
-        lam = _mpc_of(lam)
+        lam = np.array([_mpc_of(lam)], dtype=object)
         det = mpmath.mpf(1)
         for start, stop in split_blocks(H, n):
             d = stop - start
             blk = H[start:stop, start:stop]
             if d == 1:
-                det *= abs(blk[0, 0] - lam)
+                det *= abs(blk[0, 0] - lam[0])
                 continue
-            kap, _ = _hyman_kappa(blk, lam, d)
-            det *= abs(kap)
+            kap, _, _, _ = _hyman(blk, lam)
+            det *= abs(kap[0])
             for i in range(1, d):
                 det *= abs(blk[i, i - 1])
         return +det
 
 
-def _polished_eigs(H, n, num, tol, radius):
+def _polished_eigs(H, n, u, radius):
     """Certified eigenvalues of Hessenberg H in its own arithmetic, or None.
 
-    Each unreduced block is seeded by LAPACK on its complex128 rounding (num
-    converts a seed into the arithmetic of H), and each seed is polished by
-    Newton on the Hyman determinant until |step| <= tol (1 + |z|).  A block is
-    accepted when the trace identity holds, every inclusion radius is within
-    radius * max(1, max |b_ij|), and the inclusion disks are pairwise
-    disjoint, so no two seeds collapsed onto one root.  The values come back
-    sorted by (re, im)."""
+    Each unreduced block goes to ``smalleig._isolated_roots`` (unit roundoff
+    u): LAPACK seeds on its complex128 rounding, Newton on all of them at
+    once, and a certificate from the trace identity, inclusion radii within
+    radius * max(1, max |b_ij|) that carry the running error bound of the
+    Hyman recurrence, and pairwise-disjoint inclusion disks, so no two seeds
+    collapsed onto one root.  The values come back sorted by (re, im)."""
     vals = []
     for start, stop in split_blocks(H, n):
-        d = stop - start
         blk = H[start:stop, start:stop]
-        if d == 1:
+        if stop == start + 1:
             vals.append(blk[0, 0])
             continue
-        flat = blk.astype(np.complex128)
-        scale = max(1.0, float(np.abs(flat).max()))
-        roots = []
-        for s in np.linalg.eigvals(flat):
-            z = num(s)
-            for _ in range(60):
-                kap, kapp = _hyman_kappa(blk, z, d)
-                if kap == 0:
-                    break
-                if kapp == 0:
-                    z += tol * (1 + abs(z))
-                    continue
-                step = kap / kapp
-                z -= step
-                if abs(step) <= tol * (1 + abs(z)):
-                    break
-            roots.append(z)
-        radii = _certify_block(blk, d, roots, radius * scale)
-        if radii is None or not _disjoint(roots, radii):
+        scale = max(1.0, float(np.abs(blk.astype(np.complex128)).max()))
+        roots = _isolated_roots(blk, radius * scale, u)
+        if roots is None:
             return None
         vals.extend(roots)
     vals.sort(key=lambda z: (float(z.real), float(z.imag)))
@@ -178,8 +161,7 @@ def _ref_eigs_mp(a, prec, mp_out):
             vals = _polished_eigs(
                 _hessenberg(to_mp(a)),
                 n,
-                mpmath.mpc,
-                mpmath.mpf(2) ** (-(p - 10)),
+                mpmath.mpf(2) ** -p,
                 mpmath.mpf(2) ** (-(p // 2)),
             )
             if vals is not None:
@@ -190,13 +172,17 @@ def _ref_eigs_mp(a, prec, mp_out):
 def ref_eigs(m, mp_out=False, prec=None):
     """Reference eigenvalues (test ground truth), dim <= 64.
 
-    Householder reduction, LAPACK seeds, Newton on the Hyman determinant, and
-    a certificate per block: the trace identity, every inclusion radius, and
+    Householder reduction, LAPACK seeds, Newton on the Hyman determinant (all
+    seeds at once), and a certificate per block: the trace identity, every
+    inclusion radius with the running error bound of the recurrence, and
     pairwise-disjoint inclusion disks (``_polished_eigs``).  Below dim 17, or
     with ``mp_out``, this runs in mpmath at ``prec`` (default 140) bits,
-    doubling on failure.  Larger desk sizes run the same code in clongdouble
-    (80-bit on x86), which sits far below every tolerance consuming it at
-    those sizes; if that fails to certify, the matrix goes to the mpmath path.
+    doubling on failure, and certifies radius 2^-(prec/2) max(1, max |h_ij|).
+    Larger desk sizes run the same code in clongdouble (80-bit on x86) with
+    radius 1e-12 max(1, max |h_ij|), far below every tolerance consuming it
+    at those sizes; if that fails to certify, the matrix goes to the mpmath
+    path.  The certificate covers the Hessenberg form, not the rounding of
+    the reduction to it (about n^2 u ||m||).
     """
     a = _as_array(m)
     n = a.shape[0]
@@ -209,7 +195,7 @@ def ref_eigs(m, mp_out=False, prec=None):
     if mp_out or n <= MP_EIG_DIM_LIMIT:
         return _ref_eigs_mp(a, prec, mp_out)
     H = _hessenberg(a.astype(np.clongdouble))
-    vals = _polished_eigs(H, n, np.clongdouble, 1e-18, 1e-12)
+    vals = _polished_eigs(H, n, _U_LD, 1e-12)
     if vals is None:
         return _ref_eigs_mp(a, prec, False)
     return np.array([complex(z) for z in vals])

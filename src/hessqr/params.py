@@ -8,9 +8,11 @@ the optimality parameter theta, and the decoupling rate gamma = 0.2.  From
 and the iteration budget N_dec of each decoupling loop.
 
 The formulas run in binary64 and some square magnitudes (omega^2 in
-``regularization_scales``, and through it eta1 in the precision budget), so
-the driver and ``hessqr info`` evaluate them on the values of ``normalize``,
-with Sigma in [1/2, 1), where only extreme ratios to Sigma under- or overflow.
+``regularization_scales``), so the driver and ``hessqr info`` evaluate them
+on the values of ``normalize``, with Sigma in [1/2, 1), where only extreme
+ratios to Sigma under- or overflow.  Powers of B are taken in log2 (no B^4 is
+formed), the precision budget works with log2 of its small distances, and a
+value that leaves binary64 range raises ParameterError.
 """
 
 import math
@@ -38,10 +40,24 @@ def derive_degree(B):
             raise ParameterError(f"no admissible shift degree for B={B!r}")
 
 
+def _exp2(x, name):
+    """2^x for x < 512, so that its square is a binary64 number too;
+    ParameterError otherwise."""
+    if not x < 512.0:
+        raise ParameterError(f"{name} = 2^{x:g} is out of binary64 range")
+    return 2.0**x
+
+
 def derive_constants(B, k):
-    """alpha and theta for a given (B, k) pair."""
-    alpha = (1.01 * B) ** (4.0 * math.log2(k) / k)
-    theta = (1.01 / 0.998 ** (1.0 / k)) * (2.0 * B**4) ** (1.0 / (2.0 * k))
+    """alpha and theta for a given (B, k) pair.
+
+    alpha = (1.01 B)^(4 lg k / k) and theta = (1.01 / 0.998^(1/k))
+    (2 B^4)^(1/(2k)), with the powers of B taken in log2 so that no B^4 is
+    formed (at B = 1 the factor is exactly 1)."""
+    lB = math.log2(B)
+    e = 4.0 * math.log2(k) / k
+    alpha = 1.01**e * _exp2(e * lB, "alpha")
+    theta = (1.01 / 0.998 ** (1.0 / k)) * _exp2((1.0 + 4.0 * lB) / (2.0 * k), "theta")
     return alpha, theta
 
 
@@ -97,7 +113,16 @@ def default_bounds(n, scale, B=None, Gamma=None):
             "explicit bounds when delta = 0"
         )
     B = B if B is not None else max(1.0, n / scale)
-    Gamma = Gamma if Gamma is not None else (scale / n) ** 2
+    if Gamma is None:
+        try:
+            Gamma = (scale / n) ** 2
+        except OverflowError:
+            Gamma = math.inf
+    if not (math.isfinite(B) and 0 < Gamma < math.inf):
+        raise ParameterError(
+            f"auto B/Gamma out of binary64 range at scale {scale:g} "
+            f"(B={B:g}, Gamma={Gamma:g}); pass explicit B and Gamma"
+        )
     return B, Gamma
 
 
@@ -132,7 +157,14 @@ def derive_run_params(n, delta, phi, gd):
         raise DomainError(f"need 0 < delta <= Sigma, got delta={delta!r}")
     if not (0.0 < phi < 1.0):
         raise DomainError(f"failure tolerance must be in (0,1), got {phi!r}")
-    omega = min(delta, gd.Gamma / (8.0 * n**2 * gd.B**2)) / (4.0 * n)
+    try:
+        omega = min(delta, gd.Gamma / (8.0 * n**2 * gd.B**2)) / (4.0 * n)
+    except OverflowError:  # B^2
+        omega = 0.0
+    if not omega > 0:
+        raise ParameterError(
+            f"working accuracy omega underflows binary64 (B={gd.B:g}, Gamma={gd.Gamma:g})"
+        )
     n_dec = math.log(gd.Sigma / omega) / math.log(1.0 / REDUCTION_FACTOR)
     if n_dec <= 0:
         raise ParameterError(f"degenerate iteration budget N_dec={n_dec!r}")
@@ -151,9 +183,16 @@ def regularization_scales(omega, Sigma, k, phi):
 
 
 def exc_epsilon(k, alpha, theta, gamma, xi, B):
-    """Net resolution for the exceptional-shift disk."""
-    base = xi * (1.0 - gamma) / ((13.0 * B**4) ** (1.0 / k) * alpha**2 * theta**2)
-    return base ** (k / (k - 1.0))
+    """Net resolution for the exceptional-shift disk.
+
+    (xi (1 - gamma) / ((13 B^4)^(1/k) alpha^2 theta^2))^(k/(k-1)), with the
+    power of B taken in log2 as in ``derive_constants``."""
+    scale = 13.0 ** (1.0 / k) * _exp2(4.0 * math.log2(B) / k, "B^(4/k)")
+    base = xi * (1.0 - gamma) / (scale * alpha**2 * theta**2)
+    eps = base ** (k / (k - 1.0))
+    if not eps > 0:
+        raise ParameterError(f"exceptional-shift resolution underflows binary64 (B={B:g}, k={k})")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +215,24 @@ def _log2_u_optimal(n, k, C, Sigma, theta, psi_lower):
     )
 
 
-def _log2_u_iqr(n, k, Sigma, B, dist):
+def _log2_u_iqr(n, k, Sigma, B, log2_dist):
     return (
         -(math.log2(8.0 * B) + _nu_iqr_log2(n))
-        + k * (math.log2(dist) - math.log2(Sigma))
+        + k * (log2_dist - math.log2(Sigma))
     )
 
 
-def _log2_u_comptau(n, m, C, Sigma, B, dist):
+def _log2_u_comptau(n, m, C, Sigma, B, log2_dist):
     return (
         -(math.log2(6.0e3 * B) + _nu_iqr_log2(n))
-        + 2.0 * m * (math.log2(dist) - math.log2((2.0 + 2.0 * C) * Sigma))
+        + 2.0 * m * (log2_dist - math.log2((2.0 + 2.0 * C) * Sigma))
     )
 
 
-def _log2_u_potential_apx(n, k, C, Sigma, B, dist, omega):
+def _log2_u_potential_apx(n, k, C, Sigma, B, log2_dist, omega):
     return (
-        math.log2(0.001 * omega)
-        + k * math.log2(dist)
+        math.log2(0.001) + math.log2(omega)
+        + k * log2_dist
         - (math.log2(32.0 * B) + 0.5 * math.log2(n) + _nu_iqr_log2(n))
         - (k + 1.0) * math.log2(Sigma)
         - k * math.log2(2.0 + 2.0 * C)
@@ -213,7 +252,11 @@ def required_precision(n, k, Sigma, B, Gamma, delta, phi):
     alpha, theta = gd.alpha, gd.theta
     rp = derive_run_params(n, delta, phi, gd)
     omega, n_dec, phi_working = rp.omega, rp.n_dec, rp.phi_working
-    _, _, eta1 = regularization_scales(omega, Sigma, k, phi_working)
+    # eta1 of ``regularization_scales`` in log2: omega^2 underflows for large B
+    log2_eta1 = (
+        2.0 * math.log2(omega) - math.log2(16.0 * 101.0 * Sigma) - 1.0
+        - 0.5 * math.log2(2.0 * k / phi_working)
+    )
 
     # driver term
     logs = [
@@ -225,22 +268,23 @@ def required_precision(n, k, Sigma, B, Gamma, delta, phi):
     logs.append(_log2_u_optimal(n, k, 1.1, Sigma, theta, omega))
     logs.append(
         math.log2(omega) - math.log2(8.0 * math.sqrt(n) * Sigma)
-        + _log2_u_iqr(n, k, Sigma, B, eta1)
+        + _log2_u_iqr(n, k, Sigma, B, log2_eta1)
     )
     # shifting strategy (C = 3; regularized-shift distance eta1)
     C = 3.0
-    logs.append(_log2_u_comptau(n, max(k // 2, 1), C, Sigma, B, eta1))
+    logs.append(_log2_u_comptau(n, max(k // 2, 1), C, Sigma, B, log2_eta1))
     xi = 0.999 * (1.0 - GAMMA)
     eps = exc_epsilon(k, alpha, theta, GAMMA, xi, B)
     logs.append(_log2_u_psi(k))
     logs.append(
-        math.log2(0.1 * eps * 1.998 * theta * alpha * B * omega)
+        math.log2(0.1 * eps * 1.998 * theta * alpha * B) + math.log2(omega)
         - math.log2(4.0 * (eps + 2.0 * (1.0 + eps) * C * Sigma))
     )
-    dist_exc = eps * 1.998 * theta * alpha * B ** (1.0 / k) * omega * math.sqrt(
-        phi_working
-    ) / math.sqrt(3.0 * n)
-    logs.append(_log2_u_potential_apx(n, k, C, Sigma, B, dist_exc, omega))
-    logs.append(_log2_u_potential_apx(n, k, C, Sigma, B, eta1, omega))
+    log2_dist_exc = (
+        math.log2(eps * 1.998 * theta * alpha * B ** (1.0 / k)) + math.log2(omega)
+        + 0.5 * math.log2(phi_working / (3.0 * n))
+    )
+    logs.append(_log2_u_potential_apx(n, k, C, Sigma, B, log2_dist_exc, omega))
+    logs.append(_log2_u_potential_apx(n, k, C, Sigma, B, log2_eta1, omega))
 
     return math.ceil(-min(logs))

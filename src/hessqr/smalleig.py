@@ -1,34 +1,54 @@
 """Default small eigenvalue solver: certified forward-approximate eigenvalues.
 
-Works in mpmath at >= 120 bits on the Hessenberg form of the input (reduced
-by Householder reflections unless the input already has exact zeros below the
-subdiagonal) and evaluates the characteristic polynomial of each unreduced
-diagonal block through the Hyman determinant recurrence.  Each block is
-solved in one of two tiers:
+Works on the Hessenberg form of the input (reduced by Householder reflections
+unless the input already has exact zeros below the subdiagonal) and evaluates
+the characteristic polynomial of each unreduced diagonal block through the
+Hyman determinant recurrence, together with a running bound on its rounding
+error.  Each block is solved in the first of three tiers that certifies it:
 
-1. Fast: LAPACK eigenvalues of the block rounded to complex128 seed Newton
-   iterations on the Hyman determinant.  The roots are accepted only if the
-   trace identity holds, every inclusion radius d * |p/p'| is within the
-   requested accuracy, and the inclusion disks are pairwise disjoint.  Each of
-   the d disjoint disks holds at least one root of the degree-d polynomial, so
-   each holds exactly one: the output multiset is complete and matched.
-2. Fallback, for clusters, defective blocks and any failed check:
-   Ehrlich-Aberth from a circle followed by Newton polish, accepted on the
-   trace identity and the per-root radii alone.
+1. clongdouble, for binary64 Hessenberg input where clongdouble has a
+   64-bit significand (x87 extended): LAPACK eigenvalues of the block,
+   rounded to complex128, seed Newton iterations on all roots at once, and
+   the roots must pass the disjoint-disk certificate below at beta_eff / 2.
+2. mpmath at >= 120 bits, for blocks tier 1 did not certify and for all
+   other input: the same Newton iteration and certificate.
+3. Fallback, for clusters, defective blocks and any failed check:
+   Ehrlich-Aberth in mpmath from a circle, then Newton polish, accepted on
+   the trace identity and the per-root radii alone.
 
-If neither tier certifies a block, the working precision doubles and the
-solve restarts, up to a cap; past it the solver raises SmallEigFailure.
-Deterministic: no randomness anywhere, output sorted by (re, im).
+If tiers 2 and 3 do not certify a block, the working precision doubles and
+the mpmath solve restarts, up to a cap; past it the solver raises
+SmallEigFailure.  Deterministic: no randomness anywhere, output sorted by
+(re, im).
+
+The certificate.  For a polynomial p of degree d, the disk about z of radius
+d |p(z) / p'(z)| holds a root of p.  The block's characteristic polynomial is
+a constant times kappa (see ``_hyman``), and the computed kappa_hat and
+kappa_hat' lie within eps and eps' of the exact values, so the radius
+d (|kappa_hat| + eps) / (|kappa_hat'| - eps') is an upper bound whenever
+|kappa_hat'| > eps' (``_certify_block``; in mpmath also the root-product
+bound ((|kappa_hat| + eps) prod |h_i|)^(1/d), which needs no kappa' and so
+covers the Aberth roots of a cluster).  A block's roots are accepted when
+the trace identity holds within d * beta plus the rounding of its two sums,
+every such radius is within beta, and the disks are pairwise disjoint: each
+of the d disjoint disks holds at least one root, so each holds exactly one
+and the output multiset is complete and matched.  The bound follows the
+running error analysis of Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., SIAM 2002, section 5.1, with the standard model of
+floating point arithmetic and gradual underflow; overflow gives inf or NaN,
+which fails the checks.  The certificate is about the Hessenberg matrix
+solved: for dense input, the rounding of the Householder reduction in
+mpmath (about n^2 2^-prec ||m||) is not part of it.
 
 Any object with a compatible ``solve(m, beta, phi)`` may be injected in its
 place; the probabilistic failure budget phi is not consumed here (failure
 surfaces as an exception instead of a silent wrong answer).
 
-The primitives defined here (Householder reduction, the Hyman recurrence,
-and the root certificate with its disjoint-disk check) are written once and
-run in the arithmetic of their input: object arrays of mpmath numbers here,
-and also numpy clongdouble arrays in ``oracle``, which imports them together
-with ``MP_LOCK``.  Blocks are cut by ``iqr.split_blocks``.
+The primitives defined here (Householder reduction, the Hyman recurrence
+with its error bounds, Newton from LAPACK seeds, and the root certificate
+with its disjoint-disk check) are written once and run in the arithmetic of
+their input, clongdouble or mpmath; ``oracle`` imports them together with
+``MP_LOCK``.  Blocks are cut by ``iqr.split_blocks``.
 """
 
 import math
@@ -45,31 +65,83 @@ from .kernel import is_mp_array, to_mp
 MP_LOCK = threading.RLock()
 _MIN_PREC = 120
 _MAX_PREC = 960
-_NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 2-3 at 120 bits
+_NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 1-3 steps
+_U_LD = np.finfo(np.clongdouble).epsneg  # unit roundoff of clongdouble
+# Tier 1 needs clongdouble well above binary64 (x87 extended: 64-bit
+# significand); elsewhere clongdouble may be binary64 itself.
+_LONG_DOUBLE_TIER = np.finfo(np.clongdouble).nmant >= 63
 
 
-def _hyman_kappa(H, z, n):
-    """kappa(z), kappa'(z) with det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag).
+def _slack(n, u):
+    """2 (n + 20) u: bounds, with a factor-2 margin, the relative rounding
+    error of a complex dot product of up to n + 2 terms followed by a complex
+    division (gamma_{n+4} and sqrt(2) gamma_7 in Higham's notation), and of
+    every sum, product, quotient and modulus formed in a bound."""
+    return 2 * (n + 20) * u
 
-    H must be unreduced Hessenberg; the recurrence runs in the arithmetic of H
-    and z (mpmath numbers or numpy clongdouble)."""
-    x = [0] * n
-    xp = [0] * n
+
+def _hyman(H, z, u=None):
+    """kappa, kappa' and running error bounds eps, eps' at every point of z.
+
+    det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag) for unreduced Hessenberg
+    H.  z is a vector of m points; x and x' (back substitution for the null
+    vector of the last n - 1 rows of H - z, and its derivative) are n x m
+    arrays updated one row dot product at a time.  Everything runs in the
+    arithmetic of H and z: numpy clongdouble, or object arrays of mpmath
+    numbers at the ambient precision.  Given that arithmetic's unit roundoff
+    u, the bounds (in its real type) satisfy |kappa_hat - kappa| <= eps and
+    |kappa_hat' - kappa'| <= eps' for the exact values at the stored H and
+    z; without u they are None.
+
+    Running error analysis (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 5.1): each computed x_{i-1} carries a local
+    rounding error of at most (g S_i + tiny) / |h_i| + tiny, where S_i is
+    the sum of the moduli of the terms of row i, h_i = H[i, i-1], g is
+    ``_slack`` and tiny covers gradual underflow.  The recurrence is linear,
+    so the errors of x and x' obey it too, driven by the local errors; f and
+    f' bound them on moduli and give eps'.  That bound ignores cancellation
+    and grows with n, so eps weighs each local error exactly instead: it
+    reaches kappa times y_i h_i, where y is the left null vector of the first
+    n - 1 columns of H - z with y_0 = 1 (a forward recurrence, whose own
+    error is bounded the same way).  Overflow yields inf or NaN, which every
+    check that consumes the bounds rejects."""
+    n = H.shape[0]
+    x = np.zeros((n, len(z)), dtype=H.dtype)
+    xp = np.zeros_like(x)
     x[n - 1] = 1
     for i in range(n - 1, 0, -1):
-        acc = 0
-        accp = 0
-        for j in range(i, n):
-            acc += H[i, j] * x[j]
-            accp += H[i, j] * xp[j]
-        x[i - 1] = (z * x[i] - acc) / H[i, i - 1]
-        xp[i - 1] = (x[i] + z * xp[i] - accp) / H[i, i - 1]
-    kap = -z * x[0]
-    kapp = -x[0] - z * xp[0]
-    for j in range(n):
-        kap += H[0, j] * x[j]
-        kapp += H[0, j] * xp[j]
-    return kap, kapp
+        row, h = H[i, i:], H[i, i - 1]
+        x[i - 1] = (z * x[i] - row @ x[i:]) / h
+        xp[i - 1] = (x[i] + z * xp[i] - row @ xp[i:]) / h
+    kap = H[0] @ x - z * x[0]
+    kapp = H[0] @ xp - x[0] - z * xp[0]
+    if u is None:
+        return kap, kapp, None, None
+
+    tiny = 0 if is_mp_array(H) else np.finfo(H.dtype).tiny
+    g = _slack(n, u)
+    grow = 1 + 2 * n * g  # the rounding of the n steps of each bound itself
+    aH, az, ax = np.abs(H), np.abs(z), np.abs(x)
+    # f, f': error bound of each x, x' plus the local error its terms cause
+    f, fp = ax * g, np.abs(xp) * g
+    for i in range(n - 1, 0, -1):
+        arow, ah = aH[i, i:], aH[i, i - 1]
+        f[i - 1] += (az * f[i] + arow @ f[i:] + tiny) / ah + tiny
+        fp[i - 1] += (f[i] + az * fp[i] + arow @ fp[i:] + tiny) / ah + tiny
+    epsp = (f[0] + az * fp[0] + aH[0] @ fp + tiny) * grow
+    # y and its error bound fy, like x and f; the local error of row i (of
+    # kappa itself for i = 0) times |h_i| is at most g S_i + tiny (1 + |h_i|)
+    y = np.zeros_like(x)
+    y[0] = 1
+    fy = np.zeros_like(f)
+    fy[0] = g
+    for j in range(n - 1):
+        y[j + 1] = (z * y[j] - H[: j + 1, j] @ y[: j + 1]) / H[j + 1, j]
+        fy[j + 1] = (az * fy[j] + aH[: j + 1, j] @ fy[: j + 1] + tiny) / aH[j + 1, j] + tiny
+        fy[j + 1] += np.abs(y[j + 1]) * g
+    local = (aH @ ax + az * ax) * g + (tiny * (1 + aH.sum(axis=1)))[:, None]
+    eps = ((np.abs(y) + fy) * local).sum(axis=0) * grow
+    return kap, kapp, eps, epsp
 
 
 def _hessenberg(H):
@@ -94,37 +166,46 @@ def _hessenberg(H):
             continue
         b = 2 / unorm2
         w = np.conj(u) @ H[c + 1 :, c:]
-        H[c + 1 :, c:] = H[c + 1 :, c:] - b * np.outer(u, w)
+        H[c + 1 :, c:] = H[c + 1 :, c:] - np.outer(u, w) * b
         w2 = H[:, c + 1 :] @ u
-        H[:, c + 1 :] = H[:, c + 1 :] - b * np.outer(w2, np.conj(u))
+        H[:, c + 1 :] = H[:, c + 1 :] - np.outer(w2, np.conj(u)) * b
         H[c + 2 :, c] = zero
     return H
 
 
 def _aberth_block(blk, d, prec):
-    """All roots of the block's characteristic polynomial at ambient prec."""
+    """All roots of the block's characteristic polynomial at ambient prec.
+
+    Ehrlich-Aberth in its simultaneous form, from a circle enclosing the
+    spectrum, then Newton polish.  It stops when the corrections reach the
+    working precision, or, checked every 16 sweeps, when every |kappa| is
+    within its rounding bound, which is where a multiple root leaves it."""
+    u = mpmath.mpf(2) ** -prec
     radius = mpmath.mpf(0)
     for i in range(d):
         row = mpmath.fsum(abs(blk[i, j]) for j in range(d))
         radius = max(radius, row)
     radius = radius + 1
-    z = [
-        radius * mpmath.exp(2j * mpmath.pi * (j + mpmath.mpf(1) / 4) / d)
-        for j in range(d)
-    ]
+    z = np.array(
+        [radius * mpmath.exp(2j * mpmath.pi * (j + mpmath.mpf(1) / 4) / d) for j in range(d)],
+        dtype=object,
+    )
     tol = mpmath.mpf(2) ** (-(prec - 8))
     nudge = mpmath.mpf(2) ** (-(prec // 2))
-    for _ in range(200):
+    for sweep in range(1, 201):
+        kap, kapp, eps, _ = _hyman(blk, z, u if sweep % 16 == 0 else None)
+        if eps is not None and (np.abs(kap) <= eps).all():
+            break
+        new = z.copy()
         worst = mpmath.mpf(0)
         for j in range(d):
-            kap, kapp = _hyman_kappa(blk, z[j], d)
-            if kap == 0:
+            if kap[j] == 0:
                 continue
-            if kapp == 0:
-                z[j] += nudge * (1 + abs(z[j]))
+            if kapp[j] == 0:
+                new[j] += nudge * (1 + abs(z[j]))
                 worst = mpmath.inf
                 continue
-            w = kap / kapp
+            w = kap[j] / kapp[j]
             s = mpmath.mpc(0)
             for l in range(d):
                 if l == j:
@@ -135,41 +216,50 @@ def _aberth_block(blk, d, prec):
                 s += 1 / dz
             denom = 1 - w * s
             corr = w if denom == 0 else w / denom
-            z[j] -= corr
-            worst = max(worst, abs(corr) / (1 + abs(z[j])))
+            new[j] -= corr
+            worst = max(worst, abs(corr) / (1 + abs(new[j])))
+        z = new
         if worst <= tol:
             break
-    for j in range(d):  # Newton polish
-        for _ in range(3):
-            kap, kapp = _hyman_kappa(blk, z[j], d)
-            if kap == 0 or kapp == 0:
-                break
-            z[j] -= kap / kapp
+    for _ in range(3):  # Newton polish
+        kap, kapp, _, _ = _hyman(blk, z)
+        if not (kapp != 0).all():
+            break
+        z = z - kap / kapp
     return z
 
 
-def _certify_block(blk, d, roots, beta_cert):
-    """Inclusion radii d * |kappa/kappa'| of the roots, or None.
+def _certify_block(blk, roots, beta_cert, u):
+    """Inclusion radii of the roots, or None.
 
-    The disk of that radius about a root holds a root of the block.  None
-    unless the trace identity holds within d * beta_cert and every radius is
-    within beta_cert.  The comparisons are written so that NaN fails them.
-    Works on mpmath and clongdouble blocks alike."""
-    tr = sum(blk[i, i] for i in range(d))
-    if not abs(sum(roots) - tr) <= d * beta_cert:
+    The disk about a root z of radius d (|kappa| + eps) / (|kappa'| - eps'),
+    with the running error bounds of ``_hyman``, holds a root of the block's
+    characteristic polynomial (of degree d) whenever |kappa'| > eps'.  In
+    mpmath the radius is also capped by ((|kappa| + eps) prod |h_i|)^(1/d),
+    h_i the subdiagonal: that product bounds |det(z - blk)|, the product of
+    the distances from z to the d roots.  It needs no kappa', so it
+    certifies the Aberth roots of a cluster, where kappa' vanishes; it is
+    left out in clongdouble, where the product could underflow.  The radii
+    carry a further 1 + 2 (d + 20) u for their own rounding.  None unless the
+    trace identity holds within d * beta_cert plus the rounding allowance of
+    its two sums, and every radius is within beta_cert.  The comparisons are
+    written so that NaN fails them.  u is the unit roundoff of blk."""
+    d = blk.shape[0]
+    z = np.asarray(roots)
+    g = _slack(d, u)
+    diag = blk.diagonal()
+    allowance = g * (np.abs(z).sum() + np.abs(diag).sum())
+    if not abs(z.sum() - diag.sum()) <= d * beta_cert + allowance:
         return None
-    radii = []
-    for z in roots:
-        kap, kapp = _hyman_kappa(blk, z, d)
-        if kap == 0:
-            radii.append(abs(kap))
-            continue
-        if kapp == 0:
-            return None
-        r = d * abs(kap / kapp)
-        if not r <= beta_cert:
-            return None
-        radii.append(r)
+    kap, kapp, eps, epsp = _hyman(blk, z, u)
+    num, den = np.abs(kap) + eps, np.abs(kapp) - epsp
+    radii = np.array([d * a / b if b > 0 else np.inf for a, b in zip(num, den)], dtype=num.dtype)
+    if is_mp_array(blk):
+        det_bound = num * mpmath.fprod(np.abs(blk.diagonal(-1)))
+        radii = np.minimum(radii, det_bound ** (mpmath.mpf(1) / d))
+    radii = radii * (1 + g)
+    if not (radii <= beta_cert).all():
+        return None
     return radii
 
 
@@ -178,41 +268,37 @@ def _disjoint(centers, radii):
 
     With d disjoint inclusion disks for a degree-d polynomial, each disk holds
     exactly one root, so a doubled root cannot hide a missing one."""
-    for i in range(len(centers)):
-        for j in range(i):
-            if not abs(centers[i] - centers[j]) > radii[i] + radii[j]:
-                return False
-    return True
+    c, r = np.asarray(centers), np.asarray(radii)
+    apart = np.abs(c[:, None] - c[None, :]) > r[:, None] + r[None, :]
+    np.fill_diagonal(apart, True)
+    return bool(apart.all())
 
 
-def _isolated_roots(blk, d, prec, beta_cert):
-    """Fast tier: Newton from LAPACK seeds, certified with disjoint disks.
+def _isolated_roots(blk, beta_cert, u):
+    """Newton from LAPACK seeds on all roots at once, certified with disjoint disks.
 
-    None sends the block to the Aberth fallback."""
-    flat = blk.astype(np.complex128)
+    Runs in the arithmetic of blk (clongdouble or mpmath, unit roundoff u)
+    and stops once every step is within sqrt(u) (1 + |z|), after which one
+    more step would be below the rounding level.  None when a check fails."""
     try:
-        seeds = np.linalg.eigvals(flat)
+        seeds = np.linalg.eigvals(blk.astype(np.complex128))
     except np.linalg.LinAlgError:
         return None
-    tol = mpmath.mpf(2) ** (-(prec // 2))
-    roots = []
-    for s in seeds:
-        z = mpmath.mpc(complex(s))
+    z = to_mp(seeds) if is_mp_array(blk) else seeds.astype(blk.dtype)
+    tol = u**0.5
+    with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            kap, kapp = _hyman_kappa(blk, z, d)
-            if kap == 0:
-                break
-            if kapp == 0:
+            kap, kapp, _, _ = _hyman(blk, z)
+            if not (kapp != 0).all():
                 return None
             step = kap / kapp
-            z -= step
-            if abs(step) <= tol * (1 + abs(z)):
+            z = z - step
+            if (np.abs(step) <= (1 + np.abs(z)) * tol).all():
                 break
-        roots.append(z)
-    radii = _certify_block(blk, d, roots, beta_cert)
-    if radii is None or not _disjoint(roots, radii):
-        return None
-    return roots
+        radii = _certify_block(blk, z, beta_cert, u)
+        if radii is None or not _disjoint(z, radii):
+            return None
+    return list(z)
 
 
 def _is_hessenberg(a, n):
@@ -235,15 +321,19 @@ class CharPolySolver:
 
     solve(m, beta, phi) returns forward beta-approximations of Spec(m):
     |lambda_hat_i - lambda_i| <= beta under a matching.  Each unreduced block
-    is certified either by pairwise-disjoint inclusion disks around Newton
-    roots seeded from LAPACK, or, when that fails (clusters, defective
-    blocks), by the trace identity and per-root radii of an Ehrlich-Aberth
-    solve; see the module docstring.  Certification is capped at the
-    representation limit of the output type (binary64 input yields binary64
-    output), which is far below every working-accuracy scale the driver
-    produces.  phi is accepted for interface compatibility; this solver is
-    deterministic and raises SmallEigFailure instead of failing silently.
-    Non-finite entries raise StructureError.
+    is certified by pairwise-disjoint inclusion disks, with radii that carry
+    the running error bound of the Hyman recurrence, around Newton roots
+    seeded from LAPACK: first in clongdouble (binary64 Hessenberg input with
+    a 64-bit clongdouble significand), then in mpmath; when both fail
+    (clusters, defective blocks), by the trace identity and per-root radii of
+    an Ehrlich-Aberth solve in mpmath.  See the module docstring.
+    Certification is capped at the representation limit of the output type
+    (binary64 input yields binary64 output), which is far below every
+    working-accuracy scale the driver produces: the certified radius is
+    beta_eff / 2 and the final rounding to complex128 moves a value by at
+    most 2^-52.5 ||m||_F <= beta_eff / 2.  phi is accepted for interface
+    compatibility; this solver is deterministic and raises SmallEigFailure
+    instead of failing silently.  Non-finite entries raise StructureError.
     """
 
     def solve(self, m, beta, phi):
@@ -265,6 +355,22 @@ class CharPolySolver:
         beta_eff = max(float(beta), 8.0 * 2.0**-52 * scale) if not extended else float(beta)
         hessenberg = _is_hessenberg(a, n)
 
+        # Tier 1: blocks certified in clongdouble; the rest (todo) go to mpmath.
+        vals, todo = [], None
+        if _LONG_DOUBLE_TIER and hessenberg and not extended:
+            H = flat.astype(np.clongdouble)
+            beta_cert = np.longdouble(beta_eff) / 2
+            todo = []
+            for start, stop in split_blocks(H, n):
+                blk = H[start:stop, start:stop]
+                roots = [blk[0, 0]] if stop == start + 1 else _isolated_roots(blk, beta_cert, _U_LD)
+                if roots is None:
+                    todo.append((start, stop))
+                else:
+                    vals.extend(roots)
+            if not todo:
+                return _sorted(vals, complex)
+
         prec = min(max(_MIN_PREC, int(math.log2(scale / beta_eff)) + 60), _MAX_PREC)
         while True:
             with MP_LOCK, mpmath.workprec(prec):
@@ -272,32 +378,37 @@ class CharPolySolver:
                 if not hessenberg:
                     H = _hessenberg(H)
                 beta_cert = mpmath.mpf(beta_eff) / 2
-                vals = []
+                u = mpmath.mpf(2) ** -prec
+                mp_vals = []
                 good = True
-                for start, stop in split_blocks(H, n):
+                for start, stop in split_blocks(H, n) if todo is None else todo:
                     d = stop - start
                     blk = H[start:stop, start:stop]
                     if d == 1:
-                        vals.append(blk[0, 0])
+                        mp_vals.append(blk[0, 0])
                         continue
-                    roots = _isolated_roots(blk, d, prec, beta_cert)
+                    roots = _isolated_roots(blk, beta_cert, u)
                     if roots is None:
                         roots = _aberth_block(blk, d, prec)
-                        if _certify_block(blk, d, roots, beta_cert) is None:
+                        if _certify_block(blk, roots, beta_cert, u) is None:
                             good = False
                             break
-                    vals.extend(roots)
+                    mp_vals.extend(roots)
                 if good:
-                    vals.sort(key=lambda z: (float(z.real), float(z.imag)))
-                    if extended:
-                        return [mpmath.mpc(z) for z in vals]
-                    return [complex(z) for z in vals]
+                    return _sorted(vals + mp_vals, mpmath.mpc if extended else complex)
             if prec >= _MAX_PREC:
                 raise SmallEigFailure(
                     f"could not certify forward accuracy {beta_eff:g} "
                     f"at {_MAX_PREC} bits (clustered or defective input)"
                 )
             prec = min(2 * prec, _MAX_PREC)
+
+
+def _sorted(vals, kind):
+    """vals converted by kind (complex, or mpmath.mpc at the ambient
+    precision), sorted by (re, im)."""
+    vals = sorted(vals, key=lambda z: (float(z.real), float(z.imag)))
+    return [kind(z) for z in vals]
 
 
 DEFAULT_SOLVER = CharPolySolver()

@@ -242,3 +242,31 @@ class TestExtremeScaling:
             eigs[e] = [complex(v["re"], v["im"]) * 2.0**-e for v in doc["eigenvalues"]]
         assert bits[600] == bits[-600] == bits[0] and int(bits[0]) > 53
         assert eigs[600] == eigs[-600] == eigs[0]
+
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_default_bounds_out_of_range_is_a_parameter_error(self, tmp_path, capsys, e):
+        # default B = n/delta_pre and Gamma = (delta_pre/n)^2 leave binary64 here
+        path = _random_mtx(tmp_path, 6, True, e)
+        assert main(["info", path, "--seed", "21", "--no-preprocess"]) == EXIT_BAD_INPUT
+        assert "pass explicit B and Gamma" in capsys.readouterr().err
+
+
+class TestHugeConditionBound:
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "fixture_n32.mtx")
+
+    def test_b_1e80_info_and_solve(self, tmp_path, capsys):
+        # B^4 overflows binary64; alpha, theta and the budget do not
+        options = ["--seed", "21", "--B", "1e80", "--gamma-gap", "1e-3"]
+        assert main(["info", self.FIXTURE] + options) == EXIT_OK
+        lines = _info_lines(capsys.readouterr().out)
+        assert int(lines["k"]) >= 32  # a direct solve
+        assert int(lines["required bits"]) > 53
+        out = tmp_path / "b.json"
+        assert main(["solve", self.FIXTURE, "--out-json", str(out)] + options) == EXIT_OK
+        assert len(json.loads(out.read_text())["eigenvalues"]) == 32
+
+    def test_b_1e300_is_a_parameter_error(self, capsys):
+        # omega = Gamma / (8 n^2 B^2) / (4n) underflows binary64
+        options = ["--seed", "21", "--B", "1e300", "--gamma-gap", "1e-3"]
+        assert main(["info", self.FIXTURE] + options) == EXIT_BAD_INPUT
+        assert "omega underflows" in capsys.readouterr().err

@@ -8,7 +8,9 @@ from hessqr.params import (
     derive_constants,
     derive_degree,
     derive_globals,
+    default_bounds,
     derive_run_params,
+    exc_epsilon,
     globals_with_degree,
     required_precision,
 )
@@ -54,6 +56,36 @@ class TestDeriveConstants:
             alpha, theta = derive_constants(B, k)
             assert 1.0 <= alpha <= 2.0
             assert 1.0 <= theta <= 2.0
+
+
+class TestHugeB:
+    @pytest.mark.parametrize("B", [1e80, 1e300])
+    def test_constants_finite_at_the_honest_degree(self, B):
+        k = derive_degree(B)
+        alpha, theta = derive_constants(B, k)
+        assert 1.0 <= alpha <= 2.0 and 1.0 <= theta <= 2.0
+        assert 0.0 < exc_epsilon(k, alpha, theta, 0.2, 0.999 * 0.8, B) < 1.0
+
+    def test_budget_at_1e80(self):
+        k = derive_degree(1e80)
+        assert 53 < required_precision(32, k, 0.75, 1e80, 1e-3, 1e-7, 0.05) < 2**40
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_out_of_range_raises_parameter_error(self, k):
+        # alpha = (1.01 B)^2 leaves binary64 range at a degree far below the honest one
+        with pytest.raises(ParameterError):
+            derive_constants(1e300, k)
+
+    def test_omega_underflow_at_1e300(self):
+        gd = derive_globals(1e300, Gamma=1e-3, Sigma=1.0, n0=32)
+        with pytest.raises(ParameterError):
+            derive_run_params(32, 1e-7, 0.05, gd)
+
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_default_bounds_out_of_range(self, e):
+        # Gamma = (scale/n)^2 overflows at 2^600 and underflows at 2^-600
+        with pytest.raises(ParameterError):
+            default_bounds(16, 2.0**e)
 
 
 class TestGlobalData:

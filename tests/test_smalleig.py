@@ -5,7 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from conftest import random_hessenberg
+from conftest import near_normal_hessenberg, random_hessenberg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -128,27 +128,40 @@ class TestCharPolySolver:
 
 class TestTwoTiers:
     def test_fast_path_matches_forced_aberth(self, monkeypatch, aberth_calls):
+        # the mpmath tiers against each other, with the clongdouble tier off
+        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
         rng = np.random.default_rng(35)
         sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
         cases = [random_hessenberg(rng, n).a for n in sizes]
         fast = [SOLVER.solve(m, 1e-10, 0.1) for m in cases]
         assert aberth_calls == []
-        monkeypatch.setattr(smalleig, "_isolated_roots", lambda blk, d, prec, beta_cert: None)
+        monkeypatch.setattr(smalleig, "_isolated_roots", lambda blk, beta_cert, u: None)
         forced = [SOLVER.solve(m, 1e-10, 0.1) for m in cases]
         assert len(aberth_calls) == len(cases)
         assert fast == forced
+
+    def test_long_double_tier_matches_mpmath(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
+        cases = [random_hessenberg(rng, n).a for n in sizes]
+        beta = 1e-10
+        fast = [SOLVER.solve(m, beta, 0.1) for m in cases]
+        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
+        for m, vals in zip(cases, fast):
+            assert matched_distance(np.array(vals), np.array(SOLVER.solve(m, beta, 0.1))) <= beta
 
     def test_isolation_rejects_duplicated_root(self):
         # roots +-e of z^2 - e^2; the list [e, e] passes the trace identity
         # and has exact residuals, yet misses -e by 2e
         with mpmath.workprec(120):
+            u = mpmath.mpf(2) ** -120
             e = mpmath.mpf(2) ** -60
             blk = np.array([[0, e * e], [1, 0]], dtype=object) * mpmath.mpc(1)
             beta_cert = mpmath.mpf(1e-15)
-            radii = smalleig._certify_block(blk, 2, [e, e], beta_cert)
-            assert radii == [0, 0]
+            radii = smalleig._certify_block(blk, [e, e], beta_cert, u)
+            assert max(radii) <= 2**-170  # kappa(e) = 0 exactly: rounding bound only
             assert not smalleig._disjoint([e, e], radii)
-            good = smalleig._certify_block(blk, 2, [e, -e], beta_cert)
+            good = smalleig._certify_block(blk, [e, -e], beta_cert, u)
             assert smalleig._disjoint([e, -e], good)
 
     def test_hessenberg_input_skips_reduction(self, monkeypatch):
@@ -167,6 +180,135 @@ class TestTwoTiers:
         dense = rng.standard_normal((5, 5)) + 0j
         SOLVER.solve(dense, 1e-12, 0.1)
         assert reductions == [5]
+
+
+@pytest.fixture
+def tier_blocks(monkeypatch):
+    """Records the dtype and size of every block ``_isolated_roots`` sees."""
+    seen = []
+    original = smalleig._isolated_roots
+
+    def recording(blk, beta_cert, u):
+        seen.append((blk.dtype, blk.shape[0]))
+        return original(blk, beta_cert, u)
+
+    monkeypatch.setattr(smalleig, "_isolated_roots", recording)
+    return seen
+
+
+def _raise(*args):
+    raise AssertionError("an mpmath tier was entered")
+
+
+needs_long_double = pytest.mark.skipif(
+    not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
+)
+
+
+class TestLongDoubleTier:
+    @needs_long_double
+    def test_solves_without_mpmath(self, monkeypatch):
+        # both mpmath tiers start from to_mp (binary64 input); Aberth is the last
+        monkeypatch.setattr(smalleig, "to_mp", _raise)
+        monkeypatch.setattr(smalleig, "_aberth_block", _raise)
+        rng = np.random.default_rng(37)
+        h, _ = near_normal_hessenberg(rng, 16, perturb=1e-4)
+        beta = 1e-9
+        vals = SOLVER.solve(h.a, beta, 0.1)
+        monkeypatch.undo()
+        assert matched_distance(np.array(vals), ref_eigs(h.a)) <= beta
+
+    def test_object_input_stays_in_mpmath(self, tier_blocks):
+        rng = np.random.default_rng(38)
+        h = random_hessenberg(rng, 6).a
+        with mpmath.workprec(80):
+            vals = SOLVER.solve(smalleig.to_mp(h), 1e-15, 0.1)
+        assert tier_blocks and all(dtype == object for dtype, _ in tier_blocks)
+        assert all(isinstance(v, mpmath.mpc) for v in vals)
+        assert matched_distance(np.array([complex(v) for v in vals]), ref_eigs(h)) <= 1e-13
+
+    def test_guard_off_runs_mpmath(self, monkeypatch, tier_blocks):
+        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
+        rng = np.random.default_rng(39)
+        h = random_hessenberg(rng, 6).a
+        vals = SOLVER.solve(h, 1e-12, 0.1)
+        assert tier_blocks == [(np.dtype(object), 6)]
+        assert matched_distance(np.array(vals), ref_eigs(h)) <= 1e-12
+
+    @needs_long_double
+    def test_bounded_radius_rejects_near_cancellation(self, tier_blocks):
+        # roots 1 +- 2^-10, -1 and 2i of a companion matrix: in clongdouble the
+        # computed kappa is tiny at the Newton roots, so d |kappa/kappa'| is
+        # far inside beta, but the rounding it hides is not
+        roots = np.array([1 + 2.0**-10, 1 - 2.0**-10, -1, 2j])
+        c = companion(-np.poly(roots)[1:])
+        H = c.astype(np.clongdouble)
+        beta = 1e-30  # floored to 8 * 2^-52 * ||c||_F
+        beta_cert = np.longdouble(8 * 2.0**-52 * np.linalg.norm(c)) / 2
+        z = np.linalg.eigvals(c).astype(np.clongdouble)
+        for _ in range(3):
+            kap, kapp, _, _ = smalleig._hyman(H, z)
+            z = z - kap / kapp
+        kap, kapp, eps, epsp = smalleig._hyman(H, z, smalleig._U_LD)
+        assert (4 * np.abs(kap / kapp) <= beta_cert / 10).all()
+        assert not (4 * (np.abs(kap) + eps) / (np.abs(kapp) - epsp) <= beta_cert).all()
+        vals = SOLVER.solve(c, beta, 0.1)
+        assert [dtype for dtype, _ in tier_blocks] == [np.dtype(np.clongdouble), np.dtype(object)]
+        beta_eff = 2 * float(beta_cert)
+        assert matched_distance(np.array(vals), roots) <= beta_eff
+
+
+def _mp_of(v):
+    """Exact mpmath value of a clongdouble or longdouble number."""
+    def real(x):
+        mant, e = np.frexp(np.longdouble(x))
+        return mpmath.ldexp(int(np.ldexp(mant, 64)), int(e) - 64)
+
+    v = np.clongdouble(v)
+    return mpmath.mpc(real(v.real), real(v.imag))
+
+
+class TestRunningErrorBound:
+    """|kappa_hat - kappa| <= eps and |kappa_hat' - kappa'| <= eps' against
+    kappa evaluated at 300 bits on the same stored matrix and points."""
+
+    @staticmethod
+    def _exact(H, z):
+        with mpmath.workprec(300):
+            kap, kapp, _, _ = smalleig._hyman(H, np.array(list(z), dtype=object))
+            return kap, kapp
+
+    @staticmethod
+    def _cases(sizes):
+        rng = np.random.default_rng(40)
+        for n in sizes:
+            h = random_hessenberg(rng, n).a
+            grade = np.diag(2.0 ** rng.integers(-30, 31, n))
+            for m in (h, grade @ h @ np.linalg.inv(grade)):
+                seeds = np.linalg.eigvals(m)
+                points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                yield m, np.concatenate([seeds, seeds * (1 + 1e-9), points])
+
+    def test_clongdouble(self):
+        for m, z in self._cases((2, 4, 8, 16)):
+            H, zl = m.astype(np.clongdouble), z.astype(np.clongdouble)
+            kap, kapp, eps, epsp = smalleig._hyman(H, zl, smalleig._U_LD)
+            ek, ekp = self._exact(smalleig.to_mp(m), z)
+            with mpmath.workprec(300):
+                for j in range(len(z)):
+                    assert abs(_mp_of(kap[j]) - ek[j]) <= _mp_of(eps[j]).real
+                    assert abs(_mp_of(kapp[j]) - ekp[j]) <= _mp_of(epsp[j]).real
+
+    def test_mpmath_at_40_bits(self):
+        for m, z in self._cases((2, 4, 8)):
+            with mpmath.workprec(40):
+                H, zm = smalleig.to_mp(m), smalleig.to_mp(z)
+                kap, kapp, eps, epsp = smalleig._hyman(H, zm, mpmath.mpf(2) ** -40)
+            ek, ekp = self._exact(H, zm)
+            with mpmath.workprec(300):
+                for j in range(len(z)):
+                    assert abs(kap[j] - ek[j]) <= eps[j]
+                    assert abs(kapp[j] - ekp[j]) <= epsp[j]
 
 
 class TestExtremeInputs:
@@ -191,9 +333,11 @@ class TestExtremeInputs:
 
 @st.composite
 def hard_matrices(draw):
-    """Companion, lower-Jordan, sparse and dense small matrices, scaled by 2^e."""
-    n = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["companion", "jordan", "zeros", "dense"]))
+    """Companion, lower-Jordan, sparse, dense and Hessenberg small matrices,
+    scaled by 2^e.  Only binary64 Hessenberg input (companion, Jordan and
+    Hessenberg here) enters the clongdouble tier."""
+    kind = draw(st.sampled_from(["companion", "jordan", "zeros", "dense", "hessenberg"]))
+    n = draw(st.integers(1, 8 if kind == "hessenberg" else 5))
     ints = st.integers(-3, 3)
     if kind == "companion":
         a = companion(draw(st.lists(ints, min_size=n, max_size=n)))
@@ -204,6 +348,8 @@ def hard_matrices(draw):
         entries = st.sampled_from([0, 0, 0, 1, -2, 1j]) if kind == "zeros" else ints
         flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
         a = np.array(flat, dtype=complex).reshape(n, n)
+        if kind == "hessenberg":
+            a = np.triu(a, -1)
     return np.ldexp(1.0, draw(st.sampled_from([-200, 0, 200]))) * a
 
 
