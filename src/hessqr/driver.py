@@ -128,13 +128,9 @@ def _process_block(node, h, gd, params, seed, is_root, e):
     h, gd and params are in the units of ``normalize``; the eigenvalues and
     the trace records written to the node are multiplied back by 2^e."""
     k = gd.k
-    n0 = gd.n0
     if h.n <= k:
-        if is_root:
-            acc, tol = params.delta, params.phi
-        else:
-            acc, tol = params.delta / n0, params.phi / (3.0 * n0)
-        vals = DEFAULT_SOLVER.solve(h.a, acc, tol)
+        acc = params.delta if is_root else params.delta / gd.n0
+        vals = DEFAULT_SOLVER.solve(h.a, acc)
         node.eigenvalues = [ldexp(complex(v), e) for v in vals]
         return []
 

@@ -85,9 +85,14 @@ class HessenbergMatrix:
 
     def frobenius_norm(self):
         """||H||_F in the arithmetic of H, formed on H / 2^e with 2^e above the
-        largest modulus, so that no square under- or overflows."""
-        e = math.frexp(float(np.abs(self.a).max(initial=0)))[1]
-        return ldexp(norm(ldexp(self.a, -e)), e)
+        largest modulus, so that no square under- or overflows.  DomainError
+        when ||H||_F is not a finite binary64 number."""
+        peak = float(np.abs(self.a).max(initial=0))
+        e = math.frexp(peak)[1]
+        scaled = norm(ldexp(self.a, -e))
+        if not (math.isfinite(peak) and math.frexp(float(scaled))[1] + e <= 1024):
+            raise DomainError("matrix norm is not a finite binary64 number")
+        return ldexp(scaled, e)
 
     def to_extended(self):
         """Copy with entries converted to mpmath numbers (exactly, at >= 53 bits)."""

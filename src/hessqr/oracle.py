@@ -7,12 +7,14 @@ residuals run in mpmath at ~double-double precision; reference eigenvalues
 run in mpmath or clongdouble (see ``ref_eigs``); eigenvector-based
 quantities (kappa_V, gap, spectral weights) come from LAPACK at binary64,
 which sits many orders below every tolerance that consumes them.  The
-production solver never imports this module.  The numeric primitives both
-need have one implementation each, written for either arithmetic: the
-Householder reduction, the vectorized Hyman recurrence with its running
-error bounds, Newton from LAPACK seeds and the root certificate with its
-disjoint-disk check live in ``smalleig`` (with the lock on mpmath's global
-precision), and block splitting is ``iqr.split_blocks``.
+production solver never imports this module.  The oracle takes dense
+input and reduces it itself (``_hessenberg``: Householder reflections in
+mpmath or clongdouble); the production small solver takes Hessenberg input
+only.  The numeric primitives both need have one implementation each,
+written for either arithmetic: the vectorized Hyman recurrence with its
+running error bounds, Newton from LAPACK seeds and the root certificate
+with its disjoint-disk check live in ``smalleig`` (with the lock on
+mpmath's global precision), and block splitting is ``iqr.split_blocks``.
 """
 
 import math
@@ -25,9 +27,10 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
 from .kernel import to_mp
-from .smalleig import _U_LD, MP_LOCK, _hessenberg, _hyman, _isolated_roots
+from .smalleig import _U_LD, MP_LOCK, _hyman, _isolated_roots
 
 ORACLE_PREC = 120
+REF_EIG_PREC = 140  # first precision of the mpmath reference eigensolve
 DESK_DIM_LIMIT = 64
 MP_EIG_DIM_LIMIT = 16  # full extended-precision treatment below this size
 
@@ -105,7 +108,36 @@ def resolvent_tau(h, shifts, prec=ORACLE_PREC):
 
 
 # ---------------------------------------------------------------------------
-# Hyman determinant recurrence and reference eigenvalues
+# Hessenberg reduction, Hyman determinant recurrence and reference eigenvalues
+
+
+def _hessenberg(H):
+    """Householder reduction to Hessenberg form in the arithmetic of H.
+
+    H is an object array of mpmath numbers (reduced at the ambient precision)
+    or a clongdouble array."""
+    n = H.shape[0]
+    H = H.copy()
+    zero = H[0, 0] * 0
+    for c in range(n - 2):
+        x = H[c + 1 :, c].copy()
+        normx = sum(abs(z) ** 2 for z in x) ** 0.5
+        if normx == 0:
+            continue
+        x0 = x[0]
+        ph = x0 / abs(x0) if x0 != 0 else 1
+        u = x
+        u[0] = u[0] + ph * normx
+        unorm2 = sum(abs(z) ** 2 for z in u)
+        if unorm2 == 0:
+            continue
+        b = 2 / unorm2
+        w = np.conj(u) @ H[c + 1 :, c:]
+        H[c + 1 :, c:] = H[c + 1 :, c:] - np.outer(u, w) * b
+        w2 = H[:, c + 1 :] @ u
+        H[:, c + 1 :] = H[:, c + 1 :] - np.outer(w2, np.conj(u)) * b
+        H[c + 2 :, c] = zero
+    return H
 
 
 def hyman_residual(m, lam, prec=ORACLE_PREC):
@@ -153,10 +185,10 @@ def _polished_eigs(H, n, u, radius):
     return vals
 
 
-def _ref_eigs_mp(a, prec, mp_out):
+def _ref_eigs_mp(a, mp_out):
     n = a.shape[0]
     for attempt in range(3):
-        p = prec * (2**attempt)
+        p = REF_EIG_PREC * (2**attempt)
         with MP_LOCK, mpmath.workprec(p):
             vals = _polished_eigs(
                 _hessenberg(to_mp(a)),
@@ -169,14 +201,14 @@ def _ref_eigs_mp(a, prec, mp_out):
     raise OracleError("reference eigensolve could not certify its accuracy")
 
 
-def ref_eigs(m, mp_out=False, prec=None):
+def ref_eigs(m, mp_out=False):
     """Reference eigenvalues (test ground truth), dim <= 64.
 
     Householder reduction, LAPACK seeds, Newton on the Hyman determinant (all
     seeds at once), and a certificate per block: the trace identity, every
     inclusion radius with the running error bound of the recurrence, and
     pairwise-disjoint inclusion disks (``_polished_eigs``).  Below dim 17, or
-    with ``mp_out``, this runs in mpmath at ``prec`` (default 140) bits,
+    with ``mp_out``, this runs in mpmath at prec = ``REF_EIG_PREC`` bits,
     doubling on failure, and certifies radius 2^-(prec/2) max(1, max |h_ij|).
     Larger desk sizes run the same code in clongdouble (80-bit on x86) with
     radius 1e-12 max(1, max |h_ij|), far below every tolerance consuming it
@@ -191,13 +223,12 @@ def ref_eigs(m, mp_out=False, prec=None):
     if n == 1:
         val = [mpmath.mpc(complex(a[0, 0]))] if mp_out else np.array([a[0, 0]])
         return val
-    prec = prec or 140
     if mp_out or n <= MP_EIG_DIM_LIMIT:
-        return _ref_eigs_mp(a, prec, mp_out)
+        return _ref_eigs_mp(a, mp_out)
     H = _hessenberg(a.astype(np.clongdouble))
     vals = _polished_eigs(H, n, _U_LD, 1e-12)
     if vals is None:
-        return _ref_eigs_mp(a, prec, False)
+        return _ref_eigs_mp(a, False)
     return np.array([complex(z) for z in vals])
 
 

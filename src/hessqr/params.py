@@ -77,8 +77,10 @@ class GlobalData:
     def __post_init__(self):
         if self.B < 1:
             raise DomainError(f"B must be >= 1, got {self.B!r}")
-        if self.Gamma <= 0 or self.Sigma <= 0:
-            raise ParameterError("Gamma and Sigma must be positive")
+        if not (0 < self.Gamma < math.inf and 0 < self.Sigma < math.inf):
+            raise ParameterError(
+                f"Gamma={self.Gamma!r} and Sigma={self.Sigma!r} must be positive and finite"
+            )
         if self.k < 2 or self.k & (self.k - 1):
             raise ParameterError(f"shift degree must be a power of two >= 2, got {self.k}")
 

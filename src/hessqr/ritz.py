@@ -23,12 +23,13 @@ from .params import regularization_scales
 
 
 class SmallEigSolver(Protocol):
-    """Forward-approximate eigensolver for matrices of dimension <= k.
+    """Forward-approximate eigensolver for upper Hessenberg matrices of
+    dimension <= k: the k x k corner here, deflated blocks in the driver.
 
-    With probability at least 1 - phi the outputs match Spec(M) within
-    absolute distance beta under some pairing."""
+    The outputs match Spec(M) within absolute distance beta under some
+    pairing; a solver that cannot certify that raises."""
 
-    def solve(self, m, beta: float, phi: float) -> list: ...
+    def solve(self, m, beta: float) -> list: ...
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def ritz_or_decouple(h, omega, phi, solver, rng, gd):
         )
     beta, eta2, eta1 = regularization_scales(omega, gd.Sigma, k, phi)
     corner = h.corner(k)
-    ritz = solver.solve(corner, beta / 2.0, phi / 2.0)
+    ritz = solver.solve(corner, beta / 2.0)
     if len(ritz) != k:
         raise ParameterError(
             f"small solver returned {len(ritz)} values for a {k}x{k} corner"

@@ -156,10 +156,11 @@ def sh_step(h, ritz, omega, phi, rng, gd):
     psi_before = potential(h, k)
     r = find(h, ritz, gd)
 
-    tau_k = comp_tau(h, ShiftList.repeated(r, k))
+    # one sweep of r^k gives tau_k (as ``comp_tau`` forms it) and the next iterate
+    res = iqr_multi(h, ShiftList.repeated(r, k))
+    tau_k = math.prod(res.r_nn_per_step)
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
     if log2(tau_k) < k * math.log2(1.0 - gd.gamma) + log2_potential_pow_k(h, k):
-        res = iqr_multi(h, ShiftList.repeated(r, k))
         return ShStepOutcome(
             next_h=res.next_h,
             branch=Branch.RITZ_SHIFT,

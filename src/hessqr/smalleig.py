@@ -1,25 +1,27 @@
 """Default small eigenvalue solver: certified forward-approximate eigenvalues.
 
-Works on the Hessenberg form of the input (reduced by Householder reflections
-unless the input already has exact zeros below the subdiagonal) and evaluates
-the characteristic polynomial of each unreduced diagonal block through the
-Hyman determinant recurrence, together with a running bound on its rounding
-error.  Each block is solved in the first of three tiers that certifies it:
+Takes upper Hessenberg input only, checked by ``iqr.HessenbergMatrix``
+(exact zeros below the subdiagonal, finite entries, a Frobenius norm inside
+binary64); the driver passes the k x k bottom-right corner and deflated
+blocks of dimension at most k, both Hessenberg.  The characteristic
+polynomial of each unreduced diagonal block (``iqr.split_blocks``) is
+evaluated through the Hyman determinant recurrence, together with a running
+bound on its rounding error.  The blocks climb one ladder of arithmetics;
+each rung solves only the blocks the rungs before it left uncertified, so a
+certified block is never solved again:
 
-1. clongdouble, for binary64 Hessenberg input where clongdouble has a
-   64-bit significand (x87 extended): LAPACK eigenvalues of the block,
-   rounded to complex128, seed Newton iterations on all roots at once, and
-   the roots must pass the disjoint-disk certificate below at beta_eff / 2.
-2. mpmath at >= 120 bits, for blocks tier 1 did not certify and for all
-   other input: the same Newton iteration and certificate.
-3. Fallback, for clusters, defective blocks and any failed check:
-   Ehrlich-Aberth in mpmath from a circle, then Newton polish, accepted on
-   the trace identity and the per-root radii alone.
+1. clongdouble, for binary64 input where clongdouble has a 64-bit
+   significand (x87 extended): LAPACK eigenvalues of the block, rounded to
+   complex128, seed Newton iterations on all roots at once, and the roots
+   must pass the disjoint-disk certificate below at beta_eff / 2.
+2. mpmath, from a precision derived from ||m||_F / beta_eff (at least 120
+   bits), doubling up to 960 bits: the same Newton iteration and
+   certificate, and where they fail (clusters, defective blocks),
+   Ehrlich-Aberth from a circle, then Newton polish, accepted on the trace
+   identity and the per-root radii alone.
 
-If tiers 2 and 3 do not certify a block, the working precision doubles and
-the mpmath solve restarts, up to a cap; past it the solver raises
-SmallEigFailure.  Deterministic: no randomness anywhere, output sorted by
-(re, im).
+A block still uncertified at 960 bits raises SmallEigFailure.
+Deterministic: no randomness anywhere, output sorted by (re, im).
 
 The certificate.  For a polynomial p of degree d, the disk about z of radius
 d |p(z) / p'(z)| holds a root of p.  The block's characteristic polynomial is
@@ -36,19 +38,16 @@ and the output multiset is complete and matched.  The bound follows the
 running error analysis of Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., SIAM 2002, section 5.1, with the standard model of
 floating point arithmetic and gradual underflow; overflow gives inf or NaN,
-which fails the checks.  The certificate is about the Hessenberg matrix
-solved: for dense input, the rounding of the Householder reduction in
-mpmath (about n^2 2^-prec ||m||) is not part of it.
+which fails the checks.  The certificate is about exactly the matrix given.
 
-Any object with a compatible ``solve(m, beta, phi)`` may be injected in its
-place; the probabilistic failure budget phi is not consumed here (failure
-surfaces as an exception instead of a silent wrong answer).
+Any object with a compatible ``solve(m, beta)`` may be injected in its place
+(``ritz.SmallEigSolver``); failure surfaces as an exception instead of a
+silent wrong answer.
 
-The primitives defined here (Householder reduction, the Hyman recurrence
-with its error bounds, Newton from LAPACK seeds, and the root certificate
-with its disjoint-disk check) are written once and run in the arithmetic of
-their input, clongdouble or mpmath; ``oracle`` imports them together with
-``MP_LOCK``.  Blocks are cut by ``iqr.split_blocks``.
+The primitives defined here (the Hyman recurrence with its error bounds,
+Newton from LAPACK seeds, and the root certificate with its disjoint-disk
+check) are written once and run in the arithmetic of their input,
+clongdouble or mpmath; ``oracle`` imports them together with ``MP_LOCK``.
 """
 
 import math
@@ -57,8 +56,8 @@ import threading
 import mpmath
 import numpy as np
 
-from .errors import DimensionError, DomainError, SmallEigFailure, StructureError
-from .iqr import split_blocks
+from .errors import SmallEigFailure
+from .iqr import HessenbergMatrix, split_blocks
 from .kernel import is_mp_array, to_mp
 
 # mpmath working precision is process-global; serialize all uses.
@@ -67,7 +66,7 @@ _MIN_PREC = 120
 _MAX_PREC = 960
 _NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 1-3 steps
 _U_LD = np.finfo(np.clongdouble).epsneg  # unit roundoff of clongdouble
-# Tier 1 needs clongdouble well above binary64 (x87 extended: 64-bit
+# The clongdouble rung needs clongdouble well above binary64 (x87 extended: 64-bit
 # significand); elsewhere clongdouble may be binary64 itself.
 _LONG_DOUBLE_TIER = np.finfo(np.clongdouble).nmant >= 63
 
@@ -142,35 +141,6 @@ def _hyman(H, z, u=None):
     local = (aH @ ax + az * ax) * g + (tiny * (1 + aH.sum(axis=1)))[:, None]
     eps = ((np.abs(y) + fy) * local).sum(axis=0) * grow
     return kap, kapp, eps, epsp
-
-
-def _hessenberg(H):
-    """Householder reduction to Hessenberg form in the arithmetic of H.
-
-    H is an object array of mpmath numbers (reduced at the ambient precision)
-    or a clongdouble array."""
-    n = H.shape[0]
-    H = H.copy()
-    zero = H[0, 0] * 0
-    for c in range(n - 2):
-        x = H[c + 1 :, c].copy()
-        normx = sum(abs(z) ** 2 for z in x) ** 0.5
-        if normx == 0:
-            continue
-        x0 = x[0]
-        ph = x0 / abs(x0) if x0 != 0 else 1
-        u = x
-        u[0] = u[0] + ph * normx
-        unorm2 = sum(abs(z) ** 2 for z in u)
-        if unorm2 == 0:
-            continue
-        b = 2 / unorm2
-        w = np.conj(u) @ H[c + 1 :, c:]
-        H[c + 1 :, c:] = H[c + 1 :, c:] - np.outer(u, w) * b
-        w2 = H[:, c + 1 :] @ u
-        H[:, c + 1 :] = H[:, c + 1 :] - np.outer(w2, np.conj(u)) * b
-        H[c + 2 :, c] = zero
-    return H
 
 
 def _aberth_block(blk, d, prec):
@@ -301,101 +271,74 @@ def _isolated_roots(blk, beta_cert, u):
     return list(z)
 
 
-def _is_hessenberg(a, n):
-    return all(a[i, j] == 0 for i in range(2, n) for j in range(i - 1))
+def _solve_blocks(H, spans, beta_cert, u, prec=None):
+    """(roots, spans left): the certified roots of the diagonal blocks of H
+    at the given spans, and the spans of the blocks not certified.
 
-
-def _frobenius_scale(flat):
-    """max(1, ||flat||_F) without squaring entries near the overflow threshold."""
-    peak = float(np.abs(flat).max())
-    if peak == 0:
-        return 1.0
-    scale = peak * float(np.linalg.norm(flat / peak))
-    if not math.isfinite(scale):
-        raise DomainError("matrix norm overflows binary64")
-    return max(1.0, scale)
+    A 1 x 1 block is its own root; every other block goes to
+    ``_isolated_roots`` and, in mpmath (prec given), then to
+    ``_aberth_block``, whose roots must pass ``_certify_block``.  Runs in the
+    arithmetic of H, unit roundoff u."""
+    vals, left = [], []
+    for start, stop in spans:
+        blk = H[start:stop, start:stop]
+        if stop == start + 1:
+            vals.append(blk[0, 0])
+            continue
+        roots = _isolated_roots(blk, beta_cert, u)
+        if roots is None and prec is not None:
+            roots = _aberth_block(blk, stop - start, prec)
+            if _certify_block(blk, roots, beta_cert, u) is None:
+                roots = None
+        if roots is None:
+            left.append((start, stop))
+        else:
+            vals.extend(roots)
+    return vals, left
 
 
 class CharPolySolver:
-    """SmallEigSolver backed by the characteristic polynomial.
+    """SmallEigSolver backed by the characteristic polynomial (see the
+    module docstring).
 
-    solve(m, beta, phi) returns forward beta-approximations of Spec(m):
-    |lambda_hat_i - lambda_i| <= beta under a matching.  Each unreduced block
-    is certified by pairwise-disjoint inclusion disks, with radii that carry
-    the running error bound of the Hyman recurrence, around Newton roots
-    seeded from LAPACK: first in clongdouble (binary64 Hessenberg input with
-    a 64-bit clongdouble significand), then in mpmath; when both fail
-    (clusters, defective blocks), by the trace identity and per-root radii of
-    an Ehrlich-Aberth solve in mpmath.  See the module docstring.
+    solve(m, beta) returns forward beta-approximations of Spec(m) for upper
+    Hessenberg m: |lambda_hat_i - lambda_i| <= beta under a matching.
     Certification is capped at the representation limit of the output type
     (binary64 input yields binary64 output), which is far below every
     working-accuracy scale the driver produces: the certified radius is
     beta_eff / 2 and the final rounding to complex128 moves a value by at
-    most 2^-52.5 ||m||_F <= beta_eff / 2.  phi is accepted for interface
-    compatibility; this solver is deterministic and raises SmallEigFailure
-    instead of failing silently.  Non-finite entries raise StructureError.
+    most 2^-52.5 ||m||_F <= beta_eff / 2.  Input ``iqr.HessenbergMatrix``
+    rejects raises its errors (StructureError, DimensionError, DomainError);
+    a block no rung certifies raises SmallEigFailure.
     """
 
-    def solve(self, m, beta, phi):
-        a = np.asarray(m)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        extended = is_mp_array(a)
-        n = a.shape[0]
+    def solve(self, m, beta):
+        h = HessenbergMatrix(m)
+        n = h.n
         if n == 0:
             return []
         if beta <= 0 or not math.isfinite(beta):
             raise SmallEigFailure(f"invalid forward accuracy beta={beta!r}")
-
-        flat = a.astype(np.complex128)
-        if not np.isfinite(flat).all():
-            raise StructureError("matrix has entries that are not finite in binary64")
-        scale = _frobenius_scale(flat)
+        a, extended = h.a, h.is_extended
+        scale = max(1.0, float(h.frobenius_norm()))
         # Representation floor: a binary64 result cannot certify below ~ulp.
-        beta_eff = max(float(beta), 8.0 * 2.0**-52 * scale) if not extended else float(beta)
-        hessenberg = _is_hessenberg(a, n)
-
-        # Tier 1: blocks certified in clongdouble; the rest (todo) go to mpmath.
-        vals, todo = [], None
-        if _LONG_DOUBLE_TIER and hessenberg and not extended:
-            H = flat.astype(np.clongdouble)
+        beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
+        vals, spans = [], split_blocks(a, n)
+        if _LONG_DOUBLE_TIER and not extended:
             beta_cert = np.longdouble(beta_eff) / 2
-            todo = []
-            for start, stop in split_blocks(H, n):
-                blk = H[start:stop, start:stop]
-                roots = [blk[0, 0]] if stop == start + 1 else _isolated_roots(blk, beta_cert, _U_LD)
-                if roots is None:
-                    todo.append((start, stop))
-                else:
-                    vals.extend(roots)
-            if not todo:
+            vals, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_cert, _U_LD)
+            if not spans:
                 return _sorted(vals, complex)
 
         prec = min(max(_MIN_PREC, int(math.log2(scale / beta_eff)) + 60), _MAX_PREC)
         while True:
             with MP_LOCK, mpmath.workprec(prec):
-                H = a if extended else to_mp(flat)
-                if not hessenberg:
-                    H = _hessenberg(H)
-                beta_cert = mpmath.mpf(beta_eff) / 2
+                H = a if extended else to_mp(a)
                 u = mpmath.mpf(2) ** -prec
-                mp_vals = []
-                good = True
-                for start, stop in split_blocks(H, n) if todo is None else todo:
-                    d = stop - start
-                    blk = H[start:stop, start:stop]
-                    if d == 1:
-                        mp_vals.append(blk[0, 0])
-                        continue
-                    roots = _isolated_roots(blk, beta_cert, u)
-                    if roots is None:
-                        roots = _aberth_block(blk, d, prec)
-                        if _certify_block(blk, roots, beta_cert, u) is None:
-                            good = False
-                            break
-                    mp_vals.extend(roots)
-                if good:
-                    return _sorted(vals + mp_vals, mpmath.mpc if extended else complex)
+                found, spans = _solve_blocks(H, spans, mpmath.mpf(beta_eff) / 2, u, prec)
+                vals += found
+                if not spans:
+                    return _sorted(vals, mpmath.mpc if extended else complex)
             if prec >= _MAX_PREC:
                 raise SmallEigFailure(
                     f"could not certify forward accuracy {beta_eff:g} "

@@ -251,6 +251,32 @@ class TestExtremeScaling:
         assert "pass explicit B and Gamma" in capsys.readouterr().err
 
 
+class TestNormBeyondBinary64:
+    """[[s, s], [s, -s]] has ||.||_F = 2s and ||.||_2 = sqrt(2) s."""
+
+    @staticmethod
+    def _mtx(tmp_path, s):
+        lines = ["%%MatrixMarket matrix array real general", "2 2"]
+        lines += [repr(v) for v in (s, s, s, -s)]  # column-major
+        return _write(tmp_path, "big.mtx", "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["solve", "--no-preprocess"], ["info"]], ids=["solve", "no-preprocess", "info"]
+    )
+    def test_frobenius_norm_overflow_is_an_error(self, tmp_path, capsys, argv):
+        path = self._mtx(tmp_path, 1e308)
+        assert main(argv[:1] + [path, "--seed", "1"] + argv[1:]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: matrix norm")
+
+    def test_sigma_overflow_is_a_parameter_error(self, tmp_path, capsys):
+        # ||H||_F = 1.2e308 is finite, Sigma = 2 ||H||_F is not
+        path = self._mtx(tmp_path, 6e307)
+        argv = ["solve", path, "--seed", "1", "--B", "1", "--gamma-gap", "1e300"]
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: Gamma=") and "Sigma=inf must be positive and finite" in err
+
+
 class TestHugeConditionBound:
     FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "fixture_n32.mtx")
 

@@ -34,11 +34,6 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Parameters an interface fixes: CharPolySolver.solve takes the phi that the
-# SmallEigSolver protocol names, and ignores it.
-ALLOWED_UNUSED = {("CharPolySolver.solve", "phi")}
-
-
 def unused_parameters(source):
     """(line, qualified function name, parameter) for every parameter that its
     function's body never mentions.
@@ -68,7 +63,7 @@ def unused_parameters(source):
                 visit(child, prefix)
 
     visit(ast.parse(source), "")
-    return sorted(f for f in found if f[1:] not in ALLOWED_UNUSED)
+    return sorted(found)
 
 
 def test_detects_an_unused_parameter():

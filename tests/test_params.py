@@ -97,6 +97,11 @@ class TestGlobalData:
         with pytest.raises(ParameterError):
             GlobalData(B=1.0, Gamma=0.0, Sigma=1.0, n0=4, k=4, alpha=1.0, theta=1.1)
 
+    @pytest.mark.parametrize("Gamma, Sigma", [(math.inf, 1.0), (1e-3, math.inf), (1e-3, math.nan)])
+    def test_finite_bounds(self, Gamma, Sigma):
+        with pytest.raises(ParameterError):
+            GlobalData(B=1.0, Gamma=Gamma, Sigma=Sigma, n0=4, k=4, alpha=1.0, theta=1.1)
+
 
 class TestDeriveRunParams:
     def test_gap_term_dominates(self):

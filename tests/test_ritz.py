@@ -26,7 +26,7 @@ from hessqr.smalleig import CharPolySolver
 class OracleSolver:
     """Reference-eigensolver-backed small solver for tests."""
 
-    def solve(self, m, beta, phi):
+    def solve(self, m, beta):
         return [complex(v) for v in ref_eigs(np.asarray(m, dtype=complex))]
 
 
@@ -34,7 +34,7 @@ class InjectSolver:
     def __init__(self, vals):
         self.vals = [complex(v) for v in vals]
 
-    def solve(self, m, beta, phi):
+    def solve(self, m, beta):
         return list(self.vals)
 
 

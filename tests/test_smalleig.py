@@ -5,6 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import near_normal_hessenberg, random_hessenberg
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +23,11 @@ from hessqr.oracle import matched_distance, ref_eigs
 from hessqr.smalleig import CharPolySolver
 
 SOLVER = CharPolySolver()
+
+
+def hessenberg_of(m):
+    """Upper Hessenberg form of m, with exact zeros below the subdiagonal."""
+    return np.triu(scipy.linalg.hessenberg(m), -1)
 
 
 def companion(coeffs):
@@ -48,12 +54,12 @@ def aberth_calls(monkeypatch):
 
 class TestCharPolySolver:
     def test_diagonal(self):
-        vals = SOLVER.solve(np.diag([3.0, -1.0, 2.0]).astype(complex), 1e-10, 0.1)
+        vals = SOLVER.solve(np.diag([3.0, -1.0, 2.0]).astype(complex), 1e-10)
         assert sorted(v.real for v in vals) == pytest.approx([-1.0, 2.0, 3.0])
 
     def test_companion(self):
         c = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-        vals = SOLVER.solve(c, 1e-14, 0.1)
+        vals = SOLVER.solve(c, 1e-14)
         expected = np.exp(2j * np.pi * np.arange(3) / 3)
         assert matched_distance(np.array(vals), expected) <= 1e-14
 
@@ -61,42 +67,42 @@ class TestCharPolySolver:
         rng = np.random.default_rng(30)
         for n in (2, 3, 4, 8):
             for _ in range(8):
-                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                m = hessenberg_of(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
                 beta = 1e-12 * np.linalg.norm(m)
-                vals = SOLVER.solve(m, beta, 0.1)
+                vals = SOLVER.solve(m, beta)
                 assert len(vals) == n
                 assert matched_distance(np.array(vals), ref_eigs(m)) <= beta
 
     def test_deterministic(self):
         rng = np.random.default_rng(31)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = SOLVER.solve(m, 1e-10, 0.1)
-        b = SOLVER.solve(m, 1e-10, 0.1)
+        m = hessenberg_of(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        a = SOLVER.solve(m, 1e-10)
+        b = SOLVER.solve(m, 1e-10)
         assert a == b
 
     def test_output_sorted(self):
         rng = np.random.default_rng(32)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        vals = SOLVER.solve(m, 1e-10, 0.1)
+        m = hessenberg_of(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        vals = SOLVER.solve(m, 1e-10)
         assert vals == sorted(vals, key=lambda z: (z.real, z.imag))
 
     def test_tiny_beta_clamped_to_representation(self):
         # beta far below ulp scale: certification degrades gracefully
         rng = np.random.default_rng(33)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        vals = SOLVER.solve(m, 1e-30, 0.1)
+        m = hessenberg_of(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        vals = SOLVER.solve(m, 1e-30)
         assert matched_distance(np.array(vals), ref_eigs(m)) <= 1e-13
 
     def test_reducible_exact(self):
         # a Jordan block is already triangular: splits into exact 1x1 blocks
         j = np.diag(np.ones(3), 1).astype(complex)
-        assert SOLVER.solve(j, 1e-18, 0.1) == [0j, 0j, 0j, 0j]
+        assert SOLVER.solve(j, 1e-18) == [0j, 0j, 0j, 0j]
 
     def test_multiple_root_cluster(self, aberth_calls):
         # companion of (z-1)^4: defective but unreduced; overlapping disks
         # send it to the Aberth fallback, which certifies by escalating
         # precision
-        vals = SOLVER.solve(companion([4.0, -6.0, 4.0, -1.0]), 1e-10, 0.1)
+        vals = SOLVER.solve(companion([4.0, -6.0, 4.0, -1.0]), 1e-10)
         assert aberth_calls
         assert len(vals) == 4
         assert all(abs(v - 1.0) <= 1e-10 for v in vals)
@@ -110,16 +116,16 @@ class TestCharPolySolver:
         # multiplicity 4 limits the cluster accuracy to ~2^(-prec/4); a demand
         # of 1e-80 would need more than the precision cap
         with pytest.raises(SmallEigFailure):
-            SOLVER.solve(obj, 1e-80, 0.1)
+            SOLVER.solve(obj, 1e-80)
 
     def test_extended_input_roundtrip(self):
         rng = np.random.default_rng(34)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = hessenberg_of(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         obj = np.empty((3, 3), dtype=object)
         for i in range(3):
             for j in range(3):
                 obj[i, j] = mpmath.mpc(m[i, j])
-        vals = SOLVER.solve(obj, 1e-20, 0.1)
+        vals = SOLVER.solve(obj, 1e-20)
         assert all(isinstance(v, mpmath.mpc) for v in vals)
         assert matched_distance(
             np.array([complex(v) for v in vals]), ref_eigs(m)
@@ -133,10 +139,10 @@ class TestTwoTiers:
         rng = np.random.default_rng(35)
         sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
         cases = [random_hessenberg(rng, n).a for n in sizes]
-        fast = [SOLVER.solve(m, 1e-10, 0.1) for m in cases]
+        fast = [SOLVER.solve(m, 1e-10) for m in cases]
         assert aberth_calls == []
         monkeypatch.setattr(smalleig, "_isolated_roots", lambda blk, beta_cert, u: None)
-        forced = [SOLVER.solve(m, 1e-10, 0.1) for m in cases]
+        forced = [SOLVER.solve(m, 1e-10) for m in cases]
         assert len(aberth_calls) == len(cases)
         assert fast == forced
 
@@ -145,10 +151,10 @@ class TestTwoTiers:
         sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
         cases = [random_hessenberg(rng, n).a for n in sizes]
         beta = 1e-10
-        fast = [SOLVER.solve(m, beta, 0.1) for m in cases]
+        fast = [SOLVER.solve(m, beta) for m in cases]
         monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
         for m, vals in zip(cases, fast):
-            assert matched_distance(np.array(vals), np.array(SOLVER.solve(m, beta, 0.1))) <= beta
+            assert matched_distance(np.array(vals), np.array(SOLVER.solve(m, beta))) <= beta
 
     def test_isolation_rejects_duplicated_root(self):
         # roots +-e of z^2 - e^2; the list [e, e] passes the trace identity
@@ -164,22 +170,16 @@ class TestTwoTiers:
             good = smalleig._certify_block(blk, [e, -e], beta_cert, u)
             assert smalleig._disjoint([e, -e], good)
 
-    def test_hessenberg_input_skips_reduction(self, monkeypatch):
-        reductions = []
-        original = smalleig._hessenberg
-
-        def counting(h):
-            reductions.append(h.shape[0])
-            return original(h)
-
-        monkeypatch.setattr(smalleig, "_hessenberg", counting)
+    def test_non_hessenberg_input_rejected(self):
         rng = np.random.default_rng(36)
         h = random_hessenberg(rng, 5).a
-        assert matched_distance(np.array(SOLVER.solve(h, 1e-12, 0.1)), ref_eigs(h)) <= 1e-12
-        assert reductions == []
+        assert matched_distance(np.array(SOLVER.solve(h, 1e-12)), ref_eigs(h)) <= 1e-12
         dense = rng.standard_normal((5, 5)) + 0j
-        SOLVER.solve(dense, 1e-12, 0.1)
-        assert reductions == [5]
+        with pytest.raises(StructureError):
+            SOLVER.solve(dense, 1e-12)
+        h[4, 2] = 1e-300
+        with pytest.raises(StructureError):
+            SOLVER.solve(h, 1e-12)
 
 
 @pytest.fixture
@@ -214,7 +214,7 @@ class TestLongDoubleTier:
         rng = np.random.default_rng(37)
         h, _ = near_normal_hessenberg(rng, 16, perturb=1e-4)
         beta = 1e-9
-        vals = SOLVER.solve(h.a, beta, 0.1)
+        vals = SOLVER.solve(h.a, beta)
         monkeypatch.undo()
         assert matched_distance(np.array(vals), ref_eigs(h.a)) <= beta
 
@@ -222,16 +222,34 @@ class TestLongDoubleTier:
         rng = np.random.default_rng(38)
         h = random_hessenberg(rng, 6).a
         with mpmath.workprec(80):
-            vals = SOLVER.solve(smalleig.to_mp(h), 1e-15, 0.1)
+            vals = SOLVER.solve(smalleig.to_mp(h), 1e-15)
         assert tier_blocks and all(dtype == object for dtype, _ in tier_blocks)
         assert all(isinstance(v, mpmath.mpc) for v in vals)
         assert matched_distance(np.array([complex(v) for v in vals]), ref_eigs(h)) <= 1e-13
+
+    def test_certified_block_is_not_solved_again(self, aberth_calls, tier_blocks):
+        # an isolated 3x3 block above the companion of (z-1)^4: the cluster
+        # needs 240 bits, the 3x3 block is certified once, at the first rung
+        rng = np.random.default_rng(41)
+        top = random_hessenberg(rng, 3).a
+        m = np.zeros((7, 7), dtype=complex)
+        m[:3, :3] = top
+        m[:3, 3:] = rng.standard_normal((3, 4))
+        m[3:, 3:] = companion([4.0, -6.0, 4.0, -1.0])
+        with mpmath.workprec(80):
+            vals = SOLVER.solve(smalleig.to_mp(m), 1e-10)
+        assert [d for _, d in tier_blocks].count(3) == 1
+        assert [prec for _, prec in aberth_calls] == [120, 240]
+        vals = np.array([complex(v) for v in vals])
+        near_one = np.abs(vals - 1) <= 1e-10
+        assert near_one.sum() == 4
+        assert matched_distance(vals[~near_one], ref_eigs(top)) <= 1e-10
 
     def test_guard_off_runs_mpmath(self, monkeypatch, tier_blocks):
         monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
         rng = np.random.default_rng(39)
         h = random_hessenberg(rng, 6).a
-        vals = SOLVER.solve(h, 1e-12, 0.1)
+        vals = SOLVER.solve(h, 1e-12)
         assert tier_blocks == [(np.dtype(object), 6)]
         assert matched_distance(np.array(vals), ref_eigs(h)) <= 1e-12
 
@@ -252,7 +270,7 @@ class TestLongDoubleTier:
         kap, kapp, eps, epsp = smalleig._hyman(H, z, smalleig._U_LD)
         assert (4 * np.abs(kap / kapp) <= beta_cert / 10).all()
         assert not (4 * (np.abs(kap) + eps) / (np.abs(kapp) - epsp) <= beta_cert).all()
-        vals = SOLVER.solve(c, beta, 0.1)
+        vals = SOLVER.solve(c, beta)
         assert [dtype for dtype, _ in tier_blocks] == [np.dtype(np.clongdouble), np.dtype(object)]
         beta_eff = 2 * float(beta_cert)
         assert matched_distance(np.array(vals), roots) <= beta_eff
@@ -314,28 +332,34 @@ class TestRunningErrorBound:
 class TestExtremeInputs:
     def test_inf_rejected(self):
         with pytest.raises(StructureError):
-            SOLVER.solve(np.array([[1.0, np.inf], [1.0, 0.0]], dtype=complex), 1e-10, 0.1)
+            SOLVER.solve(np.array([[1.0, np.inf], [1.0, 0.0]], dtype=complex), 1e-10)
 
     def test_nan_rejected(self):
         with pytest.raises(StructureError):
-            SOLVER.solve(np.array([[1.0, np.nan], [1.0, 0.0]], dtype=complex), 1e-10, 0.1)
+            SOLVER.solve(np.array([[1.0, np.nan], [1.0, 0.0]], dtype=complex), 1e-10)
 
     def test_entries_near_overflow(self):
         m = np.array([[1e300, 2e300], [1e300, -1e300]], dtype=complex)
-        vals = SOLVER.solve(m, 1e-10, 0.1)
+        vals = SOLVER.solve(m, 1e-10)
         expected = np.array([-np.sqrt(3.0), np.sqrt(3.0)]) * 1e300
         assert np.allclose(np.array(vals), expected, rtol=1e-14, atol=0)
 
     def test_norm_overflow_rejected(self):
         with pytest.raises(DomainError):
-            SOLVER.solve(np.full((2, 2), 1e308, dtype=complex), 1e-10, 0.1)
+            SOLVER.solve(np.full((2, 2), 1e308, dtype=complex), 1e-10)
+
+    def test_extended_entry_beyond_binary64_rejected(self):
+        obj = smalleig.to_mp(np.array([[1.0, 2.0], [1.0, 0.0]], dtype=complex))
+        obj[0, 1] = mpmath.mpc(mpmath.mpf("1e400"))
+        with pytest.raises(HessqrError):
+            SOLVER.solve(obj, 1e-10)
 
 
 @st.composite
 def hard_matrices(draw):
     """Companion, lower-Jordan, sparse, dense and Hessenberg small matrices,
-    scaled by 2^e.  Only binary64 Hessenberg input (companion, Jordan and
-    Hessenberg here) enters the clongdouble tier."""
+    scaled by 2^e.  The sparse and dense draws keep their upper Hessenberg
+    part, exact zeros included, so every draw reaches the solver."""
     kind = draw(st.sampled_from(["companion", "jordan", "zeros", "dense", "hessenberg"]))
     n = draw(st.integers(1, 8 if kind == "hessenberg" else 5))
     ints = st.integers(-3, 3)
@@ -347,9 +371,7 @@ def hard_matrices(draw):
     else:
         entries = st.sampled_from([0, 0, 0, 1, -2, 1j]) if kind == "zeros" else ints
         flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
-        a = np.array(flat, dtype=complex).reshape(n, n)
-        if kind == "hessenberg":
-            a = np.triu(a, -1)
+        a = np.triu(np.array(flat, dtype=complex).reshape(n, n), -1)
     return np.ldexp(1.0, draw(st.sampled_from([-200, 0, 200]))) * a
 
 
@@ -359,7 +381,7 @@ class TestHardInputs:
         n = a.shape[0]
         beta = 1e-8 * max(1.0, float(np.linalg.norm(a)))
         try:
-            vals = SOLVER.solve(a, beta, 0.1)
+            vals = SOLVER.solve(a, beta)
         except HessqrError:
             return
         assert len(vals) == n
