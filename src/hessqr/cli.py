@@ -6,8 +6,9 @@ and prints a short summary.  `info` prints the seed and the parameters that
 `solve` with that seed would use, without solving; both work them out with
 ``driver.prepare``.  All randomness flows from --seed; when absent a seed is
 drawn from the system entropy source and recorded in the outputs.
-Exit codes: 0 success, 2 bad input or configuration, 3 probabilistic failure
-that survived all retries.
+Exit codes: 0 success, 2 bad input or configuration, or a small eigensolve
+that could not certify its accuracy, 3 probabilistic failure that survived
+all retries or an iteration budget that ran out.
 """
 
 import argparse
@@ -171,8 +172,6 @@ def _build_parser():
                        help="eigenvector condition bound override")
         p.add_argument("--gamma-gap", type=float, default=None, dest="gamma_gap",
                        help="minimum eigenvalue gap bound override (Gamma)")
-        p.add_argument("--sigma", type=float, default=None,
-                       help="norm bound override (Sigma)")
         p.add_argument("--no-preprocess", action="store_true",
                        help="input is already Hessenberg; skip perturb+reduce")
         if name == "solve":
@@ -198,7 +197,6 @@ def _config_from_args(args):
         bits=args.bits,
         B=args.B,
         Gamma=args.gamma_gap,
-        Sigma=args.sigma,
         preprocess=not args.no_preprocess,
     )
 

@@ -243,12 +243,12 @@ def _norm2(a):
     return float(np.linalg.norm(a, 2)) if a.shape[0] > 1 else float(abs(a[0, 0]))
 
 
-def preprocess(a, delta, rng, B=None, Gamma=None, Sigma=None):
+def preprocess(a, delta, rng, B=None, Gamma=None):
     """Arbitrary square matrix -> (Hessenberg form, GlobalData).
 
     Adds an iid complex Gaussian perturbation scaled to spectral norm
     delta*||A||/2 (norm measured, then scaled), reduces by Householder
-    reflectors, and sets Sigma = 2 * Frobenius bound.  B and Gamma default to
+    reflectors, and sets Sigma = 2||H||_F.  B and Gamma default to
     the perturbation-scale heuristic of ``params.default_bounds`` with scale
     delta_pre = delta*||A||/2, both overridable."""
     a = np.asarray(a, dtype=np.complex128)
@@ -278,7 +278,7 @@ def preprocess(a, delta, rng, B=None, Gamma=None, Sigma=None):
         hess = a.copy()
     h = HessenbergMatrix(np.triu(hess, -1), validate=False)
 
-    sigma = Sigma if Sigma is not None else 2.0 * h.frobenius_norm()
+    sigma = 2.0 * h.frobenius_norm()
     B, Gamma = default_bounds(n, delta_pre, B, Gamma)
     gd = derive_globals(B, Gamma, sigma, n)
     return h, gd
@@ -294,7 +294,6 @@ class SolveConfig:
     bits: int = 53
     B: Optional[float] = None
     Gamma: Optional[float] = None
-    Sigma: Optional[float] = None
     preprocess: bool = True
 
 
@@ -306,25 +305,23 @@ def prepare(a, config):
     input (its randomness derived from the seed), and delta is the absolute
     accuracy delta*||A||_2/2.  Without it, the input must already be upper
     Hessenberg, delta is delta*||H||_F, B and Gamma default to the
-    ``params.default_bounds`` heuristic with scale delta/2, and Sigma to
-    2||H||_F.  ``solve`` runs on exactly this, and ``hessqr info`` prints it."""
+    ``params.default_bounds`` heuristic with scale delta/2.  Sigma is
+    2||H||_F either way.  ``solve`` runs on exactly this, and ``hessqr info``
+    prints it."""
     seed = config.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
     tiny = np.finfo(float).tiny
     if config.preprocess:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))
-        h, gd = preprocess(
-            a, config.delta, rng, B=config.B, Gamma=config.Gamma, Sigma=config.Sigma
-        )
+        h, gd = preprocess(a, config.delta, rng, B=config.B, Gamma=config.Gamma)
         delta = max(config.delta * _norm2(np.asarray(a, dtype=np.complex128)) / 2.0, tiny)
     else:
         h = a if isinstance(a, HessenbergMatrix) else HessenbergMatrix(a)
         norm_h = float(h.frobenius_norm())
-        sigma = config.Sigma if config.Sigma is not None else 2.0 * norm_h
         delta = max(config.delta * norm_h, tiny)
         B, Gamma = default_bounds(h.n, delta / 2.0, config.B, config.Gamma)
-        gd = derive_globals(B, Gamma, sigma, h.n)
+        gd = derive_globals(B, Gamma, 2.0 * norm_h, h.n)
     return h, gd, delta, seed
 
 

@@ -2,7 +2,9 @@
 
 ``RetryableFailure`` marks the probabilistic failure events: the driver may
 rerun the failing subcall with fresh randomness, everything else is a hard
-error in the inputs or the environment.
+error in the inputs or the environment.  ``SmallEigFailure`` is one of the
+hard errors: the small eigensolver uses no randomness, so a rerun would
+fail again in the same way.
 """
 
 
@@ -46,7 +48,7 @@ class StagnationFailure(RetryableFailure):
     """No exceptional-shift candidate reduced the potential or decoupled."""
 
 
-class SmallEigFailure(RetryableFailure):
+class SmallEigFailure(HessqrError, RuntimeError):
     """The small eigenvalue solver could not certify its forward accuracy."""
 
 

@@ -4,7 +4,8 @@ Dense row iterations, resolvent solves, reference eigensolves, the spectral
 measure, kappa_V / gap estimation, promising-value verification, and
 eigenvalue matching. Row iterations, resolvent solves and determinant
 residuals run in mpmath at ~double-double precision; reference eigenvalues
-run in mpmath or clongdouble (see ``ref_eigs``); eigenvector-based
+run in clongdouble first and in mpmath where that does not certify or the
+caller asks for mpmath values (see ``ref_eigs``); eigenvector-based
 quantities (kappa_V, gap, spectral weights) come from LAPACK at binary64,
 which sits many orders below every tolerance that consumes them.  The
 production solver never imports this module.  The oracle takes dense
@@ -12,9 +13,10 @@ input and reduces it itself (``_hessenberg``: Householder reflections in
 mpmath or clongdouble); the production small solver takes Hessenberg input
 only.  The numeric primitives both need have one implementation each,
 written for either arithmetic: the vectorized Hyman recurrence with its
-running error bounds, Newton from LAPACK seeds and the root certificate
-with its disjoint-disk check live in ``smalleig`` (with the lock on
-mpmath's global precision), and block splitting is ``iqr.split_blocks``.
+running error bounds and the per-block routine (Newton from LAPACK seeds,
+the root certificate with its disjoint-disk check) live in ``smalleig``
+(with the lock on mpmath's global precision), and block splitting is
+``iqr.split_blocks``.
 """
 
 import math
@@ -27,12 +29,13 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
 from .kernel import to_mp
-from .smalleig import _U_LD, MP_LOCK, _hyman, _isolated_roots
+from .smalleig import _LONG_DOUBLE_TIER, _U_LD, MP_LOCK, _hyman, _solve_blocks
 
 ORACLE_PREC = 120
+IQR_EXACT_PREC = 160
 REF_EIG_PREC = 140  # first precision of the mpmath reference eigensolve
+REF_RADIUS = 2.0**-48  # relative radius the clongdouble reference certifies
 DESK_DIM_LIMIT = 64
-MP_EIG_DIM_LIMIT = 16  # full extended-precision treatment below this size
 
 
 def _as_array(m):
@@ -55,13 +58,13 @@ def _mpc_of(z):
 # dense row iteration and resolvent solves
 
 
-def dense_en_p_norm(h, shifts, prec=ORACLE_PREC):
+def dense_en_p_norm(h, shifts):
     """||e_n* (H - s_1) ... (H - s_m)|| by dense row iteration (mpmath)."""
     if not isinstance(shifts, ShiftList):
         shifts = ShiftList(tuple(shifts))
     a = _as_array(h)
     n = a.shape[0]
-    with MP_LOCK, mpmath.workprec(prec):
+    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         H = to_mp(a)
         row = np.array([mpmath.mpc(0)] * n, dtype=object)
         row[n - 1] = mpmath.mpc(1)
@@ -71,15 +74,15 @@ def dense_en_p_norm(h, shifts, prec=ORACLE_PREC):
         return +mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in row))
 
 
-def resolvent_power_norm(h, r, k, prec=ORACLE_PREC):
+def resolvent_power_norm(h, r, k):
     """||e_n* (H - r)^{-k}|| by k dense row solves (mpmath)."""
-    return _resolvent_row_norm(h, [r] * int(k), prec)
+    return _resolvent_row_norm(h, [r] * int(k))
 
 
-def _resolvent_row_norm(h, roots, prec):
+def _resolvent_row_norm(h, roots):
     a = _as_array(h)
     n = a.shape[0]
-    with MP_LOCK, mpmath.workprec(prec):
+    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         row = mpmath.matrix([[mpmath.mpc(0)] for _ in range(n)])
         row[n - 1, 0] = mpmath.mpc(1)
         for s in roots:
@@ -98,12 +101,12 @@ def _resolvent_row_norm(h, roots, prec):
         return +mpmath.sqrt(mpmath.fsum(abs(row[i, 0]) ** 2 for i in range(n)))
 
 
-def resolvent_tau(h, shifts, prec=ORACLE_PREC):
+def resolvent_tau(h, shifts):
     """tau_p(H)^m = ||e_n* p(H)^{-1}||^{-1} via m dense row solves."""
     if not isinstance(shifts, ShiftList):
         shifts = ShiftList(tuple(shifts))
-    nrm = _resolvent_row_norm(h, list(shifts.roots), prec)
-    with MP_LOCK, mpmath.workprec(prec):
+    nrm = _resolvent_row_norm(h, list(shifts.roots))
+    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         return +(1 / nrm)
 
 
@@ -140,11 +143,11 @@ def _hessenberg(H):
     return H
 
 
-def hyman_residual(m, lam, prec=ORACLE_PREC):
+def hyman_residual(m, lam):
     """|det(M - lam)| evaluated through the Hessenberg/Hyman route (mpmath)."""
     a = _as_array(m)
     n = a.shape[0]
-    with MP_LOCK, mpmath.workprec(prec):
+    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         H = _hessenberg(to_mp(a))
         lam = np.array([_mpc_of(lam)], dtype=object)
         det = mpmath.mpf(1)
@@ -161,75 +164,51 @@ def hyman_residual(m, lam, prec=ORACLE_PREC):
         return +det
 
 
-def _polished_eigs(H, n, u, radius):
-    """Certified eigenvalues of Hessenberg H in its own arithmetic, or None.
+def _certified_eigs(a, radius, u):
+    """Certified eigenvalues of a in its own arithmetic, sorted, or None.
 
-    Each unreduced block goes to ``smalleig._isolated_roots`` (unit roundoff
-    u): LAPACK seeds on its complex128 rounding, Newton on all of them at
+    a is a clongdouble array or an object array of mpmath numbers (at the
+    ambient precision, unit roundoff u).  It is reduced (``_hessenberg``)
+    and every unreduced block goes to ``smalleig._solve_blocks`` without a
+    precision, so without Aberth: LAPACK seeds, Newton on all of them at
     once, and a certificate from the trace identity, inclusion radii within
-    radius * max(1, max |b_ij|) that carry the running error bound of the
-    Hyman recurrence, and pairwise-disjoint inclusion disks, so no two seeds
-    collapsed onto one root.  The values come back sorted by (re, im)."""
-    vals = []
-    for start, stop in split_blocks(H, n):
-        blk = H[start:stop, start:stop]
-        if stop == start + 1:
-            vals.append(blk[0, 0])
-            continue
-        scale = max(1.0, float(np.abs(blk.astype(np.complex128)).max()))
-        roots = _isolated_roots(blk, radius * scale, u)
-        if roots is None:
-            return None
-        vals.extend(roots)
-    vals.sort(key=lambda z: (float(z.real), float(z.imag)))
-    return vals
-
-
-def _ref_eigs_mp(a, mp_out):
-    n = a.shape[0]
-    for attempt in range(3):
-        p = REF_EIG_PREC * (2**attempt)
-        with MP_LOCK, mpmath.workprec(p):
-            vals = _polished_eigs(
-                _hessenberg(to_mp(a)),
-                n,
-                mpmath.mpf(2) ** -p,
-                mpmath.mpf(2) ** (-(p // 2)),
-            )
-            if vals is not None:
-                return vals if mp_out else np.array([complex(z) for z in vals])
-    raise OracleError("reference eigensolve could not certify its accuracy")
+    radius * max(1, max |h_ij|) that carry the running error bound of the
+    Hyman recurrence, and pairwise-disjoint inclusion disks.  None when a
+    block is left uncertified."""
+    H = _hessenberg(a)
+    scale = max(1.0, float(np.abs(H.astype(np.complex128)).max()))
+    vals, left = _solve_blocks(H, split_blocks(H, H.shape[0]), radius * scale, u)
+    return None if left else sorted(vals, key=lambda z: (float(z.real), float(z.imag)))
 
 
 def ref_eigs(m, mp_out=False):
-    """Reference eigenvalues (test ground truth), dim <= 64.
+    """Reference eigenvalues (test ground truth), dim <= 64, sorted by (re, im).
 
-    Householder reduction, LAPACK seeds, Newton on the Hyman determinant (all
-    seeds at once), and a certificate per block: the trace identity, every
-    inclusion radius with the running error bound of the recurrence, and
-    pairwise-disjoint inclusion disks (``_polished_eigs``).  Below dim 17, or
-    with ``mp_out``, this runs in mpmath at prec = ``REF_EIG_PREC`` bits,
-    doubling on failure, and certifies radius 2^-(prec/2) max(1, max |h_ij|).
-    Larger desk sizes run the same code in clongdouble (80-bit on x86) with
-    radius 1e-12 max(1, max |h_ij|), far below every tolerance consuming it
-    at those sizes; if that fails to certify, the matrix goes to the mpmath
-    path.  The certificate covers the Hessenberg form, not the rounding of
-    the reduction to it (about n^2 u ||m||).
+    Householder reduction, then LAPACK seeds, Newton on the Hyman determinant
+    (all seeds at once) and a certificate per block (``_certified_eigs``),
+    on a ladder of arithmetics.  The first rung runs in clongdouble where it
+    has a 64-bit significand (x87 extended, the guard the small solver uses)
+    and certifies radius ``REF_RADIUS`` max(1, max |h_ij|), far below every
+    binary64 tolerance consuming it.  With ``mp_out``, or when a block is
+    left uncertified there, the matrix goes to mpmath at ``REF_EIG_PREC``
+    bits, doubling twice on failure, with radius 2^-(prec/2) max(1, max
+    |h_ij|); ``mp_out`` returns those mpmath values.  The certificate covers
+    the Hessenberg form, not the rounding of the reduction to it (about
+    n^2 u ||m||).  OracleError when no rung certifies every block.
     """
     a = _as_array(m)
-    n = a.shape[0]
-    if n > DESK_DIM_LIMIT:
+    if a.shape[0] > DESK_DIM_LIMIT:
         raise DimensionError(f"ref_eigs is a desk-scale oracle (n <= {DESK_DIM_LIMIT})")
-    if n == 1:
-        val = [mpmath.mpc(complex(a[0, 0]))] if mp_out else np.array([a[0, 0]])
-        return val
-    if mp_out or n <= MP_EIG_DIM_LIMIT:
-        return _ref_eigs_mp(a, mp_out)
-    H = _hessenberg(a.astype(np.clongdouble))
-    vals = _polished_eigs(H, n, _U_LD, 1e-12)
-    if vals is None:
-        return _ref_eigs_mp(a, False)
-    return np.array([complex(z) for z in vals])
+    if _LONG_DOUBLE_TIER and not mp_out:
+        vals = _certified_eigs(a.astype(np.clongdouble), REF_RADIUS, _U_LD)
+        if vals is not None:
+            return np.array([complex(z) for z in vals])
+    for p in (REF_EIG_PREC, 2 * REF_EIG_PREC, 4 * REF_EIG_PREC):
+        with MP_LOCK, mpmath.workprec(p):
+            vals = _certified_eigs(to_mp(a), mpmath.mpf(2) ** -(p // 2), mpmath.mpf(2) ** -p)
+        if vals is not None:
+            return vals if mp_out else np.array([complex(z) for z in vals])
+    raise OracleError("reference eigensolve could not certify its accuracy")
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +237,9 @@ def spectral_measure(h):
     return SpectralMeasure(eigenvalues=w, weights=last / total)
 
 
-def measure_expect_inv_dist(measure, r, k, prec=ORACLE_PREC):
-    """E[ 1 / |Z - r|^k ] under the spectral measure (mpmath; inf if r hits)."""
-    with MP_LOCK, mpmath.workprec(prec):
-        acc = mpmath.mpf(0)
-        for lam, wt in zip(measure.eigenvalues, measure.weights):
-            if wt == 0:
-                continue
-            d = abs(_mpc_of(lam) - _mpc_of(r))
-            if d == 0:
-                return mpmath.inf
-            acc += mpmath.mpf(float(wt)) / d**k
-        return +acc
-
-
-def measure_expect_inv_poly(measure, roots, prec=ORACLE_PREC):
+def measure_expect_inv_poly(measure, roots):
     """E[ 1 / |p(Z)| ] for p with the given roots (mpmath; inf if any hits)."""
-    with MP_LOCK, mpmath.workprec(prec):
+    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         acc = mpmath.mpf(0)
         for lam, wt in zip(measure.eigenvalues, measure.weights):
             if wt == 0:
@@ -293,7 +258,7 @@ def promising_check(h, r, ritz_set, alpha):
     roots = tuple(ritz_set.roots) if isinstance(ritz_set, ShiftList) else tuple(ritz_set)
     k = len(roots)
     measure = spectral_measure(h)
-    lhs = measure_expect_inv_dist(measure, r, k)
+    lhs = measure_expect_inv_poly(measure, (r,) * k)
     rhs = measure_expect_inv_poly(measure, roots)
     if lhs == mpmath.inf:
         return True
@@ -345,11 +310,11 @@ def matched_distance(l1, l2):
 # extended-precision IQR and test-side Q accumulation
 
 
-def iqr_exact(h, shifts, prec=160):
+def iqr_exact(h, shifts):
     """The same IQR sweep executed in extended precision (reference iterate)."""
     if not isinstance(shifts, ShiftList):
         shifts = ShiftList(tuple(shifts))
-    with MP_LOCK, mpmath.workprec(prec):
+    with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
         hm = h.to_extended() if not h.is_extended else h
         return iqr_multi(hm, shifts).next_h
 

@@ -47,7 +47,9 @@ silent wrong answer.
 The primitives defined here (the Hyman recurrence with its error bounds,
 Newton from LAPACK seeds, and the root certificate with its disjoint-disk
 check) are written once and run in the arithmetic of their input,
-clongdouble or mpmath; ``oracle`` imports them together with ``MP_LOCK``.
+clongdouble or mpmath.  ``oracle`` certifies its reference eigenvalues
+through the same per-block routine, ``_solve_blocks``, behind the same
+clongdouble guard and under the same ``MP_LOCK``.
 """
 
 import math

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from hessqr.iqr import HessenbergMatrix
 
@@ -35,6 +36,40 @@ def near_normal_hessenberg(rng, n, spread=1.0, perturb=1e-5):
 
 def hessenberg_of(a):
     return HessenbergMatrix(np.triu(scipy.linalg.hessenberg(np.asarray(a, complex)), -1))
+
+
+def companion(coeffs):
+    """Companion matrix with first row coeffs: unreduced upper Hessenberg."""
+    n = len(coeffs)
+    c = np.zeros((n, n), dtype=complex)
+    c[0, :] = coeffs
+    return c + np.diag(np.ones(n - 1), -1)
+
+
+@st.composite
+def hard_matrices(draw, ns=None):
+    """(2^e a, e): a companion, lower-Jordan, sparse, dense or Hessenberg
+    small matrix a, scaled by 2^e for e in {-200, 0, 200}.  The dimension is
+    drawn from ns, or else from 1..8 for Hessenberg and 1..5 for the other
+    kinds.  The sparse and dense draws keep their upper Hessenberg part,
+    exact zeros included."""
+    kind = draw(st.sampled_from(["companion", "jordan", "zeros", "dense", "hessenberg"]))
+    if ns is None:
+        n = draw(st.integers(1, 8 if kind == "hessenberg" else 5))
+    else:
+        n = draw(st.sampled_from(ns))
+    ints = st.integers(-3, 3)
+    if kind == "companion":
+        a = companion(draw(st.lists(ints, min_size=n, max_size=n)))
+    elif kind == "jordan":
+        # one defective block: lambda on the diagonal, ones below it
+        a = draw(ints) * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), -1)
+    else:
+        entries = st.sampled_from([0, 0, 0, 1, -2, 1j]) if kind == "zeros" else ints
+        flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+        a = np.triu(np.array(flat, dtype=complex).reshape(n, n), -1)
+    e = draw(st.sampled_from([-200, 0, 200]))
+    return np.ldexp(1.0, e) * a, e
 
 
 @pytest.fixture

@@ -6,8 +6,9 @@ import pytest
 
 from hessqr.cli import EXIT_BAD_INPUT, EXIT_OK, main, run
 from hessqr.driver import SolveConfig
-from hessqr.errors import ParseError
+from hessqr.errors import ParseError, SmallEigFailure
 from hessqr.mmio import read_matrix_market
+from hessqr.smalleig import CharPolySolver
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "fixture_n32.mtx")
 
@@ -166,9 +167,11 @@ class TestMain:
         assert main(["solve", path, "--delta", "0"]) == EXIT_BAD_INPUT
 
     def test_unknown_option_exit_two(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", _identity_mtx(tmp_path), "--threads", "2"])
-        assert exc.value.code == EXIT_BAD_INPUT
+        # no --sigma: Sigma is always 2 ||H||_F
+        for option in (["--threads", "2"], ["--sigma", "1e-3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", _identity_mtx(tmp_path)] + option)
+            assert exc.value.code == EXIT_BAD_INPUT
 
     def test_info_reports_parameters(self, tmp_path, capsys):
         path = _identity_mtx(tmp_path)
@@ -223,6 +226,20 @@ class TestInfoMatchesSolve:
         assert printed["omega"] == f"{params['omega']:.6g}"
         assert printed["required bits"] == str(params["required_bits"])
         assert printed["seed"] == str(doc["seed"]) == "21"
+
+
+class TestSmallEigFailure:
+    @pytest.mark.parametrize(
+        "options", [["--B", "1", "--gamma-gap", "1e-3"], []], ids=["qr", "direct"]
+    )
+    def test_exit_two_on_both_routes(self, tmp_path, capsys, monkeypatch, options):
+        def failing(self, m, beta):
+            raise SmallEigFailure("could not certify")
+
+        monkeypatch.setattr(CharPolySolver, "solve", failing)
+        path = _random_mtx(tmp_path, 6, False)
+        assert main(["solve", path, "--seed", "21"] + options) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: could not certify\n"
 
 
 class TestExtremeScaling:

@@ -1,8 +1,10 @@
 import mpmath
 import numpy as np
 import pytest
+from conftest import hard_matrices, near_normal_hessenberg, random_hessenberg
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import near_normal_hessenberg, random_hessenberg
 from hessqr import iqr
 from hessqr.driver import (
     SolveConfig,
@@ -11,11 +13,19 @@ from hessqr.driver import (
     shifted_qr,
     solve,
 )
-from hessqr.errors import DimensionError, SolveFailure, StructureError
+from hessqr.errors import (
+    DimensionError,
+    HessqrError,
+    OracleError,
+    SmallEigFailure,
+    SolveFailure,
+    StructureError,
+)
 from hessqr.iqr import HessenbergMatrix
 from hessqr.oracle import condition_report, matched_distance, ref_eigs
 from hessqr.params import derive_globals, globals_with_degree
 from hessqr.shifting import Branch
+from hessqr.smalleig import CharPolySolver
 
 
 class TestDeflate:
@@ -262,3 +272,41 @@ class TestSolveEntryPoint:
         rep = condition_report(a)
         tol = rep.kappa_v * 1e-6 * rep.norm
         assert matched_distance(res.eigenvalues, ref_eigs(a)) <= tol
+
+
+class TestSmallEigFailure:
+    @pytest.mark.parametrize("options", [{"B": 1.0, "Gamma": 1e-3}, {}], ids=["qr", "direct"])
+    def test_not_retried(self, monkeypatch, options):
+        # the small solver is deterministic: a failure is final on both routes
+        calls = []
+
+        def failing(self, m, beta):
+            calls.append(m.shape[0])
+            raise SmallEigFailure("could not certify")
+
+        monkeypatch.setattr(CharPolySolver, "solve", failing)
+        rng = np.random.default_rng(83)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        with pytest.raises(SmallEigFailure):
+            solve(a, SolveConfig(seed=1, **options))
+        assert calls == [4 if options else 6]
+
+
+class TestWholeSolver:
+    @given(hard_matrices(ns=(1, 2, 4, 5, 8)), st.integers(0, 2**32 - 1))
+    def test_accurate_or_loud(self, case, seed):
+        # B = 1 gives k = 4: n = 5 and 8 take the QR route.  Preprocessing
+        # and the run each move the spectrum by at most delta ||A||_2 / 2 in
+        # backward error, so by Bauer-Fike by kappa_V delta ||A||_2
+        a, e = case
+        config = SolveConfig(seed=seed, B=1.0, Gamma=1e-3 * 2.0**e)
+        try:
+            eigs = solve(a, config).eigenvalues
+        except HessqrError:
+            return
+        assert len(eigs) == a.shape[0] and np.isfinite(eigs).all()
+        try:
+            ref, rep = ref_eigs(a), condition_report(a)
+        except OracleError:
+            return
+        assert matched_distance(eigs, ref) <= rep.kappa_v * config.delta * rep.norm

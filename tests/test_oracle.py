@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import random_hessenberg
-from hessqr.errors import DimensionError, OracleError, SingularityError
+from hessqr import oracle, smalleig
+from hessqr.errors import DimensionError, SingularityError
 from hessqr.iqr import HessenbergMatrix, ShiftList
 from hessqr.oracle import (
-    ConditionReport,
     condition_report,
     dense_en_p_norm,
     hyman_residual,
     matched_distance,
-    measure_expect_inv_dist,
-    measure_expect_inv_poly,
     promising_check,
     ref_eigs,
     resolvent_power_norm,
@@ -69,8 +67,9 @@ class TestRefEigs:
         np.testing.assert_allclose(got, [-3, 1, 2, 2], atol=0)
 
     def test_involution(self):
-        got = sorted(ref_eigs(PERM2), key=lambda z: z.real)
-        np.testing.assert_allclose(got, [-1, 1], atol=1e-20)
+        # 1e-20 is below the clongdouble certificate: ask for mpmath values
+        got = ref_eigs(PERM2, mp_out=True)
+        assert len(got) == 2 and all(abs(g - e) <= 1e-20 for g, e in zip(got, (-1, 1)))
 
     def test_companion_cube_roots(self):
         c = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
@@ -105,9 +104,9 @@ class TestRefEigs:
         assert matched_distance(got, evals) <= 1e-12
 
     def test_duplicated_seed_is_not_certified(self, monkeypatch):
-        # n = 17..64 runs in clongdouble: when LAPACK hands it one seed twice,
-        # both polish onto the same root, the disjoint-disk check rejects the
-        # block, and the matrix goes to the mpmath path (a second, honest call)
+        # the clongdouble rung: when LAPACK hands it one seed twice, both
+        # polish onto the same root, the disjoint-disk check rejects the
+        # block, and the matrix goes to the mpmath rung (a second, honest call)
         rng = np.random.default_rng(28)
         n = 20
         evals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -127,6 +126,45 @@ class TestRefEigs:
         got = ref_eigs(a)
         assert matched_distance(got, evals) <= 1e-10
         assert calls == [n, n]
+
+
+@pytest.fixture
+def block_dtypes(monkeypatch):
+    """Records the dtype of every matrix ``ref_eigs`` hands to ``_solve_blocks``."""
+    seen = []
+    original = oracle._solve_blocks
+
+    def recording(H, spans, beta_cert, u, prec=None):
+        seen.append(H.dtype)
+        return original(H, spans, beta_cert, u, prec)
+
+    monkeypatch.setattr(oracle, "_solve_blocks", recording)
+    return seen
+
+
+class TestRefEigsRungs:
+    @pytest.mark.skipif(
+        not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
+    )
+    def test_clongdouble_certifies_without_mpmath(self, block_dtypes):
+        h = random_hessenberg(np.random.default_rng(29), 8).a
+        got = ref_eigs(h)
+        assert block_dtypes == [np.dtype(np.clongdouble)]
+        radius = oracle.REF_RADIUS * max(1.0, np.abs(h).max())
+        assert matched_distance(got, ref_eigs(h, mp_out=True)) <= radius
+
+    def test_mp_out_runs_mpmath(self, block_dtypes):
+        h = random_hessenberg(np.random.default_rng(29), 8).a
+        got = ref_eigs(h, mp_out=True)
+        assert block_dtypes == [np.dtype(object)]
+        assert all(isinstance(z, mpmath.mpc) for z in got)
+
+    def test_guard_off_runs_mpmath(self, monkeypatch, block_dtypes):
+        monkeypatch.setattr(oracle, "_LONG_DOUBLE_TIER", False)
+        h = random_hessenberg(np.random.default_rng(29), 8).a
+        got = ref_eigs(h)
+        assert block_dtypes == [np.dtype(object)]
+        assert isinstance(got, np.ndarray) and got.dtype == np.complex128
 
 
 class TestSpectralMeasure:

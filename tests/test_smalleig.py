@@ -6,9 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import near_normal_hessenberg, random_hessenberg
+from conftest import companion, hard_matrices, near_normal_hessenberg, random_hessenberg
 from hypothesis import given
-from hypothesis import strategies as st
 
 import hessqr
 from hessqr import oracle, smalleig
@@ -28,14 +27,6 @@ SOLVER = CharPolySolver()
 def hessenberg_of(m):
     """Upper Hessenberg form of m, with exact zeros below the subdiagonal."""
     return np.triu(scipy.linalg.hessenberg(m), -1)
-
-
-def companion(coeffs):
-    """Companion matrix with first row coeffs: unreduced upper Hessenberg."""
-    n = len(coeffs)
-    c = np.zeros((n, n), dtype=complex)
-    c[0, :] = coeffs
-    return c + np.diag(np.ones(n - 1), -1)
 
 
 @pytest.fixture
@@ -355,29 +346,10 @@ class TestExtremeInputs:
             SOLVER.solve(obj, 1e-10)
 
 
-@st.composite
-def hard_matrices(draw):
-    """Companion, lower-Jordan, sparse, dense and Hessenberg small matrices,
-    scaled by 2^e.  The sparse and dense draws keep their upper Hessenberg
-    part, exact zeros included, so every draw reaches the solver."""
-    kind = draw(st.sampled_from(["companion", "jordan", "zeros", "dense", "hessenberg"]))
-    n = draw(st.integers(1, 8 if kind == "hessenberg" else 5))
-    ints = st.integers(-3, 3)
-    if kind == "companion":
-        a = companion(draw(st.lists(ints, min_size=n, max_size=n)))
-    elif kind == "jordan":
-        # one defective block: lambda on the diagonal, ones below it
-        a = draw(ints) * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), -1)
-    else:
-        entries = st.sampled_from([0, 0, 0, 1, -2, 1j]) if kind == "zeros" else ints
-        flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
-        a = np.triu(np.array(flat, dtype=complex).reshape(n, n), -1)
-    return np.ldexp(1.0, draw(st.sampled_from([-200, 0, 200]))) * a
-
-
 class TestHardInputs:
     @given(hard_matrices())
-    def test_certified_or_loud(self, a):
+    def test_certified_or_loud(self, case):
+        a, _ = case
         n = a.shape[0]
         beta = 1e-8 * max(1.0, float(np.linalg.norm(a)))
         try:
