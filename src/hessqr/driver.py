@@ -266,16 +266,13 @@ def preprocess(a, delta, rng, B=None, Gamma=None):
         g_norm = float(np.linalg.norm(g, 2))
         a = a + g * (delta_pre / g_norm)
 
-    already_hessenberg = not np.tril(a, -2).any()
-    if n > 2 and not already_hessenberg:
+    hess = a
+    if n > 2 and np.tril(a, -2).any():
         # gehrd directly: Householder reduction without LAPACK's balancing
         # pass (balancing would rescale the matrix under the caller)
-        ht, _tau, info = scipy.linalg.lapack.zgehrd(a)
+        hess, _tau, info = scipy.linalg.lapack.zgehrd(a)
         if info != 0:
             raise StructureError(f"Hessenberg reduction failed (info={info})")
-        hess = ht
-    else:
-        hess = a.copy()
     h = HessenbergMatrix(np.triu(hess, -1), validate=False)
 
     sigma = 2.0 * h.frobenius_norm()

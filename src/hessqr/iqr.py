@@ -173,8 +173,8 @@ def iqr_single(h, s, keep_rotations=False):
     if n < 2:
         raise DimensionError("iqr_single needs n >= 2")
     a = h.a.copy()
-    for i in range(n):
-        a[i, i] = a[i, i] - s
+    diag = np.diag_indices(n)
+    a[diag] -= s
 
     rotations = []
     for i in range(n - 1):
@@ -200,8 +200,7 @@ def iqr_single(h, s, keep_rotations=False):
             a[: i + 2, i : i + 2] = a[: i + 2, i : i + 2] @ L.conj().T
     a[:, n - 1] = a[:, n - 1] * phase
 
-    for i in range(n):
-        a[i, i] = a[i, i] + s
+    a[diag] += s
 
     out = HessenbergMatrix(a, validate=False)
     steps = [StepRotations(rotations, phase)] if keep_rotations else None

@@ -45,10 +45,10 @@ def make_givens(x0, x1):
     """(L, r): the unitary L = [[c, s], [-conj(s), conj(c)]] with L @ x = (r, 0).
 
     (c, s) = conj(x) / r and r = ||x|| is real and nonnegative, computed with
-    relative error about 2u: by np.hypot in binary64, by mpmath.sqrt when
-    either entry is an mpmath number (L is then an object array).  For complex
-    input c carries the phase that makes r real (the positive-diagonal QR
-    convention).  Raises on the degenerate all-zero input.
+    relative error about 2u: by libm hypot through ``abs`` of a complex in
+    binary64, by mpmath.sqrt when either entry is an mpmath number (L is then
+    an object array).  For complex input c carries the phase that makes r real
+    (the positive-diagonal QR convention).  Raises on the all-zero input.
     """
     if x0 == 0 and x1 == 0:
         raise DomainError("make_givens: zero vector has no defined rotation")
@@ -57,8 +57,8 @@ def make_givens(x0, x1):
         r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
     else:
         x0, x1 = complex(x0), complex(x1)
-        # np.hypot, not math.hypot: they differ in the last bit on some inputs
-        r = float(np.hypot(np.hypot(x0.real, x0.imag), np.hypot(x1.real, x1.imag)))
+        # libm hypot, as np.hypot calls it; math.hypot differs in the last bit
+        r = abs(complex(abs(x0), abs(x1)))
     c, s = x0.conjugate() / r, x1.conjugate() / r
     return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
 

@@ -28,7 +28,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
-from .kernel import to_mp
+from .kernel import ldexp, to_mp
 from .smalleig import _LONG_DOUBLE_TIER, _U_LD, MP_LOCK, _hyman, _solve_blocks
 
 ORACLE_PREC = 120
@@ -172,13 +172,18 @@ def _certified_eigs(a, radius, u):
     and every unreduced block goes to ``smalleig._solve_blocks`` without a
     precision, so without Aberth: LAPACK seeds, Newton on all of them at
     once, and a certificate from the trace identity, inclusion radii within
-    radius * max(1, max |h_ij|) that carry the running error bound of the
-    Hyman recurrence, and pairwise-disjoint inclusion disks.  None when a
-    block is left uncertified."""
+    radius * max |h_ij| that carry the running error bound of the Hyman
+    recurrence, and pairwise-disjoint inclusion disks, all on H / 2^e (exact)
+    with max |h_ij| / 2^e in [1/2, 1), so that they are alike at every scale.
+    None when a block is left uncertified."""
     H = _hessenberg(a)
-    scale = max(1.0, float(np.abs(H.astype(np.complex128)).max()))
-    vals, left = _solve_blocks(H, split_blocks(H, H.shape[0]), radius * scale, u)
-    return None if left else sorted(vals, key=lambda z: (float(z.real), float(z.imag)))
+    peak = float(np.abs(H.astype(np.complex128)).max())
+    e = math.frexp(peak)[1]
+    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H, len(H)), radius * ldexp(peak, -e), u)
+    if left:
+        return None
+    vals = ldexp(np.array(vals, dtype=H.dtype), e)
+    return sorted(vals, key=lambda z: (float(z.real), float(z.imag)))
 
 
 def ref_eigs(m, mp_out=False):
@@ -188,11 +193,11 @@ def ref_eigs(m, mp_out=False):
     (all seeds at once) and a certificate per block (``_certified_eigs``),
     on a ladder of arithmetics.  The first rung runs in clongdouble where it
     has a 64-bit significand (x87 extended, the guard the small solver uses)
-    and certifies radius ``REF_RADIUS`` max(1, max |h_ij|), far below every
+    and certifies radius ``REF_RADIUS`` max |h_ij|, far below every
     binary64 tolerance consuming it.  With ``mp_out``, or when a block is
     left uncertified there, the matrix goes to mpmath at ``REF_EIG_PREC``
-    bits, doubling twice on failure, with radius 2^-(prec/2) max(1, max
-    |h_ij|); ``mp_out`` returns those mpmath values.  The certificate covers
+    bits, doubling twice on failure, with radius 2^-(prec/2) max |h_ij|;
+    ``mp_out`` returns those mpmath values.  The certificate covers
     the Hessenberg form, not the rounding of the reduction to it (about
     n^2 u ||m||).  OracleError when no rung certifies every block.
     """
@@ -281,13 +286,7 @@ def condition_report(m):
     kappa = float(np.linalg.cond(V))
     if not np.isfinite(kappa):
         raise OracleError("matrix is defective at oracle resolution")
-    n = len(w)
-    gap = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = min(gap, abs(w[i] - w[j]))
-    if n == 1:
-        gap = math.inf
+    gap = min((abs(x - y) for i, x in enumerate(w) for y in w[i + 1 :]), default=math.inf)
     return ConditionReport(
         kappa_v=max(kappa, 1.0), gap=float(gap), norm=float(np.linalg.norm(a, 2))
     )

@@ -5,7 +5,8 @@ using tau products of half-set polynomials.  If the degree-k step with that
 value stagnates, `exc` lays a randomly translated triangular-lattice net over
 a disk around it; with high probability some net point either decouples the
 matrix or contracts the potential.  `sh_step` wires the two together and
-reports which branch fired.
+reports which branch fired; it continues the r^(k/2) sweeps of `find`'s
+last round to r^k, so a step costs k log2(k) + k/2 sweeps.
 """
 
 import math
@@ -46,7 +47,8 @@ class ShStepOutcome:
 
 
 def find(h, ritz, gd):
-    """An alpha-promising member of a theta-optimal Ritz set.
+    """(r, half): an alpha-promising member r of a theta-optimal Ritz set and
+    the ``IqrResult`` of r^(k/2) on h, handed on as the first half of r^k.
 
     log2(k) halving rounds; round j keeps the half R_b whose polynomial
     p_(j,b)^(2^(j-1)) (degree k/2) has the smaller tau product.  Ties keep
@@ -61,8 +63,7 @@ def find(h, ritz, gd):
     if min(h.bottom_subdiagonal_abs(k)) == 0:
         raise PreconditionError("find needs psi_k(H) > 0")
     current = list(ritz.roots)
-    rounds = k.bit_length() - 1
-    for j in range(1, rounds + 1):
+    for j in range(1, k.bit_length() - 1):
         half = len(current) // 2
         rep = 2 ** (j - 1)
         taus = []
@@ -70,7 +71,10 @@ def find(h, ritz, gd):
             roots = tuple(r for r in cand for _ in range(rep))
             taus.append(comp_tau(h, ShiftList(roots)))
         current = current[:half] if taus[0] <= taus[1] else current[half:]
-    return current[0]
+    halves = [iqr_multi(h, ShiftList.repeated(r, k // 2)) for r in current]
+    taus = [math.prod(res.r_nn_per_step) for res in halves]
+    win = 0 if taus[0] <= taus[1] else 1
+    return current[win], halves[win]
 
 
 @lru_cache(maxsize=32)
@@ -146,27 +150,28 @@ def exc(h, r, omega, xi, rng, gd):
 def sh_step(h, ritz, omega, phi, rng, gd):
     """One potential-reduction step of the degree-k shifting strategy.
 
-    Either the promising Ritz value already contracts the tau product (ritz
+    Either the promising Ritz value r already contracts the tau product (ritz
     branch) or the exceptional-shift scan returns the first candidate, in net
     order, that decouples or lands below 1.002 (1 - gamma) psi_k(H).  The
-    probability-phi failure surfaces as StagnationFailure."""
+    probability-phi failure surfaces as StagnationFailure.  tau_k multiplies
+    the r_nn values of ``find``'s half r^(k/2) and of the other k/2 sweeps."""
     k = gd.k
     if not h.is_unreduced(omega, k):
         raise PreconditionError("sh_step needs an omega-unreduced matrix")
     psi_before = potential(h, k)
-    r = find(h, ritz, gd)
+    r, half = find(h, ritz, gd)
 
-    # one sweep of r^k gives tau_k (as ``comp_tau`` forms it) and the next iterate
-    res = iqr_multi(h, ShiftList.repeated(r, k))
-    tau_k = math.prod(res.r_nn_per_step)
+    # complete r^k: tau_k (as ``comp_tau`` forms it) and the next iterate
+    rest = iqr_multi(half.next_h, ShiftList.repeated(r, k // 2))
+    tau_k = math.prod(half.r_nn_per_step + rest.r_nn_per_step)
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
     if log2(tau_k) < k * math.log2(1.0 - gd.gamma) + log2_potential_pow_k(h, k):
         return ShStepOutcome(
-            next_h=res.next_h,
+            next_h=rest.next_h,
             branch=Branch.RITZ_SHIFT,
             shift_used=ShiftList.repeated(r, k),
             psi_before=psi_before,
-            psi_after=potential(res.next_h, k),
+            psi_after=potential(rest.next_h, k),
         )
 
     xi = 0.999 * (1.0 - gd.gamma)

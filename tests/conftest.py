@@ -14,6 +14,16 @@ settings.register_profile(
 settings.load_profile("hessqr")
 
 
+def same_bits(x, y):
+    """Equal arrays, bit for bit (numpy dtypes) or number for number (mpmath)."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    if x.dtype == object:
+        return all(type(p) is type(q) and p == q for p, q in zip(x.ravel(), y.ravel()))
+    return x.tobytes() == y.tobytes()
+
+
 def random_hessenberg(rng, n, scale=1.0):
     """Dense complex Ginibre matrix truncated to Hessenberg form."""
     a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)

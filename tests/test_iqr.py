@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_hessenberg
+from conftest import random_hessenberg, same_bits
 from hessqr.errors import DimensionError, DomainError, StructureError
 from hessqr.iqr import (
     HessenbergMatrix,
@@ -109,6 +109,91 @@ class TestIqrSingle:
                     np.linalg.norm(res.next_h.a - q.conj().T @ h.a @ q, 2)
                     <= 32 * n**1.5 * U * norm_shift
                 )
+
+
+
+def _frozen_givens(x0, x1):
+    """make_givens as first written: nested np.hypot calls in binary64."""
+    if isinstance(x0, (mpmath.mpc, mpmath.mpf)) or isinstance(x1, (mpmath.mpc, mpmath.mpf)):
+        x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
+        r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
+    else:
+        x0, x1 = complex(x0), complex(x1)
+        r = float(np.hypot(np.hypot(x0.real, x0.imag), np.hypot(x1.real, x1.imag)))
+    c, s = x0.conjugate() / r, x1.conjugate() / r
+    return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
+
+
+def _frozen_sweep(a, s):
+    """The degree-1 step as first written, with scalar loops for the shift:
+    (next_a, r_nn, rotations, phase).  The reference for bit-identity."""
+    n = a.shape[0]
+    a = a.copy()
+    for i in range(n):
+        a[i, i] = a[i, i] - s
+    rotations = []
+    for i in range(n - 1):
+        x0, x1 = a[i, i], a[i + 1, i]
+        if x0 == 0 and x1 == 0:
+            L, r = None, 0.0
+        else:
+            L, r = _frozen_givens(x0, x1)
+            a[i : i + 2, i + 1 :] = L @ a[i : i + 2, i + 1 :]
+        a[i, i] = r
+        a[i + 1, i] = 0
+        rotations.append(L)
+    rnn = a[n - 1, n - 1]
+    r_nn = abs(rnn)
+    phase = rnn / r_nn if rnn != 0 else 1
+    a[n - 1, n - 1] = r_nn
+    for i, L in enumerate(rotations):
+        if L is not None:
+            a[: i + 2, i : i + 2] = a[: i + 2, i : i + 2] @ L.conj().T
+    a[:, n - 1] = a[:, n - 1] * phase
+    for i in range(n):
+        a[i, i] = a[i, i] + s
+    return a, r_nn, rotations, phase
+
+
+class TestSweepBitIdentity:
+    """iqr_single reproduces the frozen sweep above exactly: next iterate,
+    r_nn, every stored rotation (None where the column was already zero) and
+    the phase."""
+
+    def _check(self, h, s):
+        res = iqr_single(h, s, keep_rotations=True)
+        a, r_nn, rotations, phase = _frozen_sweep(h.a, s)
+        assert same_bits(res.next_h.a, a)
+        assert res.r_nn_per_step == [r_nn] and type(res.r_nn_per_step[0]) is type(r_nn)
+        (step,) = res.steps
+        assert [L is None for L in step.rotations] == [L is None for L in rotations]
+        for got, want in zip(step.rotations, rotations):
+            assert got is None or same_bits(got, want)
+        assert same_bits(step.phase, phase)
+
+    def test_complex128(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 8, 32):
+            for scale in (1.0, 2.0**-300, 2.0**300):
+                h = random_hessenberg(rng, n, scale)
+                for s in (complex(*rng.standard_normal(2)) * scale, 0.25 * scale, 0.0):
+                    self._check(h, s)
+
+    def test_zero_column_gives_none_rotation(self):
+        a = np.triu(np.arange(1.0, 26.0).reshape(5, 5) * (1 - 0.5j), -1)
+        a[1, 0] = 0
+        a[0, 0] = 0.5 + 2j
+        h = HessenbergMatrix(a)
+        res = iqr_single(h, 0.5 + 2j, keep_rotations=True)
+        assert res.steps[0].rotations[0] is None
+        self._check(h, 0.5 + 2j)
+
+    def test_mpmath_80_bits(self):
+        rng = np.random.default_rng(14)
+        with mpmath.workprec(80):
+            h = random_hessenberg(rng, 7).to_extended()
+            h.a[3, 3] += mpmath.mpf(1) / 3
+            self._check(h, mpmath.mpc(1, 3) / 7)
 
 
 class TestIqrMulti:

@@ -50,6 +50,21 @@ class TestGivens:
             assert abs(out[0] - norm) <= 8 * U * norm
             assert abs(abs(L[0, 0]) ** 2 + abs(L[0, 1]) ** 2 - 1.0) <= 4 * U
 
+    def test_r_is_nested_np_hypot_bitwise(self):
+        # abs of a complex is libm hypot, the function np.hypot calls: r keeps
+        # the bits of the nested np.hypot form over 2^+-500 and subnormals
+        rng = np.random.default_rng(4)
+        for t in range(20_000):
+            parts = rng.standard_normal(4) * np.ldexp(1.0, rng.integers(-500, 501, size=4))
+            if t % 5 == 0:
+                parts[rng.integers(4)] = np.ldexp(rng.random(), -1074 + int(rng.integers(53)))
+            if t % 7 == 0:
+                parts[rng.integers(4)] = 0.0
+            x0, x1 = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+            want = float(np.hypot(np.hypot(x0.real, x0.imag), np.hypot(x1.real, x1.imag)))
+            _, r = make_givens(x0, x1)
+            assert type(r) is float and r == want, (x0, x1)
+
     def test_mpmath_input(self):
         # object-dtype L, unitary and zeroing at the ambient 80 bits
         with mpmath.workprec(80):

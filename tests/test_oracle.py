@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_hessenberg
+from conftest import companion, random_hessenberg
 from hessqr import oracle, smalleig
 from hessqr.errors import DimensionError, SingularityError
 from hessqr.iqr import HessenbergMatrix, ShiftList
@@ -158,6 +158,23 @@ class TestRefEigsRungs:
         got = ref_eigs(h, mp_out=True)
         assert block_dtypes == [np.dtype(object)]
         assert all(isinstance(z, mpmath.mpc) for z in got)
+
+    @pytest.mark.skipif(
+        not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
+    )
+    @pytest.mark.parametrize("e", [0, -200])
+    def test_clongdouble_rung_is_scale_invariant(self, e, block_dtypes):
+        # roots 1 and 1 + 1e-6 are too close for the clongdouble rung to
+        # certify 2^-48 relative, at unit scale and at 2^-200 alike
+        c = companion(-np.poly([1, 1 + 1e-6, 2j])[1:])
+        got = ref_eigs(np.ldexp(c.real, e) + 1j * np.ldexp(c.imag, e))
+        assert block_dtypes == [np.dtype(np.clongdouble), np.dtype(object)]
+        unscaled = np.ldexp(got.real, -e) + 1j * np.ldexp(got.imag, -e)
+        assert matched_distance(unscaled, ref_eigs(c)) <= 2.0**-50
+
+    def test_zero_matrix(self):
+        got = ref_eigs(np.zeros((4, 4)))
+        assert got.shape == (4,) and not got.any()
 
     def test_guard_off_runs_mpmath(self, monkeypatch, block_dtypes):
         monkeypatch.setattr(oracle, "_LONG_DOUBLE_TIER", False)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import near_normal_hessenberg, random_hessenberg
+from conftest import near_normal_hessenberg, random_hessenberg, same_bits
 from hessqr.errors import DomainError, PreconditionError
+from hessqr import iqr, shifting
 from hessqr.iqr import HessenbergMatrix, ShiftList, iqr_multi, potential
 from hessqr.oracle import (
     condition_report,
@@ -35,7 +36,7 @@ class TestFind:
             h = random_hessenberg(rng, 6)
             gd = _globals(1.0, 2, h)
             r1, r2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            got = find(h, ShiftList((r1, r2)), gd)
+            got, _ = find(h, ShiftList((r1, r2)), gd)
             t1 = float(resolvent_tau(h, ShiftList((r1,))))
             t2 = float(resolvent_tau(h, ShiftList((r2,))))
             if abs(t1 - t2) <= 0.0022 * min(t1, t2):
@@ -46,14 +47,18 @@ class TestFind:
         h = random_hessenberg(rng, 6)
         gd = _globals(1.0, 4, h)
         same = ShiftList((0.5 + 0.1j,) * 4)
-        assert find(h, same, gd) == 0.5 + 0.1j
+        r, half = find(h, same, gd)
+        assert r == 0.5 + 0.1j
+        assert half.r_nn_per_step == iqr_multi(h, ShiftList.repeated(r, 2)).r_nn_per_step
 
     def test_output_is_member(self):
         rng = np.random.default_rng(61)
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
         ritz = ShiftList(tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-        assert find(h, ritz, gd) in ritz.roots
+        r, half = find(h, ritz, gd)
+        assert r in ritz.roots
+        assert len(half.r_nn_per_step) == 2
 
     def test_promising_certificate(self):
         # the chosen value passes the alpha-promising oracle with the true
@@ -70,7 +75,7 @@ class TestFind:
             if min(abs(r - e) for r in ritz.roots for e in eigs) < 1e-8:
                 continue
             trials += 1
-            r = find(h, ritz, gd)
+            r, _ = find(h, ritz, gd)
             alpha = (1.01 * max(1.0, rep.kappa_v)) ** (4 * math.log2(k) / k)
             if promising_check(h, r, ritz, alpha):
                 passed += 1
@@ -81,6 +86,57 @@ class TestFind:
         gd = _globals(1.0, 4, h)
         with pytest.raises(Exception):
             find(h, ShiftList((1.0, 2.0, 3.0)), gd)
+
+
+
+@pytest.mark.parametrize("k, n", [(4, 10), (8, 16)])
+class TestWinningHalfHandedOn:
+    """``find`` hands ``sh_step`` the sweeps of its winning half r^(k/2);
+    the step must equal the r^k sweep run from scratch, bit for bit."""
+
+    def _case(self, k, n):
+        h, _ = near_normal_hessenberg(np.random.default_rng(70), n, perturb=1e-3)
+        gd = _globals(1.0, k, h)
+        ritz = ShiftList(tuple(complex(v) for v in ref_eigs(h.corner(k))))
+        return h, gd, ritz
+
+    def test_half_is_the_sweep_of_r_to_the_k_over_2(self, k, n, monkeypatch):
+        h, gd, ritz = self._case(k, n)
+        tau_calls = []
+        comp_tau = shifting.comp_tau
+        monkeypatch.setattr(
+            shifting, "comp_tau", lambda *a: tau_calls.append(a) or comp_tau(*a)
+        )
+        r, half = find(h, ritz, gd)
+        # the earlier halving rounds still run on comp_tau, two per round
+        assert len(tau_calls) == 2 * (int(math.log2(k)) - 1)
+        ref = iqr_multi(h, ShiftList.repeated(r, k // 2))
+        assert same_bits(half.next_h.a, ref.next_h.a)
+        assert half.r_nn_per_step == ref.r_nn_per_step
+
+    def test_ritz_step_matches_full_sweep(self, k, n, monkeypatch):
+        h, gd, ritz = self._case(k, n)
+        logged, sweeps = [], [0]
+        log2, iqr_single = shifting.log2, iqr.iqr_single
+        monkeypatch.setattr(shifting, "log2", lambda x: logged.append(x) or log2(x))
+
+        def counting(*args, **kwargs):
+            sweeps[0] += 1
+            return iqr_single(*args, **kwargs)
+
+        monkeypatch.setattr(iqr, "iqr_single", counting)
+        out = sh_step(h, ritz, 1e-9, 0.05, np.random.default_rng(1), gd)
+        monkeypatch.undo()
+        assert out.branch is Branch.RITZ_SHIFT
+        # k log2(k) sweeps in find, k/2 more to complete r^k
+        assert sweeps[0] == k * int(math.log2(k)) + k // 2
+        r = out.shift_used.roots[0]
+        assert out.shift_used == ShiftList.repeated(r, k)
+        full = iqr_multi(h, ShiftList.repeated(r, k))
+        assert same_bits(out.next_h.a, full.next_h.a)
+        assert out.psi_after == potential(full.next_h, k)
+        # the first log2 sh_step takes is that of tau_k
+        assert logged[0] == math.prod(full.r_nn_per_step)
 
 
 class TestBuildNet:
