@@ -13,9 +13,10 @@ input and reduces it itself (``_hessenberg``: Householder reflections in
 mpmath or clongdouble); the production small solver takes Hessenberg input
 only.  The numeric primitives both need have one implementation each,
 written for either arithmetic: the vectorized Hyman recurrence with its
-running error bounds and the per-block routine (Newton from LAPACK seeds,
-the root certificate with its disjoint-disk check) live in ``smalleig``
-(with the lock on mpmath's global precision), and block splitting is
+running error bound and the per-block routine (Newton from LAPACK seeds,
+Ehrlich-Aberth in mpmath, the Weierstrass-Gerschgorin root certificate,
+which covers clusters and multiple eigenvalues) live in ``smalleig`` (with
+the lock on mpmath's global precision), and block splitting is
 ``iqr.split_blocks``.
 """
 
@@ -29,12 +30,13 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
 from .kernel import ldexp, to_mp
-from .smalleig import _LONG_DOUBLE_TIER, _U_LD, MP_LOCK, _hyman, _solve_blocks
+from .smalleig import _LONG_DOUBLE_TIER, MP_LOCK, _hyman, _solve_blocks
 
 ORACLE_PREC = 120
 IQR_EXACT_PREC = 160
 REF_EIG_PREC = 140  # first precision of the mpmath reference eigensolve
 REF_RADIUS = 2.0**-48  # relative radius the clongdouble reference certifies
+REF_MP_RADIUS = 2.0**-100  # relative radius every mpmath reference rung certifies
 DESK_DIM_LIMIT = 64
 
 
@@ -157,29 +159,27 @@ def hyman_residual(m, lam):
             if d == 1:
                 det *= abs(blk[0, 0] - lam[0])
                 continue
-            kap, _, _, _ = _hyman(blk, lam)
+            kap, _, _ = _hyman(blk, lam)
             det *= abs(kap[0])
             for i in range(1, d):
                 det *= abs(blk[i, i - 1])
         return +det
 
 
-def _certified_eigs(a, radius, u):
+def _certified_eigs(a, radius, prec=None):
     """Certified eigenvalues of a in its own arithmetic, sorted, or None.
 
-    a is a clongdouble array or an object array of mpmath numbers (at the
-    ambient precision, unit roundoff u).  It is reduced (``_hessenberg``)
-    and every unreduced block goes to ``smalleig._solve_blocks`` without a
-    precision, so without Aberth: LAPACK seeds, Newton on all of them at
-    once, and a certificate from the trace identity, inclusion radii within
-    radius * max |h_ij| that carry the running error bound of the Hyman
-    recurrence, and pairwise-disjoint inclusion disks, all on H / 2^e (exact)
-    with max |h_ij| / 2^e in [1/2, 1), so that they are alike at every scale.
-    None when a block is left uncertified."""
+    a is a clongdouble array (prec None) or an object array of mpmath
+    numbers at the ambient precision prec.  It is reduced (``_hessenberg``)
+    and its unreduced blocks go through the small solver's own per-block
+    routine and certificate, ``smalleig._solve_blocks``, at radius
+    max |h_ij| times radius, on H / 2^e (exact) with max |h_ij| / 2^e in
+    [1/2, 1), so that it is alike at every scale.  None when a block is
+    left uncertified."""
     H = _hessenberg(a)
     peak = float(np.abs(H.astype(np.complex128)).max())
     e = math.frexp(peak)[1]
-    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H, len(H)), radius * ldexp(peak, -e), u)
+    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H, len(H)), radius * ldexp(peak, -e), prec)
     if left:
         return None
     vals = ldexp(np.array(vals, dtype=H.dtype), e)
@@ -189,28 +189,32 @@ def _certified_eigs(a, radius, u):
 def ref_eigs(m, mp_out=False):
     """Reference eigenvalues (test ground truth), dim <= 64, sorted by (re, im).
 
-    Householder reduction, then LAPACK seeds, Newton on the Hyman determinant
-    (all seeds at once) and a certificate per block (``_certified_eigs``),
-    on a ladder of arithmetics.  The first rung runs in clongdouble where it
-    has a 64-bit significand (x87 extended, the guard the small solver uses)
-    and certifies radius ``REF_RADIUS`` max |h_ij|, far below every
-    binary64 tolerance consuming it.  With ``mp_out``, or when a block is
-    left uncertified there, the matrix goes to mpmath at ``REF_EIG_PREC``
-    bits, doubling twice on failure, with radius 2^-(prec/2) max |h_ij|;
-    ``mp_out`` returns those mpmath values.  The certificate covers
-    the Hessenberg form, not the rounding of the reduction to it (about
-    n^2 u ||m||).  OracleError when no rung certifies every block.
+    Householder reduction, then the small solver's per-block routine and
+    root certificate (``_certified_eigs``), on a ladder of arithmetics.  The
+    first rung runs Newton in clongdouble where it has a 64-bit significand
+    (x87 extended, the guard the small solver uses) and certifies radius
+    ``REF_RADIUS`` max |h_ij|, far below every binary64 tolerance consuming
+    it.  With ``mp_out``, or when a block is left uncertified there, the
+    matrix goes to mpmath at ``REF_EIG_PREC`` bits, doubling twice on
+    failure, with Aberth after Newton and one radius, ``REF_MP_RADIUS``
+    max |h_ij|, at every rung: an m-fold eigenvalue is found to about
+    2^-(p/m) at p bits, so a double one certifies from 280 bits and a
+    fourfold one at 560.  ``mp_out`` returns those mpmath values.  Values
+    are within the radius of the eigenvalues under a matching; the
+    certificate covers the Hessenberg form, not the rounding of the
+    reduction to it (about n^2 u ||m||).  OracleError when no rung
+    certifies every block.
     """
     a = _as_array(m)
     if a.shape[0] > DESK_DIM_LIMIT:
         raise DimensionError(f"ref_eigs is a desk-scale oracle (n <= {DESK_DIM_LIMIT})")
     if _LONG_DOUBLE_TIER and not mp_out:
-        vals = _certified_eigs(a.astype(np.clongdouble), REF_RADIUS, _U_LD)
+        vals = _certified_eigs(a.astype(np.clongdouble), REF_RADIUS)
         if vals is not None:
             return np.array([complex(z) for z in vals])
     for p in (REF_EIG_PREC, 2 * REF_EIG_PREC, 4 * REF_EIG_PREC):
         with MP_LOCK, mpmath.workprec(p):
-            vals = _certified_eigs(to_mp(a), mpmath.mpf(2) ** -(p // 2), mpmath.mpf(2) ** -p)
+            vals = _certified_eigs(to_mp(a), REF_MP_RADIUS, p)
         if vals is not None:
             return vals if mp_out else np.array([complex(z) for z in vals])
     raise OracleError("reference eigensolve could not certify its accuracy")

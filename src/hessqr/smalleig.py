@@ -13,28 +13,23 @@ certified block is never solved again:
 1. clongdouble, for binary64 input where clongdouble has a 64-bit
    significand (x87 extended): LAPACK eigenvalues of the block, rounded to
    complex128, seed Newton iterations on all roots at once, and the roots
-   must pass the disjoint-disk certificate below at beta_eff / 2.
+   must pass the certificate below at beta_eff / 2.
 2. mpmath, from a precision derived from ||m||_F / beta_eff (at least 120
-   bits), doubling up to 960 bits: the same Newton iteration and
-   certificate, and where they fail (clusters, defective blocks),
-   Ehrlich-Aberth from a circle, then Newton polish, accepted on the trace
-   identity and the per-root radii alone.
+   bits), doubling up to 960 bits: the same Newton iteration and, where its
+   roots fail the certificate (clusters, defective blocks), Ehrlich-Aberth
+   from a circle, then Newton polish, under the same certificate.  An
+   m-fold root is found to about 2^-(p/m) at p bits.
 
 A block still uncertified at 960 bits raises SmallEigFailure.
 Deterministic: no randomness anywhere, output sorted by (re, im).
 
-The certificate.  For a polynomial p of degree d, the disk about z of radius
-d |p(z) / p'(z)| holds a root of p.  The block's characteristic polynomial is
-a constant times kappa (see ``_hyman``), and the computed kappa_hat and
-kappa_hat' lie within eps and eps' of the exact values, so the radius
-d (|kappa_hat| + eps) / (|kappa_hat'| - eps') is an upper bound whenever
-|kappa_hat'| > eps' (``_certify_block``; in mpmath also the root-product
-bound ((|kappa_hat| + eps) prod |h_i|)^(1/d), which needs no kappa' and so
-covers the Aberth roots of a cluster).  A block's roots are accepted when
-the trace identity holds within d * beta plus the rounding of its two sums,
-every such radius is within beta, and the disks are pairwise disjoint: each
-of the d disjoint disks holds at least one root, so each holds exactly one
-and the output multiset is complete and matched.  The bound follows the
+The certificate (``_certify_block``) is Gerschgorin's theorem on the
+Weierstrass matrix of the approximations: it bounds the distance from each
+approximation to the root matched to it, one to one, by its own inclusion
+radius, or for a cluster by the width of the cluster's component of disks,
+from the running error bound of kappa (see ``_hyman``).  A block's roots are
+accepted when every such bound is within beta, which certifies the whole
+output multiset for simple and multiple roots alike.  The bounds follow the
 running error analysis of Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., SIAM 2002, section 5.1, with the standard model of
 floating point arithmetic and gradual underflow; overflow gives inf or NaN,
@@ -44,12 +39,12 @@ Any object with a compatible ``solve(m, beta)`` may be injected in its place
 (``ritz.SmallEigSolver``); failure surfaces as an exception instead of a
 silent wrong answer.
 
-The primitives defined here (the Hyman recurrence with its error bounds,
-Newton from LAPACK seeds, and the root certificate with its disjoint-disk
-check) are written once and run in the arithmetic of their input,
-clongdouble or mpmath.  ``oracle`` certifies its reference eigenvalues
-through the same per-block routine, ``_solve_blocks``, behind the same
-clongdouble guard and under the same ``MP_LOCK``.
+The primitives defined here (the Hyman recurrence with its error bound,
+Newton from LAPACK seeds, Ehrlich-Aberth, and the root certificate) are
+written once and run in the arithmetic of their input, clongdouble or
+mpmath.  ``oracle`` certifies its reference eigenvalues through the same
+per-block routine, ``_solve_blocks``, with Aberth on its mpmath rungs,
+behind the same clongdouble guard and under the same ``MP_LOCK``.
 """
 
 import math
@@ -82,7 +77,7 @@ def _slack(n, u):
 
 
 def _hyman(H, z, u=None):
-    """kappa, kappa' and running error bounds eps, eps' at every point of z.
+    """kappa, kappa' and a running error bound eps at every point of z.
 
     det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag) for unreduced Hessenberg
     H.  z is a vector of m points; x and x' (back substitution for the null
@@ -90,22 +85,20 @@ def _hyman(H, z, u=None):
     arrays updated one row dot product at a time.  Everything runs in the
     arithmetic of H and z: numpy clongdouble, or object arrays of mpmath
     numbers at the ambient precision.  Given that arithmetic's unit roundoff
-    u, the bounds (in its real type) satisfy |kappa_hat - kappa| <= eps and
-    |kappa_hat' - kappa'| <= eps' for the exact values at the stored H and
-    z; without u they are None.
+    u, the bound (in its real type) satisfies |kappa_hat - kappa| <= eps for
+    the exact kappa at the stored H and z; without u it is None.  kappa' is
+    for Newton and Aberth steps and carries no bound.
 
     Running error analysis (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 5.1): each computed x_{i-1} carries a local
     rounding error of at most (g S_i + tiny) / |h_i| + tiny, where S_i is
     the sum of the moduli of the terms of row i, h_i = H[i, i-1], g is
     ``_slack`` and tiny covers gradual underflow.  The recurrence is linear,
-    so the errors of x and x' obey it too, driven by the local errors; f and
-    f' bound them on moduli and give eps'.  That bound ignores cancellation
-    and grows with n, so eps weighs each local error exactly instead: it
-    reaches kappa times y_i h_i, where y is the left null vector of the first
-    n - 1 columns of H - z with y_0 = 1 (a forward recurrence, whose own
-    error is bounded the same way).  Overflow yields inf or NaN, which every
-    check that consumes the bounds rejects."""
+    and eps weighs each local error exactly: it reaches kappa times y_i h_i,
+    where y is the left null vector of the first n - 1 columns of H - z with
+    y_0 = 1 (a forward recurrence, whose own error is bounded the same
+    way).  Overflow yields inf or NaN, which every check that consumes the
+    bound rejects."""
     n = H.shape[0]
     x = np.zeros((n, len(z)), dtype=H.dtype)
     xp = np.zeros_like(x)
@@ -117,24 +110,17 @@ def _hyman(H, z, u=None):
     kap = H[0] @ x - z * x[0]
     kapp = H[0] @ xp - x[0] - z * xp[0]
     if u is None:
-        return kap, kapp, None, None
+        return kap, kapp, None
 
     tiny = 0 if is_mp_array(H) else np.finfo(H.dtype).tiny
     g = _slack(n, u)
     grow = 1 + 2 * n * g  # the rounding of the n steps of each bound itself
     aH, az, ax = np.abs(H), np.abs(z), np.abs(x)
-    # f, f': error bound of each x, x' plus the local error its terms cause
-    f, fp = ax * g, np.abs(xp) * g
-    for i in range(n - 1, 0, -1):
-        arow, ah = aH[i, i:], aH[i, i - 1]
-        f[i - 1] += (az * f[i] + arow @ f[i:] + tiny) / ah + tiny
-        fp[i - 1] += (f[i] + az * fp[i] + arow @ fp[i:] + tiny) / ah + tiny
-    epsp = (f[0] + az * fp[0] + aH[0] @ fp + tiny) * grow
-    # y and its error bound fy, like x and f; the local error of row i (of
-    # kappa itself for i = 0) times |h_i| is at most g S_i + tiny (1 + |h_i|)
+    # y and its error bound fy; the local error of row i (of kappa itself
+    # for i = 0) times |h_i| is at most g S_i + tiny (1 + |h_i|)
     y = np.zeros_like(x)
     y[0] = 1
-    fy = np.zeros_like(f)
+    fy = np.zeros_like(ax)
     fy[0] = g
     for j in range(n - 1):
         y[j + 1] = (z * y[j] - H[: j + 1, j] @ y[: j + 1]) / H[j + 1, j]
@@ -142,7 +128,7 @@ def _hyman(H, z, u=None):
         fy[j + 1] += np.abs(y[j + 1]) * g
     local = (aH @ ax + az * ax) * g + (tiny * (1 + aH.sum(axis=1)))[:, None]
     eps = ((np.abs(y) + fy) * local).sum(axis=0) * grow
-    return kap, kapp, eps, epsp
+    return kap, kapp, eps
 
 
 def _aberth_block(blk, d, prec):
@@ -165,7 +151,7 @@ def _aberth_block(blk, d, prec):
     tol = mpmath.mpf(2) ** (-(prec - 8))
     nudge = mpmath.mpf(2) ** (-(prec // 2))
     for sweep in range(1, 201):
-        kap, kapp, eps, _ = _hyman(blk, z, u if sweep % 16 == 0 else None)
+        kap, kapp, eps = _hyman(blk, z, u if sweep % 16 == 0 else None)
         if eps is not None and (np.abs(kap) <= eps).all():
             break
         new = z.copy()
@@ -194,7 +180,7 @@ def _aberth_block(blk, d, prec):
         if worst <= tol:
             break
     for _ in range(3):  # Newton polish
-        kap, kapp, _, _ = _hyman(blk, z)
+        kap, kapp, _ = _hyman(blk, z)
         if not (kapp != 0).all():
             break
         z = z - kap / kapp
@@ -202,52 +188,59 @@ def _aberth_block(blk, d, prec):
 
 
 def _certify_block(blk, roots, beta_cert, u):
-    """Inclusion radii of the roots, or None.
+    """Matched error bounds of the roots, or None.
 
-    The disk about a root z of radius d (|kappa| + eps) / (|kappa'| - eps'),
-    with the running error bounds of ``_hyman``, holds a root of the block's
-    characteristic polynomial (of degree d) whenever |kappa'| > eps'.  In
-    mpmath the radius is also capped by ((|kappa| + eps) prod |h_i|)^(1/d),
-    h_i the subdiagonal: that product bounds |det(z - blk)|, the product of
-    the distances from z to the d roots.  It needs no kappa', so it
-    certifies the Aberth roots of a cluster, where kappa' vanishes; it is
-    left out in clongdouble, where the product could underflow.  The radii
-    carry a further 1 + 2 (d + 20) u for their own rounding.  None unless the
-    trace identity holds within d * beta_cert plus the rounding allowance of
-    its two sums, and every radius is within beta_cert.  The comparisons are
-    written so that NaN fails them.  u is the unit roundoff of blk."""
+    Weierstrass-Gerschgorin inclusion (Carstensen, Linear Algebra Appl.
+    1991): for distinct approximations z_1..z_d to the roots of a monic p of
+    degree d, W_i = p(z_i) / prod_{j != i} (z_i - z_j), the roots lie in the
+    union of the disks D(z_i, d |W_i|), and a connected component made of m
+    disks holds exactly m roots.  (Gerschgorin on diag(z) - W 1^T, whose
+    characteristic polynomial is p, gives this for the disks
+    D(z_i - W_i, (d - 1) |W_i|); each lies in D(z_i, d |W_i|), so every
+    component of the small disks lies in one component of the large ones.)
+    Here p(z) = det(z - blk) = -kappa(z) prod h_j, h_j the subdiagonal, so
+    |W_i| <= (|kappa_hat_i| + eps_i) prod_j |h_j| / |z_i - z_{i+j}| with the
+    running error bound eps of ``_hyman``.  The d - 1 quotients are
+    multiplied in one at a time, not as two products that could overflow or
+    underflow on their own; each quotient and product adds the smallest
+    normal number, which covers gradual underflow, and overflow gives inf,
+    which fails the checks.  Each factor takes at most ten roundings (a modulus counted as
+    two) and the rest of the bound at most d + 6, so the radius r_i carries
+    1 + 2 (6 d + 20) u for its own rounding and for the three of each
+    distance compared.
+
+    Any point of a component lies within r_i + 2 (sum of the other radii of
+    the component) of z_i: the bound returned for root i, r_i when it is
+    isolated.  None unless the z_i are distinct and every bound is within
+    beta_cert (NaN fails).  u is the unit roundoff of blk."""
     d = blk.shape[0]
     z = np.asarray(roots)
-    g = _slack(d, u)
-    diag = blk.diagonal()
-    allowance = g * (np.abs(z).sum() + np.abs(diag).sum())
-    if not abs(z.sum() - diag.sum()) <= d * beta_cert + allowance:
+    dist = np.abs(z[:, None] - z[None, :])
+    if not (dist[~np.eye(d, dtype=bool)] > 0).all():
         return None
-    kap, kapp, eps, epsp = _hyman(blk, z, u)
-    num, den = np.abs(kap) + eps, np.abs(kapp) - epsp
-    radii = np.array([d * a / b if b > 0 else np.inf for a, b in zip(num, den)], dtype=num.dtype)
-    if is_mp_array(blk):
-        det_bound = num * mpmath.fprod(np.abs(blk.diagonal(-1)))
-        radii = np.minimum(radii, det_bound ** (mpmath.mpf(1) / d))
-    radii = radii * (1 + g)
-    if not (radii <= beta_cert).all():
+    kap, _, eps = _hyman(blk, z, u)
+    tiny = 0 if is_mp_array(blk) else np.finfo(blk.dtype).tiny
+    h = np.abs(blk.diagonal(-1))
+    w = np.abs(kap) + eps
+    idx = np.arange(d)
+    for j in range(1, d):
+        w = w * (h[j - 1] / dist[idx, (idx + j) % d] + tiny) + tiny
+    r = d * w * (1 + _slack(6 * d, u))
+    near = np.asarray(dist <= r[:, None] + r[None, :], dtype=bool)
+    label = np.arange(d)
+    while True:  # each root takes the least index in its component
+        least = np.where(near, label, d).min(axis=1)
+        if (least == label).all():
+            break
+        label = least
+    bound = 2 * np.where(label[:, None] == label, r, 0).sum(axis=1) - r
+    if not (bound <= beta_cert).all():
         return None
-    return radii
-
-
-def _disjoint(centers, radii):
-    """True when the closed disks are pairwise disjoint.
-
-    With d disjoint inclusion disks for a degree-d polynomial, each disk holds
-    exactly one root, so a doubled root cannot hide a missing one."""
-    c, r = np.asarray(centers), np.asarray(radii)
-    apart = np.abs(c[:, None] - c[None, :]) > r[:, None] + r[None, :]
-    np.fill_diagonal(apart, True)
-    return bool(apart.all())
+    return bound
 
 
 def _isolated_roots(blk, beta_cert, u):
-    """Newton from LAPACK seeds on all roots at once, certified with disjoint disks.
+    """Newton from LAPACK seeds on all roots at once, certified (``_certify_block``).
 
     Runs in the arithmetic of blk (clongdouble or mpmath, unit roundoff u)
     and stops once every step is within sqrt(u) (1 + |z|), after which one
@@ -260,27 +253,27 @@ def _isolated_roots(blk, beta_cert, u):
     tol = u**0.5
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            kap, kapp, _, _ = _hyman(blk, z)
+            kap, kapp, _ = _hyman(blk, z)
             if not (kapp != 0).all():
                 return None
             step = kap / kapp
             z = z - step
             if (np.abs(step) <= (1 + np.abs(z)) * tol).all():
                 break
-        radii = _certify_block(blk, z, beta_cert, u)
-        if radii is None or not _disjoint(z, radii):
+        if _certify_block(blk, z, beta_cert, u) is None:
             return None
     return list(z)
 
 
-def _solve_blocks(H, spans, beta_cert, u, prec=None):
+def _solve_blocks(H, spans, beta_cert, prec=None):
     """(roots, spans left): the certified roots of the diagonal blocks of H
     at the given spans, and the spans of the blocks not certified.
 
     A 1 x 1 block is its own root; every other block goes to
-    ``_isolated_roots`` and, in mpmath (prec given), then to
-    ``_aberth_block``, whose roots must pass ``_certify_block``.  Runs in the
-    arithmetic of H, unit roundoff u."""
+    ``_isolated_roots`` and, in mpmath, then to ``_aberth_block``; either
+    way its roots must pass ``_certify_block``.  H is clongdouble (prec
+    None) or holds mpmath numbers at the ambient precision prec."""
+    u = _U_LD if prec is None else mpmath.mpf(2) ** -prec
     vals, left = [], []
     for start, stop in spans:
         blk = H[start:stop, start:stop]
@@ -304,14 +297,16 @@ class CharPolySolver:
     module docstring).
 
     solve(m, beta) returns forward beta-approximations of Spec(m) for upper
-    Hessenberg m: |lambda_hat_i - lambda_i| <= beta under a matching.
-    Certification is capped at the representation limit of the output type
-    (binary64 input yields binary64 output), which is far below every
-    working-accuracy scale the driver produces: the certified radius is
-    beta_eff / 2 and the final rounding to complex128 moves a value by at
-    most 2^-52.5 ||m||_F <= beta_eff / 2.  Input ``iqr.HessenbergMatrix``
-    rejects raises its errors (StructureError, DimensionError, DomainError);
-    a block no rung certifies raises SmallEigFailure.
+    Hessenberg m: |lambda_hat_i - lambda_i| <= beta under a matching, for
+    simple and multiple eigenvalues alike.  Certification is capped at the
+    representation limit of the output type (binary64 input yields binary64
+    output), which is far below every working-accuracy scale the driver
+    produces: the certified bound is beta_eff / 2 and the final rounding to
+    complex128 moves a value by at most 2^-52.5 ||m||_F <= beta_eff / 2.
+    Input ``iqr.HessenbergMatrix`` rejects raises its errors
+    (StructureError, DimensionError, DomainError); a block no rung
+    certifies (say, an eigenvalue too multiple for beta at 960 bits) raises
+    SmallEigFailure.
     """
 
     def solve(self, m, beta):
@@ -328,7 +323,7 @@ class CharPolySolver:
         vals, spans = [], split_blocks(a, n)
         if _LONG_DOUBLE_TIER and not extended:
             beta_cert = np.longdouble(beta_eff) / 2
-            vals, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_cert, _U_LD)
+            vals, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_cert)
             if not spans:
                 return _sorted(vals, complex)
 
@@ -336,15 +331,15 @@ class CharPolySolver:
         while True:
             with MP_LOCK, mpmath.workprec(prec):
                 H = a if extended else to_mp(a)
-                u = mpmath.mpf(2) ** -prec
-                found, spans = _solve_blocks(H, spans, mpmath.mpf(beta_eff) / 2, u, prec)
+                found, spans = _solve_blocks(H, spans, mpmath.mpf(beta_eff) / 2, prec)
                 vals += found
                 if not spans:
                     return _sorted(vals, mpmath.mpc if extended else complex)
             if prec >= _MAX_PREC:
+                blocks = ", ".join(f"rows {i}:{j} (dimension {j - i})" for i, j in spans)
                 raise SmallEigFailure(
-                    f"could not certify forward accuracy {beta_eff:g} "
-                    f"at {_MAX_PREC} bits (clustered or defective input)"
+                    f"could not certify forward accuracy {beta_eff:g} at {_MAX_PREC} bits "
+                    f"for the diagonal block(s) at {blocks}"
                 )
             prec = min(2 * prec, _MAX_PREC)
 

@@ -305,8 +305,9 @@ class TestWholeSolver:
         except HessqrError:
             return
         assert len(eigs) == a.shape[0] and np.isfinite(eigs).all()
+        ref = ref_eigs(a)
         try:
-            ref, rep = ref_eigs(a), condition_report(a)
-        except OracleError:
+            rep = condition_report(a)
+        except OracleError:  # defective at binary64: no Bauer-Fike bound
             return
         assert matched_distance(eigs, ref) <= rep.kappa_v * config.delta * rep.norm

@@ -90,3 +90,48 @@ def test_detects_an_unused_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) for every module-level private name (one leading
+    underscore) that nothing in ``sources`` ({module: source}) reads,
+    imports or reaches as an attribute; binding the name does not count."""
+    defined, refs = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                defined += [(module, n.lineno, n.id) for n in names]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                refs.update(alias.name for alias in n.names)
+    private = [d for d in defined if d[2].startswith("_") and not d[2].startswith("__")]
+    return sorted(d for d in private if d[2] not in refs)
+
+
+def test_detects_an_unreferenced_private_name():
+    sources = {
+        "a": "_K = 1\n_UNUSED = 2\ndef _used():\n    return _K\n"
+        "def _dead():\n    pass\nprint(_used())\n",
+        "b": "from .a import _imported\nimport a\na._attr()\n"
+        "class _Gone:\n    pass\n__all__ = []\n",
+        "c": "def _imported(): pass\ndef _attr(): pass\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a", 2, "_UNUSED"),
+        ("a", 5, "_dead"),
+        ("b", 4, "_Gone"),
+    ]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

@@ -105,8 +105,9 @@ class TestRefEigs:
 
     def test_duplicated_seed_is_not_certified(self, monkeypatch):
         # the clongdouble rung: when LAPACK hands it one seed twice, both
-        # polish onto the same root, the disjoint-disk check rejects the
-        # block, and the matrix goes to the mpmath rung (a second, honest call)
+        # polish onto the same root, two equal approximations have no
+        # Weierstrass radius, the certificate rejects the block, and the
+        # matrix goes to the mpmath rung (a second, honest call)
         rng = np.random.default_rng(28)
         n = 20
         evals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -134,9 +135,9 @@ def block_dtypes(monkeypatch):
     seen = []
     original = oracle._solve_blocks
 
-    def recording(H, spans, beta_cert, u, prec=None):
+    def recording(H, spans, beta_cert, prec=None):
         seen.append(H.dtype)
-        return original(H, spans, beta_cert, u, prec)
+        return original(H, spans, beta_cert, prec)
 
     monkeypatch.setattr(oracle, "_solve_blocks", recording)
     return seen
@@ -171,6 +172,24 @@ class TestRefEigsRungs:
         assert block_dtypes == [np.dtype(np.clongdouble), np.dtype(object)]
         unscaled = np.ldexp(got.real, -e) + 1j * np.ldexp(got.imag, -e)
         assert matched_distance(unscaled, ref_eigs(c)) <= 2.0**-50
+
+    @pytest.mark.parametrize(
+        "a, lam",
+        [
+            (np.array([[0, 0], [1, 0]], dtype=complex), 0),
+            (np.ldexp(1.0, 200) * np.array([[0, 0], [1, 0]], dtype=complex), 0),
+            (np.ldexp(1.0, -200) * np.array([[0, 0], [1, 0]], dtype=complex), 0),
+            (np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=complex), 1),
+            (companion([4.0, -6.0, 4.0, -1.0]), 1),
+        ],
+        ids=["jordan2", "jordan2-up200", "jordan2-down200", "jordan3", "companion-(z-1)^4"],
+    )
+    def test_certifies_clusters(self, a, lam):
+        # an m-fold eigenvalue reaches about 2^-(p/m) at p bits; Aberth and
+        # the Weierstrass-Gerschgorin certificate take it within the stated
+        # radius (a is Hessenberg already) once that is below it
+        radius = oracle.REF_MP_RADIUS * np.abs(a).max()
+        assert matched_distance(ref_eigs(a), np.full(len(a), lam)) <= radius
 
     def test_zero_matrix(self):
         got = ref_eigs(np.zeros((4, 4)))

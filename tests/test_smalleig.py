@@ -8,13 +8,13 @@ import pytest
 import scipy.linalg
 from conftest import companion, hard_matrices, near_normal_hessenberg, random_hessenberg
 from hypothesis import given
+from hypothesis import strategies as st
 
 import hessqr
 from hessqr import oracle, smalleig
 from hessqr.errors import (
     DomainError,
     HessqrError,
-    OracleError,
     SmallEigFailure,
     StructureError,
 )
@@ -106,7 +106,7 @@ class TestCharPolySolver:
                 obj[i, j] = mpmath.mpc(c[i, j])
         # multiplicity 4 limits the cluster accuracy to ~2^(-prec/4); a demand
         # of 1e-80 would need more than the precision cap
-        with pytest.raises(SmallEigFailure):
+        with pytest.raises(SmallEigFailure, match=r"1e-80 at 960 bits .* rows 0:4 \(dimension 4\)"):
             SOLVER.solve(obj, 1e-80)
 
     def test_extended_input_roundtrip(self):
@@ -148,18 +148,16 @@ class TestTwoTiers:
             assert matched_distance(np.array(vals), np.array(SOLVER.solve(m, beta))) <= beta
 
     def test_isolation_rejects_duplicated_root(self):
-        # roots +-e of z^2 - e^2; the list [e, e] passes the trace identity
-        # and has exact residuals, yet misses -e by 2e
+        # roots +-e of z^2 - e^2; the list [e, e] has exact residuals, yet
+        # misses -e by 2e: equal approximations have no Weierstrass radius
         with mpmath.workprec(120):
             u = mpmath.mpf(2) ** -120
             e = mpmath.mpf(2) ** -60
             blk = np.array([[0, e * e], [1, 0]], dtype=object) * mpmath.mpc(1)
             beta_cert = mpmath.mpf(1e-15)
-            radii = smalleig._certify_block(blk, [e, e], beta_cert, u)
-            assert max(radii) <= 2**-170  # kappa(e) = 0 exactly: rounding bound only
-            assert not smalleig._disjoint([e, e], radii)
+            assert smalleig._certify_block(blk, [e, e], beta_cert, u) is None
             good = smalleig._certify_block(blk, [e, -e], beta_cert, u)
-            assert smalleig._disjoint([e, -e], good)
+            assert max(good) <= 2**-170  # kappa(+-e) = 0 exactly: rounding bound only
 
     def test_non_hessenberg_input_rejected(self):
         rng = np.random.default_rng(36)
@@ -247,8 +245,9 @@ class TestLongDoubleTier:
     @needs_long_double
     def test_bounded_radius_rejects_near_cancellation(self, tier_blocks):
         # roots 1 +- 2^-10, -1 and 2i of a companion matrix: in clongdouble the
-        # computed kappa is tiny at the Newton roots, so d |kappa/kappa'| is
-        # far inside beta, but the rounding it hides is not
+        # computed kappa is tiny at the Newton roots, so the Weierstrass radius
+        # d |W_i| taken from kappa_hat alone is far inside beta, but the
+        # rounding it hides is not
         roots = np.array([1 + 2.0**-10, 1 - 2.0**-10, -1, 2j])
         c = companion(-np.poly(roots)[1:])
         H = c.astype(np.clongdouble)
@@ -256,11 +255,13 @@ class TestLongDoubleTier:
         beta_cert = np.longdouble(8 * 2.0**-52 * np.linalg.norm(c)) / 2
         z = np.linalg.eigvals(c).astype(np.clongdouble)
         for _ in range(3):
-            kap, kapp, _, _ = smalleig._hyman(H, z)
+            kap, kapp, _ = smalleig._hyman(H, z)
             z = z - kap / kapp
-        kap, kapp, eps, epsp = smalleig._hyman(H, z, smalleig._U_LD)
-        assert (4 * np.abs(kap / kapp) <= beta_cert / 10).all()
-        assert not (4 * (np.abs(kap) + eps) / (np.abs(kapp) - epsp) <= beta_cert).all()
+        kap, _, _ = smalleig._hyman(H, z)
+        apart = np.abs(z[:, None] - z[None, :]) + np.eye(4)
+        weierstrass = np.abs(kap) / apart.prod(axis=1)  # prod |h_j| = 1
+        assert (4 * weierstrass <= beta_cert / 10).all()
+        assert smalleig._certify_block(H, z, beta_cert, smalleig._U_LD) is None
         vals = SOLVER.solve(c, beta)
         assert [dtype for dtype, _ in tier_blocks] == [np.dtype(np.clongdouble), np.dtype(object)]
         beta_eff = 2 * float(beta_cert)
@@ -278,14 +279,14 @@ def _mp_of(v):
 
 
 class TestRunningErrorBound:
-    """|kappa_hat - kappa| <= eps and |kappa_hat' - kappa'| <= eps' against
-    kappa evaluated at 300 bits on the same stored matrix and points."""
+    """|kappa_hat - kappa| <= eps against kappa evaluated at 300 bits on the
+    same stored matrix and points."""
 
     @staticmethod
     def _exact(H, z):
         with mpmath.workprec(300):
-            kap, kapp, _, _ = smalleig._hyman(H, np.array(list(z), dtype=object))
-            return kap, kapp
+            kap, _, _ = smalleig._hyman(H, np.array(list(z), dtype=object))
+            return kap
 
     @staticmethod
     def _cases(sizes):
@@ -301,23 +302,21 @@ class TestRunningErrorBound:
     def test_clongdouble(self):
         for m, z in self._cases((2, 4, 8, 16)):
             H, zl = m.astype(np.clongdouble), z.astype(np.clongdouble)
-            kap, kapp, eps, epsp = smalleig._hyman(H, zl, smalleig._U_LD)
-            ek, ekp = self._exact(smalleig.to_mp(m), z)
+            kap, _, eps = smalleig._hyman(H, zl, smalleig._U_LD)
+            ek = self._exact(smalleig.to_mp(m), z)
             with mpmath.workprec(300):
                 for j in range(len(z)):
                     assert abs(_mp_of(kap[j]) - ek[j]) <= _mp_of(eps[j]).real
-                    assert abs(_mp_of(kapp[j]) - ekp[j]) <= _mp_of(epsp[j]).real
 
     def test_mpmath_at_40_bits(self):
         for m, z in self._cases((2, 4, 8)):
             with mpmath.workprec(40):
                 H, zm = smalleig.to_mp(m), smalleig.to_mp(z)
-                kap, kapp, eps, epsp = smalleig._hyman(H, zm, mpmath.mpf(2) ** -40)
-            ek, ekp = self._exact(H, zm)
+                kap, _, eps = smalleig._hyman(H, zm, mpmath.mpf(2) ** -40)
+            ek = self._exact(H, zm)
             with mpmath.workprec(300):
                 for j in range(len(z)):
                     assert abs(kap[j] - ek[j]) <= eps[j]
-                    assert abs(kapp[j] - ekp[j]) <= epsp[j]
 
 
 class TestExtremeInputs:
@@ -357,11 +356,66 @@ class TestHardInputs:
         except HessqrError:
             return
         assert len(vals) == n
-        try:
-            ref = ref_eigs(a)
-        except OracleError:
-            return
-        assert matched_distance(np.array(vals), ref) <= beta
+        assert matched_distance(np.array(vals), ref_eigs(a)) <= beta
+
+
+@st.composite
+def exact_roots(draw):
+    """2 to 6 roots known exactly: each is one of up to three Gaussian
+    integers in [-2, 2] + [-2, 2]i plus an offset of 0, +-2^-s or +-2^-s i
+    (s in 3..5), so roots repeat and cluster.  2^s times a root has parts
+    of modulus at most 66, so the monic coefficients, sums of products of up
+    to six such roots over 2^(s k), have at most 53 significant bits and
+    are exact in binary64."""
+    s = draw(st.integers(3, 5))
+    ints = st.integers(-2, 2)
+    centres = draw(st.lists(st.builds(complex, ints, ints), min_size=1, max_size=3))
+    offsets = st.sampled_from([0, 1, -1, 1j, -1j])
+    d = draw(st.integers(2, 6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(centres), offsets), min_size=d, max_size=d))
+    return np.array([c + o * 2.0**-s for c, o in picks])
+
+
+def exact_companion(roots):
+    """Companion matrix of prod (z - r), its coefficients checked exact."""
+    with mpmath.workprec(300):
+        coeffs = [mpmath.mpc(1)]
+        for r in roots:
+            coeffs = [a - mpmath.mpc(r) * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        first = np.array([complex(-a) for a in coeffs[1:]])
+        assert all(mpmath.mpc(f) == -a for f, a in zip(first, coeffs[1:]))
+    return companion(first)
+
+
+class TestCertificate:
+    @given(exact_roots(), st.sampled_from([2.0**-10, 2.0**-20, 2.0**-40]))
+    def test_certified_roots_are_within_beta(self, roots, beta):
+        # the Weierstrass-Gerschgorin certificate is sound for clusters and
+        # multiple roots: whatever _solve_blocks certifies, in clongdouble
+        # (Newton) or in mpmath at 120 bits (Newton, then Aberth), matches
+        # the exact roots within beta.  2^-50 allows for rounding the
+        # certified values, of modulus below 3, to complex128.
+        c = exact_companion(roots)
+        d = len(roots)
+        certified = []
+        if smalleig._LONG_DOUBLE_TIER:
+            vals, left = smalleig._solve_blocks(c.astype(np.clongdouble), [(0, d)], np.longdouble(beta))
+            certified += [] if left else [vals]
+        with smalleig.MP_LOCK, mpmath.workprec(120):
+            vals, left = smalleig._solve_blocks(smalleig.to_mp(c), [(0, d)], mpmath.mpf(beta), 120)
+        certified += [] if left else [vals]
+        for vals in certified:
+            assert matched_distance(np.array([complex(v) for v in vals]), roots) <= beta + 2.0**-50
+
+    def test_bound_spans_the_component(self):
+        # z^2 with approximations 2^-7 and -2^-3: the disk about 2^-7 (radius
+        # about 2^-10) lies inside the one about -2^-3 (about 2^-2), so both
+        # roots need only lie in their union; 0 is 2^-7 from the first
+        # approximation, outside its own disk but within its bound
+        blk = np.array([[0, 0], [1, 0]], dtype=np.clongdouble)
+        z = np.array([2.0**-7, -(2.0**-3)], dtype=np.clongdouble)
+        bound = smalleig._certify_block(blk, z, np.longdouble(1), smalleig._U_LD)
+        assert (bound >= np.abs(z)).all()
 
 
 class TestModuleBoundary:
