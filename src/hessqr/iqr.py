@@ -1,14 +1,13 @@
 """Implicit QR steps on Hessenberg matrices, tau products, and the potential.
 
-A degree-1 step factors H - s = QR by a sweep of Givens rotations and forms
-the next iterate R*Q + s; higher degrees compose degree-1 steps in root order.
-The sweep is written once: it runs in the arithmetic of the matrix, complex128
-or mpmath numbers at the ambient precision, and only ``make_givens`` looks at
-which one it is.  Each rotation is kept as its 2x2 matrix; Q is never
-materialized here -- tests accumulate it from the stored matrices.
-The diagonal of each triangular factor is kept real nonnegative (the unique
-positive-diagonal QR convention), which pins down the bottom-right entries
-(R_l)_{nn} whose product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.
+A degree-1 step factors H - s = QR and forms the next iterate R*Q + s;
+higher degrees compose degree-1 steps in root order.  ``iqr_single`` has two
+implementations, one for each arithmetic: LAPACK's Householder QR for
+complex128 and a Givens sweep for mpmath numbers at the ambient precision.
+Both keep the diagonal of R real nonnegative (the unique positive-diagonal
+QR convention), which pins down the bottom-right entries (R_l)_{nn} whose
+product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Q is never
+formed here; tests accumulate it from the kept reflectors or rotations.
 ``split_blocks`` is the one block splitter: the driver's deflation, the small
 solver and the oracle all cut Hessenberg matrices at exactly-zero
 subdiagonals through it.
@@ -20,6 +19,7 @@ from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DimensionError, DomainError, StructureError
 from .kernel import is_mp_array, ldexp, log2, make_givens, norm, to_mp
@@ -143,39 +143,68 @@ class ShiftList:
 
 
 class StepRotations(NamedTuple):
-    """Givens sweep of one degree-1 step plus the last-diagonal phase fix.
-
-    rotations[i] is the 2x2 matrix applied to rows i, i+1, or None where the
-    column was already zero."""
+    """Givens sweep of one mpmath step: the 2x2 rotations[i] on rows i, i+1
+    (None where the column was already zero), then phase on Q's last column."""
 
     rotations: list
     phase: complex
+
+
+class StepReflectors(NamedTuple):
+    """zgeqrf's (qr, tau) of one binary64 step, and the signs d = +-1 with
+    which (Q D)(D R) is the positive-diagonal factorization."""
+
+    qr: np.ndarray
+    tau: np.ndarray
+    signs: np.ndarray
 
 
 @dataclass
 class IqrResult:
     next_h: HessenbergMatrix
     r_nn_per_step: list
-    steps: Optional[list] = None  # list[StepRotations] when keep_rotations
+    steps: Optional[list] = None  # StepReflectors or StepRotations, when kept
 
 
 def iqr_single(h, s, keep_rotations=False):
-    """One implicit QR step with shift s.
+    """One implicit QR step with shift s, in the arithmetic of h.
 
-    Backward stable: there is a unitary Q (product of the stored rotations)
-    with ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
-    ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.  Costs 7 n^2 operations.
-    Writes nothing below the subdiagonal: rotation i touches rows i, i+1 from
-    column i+1 on (left) and rows < i+2 of columns i, i+1 (right), and the
-    phase scales column n-1.
+    complex128: zgeqrf factors H - s and zunmqr forms R*Q.  On Hessenberg
+    input each reflector is zero past its second entry, so R*Q is exactly
+    Hessenberg, and lwork=n keeps LAPACK on its unblocked routines, which
+    skip those zeros.  zlarfg leaves diag(R) real; with D = sign(diag R),
+    next_H = D R Q D + s and r_nn = |R_nn| exactly.  Backward stable in
+    either arithmetic (Householder: Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 19): for the Q accumulated from the kept step,
+    ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
+    ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.
     """
     n = h.n
     if n < 2:
         raise DimensionError("iqr_single needs n >= 2")
-    a = h.a.copy()
-    diag = np.diag_indices(n)
-    a[diag] -= s
+    a = h.a.copy(order="F")
+    a.flat[:: n + 1] -= s
+    if h.is_extended:
+        r_nn, step = _givens_sweep(a)
+    else:
+        qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
+        d = np.copysign(1.0, qr.real.diagonal())
+        a = qr * d[:, None]
+        a.flat[n :: n + 1] = 0
+        a, _, info_q = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
+        if info or info_q:
+            raise DomainError(f"LAPACK QR step failed (info={info}, {info_q})")
+        a *= d
+        r_nn, step = abs(qr[n - 1, n - 1].real), StepReflectors(qr, tau, d)
+    a.flat[:: n + 1] += s
+    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step] if keep_rotations else None)
 
+
+def _givens_sweep(a):
+    """R*Q of the mpmath matrix a = H - s, in place: (r_nn, StepRotations).
+    Rotation i writes rows i, i+1 from column i+1 on (left) and rows < i+2
+    of columns i, i+1 (right), never below the subdiagonal."""
+    n = len(a)
     rotations = []
     for i in range(n - 1):
         x0, x1 = a[i, i], a[i + 1, i]
@@ -187,24 +216,17 @@ def iqr_single(h, s, keep_rotations=False):
         a[i, i] = r
         a[i + 1, i] = 0
         rotations.append(L)
-
     # Make the last diagonal entry real nonnegative; the phase is absorbed
     # into Q so the factorization keeps the positive-diagonal convention.
     rnn = a[n - 1, n - 1]
     r_nn = abs(rnn)
     phase = rnn / r_nn if rnn != 0 else 1
     a[n - 1, n - 1] = r_nn
-
     for i, L in enumerate(rotations):
         if L is not None:
             a[: i + 2, i : i + 2] = a[: i + 2, i : i + 2] @ L.conj().T
     a[:, n - 1] = a[:, n - 1] * phase
-
-    a[diag] += s
-
-    out = HessenbergMatrix(a, validate=False)
-    steps = [StepRotations(rotations, phase)] if keep_rotations else None
-    return IqrResult(out, [r_nn], steps)
+    return r_nn, StepRotations(rotations, phase)
 
 
 def iqr_multi(h, shifts, keep_rotations=False):

@@ -1,12 +1,12 @@
 """Precision model, complex Givens rotations, power-of-two scaling, disk sampling.
 
-The QR sweep and the helpers here are written once for two arithmetics:
-numpy complex128 arrays (binary64, the production path) and object arrays of
-mpmath numbers at the ambient ``mpmath.mp.prec`` (runs configured above 53
-mantissa bits, and the oracle).  ``to_mp`` converts a complex128 array to the
-second kind exactly and ``.astype(np.complex128)`` rounds back; ``norm`` and
-``make_givens`` compute their square roots in the arithmetic of their input,
-and ``ldexp`` scales either kind by a power of two.
+The helpers here serve numpy complex128 arrays (binary64, the production
+path) and object arrays of mpmath numbers at the ambient ``mpmath.mp.prec``
+(runs configured above 53 mantissa bits, and the oracle).  ``to_mp``
+converts a complex128 array to the second kind exactly and
+``.astype(np.complex128)`` rounds back; ``norm`` takes its square root in
+the arithmetic of its input, and ``ldexp`` scales either kind by a power of
+two.  ``make_givens`` is mpmath only: a binary64 QR step runs in LAPACK.
 The floating point model is the usual one: add/sub/mul/div/sqrt with relative
 error at most one unit roundoff, overflow and underflow ignored.  Nothing
 the QR iteration forms can overflow, because the driver runs it on H / 2^e
@@ -27,8 +27,6 @@ def is_mp_array(a):
     return a.dtype == object
 
 
-_MP_TYPES = (mpmath.mpc, mpmath.mpf)
-
 # Elementwise mpmath.mpc: an object array rounded to the ambient precision
 # (exact from complex128 at 53 bits or more).
 to_mp = np.frompyfunc(mpmath.mpc, 1, 1)
@@ -42,23 +40,14 @@ def norm(a):
 
 
 def make_givens(x0, x1):
-    """(L, r): the unitary L = [[c, s], [-conj(s), conj(c)]] with L @ x = (r, 0).
-
-    (c, s) = conj(x) / r and r = ||x|| is real and nonnegative, computed with
-    relative error about 2u: by libm hypot through ``abs`` of a complex in
-    binary64, by mpmath.sqrt when either entry is an mpmath number (L is then
-    an object array).  For complex input c carries the phase that makes r real
-    (the positive-diagonal QR convention).  Raises on the all-zero input.
-    """
+    """(L, r), in mpmath at the ambient precision: the unitary object array
+    L = [[c, s], [-conj(s), conj(c)]] with L @ x = (r, 0), where
+    (c, s) = conj(x) / r and r = ||x|| >= 0 is real (the positive-diagonal
+    QR convention), within about 2u.  Raises on the all-zero input."""
     if x0 == 0 and x1 == 0:
         raise DomainError("make_givens: zero vector has no defined rotation")
-    if isinstance(x0, _MP_TYPES) or isinstance(x1, _MP_TYPES):
-        x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
-        r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
-    else:
-        x0, x1 = complex(x0), complex(x1)
-        # libm hypot, as np.hypot calls it; math.hypot differs in the last bit
-        r = abs(complex(abs(x0), abs(x1)))
+    x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
+    r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
     c, s = x0.conjugate() / r, x1.conjugate() / r
     return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, DomainError, OracleError, SingularityError
@@ -314,7 +315,7 @@ def matched_distance(l1, l2):
 
 
 def iqr_exact(h, shifts):
-    """The same IQR sweep executed in extended precision (reference iterate)."""
+    """Reference iterate: the IQR step as the Givens sweep in mpmath."""
     if not isinstance(shifts, ShiftList):
         shifts = ShiftList(tuple(shifts))
     with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
@@ -323,11 +324,9 @@ def iqr_exact(h, shifts):
 
 
 def accumulate_q(steps, n):
-    """Unitary Q implied by the stored rotation sweeps (binary64 product)."""
+    """Unitary Q implied by the kept binary64 steps: the product of each
+    step's Q D, with Q formed from its reflectors by zungqr."""
     Q = np.eye(n, dtype=np.complex128)
     for step in steps:
-        for i, L in enumerate(step.rotations):
-            if L is not None:
-                Q[:, i : i + 2] = Q[:, i : i + 2] @ L.conj().T
-        Q[:, n - 1] *= step.phase
+        Q = Q @ (lapack.zungqr(step.qr, step.tau)[0] * step.signs)
     return Q

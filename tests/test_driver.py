@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import hard_matrices, near_normal_hessenberg, random_hessenberg
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hessqr import iqr
@@ -311,3 +311,28 @@ class TestWholeSolver:
         except OracleError:  # defective at binary64: no Bauer-Fike bound
             return
         assert matched_distance(eigs, ref) <= rep.kappa_v * config.delta * rep.norm
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @settings(max_examples=10)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_shifted_qr_accurate_or_loud(self, k, data, seed):
+        # The QR route on its own: Hessenberg input, no preprocessing, degree
+        # k and n > k.  The run returns the eigenvalues of some H' within
+        # delta of H, so by Bauer-Fike they are within kappa_V delta.  Inputs
+        # defective at binary64 have no such bound and are drawn again (they
+        # are most of the k = 8 draws, and each costs the small solver its
+        # mpmath rungs on every corner); ten whole solves per degree.
+        a, e = data.draw(hard_matrices(ns=(k + 1, 2 * k)))
+        try:
+            rep = condition_report(a)
+        except OracleError:
+            assume(False)
+        h = HessenbergMatrix(a)
+        delta = 1e-6 * rep.norm
+        try:
+            gd = globals_with_degree(1.0, k, 1e-3 * 2.0**e, 2 * float(h.frobenius_norm()), h.n)
+            eigs = shifted_qr(h, delta, 0.05, gd, seed=seed).eigenvalues
+        except HessqrError:
+            return
+        assert len(eigs) == h.n and np.isfinite(eigs).all()
+        assert matched_distance(eigs, ref_eigs(a)) <= rep.kappa_v * delta

@@ -135,3 +135,41 @@ def test_detects_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def oracle_imports(source):
+    """Lines of ``source`` that import the oracle module or names from it,
+    relatively or through the ``hessqr`` package."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [alias.name for alias in node.names]
+            if module in ("oracle", "hessqr.oracle") or (
+                module in ("", "hessqr") and "oracle" in names
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "hessqr.oracle" for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_detects_an_oracle_import():
+    src = (
+        "from .oracle import ref_eigs\n"
+        "from . import kernel, oracle\n"
+        "from hessqr.oracle import _hessenberg\n"
+        "import hessqr.oracle\n"
+        "from hessqr import oracle as o\n"
+        "from .kernel import oracle_free\n"
+        "import oracles\n"
+    )
+    assert oracle_imports(src) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "oracle.py"), ids=lambda p: p.name
+)
+def test_production_code_never_imports_the_oracle(path):
+    assert oracle_imports(path.read_text(encoding="utf-8")) == []

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_hessenberg, same_bits
+from hessqr import iqr
 from hessqr.errors import DimensionError, DomainError, StructureError
 from hessqr.iqr import (
     HessenbergMatrix,
+    IqrResult,
     ShiftList,
+    StepReflectors,
     comp_tau,
     iqr_multi,
     iqr_single,
@@ -16,7 +19,9 @@ from hessqr.iqr import (
     potential,
 )
 from hessqr.kernel import UNIT_ROUNDOFF_64 as U
+from hessqr.kernel import ldexp
 from hessqr.oracle import (
+    IQR_EXACT_PREC,
     accumulate_q,
     dense_en_p_norm,
     iqr_exact,
@@ -25,6 +30,7 @@ from hessqr.oracle import (
     resolvent_tau,
     condition_report,
 )
+from hessqr.smalleig import MP_LOCK
 
 PERM2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -78,8 +84,11 @@ class TestIqrSingle:
         assert res.r_nn_per_step[0] == pytest.approx(oracle, rel=1e-3)
 
     def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            iqr_single(HessenbergMatrix(np.array([[1.0]])), 0.0)
+        # in both arithmetics
+        h = HessenbergMatrix(np.array([[1.0]]))
+        for start in (h, h.to_extended()):
+            with pytest.raises(DimensionError):
+                iqr_single(start, 0.0)
 
     def test_structural_zeros_exact(self):
         # on complex128 and on mpmath input alike
@@ -94,7 +103,7 @@ class TestIqrSingle:
 
     def test_backward_stability_sample(self):
         rng = np.random.default_rng(12)
-        for n in (8, 32):
+        for n in (8, 32, 128):
             for _ in range(10):
                 h = random_hessenberg(rng, n)
                 norm_h = np.linalg.norm(h.a, 2)
@@ -113,13 +122,9 @@ class TestIqrSingle:
 
 
 def _frozen_givens(x0, x1):
-    """make_givens as first written: nested np.hypot calls in binary64."""
-    if isinstance(x0, (mpmath.mpc, mpmath.mpf)) or isinstance(x1, (mpmath.mpc, mpmath.mpf)):
-        x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
-        r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
-    else:
-        x0, x1 = complex(x0), complex(x1)
-        r = float(np.hypot(np.hypot(x0.real, x0.imag), np.hypot(x1.real, x1.imag)))
+    """make_givens as first written, in mpmath."""
+    x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
+    r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
     c, s = x0.conjugate() / r, x1.conjugate() / r
     return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
 
@@ -155,10 +160,19 @@ def _frozen_sweep(a, s):
     return a, r_nn, rotations, phase
 
 
+def _zero_column_case():
+    """(h, s) with h[1, 0] = 0 and s = h[0, 0]: the first column of H - s is
+    zero."""
+    a = np.triu(np.arange(1.0, 26.0).reshape(5, 5) * (1 - 0.5j), -1)
+    a[1, 0] = 0
+    a[0, 0] = 0.5 + 2j
+    return HessenbergMatrix(a), 0.5 + 2j
+
+
 class TestSweepBitIdentity:
-    """iqr_single reproduces the frozen sweep above exactly: next iterate,
-    r_nn, every stored rotation (None where the column was already zero) and
-    the phase."""
+    """The mpmath step reproduces the frozen sweep above exactly: next
+    iterate, r_nn, every stored rotation (None where the column was already
+    zero) and the phase."""
 
     def _check(self, h, s):
         res = iqr_single(h, s, keep_rotations=True)
@@ -171,29 +185,94 @@ class TestSweepBitIdentity:
             assert got is None or same_bits(got, want)
         assert same_bits(step.phase, phase)
 
-    def test_complex128(self):
-        rng = np.random.default_rng(13)
-        for n in (2, 3, 8, 32):
-            for scale in (1.0, 2.0**-300, 2.0**300):
-                h = random_hessenberg(rng, n, scale)
-                for s in (complex(*rng.standard_normal(2)) * scale, 0.25 * scale, 0.0):
-                    self._check(h, s)
+    def _grid(self, bits, seed):
+        rng = np.random.default_rng(seed)
+        with mpmath.workprec(bits):
+            for n in (2, 3, 8, 32):
+                for scale in (1.0, 2.0**-300, 2.0**300):
+                    h = random_hessenberg(rng, n, scale).to_extended()
+                    for s in (complex(*rng.standard_normal(2)) * scale, 0.25 * scale, 0.0):
+                        self._check(h, s)
 
-    def test_zero_column_gives_none_rotation(self):
-        a = np.triu(np.arange(1.0, 26.0).reshape(5, 5) * (1 - 0.5j), -1)
-        a[1, 0] = 0
-        a[0, 0] = 0.5 + 2j
-        h = HessenbergMatrix(a)
-        res = iqr_single(h, 0.5 + 2j, keep_rotations=True)
-        assert res.steps[0].rotations[0] is None
-        self._check(h, 0.5 + 2j)
+    def test_mpmath_53_bits(self):
+        self._grid(53, 13)
 
     def test_mpmath_80_bits(self):
+        self._grid(80, 14)
         rng = np.random.default_rng(14)
         with mpmath.workprec(80):
             h = random_hessenberg(rng, 7).to_extended()
             h.a[3, 3] += mpmath.mpf(1) / 3
             self._check(h, mpmath.mpc(1, 3) / 7)
+
+    def test_zero_column_gives_none_rotation(self):
+        h, s = _zero_column_case()
+        for bits in (53, 80):
+            with mpmath.workprec(bits):
+                hm = h.to_extended()
+                res = iqr_single(hm, s, keep_rotations=True)
+                assert res.steps[0].rotations[0] is None
+                self._check(hm, s)
+
+
+class TestBinary64Step:
+    """The complex128 step (LAPACK Householder QR) against the mpmath sweep
+    at ``oracle.IQR_EXACT_PREC`` bits, which has the same positive-diagonal
+    convention, so no signs are fitted.  Shifts stay at least 1e-2 ||H||
+    from the spectrum: near an eigenvalue a QR step is forward unstable and
+    the two may legitimately part (Parlett and Le, 1993)."""
+
+    @staticmethod
+    def _check(h, s, ref):
+        n = h.n
+        res = iqr_single(h, s, keep_rotations=True)
+        got = res.next_h.a
+        for i in range(2, n):
+            assert (got[i, : i - 1] == 0).all()
+        (step,) = res.steps
+        r_diag = step.signs * step.qr.diagonal()
+        assert (r_diag.imag == 0).all() and (r_diag.real >= 0).all()
+        assert res.r_nn_per_step == [r_diag.real[-1]]
+        tol = 4 * n * U * np.linalg.norm(h.a - s * np.eye(n), 2)
+        assert np.linalg.norm(got - ref.next_h.a.astype(np.complex128), 2) <= tol
+        assert abs(res.r_nn_per_step[0] - float(ref.r_nn_per_step[0])) <= tol
+
+    @staticmethod
+    def _exact(h, s):
+        with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
+            return iqr_single(h.to_extended(), s)
+
+    def test_against_mpmath_sweep(self):
+        # The mpmath sweep is exact under scaling by 2^e, so one reference
+        # serves all three scales.
+        rng = np.random.default_rng(20)
+        for n in (2, 3, 8, 32, 128, 200):
+            h = random_hessenberg(rng, n)
+            eigs = np.linalg.eigvals(h.a)
+            norm_h = np.linalg.norm(h.a, 2)
+            s = complex(*rng.standard_normal(2)) * norm_h
+            while np.abs(eigs - s).min() < 1e-2 * norm_h:
+                s = complex(*rng.standard_normal(2)) * norm_h
+            ref = self._exact(h, s)
+            for e in (0, -300, 300):
+                ref_e = IqrResult(
+                    HessenbergMatrix(ldexp(ref.next_h.a, e), validate=False),
+                    [ldexp(ref.r_nn_per_step[0], e)],
+                )
+                self._check(HessenbergMatrix(ldexp(h.a, e)), ldexp(s, e), ref_e)
+
+    def test_zero_column(self):
+        h, s = _zero_column_case()
+        self._check(h, s, self._exact(h, s))
+
+    def test_never_calls_make_givens(self, monkeypatch):
+        def refuse(x0, x1):
+            raise AssertionError(f"make_givens({x0}, {x1}) on binary64 input")
+
+        monkeypatch.setattr(iqr, "make_givens", refuse)
+        h = random_hessenberg(np.random.default_rng(21), 9)
+        res = iqr_multi(h, ShiftList((0.3, -0.2j, 1.1)), keep_rotations=True)
+        assert all(isinstance(step, StepReflectors) for step in res.steps)
 
 
 class TestIqrMulti:
