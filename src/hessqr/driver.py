@@ -64,7 +64,7 @@ def deflate(h, omega, k=None):
         if abs(a[i + 1, i]) <= omega:
             a[i + 1, i] = 0
     return [
-        HessenbergMatrix(a[start:stop, start:stop], validate=False)
+        HessenbergMatrix(a[start:stop, start:stop].copy(), validate=False)
         for start, stop in split_blocks(a, n)
     ]
 
@@ -110,7 +110,7 @@ def _node_rng(seed, path):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-def _retry(fn, label):
+def _retry(fn, name, node):
     last = None
     for attempt in range(MAX_RETRIES + 1):
         try:
@@ -118,7 +118,7 @@ def _retry(fn, label):
         except RetryableFailure as exc:
             last = exc
     raise SolveFailure(
-        f"{label} failed {MAX_RETRIES + 1} times; last error: {last}"
+        f"{name} (block {node.block_id}) failed {MAX_RETRIES + 1} times; last error: {last}"
     ) from last
 
 
@@ -148,14 +148,16 @@ def _process_block(node, h, gd, params, seed, is_root, e):
         psi_before = potential(h, k)
         outcome, retries = _retry(
             lambda: ritz_or_decouple(h, omega, phi_w, DEFAULT_SOLVER, rng, gd),
-            f"ritz_or_decouple (block {node.block_id})",
+            "ritz_or_decouple",
+            node,
         )
         if outcome.dec:
             h, branch, shift = outcome.next_h, "decouple", outcome.culprit
         else:
             step, retries_sh = _retry(
                 lambda: sh_step(h, outcome.ritz_values, omega, phi_w, rng, gd),
-                f"sh_step (block {node.block_id})",
+                "sh_step",
+                node,
             )
             h, branch, shift = step.next_h, step.branch.value, step.shift_used.roots[0]
             retries += retries_sh

@@ -36,18 +36,21 @@ class HessenbergMatrix:
 
     Entries below the first subdiagonal are exact zeros; construction and
     every QR step enforce this.  The payload is either complex128 (production)
-    or an object array of mpmath numbers (extended precision).
+    or an object array of mpmath numbers (extended precision).  A validated
+    matrix holds its own copy of the input.  With validate=False the caller
+    hands over a square array of either kind that nothing else writes to,
+    and it is kept as it is: no copy, no check.
     """
 
     __slots__ = ("a",)
 
     def __init__(self, a, validate=True):
-        a = np.array(a, copy=True)
-        if a.dtype != object:
-            a = a.astype(np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         if validate:
+            a = np.array(a, copy=True)
+            if a.dtype != object:
+                a = a.astype(np.complex128, copy=False)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise DimensionError(f"expected a square matrix, got shape {a.shape}")
             if not _finite_all(a):
                 raise StructureError("matrix has non-finite entries")
             n = a.shape[0]

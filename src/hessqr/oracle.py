@@ -192,8 +192,9 @@ def ref_eigs(m, mp_out=False):
 
     Householder reduction, then the small solver's per-block routine and
     root certificate (``_certified_eigs``), on a ladder of arithmetics.  The
-    first rung runs Newton in clongdouble where it has a 64-bit significand
-    (x87 extended, the guard the small solver uses) and certifies radius
+    first rung, in clongdouble where it has a 64-bit significand (x87
+    extended, the guard the small solver uses), takes LAPACK's eigenvalues,
+    or Newton's refinement of them where they fail, and certifies radius
     ``REF_RADIUS`` max |h_ij|, far below every binary64 tolerance consuming
     it.  With ``mp_out``, or when a block is left uncertified there, the
     matrix goes to mpmath at ``REF_EIG_PREC`` bits, doubling twice on

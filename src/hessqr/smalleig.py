@@ -11,11 +11,14 @@ each rung solves only the blocks the rungs before it left uncertified, so a
 certified block is never solved again:
 
 1. clongdouble, for binary64 input where clongdouble has a 64-bit
-   significand (x87 extended): LAPACK eigenvalues of the block, rounded to
-   complex128, seed Newton iterations on all roots at once, and the roots
-   must pass the certificate below at beta_eff / 2.
+   significand (x87 extended): LAPACK's eigenvalues of the block, complex128,
+   go to the certificate below at beta_eff / 2 as they are, in one pass of
+   the recurrence, and are returned unchanged when they pass.  Only when
+   they fail do they seed Newton iterations on all roots at once, whose
+   roots must pass the same certificate.
 2. mpmath, from a precision derived from ||m||_F / beta_eff (at least 120
-   bits), doubling up to 960 bits: the same Newton iteration and, where its
+   bits), doubling up to 960 bits: Newton from the LAPACK seeds, always
+   (a binary64 seed is far from a root at these precisions), and, where its
    roots fail the certificate (clusters, defective blocks), Ehrlich-Aberth
    from a circle, then Newton polish, under the same certificate.  An
    m-fold root is found to about 2^-(p/m) at p bits.
@@ -63,6 +66,7 @@ _MIN_PREC = 120
 _MAX_PREC = 960
 _NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 1-3 steps
 _U_LD = np.finfo(np.clongdouble).epsneg  # unit roundoff of clongdouble
+_TINY_LD = np.finfo(np.clongdouble).tiny  # its smallest normal number
 # The clongdouble rung needs clongdouble well above binary64 (x87 extended: 64-bit
 # significand); elsewhere clongdouble may be binary64 itself.
 _LONG_DOUBLE_TIER = np.finfo(np.clongdouble).nmant >= 63
@@ -76,7 +80,7 @@ def _slack(n, u):
     return 2 * (n + 20) * u
 
 
-def _hyman(H, z, u=None):
+def _hyman(H, z, u=None, derivative=True):
     """kappa, kappa' and a running error bound eps at every point of z.
 
     det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag) for unreduced Hessenberg
@@ -87,7 +91,8 @@ def _hyman(H, z, u=None):
     numbers at the ambient precision.  Given that arithmetic's unit roundoff
     u, the bound (in its real type) satisfies |kappa_hat - kappa| <= eps for
     the exact kappa at the stored H and z; without u it is None.  kappa' is
-    for Newton and Aberth steps and carries no bound.
+    for Newton and Aberth steps and carries no bound; with derivative=False
+    it is not formed and comes back as None.
 
     Running error analysis (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 5.1): each computed x_{i-1} carries a local
@@ -101,33 +106,35 @@ def _hyman(H, z, u=None):
     bound rejects."""
     n = H.shape[0]
     x = np.zeros((n, len(z)), dtype=H.dtype)
-    xp = np.zeros_like(x)
+    xp = np.zeros_like(x) if derivative else None
     x[n - 1] = 1
     for i in range(n - 1, 0, -1):
         row, h = H[i, i:], H[i, i - 1]
         x[i - 1] = (z * x[i] - row @ x[i:]) / h
-        xp[i - 1] = (x[i] + z * xp[i] - row @ xp[i:]) / h
+        if derivative:
+            xp[i - 1] = (x[i] + z * xp[i] - row @ xp[i:]) / h
     kap = H[0] @ x - z * x[0]
-    kapp = H[0] @ xp - x[0] - z * xp[0]
+    kapp = H[0] @ xp - x[0] - z * xp[0] if derivative else None
     if u is None:
         return kap, kapp, None
 
-    tiny = 0 if is_mp_array(H) else np.finfo(H.dtype).tiny
+    tiny = 0 if is_mp_array(H) else _TINY_LD
     g = _slack(n, u)
     grow = 1 + 2 * n * g  # the rounding of the n steps of each bound itself
     aH, az, ax = np.abs(H), np.abs(z), np.abs(x)
     # y and its error bound fy; the local error of row i (of kappa itself
     # for i = 0) times |h_i| is at most g S_i + tiny (1 + |h_i|)
-    y = np.zeros_like(x)
+    y = np.empty_like(x)
     y[0] = 1
-    fy = np.zeros_like(ax)
-    fy[0] = g
     for j in range(n - 1):
         y[j + 1] = (z * y[j] - H[: j + 1, j] @ y[: j + 1]) / H[j + 1, j]
-        fy[j + 1] = (az * fy[j] + aH[: j + 1, j] @ fy[: j + 1] + tiny) / aH[j + 1, j] + tiny
-        fy[j + 1] += np.abs(y[j + 1]) * g
+    ay = np.abs(y)
+    fy = np.empty_like(ax)
+    fy[0] = g
+    for j in range(n - 1):
+        fy[j + 1] = (az * fy[j] + aH[: j + 1, j] @ fy[: j + 1] + tiny) / aH[j + 1, j] + tiny + ay[j + 1] * g
     local = (aH @ ax + az * ax) * g + (tiny * (1 + aH.sum(axis=1)))[:, None]
-    eps = ((np.abs(y) + fy) * local).sum(axis=0) * grow
+    eps = ((ay + fy) * local).sum(axis=0) * grow
     return kap, kapp, eps
 
 
@@ -216,42 +223,55 @@ def _certify_block(blk, roots, beta_cert, u):
     d = blk.shape[0]
     z = np.asarray(roots)
     dist = np.abs(z[:, None] - z[None, :])
-    if not (dist[~np.eye(d, dtype=bool)] > 0).all():
+    # distinct: every off-diagonal distance is positive (the diagonal is 0 or NaN)
+    if np.count_nonzero(dist > 0) != d * (d - 1):
         return None
-    kap, _, eps = _hyman(blk, z, u)
-    tiny = 0 if is_mp_array(blk) else np.finfo(blk.dtype).tiny
-    h = np.abs(blk.diagonal(-1))
+    kap, _, eps = _hyman(blk, z, u, derivative=False)
+    tiny = 0 if is_mp_array(blk) else _TINY_LD
+    idx = np.arange(d)[:, None]
+    # quotients h_j / |z_i - z_{i+j}| (indices mod d), j = 1..d-1, per row i
+    quot = np.abs(blk.diagonal(-1)) / dist[idx, (idx + idx[1:].T) % d] + tiny
     w = np.abs(kap) + eps
-    idx = np.arange(d)
-    for j in range(1, d):
-        w = w * (h[j - 1] / dist[idx, (idx + j) % d] + tiny) + tiny
+    for j in range(d - 1):
+        w = w * quot[:, j] + tiny
     r = d * w * (1 + _slack(6 * d, u))
     near = np.asarray(dist <= r[:, None] + r[None, :], dtype=bool)
-    label = np.arange(d)
-    while True:  # each root takes the least index in its component
-        least = np.where(near, label, d).min(axis=1)
-        if (least == label).all():
-            break
-        label = least
-    bound = 2 * np.where(label[:, None] == label, r, 0).sum(axis=1) - r
+    if np.count_nonzero(near) == d:  # every disk isolated (a NaN r fails below)
+        bound = r
+    else:
+        label = np.arange(d)
+        while True:  # each root takes the least index in its component
+            least = np.where(near, label, d).min(axis=1)
+            if (least == label).all():
+                break
+            label = least
+        bound = 2 * np.where(label[:, None] == label, r, 0).sum(axis=1) - r
     if not (bound <= beta_cert).all():
         return None
     return bound
 
 
 def _isolated_roots(blk, beta_cert, u):
-    """Newton from LAPACK seeds on all roots at once, certified (``_certify_block``).
+    """Roots from LAPACK seeds that pass ``_certify_block``, or None.
 
-    Runs in the arithmetic of blk (clongdouble or mpmath, unit roundoff u)
-    and stops once every step is within sqrt(u) (1 + |z|), after which one
-    more step would be below the rounding level.  None when a check fails."""
+    In clongdouble the binary64 seeds are certified as they are, and
+    returned as they are, complex128; only when they fail does Newton refine
+    them.  In mpmath Newton always runs first.  Newton runs on all roots at
+    once, in the arithmetic of blk (unit roundoff u), and stops once every
+    step is within sqrt(u) (1 + |z|), after which one more step would be
+    below the rounding level; its roots must pass the certificate too."""
     try:
         seeds = np.linalg.eigvals(blk.astype(np.complex128))
     except np.linalg.LinAlgError:
         return None
-    z = to_mp(seeds) if is_mp_array(blk) else seeds.astype(blk.dtype)
     tol = u**0.5
     with np.errstate(all="ignore"):
+        if is_mp_array(blk):
+            z = to_mp(seeds)
+        else:
+            z = seeds.astype(blk.dtype)
+            if _certify_block(blk, z, beta_cert, u) is not None:
+                return list(seeds)
         for _ in range(_NEWTON_STEPS):
             kap, kapp, _ = _hyman(blk, z)
             if not (kapp != 0).all():
@@ -301,8 +321,10 @@ class CharPolySolver:
     simple and multiple eigenvalues alike.  Certification is capped at the
     representation limit of the output type (binary64 input yields binary64
     output), which is far below every working-accuracy scale the driver
-    produces: the certified bound is beta_eff / 2 and the final rounding to
-    complex128 moves a value by at most 2^-52.5 ||m||_F <= beta_eff / 2.
+    produces: the certified bound is beta_eff / 2.  Certified LAPACK seeds
+    are complex128 already and are returned as they are; a root Newton
+    refined in clongdouble or mpmath is rounded to complex128, which moves
+    it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
     Input ``iqr.HessenbergMatrix`` rejects raises its errors
     (StructureError, DimensionError, DomainError); a block no rung
     certifies (say, an eigenvalue too multiple for beta at 960 bits) raises

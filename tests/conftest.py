@@ -15,12 +15,21 @@ settings.load_profile("hessqr")
 
 
 def same_bits(x, y):
-    """Equal arrays, bit for bit (numpy dtypes) or number for number (mpmath)."""
+    """Equal arrays, bit for bit (numpy dtypes) or number for number (mpmath).
+
+    A long double is compared by value and sign, which is bit for bit on its
+    significant bits: an x87 80-bit value is stored with padding bytes that
+    carry no value and need not agree."""
     x, y = np.asarray(x), np.asarray(y)
     if x.dtype != y.dtype or x.shape != y.shape:
         return False
     if x.dtype == object:
         return all(type(p) is type(q) and p == q for p, q in zip(x.ravel(), y.ravel()))
+    if x.dtype == np.clongdouble:
+        return same_bits(x.real, y.real) and same_bits(x.imag, y.imag)
+    if x.dtype == np.longdouble:
+        nan = np.isnan(x) & np.isnan(y)
+        return bool(((x == y) | nan).all() and (np.signbit(x) == np.signbit(y)).all())
     return x.tobytes() == y.tobytes()
 
 

@@ -5,7 +5,7 @@ from conftest import hard_matrices, near_normal_hessenberg, random_hessenberg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hessqr import iqr
+from hessqr import driver, iqr
 from hessqr.driver import (
     SolveConfig,
     deflate,
@@ -14,6 +14,7 @@ from hessqr.driver import (
     solve,
 )
 from hessqr.errors import (
+    DichotomyMiss,
     DimensionError,
     HessqrError,
     OracleError,
@@ -54,6 +55,14 @@ class TestDeflate:
         a = np.triu(np.ones((4, 4), dtype=complex), -1)
         blocks = deflate(HessenbergMatrix(a), 1e-12)
         assert len(blocks) == 1 and blocks[0].n == 4
+
+    def test_blocks_own_their_arrays(self):
+        # compact copies, not views that keep the whole matrix alive
+        a = np.triu(np.ones((6, 6), dtype=complex), -1)
+        a[3, 2] = 0.0
+        h = HessenbergMatrix(a)
+        for blk in deflate(h, 1e-12):
+            assert blk.a.base is None and not np.shares_memory(blk.a, h.a)
 
     def test_spectra_union_exact(self):
         rng = np.random.default_rng(70)
@@ -272,6 +281,20 @@ class TestSolveEntryPoint:
         rep = condition_report(a)
         tol = rep.kappa_v * 1e-6 * rep.norm
         assert matched_distance(res.eigenvalues, ref_eigs(a)) <= tol
+
+
+class TestRetries:
+    @pytest.mark.parametrize("layer", ["ritz_or_decouple", "sh_step"])
+    def test_exhausted_retries_name_the_layer_and_block(self, monkeypatch, layer):
+        def missing(*args):
+            raise DichotomyMiss("miss")
+
+        monkeypatch.setattr(driver, layer, missing)
+        rng = np.random.default_rng(84)
+        h = random_hessenberg(rng, 6)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=4 * float(h.frobenius_norm()), n0=6)
+        with pytest.raises(SolveFailure, match=rf"^{layer} \(block 0\) failed 4 times; last error: miss$"):
+            shifted_qr(h, 1e-8, 0.05, gd, seed=1)
 
 
 class TestSmallEigFailure:

@@ -90,6 +90,17 @@ class TestIqrSingle:
             with pytest.raises(DimensionError):
                 iqr_single(start, 0.0)
 
+    def test_next_iterate_owns_its_array(self):
+        # in both arithmetics; the step leaves its input unchanged
+        rng = np.random.default_rng(12)
+        h = random_hessenberg(rng, 5)
+        with mpmath.workprec(80):
+            for start in (h, h.to_extended()):
+                before = start.a.copy()
+                nxt = iqr_single(start, 0.25j).next_h
+                assert not np.shares_memory(nxt.a, start.a)
+                assert same_bits(start.a, before)
+
     def test_structural_zeros_exact(self):
         # on complex128 and on mpmath input alike
         rng = np.random.default_rng(11)

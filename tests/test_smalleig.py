@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import companion, hard_matrices, near_normal_hessenberg, random_hessenberg
+from conftest import companion, hard_matrices, near_normal_hessenberg, random_hessenberg, same_bits
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -185,6 +185,20 @@ def tier_blocks(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def hyman_calls(monkeypatch):
+    """Records (with an error bound, with kappa') for every ``_hyman`` call."""
+    seen = []
+    original = smalleig._hyman
+
+    def recording(H, z, u=None, derivative=True):
+        seen.append((u is not None, derivative))
+        return original(H, z, u, derivative)
+
+    monkeypatch.setattr(smalleig, "_hyman", recording)
+    return seen
+
+
 def _raise(*args):
     raise AssertionError("an mpmath tier was entered")
 
@@ -206,6 +220,31 @@ class TestLongDoubleTier:
         vals = SOLVER.solve(h.a, beta)
         monkeypatch.undo()
         assert matched_distance(np.array(vals), ref_eigs(h.a)) <= beta
+
+    @needs_long_double
+    def test_certified_seeds_are_returned_as_they_are(self, hyman_calls):
+        # a well-separated 4x4: LAPACK's eigenvalues pass the certificate, in
+        # one recurrence pass without kappa', and come back unchanged
+        rng = np.random.default_rng(42)
+        h = random_hessenberg(rng, 4).a
+        vals = SOLVER.solve(h, 1e-10)
+        assert hyman_calls == [(True, False)]
+        assert same_bits(vals, sorted(np.linalg.eigvals(h), key=lambda z: (z.real, z.imag)))
+
+    @needs_long_double
+    def test_failed_seeds_are_refined_on_the_same_rung(self, hyman_calls, tier_blocks):
+        # kappa(V) ~ 2.9: at the representation floor of beta the seeds fail,
+        # and Newton's roots certify in clongdouble
+        m = np.array(
+            [[0.1 + 0.2j, 0.3, 0.1j, 0.05], [0.2, 0.4 - 0.1j, 0.2, 0.1], [0, 0.3, -0.2 + 0.1j, 0.3j], [0, 0, 0.25, 0.15]]
+        )
+        beta = 1e-30  # floored to 8 * 2^-52 * max(1, ||m||_F)
+        vals = SOLVER.solve(m, beta)
+        assert tier_blocks == [(np.dtype(np.clongdouble), 4)]
+        assert hyman_calls[0] == (True, False) and hyman_calls[-1] == (True, False)
+        assert (False, True) in hyman_calls  # a Newton step
+        beta_eff = 8 * 2.0**-52 * max(1.0, np.linalg.norm(m))
+        assert matched_distance(np.array(vals), ref_eigs(m)) <= beta_eff
 
     def test_object_input_stays_in_mpmath(self, tier_blocks):
         rng = np.random.default_rng(38)
@@ -308,6 +347,20 @@ class TestRunningErrorBound:
                 for j in range(len(z)):
                     assert abs(_mp_of(kap[j]) - ek[j]) <= _mp_of(eps[j]).real
 
+    def test_derivative_does_not_change_the_bound(self):
+        # kappa and eps are bit for bit the same with and without kappa'
+        for m, z in self._cases((2, 4, 8)):
+            H, zl = m.astype(np.clongdouble), z.astype(np.clongdouble)
+            with_d = smalleig._hyman(H, zl, smalleig._U_LD)
+            without = smalleig._hyman(H, zl, smalleig._U_LD, derivative=False)
+            assert without[1] is None
+            assert same_bits(with_d[0], without[0]) and same_bits(with_d[2], without[2])
+            with mpmath.workprec(40):
+                H, zm, u = smalleig.to_mp(m), smalleig.to_mp(z), mpmath.mpf(2) ** -40
+                with_d = smalleig._hyman(H, zm, u)
+                without = smalleig._hyman(H, zm, u, derivative=False)
+            assert same_bits(with_d[0], without[0]) and same_bits(with_d[2], without[2])
+
     def test_mpmath_at_40_bits(self):
         for m, z in self._cases((2, 4, 8)):
             with mpmath.workprec(40):
@@ -407,6 +460,18 @@ class TestCertificate:
         for vals in certified:
             assert matched_distance(np.array([complex(v) for v in vals]), roots) <= beta + 2.0**-50
 
+    def test_radii_match_the_loop_reference(self):
+        # an isolated root's bound is its radius, bit for bit the one formed
+        # a row and a factor at a time
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 4, 8):
+            for _ in range(5):
+                blk = random_hessenberg(rng, n).a.astype(np.clongdouble)
+                z = np.linalg.eigvals(blk.astype(np.complex128)).astype(np.clongdouble)
+                bound = smalleig._certify_block(blk, z, np.longdouble(1e-3), smalleig._U_LD)
+                assert bound is not None
+                assert same_bits(bound, _reference_radii(blk, z, smalleig._U_LD))
+
     def test_bound_spans_the_component(self):
         # z^2 with approximations 2^-7 and -2^-3: the disk about 2^-7 (radius
         # about 2^-10) lies inside the one about -2^-3 (about 2^-2), so both
@@ -416,6 +481,32 @@ class TestCertificate:
         z = np.array([2.0**-7, -(2.0**-3)], dtype=np.clongdouble)
         bound = smalleig._certify_block(blk, z, np.longdouble(1), smalleig._U_LD)
         assert (bound >= np.abs(z)).all()
+
+
+def _reference_radii(blk, z, u):
+    """The Weierstrass radii r_i of ``_certify_block`` for clongdouble blk and
+    z, from kappa and eps formed one row and one factor at a time."""
+    n = blk.shape[0]
+    tiny, g = np.finfo(blk.dtype).tiny, smalleig._slack(n, u)
+    kap, _, _ = smalleig._hyman(blk, z)
+    x = np.zeros((n, n), dtype=blk.dtype)
+    x[n - 1] = 1
+    for i in range(n - 1, 0, -1):
+        x[i - 1] = (z * x[i] - blk[i, i:] @ x[i:]) / blk[i, i - 1]
+    aH, az, ax = np.abs(blk), np.abs(z), np.abs(x)
+    y, fy = np.zeros_like(x), np.zeros_like(ax)
+    y[0], fy[0] = 1, g
+    for j in range(n - 1):
+        y[j + 1] = (z * y[j] - blk[: j + 1, j] @ y[: j + 1]) / blk[j + 1, j]
+        fy[j + 1] = (az * fy[j] + aH[: j + 1, j] @ fy[: j + 1] + tiny) / aH[j + 1, j] + tiny
+        fy[j + 1] += np.abs(y[j + 1]) * g
+    local = (aH @ ax + az * ax) * g + (tiny * (1 + aH.sum(axis=1)))[:, None]
+    eps = ((np.abs(y) + fy) * local).sum(axis=0) * (1 + 2 * n * g)
+    dist = np.abs(z[:, None] - z[None, :])
+    h, w = np.abs(blk.diagonal(-1)), np.abs(kap) + eps
+    for j in range(1, n):
+        w = np.array([w[i] * (h[j - 1] / dist[i, (i + j) % n] + tiny) + tiny for i in range(n)])
+    return n * w * (1 + smalleig._slack(6 * n, u))
 
 
 class TestModuleBoundary:
