@@ -3,9 +3,11 @@
 `solve` reads a Matrix Market file, runs the eigensolver, writes the
 eigenvalues as JSON and (optionally) the per-block potential trace as CSV,
 and prints a short summary.  `info` prints the seed and the parameters that
-`solve` with that seed would use, without solving; both work them out with
-``driver.prepare``.  All randomness flows from --seed; when absent a seed is
-drawn from the system entropy source and recorded in the outputs.
+`solve` with that seed would use, without solving; both take them from
+``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
+k, omega, N_dec and the required bits are derived.  All randomness flows
+from --seed; when absent a seed is drawn from the system entropy source
+and recorded in the outputs.
 Exit codes: 0 success, 2 bad input or configuration, or a small eigensolve
 that could not certify its accuracy, 3 probabilistic failure that survived
 all retries or an iteration budget that ran out.
@@ -17,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .driver import SolveConfig, prepare, solve
+from .driver import SolveConfig, plan_run, prepare, solve
 from .errors import (
     BudgetExceeded,
     HessqrError,
@@ -25,7 +27,6 @@ from .errors import (
     SolveFailure,
 )
 from .mmio import read_matrix_market
-from .params import derive_run_params, normalize, required_precision
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -48,7 +49,7 @@ def _json_document(result, config):
     gd = result.globals_used
     rp = result.run_params
     eigs = []
-    for node in sorted(result.tree.leaves(), key=lambda nd: nd.start):
+    for node in result.tree.leaves():
         for v in node.eigenvalues:
             eigs.append({"re": v.real, "im": v.imag, "block": node.block_id})
     return {
@@ -79,17 +80,16 @@ def _json_document(result, config):
 
 def _trace_rows(result):
     rows = []
-    for node in result.tree.ordered():
+    for node in result.tree.nodes.values():
         for rec in node.trace:
-            shift = rec.shift if rec.shift is not None else 0.0
             rows.append(
                 (
                     node.block_id,
                     rec.index,
                     rec.psi_before,
                     rec.branch,
-                    complex(shift).real,
-                    complex(shift).imag,
+                    rec.shift.real,
+                    rec.shift.imag,
                     rec.psi_after,
                     rec.retries,
                 )
@@ -124,12 +124,10 @@ def info(input_path, config):
     """The seed and parameters `solve` would run with; no solve.  Returns lines."""
     a = read_matrix_market(input_path)
     h, gd, delta, seed = prepare(a, config)
-    n = h.n
-    rp = derive_run_params(n, delta, config.phi, gd)
-    _, gd_n, delta_n = normalize(gd, delta)
-    bits = required_precision(n, gd.k, gd_n.Sigma, gd.B, gd_n.Gamma, delta_n, config.phi)
+    plan = plan_run(h.n, delta, config.phi, gd)
+    rp = plan.run_params
     return [
-        f"n = {n}",
+        f"n = {h.n}",
         f"seed = {seed}",
         f"B = {gd.B:.6g}",
         f"Gamma = {gd.Gamma:.6g}",
@@ -141,7 +139,7 @@ def info(input_path, config):
         f"omega = {rp.omega:.6g}",
         f"phi_working = {rp.phi_working:.6g}",
         f"N_dec = {rp.n_dec:.6g} (budget {rp.n_dec_budget})",
-        f"required bits = {bits}",
+        f"required bits = {plan.required_bits}",
         f"configured bits = {config.bits}",
     ]
 

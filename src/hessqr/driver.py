@@ -10,15 +10,17 @@ before the run aborts.  Every block owns a deterministic random substream
 derived from the master seed and its position in the deflation tree, so a
 run is byte-reproducible from its seed.
 
-``prepare`` is the one place a run's parameters are worked out from the
-input and a ``SolveConfig``: the seed, the Hessenberg form, the bounds
-(B, Gamma, Sigma) and the absolute accuracy.  ``solve`` runs on its output,
-and ``hessqr info`` prints it.
+Every quantity a run uses is derived once.  ``prepare`` works out the
+seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
+accuracy from the input and a ``SolveConfig``; ``plan_run`` derives from
+those the run plan: the scale 2^e, k, omega, N_dec, phi_w and the required
+bits.  ``shifted_qr`` runs on the plan and ``hessqr info`` prints it, so the
+two cannot disagree.
 """
 
-import time
+import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
@@ -40,7 +42,6 @@ from .params import (
     default_bounds,
     derive_globals,
     derive_run_params,
-    normalize,
     required_precision,
 )
 from .ritz import ritz_or_decouple
@@ -75,7 +76,7 @@ class IterationRecord:
     psi_before: float
     psi_after: float
     branch: str  # "decouple" | "ritz_shift" | "exceptional"
-    shift: Optional[complex]
+    shift: complex
     retries: int
 
 
@@ -83,7 +84,6 @@ class IterationRecord:
 class DeflationNode:
     path: tuple
     start: int
-    dim: int
     trace: list = field(default_factory=list)
     eigenvalues: Optional[list] = None  # set on leaves
 
@@ -94,20 +94,13 @@ class DeflationNode:
 
 @dataclass
 class DeflationTree:
+    """The blocks of a run by path, in the order they ran: depth-first, top
+    block first, which is path order, and leaves by increasing start."""
+
     nodes: dict = field(default_factory=dict)
 
-    def add(self, node):
-        self.nodes[node.path] = node
-
-    def ordered(self):
-        return [self.nodes[p] for p in sorted(self.nodes)]
-
     def leaves(self):
-        return [n for n in self.ordered() if n.eigenvalues is not None]
-
-
-def _node_rng(seed, path):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+        return [n for n in self.nodes.values() if n.eigenvalues is not None]
 
 
 def _retry(fn, name, node):
@@ -122,21 +115,22 @@ def _retry(fn, name, node):
     ) from last
 
 
-def _process_block(node, h, gd, params, seed, is_root, e):
+def _process_block(node, h, plan, seed):
     """Run one block to deflation (or solve it directly); returns children.
 
-    h, gd and params are in the units of ``normalize``; the eigenvalues and
-    the trace records written to the node are multiplied back by 2^e."""
+    h is in the units of the plan; the eigenvalues and the trace records
+    written to the node are multiplied back by 2^e."""
+    gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
     if h.n <= k:
-        acc = params.delta if is_root else params.delta / gd.n0
+        acc = params.delta / gd.n0 if node.path else params.delta
         vals = DEFAULT_SOLVER.solve(h.a, acc)
         node.eigenvalues = [ldexp(complex(v), e) for v in vals]
         return []
 
-    rng = _node_rng(seed, node.path)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=node.path))
     omega, phi_w = params.omega, params.phi_working
-    iteration = 0
+    iteration, psi = 0, potential(h, k)
     while h.is_unreduced(omega, k):
         iteration += 1
         if iteration > params.n_dec_budget:
@@ -145,7 +139,6 @@ def _process_block(node, h, gd, params, seed, is_root, e):
                 "iterations",
                 trace=node.trace,
             )
-        psi_before = potential(h, k)
         outcome, retries = _retry(
             lambda: ritz_or_decouple(h, omega, phi_w, DEFAULT_SOLVER, rng, gd),
             "ritz_or_decouple",
@@ -159,13 +152,14 @@ def _process_block(node, h, gd, params, seed, is_root, e):
                 "sh_step",
                 node,
             )
-            h, branch, shift = step.next_h, step.branch.value, step.shift_used.roots[0]
+            h, branch, shift = step
             retries += retries_sh
+        psi_before, psi = psi, potential(h, k)
         node.trace.append(
             IterationRecord(
                 index=iteration,
                 psi_before=ldexp(psi_before, e),
-                psi_after=ldexp(potential(h, k), e),
+                psi_after=ldexp(psi, e),
                 branch=branch,
                 shift=ldexp(complex(shift), e),
                 retries=retries,
@@ -174,13 +168,47 @@ def _process_block(node, h, gd, params, seed, is_root, e):
         if outcome.dec:
             break
 
-    blocks = deflate(h, omega, k)
     children = []
     offset = node.start
-    for i, blk in enumerate(blocks):
-        children.append((DeflationNode(path=node.path + (i,), start=offset, dim=blk.n), blk))
+    for i, blk in enumerate(deflate(h, omega, k)):
+        children.append((DeflationNode(path=node.path + (i,), start=offset), blk))
         offset += blk.n
     return children
+
+
+class RunPlan(NamedTuple):
+    """Every quantity a run derives from (n, delta, phi, gd), derived once.
+
+    ``gd`` and ``params`` are in the units of H / 2^e, on which the
+    iteration runs; ``run_params`` is ``params`` in the caller's units, as
+    ``SolveResult`` and ``hessqr info`` report it."""
+
+    e: int
+    gd: GlobalData
+    params: RunParams
+    run_params: RunParams
+    required_bits: int
+
+
+def plan_run(n, delta, phi, gd):
+    """The RunPlan of an n x n run with absolute accuracy delta, failure
+    tolerance phi and global data gd, all in the caller's units.
+
+    e is the binary exponent of Sigma, and Sigma, Gamma and delta are divided
+    by 2^e, so Sigma lies in [1/2, 1).  Division by a power of two is exact
+    unless it underflows, and the QR iteration is homogeneous in H, so a run
+    on H / 2^e with these values is the same run in other units (Gamma is a
+    length in omega's formula)."""
+    e = math.frexp(gd.Sigma)[1]
+    gd_n = replace(gd, Sigma=math.ldexp(gd.Sigma, -e), Gamma=math.ldexp(gd.Gamma, -e))
+    params = derive_run_params(n, math.ldexp(delta, -e), phi, gd_n)
+    return RunPlan(
+        e=e,
+        gd=gd_n,
+        params=params,
+        run_params=replace(params, delta=float(delta), omega=ldexp(params.omega, e)),
+        required_bits=required_precision(n, gd_n, params),
+    )
 
 
 @dataclass
@@ -191,7 +219,6 @@ class SolveResult:
     run_params: RunParams
     required_bits: int
     seed: int
-    wall_time: float
 
 
 def shifted_qr(h, delta, phi, gd, seed=0):
@@ -201,52 +228,36 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     Sigma (caller contracts; only cheap checks run here).  Returns the full
     SolveResult; .eigenvalues is the multiset Lambda.
 
-    The iteration is homogeneous in H, so it runs on H / 2^e with Sigma,
-    Gamma and delta divided by 2^e as well (``params.normalize``; e is the
-    binary exponent of Sigma).  That scaling is exact up to underflow, and
-    it keeps every quantity the loop forms inside the binary64 range, for
-    any e.  Everything returned is in the caller's units: eigenvalues, each
+    The iteration runs on H / 2^e in the units of its ``plan_run``, which
+    keeps every quantity the loop forms inside the binary64 range, for any
+    e.  Everything returned is in the caller's units: eigenvalues, each
     trace record's psi and shift, ``globals_used`` and ``run_params``."""
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
-    e, gd_n, delta_n = normalize(gd, delta)
-    params = derive_run_params(h.n, delta_n, phi, gd_n)
-    t0 = time.perf_counter()
+    plan = plan_run(h.n, delta, phi, gd)
     tree = DeflationTree()
-    root = DeflationNode(path=(), start=0, dim=h.n)
-
-    pending = [(root, HessenbergMatrix(ldexp(h.a, -e), validate=False), True)]
+    root = DeflationNode(path=(), start=0)
+    pending = [(root, HessenbergMatrix(ldexp(h.a, -plan.e), validate=False))]
     while pending:
-        node, blk, is_root = pending.pop(0)
-        tree.add(node)
-        children = _process_block(node, blk, gd_n, params, seed, is_root, e)
-        pending = [(c, b, False) for c, b in children] + pending
+        node, blk = pending.pop()
+        tree.nodes[node.path] = node
+        pending.extend(reversed(_process_block(node, blk, plan, seed)))
 
-    eigs = []
-    for leaf in sorted(tree.leaves(), key=lambda nd: nd.start):
-        eigs.extend(leaf.eigenvalues)
-    eigs = np.array(eigs, dtype=np.complex128)
+    eigs = np.array([v for leaf in tree.leaves() for v in leaf.eigenvalues], dtype=np.complex128)
     if len(eigs) != h.n:
         raise SolveFailure(f"eigenvalue count {len(eigs)} != dimension {h.n}")
-
-    bits = required_precision(h.n, gd.k, gd_n.Sigma, gd.B, gd_n.Gamma, delta_n, phi)
     return SolveResult(
         eigenvalues=eigs,
         tree=tree,
         globals_used=gd,
-        run_params=replace(params, delta=float(delta), omega=ldexp(params.omega, e)),
-        required_bits=bits,
+        run_params=plan.run_params,
+        required_bits=plan.required_bits,
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
-def _norm2(a):
-    return float(np.linalg.norm(a, 2)) if a.shape[0] > 1 else float(abs(a[0, 0]))
-
-
 def preprocess(a, delta, rng, B=None, Gamma=None):
-    """Arbitrary square matrix -> (Hessenberg form, GlobalData).
+    """Arbitrary square matrix -> (Hessenberg form, GlobalData, delta_pre).
 
     Adds an iid complex Gaussian perturbation scaled to spectral norm
     delta*||A||/2 (norm measured, then scaled), reduces by Householder
@@ -262,7 +273,8 @@ def preprocess(a, delta, rng, B=None, Gamma=None):
     if delta < 0:
         raise ParameterError(f"perturbation accuracy must be >= 0, got {delta!r}")
 
-    delta_pre = delta * _norm2(a) / 2.0
+    norm_a = float(np.linalg.norm(a, 2)) if n > 1 else float(abs(a[0, 0]))
+    delta_pre = delta * norm_a / 2.0
     if delta_pre > 0:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g_norm = float(np.linalg.norm(g, 2))
@@ -279,8 +291,7 @@ def preprocess(a, delta, rng, B=None, Gamma=None):
 
     sigma = 2.0 * h.frobenius_norm()
     B, Gamma = default_bounds(n, delta_pre, B, Gamma)
-    gd = derive_globals(B, Gamma, sigma, n)
-    return h, gd
+    return h, derive_globals(B, Gamma, sigma, n), delta_pre
 
 
 @dataclass
@@ -313,8 +324,8 @@ def prepare(a, config):
     tiny = np.finfo(float).tiny
     if config.preprocess:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))
-        h, gd = preprocess(a, config.delta, rng, B=config.B, Gamma=config.Gamma)
-        delta = max(config.delta * _norm2(np.asarray(a, dtype=np.complex128)) / 2.0, tiny)
+        h, gd, delta_pre = preprocess(a, config.delta, rng, B=config.B, Gamma=config.Gamma)
+        delta = max(delta_pre, tiny)
     else:
         h = a if isinstance(a, HessenbergMatrix) else HessenbergMatrix(a)
         norm_h = float(h.frobenius_norm())

@@ -15,6 +15,7 @@ subdiagonals through it.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import mpmath
@@ -29,6 +30,14 @@ def _finite_all(a):
     if is_mp_array(a):
         return all(mpmath.isfinite(z) for z in a.ravel())
     return bool(np.isfinite(a).all())
+
+
+@lru_cache(maxsize=64)
+def _below_subdiagonal(n):
+    """Read-only mask of the entries np.tril(a, -2) keeps of an n x n array."""
+    mask = np.tri(n, k=-2, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 class HessenbergMatrix:
@@ -54,12 +63,10 @@ class HessenbergMatrix:
             if not _finite_all(a):
                 raise StructureError("matrix has non-finite entries")
             n = a.shape[0]
-            for i in range(2, n):
-                for j in range(i - 1):
-                    if a[i, j] != 0:
-                        raise StructureError(
-                            f"entry ({i},{j}) below the subdiagonal is nonzero"
-                        )
+            if n > 2 and np.count_nonzero(a[_below_subdiagonal(n)]):
+                # the first nonzero entry in row-major order
+                i, j = np.argwhere(_below_subdiagonal(n) & (a != 0))[0]
+                raise StructureError(f"entry ({i},{j}) below the subdiagonal is nonzero")
         self.a = a
 
     @property

@@ -8,15 +8,16 @@ the optimality parameter theta, and the decoupling rate gamma = 0.2.  From
 and the iteration budget N_dec of each decoupling loop.
 
 The formulas run in binary64 and some square magnitudes (omega^2 in
-``regularization_scales``), so the driver and ``hessqr info`` evaluate them
-on the values of ``normalize``, with Sigma in [1/2, 1), where only extreme
-ratios to Sigma under- or overflow.  Powers of B are taken in log2 (no B^4 is
-formed), the precision budget works with log2 of its small distances, and a
-value that leaves binary64 range raises ParameterError.
+``regularization_scales``), so a run evaluates them once, with Sigma scaled
+into [1/2, 1) (``driver.plan_run``, for ``solve`` and ``hessqr info``
+alike), where only extreme ratios to Sigma under- or overflow.  Powers of B
+are taken in log2 (no B^4 is formed), the precision budget works with log2
+of its small distances, and a value that leaves binary64 range raises
+ParameterError.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
 
@@ -128,18 +129,6 @@ def default_bounds(n, scale, B=None, Gamma=None):
     return B, Gamma
 
 
-def normalize(gd, delta):
-    """(e, gd', delta'): Sigma, Gamma and delta divided by 2^e.
-
-    e is the binary exponent of Sigma, so Sigma' lies in [1/2, 1).  Division
-    by a power of two is exact unless it underflows, and the QR iteration is
-    homogeneous in H, so a run on H / 2^e with these values is the same run
-    in other units (Gamma is a length in omega's formula)."""
-    e = math.frexp(gd.Sigma)[1]
-    gd = replace(gd, Sigma=math.ldexp(gd.Sigma, -e), Gamma=math.ldexp(gd.Gamma, -e))
-    return e, gd, math.ldexp(delta, -e)
-
-
 @dataclass(frozen=True)
 class RunParams:
     """Per-run accuracy/failure/iteration budget."""
@@ -176,12 +165,11 @@ def derive_run_params(n, delta, phi, gd):
                      n_dec_budget=max(1, math.floor(n_dec)))
 
 
-def regularization_scales(omega, Sigma, k, phi):
-    """(beta, eta2, eta1) used when turning corner eigenvalues into shifts."""
+def regularization_scales(omega, Sigma):
+    """(beta, eta2): the corner eigenvalues' accuracy and the radius of the
+    noise that turns them into shifts."""
     beta = omega**2 / (16.0 * 101.0 * Sigma)
-    eta2 = beta / 2.0
-    eta1 = eta2 / math.sqrt(2.0 * k / phi)
-    return beta, eta2, eta1
+    return beta, beta / 2.0
 
 
 def exc_epsilon(k, alpha, theta, gamma, xi, B):
@@ -241,20 +229,19 @@ def _log2_u_potential_apx(n, k, C, Sigma, B, log2_dist, omega):
     )
 
 
-def required_precision(n, k, Sigma, B, Gamma, delta, phi):
+def required_precision(n, gd, rp):
     """Mantissa bits demanded by the worst-case analysis, ceil(log2(1/u)).
 
     Unpacks the explicit minimum over the driver term, the dichotomy
     subroutine, and the shifting strategy, with the potential lower-bounded by
-    the working accuracy.  Runs report it (``SolveResult.required_bits``, the
-    CLI's JSON and ``hessqr info``) next to the configured precision.  Both
-    pass the Sigma, Gamma and delta of ``normalize``.
+    the working accuracy.  gd and rp are the run's own, in the units of
+    H / 2^e, as ``driver.plan_run`` derives them.
     """
-    gd = globals_with_degree(B, k, Gamma, Sigma, n)
-    alpha, theta = gd.alpha, gd.theta
-    rp = derive_run_params(n, delta, phi, gd)
+    k, Sigma, B, alpha, theta = gd.k, gd.Sigma, gd.B, gd.alpha, gd.theta
     omega, n_dec, phi_working = rp.omega, rp.n_dec, rp.phi_working
-    # eta1 of ``regularization_scales`` in log2: omega^2 underflows for large B
+    # the exclusion radius eta1 = eta2 / sqrt(2k / phi_w) of the regularized
+    # shifts (eta2 of ``regularization_scales``), in log2: omega^2 underflows
+    # for large B
     log2_eta1 = (
         2.0 * math.log2(omega) - math.log2(16.0 * 101.0 * Sigma) - 1.0
         - 0.5 * math.log2(2.0 * k / phi_working)

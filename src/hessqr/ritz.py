@@ -32,25 +32,6 @@ class SmallEigSolver(Protocol):
     def solve(self, m, beta: float) -> list: ...
 
 
-@dataclass(frozen=True)
-class RegularizationParams:
-    """Disk radii for shift regularization: exclusion eta1 <= noise eta2.
-
-    The caller must also ensure eta1 + eta2 <= gap(H)/2 for the distance
-    guarantee to hold."""
-
-    eta1: float
-    eta2: float
-
-    def __post_init__(self):
-        if self.eta1 < 0 or self.eta2 < 0:
-            raise ParameterError("regularization radii must be nonnegative")
-        if self.eta1 > self.eta2:
-            raise ParameterError(
-                f"eta1={self.eta1!r} must not exceed eta2={self.eta2!r}"
-            )
-
-
 @dataclass
 class RitzOutcome:
     next_h: HessenbergMatrix
@@ -59,18 +40,17 @@ class RitzOutcome:
     culprit: Optional[complex] = None
 
 
-def regularize(r_list, params, rng):
+def regularize(r_list, eta2, rng):
     """Add independent uniform D(0, eta2) noise to every shift.
 
-    With probability >= 1 - k (eta1/eta2)^2 the perturbed set keeps distance
-    eta1 from Spec(H), provided eta1 + eta2 <= gap(H)/2."""
+    For any exclusion radius eta1 <= eta2 with eta1 + eta2 <= gap(H)/2, the
+    perturbed set keeps distance eta1 from Spec(H) with probability
+    >= 1 - k (eta1/eta2)^2."""
     if not isinstance(r_list, ShiftList):
         r_list = ShiftList(tuple(r_list))
-    if params.eta2 == 0.0:
+    if eta2 == 0.0:
         return r_list
-    return ShiftList(
-        tuple(r + sample_disk(0.0, params.eta2, rng) for r in r_list.roots)
-    )
+    return ShiftList(tuple(r + sample_disk(0.0, eta2, rng) for r in r_list.roots))
 
 
 def optimal(h, shifts, gd):
@@ -125,16 +105,14 @@ def ritz_or_decouple(h, omega, phi, solver, rng, gd):
         raise PreconditionError(
             "input has a bottom-k subdiagonal at or below omega; deflate first"
         )
-    beta, eta2, eta1 = regularization_scales(omega, gd.Sigma, k, phi)
+    beta, eta2 = regularization_scales(omega, gd.Sigma)
     corner = h.corner(k)
     ritz = solver.solve(corner, beta / 2.0)
     if len(ritz) != k:
         raise ParameterError(
             f"small solver returned {len(ritz)} values for a {k}x{k} corner"
         )
-    checked = regularize(
-        ShiftList(tuple(ritz)), RegularizationParams(eta1, eta2), rng
-    )
+    checked = regularize(ShiftList(tuple(ritz)), eta2, rng)
     if optimal(h, checked, gd):
         return RitzOutcome(next_h=h, ritz_values=checked, dec=False)
     for rv in checked.roots:

@@ -10,9 +10,8 @@ last round to r^k, so a step costs k log2(k) + k/2 sweeps.
 """
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -32,18 +31,10 @@ from .kernel import log2, sample_disk
 from .params import exc_epsilon
 
 
-class Branch(Enum):
-    RITZ_SHIFT = "ritz_shift"
-    EXCEPTIONAL = "exceptional"
-
-
-@dataclass
-class ShStepOutcome:
+class ShStepOutcome(NamedTuple):
     next_h: HessenbergMatrix
-    branch: Branch
-    shift_used: ShiftList
-    psi_before: float
-    psi_after: float
+    branch: str  # "ritz_shift" | "exceptional"
+    shift: complex  # applied k times
 
 
 def find(h, ritz, gd):
@@ -158,7 +149,6 @@ def sh_step(h, ritz, omega, phi, rng, gd):
     k = gd.k
     if not h.is_unreduced(omega, k):
         raise PreconditionError("sh_step needs an omega-unreduced matrix")
-    psi_before = potential(h, k)
     r, half = find(h, ritz, gd)
 
     # complete r^k: tau_k (as ``comp_tau`` forms it) and the next iterate
@@ -166,28 +156,15 @@ def sh_step(h, ritz, omega, phi, rng, gd):
     tau_k = math.prod(half.r_nn_per_step + rest.r_nn_per_step)
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
     if log2(tau_k) < k * math.log2(1.0 - gd.gamma) + log2_potential_pow_k(h, k):
-        return ShStepOutcome(
-            next_h=rest.next_h,
-            branch=Branch.RITZ_SHIFT,
-            shift_used=ShiftList.repeated(r, k),
-            psi_before=psi_before,
-            psi_after=potential(rest.next_h, k),
-        )
+        return ShStepOutcome(rest.next_h, "ritz_shift", r)
 
     xi = 0.999 * (1.0 - gd.gamma)
     candidates = exc(h, r, omega, xi, rng, gd)
-    target = 1.002 * (1.0 - gd.gamma) * psi_before
+    target = 1.002 * (1.0 - gd.gamma) * potential(h, k)
     for s in candidates.roots:
         res = iqr_multi(h, ShiftList.repeated(s, k))
-        psi_after = potential(res.next_h, k)
-        if psi_after < target or not res.next_h.is_unreduced(omega, k):
-            return ShStepOutcome(
-                next_h=res.next_h,
-                branch=Branch.EXCEPTIONAL,
-                shift_used=ShiftList.repeated(s, k),
-                psi_before=psi_before,
-                psi_after=psi_after,
-            )
+        if potential(res.next_h, k) < target or not res.next_h.is_unreduced(omega, k):
+            return ShStepOutcome(res.next_h, "exceptional", s)
     raise StagnationFailure(
         f"none of {candidates.degree} exceptional candidates reduced the "
         f"potential (probability <= {phi:g} event, or preconditions violated)"

@@ -227,6 +227,21 @@ class TestInfoMatchesSolve:
         assert printed["required bits"] == str(params["required_bits"])
         assert printed["seed"] == str(doc["seed"]) == "21"
 
+    def test_agree_where_omega_underflows_in_caller_units(self, tmp_path, capsys):
+        # at 2^-1000 omega = Gamma / (8 n^2 B^2) / (4n) underflows binary64 in
+        # the caller's units but not in the units the run derives it in
+        path = _random_mtx(tmp_path, 6, True, -1000)
+        options = ["--seed", "21", "--no-preprocess", "--B", "1"]
+        options += ["--gamma-gap", repr(1e-20 * 2.0**-1000)]
+        assert main(["info", path] + options) == EXIT_OK
+        printed = _info_lines(capsys.readouterr().out)
+        out = tmp_path / "e.json"
+        assert main(["solve", path, "--out-json", str(out)] + options) == EXIT_OK
+        params = json.loads(out.read_text())["params"]
+        assert printed["omega"] == f"{params['omega']:.6g}"
+        assert printed["N_dec"] == f"{params['n_dec']:.6g} (budget {params['n_dec_budget']})"
+        assert printed["required bits"] == str(params["required_bits"])
+
 
 class TestSmallEigFailure:
     @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from hessqr.errors import (
 from hessqr.iqr import HessenbergMatrix
 from hessqr.oracle import condition_report, matched_distance, ref_eigs
 from hessqr.params import derive_globals, globals_with_degree
-from hessqr.shifting import Branch
 from hessqr.smalleig import CharPolySolver
 
 
@@ -129,13 +128,33 @@ class TestShiftedQr:
         h, _ = near_normal_hessenberg(rng, 12, perturb=1e-4)
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=12)
         res = shifted_qr(h, 1e-7, 0.05, gd, seed=6)
-        for node in res.tree.ordered():
+        for node in res.tree.nodes.values():
             for rec in node.trace:
-                if rec.branch in (Branch.RITZ_SHIFT.value, Branch.EXCEPTIONAL.value):
+                if rec.branch in ("ritz_shift", "exceptional"):
                     decoupled = rec is node.trace[-1]
                     assert (
                         rec.psi_after <= 0.8016 * rec.psi_before or decoupled
                     )
+
+    def test_tree_is_built_in_path_order(self):
+        # the blocks run depth-first, top block first: the tree's nodes come
+        # in path order, its leaves by increasing start, and the eigenvalues
+        # leaf by leaf in that order
+        rng = np.random.default_rng(74)
+        h, _ = near_normal_hessenberg(rng, 16, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=16)
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=5)
+        paths = list(res.tree.nodes)
+        assert (1,) in paths and max(len(p) for p in paths) > 2  # nested deflation
+        assert paths == sorted(paths)
+        leaves = res.tree.leaves()
+        assert [leaf.start for leaf in leaves] == list(
+            np.cumsum([0] + [len(leaf.eigenvalues) for leaf in leaves[:-1]])
+        )
+        assert leaves[-1].start + len(leaves[-1].eigenvalues) == 16
+        np.testing.assert_array_equal(
+            res.eigenvalues, [v for leaf in leaves for v in leaf.eigenvalues]
+        )
 
 
 class TestScaleEquivariance:
@@ -198,14 +217,14 @@ class TestPreprocess:
     def test_hessenberg_output_structure(self):
         rng = np.random.default_rng(76)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        h, gd = preprocess(a, 1e-6, np.random.default_rng(1))
+        h, gd, _ = preprocess(a, 1e-6, np.random.default_rng(1))
         for i in range(2, 9):
             assert not h.a[i, : i - 1].any()
 
     def test_zero_delta_identity_on_hessenberg(self):
         rng = np.random.default_rng(77)
         a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1)
-        h, gd = preprocess(a, 0.0, np.random.default_rng(1), B=1.0, Gamma=1e-4)
+        h, gd, _ = preprocess(a, 0.0, np.random.default_rng(1), B=1.0, Gamma=1e-4)
         u = 2.0**-52
         assert np.linalg.norm(h.a - a, 2) <= 64 * u * np.linalg.norm(a, 2)
 
@@ -214,7 +233,7 @@ class TestPreprocess:
         n, delta = 16, 1e-6
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rep = condition_report(a)
-        h, gd = preprocess(a, delta, np.random.default_rng(2))
+        h, gd, _ = preprocess(a, delta, np.random.default_rng(2))
         drift = matched_distance(ref_eigs(h.a), ref_eigs(a))
         u = 2.0**-52
         assert drift <= (delta / 2 + 16 * n * u) * rep.norm * rep.kappa_v * 1.2
@@ -222,7 +241,7 @@ class TestPreprocess:
     def test_heuristic_bounds(self):
         rng = np.random.default_rng(79)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h, gd = preprocess(a, 1e-4, np.random.default_rng(3))
+        h, gd, _ = preprocess(a, 1e-4, np.random.default_rng(3))
         norm_a = np.linalg.norm(a, 2)
         delta_pre = 1e-4 * norm_a / 2
         assert gd.B == pytest.approx(6 / delta_pre)
@@ -233,12 +252,29 @@ class TestPreprocess:
         with pytest.raises(DimensionError):
             preprocess(np.ones((3, 4)), 1e-6, np.random.default_rng(0))
 
+    def test_prepare_measures_the_input_norm_once(self, monkeypatch):
+        # preprocess hands back delta_pre = delta ||A||_2 / 2, and prepare
+        # takes its absolute accuracy from it instead of a second SVD of A
+        rng = np.random.default_rng(81)
+        a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        norm, calls = np.linalg.norm, []
+
+        def counting(x, ord=None, **kwargs):
+            calls.append(ord == 2 and np.array_equal(x, a))
+            return norm(x, ord, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        _, _, delta, _ = driver.prepare(a, SolveConfig(seed=4, delta=1e-5))
+        monkeypatch.undo()
+        assert sum(calls) == 1
+        assert delta == 1e-5 * float(np.linalg.norm(a, 2)) / 2.0
+
 
 class TestSolveEntryPoint:
     def test_identity_two_by_two(self):
         res = solve(np.eye(2, dtype=complex), SolveConfig(preprocess=False, seed=1, B=1.0, Gamma=1e-3))
         np.testing.assert_allclose(sorted(res.eigenvalues.real), [1.0, 1.0], atol=1e-9)
-        assert all(not n.trace for n in res.tree.ordered())
+        assert all(not n.trace for n in res.tree.nodes.values())
 
     def test_reports_required_bits_above_binary64(self):
         rng = np.random.default_rng(80)

@@ -173,3 +173,61 @@ def test_detects_an_oracle_import():
 )
 def test_production_code_never_imports_the_oracle(path):
     assert oracle_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_fields(defining, reading):
+    """(module, line, class, field) for every field of a dataclass or
+    NamedTuple in ``defining`` ({module: source}) that no source in
+    ``reading`` (an iterable of sources) reads as an attribute; storing or
+    passing it by keyword does not count."""
+    reads = set()
+    for source in reading:
+        reads.update(
+            n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        )
+    found = []
+    for module, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [ast.unparse(d).split("(")[0] for d in cls.decorator_list]
+            if not (any(d.endswith("dataclass") for d in decorators)
+                    or any(ast.unparse(b).endswith("NamedTuple") for b in cls.bases)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if stmt.target.id not in reads:
+                        found.append((module, stmt.lineno, cls.name, stmt.target.id))
+    return sorted(found)
+
+
+def test_detects_an_unread_field():
+    src = (
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "class B(NamedTuple):\n"
+        "    u: int\n"
+        "    v: int\n"
+        "class C:\n"
+        "    w: int\n"
+        "def f(a, b):\n"
+        "    a.y = B(u=1, v=2)\n"
+        "    return a.x + b.u\n"
+    )
+    assert unread_fields({"m": src}, [src]) == [("m", 6, "A", "y"), ("m", 9, "B", "v")]
+
+
+def test_every_record_field_is_read():
+    root = SRC.parent.parent
+    reading = [
+        p.read_text(encoding="utf-8")
+        for d in (SRC, root / "tests", root / "perfbench", root / "scripts")
+        for p in sorted(d.rglob("*.py"))
+    ]
+    defining = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unread_fields(defining, reading) == []

@@ -19,7 +19,7 @@ from hessqr.iqr import (
     potential,
 )
 from hessqr.kernel import UNIT_ROUNDOFF_64 as U
-from hessqr.kernel import ldexp
+from hessqr.kernel import ldexp, to_mp
 from hessqr.oracle import (
     IQR_EXACT_PREC,
     accumulate_q,
@@ -39,6 +39,20 @@ class TestHessenbergMatrix:
     def test_structure_enforced(self):
         with pytest.raises(StructureError):
             HessenbergMatrix(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["complex128", "mpmath"])
+    def test_first_entry_below_the_subdiagonal_is_reported(self, extended):
+        # row-major order: (3,1) comes before (4,0)
+        a = np.triu(np.ones((5, 5), dtype=complex), -1)
+        a[4, 0] = a[3, 1] = 1e-300j
+        a[3, 0] = -0.0  # a signed zero is a zero
+        with pytest.raises(StructureError, match=r"^entry \(3,1\) below the subdiagonal is nonzero$"):
+            HessenbergMatrix(to_mp(a) if extended else a)
+        a[3, 1] = 0
+        with pytest.raises(StructureError, match=r"^entry \(4,0\) below"):
+            HessenbergMatrix(to_mp(a) if extended else a)
+        a[4, 0] = 0
+        assert HessenbergMatrix(to_mp(a) if extended else a).n == 5
 
     def test_nonfinite_rejected(self):
         a = np.triu(np.ones((3, 3), dtype=complex), -1)

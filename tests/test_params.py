@@ -68,7 +68,7 @@ class TestHugeB:
 
     def test_budget_at_1e80(self):
         k = derive_degree(1e80)
-        assert 53 < required_precision(32, k, 0.75, 1e80, 1e-3, 1e-7, 0.05) < 2**40
+        assert 53 < _bits(32, k, 0.75, 1e80, 1e-3, 1e-7, 0.05) < 2**40
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_out_of_range_raises_parameter_error(self, k):
@@ -137,6 +137,11 @@ class TestDeriveRunParams:
             derive_run_params(10, 1e-3, 1.5, gd)
 
 
+def _bits(n, k, Sigma, B, Gamma, delta, phi):
+    gd = globals_with_degree(B, k, Gamma, Sigma, n)
+    return required_precision(n, gd, derive_run_params(n, delta, phi, gd))
+
+
 class TestRequiredPrecision:
     def test_first_min_term_example(self):
         # n=10, k=4, Sigma=1, omega=7.8125e-8, N_dec=74.0008:
@@ -149,19 +154,38 @@ class TestRequiredPrecision:
         assert math.ceil(math.log2(1 / u)) == 48
 
     def test_full_budget_dominates_first_term(self):
-        bits = required_precision(10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05)
+        bits = _bits(10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05)
         assert bits >= 48
 
     def test_monotonicity(self):
-        base = required_precision(10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05)
-        assert required_precision(20, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05) >= base
-        assert required_precision(10, 4, 1.0, 4.0, 1e-2, 1e-3, 0.05) >= base
-        assert required_precision(10, 4, 2.0, 2.0, 1e-2, 1e-3, 0.05) >= base
-        assert required_precision(10, 4, 1.0, 2.0, 1e-4, 1e-3, 0.05) >= base
-        assert required_precision(10, 4, 1.0, 2.0, 1e-2, 1e-5, 0.05) >= base
-        assert required_precision(10, 4, 1.0, 2.0, 1e-2, 1e-3, 1e-4) >= base
+        base = _bits(10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05)
+        assert _bits(20, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05) >= base
+        assert _bits(10, 4, 1.0, 4.0, 1e-2, 1e-3, 0.05) >= base
+        assert _bits(10, 4, 2.0, 2.0, 1e-2, 1e-3, 0.05) >= base
+        assert _bits(10, 4, 1.0, 2.0, 1e-4, 1e-3, 0.05) >= base
+        assert _bits(10, 4, 1.0, 2.0, 1e-2, 1e-5, 0.05) >= base
+        assert _bits(10, 4, 1.0, 2.0, 1e-2, 1e-3, 1e-4) >= base
 
     def test_degree_doubling_roughly_doubles_bits(self):
-        b4 = required_precision(10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05)
-        b8 = required_precision(10, 8, 1.0, 2.0, 1e-2, 1e-3, 0.05)
+        b4 = _bits(10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05)
+        b8 = _bits(10, 8, 1.0, 2.0, 1e-2, 1e-3, 0.05)
         assert 1.5 * b4 <= b8 <= 2.5 * b4
+
+    @pytest.mark.parametrize(
+        "n, k, Sigma, B, Gamma, delta, phi, bits",
+        [
+            (10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05, 343),
+            (20, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05, 376),
+            (10, 4, 1.0, 4.0, 1e-2, 1e-3, 0.05, 362),
+            (10, 4, 2.0, 2.0, 1e-2, 1e-3, 0.05, 352),
+            (10, 4, 1.0, 2.0, 1e-4, 1e-3, 0.05, 403),
+            (10, 4, 1.0, 2.0, 1e-2, 1e-5, 0.05, 343),
+            (10, 4, 1.0, 2.0, 1e-2, 1e-3, 1e-4, 361),
+            (10, 8, 1.0, 2.0, 1e-2, 1e-3, 0.05, 638),
+            (32, 32768, 0.75, 1e80, 1e-3, 1e-7, 0.05, 37950141),
+        ],
+    )
+    def test_pinned_values(self, n, k, Sigma, B, Gamma, delta, phi, bits):
+        # the budget as it was when it rebuilt gd and rp from these seven
+        # scalars itself; taking the run's own gd and rp changes no bit
+        assert _bits(n, k, Sigma, B, Gamma, delta, phi) == bits

@@ -5,21 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg
-from hessqr.errors import (
-    DichotomyMiss,
-    DimensionError,
-    ParameterError,
-    PreconditionError,
-)
+from hessqr.errors import DichotomyMiss, DimensionError, PreconditionError
 from hessqr.iqr import HessenbergMatrix, ShiftList, potential
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
 from hessqr.params import globals_with_degree
-from hessqr.ritz import (
-    RegularizationParams,
-    regularize,
-    optimal,
-    ritz_or_decouple,
-)
+from hessqr.ritz import optimal, regularize, ritz_or_decouple
 from hessqr.smalleig import CharPolySolver
 
 
@@ -45,22 +35,15 @@ def _test_globals(B, k, sigma, n):
 class TestRegularize:
     def test_zero_radius_identity(self, rng):
         shifts = ShiftList((1.0 + 1j, -2.0))
-        out = regularize(shifts, RegularizationParams(0.0, 0.0), rng)
+        out = regularize(shifts, 0.0, rng)
         assert out.roots == shifts.roots
 
     def test_support_bound(self):
         rng = np.random.default_rng(40)
-        params = RegularizationParams(0.01, 0.1)
         base = ShiftList((0.5 + 0.5j,))
         for _ in range(10_000):
-            out = regularize(base, params, rng)
+            out = regularize(base, 0.1, rng)
             assert abs(out.roots[0] - base.roots[0]) <= 0.1
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            RegularizationParams(0.2, 0.1)
-        with pytest.raises(ParameterError):
-            RegularizationParams(-0.1, 0.1)
 
     def test_exclusion_probability(self):
         # fixed 4x4 with gap 1; shifts sitting exactly on eigenvalues is the
@@ -69,12 +52,11 @@ class TestRegularize:
         eigs = np.array([0.0, 1.0, 1.0j, 1.0 + 1.0j])
         eta2, k = 0.05, 2
         eta1 = 0.1 * eta2
-        params = RegularizationParams(eta1, eta2)
         shifts = ShiftList((eigs[0], eigs[1]))
         bad = 0
         trials = 10_000
         for _ in range(trials):
-            out = regularize(shifts, params, rng)
+            out = regularize(shifts, eta2, rng)
             d = min(abs(r - e) for r in out.roots for e in eigs)
             if d < eta1:
                 bad += 1
