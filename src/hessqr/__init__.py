@@ -5,11 +5,13 @@ follow the pipeline: kernel (scalar primitives), iqr (implicit QR steps and
 the potential), ritz (optimality / regularization / dichotomy), shifting
 (promising values and exceptional shifts), driver (recursion, deflation,
 preprocessing), smalleig (certified corner eigensolver), oracle (reference
-computations for tests), cli (command line).
+computations for tests), cli (command line).  Within one QR iteration the
+layers pass plain values: shifts are tuples of roots, and the step taken is
+one ``iqr.Step`` record (next iterate, branch, shift).
 """
 
 from .driver import SolveConfig, SolveResult, preprocess, shifted_qr, solve
-from .iqr import HessenbergMatrix, ShiftList
+from .iqr import HessenbergMatrix
 from .params import GlobalData, RunParams, derive_globals, derive_run_params, required_precision
 from .smalleig import DEFAULT_SOLVER, CharPolySolver
 
@@ -21,7 +23,6 @@ __all__ = [
     "GlobalData",
     "HessenbergMatrix",
     "RunParams",
-    "ShiftList",
     "SolveConfig",
     "SolveResult",
     "derive_globals",

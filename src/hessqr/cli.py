@@ -27,6 +27,7 @@ from .errors import (
     SolveFailure,
 )
 from .mmio import read_matrix_market
+from .params import GAMMA
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -65,7 +66,7 @@ def _json_document(result, config):
             "k": gd.k,
             "alpha": gd.alpha,
             "theta": gd.theta,
-            "gamma": gd.gamma,
+            "gamma": GAMMA,
         },
         "params": {
             "omega": rp.omega,
@@ -135,7 +136,7 @@ def info(input_path, config):
         f"k = {gd.k}",
         f"alpha = {gd.alpha:.6g}",
         f"theta = {gd.theta:.6g}",
-        f"gamma = {gd.gamma}",
+        f"gamma = {GAMMA}",
         f"omega = {rp.omega:.6g}",
         f"phi_working = {rp.phi_working:.6g}",
         f"N_dec = {rp.n_dec:.6g} (budget {rp.n_dec_budget})",

@@ -135,38 +135,30 @@ def _process_block(node, h, plan, seed):
         iteration += 1
         if iteration > params.n_dec_budget:
             raise BudgetExceeded(
-                f"block {node.block_id} exceeded N_dec={params.n_dec_budget} "
-                "iterations",
-                trace=node.trace,
+                f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
-        outcome, retries = _retry(
+        (ritz, step), retries = _retry(
             lambda: ritz_or_decouple(h, omega, phi_w, DEFAULT_SOLVER, rng, gd),
             "ritz_or_decouple",
             node,
         )
-        if outcome.dec:
-            h, branch, shift = outcome.next_h, "decouple", outcome.culprit
-        else:
+        if step is None:
             step, retries_sh = _retry(
-                lambda: sh_step(h, outcome.ritz_values, omega, phi_w, rng, gd),
-                "sh_step",
-                node,
+                lambda: sh_step(h, ritz, omega, phi_w, rng, gd), "sh_step", node
             )
-            h, branch, shift = step
             retries += retries_sh
+        h = step.next_h
         psi_before, psi = psi, potential(h, k)
         node.trace.append(
             IterationRecord(
                 index=iteration,
                 psi_before=ldexp(psi_before, e),
                 psi_after=ldexp(psi, e),
-                branch=branch,
-                shift=ldexp(complex(shift), e),
+                branch=step.branch,
+                shift=ldexp(complex(step.shift), e),
                 retries=retries,
             )
         )
-        if outcome.dec:
-            break
 
     children = []
     offset = node.start

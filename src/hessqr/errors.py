@@ -53,11 +53,7 @@ class SmallEigFailure(HessqrError, RuntimeError):
 
 
 class BudgetExceeded(HessqrError, RuntimeError):
-    """A while loop ran past its iteration budget; carries the trace."""
-
-    def __init__(self, msg, trace=None):
-        super().__init__(msg)
-        self.trace = trace
+    """A while loop ran past its iteration budget."""
 
 
 class SolveFailure(HessqrError, RuntimeError):

@@ -6,17 +6,20 @@ implementations, one for each arithmetic: LAPACK's Householder QR for
 complex128 and a Givens sweep for mpmath numbers at the ambient precision.
 Both keep the diagonal of R real nonnegative (the unique positive-diagonal
 QR convention), which pins down the bottom-right entries (R_l)_{nn} whose
-product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Q is never
-formed here; tests accumulate it from the kept reflectors or rotations.
+product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain
+tuples of roots; ``Step`` is the record one step of the QR iteration hands to
+the driver.  Every step returns its factors (the reflectors or rotations it
+applied) along with the next iterate; Q itself is never formed here.
 ``split_blocks`` is the one block splitter: the driver's deflation, the small
 solver and the oracle all cut Hessenberg matrices at exactly-zero
 subdiagonals through it.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -127,29 +130,14 @@ def split_blocks(a, n):
     return spans
 
 
-@dataclass(frozen=True)
-class ShiftList:
-    """Roots s_1..s_m of a monic shift polynomial, applied in order."""
+class Step(NamedTuple):
+    """One iteration's outcome: the next iterate, the branch that produced
+    it ("decouple" | "ritz_shift" | "exceptional") and the shift it applied
+    k times."""
 
-    roots: tuple
-
-    def __post_init__(self):
-        if len(self.roots) == 0:
-            raise DomainError("ShiftList must be nonempty")
-        for r in self.roots:
-            ok = mpmath.isfinite(r) if isinstance(r, (mpmath.mpc, mpmath.mpf)) else (
-                math.isfinite(complex(r).real) and math.isfinite(complex(r).imag)
-            )
-            if not ok:
-                raise DomainError(f"non-finite shift {r!r}")
-
-    @classmethod
-    def repeated(cls, root, m):
-        return cls((root,) * m)
-
-    @property
-    def degree(self):
-        return len(self.roots)
+    next_h: HessenbergMatrix
+    branch: str
+    shift: complex
 
 
 class StepRotations(NamedTuple):
@@ -173,10 +161,10 @@ class StepReflectors(NamedTuple):
 class IqrResult:
     next_h: HessenbergMatrix
     r_nn_per_step: list
-    steps: Optional[list] = None  # StepReflectors or StepRotations, when kept
+    steps: list  # one StepReflectors or StepRotations per degree-1 step
 
 
-def iqr_single(h, s, keep_rotations=False):
+def iqr_single(h, s):
     """One implicit QR step with shift s, in the arithmetic of h.
 
     complex128: zgeqrf factors H - s and zunmqr forms R*Q.  On Hessenberg
@@ -185,16 +173,20 @@ def iqr_single(h, s, keep_rotations=False):
     skip those zeros.  zlarfg leaves diag(R) real; with D = sign(diag R),
     next_H = D R Q D + s and r_nn = |R_nn| exactly.  Backward stable in
     either arithmetic (Householder: Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 19): for the Q accumulated from the kept step,
+    Numerical Algorithms*, ch. 19): for the Q accumulated from the step,
     ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
     ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.
+    DomainError when s is not finite.
     """
     n = h.n
     if n < 2:
         raise DimensionError("iqr_single needs n >= 2")
+    extended = h.is_extended
+    if not (mpmath.isfinite(s) if extended else cmath.isfinite(s)):
+        raise DomainError(f"non-finite shift {s!r}")
     a = h.a.copy(order="F")
     a.flat[:: n + 1] -= s
-    if h.is_extended:
+    if extended:
         r_nn, step = _givens_sweep(a)
     else:
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
@@ -207,7 +199,7 @@ def iqr_single(h, s, keep_rotations=False):
         a *= d
         r_nn, step = abs(qr[n - 1, n - 1].real), StepReflectors(qr, tau, d)
     a.flat[:: n + 1] += s
-    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step] if keep_rotations else None)
+    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step])
 
 
 def _givens_sweep(a):
@@ -239,19 +231,16 @@ def _givens_sweep(a):
     return r_nn, StepRotations(rotations, phase)
 
 
-def iqr_multi(h, shifts, keep_rotations=False):
-    """Degree-m implicit QR step: degree-1 steps composed in root order."""
-    if not isinstance(shifts, ShiftList):
-        shifts = ShiftList(tuple(shifts))
+def iqr_multi(h, shifts):
+    """Degree-m implicit QR step: degree-1 steps composed in root order.
+    The empty shift tuple is the identity step (next_h is h)."""
     cur = h
-    r_nns = []
-    steps = [] if keep_rotations else None
-    for s in shifts.roots:
-        res = iqr_single(cur, s, keep_rotations=keep_rotations)
+    r_nns, steps = [], []
+    for s in shifts:
+        res = iqr_single(cur, s)
         cur = res.next_h
         r_nns.extend(res.r_nn_per_step)
-        if keep_rotations:
-            steps.extend(res.steps)
+        steps.extend(res.steps)
     return IqrResult(cur, r_nns, steps)
 
 

@@ -29,7 +29,7 @@ from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, DomainError, OracleError, SingularityError
-from .iqr import HessenbergMatrix, ShiftList, iqr_multi, split_blocks
+from .iqr import HessenbergMatrix, iqr_multi, split_blocks
 from .kernel import ldexp, to_mp
 from .smalleig import _LONG_DOUBLE_TIER, MP_LOCK, _hyman, _solve_blocks
 
@@ -63,15 +63,13 @@ def _mpc_of(z):
 
 def dense_en_p_norm(h, shifts):
     """||e_n* (H - s_1) ... (H - s_m)|| by dense row iteration (mpmath)."""
-    if not isinstance(shifts, ShiftList):
-        shifts = ShiftList(tuple(shifts))
     a = _as_array(h)
     n = a.shape[0]
     with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         H = to_mp(a)
         row = np.array([mpmath.mpc(0)] * n, dtype=object)
         row[n - 1] = mpmath.mpc(1)
-        for s in shifts.roots:
+        for s in shifts:
             s = _mpc_of(s)
             row = row @ H - s * row
         return +mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in row))
@@ -106,9 +104,7 @@ def _resolvent_row_norm(h, roots):
 
 def resolvent_tau(h, shifts):
     """tau_p(H)^m = ||e_n* p(H)^{-1}||^{-1} via m dense row solves."""
-    if not isinstance(shifts, ShiftList):
-        shifts = ShiftList(tuple(shifts))
-    nrm = _resolvent_row_norm(h, list(shifts.roots))
+    nrm = _resolvent_row_norm(h, shifts)
     with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         return +(1 / nrm)
 
@@ -266,11 +262,10 @@ def measure_expect_inv_poly(measure, roots):
 
 def promising_check(h, r, ritz_set, alpha):
     """E[1/|Z-r|^k] >= alpha^{-k} E[1/|p(Z)|] with p over the ritz set."""
-    roots = tuple(ritz_set.roots) if isinstance(ritz_set, ShiftList) else tuple(ritz_set)
-    k = len(roots)
+    k = len(ritz_set)
     measure = spectral_measure(h)
     lhs = measure_expect_inv_poly(measure, (r,) * k)
-    rhs = measure_expect_inv_poly(measure, roots)
+    rhs = measure_expect_inv_poly(measure, ritz_set)
     if lhs == mpmath.inf:
         return True
     if rhs == mpmath.inf:
@@ -317,16 +312,14 @@ def matched_distance(l1, l2):
 
 def iqr_exact(h, shifts):
     """Reference iterate: the IQR step as the Givens sweep in mpmath."""
-    if not isinstance(shifts, ShiftList):
-        shifts = ShiftList(tuple(shifts))
     with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
         hm = h.to_extended() if not h.is_extended else h
         return iqr_multi(hm, shifts).next_h
 
 
 def accumulate_q(steps, n):
-    """Unitary Q implied by the kept binary64 steps: the product of each
-    step's Q D, with Q formed from its reflectors by zungqr."""
+    """Unitary Q implied by the binary64 steps of an ``IqrResult``: the
+    product of each step's Q D, with Q formed from its reflectors by zungqr."""
     Q = np.eye(n, dtype=np.complex128)
     for step in steps:
         Q = Q @ (lapack.zungqr(step.qr, step.tau)[0] * step.signs)

@@ -3,7 +3,8 @@
 The solver family is indexed by the condition bound B, the gap bound Gamma,
 and the norm bound Sigma.  From B alone come the shift degree k (smallest
 power of two taming the B-dependent blowup), the promising parameter alpha,
-the optimality parameter theta, and the decoupling rate gamma = 0.2.  From
+the optimality parameter theta; the decoupling rate gamma = 0.2 and the
+exceptional-shift net parameter xi = 0.999 (1 - gamma) are constants.  From
 (n, delta, phi) come the working accuracy omega, the per-call failure budget,
 and the iteration budget N_dec of each decoupling loop.
 
@@ -23,6 +24,7 @@ from .errors import DomainError, ParameterError
 
 GAMMA = 0.2
 REDUCTION_FACTOR = 1.002 * (1.0 - GAMMA)  # per-iteration potential factor
+XI = 0.999 * (1.0 - GAMMA)  # exceptional-shift net parameter
 _LOG2_3 = math.log2(3.0)
 
 
@@ -73,7 +75,6 @@ class GlobalData:
     k: int
     alpha: float
     theta: float
-    gamma: float = GAMMA
 
     def __post_init__(self):
         if self.B < 1:
@@ -172,13 +173,13 @@ def regularization_scales(omega, Sigma):
     return beta, beta / 2.0
 
 
-def exc_epsilon(k, alpha, theta, gamma, xi, B):
+def exc_epsilon(k, alpha, theta, B):
     """Net resolution for the exceptional-shift disk.
 
     (xi (1 - gamma) / ((13 B^4)^(1/k) alpha^2 theta^2))^(k/(k-1)), with the
     power of B taken in log2 as in ``derive_constants``."""
     scale = 13.0 ** (1.0 / k) * _exp2(4.0 * math.log2(B) / k, "B^(4/k)")
-    base = xi * (1.0 - gamma) / (scale * alpha**2 * theta**2)
+    base = XI * (1.0 - GAMMA) / (scale * alpha**2 * theta**2)
     eps = base ** (k / (k - 1.0))
     if not eps > 0:
         raise ParameterError(f"exceptional-shift resolution underflows binary64 (B={B:g}, k={k})")
@@ -262,8 +263,7 @@ def required_precision(n, gd, rp):
     # shifting strategy (C = 3; regularized-shift distance eta1)
     C = 3.0
     logs.append(_log2_u_comptau(n, max(k // 2, 1), C, Sigma, B, log2_eta1))
-    xi = 0.999 * (1.0 - GAMMA)
-    eps = exc_epsilon(k, alpha, theta, GAMMA, xi, B)
+    eps = exc_epsilon(k, alpha, theta, B)
     logs.append(_log2_u_psi(k))
     logs.append(
         math.log2(0.1 * eps * 1.998 * theta * alpha * B) + math.log2(omega)

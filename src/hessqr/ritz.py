@@ -7,17 +7,17 @@ get regularized by uniform disk noise so they keep their distance from the
 spectrum, and are then either certified optimal or driven through the
 decoupling loop: some regularized value must collapse a bottom subdiagonal in
 a single degree-k step, or the probabilistic guarantee failed and the caller
-may retry.
+may retry.  Shifts are tuples of roots; a decoupling step comes back as the
+driver's ``iqr.Step`` record.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 
 from .errors import DichotomyMiss, DimensionError, ParameterError, PreconditionError
-from .iqr import HessenbergMatrix, ShiftList, iqr_multi, log2_potential_pow_k
+from .iqr import Step, iqr_multi, log2_potential_pow_k
 from .kernel import log2, norm, sample_disk
 from .params import regularization_scales
 
@@ -32,25 +32,15 @@ class SmallEigSolver(Protocol):
     def solve(self, m, beta: float) -> list: ...
 
 
-@dataclass
-class RitzOutcome:
-    next_h: HessenbergMatrix
-    ritz_values: ShiftList
-    dec: bool
-    culprit: Optional[complex] = None
-
-
 def regularize(r_list, eta2, rng):
     """Add independent uniform D(0, eta2) noise to every shift.
 
     For any exclusion radius eta1 <= eta2 with eta1 + eta2 <= gap(H)/2, the
     perturbed set keeps distance eta1 from Spec(H) with probability
     >= 1 - k (eta1/eta2)^2."""
-    if not isinstance(r_list, ShiftList):
-        r_list = ShiftList(tuple(r_list))
     if eta2 == 0.0:
-        return r_list
-    return ShiftList(tuple(r + sample_disk(0.0, eta2, rng) for r in r_list.roots))
+        return tuple(r_list)
+    return tuple(r + sample_disk(0.0, eta2, rng) for r in r_list)
 
 
 def optimal(h, shifts, gd):
@@ -59,13 +49,9 @@ def optimal(h, shifts, gd):
     True guarantees the shifts are theta-optimal; False guarantees they are
     not (0.998^(1/k) theta)-optimal.  Computes v_(j+1) = fl((H - s_(j+1))* v_j)
     from v_0 = e_n, using that v_j lives on the last j+1 coordinates."""
-    if not isinstance(shifts, ShiftList):
-        shifts = ShiftList(tuple(shifts))
     k = gd.k
-    if shifts.degree != k:
-        raise DimensionError(
-            f"optimal needs degree k={k} shifts, got {shifts.degree}"
-        )
+    if len(shifts) != k:
+        raise DimensionError(f"optimal needs degree k={k} shifts, got {len(shifts)}")
     n = h.n
     if n <= k:
         raise DimensionError(f"optimal needs n > k, got n={n}")
@@ -73,7 +59,7 @@ def optimal(h, shifts, gd):
     v = np.zeros_like(a[n - 1])
     v[n - 1] = 1
     lo = n - 1
-    for s in shifts.roots:
+    for s in shifts:
         lo_new = max(lo - 1, 0)
         # (H* v) on the active window, then subtract conj(s) v
         seg = a[lo:, lo_new:].conj().T @ v[lo:]
@@ -91,10 +77,10 @@ def ritz_or_decouple(h, omega, phi, solver, rng, gd):
     """Regularized corner eigenvalues: either theta-optimal or decoupling.
 
     Needs an omega-unreduced H with ||H|| <= Sigma, gap(H) >= 2 omega^2/Sigma,
-    and k/phi >= 2.  On success returns either (dec=False, next_h=H) with
-    theta-optimal regularized Ritz values, or (dec=True, next_h) where the
-    culprit value collapsed some bottom-k subdiagonal below omega.  The
-    probability-phi failure event surfaces as DichotomyMiss."""
+    and k/phi >= 2.  Returns (ritz, step): the regularized Ritz values, and
+    None when they are theta-optimal, or else the "decouple" Step of the
+    first value whose degree-k step collapsed some bottom-k subdiagonal below
+    omega.  The probability-phi failure event surfaces as DichotomyMiss."""
     k = gd.k
     n = h.n
     if n <= k:
@@ -112,15 +98,13 @@ def ritz_or_decouple(h, omega, phi, solver, rng, gd):
         raise ParameterError(
             f"small solver returned {len(ritz)} values for a {k}x{k} corner"
         )
-    checked = regularize(ShiftList(tuple(ritz)), eta2, rng)
-    if optimal(h, checked, gd):
-        return RitzOutcome(next_h=h, ritz_values=checked, dec=False)
-    for rv in checked.roots:
-        res = iqr_multi(h, ShiftList.repeated(rv, k))
+    ritz = regularize(ritz, eta2, rng)
+    if optimal(h, ritz, gd):
+        return ritz, None
+    for rv in ritz:
+        res = iqr_multi(h, (rv,) * k)
         if not res.next_h.is_unreduced(omega, k):
-            return RitzOutcome(
-                next_h=res.next_h, ritz_values=checked, dec=True, culprit=rv
-            )
+            return ritz, Step(res.next_h, "decouple", rv)
     raise DichotomyMiss(
         "no regularized Ritz value was optimal or decoupling "
         f"(probability <= {phi:g} event, or preconditions violated)"

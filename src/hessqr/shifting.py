@@ -5,36 +5,19 @@ using tau products of half-set polynomials.  If the degree-k step with that
 value stagnates, `exc` lays a randomly translated triangular-lattice net over
 a disk around it; with high probability some net point either decouples the
 matrix or contracts the potential.  `sh_step` wires the two together and
-reports which branch fired; it continues the r^(k/2) sweeps of `find`'s
-last round to r^k, so a step costs k log2(k) + k/2 sweeps.
+returns the ``iqr.Step`` of the branch that fired; it continues the r^(k/2)
+sweeps of `find`'s last round to r^k, so a step costs k log2(k) + k/2
+sweeps.  Shift sets and candidate lists are tuples; the decoupling rate
+gamma and the net parameter xi are the constants of ``params``.
 """
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    PreconditionError,
-    StagnationFailure,
-)
-from .iqr import (
-    HessenbergMatrix,
-    ShiftList,
-    comp_tau,
-    iqr_multi,
-    log2_potential_pow_k,
-    potential,
-)
+from .errors import DimensionError, DomainError, PreconditionError, StagnationFailure
+from .iqr import Step, comp_tau, iqr_multi, log2_potential_pow_k, potential
 from .kernel import log2, sample_disk
-from .params import exc_epsilon
-
-
-class ShStepOutcome(NamedTuple):
-    next_h: HessenbergMatrix
-    branch: str  # "ritz_shift" | "exceptional"
-    shift: complex  # applied k times
+from .params import GAMMA, REDUCTION_FACTOR, exc_epsilon
 
 
 def find(h, ritz, gd):
@@ -44,25 +27,20 @@ def find(h, ritz, gd):
     log2(k) halving rounds; round j keeps the half R_b whose polynomial
     p_(j,b)^(2^(j-1)) (degree k/2) has the smaller tau product.  Ties keep
     the index-0 half."""
-    if not isinstance(ritz, ShiftList):
-        ritz = ShiftList(tuple(ritz))
-    k = ritz.degree
-    if k != gd.k:
-        raise DimensionError(f"find needs degree k={gd.k}, got {k}")
-    if k < 2 or k & (k - 1):
-        raise DomainError(f"find needs k a power of two, got {k}")
+    k = gd.k
+    if len(ritz) != k:
+        raise DimensionError(f"find needs degree k={k}, got {len(ritz)}")
     if min(h.bottom_subdiagonal_abs(k)) == 0:
         raise PreconditionError("find needs psi_k(H) > 0")
-    current = list(ritz.roots)
+    current = list(ritz)
     for j in range(1, k.bit_length() - 1):
         half = len(current) // 2
         rep = 2 ** (j - 1)
         taus = []
         for cand in (current[:half], current[half:]):
-            roots = tuple(r for r in cand for _ in range(rep))
-            taus.append(comp_tau(h, ShiftList(roots)))
+            taus.append(comp_tau(h, tuple(r for r in cand for _ in range(rep))))
         current = current[:half] if taus[0] <= taus[1] else current[half:]
-    halves = [iqr_multi(h, ShiftList.repeated(r, k // 2)) for r in current]
+    halves = [iqr_multi(h, (r,) * (k // 2)) for r in current]
     taus = [math.prod(res.r_nn_per_step) for res in halves]
     win = 0 if taus[0] <= taus[1] else 1
     return current[win], halves[win]
@@ -105,15 +83,14 @@ def net_size_bound(epsilon):
     )
 
 
-def exc_params(gd, xi, psi_hat):
+def exc_params(gd, psi_hat):
     """Candidate-disk radius and net resolution from the global data."""
     k = gd.k
     r_hat = 2.0 ** (1.0 / k) * gd.alpha * gd.B ** (1.0 / k) * gd.theta * psi_hat
-    epsilon = exc_epsilon(k, gd.alpha, gd.theta, gd.gamma, xi, gd.B)
-    return r_hat, epsilon
+    return r_hat, exc_epsilon(k, gd.alpha, gd.theta, gd.B)
 
 
-def exc(h, r, omega, xi, rng, gd):
+def exc(h, r, omega, rng, gd):
     """Exceptional-shift candidates around a stagnating promising value.
 
     Scales and translates the cached net to D(r, R_hat) with a uniform random
@@ -124,7 +101,7 @@ def exc(h, r, omega, xi, rng, gd):
     if not h.is_unreduced(omega, k):
         raise PreconditionError("exc needs an omega-unreduced matrix")
     psi_hat = potential(h, k)
-    r_hat, epsilon = exc_params(gd, xi, psi_hat)
+    r_hat, epsilon = exc_params(gd, psi_hat)
     net = build_net(epsilon)
     w = sample_disk(0.0, epsilon * r_hat, rng)
     r = complex(r)
@@ -135,15 +112,16 @@ def exc(h, r, omega, xi, rng, gd):
         if d > r_hat:
             s = r + (s - r) * (r_hat / d)
         out.append(s)
-    return ShiftList(tuple(out))
+    return tuple(out)
 
 
 def sh_step(h, ritz, omega, phi, rng, gd):
     """One potential-reduction step of the degree-k shifting strategy.
 
-    Either the promising Ritz value r already contracts the tau product (ritz
-    branch) or the exceptional-shift scan returns the first candidate, in net
-    order, that decouples or lands below 1.002 (1 - gamma) psi_k(H).  The
+    Returns the Step of the branch that fired: "ritz_shift" when the
+    promising Ritz value r already contracts the tau product, or else
+    "exceptional" with the first candidate of the exceptional-shift scan, in
+    net order, that decouples or lands below 1.002 (1 - gamma) psi_k(H).  The
     probability-phi failure surfaces as StagnationFailure.  tau_k multiplies
     the r_nn values of ``find``'s half r^(k/2) and of the other k/2 sweeps."""
     k = gd.k
@@ -152,20 +130,19 @@ def sh_step(h, ritz, omega, phi, rng, gd):
     r, half = find(h, ritz, gd)
 
     # complete r^k: tau_k (as ``comp_tau`` forms it) and the next iterate
-    rest = iqr_multi(half.next_h, ShiftList.repeated(r, k // 2))
+    rest = iqr_multi(half.next_h, (r,) * (k // 2))
     tau_k = math.prod(half.r_nn_per_step + rest.r_nn_per_step)
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
-    if log2(tau_k) < k * math.log2(1.0 - gd.gamma) + log2_potential_pow_k(h, k):
-        return ShStepOutcome(rest.next_h, "ritz_shift", r)
+    if log2(tau_k) < k * math.log2(1.0 - GAMMA) + log2_potential_pow_k(h, k):
+        return Step(rest.next_h, "ritz_shift", r)
 
-    xi = 0.999 * (1.0 - gd.gamma)
-    candidates = exc(h, r, omega, xi, rng, gd)
-    target = 1.002 * (1.0 - gd.gamma) * potential(h, k)
-    for s in candidates.roots:
-        res = iqr_multi(h, ShiftList.repeated(s, k))
+    candidates = exc(h, r, omega, rng, gd)
+    target = REDUCTION_FACTOR * potential(h, k)
+    for s in candidates:
+        res = iqr_multi(h, (s,) * k)
         if potential(res.next_h, k) < target or not res.next_h.is_unreduced(omega, k):
-            return ShStepOutcome(res.next_h, "exceptional", s)
+            return Step(res.next_h, "exceptional", s)
     raise StagnationFailure(
-        f"none of {candidates.degree} exceptional candidates reduced the "
+        f"none of {len(candidates)} exceptional candidates reduced the "
         f"potential (probability <= {phi:g} event, or preconditions violated)"
     )

@@ -4,7 +4,8 @@ import scipy.linalg
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hessqr.iqr import HessenbergMatrix
+from hessqr import driver
+from hessqr.iqr import HessenbergMatrix, Step
 
 # Property tests draw the same examples on every run and may take as long as
 # an mpmath solve needs.
@@ -94,3 +95,16 @@ def hard_matrices(draw, ns=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def stalled_iteration(monkeypatch):
+    """The driver's steps never change H: Ritz values that are never optimal
+    and never decouple, then a ritz_shift step back to H itself.  Returns the
+    list of every sh_step call's H."""
+    calls = []
+    monkeypatch.setattr(driver, "ritz_or_decouple", lambda h, *args: ((0j,) * 4, None))
+    monkeypatch.setattr(
+        driver, "sh_step", lambda h, *args: calls.append(h) or Step(h, "ritz_shift", 0j)
+    )
+    return calls

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hessqr.cli import EXIT_BAD_INPUT, EXIT_OK, main, run
+from hessqr.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_PROBABILISTIC, main, run
 from hessqr.driver import SolveConfig
 from hessqr.errors import ParseError, SmallEigFailure
 from hessqr.mmio import read_matrix_market
@@ -255,6 +255,15 @@ class TestSmallEigFailure:
         path = _random_mtx(tmp_path, 6, False)
         assert main(["solve", path, "--seed", "21"] + options) == EXIT_BAD_INPUT
         assert capsys.readouterr().err == "error: could not certify\n"
+
+
+class TestBudgetExceeded:
+    def test_exit_three(self, tmp_path, capsys, stalled_iteration):
+        path = _random_mtx(tmp_path, 6, False)
+        argv = ["solve", path, "--seed", "21", "--B", "1", "--gamma-gap", "1e-3"]
+        assert main(argv) == EXIT_PROBABILISTIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: block 0 exceeded N_dec=") and stalled_iteration
 
 
 class TestExtremeScaling:

@@ -14,6 +14,7 @@ from hessqr.driver import (
     solve,
 )
 from hessqr.errors import (
+    BudgetExceeded,
     DichotomyMiss,
     DimensionError,
     HessqrError,
@@ -296,9 +297,9 @@ class TestSolveEntryPoint:
         precisions = []
         original = iqr.iqr_single
 
-        def spy(h, s, keep_rotations=False):
+        def spy(h, s):
             precisions.append((mpmath.mp.prec, h.is_extended))
-            return original(h, s, keep_rotations)
+            return original(h, s)
 
         monkeypatch.setattr(iqr, "iqr_single", spy)
         rng = np.random.default_rng(81)
@@ -331,6 +332,16 @@ class TestRetries:
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=4 * float(h.frobenius_norm()), n0=6)
         with pytest.raises(SolveFailure, match=rf"^{layer} \(block 0\) failed 4 times; last error: miss$"):
             shifted_qr(h, 1e-8, 0.05, gd, seed=1)
+
+
+class TestBudget:
+    def test_a_stalled_loop_stops_at_n_dec(self, stalled_iteration):
+        h = random_hessenberg(np.random.default_rng(84), 6)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=4 * float(h.frobenius_norm()), n0=6)
+        budget = driver.plan_run(6, 1e-8, 0.05, gd).params.n_dec_budget
+        with pytest.raises(BudgetExceeded, match=rf"^block 0 exceeded N_dec={budget} iterations$"):
+            shifted_qr(h, 1e-8, 0.05, gd, seed=1)
+        assert len(stalled_iteration) == budget
 
 
 class TestSmallEigFailure:

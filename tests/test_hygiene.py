@@ -231,3 +231,96 @@ def test_every_record_field_is_read():
     ]
     defining = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unread_fields(defining, reading) == []
+
+
+def unpassed_defaults(defining, calling):
+    """(module, line, function, parameter) for every defaulted parameter of a
+    function or method in ``defining`` ({module: source}) that no call in
+    ``calling`` (an iterable of sources) passes, by position or by keyword.
+
+    Calls are matched to functions by name alone: f(...) and x.f(...) may
+    call any function named f, and C(...) calls C.__init__.  A method's
+    first parameter (self, cls) takes no positional argument, and a call
+    with *args or **kwargs passes every parameter."""
+    calls = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords
+            )
+            npos = float("inf") if spread else len(node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append((npos, keywords, spread))
+
+    found = []
+
+    def check(module, fn, qualname, call_name, method):
+        a = fn.args
+        positional = (a.posonlyargs + a.args)[1 if method else 0 :]
+        first = len(positional) - len(a.defaults)
+        defaulted = [(first + i, p) for i, p in enumerate(positional[first:])]
+        defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for index, p in defaulted:
+            if not any(
+                spread or p.arg in keywords or (index is not None and npos > index)
+                for npos, keywords, spread in calls.get(call_name, ())
+            ):
+                found.append((module, p.lineno, qualname, p.arg))
+
+    def visit(module, node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(module, child, prefix + child.name + ".", child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(ast.unparse(d) == "staticmethod" for d in child.decorator_list)
+                method = cls is not None and not static
+                call_name = cls.name if method and child.name == "__init__" else child.name
+                check(module, child, prefix + child.name, call_name, method)
+                visit(module, child, prefix + child.name + ".", None)
+
+    for module, source in defining.items():
+        visit(module, ast.parse(source), "", None)
+    return sorted(found)
+
+
+def test_detects_a_test_only_default():
+    src = (
+        "class C:\n"
+        "    def __init__(self, a, b=1):\n"
+        "        pass\n"
+        "    def m(self, x, y=0, *, z=None):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(p, q=2):\n"
+        "        pass\n"
+        "def f(a, b=None, c=3):\n"
+        "    def inner(u=1):\n"
+        "        pass\n"
+        "    return inner\n"
+        "def g(v=0):\n"
+        "    pass\n"
+    )
+    calls = "C(1, 2)\nobj.m(1, 2)\nC.s(1)\nf(1, c=4)\ninner(**kw)\ng(*args)\n"
+    assert unpassed_defaults({"m": src}, [src, calls]) == [
+        ("m", 4, "C.m", "z"),
+        ("m", 7, "C.s", "q"),
+        ("m", 9, "f", "b"),
+    ]
+
+
+def test_every_default_is_passed_outside_the_tests():
+    # a default that only tests override is a test-only switch; the oracle
+    # is test tooling, so it neither defines nor passes them
+    root = SRC.parent.parent
+    calling = [
+        p.read_text(encoding="utf-8")
+        for d in (SRC, root / "perfbench", root / "scripts")
+        for p in sorted(d.rglob("*.py"))
+        if p.name != "oracle.py" and "tests" not in p.relative_to(root).parts
+    ]
+    defining = {p.name: p.read_text(encoding="utf-8") for p in MODULES if p.name != "oracle.py"}
+    assert unpassed_defaults(defining, calling) == []

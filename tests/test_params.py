@@ -4,6 +4,9 @@ import pytest
 
 from hessqr.errors import DomainError, ParameterError
 from hessqr.params import (
+    GAMMA,
+    REDUCTION_FACTOR,
+    XI,
     GlobalData,
     derive_constants,
     derive_degree,
@@ -46,9 +49,10 @@ class TestDeriveConstants:
         assert theta == pytest.approx(1.1019642058141677, rel=1e-12)
 
     def test_gamma_constant(self):
-        for B in (1.0, 1.5, 4.0):
-            gd = derive_globals(B, Gamma=1e-3, Sigma=1.0, n0=8)
-            assert gd.gamma == 0.2
+        # gamma and xi are constants of the analysis, not fields of GlobalData
+        assert GAMMA == 0.2
+        assert XI == 0.999 * (1.0 - GAMMA)
+        assert REDUCTION_FACTOR == 1.002 * (1.0 - GAMMA)
 
     def test_range_when_degree_honest(self):
         for B in (1.0, 1.05, 1.1, 2.0, 10.0):
@@ -64,7 +68,7 @@ class TestHugeB:
         k = derive_degree(B)
         alpha, theta = derive_constants(B, k)
         assert 1.0 <= alpha <= 2.0 and 1.0 <= theta <= 2.0
-        assert 0.0 < exc_epsilon(k, alpha, theta, 0.2, 0.999 * 0.8, B) < 1.0
+        assert 0.0 < exc_epsilon(k, alpha, theta, B) < 1.0
 
     def test_budget_at_1e80(self):
         k = derive_degree(1e80)

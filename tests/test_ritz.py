@@ -6,7 +6,7 @@ import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg
 from hessqr.errors import DichotomyMiss, DimensionError, PreconditionError
-from hessqr.iqr import HessenbergMatrix, ShiftList, potential
+from hessqr.iqr import HessenbergMatrix, potential
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
 from hessqr.params import globals_with_degree
 from hessqr.ritz import optimal, regularize, ritz_or_decouple
@@ -34,16 +34,15 @@ def _test_globals(B, k, sigma, n):
 
 class TestRegularize:
     def test_zero_radius_identity(self, rng):
-        shifts = ShiftList((1.0 + 1j, -2.0))
-        out = regularize(shifts, 0.0, rng)
-        assert out.roots == shifts.roots
+        shifts = (1.0 + 1j, -2.0)
+        assert regularize(shifts, 0.0, rng) == shifts
 
     def test_support_bound(self):
         rng = np.random.default_rng(40)
-        base = ShiftList((0.5 + 0.5j,))
+        base = (0.5 + 0.5j,)
         for _ in range(10_000):
-            out = regularize(base, 0.1, rng)
-            assert abs(out.roots[0] - base.roots[0]) <= 0.1
+            (out,) = regularize(base, 0.1, rng)
+            assert abs(out - base[0]) <= 0.1
 
     def test_exclusion_probability(self):
         # fixed 4x4 with gap 1; shifts sitting exactly on eigenvalues is the
@@ -52,12 +51,12 @@ class TestRegularize:
         eigs = np.array([0.0, 1.0, 1.0j, 1.0 + 1.0j])
         eta2, k = 0.05, 2
         eta1 = 0.1 * eta2
-        shifts = ShiftList((eigs[0], eigs[1]))
+        shifts = (eigs[0], eigs[1])
         bad = 0
         trials = 10_000
         for _ in range(trials):
             out = regularize(shifts, eta2, rng)
-            d = min(abs(r - e) for r in out.roots for e in eigs)
+            d = min(abs(r - e) for r in out for e in eigs)
             if d < eta1:
                 bad += 1
         # bound k (eta1/eta2)^2 = 0.02, doubled for Monte-Carlo slack
@@ -70,7 +69,7 @@ class TestOptimal:
         for _ in range(10):
             h = random_hessenberg(rng, 8)
             gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 8)
-            ritz = ShiftList(tuple(complex(v) for v in ref_eigs(h.corner(4))))
+            ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
             assert optimal(h, ritz, gd)
             with mpmath.workprec(80):
                 assert optimal(h.to_extended(), ritz, gd)
@@ -80,7 +79,7 @@ class TestOptimal:
         h = random_hessenberg(rng, 6)
         norm = float(np.linalg.norm(h.a, 2))
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 6)
-        far = ShiftList((1e3 * norm,) * 4)
+        far = (1e3 * norm,) * 4
         assert not optimal(h, far, gd)
         with mpmath.workprec(80):
             assert not optimal(h.to_extended(), far, gd)
@@ -94,9 +93,7 @@ class TestOptimal:
             h = random_hessenberg(rng, n)
             gd = _test_globals(1.0, k, 2 * float(h.frobenius_norm()), n)
             spread = float(np.linalg.norm(h.a, 2))
-            shifts = ShiftList(
-                tuple(spread * (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * rng.uniform(0, 2))
-            )
+            shifts = tuple(spread * (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * rng.uniform(0, 2))
             lhs = float(dense_en_p_norm(h, shifts)) ** (1 / k)
             psi = potential(h, k)
             if 0.998 ** (1 / k) * gd.theta * psi <= lhs <= gd.theta * psi:
@@ -112,7 +109,7 @@ class TestOptimal:
         h = random_hessenberg(rng, 6)
         gd = _test_globals(1.0, 4, 4.0, 6)
         with pytest.raises(DimensionError):
-            optimal(h, ShiftList((1.0, 2.0)), gd)
+            optimal(h, (1.0, 2.0), gd)
 
 
 class TestRitzOrDecouple:
@@ -130,16 +127,16 @@ class TestRitzOrDecouple:
             omega = 1e-8
             if not h.is_unreduced(omega, k):
                 continue
-            out = ritz_or_decouple(h, omega, 0.05, OracleSolver(), rng, gd)
-            if not out.dec:
-                lhs = float(dense_en_p_norm(h, out.ritz_values)) ** (1 / k)
+            ritz, step = ritz_or_decouple(h, omega, 0.05, OracleSolver(), rng, gd)
+            assert len(ritz) == k
+            if step is None:
+                lhs = float(dense_en_p_norm(h, ritz)) ** (1 / k)
                 assert lhs <= gd.theta * potential(h, k) * (1 + 1e-9)
-                assert max(abs(r) for r in out.ritz_values.roots) <= 1.1 * float(
-                    np.linalg.norm(h.a, 2)
-                )
+                assert max(abs(r) for r in ritz) <= 1.1 * float(np.linalg.norm(h.a, 2))
                 successes += 1
             else:
-                assert min(out.next_h.bottom_subdiagonal_abs(k)) <= omega
+                assert step.branch == "decouple" and step.shift in ritz
+                assert min(step.next_h.bottom_subdiagonal_abs(k)) <= omega
         assert successes >= 15
 
     def test_regularized_values_stay_forward_close(self):
@@ -148,10 +145,10 @@ class TestRitzOrDecouple:
         h, _ = near_normal_hessenberg(rng, n, perturb=1e-3)
         gd = _test_globals(2.0, k, 2 * float(h.frobenius_norm()), n)
         omega = 1e-6
-        out = ritz_or_decouple(h, omega, 0.05, OracleSolver(), rng, gd)
+        ritz, _ = ritz_or_decouple(h, omega, 0.05, OracleSolver(), rng, gd)
         beta = omega**2 / (16 * 101 * gd.Sigma)
         corner_eigs = ref_eigs(h.corner(k))
-        for r in out.ritz_values.roots:
+        for r in ritz:
             assert min(abs(r - e) for e in corner_eigs) <= beta
 
     def test_decoupled_input_rejected(self):
@@ -188,14 +185,14 @@ class TestRitzOrDecouple:
         pert_ritz = ref_eigs(corner_pert)
         gd = _test_globals(1.0, k, 2 * float(h.frobenius_norm()), n)
 
-        assert optimal(h, ShiftList(tuple(ref_eigs(corner))), gd)
-        assert not optimal(h, ShiftList(tuple(pert_ritz)), gd)
+        assert optimal(h, tuple(ref_eigs(corner)), gd)
+        assert not optimal(h, tuple(pert_ritz), gd)
 
-        out = ritz_or_decouple(
+        ritz, step = ritz_or_decouple(
             h, 1e-6, 0.05, InjectSolver(pert_ritz), np.random.default_rng(5), gd
         )
-        assert out.dec
-        assert min(out.next_h.bottom_subdiagonal_abs(k)) <= 1e-6
+        assert step.branch == "decouple" and step.shift in ritz
+        assert min(step.next_h.bottom_subdiagonal_abs(k)) <= 1e-6
 
     def test_dichotomy_miss_surfaces(self):
         # inject wildly wrong Ritz values: not optimal, not decoupling
@@ -212,5 +209,6 @@ class TestRitzOrDecouple:
         rng = np.random.default_rng(51)
         h, _ = near_normal_hessenberg(rng, 10, perturb=1e-4)
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 10)
-        out = ritz_or_decouple(h, 1e-8, 0.05, CharPolySolver(), rng, gd)
-        assert out.dec in (True, False)
+        ritz, step = ritz_or_decouple(h, 1e-8, 0.05, CharPolySolver(), rng, gd)
+        assert len(ritz) == 4
+        assert step is None or step.branch == "decouple"

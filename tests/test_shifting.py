@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg, same_bits
-from hessqr.errors import DomainError, PreconditionError
+from hessqr.errors import DimensionError, DomainError, ParameterError, PreconditionError
 from hessqr import iqr, shifting
-from hessqr.iqr import HessenbergMatrix, ShiftList, iqr_multi, potential
+from hessqr.iqr import HessenbergMatrix, iqr_multi, potential
 from hessqr.oracle import (
     condition_report,
     promising_check,
     ref_eigs,
     resolvent_tau,
 )
-from hessqr.params import globals_with_degree
+from hessqr.params import REDUCTION_FACTOR, globals_with_degree
 from hessqr.shifting import (
     build_net,
     exc,
@@ -35,9 +35,9 @@ class TestFind:
             h = random_hessenberg(rng, 6)
             gd = _globals(1.0, 2, h)
             r1, r2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            got, _ = find(h, ShiftList((r1, r2)), gd)
-            t1 = float(resolvent_tau(h, ShiftList((r1,))))
-            t2 = float(resolvent_tau(h, ShiftList((r2,))))
+            got, _ = find(h, (r1, r2), gd)
+            t1 = float(resolvent_tau(h, (r1,)))
+            t2 = float(resolvent_tau(h, (r2,)))
             if abs(t1 - t2) <= 0.0022 * min(t1, t2):
                 continue  # inside the comparison slack; either answer fine
             assert got == (r1 if t1 < t2 else r2)
@@ -45,18 +45,18 @@ class TestFind:
     def test_symmetric_tie_takes_first_half(self, rng):
         h = random_hessenberg(rng, 6)
         gd = _globals(1.0, 4, h)
-        same = ShiftList((0.5 + 0.1j,) * 4)
+        same = (0.5 + 0.1j,) * 4
         r, half = find(h, same, gd)
         assert r == 0.5 + 0.1j
-        assert half.r_nn_per_step == iqr_multi(h, ShiftList.repeated(r, 2)).r_nn_per_step
+        assert half.r_nn_per_step == iqr_multi(h, (r,) * 2).r_nn_per_step
 
     def test_output_is_member(self):
         rng = np.random.default_rng(61)
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
-        ritz = ShiftList(tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        ritz = tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         r, half = find(h, ritz, gd)
-        assert r in ritz.roots
+        assert r in ritz
         assert len(half.r_nn_per_step) == 2
 
     def test_promising_certificate(self):
@@ -69,9 +69,9 @@ class TestFind:
             h, a = near_normal_hessenberg(rng, n, perturb=1e-3)
             rep = condition_report(a)
             gd = _globals(max(1.0, rep.kappa_v), k, h)
-            ritz = ShiftList(tuple(complex(v) for v in ref_eigs(h.corner(k))))
+            ritz = tuple(complex(v) for v in ref_eigs(h.corner(k)))
             eigs = ref_eigs(h.a)
-            if min(abs(r - e) for r in ritz.roots for e in eigs) < 1e-8:
+            if min(abs(r - e) for r in ritz for e in eigs) < 1e-8:
                 continue
             trials += 1
             r, _ = find(h, ritz, gd)
@@ -81,10 +81,13 @@ class TestFind:
         assert passed == trials
 
     def test_requires_power_of_two(self, rng):
+        # the degree is gd.k, which GlobalData holds to a power of two, and
+        # find takes exactly k values
         h = random_hessenberg(rng, 6)
-        gd = _globals(1.0, 4, h)
-        with pytest.raises(Exception):
-            find(h, ShiftList((1.0, 2.0, 3.0)), gd)
+        with pytest.raises(ParameterError):
+            _globals(1.0, 3, h)
+        with pytest.raises(DimensionError):
+            find(h, (1.0, 2.0, 3.0), _globals(1.0, 4, h))
 
 
 
@@ -96,7 +99,7 @@ class TestWinningHalfHandedOn:
     def _case(self, k, n):
         h, _ = near_normal_hessenberg(np.random.default_rng(70), n, perturb=1e-3)
         gd = _globals(1.0, k, h)
-        ritz = ShiftList(tuple(complex(v) for v in ref_eigs(h.corner(k))))
+        ritz = tuple(complex(v) for v in ref_eigs(h.corner(k)))
         return h, gd, ritz
 
     def test_half_is_the_sweep_of_r_to_the_k_over_2(self, k, n, monkeypatch):
@@ -109,7 +112,7 @@ class TestWinningHalfHandedOn:
         r, half = find(h, ritz, gd)
         # the earlier halving rounds still run on comp_tau, two per round
         assert len(tau_calls) == 2 * (int(math.log2(k)) - 1)
-        ref = iqr_multi(h, ShiftList.repeated(r, k // 2))
+        ref = iqr_multi(h, (r,) * (k // 2))
         assert same_bits(half.next_h.a, ref.next_h.a)
         assert half.r_nn_per_step == ref.r_nn_per_step
 
@@ -129,7 +132,7 @@ class TestWinningHalfHandedOn:
         assert out.branch == "ritz_shift"
         # k log2(k) sweeps in find, k/2 more to complete r^k
         assert sweeps[0] == k * int(math.log2(k)) + k // 2
-        full = iqr_multi(h, ShiftList.repeated(out.shift, k))
+        full = iqr_multi(h, (out.shift,) * k)
         assert same_bits(out.next_h.a, full.next_h.a)
         # the first log2 sh_step takes is that of tau_k
         assert logged[0] == math.prod(full.r_nn_per_step)
@@ -170,10 +173,9 @@ class TestExc:
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
         r = 0.2 + 0.1j
-        xi = 0.999 * (1 - gd.gamma)
-        cands = exc(h, r, 1e-9, xi, rng, gd)
-        r_hat, eps = exc_params(gd, xi, potential(h, 4))
-        assert all(abs(s - r) <= r_hat * (1 + 1e-12) for s in cands.roots)
+        cands = exc(h, r, 1e-9, rng, gd)
+        r_hat, eps = exc_params(gd, potential(h, 4))
+        assert all(abs(s - r) <= r_hat * (1 + 1e-12) for s in cands)
         # radius bound implied by the construction: 2^(1/k) (1.001) theta
         # alpha B^(1/k) psi (the printed bound drops the 2^(1/k) factor)
         assert r_hat <= 2 ** (1 / 4) * 1.001 * gd.theta * gd.alpha * gd.B ** (
@@ -184,16 +186,15 @@ class TestExc:
         rng = np.random.default_rng(65)
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
-        xi = 0.999 * (1 - gd.gamma)
-        cands = exc(h, 0.1, 1e-9, xi, rng, gd)
-        _, eps = exc_params(gd, xi, potential(h, 4))
-        assert cands.degree == len(build_net(eps))
-        assert cands.degree <= net_size_bound(eps)
+        cands = exc(h, 0.1, 1e-9, rng, gd)
+        _, eps = exc_params(gd, potential(h, 4))
+        assert len(cands) == len(build_net(eps))
+        assert len(cands) <= net_size_bound(eps)
 
     def test_epsilon_frozen_value(self):
         # line-2 expression at B=1, k=4, xi = 0.999(1-gamma)
         gd = globals_with_degree(1.0, 4, Gamma=1e-6, Sigma=1.0, n0=8)
-        _, eps = exc_params(gd, 0.999 * 0.8, 1.0)
+        _, eps = exc_params(gd, 1.0)
         assert eps == pytest.approx(0.17146896939336523, rel=1e-9)
 
     def test_spectrum_distance_tail(self):
@@ -208,15 +209,14 @@ class TestExc:
             eigs = ref_eigs(h.a)
             ritz = ref_eigs(h.corner(k))
             r = complex(ritz[0])
-            xi = 0.999 * (1 - gd.gamma)
             psi = potential(h, k)
             if psi == 0:
                 continue
             trials += 1
-            cands = exc(h, r, 1e-11, xi, rng, gd)
-            r_hat, eps = exc_params(gd, xi, psi)
+            cands = exc(h, r, 1e-11, rng, gd)
+            r_hat, eps = exc_params(gd, psi)
             eta = eps * r_hat * math.sqrt(phi) / math.sqrt(3 * n)
-            d = min(abs(s - e) for s in cands.roots for e in eigs)
+            d = min(abs(s - e) for s in cands for e in eigs)
             if d < eta:
                 failures += 1
         assert trials >= 250
@@ -228,7 +228,7 @@ class TestExc:
         h = HessenbergMatrix(a)
         gd = _globals(1.0, 4, h)
         with pytest.raises(PreconditionError):
-            exc(h, 0.0, 1e-9, 0.8, rng, gd)
+            exc(h, 0.0, 1e-9, rng, gd)
 
 
 class TestShStep:
@@ -239,15 +239,15 @@ class TestShStep:
         for _ in range(20):
             h, _ = near_normal_hessenberg(rng, 10, perturb=1e-3)
             gd = _globals(1.0, 4, h)
-            ritz = ShiftList(tuple(complex(v) for v in ref_eigs(h.corner(4))))
+            ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
             out = sh_step(h, ritz, 1e-9, 0.05, rng, gd)
             if out.branch == "ritz_shift":
                 hits += 1
                 assert (
-                    potential(out.next_h, 4) <= 1.002 * (1 - gd.gamma) * potential(h, 4)
+                    potential(out.next_h, 4) <= REDUCTION_FACTOR * potential(h, 4)
                     or not out.next_h.is_unreduced(1e-9, 4)
                 )
-                assert out.shift in ritz.roots
+                assert out.shift in ritz
         assert hits >= 10
 
     def test_decoupled_input_rejected(self, rng):
@@ -256,12 +256,12 @@ class TestShStep:
         h = HessenbergMatrix(a)
         gd = _globals(1.0, 4, h)
         with pytest.raises(PreconditionError):
-            sh_step(h, ShiftList((1.0,) * 4), 1e-9, 0.05, rng, gd)
+            sh_step(h, (1.0,) * 4, 1e-9, 0.05, rng, gd)
 
     def test_deterministic(self):
         h, _ = near_normal_hessenberg(np.random.default_rng(68), 10, perturb=1e-3)
         gd = _globals(1.0, 4, h)
-        ritz = ShiftList(tuple(complex(v) for v in ref_eigs(h.corner(4))))
+        ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
         a = sh_step(h, ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
         b = sh_step(h, ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
         assert a.branch == b.branch
@@ -276,7 +276,7 @@ class TestShStep:
             h, _ = near_normal_hessenberg(rng, 8, perturb=1e-3)
             gd = _globals(1.0, 4, h)
             norm = float(np.linalg.norm(h.a, 2))
-            decoy = ShiftList((norm * (3.0 + 1j),) * 4)
+            decoy = (norm * (3.0 + 1j),) * 4
             try:
                 out = sh_step(h, decoy, 1e-9, 0.05, rng, gd)
             except Exception:
@@ -284,7 +284,7 @@ class TestShStep:
             if out.branch == "exceptional":
                 found += 1
                 assert (
-                    potential(out.next_h, 4) < 1.002 * (1 - gd.gamma) * potential(h, 4)
+                    potential(out.next_h, 4) < REDUCTION_FACTOR * potential(h, 4)
                     or not out.next_h.is_unreduced(1e-9, 4)
                 )
         assert found >= 1
