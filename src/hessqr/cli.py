@@ -1,13 +1,14 @@
 """Command-line front end: solve and info subcommands.
 
-`solve` reads a Matrix Market file, runs the eigensolver, writes the
-eigenvalues as JSON and (optionally) the per-block potential trace as CSV,
-and prints a short summary.  `info` prints the seed and the parameters that
-`solve` with that seed would use, without solving; both take them from
-``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
-k, omega, N_dec and the required bits are derived.  All randomness flows
-from --seed; when absent a seed is drawn from the system entropy source
-and recorded in the outputs.
+`solve` reads a Matrix Market file through ``scipy.io.mmread`` (array or
+coordinate; real, integer, complex or pattern; any symmetry), runs the
+eigensolver, writes the eigenvalues as JSON and (optionally) the per-block
+potential trace as CSV, and prints a short summary.  `info` prints the seed
+and the parameters that `solve` with that seed would use, without solving;
+both take them from ``driver.prepare`` and the run plan of
+``driver.plan_run``, the one place k, omega, N_dec and the required bits
+are derived.  All randomness flows from --seed; when absent a seed is drawn
+from the system entropy source and recorded in the outputs.
 Exit codes: 0 success, 2 bad input or configuration, or a small eigensolve
 that could not certify its accuracy, 3 probabilistic failure that survived
 all retries or an iteration budget that ran out.
@@ -15,9 +16,12 @@ all retries or an iteration budget that ran out.
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .driver import SolveConfig, plan_run, prepare, solve
 from .errors import (
@@ -26,7 +30,6 @@ from .errors import (
     ParseError,
     SolveFailure,
 )
-from .mmio import read_matrix_market
 from .params import GAMMA
 
 EXIT_OK = 0
@@ -44,6 +47,30 @@ class RunReport:
     @property
     def eigenvalues(self):
         return [complex(e["re"], e["im"]) for e in self.document["eigenvalues"]]
+
+
+def read_matrix_market(path):
+    """The square matrix in a Matrix Market file, as complex128.
+
+    Malformed files raise ParseError, with scipy's 1-based line number when
+    it names one."""
+    import scipy.io  # here, not at the top: it adds resident memory to runs that read no file
+
+    try:
+        # The size comes first: mmread kills the interpreter (SIGFPE) on an
+        # array file of size 0 0, which mminfo reads safely.
+        rows, cols = scipy.io.mminfo(path)[:2]
+        m = scipy.io.mmread(path) if rows == cols >= 1 else None
+    except (ValueError, OverflowError) as exc:
+        found = re.match(r"Line (\d+): (.*)", str(exc), re.DOTALL)
+        msg, line = (found[2], int(found[1])) if found else (str(exc), None)
+        raise ParseError(msg, line) from exc
+    if m is None:
+        raise ParseError(f"matrix must be square and non-empty, got {rows}x{cols}")
+    a = np.asarray(m.toarray() if scipy.sparse.issparse(m) else m, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ParseError("matrix has non-finite entries")
+    return a
 
 
 def _json_document(result, config):
@@ -156,7 +183,8 @@ def _build_parser():
         ("info", "print derived run parameters without solving"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("input", help="Matrix Market file (array or coordinate)")
+        p.add_argument("input", help="Matrix Market file: array or coordinate; real, "
+                                      "integer, complex or pattern; any symmetry")
         p.add_argument("--delta", type=float, default=1e-6,
                        help="relative backward accuracy (default 1e-6)")
         p.add_argument("--phi", type=float, default=0.01,

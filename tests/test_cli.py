@@ -1,16 +1,27 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
-from hessqr.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_PROBABILISTIC, main, run
+from hessqr.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_OK,
+    EXIT_PROBABILISTIC,
+    main,
+    read_matrix_market,
+    run,
+)
 from hessqr.driver import SolveConfig
 from hessqr.errors import ParseError, SmallEigFailure
-from hessqr.mmio import read_matrix_market
 from hessqr.smalleig import CharPolySolver
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "fixture_n32.mtx")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _write(tmp_path, name, text):
@@ -92,6 +103,76 @@ class TestMatrixMarketReader:
         with pytest.raises(ParseError):
             read_matrix_market(path)
 
+    def test_skew_symmetric_array_stores_no_diagonal(self, tmp_path):
+        head = "%%MatrixMarket matrix array real skew-symmetric\n2 2\n"
+        a = read_matrix_market(_write(tmp_path, "m.mtx", head + "3\n"))
+        np.testing.assert_array_equal(a, np.array([[0, -3], [3, 0]], dtype=np.complex128))
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(_write(tmp_path, "diag.mtx", head + "0\n3\n0\n"))
+        assert err.value.line == 5
+
+    def test_integer_out_of_range(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix array integer general\n1 1\n123456789012345678901234\n",
+        )
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "header",
+        ["array real general\n0 0", "coordinate real general\n0 0 0"],
+        ids=["array", "coordinate"],
+    )
+    def test_empty_matrix_rejected(self, tmp_path, header):
+        path = _write(tmp_path, "m.mtx", f"%%MatrixMarket matrix {header}\n")
+        # In a child process: scipy's mmread kills the interpreter on an
+        # array file of size 0 0, so a reader that reaches it fails here.
+        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hessqr.cli", "solve", path],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+        assert proc.stderr == "error: matrix must be square and non-empty, got 0x0\n"
+
+    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
+    @pytest.mark.parametrize(
+        "field, symmetry",
+        [
+            (field, symmetry)
+            for field in ("real", "integer", "complex")
+            for symmetry in ("general", "symmetric", "hermitian", "skew-symmetric")
+            if symmetry != "hermitian" or field == "complex"
+        ],
+    )
+    def test_scipy_written_files_read_back_exactly(self, tmp_path, fmt, field, symmetry):
+        rng = np.random.default_rng(7)
+        if field == "integer":
+            m = rng.integers(-9, 10, size=(3, 3))
+        elif field == "real":
+            m = rng.standard_normal((3, 3))
+        else:
+            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = {
+            "general": m,
+            "symmetric": m + m.T,
+            "hermitian": m + m.conj().T,
+            "skew-symmetric": m - m.T,
+        }[symmetry]
+        path = str(tmp_path / "m.mtx")
+        written = m if fmt == "array" else scipy.sparse.coo_matrix(m)
+        scipy.io.mmwrite(path, written, field=field, symmetry=symmetry)
+        assert scipy.io.mminfo(path)[3:] == (fmt, field, symmetry)
+        a = read_matrix_market(path)
+        assert a.dtype == np.complex128
+        np.testing.assert_array_equal(a, m.astype(np.complex128))
+
 
 def _identity_mtx(tmp_path):
     return _write(
@@ -156,6 +237,11 @@ class TestMain:
         bad = _write(tmp_path, "bad.mtx", "%%MatrixMarket bogus\n")
         assert main(["solve", bad]) == EXIT_BAD_INPUT
         assert "line 1" in capsys.readouterr().err
+        bad_value = _write(
+            tmp_path, "value.mtx", "%%MatrixMarket matrix array real general\n1 1\nfoo\n"
+        )
+        assert main(["solve", bad_value]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: line 3:")
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.mtx")]) == EXIT_BAD_INPUT
