@@ -6,8 +6,10 @@ DIR (default: this checkout's ``.perfbench_out``) holds the files that
 ``perfbench/run.py`` writes, ``<workload>-seed<n>-trace<t>.json``.  For each
 workload the summary keeps every ``--trace 0`` run (its end-to-end metrics,
 ``failed``, ``correct`` and the times before perfbench's rescaling to
-nominal machine speed), the medians over them, and the per-layer metrics
-of the ``--trace 1`` run at seed 11.  With ``--baseline``, the same files of
+nominal machine speed), the medians over them, the medians of the rescaled
+times before rescaling (``unscaled_median``: perfbench's rescaling alone
+can move a reading by 10-15 %), and the per-layer metrics of the
+``--trace 1`` run at seed 11.  With ``--baseline``, the same files of
 another checkout (run at the same seeds, alternating with these) are paired
 with these by seed: for each end-to-end metric the summary gives both
 medians, the quartiles of the baseline runs, and how many pairs the change
@@ -55,7 +57,9 @@ def _trace0(docs, metrics):
         for seed, doc in sorted(docs.items())
     ]
     medians = {k: statistics.median(r[k] for r in rows) for k in metrics if all(k in r for r in rows)}
-    return {"runs": rows, "median": medians}
+    unscaled = {k: statistics.median(r["unscaled_s"][k] for r in rows)
+                for k in metrics if all(k in (r["unscaled_s"] or {}) for r in rows)}
+    return {"runs": rows, "median": medians, "unscaled_median": unscaled}
 
 
 def _pairs(change, baseline, metrics):

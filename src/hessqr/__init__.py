@@ -6,8 +6,9 @@ the potential), ritz (optimality / regularization / dichotomy), shifting
 (promising values and exceptional shifts), driver (recursion, deflation,
 preprocessing), smalleig (certified corner eigensolver), oracle (reference
 computations for tests), cli (command line).  Within one QR iteration the
-layers pass plain values: shifts are tuples of roots, and the step taken is
-one ``iqr.Step`` record (next iterate, branch, shift).
+layers pass plain values: the driver's L = log2 psi_k(H)^k for the iterate,
+shifts as tuples of roots, and the step taken as one ``iqr.Step`` record
+(next iterate, branch, shift).
 """
 
 from .driver import SolveConfig, SolveResult, preprocess, shifted_qr, solve

@@ -3,7 +3,11 @@
 Each Hessenberg block larger than the shift degree k runs a while loop that
 alternates the Ritz-or-decouple step with the potential-reduction step until a
 bottom-k subdiagonal falls below the working accuracy omega; the block is then
-deflated at every sub-threshold entry and the pieces recurse.  Blocks of
+deflated at every sub-threshold entry and the pieces recurse.  The loop's
+guard is the one check of the omega-unreduced precondition under which both
+steps are stated: the driver forms each iterate's bottom-k subdiagonal moduli
+once, for that guard and for L = log2 psi_k(H)^k, and passes L down to
+``ritz_or_decouple`` and ``sh_step``, which check neither again.  Blocks of
 dimension at most k go straight to the small eigenvalue solver.  Probabilistic
 failure events are retried a fixed number of times with fresh randomness
 before the run aborts.  Every block owns a deterministic random substream
@@ -34,7 +38,7 @@ from .errors import (
     SolveFailure,
     StructureError,
 )
-from .iqr import HessenbergMatrix, potential, split_blocks
+from .iqr import HessenbergMatrix, log2_potential_pow_k, split_blocks
 from .kernel import ldexp
 from .params import (
     GlobalData,
@@ -51,17 +55,16 @@ from .smalleig import DEFAULT_SOLVER, MP_LOCK
 MAX_RETRIES = 3
 
 
-def deflate(h, omega, k=None):
+def deflate(h, omega, k):
     """Zero the bottom-k subdiagonal entries at or below omega and split.
 
-    The zeroing span matches the while-loop guard (bottom k entries; all n-1
-    when k is omitted).  Splits also happen at subdiagonal entries that are
-    already exact zeros anywhere.  Blocks come back in top-to-bottom order; a
-    matrix with nothing at or below omega returns as a single block."""
+    The zeroing span matches the while-loop guard (the bottom min(k, n-1)
+    entries).  Splits also happen at subdiagonal entries that are already
+    exact zeros anywhere.  Blocks come back in top-to-bottom order; a matrix
+    with nothing at or below omega returns as a single block."""
     a = h.a.copy()
     n = h.n
-    k_span = n - 1 if k is None else min(k, n - 1)
-    for i in range(n - 1 - k_span, n - 1):
+    for i in range(n - 1 - min(k, n - 1), n - 1):
         if abs(a[i + 1, i]) <= omega:
             a[i + 1, i] = 0
     return [
@@ -130,25 +133,29 @@ def _process_block(node, h, plan, seed):
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=node.path))
     omega, phi_w = params.omega, params.phi_working
-    iteration, psi = 0, potential(h, k)
-    while h.is_unreduced(omega, k):
+    moduli = h.bottom_subdiagonal_abs(k)
+    log2_psi_pow_k = log2_potential_pow_k(moduli)
+    iteration, psi = 0, 2.0 ** (log2_psi_pow_k / k)
+    while all(v > omega for v in moduli):
         iteration += 1
         if iteration > params.n_dec_budget:
             raise BudgetExceeded(
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
         (ritz, step), retries = _retry(
-            lambda: ritz_or_decouple(h, omega, phi_w, DEFAULT_SOLVER, rng, gd),
+            lambda: ritz_or_decouple(h, log2_psi_pow_k, omega, phi_w, DEFAULT_SOLVER, rng, gd),
             "ritz_or_decouple",
             node,
         )
         if step is None:
             step, retries_sh = _retry(
-                lambda: sh_step(h, ritz, omega, phi_w, rng, gd), "sh_step", node
+                lambda: sh_step(h, log2_psi_pow_k, ritz, omega, phi_w, rng, gd), "sh_step", node
             )
             retries += retries_sh
         h = step.next_h
-        psi_before, psi = psi, potential(h, k)
+        moduli = h.bottom_subdiagonal_abs(k)
+        log2_psi_pow_k = log2_potential_pow_k(moduli)
+        psi_before, psi = psi, 2.0 ** (log2_psi_pow_k / k)
         node.trace.append(
             IterationRecord(
                 index=iteration,
@@ -248,14 +255,12 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     )
 
 
-def preprocess(a, delta, rng, B=None, Gamma=None):
-    """Arbitrary square matrix -> (Hessenberg form, GlobalData, delta_pre).
+def preprocess(a, delta, rng):
+    """Arbitrary square matrix -> (Hessenberg form, delta_pre).
 
     Adds an iid complex Gaussian perturbation scaled to spectral norm
-    delta*||A||/2 (norm measured, then scaled), reduces by Householder
-    reflectors, and sets Sigma = 2||H||_F.  B and Gamma default to
-    the perturbation-scale heuristic of ``params.default_bounds`` with scale
-    delta_pre = delta*||A||/2, both overridable."""
+    delta_pre = delta*||A||/2 (norm measured, then scaled) and reduces by
+    Householder reflectors."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -279,11 +284,7 @@ def preprocess(a, delta, rng, B=None, Gamma=None):
         hess, _tau, info = scipy.linalg.lapack.zgehrd(a)
         if info != 0:
             raise StructureError(f"Hessenberg reduction failed (info={info})")
-    h = HessenbergMatrix(np.triu(hess, -1), validate=False)
-
-    sigma = 2.0 * h.frobenius_norm()
-    B, Gamma = default_bounds(n, delta_pre, B, Gamma)
-    return h, derive_globals(B, Gamma, sigma, n), delta_pre
+    return HessenbergMatrix(np.triu(hess, -1), validate=False), delta_pre
 
 
 @dataclass
@@ -305,10 +306,10 @@ def prepare(a, config):
     The seed is drawn from the system entropy source when the config has
     none.  With preprocessing on, ``preprocess`` perturbs and reduces the
     input (its randomness derived from the seed), and delta is the absolute
-    accuracy delta*||A||_2/2.  Without it, the input must already be upper
-    Hessenberg, delta is delta*||H||_F, B and Gamma default to the
-    ``params.default_bounds`` heuristic with scale delta/2.  Sigma is
-    2||H||_F either way.  ``solve`` runs on exactly this, and ``hessqr info``
+    accuracy delta_pre = delta*||A||_2/2.  Without it, the input must
+    already be upper Hessenberg, and delta is delta*||H||_F.  Sigma is
+    2||H||_F, and B and Gamma default to ``params.default_bounds`` at scale
+    delta_pre or delta/2.  ``solve`` runs on exactly this, and ``hessqr info``
     prints it."""
     seed = config.seed
     if seed is None:
@@ -316,15 +317,16 @@ def prepare(a, config):
     tiny = np.finfo(float).tiny
     if config.preprocess:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))
-        h, gd, delta_pre = preprocess(a, config.delta, rng, B=config.B, Gamma=config.Gamma)
-        delta = max(delta_pre, tiny)
+        h, scale = preprocess(a, config.delta, rng)
+        norm_h = float(h.frobenius_norm())
+        delta = max(scale, tiny)
     else:
         h = a if isinstance(a, HessenbergMatrix) else HessenbergMatrix(a)
         norm_h = float(h.frobenius_norm())
         delta = max(config.delta * norm_h, tiny)
-        B, Gamma = default_bounds(h.n, delta / 2.0, config.B, config.Gamma)
-        gd = derive_globals(B, Gamma, 2.0 * norm_h, h.n)
-    return h, gd, delta, seed
+        scale = delta / 2.0
+    B, Gamma = default_bounds(h.n, scale, config.B, config.Gamma)
+    return h, derive_globals(B, Gamma, 2.0 * norm_h, h.n), delta, seed
 
 
 def solve(a, config=None):

@@ -28,10 +28,6 @@ class StructureError(HessqrError, ValueError):
     """A matrix is not upper Hessenberg (or carries non-finite entries)."""
 
 
-class PreconditionError(HessqrError, ValueError):
-    """A documented caller-side precondition does not hold."""
-
-
 class SingularityError(HessqrError, ArithmeticError):
     """A linear system is singular at the working precision."""
 

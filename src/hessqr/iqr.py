@@ -256,19 +256,20 @@ def comp_tau(h, shifts):
     return math.prod(iqr_multi(h, shifts).r_nn_per_step)
 
 
-def log2_potential_pow_k(h, k):
-    """log2 psi_k(H)^k: the sum of log2 of the bottom k subdiagonal moduli.
+def log2_potential_pow_k(moduli):
+    """log2 psi_k(H)^k: the sum of log2 of the bottom k subdiagonal moduli,
+    ``moduli = h.bottom_subdiagonal_abs(k)``.
 
     math.fsum adds the logarithms with one rounding, so the error is that of
     the k logarithms, about u log2(psi^k) absolute; -inf when one modulus is
-    zero (or, on mpmath input, below the binary64 range).  Needs n > k."""
-    return math.fsum(log2(v) for v in h.bottom_subdiagonal_abs(k))
+    zero (or, on mpmath input, below the binary64 range)."""
+    return math.fsum(log2(v) for v in moduli)
 
 
 def potential(h, k):
-    """psi_k(H) = 2^(L/k) with L = log2 psi_k(H)^k, as a float.
+    """psi_k(H) = 2^(L/k) with L = log2 psi_k(H)^k, as a float; needs n > k.
 
-    The driver calls it on the normalized matrix (||H|| < 1, see
+    The iteration forms psi on the normalized matrix (||H|| < 1, see
     ``driver.shifted_qr``), where the relative error is a small multiple of
     u log2(1/psi), far inside the 1 - 0.999^(1/k) budget of the analysis."""
-    return 2.0 ** (log2_potential_pow_k(h, k) / k)
+    return 2.0 ** (log2_potential_pow_k(h.bottom_subdiagonal_abs(k)) / k)

@@ -16,8 +16,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DichotomyMiss, DimensionError, ParameterError, PreconditionError
-from .iqr import Step, iqr_multi, log2_potential_pow_k
+from .errors import DichotomyMiss, DimensionError, ParameterError
+from .iqr import Step, iqr_multi
 from .kernel import log2, norm, sample_disk
 from .params import regularization_scales
 
@@ -43,11 +43,12 @@ def regularize(r_list, eta2, rng):
     return tuple(r + sample_disk(0.0, eta2, rng) for r in r_list)
 
 
-def optimal(h, shifts, gd):
+def optimal(h, log2_psi_pow_k, shifts, gd):
     """One-sided theta-optimality certificate.
 
     True guarantees the shifts are theta-optimal; False guarantees they are
-    not (0.998^(1/k) theta)-optimal.  Computes v_(j+1) = fl((H - s_(j+1))* v_j)
+    not (0.998^(1/k) theta)-optimal.  log2_psi_pow_k is L = log2 psi_k(H)^k
+    as the driver formed it for h.  Computes v_(j+1) = fl((H - s_(j+1))* v_j)
     from v_0 = e_n, using that v_j lives on the last j+1 coordinates."""
     k = gd.k
     if len(shifts) != k:
@@ -69,28 +70,26 @@ def optimal(h, shifts, gd):
         v = out
         lo = lo_new
     # not optimal when ||v|| >= 0.999 theta^k psi_k(H)^k (compared in log2)
-    bound = math.log2(0.999) + k * math.log2(gd.theta) + log2_potential_pow_k(h, k)
+    bound = math.log2(0.999) + k * math.log2(gd.theta) + log2_psi_pow_k
     return not (log2(norm(v[lo:])) >= bound)
 
 
-def ritz_or_decouple(h, omega, phi, solver, rng, gd):
+def ritz_or_decouple(h, log2_psi_pow_k, omega, phi, solver, rng, gd):
     """Regularized corner eigenvalues: either theta-optimal or decoupling.
 
-    Needs an omega-unreduced H with ||H|| <= Sigma, gap(H) >= 2 omega^2/Sigma,
-    and k/phi >= 2.  Returns (ritz, step): the regularized Ritz values, and
-    None when they are theta-optimal, or else the "decouple" Step of the
-    first value whose degree-k step collapsed some bottom-k subdiagonal below
-    omega.  The probability-phi failure event surfaces as DichotomyMiss."""
+    Stated for an omega-unreduced H with ||H|| <= Sigma, gap(H) >= 2
+    omega^2/Sigma and k/phi >= 2.  The driver's loop guard establishes the
+    first and hands down L = log2 psi_k(H)^k, formed for that guard, as
+    log2_psi_pow_k; the run's phi_w is below 1/300 whenever n > k >= 2
+    (``params.derive_run_params``).  Returns (ritz, step): the regularized
+    Ritz values, and None when they are theta-optimal, or else the
+    "decouple" Step of the first value whose degree-k step collapsed some
+    bottom-k subdiagonal below omega.  The probability-phi failure event
+    surfaces as DichotomyMiss."""
     k = gd.k
     n = h.n
     if n <= k:
         raise DimensionError(f"ritz_or_decouple needs n > k, got n={n}")
-    if k / phi < 2.0:
-        raise PreconditionError(f"need k/phi >= 2, got k={k}, phi={phi!r}")
-    if not h.is_unreduced(omega, k):
-        raise PreconditionError(
-            "input has a bottom-k subdiagonal at or below omega; deflate first"
-        )
     beta, eta2 = regularization_scales(omega, gd.Sigma)
     corner = h.corner(k)
     ritz = solver.solve(corner, beta / 2.0)
@@ -99,7 +98,7 @@ def ritz_or_decouple(h, omega, phi, solver, rng, gd):
             f"small solver returned {len(ritz)} values for a {k}x{k} corner"
         )
     ritz = regularize(ritz, eta2, rng)
-    if optimal(h, ritz, gd):
+    if optimal(h, log2_psi_pow_k, ritz, gd):
         return ritz, None
     for rv in ritz:
         res = iqr_multi(h, (rv,) * k)

@@ -14,8 +14,8 @@ gamma and the net parameter xi are the constants of ``params``.
 import math
 from functools import lru_cache
 
-from .errors import DimensionError, DomainError, PreconditionError, StagnationFailure
-from .iqr import Step, comp_tau, iqr_multi, log2_potential_pow_k, potential
+from .errors import DimensionError, DomainError, StagnationFailure
+from .iqr import Step, comp_tau, iqr_multi, potential
 from .kernel import log2, sample_disk
 from .params import GAMMA, REDUCTION_FACTOR, exc_epsilon
 
@@ -26,12 +26,11 @@ def find(h, ritz, gd):
 
     log2(k) halving rounds; round j keeps the half R_b whose polynomial
     p_(j,b)^(2^(j-1)) (degree k/2) has the smaller tau product.  Ties keep
-    the index-0 half."""
+    the index-0 half.  psi_k(H) > 0 holds on h because the driver's loop
+    guard found every bottom-k subdiagonal above omega."""
     k = gd.k
     if len(ritz) != k:
         raise DimensionError(f"find needs degree k={k}, got {len(ritz)}")
-    if min(h.bottom_subdiagonal_abs(k)) == 0:
-        raise PreconditionError("find needs psi_k(H) > 0")
     current = list(ritz)
     for j in range(1, k.bit_length() - 1):
         half = len(current) // 2
@@ -90,18 +89,15 @@ def exc_params(gd, psi_hat):
     return r_hat, exc_epsilon(k, gd.alpha, gd.theta, gd.B)
 
 
-def exc(h, r, omega, rng, gd):
+def exc(r, psi, rng, gd):
     """Exceptional-shift candidates around a stagnating promising value.
 
-    Scales and translates the cached net to D(r, R_hat) with a uniform random
+    psi is psi_k(H) of the omega-unreduced H that ``sh_step`` holds.  Scales
+    and translates the cached net to D(r, R_hat) with a uniform random
     offset of radius eps * R_hat; points pushed outside the disk are projected
     radially back onto its boundary.  With high probability some candidate
     decouples or contracts the potential (``sh_step`` reports a failure)."""
-    k = gd.k
-    if not h.is_unreduced(omega, k):
-        raise PreconditionError("exc needs an omega-unreduced matrix")
-    psi_hat = potential(h, k)
-    r_hat, epsilon = exc_params(gd, psi_hat)
+    r_hat, epsilon = exc_params(gd, psi)
     net = build_net(epsilon)
     w = sample_disk(0.0, epsilon * r_hat, rng)
     r = complex(r)
@@ -115,29 +111,31 @@ def exc(h, r, omega, rng, gd):
     return tuple(out)
 
 
-def sh_step(h, ritz, omega, phi, rng, gd):
+def sh_step(h, log2_psi_pow_k, ritz, omega, phi, rng, gd):
     """One potential-reduction step of the degree-k shifting strategy.
 
-    Returns the Step of the branch that fired: "ritz_shift" when the
-    promising Ritz value r already contracts the tau product, or else
-    "exceptional" with the first candidate of the exceptional-shift scan, in
-    net order, that decouples or lands below 1.002 (1 - gamma) psi_k(H).  The
-    probability-phi failure surfaces as StagnationFailure.  tau_k multiplies
-    the r_nn values of ``find``'s half r^(k/2) and of the other k/2 sweeps."""
+    h is omega-unreduced (the driver's loop guard checked it), and its
+    L = log2 psi_k(H)^k comes as log2_psi_pow_k; psi_k(H) = 2^(L/k) is
+    formed once, for the exceptional target and ``exc``.  Returns the Step
+    of the branch that fired: "ritz_shift" when the promising Ritz value r
+    already contracts the tau product, or else "exceptional" with the first
+    candidate of the exceptional-shift scan, in net order, that decouples or
+    lands below 1.002 (1 - gamma) psi_k(H).  The probability-phi failure
+    surfaces as StagnationFailure.  tau_k multiplies the r_nn values of
+    ``find``'s half r^(k/2) and of the other k/2 sweeps."""
     k = gd.k
-    if not h.is_unreduced(omega, k):
-        raise PreconditionError("sh_step needs an omega-unreduced matrix")
     r, half = find(h, ritz, gd)
 
     # complete r^k: tau_k (as ``comp_tau`` forms it) and the next iterate
     rest = iqr_multi(half.next_h, (r,) * (k // 2))
     tau_k = math.prod(half.r_nn_per_step + rest.r_nn_per_step)
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
-    if log2(tau_k) < k * math.log2(1.0 - GAMMA) + log2_potential_pow_k(h, k):
+    if log2(tau_k) < k * math.log2(1.0 - GAMMA) + log2_psi_pow_k:
         return Step(rest.next_h, "ritz_shift", r)
 
-    candidates = exc(h, r, omega, rng, gd)
-    target = REDUCTION_FACTOR * potential(h, k)
+    psi = 2.0 ** (log2_psi_pow_k / k)
+    candidates = exc(r, psi, rng, gd)
+    target = REDUCTION_FACTOR * psi
     for s in candidates:
         res = iqr_multi(h, (s,) * k)
         if potential(res.next_h, k) < target or not res.next_h.is_unreduced(omega, k):

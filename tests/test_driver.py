@@ -1,3 +1,5 @@
+from collections import Counter
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,11 +7,11 @@ from conftest import hard_matrices, near_normal_hessenberg, random_hessenberg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hessqr import driver, iqr
+from hessqr import driver, iqr, ritz, shifting
 from hessqr.driver import (
     SolveConfig,
     deflate,
-    preprocess,
+    prepare,
     shifted_qr,
     solve,
 )
@@ -33,7 +35,7 @@ class TestDeflate:
     def test_exact_zero_splits(self):
         a = np.triu(np.ones((6, 6), dtype=complex), -1)
         a[3, 2] = 0.0
-        blocks = deflate(HessenbergMatrix(a), 1e-12)
+        blocks = deflate(HessenbergMatrix(a), 1e-12, k=5)
         assert [b.n for b in blocks] == [3, 3]
 
     def test_threshold_split_bottom_span(self):
@@ -53,7 +55,7 @@ class TestDeflate:
 
     def test_noop_returns_single_block(self):
         a = np.triu(np.ones((4, 4), dtype=complex), -1)
-        blocks = deflate(HessenbergMatrix(a), 1e-12)
+        blocks = deflate(HessenbergMatrix(a), 1e-12, k=3)
         assert len(blocks) == 1 and blocks[0].n == 4
 
     def test_blocks_own_their_arrays(self):
@@ -61,7 +63,7 @@ class TestDeflate:
         a = np.triu(np.ones((6, 6), dtype=complex), -1)
         a[3, 2] = 0.0
         h = HessenbergMatrix(a)
-        for blk in deflate(h, 1e-12):
+        for blk in deflate(h, 1e-12, k=5):
             assert blk.a.base is None and not np.shares_memory(blk.a, h.a)
 
     def test_spectra_union_exact(self):
@@ -70,7 +72,7 @@ class TestDeflate:
         a = h.a.copy()
         a[5, 4] = 1e-14
         h = HessenbergMatrix(a)
-        blocks = deflate(h, 1e-12)
+        blocks = deflate(h, 1e-12, k=7)
         zeroed = a.copy()
         zeroed[5, 4] = 0.0
         whole = ref_eigs(zeroed)
@@ -158,6 +160,64 @@ class TestShiftedQr:
         )
 
 
+class TestLoopGuardChecksOnce:
+    """The driver's loop guard is the one check of the omega-unreduced
+    precondition: each iterate's bottom-k moduli are formed for it and for
+    L = log2 psi_k(H)^k, and the layers below take L instead of measuring
+    the H they were handed again."""
+
+    LAYERS = (
+        (driver, "ritz_or_decouple"),
+        (driver, "sh_step"),
+        (ritz, "optimal"),
+        (shifting, "find"),
+        (shifting, "exc"),
+    )
+
+    def test_moduli_formed_once_per_iterate(self, monkeypatch):
+        # the 32 x 32 cyclic shift at k = 8 takes all three branches
+        a = np.eye(32, k=-1, dtype=complex)
+        a[0, 31] = 1.0
+        h = HessenbergMatrix(a)
+        gd = globals_with_degree(1.0, 8, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        active, by_driver, on_handed = [], [], []
+        bottom = HessenbergMatrix.bottom_subdiagonal_abs
+
+        def recording(m, k):
+            if not active:
+                by_driver.append(m)
+            elif any(m is held for held in active):
+                on_handed.append(m)
+            return bottom(m, k)
+
+        def layer(fn):
+            # active holds the matrix each running layer was handed (exc
+            # is handed none)
+            def wrapper(*args):
+                active.append(args[0])
+                try:
+                    return fn(*args)
+                finally:
+                    active.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(HessenbergMatrix, "bottom_subdiagonal_abs", recording)
+        for owner, name in self.LAYERS:
+            monkeypatch.setattr(owner, name, layer(getattr(owner, name)))
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=11)
+        monkeypatch.undo()
+
+        loops = [node for node in res.tree.nodes.values() if node.eigenvalues is None]
+        branches = Counter(rec.branch for node in loops for rec in node.trace)
+        assert set(branches) == {"ritz_shift", "decouple", "exceptional"}
+        iterates = sum(len(node.trace) + 1 for node in loops)
+        assert len(by_driver) <= 2 * iterates
+        assert max(Counter(map(id, by_driver)).values()) <= 2
+        # inside the layers, only candidate next iterates are measured
+        assert on_handed == []
+
+
 class TestScaleEquivariance:
     """The iteration is homogeneous in H: scaling H, Sigma, Gamma and delta by
     2^e scales every eigenvalue, psi and shift by 2^e and changes nothing
@@ -215,17 +275,20 @@ class TestScaleEquivariance:
 
 
 class TestPreprocess:
+    """Preprocessing as ``prepare`` runs it: perturbation, Hessenberg
+    reduction and the bounds derived from the result."""
+
     def test_hessenberg_output_structure(self):
         rng = np.random.default_rng(76)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        h, gd, _ = preprocess(a, 1e-6, np.random.default_rng(1))
+        h, _, _, _ = prepare(a, SolveConfig(seed=1))
         for i in range(2, 9):
             assert not h.a[i, : i - 1].any()
 
     def test_zero_delta_identity_on_hessenberg(self):
         rng = np.random.default_rng(77)
         a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1)
-        h, gd, _ = preprocess(a, 0.0, np.random.default_rng(1), B=1.0, Gamma=1e-4)
+        h, _, _, _ = prepare(a, SolveConfig(seed=1, delta=0.0, B=1.0, Gamma=1e-4))
         u = 2.0**-52
         assert np.linalg.norm(h.a - a, 2) <= 64 * u * np.linalg.norm(a, 2)
 
@@ -234,7 +297,7 @@ class TestPreprocess:
         n, delta = 16, 1e-6
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rep = condition_report(a)
-        h, gd, _ = preprocess(a, delta, np.random.default_rng(2))
+        h, _, _, _ = prepare(a, SolveConfig(seed=2, delta=delta))
         drift = matched_distance(ref_eigs(h.a), ref_eigs(a))
         u = 2.0**-52
         assert drift <= (delta / 2 + 16 * n * u) * rep.norm * rep.kappa_v * 1.2
@@ -242,16 +305,17 @@ class TestPreprocess:
     def test_heuristic_bounds(self):
         rng = np.random.default_rng(79)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h, gd, _ = preprocess(a, 1e-4, np.random.default_rng(3))
+        h, gd, delta, _ = prepare(a, SolveConfig(seed=3, delta=1e-4))
         norm_a = np.linalg.norm(a, 2)
         delta_pre = 1e-4 * norm_a / 2
+        assert delta == pytest.approx(delta_pre)
         assert gd.B == pytest.approx(6 / delta_pre)
         assert gd.Gamma == pytest.approx((delta_pre / 6) ** 2)
         assert gd.Sigma == pytest.approx(2 * np.linalg.norm(h.a))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionError):
-            preprocess(np.ones((3, 4)), 1e-6, np.random.default_rng(0))
+            prepare(np.ones((3, 4)), SolveConfig(seed=0))
 
     def test_prepare_measures_the_input_norm_once(self, monkeypatch):
         # preprocess hands back delta_pre = delta ||A||_2 / 2, and prepare
@@ -265,7 +329,7 @@ class TestPreprocess:
             return norm(x, ord, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counting)
-        _, _, delta, _ = driver.prepare(a, SolveConfig(seed=4, delta=1e-5))
+        _, _, delta, _ = prepare(a, SolveConfig(seed=4, delta=1e-5))
         monkeypatch.undo()
         assert sum(calls) == 1
         assert delta == 1e-5 * float(np.linalg.norm(a, 2)) / 2.0

@@ -391,7 +391,7 @@ class TestPotential:
             a[i + 1, i] = v
         psi = potential(HessenbergMatrix(a), 4)
         assert psi == pytest.approx(10 ** (-155), rel=1e-3)
-        log2_psi_k = log2_potential_pow_k(HessenbergMatrix(a), 4)
+        log2_psi_k = log2_potential_pow_k(HessenbergMatrix(a).bottom_subdiagonal_abs(4))
         assert log2_psi_k == pytest.approx(-620 * math.log2(10), rel=1e-14)
         assert 2.0**log2_psi_k == 0  # the raw product underflows floats
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg
-from hessqr.errors import DichotomyMiss, DimensionError, PreconditionError
-from hessqr.iqr import HessenbergMatrix, potential
+from hessqr.errors import DichotomyMiss, DimensionError
+from hessqr.iqr import HessenbergMatrix, log2_potential_pow_k, potential
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
 from hessqr.params import globals_with_degree
 from hessqr.ritz import optimal, regularize, ritz_or_decouple
@@ -30,6 +30,11 @@ class InjectSolver:
 
 def _test_globals(B, k, sigma, n):
     return globals_with_degree(B, k, Gamma=1e-6, Sigma=sigma, n0=n)
+
+
+def _lpk(h, k):
+    """L = log2 psi_k(H)^k, as the driver hands it down."""
+    return log2_potential_pow_k(h.bottom_subdiagonal_abs(k))
 
 
 class TestRegularize:
@@ -70,9 +75,10 @@ class TestOptimal:
             h = random_hessenberg(rng, 8)
             gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 8)
             ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
-            assert optimal(h, ritz, gd)
+            assert optimal(h, _lpk(h, 4), ritz, gd)
             with mpmath.workprec(80):
-                assert optimal(h.to_extended(), ritz, gd)
+                hx = h.to_extended()
+                assert optimal(hx, _lpk(hx, 4), ritz, gd)
 
     def test_far_shifts_not_optimal(self):
         rng = np.random.default_rng(43)
@@ -80,9 +86,10 @@ class TestOptimal:
         norm = float(np.linalg.norm(h.a, 2))
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 6)
         far = (1e3 * norm,) * 4
-        assert not optimal(h, far, gd)
+        assert not optimal(h, _lpk(h, 4), far, gd)
         with mpmath.workprec(80):
-            assert not optimal(h.to_extended(), far, gd)
+            hx = h.to_extended()
+            assert not optimal(hx, _lpk(hx, 4), far, gd)
 
     def test_agrees_with_dense_oracle(self):
         # outside the comparison margin band the flag matches the oracle
@@ -100,7 +107,7 @@ class TestOptimal:
                 continue  # inside the two-sided margin band
             total += 1
             expect = lhs <= gd.theta * psi
-            if optimal(h, shifts, gd) == expect:
+            if optimal(h, _lpk(h, k), shifts, gd) == expect:
                 agree += 1
         assert agree == total
 
@@ -109,7 +116,7 @@ class TestOptimal:
         h = random_hessenberg(rng, 6)
         gd = _test_globals(1.0, 4, 4.0, 6)
         with pytest.raises(DimensionError):
-            optimal(h, (1.0, 2.0), gd)
+            optimal(h, _lpk(h, 4), (1.0, 2.0), gd)
 
 
 class TestRitzOrDecouple:
@@ -127,7 +134,7 @@ class TestRitzOrDecouple:
             omega = 1e-8
             if not h.is_unreduced(omega, k):
                 continue
-            ritz, step = ritz_or_decouple(h, omega, 0.05, OracleSolver(), rng, gd)
+            ritz, step = ritz_or_decouple(h, _lpk(h, k), omega, 0.05, OracleSolver(), rng, gd)
             assert len(ritz) == k
             if step is None:
                 lhs = float(dense_en_p_norm(h, ritz)) ** (1 / k)
@@ -145,28 +152,18 @@ class TestRitzOrDecouple:
         h, _ = near_normal_hessenberg(rng, n, perturb=1e-3)
         gd = _test_globals(2.0, k, 2 * float(h.frobenius_norm()), n)
         omega = 1e-6
-        ritz, _ = ritz_or_decouple(h, omega, 0.05, OracleSolver(), rng, gd)
+        ritz, _ = ritz_or_decouple(h, _lpk(h, k), omega, 0.05, OracleSolver(), rng, gd)
         beta = omega**2 / (16 * 101 * gd.Sigma)
         corner_eigs = ref_eigs(h.corner(k))
         for r in ritz:
             assert min(abs(r - e) for e in corner_eigs) <= beta
-
-    def test_decoupled_input_rejected(self):
-        rng = np.random.default_rng(48)
-        h = random_hessenberg(rng, 8)
-        a = h.a.copy()
-        a[7, 6] = 1e-12
-        h = HessenbergMatrix(a)
-        gd = _test_globals(1.0, 2, 4.0, 8)
-        with pytest.raises(PreconditionError):
-            ritz_or_decouple(h, 1e-6, 0.05, OracleSolver(), np.random.default_rng(0), gd)
 
     def test_dimension_guard(self):
         rng = np.random.default_rng(49)
         h = random_hessenberg(rng, 4)
         gd = _test_globals(1.0, 4, 4.0, 4)
         with pytest.raises(DimensionError):
-            ritz_or_decouple(h, 1e-9, 0.05, OracleSolver(), rng, gd)
+            ritz_or_decouple(h, 0.0, 1e-9, 0.05, OracleSolver(), rng, gd)
 
     def test_toeplitz_backward_perturbation_decouples(self):
         # superdiag 1, subdiag delta, corner T(1,n)=1: a backward corner
@@ -185,11 +182,11 @@ class TestRitzOrDecouple:
         pert_ritz = ref_eigs(corner_pert)
         gd = _test_globals(1.0, k, 2 * float(h.frobenius_norm()), n)
 
-        assert optimal(h, tuple(ref_eigs(corner)), gd)
-        assert not optimal(h, tuple(pert_ritz), gd)
+        assert optimal(h, _lpk(h, k), tuple(ref_eigs(corner)), gd)
+        assert not optimal(h, _lpk(h, k), tuple(pert_ritz), gd)
 
         ritz, step = ritz_or_decouple(
-            h, 1e-6, 0.05, InjectSolver(pert_ritz), np.random.default_rng(5), gd
+            h, _lpk(h, k), 1e-6, 0.05, InjectSolver(pert_ritz), np.random.default_rng(5), gd
         )
         assert step.branch == "decouple" and step.shift in ritz
         assert min(step.next_h.bottom_subdiagonal_abs(k)) <= 1e-6
@@ -202,13 +199,13 @@ class TestRitzOrDecouple:
         norm = float(np.linalg.norm(h.a, 2))
         with pytest.raises(DichotomyMiss):
             ritz_or_decouple(
-                h, 1e-9, 0.05, InjectSolver([37 * norm, -41j * norm]), rng, gd
+                h, _lpk(h, 2), 1e-9, 0.05, InjectSolver([37 * norm, -41j * norm]), rng, gd
             )
 
     def test_default_solver_integration(self):
         rng = np.random.default_rng(51)
         h, _ = near_normal_hessenberg(rng, 10, perturb=1e-4)
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 10)
-        ritz, step = ritz_or_decouple(h, 1e-8, 0.05, CharPolySolver(), rng, gd)
+        ritz, step = ritz_or_decouple(h, _lpk(h, 4), 1e-8, 0.05, CharPolySolver(), rng, gd)
         assert len(ritz) == 4
         assert step is None or step.branch == "decouple"

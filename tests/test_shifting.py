@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg, same_bits
-from hessqr.errors import DimensionError, DomainError, ParameterError, PreconditionError
+from hessqr.errors import DimensionError, DomainError, ParameterError
 from hessqr import iqr, shifting
-from hessqr.iqr import HessenbergMatrix, iqr_multi, potential
+from hessqr.iqr import iqr_multi, log2_potential_pow_k, potential
 from hessqr.oracle import (
     condition_report,
     promising_check,
@@ -26,6 +26,11 @@ from hessqr.shifting import (
 
 def _globals(B, k, h):
     return globals_with_degree(B, k, Gamma=1e-6, Sigma=2 * float(h.frobenius_norm()), n0=h.n)
+
+
+def _lpk(h, k):
+    """L = log2 psi_k(H)^k, as the driver hands it down."""
+    return log2_potential_pow_k(h.bottom_subdiagonal_abs(k))
 
 
 class TestFind:
@@ -127,7 +132,7 @@ class TestWinningHalfHandedOn:
             return iqr_single(*args, **kwargs)
 
         monkeypatch.setattr(iqr, "iqr_single", counting)
-        out = sh_step(h, ritz, 1e-9, 0.05, np.random.default_rng(1), gd)
+        out = sh_step(h, _lpk(h, k), ritz, 1e-9, 0.05, np.random.default_rng(1), gd)
         monkeypatch.undo()
         assert out.branch == "ritz_shift"
         # k log2(k) sweeps in find, k/2 more to complete r^k
@@ -173,7 +178,7 @@ class TestExc:
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
         r = 0.2 + 0.1j
-        cands = exc(h, r, 1e-9, rng, gd)
+        cands = exc(r, potential(h, 4), rng, gd)
         r_hat, eps = exc_params(gd, potential(h, 4))
         assert all(abs(s - r) <= r_hat * (1 + 1e-12) for s in cands)
         # radius bound implied by the construction: 2^(1/k) (1.001) theta
@@ -186,7 +191,7 @@ class TestExc:
         rng = np.random.default_rng(65)
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
-        cands = exc(h, 0.1, 1e-9, rng, gd)
+        cands = exc(0.1, potential(h, 4), rng, gd)
         _, eps = exc_params(gd, potential(h, 4))
         assert len(cands) == len(build_net(eps))
         assert len(cands) <= net_size_bound(eps)
@@ -213,7 +218,7 @@ class TestExc:
             if psi == 0:
                 continue
             trials += 1
-            cands = exc(h, r, 1e-11, rng, gd)
+            cands = exc(r, psi, rng, gd)
             r_hat, eps = exc_params(gd, psi)
             eta = eps * r_hat * math.sqrt(phi) / math.sqrt(3 * n)
             d = min(abs(s - e) for s in cands for e in eigs)
@@ -221,14 +226,6 @@ class TestExc:
                 failures += 1
         assert trials >= 250
         assert failures <= 2 * phi * trials
-
-    def test_unreduced_precondition(self, rng):
-        a = np.triu(np.ones((6, 6), dtype=complex), -1)
-        a[5, 4] = 0.0
-        h = HessenbergMatrix(a)
-        gd = _globals(1.0, 4, h)
-        with pytest.raises(PreconditionError):
-            exc(h, 0.0, 1e-9, rng, gd)
 
 
 class TestShStep:
@@ -240,7 +237,7 @@ class TestShStep:
             h, _ = near_normal_hessenberg(rng, 10, perturb=1e-3)
             gd = _globals(1.0, 4, h)
             ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
-            out = sh_step(h, ritz, 1e-9, 0.05, rng, gd)
+            out = sh_step(h, _lpk(h, 4), ritz, 1e-9, 0.05, rng, gd)
             if out.branch == "ritz_shift":
                 hits += 1
                 assert (
@@ -250,20 +247,12 @@ class TestShStep:
                 assert out.shift in ritz
         assert hits >= 10
 
-    def test_decoupled_input_rejected(self, rng):
-        a = np.triu(np.ones((6, 6), dtype=complex), -1)
-        a[5, 4] = 1e-12
-        h = HessenbergMatrix(a)
-        gd = _globals(1.0, 4, h)
-        with pytest.raises(PreconditionError):
-            sh_step(h, (1.0,) * 4, 1e-9, 0.05, rng, gd)
-
     def test_deterministic(self):
         h, _ = near_normal_hessenberg(np.random.default_rng(68), 10, perturb=1e-3)
         gd = _globals(1.0, 4, h)
         ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
-        a = sh_step(h, ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
-        b = sh_step(h, ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
+        a = sh_step(h, _lpk(h, 4), ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
+        b = sh_step(h, _lpk(h, 4), ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
         assert a.branch == b.branch
         assert a.shift == b.shift
         np.testing.assert_array_equal(a.next_h.a, b.next_h.a)
@@ -278,7 +267,7 @@ class TestShStep:
             norm = float(np.linalg.norm(h.a, 2))
             decoy = (norm * (3.0 + 1j),) * 4
             try:
-                out = sh_step(h, decoy, 1e-9, 0.05, rng, gd)
+                out = sh_step(h, _lpk(h, 4), decoy, 1e-9, 0.05, rng, gd)
             except Exception:
                 continue
             if out.branch == "exceptional":
