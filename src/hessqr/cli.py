@@ -97,6 +97,7 @@ def _json_document(result, config):
         },
         "params": {
             "omega": rp.omega,
+            "log2_omega": rp.log2_omega,
             "phi_working": rp.phi_working,
             "n_dec": rp.n_dec,
             "n_dec_budget": rp.n_dec_budget,
@@ -165,6 +166,7 @@ def info(input_path, config):
         f"theta = {gd.theta:.6g}",
         f"gamma = {GAMMA}",
         f"omega = {rp.omega:.6g}",
+        f"log2 omega = {rp.log2_omega:.6g}",
         f"phi_working = {rp.phi_working:.6g}",
         f"N_dec = {rp.n_dec:.6g} (budget {rp.n_dec_budget})",
         f"required bits = {plan.required_bits}",

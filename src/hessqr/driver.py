@@ -197,7 +197,9 @@ def plan_run(n, delta, phi, gd):
     by 2^e, so Sigma lies in [1/2, 1).  Division by a power of two is exact
     unless it underflows, and the QR iteration is homogeneous in H, so a run
     on H / 2^e with these values is the same run in other units (Gamma is a
-    length in omega's formula)."""
+    length in omega's formula).  In the caller's units omega 2^e can
+    underflow to 0 although the run's omega is positive (at 2^-1000, say);
+    ``run_params.log2_omega`` = log2(omega) + e reports it there."""
     e = math.frexp(gd.Sigma)[1]
     gd_n = replace(gd, Sigma=math.ldexp(gd.Sigma, -e), Gamma=math.ldexp(gd.Gamma, -e))
     params = derive_run_params(n, math.ldexp(delta, -e), phi, gd_n)
@@ -205,7 +207,8 @@ def plan_run(n, delta, phi, gd):
         e=e,
         gd=gd_n,
         params=params,
-        run_params=replace(params, delta=float(delta), omega=ldexp(params.omega, e)),
+        run_params=replace(params, delta=float(delta), omega=ldexp(params.omega, e),
+                           log2_omega=params.log2_omega + e),
         required_bits=required_precision(n, gd_n, params),
     )
 

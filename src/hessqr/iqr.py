@@ -163,6 +163,20 @@ class IqrResult:
     r_nn_per_step: list
     steps: list  # one StepReflectors or StepRotations per degree-1 step
 
+    def then(self, shifts):
+        """This result continued by the degree-len(shifts) step on its next_h:
+        bit for bit the step of the joined shift tuple from the same start,
+        without sweeping the shared prefix again."""
+        if not shifts:
+            return self
+        cur, r_nns, steps = self.next_h, list(self.r_nn_per_step), list(self.steps)
+        for s in shifts:
+            res = iqr_single(cur, s)
+            cur = res.next_h
+            r_nns += res.r_nn_per_step
+            steps += res.steps
+        return IqrResult(cur, r_nns, steps)
+
 
 def iqr_single(h, s):
     """One implicit QR step with shift s, in the arithmetic of h.
@@ -178,27 +192,30 @@ def iqr_single(h, s):
     ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.
     DomainError when s is not finite.
     """
-    n = h.n
+    a = h.a
+    n = a.shape[0]
     if n < 2:
         raise DimensionError("iqr_single needs n >= 2")
-    extended = h.is_extended
+    extended = is_mp_array(a)
     if not (mpmath.isfinite(s) if extended else cmath.isfinite(s)):
         raise DomainError(f"non-finite shift {s!r}")
-    a = h.a.copy(order="F")
-    a.flat[:: n + 1] -= s
+    a = a.copy(order="F")
+    # Every array below is Fortran-contiguous, so ravel("K") is a view of it:
+    # the diagonal is every (n+1)-th element and the subdiagonal starts at 1.
+    a.ravel("K")[:: n + 1] -= s
     if extended:
         r_nn, step = _givens_sweep(a)
     else:
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
         d = np.copysign(1.0, qr.real.diagonal())
         a = qr * d[:, None]
-        a.flat[n :: n + 1] = 0
+        a.ravel("K")[1 :: n + 1] = 0
         a, _, info_q = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
         if info or info_q:
             raise DomainError(f"LAPACK QR step failed (info={info}, {info_q})")
         a *= d
         r_nn, step = abs(qr[n - 1, n - 1].real), StepReflectors(qr, tau, d)
-    a.flat[:: n + 1] += s
+    a.ravel("K")[:: n + 1] += s
     return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step])
 
 
@@ -234,18 +251,12 @@ def _givens_sweep(a):
 def iqr_multi(h, shifts):
     """Degree-m implicit QR step: degree-1 steps composed in root order.
     The empty shift tuple is the identity step (next_h is h)."""
-    cur = h
-    r_nns, steps = [], []
-    for s in shifts:
-        res = iqr_single(cur, s)
-        cur = res.next_h
-        r_nns.extend(res.r_nn_per_step)
-        steps.extend(res.steps)
-    return IqrResult(cur, r_nns, steps)
+    return IqrResult(h, [], []).then(shifts)
 
 
-def comp_tau(h, shifts):
-    """tau_p(H)^m from the bottom-right entries of the triangular factors.
+def comp_tau(res):
+    """tau_p(H)^m from the bottom-right entries of the triangular factors of
+    res, the ``IqrResult`` of the degree-m step of p on H.
 
     Returns fl((R_1)_nn * ... * (R_m)_nn), which approximates
     ||e_n* p(H)^{-1}||^{-1} with relative error <= 0.001 when the shifts stay
@@ -253,7 +264,7 @@ def comp_tau(h, shifts):
     requirement is part of ``params.required_precision``).  The value is a
     float, or an mpmath number on extended input.
     """
-    return math.prod(iqr_multi(h, shifts).r_nn_per_step)
+    return math.prod(res.r_nn_per_step)
 
 
 def log2_potential_pow_k(moduli):

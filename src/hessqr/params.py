@@ -137,6 +137,7 @@ class RunParams:
     delta: float
     phi: float
     omega: float
+    log2_omega: float     # log2(omega), finite where omega underflows in caller units
     phi_working: float
     n_dec: float          # real-valued bound from the budget equation
     n_dec_budget: int     # usable iterations: floor(n_dec)
@@ -162,6 +163,7 @@ def derive_run_params(n, delta, phi, gd):
         raise ParameterError(f"degenerate iteration budget N_dec={n_dec!r}")
     phi_working = (phi / (3.0 * n**2)) / n_dec
     return RunParams(delta=float(delta), phi=float(phi), omega=omega,
+                     log2_omega=math.log2(omega),
                      phi_working=phi_working, n_dec=n_dec,
                      n_dec_budget=max(1, math.floor(n_dec)))
 

@@ -49,29 +49,25 @@ def optimal(h, log2_psi_pow_k, shifts, gd):
     True guarantees the shifts are theta-optimal; False guarantees they are
     not (0.998^(1/k) theta)-optimal.  log2_psi_pow_k is L = log2 psi_k(H)^k
     as the driver formed it for h.  Computes v_(j+1) = fl((H - s_(j+1))* v_j)
-    from v_0 = e_n, using that v_j lives on the last j+1 coordinates."""
+    from v_0 = e_n.  v_j lives on the last j+1 coordinates, so only the
+    bottom-right (k+1) x (k+1) window of H is read, and v_j is kept as its
+    nonzero part alone."""
     k = gd.k
     if len(shifts) != k:
         raise DimensionError(f"optimal needs degree k={k} shifts, got {len(shifts)}")
     n = h.n
     if n <= k:
         raise DimensionError(f"optimal needs n > k, got n={n}")
-    a = h.a
-    v = np.zeros_like(a[n - 1])
-    v[n - 1] = 1
-    lo = n - 1
-    for s in shifts:
-        lo_new = max(lo - 1, 0)
-        # (H* v) on the active window, then subtract conj(s) v
-        seg = a[lo:, lo_new:].conj().T @ v[lo:]
-        out = np.zeros_like(v)
-        out[lo_new:] = seg
-        out[lo:] = out[lo:] - np.conj(s) * v[lo:]
+    w = h.a[n - k - 1 :, n - k - 1 :]
+    v = np.ones(1, dtype=w.dtype)
+    for lo, s in zip(range(k, 0, -1), shifts):
+        # (H* v) on the rows v lives on, then subtract conj(s) v
+        out = w[lo:, lo - 1 :].conj().T @ v
+        out[1:] -= np.conj(s) * v
         v = out
-        lo = lo_new
     # not optimal when ||v|| >= 0.999 theta^k psi_k(H)^k (compared in log2)
     bound = math.log2(0.999) + k * math.log2(gd.theta) + log2_psi_pow_k
-    return not (log2(norm(v[lo:])) >= bound)
+    return not (log2(norm(v)) >= bound)
 
 
 def ritz_or_decouple(h, log2_psi_pow_k, omega, phi, solver, rng, gd):

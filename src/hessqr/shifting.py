@@ -5,17 +5,20 @@ using tau products of half-set polynomials.  If the degree-k step with that
 value stagnates, `exc` lays a randomly translated triangular-lattice net over
 a disk around it; with high probability some net point either decouples the
 matrix or contracts the potential.  `sh_step` wires the two together and
-returns the ``iqr.Step`` of the branch that fired; it continues the r^(k/2)
-sweeps of `find`'s last round to r^k, so a step costs k log2(k) + k/2
-sweeps.  Shift sets and candidate lists are tuples; the decoupling rate
-gamma and the net parameter xi are the constants of ``params``.
+returns the ``iqr.Step`` of the branch that fired.  No shift prefix is swept
+twice from the same H: each round of `find` continues its index-0 half from
+the sweeps the previous winner began with, and `sh_step` continues the
+r^(k/2) of `find`'s last round to r^k, so a step costs k log2(k) + 1 sweeps
+(9 at k = 4, 25 at k = 8).  Shift sets and candidate lists are tuples; the
+decoupling rate gamma and the net parameter xi are the constants of
+``params``.
 """
 
 import math
 from functools import lru_cache
 
 from .errors import DimensionError, DomainError, StagnationFailure
-from .iqr import Step, comp_tau, iqr_multi, potential
+from .iqr import IqrResult, Step, comp_tau, iqr_multi, potential
 from .kernel import log2, sample_disk
 from .params import GAMMA, REDUCTION_FACTOR, exc_epsilon
 
@@ -27,22 +30,31 @@ def find(h, ritz, gd):
     log2(k) halving rounds; round j keeps the half R_b whose polynomial
     p_(j,b)^(2^(j-1)) (degree k/2) has the smaller tau product.  Ties keep
     the index-0 half.  psi_k(H) > 0 holds on h because the driver's loop
-    guard found every bottom-k subdiagonal above omega."""
+    guard found every bottom-k subdiagonal above omega.  The index-0 half
+    of round j >= 2 starts with the 2^(j-2) sweeps of its first value that
+    round j-1's winner started with, and continues from them, so the rounds
+    sweep k log2(k) - k/2 + 1 times."""
     k = gd.k
     if len(ritz) != k:
         raise DimensionError(f"find needs degree k={k}, got {len(ritz)}")
-    current = list(ritz)
-    for j in range(1, k.bit_length() - 1):
+    current = ritz
+    head = IqrResult(h, [], [])  # the last winner's sweeps of current[0]
+    rep = 1
+    while True:
         half = len(current) // 2
-        rep = 2 ** (j - 1)
-        taus = []
-        for cand in (current[:half], current[half:]):
-            taus.append(comp_tau(h, tuple(r for r in cand for _ in range(rep))))
-        current = current[:half] if taus[0] <= taus[1] else current[half:]
-    halves = [iqr_multi(h, (r,) * (k // 2)) for r in current]
-    taus = [math.prod(res.r_nn_per_step) for res in halves]
-    win = 0 if taus[0] <= taus[1] else 1
-    return current[win], halves[win]
+        cands = current[:half], current[half:]
+        firsts = (
+            head.then((current[0],) * (rep - len(head.r_nn_per_step))),
+            iqr_multi(h, (current[half],) * rep),
+        )
+        sweeps = [
+            first.then(tuple(r for r in cand[1:] for _ in range(rep)))
+            for first, cand in zip(firsts, cands)
+        ]
+        win = 0 if comp_tau(sweeps[0]) <= comp_tau(sweeps[1]) else 1
+        if half == 1:
+            return cands[win][0], sweeps[win]
+        current, head, rep = cands[win], firsts[win], 2 * rep
 
 
 @lru_cache(maxsize=32)
@@ -126,12 +138,11 @@ def sh_step(h, log2_psi_pow_k, ritz, omega, phi, rng, gd):
     k = gd.k
     r, half = find(h, ritz, gd)
 
-    # complete r^k: tau_k (as ``comp_tau`` forms it) and the next iterate
-    rest = iqr_multi(half.next_h, (r,) * (k // 2))
-    tau_k = math.prod(half.r_nn_per_step + rest.r_nn_per_step)
+    # complete r^k: tau_k and the next iterate
+    full = half.then((r,) * (k // 2))
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
-    if log2(tau_k) < k * math.log2(1.0 - GAMMA) + log2_psi_pow_k:
-        return Step(rest.next_h, "ritz_shift", r)
+    if log2(comp_tau(full)) < k * math.log2(1.0 - GAMMA) + log2_psi_pow_k:
+        return Step(full.next_h, "ritz_shift", r)
 
     psi = 2.0 ** (log2_psi_pow_k / k)
     candidates = exc(r, psi, rng, gd)

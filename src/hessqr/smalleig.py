@@ -320,15 +320,20 @@ class CharPolySolver:
     Hessenberg m: |lambda_hat_i - lambda_i| <= beta under a matching, for
     simple and multiple eigenvalues alike.  Certification is capped at the
     representation limit of the output type (binary64 input yields binary64
-    output), which is far below every working-accuracy scale the driver
-    produces: the certified bound is beta_eff / 2.  Certified LAPACK seeds
-    are complex128 already and are returned as they are; a root Newton
-    refined in clongdouble or mpmath is rounded to complex128, which moves
-    it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
+    output): the certified bound is beta_eff / 2, where binary64 input has
+    beta_eff = max(beta, 2^-49 max(1, ||m||_F)).  That floor is what the
+    driver's corners are certified at: on perfbench's qr_small inputs,
+    ``ritz.ritz_or_decouple`` asks for about 1.5e-26, the solver certifies
+    at beta_eff / 2 ~ 8.9e-16, and the bounds reach 0.61 of that, so the
+    running error bound eps leaves little room and must not be loosened.  Certified LAPACK seeds are complex128 already and are
+    returned as they are; a root Newton refined in clongdouble or mpmath is
+    rounded to complex128, which moves it by at most
+    2^-52.5 ||m||_F <= beta_eff / 2.  A 1 x 1 block returns its entry,
+    exactly, in the type it has.
     Input ``iqr.HessenbergMatrix`` rejects raises its errors
-    (StructureError, DimensionError, DomainError); a block no rung
-    certifies (say, an eigenvalue too multiple for beta at 960 bits) raises
-    SmallEigFailure.
+    (StructureError, DimensionError), a norm beyond binary64 raises
+    DomainError, and a block no rung certifies (say, an eigenvalue too
+    multiple for beta at 960 bits) raises SmallEigFailure.
     """
 
     def solve(self, m, beta):
@@ -339,7 +344,9 @@ class CharPolySolver:
         if beta <= 0 or not math.isfinite(beta):
             raise SmallEigFailure(f"invalid forward accuracy beta={beta!r}")
         a, extended = h.a, h.is_extended
-        scale = max(1.0, float(h.frobenius_norm()))
+        if n == 1:
+            return [a[0, 0] if extended else complex(a[0, 0])]
+        scale = _scale(h)
         # Representation floor: a binary64 result cannot certify below ~ulp.
         beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
         vals, spans = [], split_blocks(a, n)
@@ -364,6 +371,20 @@ class CharPolySolver:
                     f"for the diagonal block(s) at {blocks}"
                 )
             prec = min(2 * prec, _MAX_PREC)
+
+
+def _scale(h):
+    """max(1, ||h||_F), as ``h.frobenius_norm()`` gives it.
+
+    Binary64 input whose plain sum of squares is at most 1/2 returns 1
+    without the two scaled passes.  For n < 2^20 that sum carries a relative
+    rounding error below n^2 2^-52 and loses at most n^2 2^-1074 to
+    underflow, so ||h||_F < 0.71 and its computed value is below 1 too.  A
+    sum that overflows is inf and takes the scaled passes."""
+    a = h.a
+    if not h.is_extended and np.vdot(a, a).real <= 0.5:
+        return 1.0
+    return max(1.0, float(h.frobenius_norm()))
 
 
 def _sorted(vals, kind):

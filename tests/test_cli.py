@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hessqr.cli import (
     read_matrix_market,
     run,
 )
-from hessqr.driver import SolveConfig
+from hessqr.driver import SolveConfig, plan_run, prepare
 from hessqr.errors import ParseError, SmallEigFailure
 from hessqr.smalleig import CharPolySolver
 
@@ -310,6 +311,7 @@ class TestInfoMatchesSolve:
             assert printed[key] == f"{gd[key]:.6g}", key
         assert printed["k"] == str(gd["k"])
         assert printed["omega"] == f"{params['omega']:.6g}"
+        assert printed["log2 omega"] == f"{params['log2_omega']:.6g}"
         assert printed["required bits"] == str(params["required_bits"])
         assert printed["seed"] == str(doc["seed"]) == "21"
 
@@ -327,6 +329,25 @@ class TestInfoMatchesSolve:
         assert printed["omega"] == f"{params['omega']:.6g}"
         assert printed["N_dec"] == f"{params['n_dec']:.6g} (budget {params['n_dec_budget']})"
         assert printed["required bits"] == str(params["required_bits"])
+
+    def test_log2_omega_where_omega_underflows(self, tmp_path, capsys):
+        # omega 2^e underflows to 0 in the caller's units; log2 omega + e does not
+        path = _random_mtx(tmp_path, 6, True, -1000)
+        options = ["--seed", "21", "--no-preprocess", "--B", "1"]
+        options += ["--gamma-gap", repr(1e-20 * 2.0**-1000)]
+        config = SolveConfig(seed=21, B=1.0, Gamma=1e-20 * 2.0**-1000, preprocess=False)
+        h, gd, delta, _ = prepare(read_matrix_market(path), config)
+        plan = plan_run(h.n, delta, config.phi, gd)
+        expected = math.log2(plan.params.omega) + plan.e
+        assert expected < -1074  # below the least subnormal
+        assert main(["info", path] + options) == EXIT_OK
+        printed = _info_lines(capsys.readouterr().out)
+        out = tmp_path / "e.json"
+        assert main(["solve", path, "--out-json", str(out)] + options) == EXIT_OK
+        params = json.loads(out.read_text())["params"]
+        assert params["omega"] == 0.0
+        assert params["log2_omega"] == expected
+        assert printed["log2 omega"] == f"{expected:.6g}"
 
 
 class TestSmallEigFailure:

@@ -96,6 +96,32 @@ class TestFind:
 
 
 
+def _find_from_scratch(h, ritz, k):
+    """``find`` as a plain halving search that sweeps every candidate from h
+    anew: (r, IqrResult of r^(k/2))."""
+    current, rep = list(ritz), 1
+    while True:
+        half = len(current) // 2
+        cands = current[:half], current[half:]
+        res = [iqr_multi(h, tuple(r for r in c for _ in range(rep))) for c in cands]
+        win = 0 if math.prod(res[0].r_nn_per_step) <= math.prod(res[1].r_nn_per_step) else 1
+        if half == 1:
+            return cands[win][0], res[win]
+        current, rep = cands[win], 2 * rep
+
+
+def _counting_sweeps(monkeypatch):
+    """Counts every ``iqr_single`` call (a list of one int)."""
+    sweeps, iqr_single = [0], iqr.iqr_single
+
+    def counting(*args, **kwargs):
+        sweeps[0] += 1
+        return iqr_single(*args, **kwargs)
+
+    monkeypatch.setattr(iqr, "iqr_single", counting)
+    return sweeps
+
+
 @pytest.mark.parametrize("k, n", [(4, 10), (8, 16)])
 class TestWinningHalfHandedOn:
     """``find`` hands ``sh_step`` the sweeps of its winning half r^(k/2);
@@ -115,32 +141,57 @@ class TestWinningHalfHandedOn:
             shifting, "comp_tau", lambda *a: tau_calls.append(a) or comp_tau(*a)
         )
         r, half = find(h, ritz, gd)
-        # the earlier halving rounds still run on comp_tau, two per round
-        assert len(tau_calls) == 2 * (int(math.log2(k)) - 1)
+        # every halving round compares its two halves through comp_tau
+        assert len(tau_calls) == 2 * int(math.log2(k))
         ref = iqr_multi(h, (r,) * (k // 2))
         assert same_bits(half.next_h.a, ref.next_h.a)
         assert half.r_nn_per_step == ref.r_nn_per_step
 
     def test_ritz_step_matches_full_sweep(self, k, n, monkeypatch):
         h, gd, ritz = self._case(k, n)
-        logged, sweeps = [], [0]
-        log2, iqr_single = shifting.log2, iqr.iqr_single
+        logged = []
+        log2 = shifting.log2
         monkeypatch.setattr(shifting, "log2", lambda x: logged.append(x) or log2(x))
-
-        def counting(*args, **kwargs):
-            sweeps[0] += 1
-            return iqr_single(*args, **kwargs)
-
-        monkeypatch.setattr(iqr, "iqr_single", counting)
+        sweeps = _counting_sweeps(monkeypatch)
         out = sh_step(h, _lpk(h, k), ritz, 1e-9, 0.05, np.random.default_rng(1), gd)
         monkeypatch.undo()
         assert out.branch == "ritz_shift"
-        # k log2(k) sweeps in find, k/2 more to complete r^k
-        assert sweeps[0] == k * int(math.log2(k)) + k // 2
+        # k log2(k) - k/2 + 1 distinct sweeps in find, k/2 more to complete r^k
+        assert sweeps[0] == k * int(math.log2(k)) + 1
         full = iqr_multi(h, (out.shift,) * k)
         assert same_bits(out.next_h.a, full.next_h.a)
         # the first log2 sh_step takes is that of tau_k
         assert logged[0] == math.prod(full.r_nn_per_step)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+class TestEachPrefixSweptOnce:
+    """A step sweeps each distinct shift prefix from H once, k log2(k) + 1
+    sweeps in all, and its results are those of sweeping every candidate
+    from H anew, bit for bit."""
+
+    def _case(self, k, seed):
+        h, _ = near_normal_hessenberg(np.random.default_rng(seed), 2 * k + 2, perturb=1e-3)
+        ritz = tuple(complex(v) for v in np.linalg.eigvals(h.corner(k)))
+        return h, _globals(1.0, k, h), ritz
+
+    def test_sh_step_sweep_count(self, k, monkeypatch):
+        h, gd, ritz = self._case(k, 71)
+        sweeps = _counting_sweeps(monkeypatch)
+        out = sh_step(h, _lpk(h, k), ritz, 1e-9, 0.05, np.random.default_rng(2), gd)
+        assert out.branch == "ritz_shift"
+        assert sweeps[0] == k * int(math.log2(k)) + 1
+
+    @pytest.mark.parametrize("seed", [72, 73, 74])
+    def test_find_matches_sweeps_from_scratch(self, k, seed):
+        h, gd, ritz = self._case(k, seed)
+        # both orders, so that the index-0 and the index-1 half both win
+        for order in (ritz, ritz[::-1]):
+            r, half = find(h, order, gd)
+            ref_r, ref = _find_from_scratch(h, order, k)
+            assert same_bits(r, ref_r)
+            assert same_bits(half.r_nn_per_step, ref.r_nn_per_step)
+            assert same_bits(half.next_h.a, ref.next_h.a)
 
 
 class TestBuildNet:
