@@ -23,6 +23,7 @@ two cannot disagree.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -61,11 +62,14 @@ def deflate(h, omega, k):
     The zeroing span matches the while-loop guard (the bottom min(k, n-1)
     entries).  Splits also happen at subdiagonal entries that are already
     exact zeros anywhere.  Blocks come back in top-to-bottom order; a matrix
-    with nothing at or below omega returns as a single block."""
-    a = h.a.copy()
+    with nothing at or below omega returns as a single block.  h is copied
+    only when an entry is zeroed; every block is a copy."""
+    a = h.a
     n = h.n
     for i in range(n - 1 - min(k, n - 1), n - 1):
         if abs(a[i + 1, i]) <= omega:
+            if a is h.a:
+                a = a.copy()
             a[i + 1, i] = 0
     return [
         HessenbergMatrix(a[start:stop, start:stop].copy(), validate=False)
@@ -317,7 +321,7 @@ def prepare(a, config):
     seed = config.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
-    tiny = np.finfo(float).tiny
+    tiny = sys.float_info.min  # a Python float: n / tiny overflows to inf quietly
     if config.preprocess:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))
         h, scale = preprocess(a, config.delta, rng)

@@ -9,7 +9,11 @@ QR convention), which pins down the bottom-right entries (R_l)_{nn} whose
 product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain
 tuples of roots; ``Step`` is the record one step of the QR iteration hands to
 the driver.  Every step returns its factors (the reflectors or rotations it
-applied) along with the next iterate; Q itself is never formed here.
+applied) in an ``IqrResult``; Q itself is never formed here.  A binary64
+step's next iterate is formed on its first read (``IqrResult.next_h``), so
+a sweep whose r_nn only a tau product reads costs its zgeqrf alone: a step
+of the shifting strategy forms k log2(k) - 2 log2(k) + 2 of its
+k log2(k) + 1 sweeps (6 of 9 at k = 4).
 ``split_blocks`` is the one block splitter: the driver's deflation, the small
 solver and the oracle all cut Hessenberg matrices at exactly-zero
 subdiagonals through it.
@@ -17,7 +21,6 @@ subdiagonals through it.
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -157,37 +160,57 @@ class StepReflectors(NamedTuple):
     signs: np.ndarray
 
 
-@dataclass
 class IqrResult:
-    next_h: HessenbergMatrix
-    r_nn_per_step: list
-    steps: list  # one StepReflectors or StepRotations per degree-1 step
+    """The degree-m step of p on H: the r_nn of each degree-1 step, the
+    factors each applied, and the next iterate ``next_h``.
+
+    A binary64 step forms its iterate D R Q D + s from its last
+    StepReflectors and its last shift the first time next_h is read, by the
+    operations ``iqr_single`` describes, and keeps it: two reads return the
+    same matrix.  A tau product reads only the r_nn values, so a sweep that
+    ``find`` only compares is never formed.  The mpmath Givens sweep forms
+    its iterate as it goes and comes with next_h set."""
+
+    __slots__ = ("_next_h", "r_nn_per_step", "steps", "shift")
+
+    def __init__(self, next_h, r_nn_per_step, steps, shift):
+        self._next_h = next_h  # None until a binary64 step's iterate is read
+        self.r_nn_per_step = r_nn_per_step
+        self.steps = steps  # one StepReflectors or StepRotations per degree-1 step
+        self.shift = shift  # of the last degree-1 step
+
+    @property
+    def next_h(self):
+        if self._next_h is None:
+            self._next_h = _form_iterate(self.steps[-1], self.shift)
+        return self._next_h
 
     def then(self, shifts):
         """This result continued by the degree-len(shifts) step on its next_h:
         bit for bit the step of the joined shift tuple from the same start,
-        without sweeping the shared prefix again."""
+        without sweeping the shared prefix again.  Each iterate but the last
+        is formed as the next sweep's input; the last is left unformed."""
         if not shifts:
             return self
-        cur, r_nns, steps = self.next_h, list(self.r_nn_per_step), list(self.steps)
+        res, r_nns, steps = self, list(self.r_nn_per_step), list(self.steps)
         for s in shifts:
-            res = iqr_single(cur, s)
-            cur = res.next_h
+            res = iqr_single(res.next_h, s)
             r_nns += res.r_nn_per_step
             steps += res.steps
-        return IqrResult(cur, r_nns, steps)
+        return IqrResult(res._next_h, r_nns, steps, res.shift)
 
 
 def iqr_single(h, s):
     """One implicit QR step with shift s, in the arithmetic of h.
 
-    complex128: zgeqrf factors H - s and zunmqr forms R*Q.  On Hessenberg
-    input each reflector is zero past its second entry, so R*Q is exactly
-    Hessenberg, and lwork=n keeps LAPACK on its unblocked routines, which
-    skip those zeros.  zlarfg leaves diag(R) real; with D = sign(diag R),
-    next_H = D R Q D + s and r_nn = |R_nn| exactly.  Backward stable in
-    either arithmetic (Householder: Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 19): for the Q accumulated from the step,
+    complex128: zgeqrf factors H - s, and zunmqr forms R*Q when the result's
+    next_h is first read.  On Hessenberg input each reflector is zero past
+    its second entry, so R*Q is exactly Hessenberg, and lwork=n keeps LAPACK
+    on its unblocked routines, which skip those zeros.  zlarfg leaves
+    diag(R) real; with D = sign(diag R), next_H = D R Q D + s and
+    r_nn = |R_nn| exactly.  Backward stable in either arithmetic
+    (Householder: Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 19): for the Q accumulated from the step,
     ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
     ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.
     DomainError when s is not finite.
@@ -200,23 +223,34 @@ def iqr_single(h, s):
     if not (mpmath.isfinite(s) if extended else cmath.isfinite(s)):
         raise DomainError(f"non-finite shift {s!r}")
     a = a.copy(order="F")
-    # Every array below is Fortran-contiguous, so ravel("K") is a view of it:
-    # the diagonal is every (n+1)-th element and the subdiagonal starts at 1.
+    # Every array here and in _form_iterate is Fortran-contiguous, so
+    # ravel("K") is a view of it: the diagonal is every (n+1)-th element and
+    # the subdiagonal starts at 1.
     a.ravel("K")[:: n + 1] -= s
-    if extended:
-        r_nn, step = _givens_sweep(a)
-    else:
+    if not extended:
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
+        if info:
+            raise DomainError(f"LAPACK QR step failed (zgeqrf info={info})")
         d = np.copysign(1.0, qr.real.diagonal())
-        a = qr * d[:, None]
-        a.ravel("K")[1 :: n + 1] = 0
-        a, _, info_q = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
-        if info or info_q:
-            raise DomainError(f"LAPACK QR step failed (info={info}, {info_q})")
-        a *= d
-        r_nn, step = abs(qr[n - 1, n - 1].real), StepReflectors(qr, tau, d)
+        return IqrResult(None, [abs(qr[n - 1, n - 1].real)], [StepReflectors(qr, tau, d)], s)
+    r_nn, step = _givens_sweep(a)
     a.ravel("K")[:: n + 1] += s
-    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step])
+    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step], s)
+
+
+def _form_iterate(step, s):
+    """next_H = D R Q D + s of the binary64 step with reflectors ``step``
+    and shift s: zunmqr applies Q to D R from the right."""
+    qr, tau, d = step
+    n = qr.shape[0]
+    a = qr * d[:, None]
+    a.ravel("K")[1 :: n + 1] = 0
+    a, _, info = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
+    if info:
+        raise DomainError(f"LAPACK QR step failed (zunmqr info={info})")
+    a *= d
+    a.ravel("K")[:: n + 1] += s
+    return HessenbergMatrix(a, validate=False)
 
 
 def _givens_sweep(a):
@@ -251,7 +285,7 @@ def _givens_sweep(a):
 def iqr_multi(h, shifts):
     """Degree-m implicit QR step: degree-1 steps composed in root order.
     The empty shift tuple is the identity step (next_h is h)."""
-    return IqrResult(h, [], []).then(shifts)
+    return IqrResult(h, [], [], None).then(shifts)
 
 
 def comp_tau(res):

@@ -86,7 +86,12 @@ def sample_disk(center, radius, rng):
     center = complex(center)
     if radius == 0:
         return center
-    u1, u2 = rng.random(2)
+    return disk_point(center, radius, *rng.random(2))
+
+
+def disk_point(center, radius, u1, u2):
+    """The point at distance radius*sqrt(u1) and angle 2*pi*u2 from the
+    complex center: ``sample_disk``'s construction from given uniforms."""
     r = radius * math.sqrt(u1)
     ang = 2.0 * math.pi * u2
     return center + complex(r * math.cos(ang), r * math.sin(ang))

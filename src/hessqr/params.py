@@ -113,8 +113,8 @@ def default_bounds(n, scale, B=None, Gamma=None):
         return B, Gamma
     if scale <= 0:
         raise ParameterError(
-            "auto B/Gamma need a positive perturbation scale; pass "
-            "explicit bounds when delta = 0"
+            "auto B/Gamma need a positive perturbation scale, which is 0 "
+            "when delta = 0 or ||A|| = 0; pass explicit B and Gamma"
         )
     B = B if B is not None else max(1.0, n / scale)
     if Gamma is None:

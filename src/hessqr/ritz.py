@@ -16,9 +16,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DichotomyMiss, DimensionError, ParameterError
+from .errors import DichotomyMiss, DimensionError, DomainError, ParameterError
 from .iqr import Step, iqr_multi
-from .kernel import log2, norm, sample_disk
+from .kernel import disk_point, log2, norm
 from .params import regularization_scales
 
 
@@ -37,10 +37,15 @@ def regularize(r_list, eta2, rng):
 
     For any exclusion radius eta1 <= eta2 with eta1 + eta2 <= gap(H)/2, the
     perturbed set keeps distance eta1 from Spec(H) with probability
-    >= 1 - k (eta1/eta2)^2."""
+    >= 1 - k (eta1/eta2)^2.  The 2k uniforms come from one draw, the
+    stream and the points of a ``sample_disk`` call per shift; eta2 = 0
+    draws nothing."""
+    if eta2 < 0:
+        raise DomainError(f"regularize: radius must be >= 0, got {eta2!r}")
     if eta2 == 0.0:
         return tuple(r_list)
-    return tuple(r + sample_disk(0.0, eta2, rng) for r in r_list)
+    u = rng.random(2 * len(r_list)).tolist()
+    return tuple(r + disk_point(0j, eta2, u1, u2) for r, u1, u2 in zip(r_list, u[::2], u[1::2]))
 
 
 def optimal(h, log2_psi_pow_k, shifts, gd):
@@ -58,11 +63,12 @@ def optimal(h, log2_psi_pow_k, shifts, gd):
     n = h.n
     if n <= k:
         raise DimensionError(f"optimal needs n > k, got n={n}")
-    w = h.a[n - k - 1 :, n - k - 1 :]
-    v = np.ones(1, dtype=w.dtype)
+    # the window's conjugate transpose, formed once
+    wh = h.a[n - k - 1 :, n - k - 1 :].conj().T
+    v = np.ones(1, dtype=wh.dtype)
     for lo, s in zip(range(k, 0, -1), shifts):
         # (H* v) on the rows v lives on, then subtract conj(s) v
-        out = w[lo:, lo - 1 :].conj().T @ v
+        out = wh[lo - 1 :, lo:] @ v
         out[1:] -= np.conj(s) * v
         v = out
     # not optimal when ||v|| >= 0.999 theta^k psi_k(H)^k (compared in log2)

@@ -9,9 +9,12 @@ returns the ``iqr.Step`` of the branch that fired.  No shift prefix is swept
 twice from the same H: each round of `find` continues its index-0 half from
 the sweeps the previous winner began with, and `sh_step` continues the
 r^(k/2) of `find`'s last round to r^k, so a step costs k log2(k) + 1 sweeps
-(9 at k = 4, 25 at k = 8).  Shift sets and candidate lists are tuples; the
-decoupling rate gamma and the net parameter xi are the constants of
-``params``.
+(9 at k = 4, 25 at k = 8).  Each sweep's iterate is formed on its first
+read (``iqr.IqrResult``), and the tau products read none: only the iterates
+that a later sweep starts from and the step's result are formed,
+k log2(k) - 2 log2(k) + 2 of them (6 at k = 4, 20 at k = 8).  Shift sets
+and candidate lists are tuples; the decoupling rate gamma and the net
+parameter xi are the constants of ``params``.
 """
 
 import math
@@ -38,7 +41,7 @@ def find(h, ritz, gd):
     if len(ritz) != k:
         raise DimensionError(f"find needs degree k={k}, got {len(ritz)}")
     current = ritz
-    head = IqrResult(h, [], [])  # the last winner's sweeps of current[0]
+    head = IqrResult(h, [], [], None)  # the last winner's sweeps of current[0]
     rep = 1
     while True:
         half = len(current) // 2

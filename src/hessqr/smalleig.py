@@ -52,6 +52,7 @@ behind the same clongdouble guard and under the same ``MP_LOCK``.
 
 import math
 import threading
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -122,6 +123,7 @@ def _hyman(H, z, u=None, derivative=True):
     g = _slack(n, u)
     grow = 1 + 2 * n * g  # the rounding of the n steps of each bound itself
     aH, az, ax = np.abs(H), np.abs(z), np.abs(x)
+    asub = aH.diagonal(-1)  # |h_1| .. |h_(n-1)|
     # y and its error bound fy; the local error of row i (of kappa itself
     # for i = 0) times |h_i| is at most g S_i + tiny (1 + |h_i|)
     y = np.empty_like(x)
@@ -129,10 +131,11 @@ def _hyman(H, z, u=None, derivative=True):
     for j in range(n - 1):
         y[j + 1] = (z * y[j] - H[: j + 1, j] @ y[: j + 1]) / H[j + 1, j]
     ay = np.abs(y)
+    ayg = ay * g
     fy = np.empty_like(ax)
     fy[0] = g
     for j in range(n - 1):
-        fy[j + 1] = (az * fy[j] + aH[: j + 1, j] @ fy[: j + 1] + tiny) / aH[j + 1, j] + tiny + ay[j + 1] * g
+        fy[j + 1] = (az * fy[j] + aH[: j + 1, j] @ fy[: j + 1] + tiny) / asub[j] + tiny + ayg[j + 1]
     local = (aH @ ax + az * ax) * g + (tiny * (1 + aH.sum(axis=1)))[:, None]
     eps = ((ay + fy) * local).sum(axis=0) * grow
     return kap, kapp, eps
@@ -228,9 +231,8 @@ def _certify_block(blk, roots, beta_cert, u):
         return None
     kap, _, eps = _hyman(blk, z, u, derivative=False)
     tiny = 0 if is_mp_array(blk) else _TINY_LD
-    idx = np.arange(d)[:, None]
     # quotients h_j / |z_i - z_{i+j}| (indices mod d), j = 1..d-1, per row i
-    quot = np.abs(blk.diagonal(-1)) / dist[idx, (idx + idx[1:].T) % d] + tiny
+    quot = np.abs(blk.diagonal(-1)) / dist[_cyclic_index(d)] + tiny
     w = np.abs(kap) + eps
     for j in range(d - 1):
         w = w * quot[:, j] + tiny
@@ -249,6 +251,16 @@ def _certify_block(blk, roots, beta_cert, u):
     if not (bound <= beta_cert).all():
         return None
     return bound
+
+
+@lru_cache(maxsize=64)
+def _cyclic_index(d):
+    """Read-only index arrays (i, (i + j) mod d), broadcasting to d x (d - 1)
+    for j = 1..d-1: row i pairs root i with the other roots in cyclic order."""
+    idx = np.arange(d)[:, None]
+    cols = (idx + idx[1:].T) % d
+    idx.flags.writeable = cols.flags.writeable = False
+    return idx, cols
 
 
 def _isolated_roots(blk, beta_cert, u):

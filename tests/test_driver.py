@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import mpmath
@@ -21,6 +22,7 @@ from hessqr.errors import (
     DimensionError,
     HessqrError,
     OracleError,
+    ParameterError,
     SmallEigFailure,
     SolveFailure,
     StructureError,
@@ -65,6 +67,15 @@ class TestDeflate:
         h = HessenbergMatrix(a)
         for blk in deflate(h, 1e-12, k=5):
             assert blk.a.base is None and not np.shares_memory(blk.a, h.a)
+
+    def test_zeroing_leaves_the_input_as_it_was(self):
+        a = np.triu(np.ones((6, 6), dtype=complex), -1)
+        a[5, 4] = 1e-13
+        h = HessenbergMatrix(a)
+        blocks = deflate(h, 1e-12, k=2)
+        assert [b.n for b in blocks] == [5, 1]
+        assert h.a[5, 4] == 1e-13
+        assert not any(np.shares_memory(b.a, h.a) for b in blocks)
 
     def test_spectra_union_exact(self):
         rng = np.random.default_rng(70)
@@ -371,6 +382,21 @@ class TestSolveEntryPoint:
         solve(a, SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, delta=1e-6, bits=80))
         assert precisions and set(precisions) == {(80, True)}
         assert mpmath.mp.prec == 53
+
+    def test_zero_matrix_without_preprocessing_raises_without_a_warning(self):
+        # delta ||H||_F is 0 and falls back to the smallest normal number, so
+        # the default B = n / scale overflows; a Python float does so quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="out of binary64 range"):
+                solve(np.zeros((3, 3)), SolveConfig(seed=1, preprocess=False))
+
+    def test_zero_matrix_message_names_the_zero_norm(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"\|\|A\|\| = 0") as info:
+                solve(np.zeros((3, 3)), SolveConfig(seed=1))
+        assert "delta = 0 or" in str(info.value)
 
     def test_full_pipeline_with_preprocess(self):
         rng = np.random.default_rng(82)

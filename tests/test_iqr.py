@@ -289,6 +289,7 @@ class TestBinary64Step:
                     HessenbergMatrix(ldexp(ref.next_h.a, e), validate=False),
                     [ldexp(ref.r_nn_per_step[0], e)],
                     ref.steps,  # rotations and phase do not change with 2^e
+                    ldexp(s, e),
                 )
                 self._check(HessenbergMatrix(ldexp(h.a, e)), ldexp(s, e), ref_e)
 

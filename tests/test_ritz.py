@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import near_normal_hessenberg, random_hessenberg
-from hessqr.errors import DichotomyMiss, DimensionError
+from conftest import near_normal_hessenberg, random_hessenberg, same_bits
+from hessqr.errors import DichotomyMiss, DimensionError, DomainError
 from hessqr.iqr import HessenbergMatrix, log2_potential_pow_k, potential
+from hessqr.kernel import sample_disk
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
 from hessqr.params import globals_with_degree
 from hessqr.ritz import optimal, regularize, ritz_or_decouple
@@ -40,7 +41,26 @@ def _lpk(h, k):
 class TestRegularize:
     def test_zero_radius_identity(self, rng):
         shifts = (1.0 + 1j, -2.0)
+        state = rng.bit_generator.state
         assert regularize(shifts, 0.0, rng) == shifts
+        assert rng.bit_generator.state == state  # nothing drawn
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_one_draw_equals_a_sample_disk_per_shift(self, k):
+        # the batched draw is the stream, and each point the value, that a
+        # sample_disk call per shift gives, bit for bit
+        base = np.random.default_rng(42 + k)
+        shifts = tuple(complex(z) for z in base.standard_normal(k) + 1j * base.standard_normal(k))
+        for eta2 in (1e-12, 0.1, 3.0):
+            batched, per_shift = np.random.default_rng(k), np.random.default_rng(k)
+            got = regularize(shifts, eta2, batched)
+            ref = tuple(r + sample_disk(0.0, eta2, per_shift) for r in shifts)
+            assert same_bits(np.array(got), np.array(ref))
+            assert batched.bit_generator.state == per_shift.bit_generator.state
+
+    def test_negative_radius(self, rng):
+        with pytest.raises(DomainError):
+            regularize((1.0,), -0.1, rng)
 
     def test_support_bound(self):
         rng = np.random.default_rng(40)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -192,6 +193,87 @@ class TestEachPrefixSweptOnce:
             assert same_bits(r, ref_r)
             assert same_bits(half.r_nn_per_step, ref.r_nn_per_step)
             assert same_bits(half.next_h.a, ref.next_h.a)
+
+
+def _counting_lapack(monkeypatch):
+    """Counts the LAPACK calls ``iqr`` makes, by routine name."""
+    counts, lapack = Counter(), iqr.lapack
+
+    class Counting:
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return routine(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(iqr, "lapack", Counting())
+    return counts
+
+
+def _reading_every_iterate(monkeypatch):
+    """Makes every ``iqr_single`` call read its iterate at once: the
+    reference chain, which forms each iterate it sweeps."""
+    iqr_single = iqr.iqr_single
+
+    def reading(h, s):
+        res = iqr_single(h, s)
+        res.next_h
+        return res
+
+    monkeypatch.setattr(iqr, "iqr_single", reading)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+class TestIteratesFormedOnRead:
+    """A binary64 sweep forms its iterate when something first reads it:
+    the tau products of ``find`` read none, so a step forms only the
+    iterates that a later sweep starts from and its result."""
+
+    _case = TestEachPrefixSweptOnce._case
+
+    def test_lapack_calls_per_sh_step(self, k, monkeypatch):
+        h, gd, ritz = self._case(k, 71)
+        counts = _counting_lapack(monkeypatch)
+        out = sh_step(h, _lpk(h, k), ritz, 1e-9, 0.05, np.random.default_rng(2), gd)
+        assert out.branch == "ritz_shift"
+        lg = int(math.log2(k))
+        # 2, 6, 20 and 58 formations for k = 2, 4, 8 and 16
+        assert counts == {"zgeqrf": k * lg + 1, "zunmqr": k * lg - 2 * lg + 2}
+
+    @pytest.mark.parametrize("seed", [72, 73])
+    def test_lazy_iterates_equal_a_chain_reading_every_one(self, k, seed, monkeypatch):
+        h, gd, ritz = self._case(k, seed)
+
+        def run():
+            return [
+                (find(h, order, gd), sh_step(h, _lpk(h, k), order, 1e-9, 0.05,
+                                             np.random.default_rng(3), gd))
+                for order in (ritz, ritz[::-1])
+            ]
+
+        lazy = run()
+        _reading_every_iterate(monkeypatch)
+        counts = _counting_lapack(monkeypatch)
+        eager = run()
+        assert counts["zunmqr"] == counts["zgeqrf"]  # the reference formed every one
+        # the lazy iterates are formed here, after every reference sweep
+        for ((r, half), out), ((ref_r, ref_half), ref_out) in zip(lazy, eager):
+            assert same_bits(r, ref_r)
+            assert same_bits(half.r_nn_per_step, ref_half.r_nn_per_step)
+            assert same_bits(half.next_h.a, ref_half.next_h.a)
+            assert out.branch == ref_out.branch and same_bits(out.shift, ref_out.shift)
+            assert same_bits(out.next_h.a, ref_out.next_h.a)
+
+    def test_two_reads_return_the_same_iterate(self, k, monkeypatch):
+        h, gd, ritz = self._case(k, 74)
+        _, half = find(h, ritz, gd)
+        counts = _counting_lapack(monkeypatch)
+        first = half.next_h
+        assert half.next_h is first
+        assert counts == {"zunmqr": 1}
 
 
 class TestBuildNet:
