@@ -12,7 +12,10 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   on the QR route, ``hessqr.solve`` with the input's solver seed on the CLI
   route), and on the CLI route also the JSON that ``hessqr solve`` writes;
 - the same for ``shifted_qr`` on the 32 x 32 cyclic shift at k = 8 (which
-  takes the ritz_shift, decouple and exceptional branches) at each seed.
+  takes the ritz_shift, decouple and exceptional branches) at each seed;
+- the same for ``shifted_qr`` at k = 4 on one 128 x 128 near-normal input
+  per seed, made by perfbench's recipe, whose deflation tree goes about 120
+  levels deep (each block's random stream is derived from its path).
 
 Floats are compared by their bits (hex).  The exit code is 1 when any value
 both checkouts record differs, an input fails on one side only, or an item
@@ -32,8 +35,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 CYCLIC_N, CYCLIC_K = 32, 8
+DEEP_N = 128
 
 
 def _plain(x):
@@ -120,6 +125,14 @@ def collect(n_inputs, seeds):
     for seed in seeds:
         name = f"cyclic shift n={CYCLIC_N} k={CYCLIC_K} seed {seed}"
         out[name] = _guarded(lambda: _solve_record(hessqr.shifted_qr(h, 1e-7, 0.05, gd, seed=seed)))
+    for seed in seeds:
+        a = workloads.near_normal(np.random.default_rng(seed), DEEP_N)
+        h = hessqr.HessenbergMatrix(np.triu(scipy.linalg.hessenberg(a), -1))
+        gd = hessqr.derive_globals(workloads.QR_B, workloads.QR_GAMMA, 2 * float(h.frobenius_norm()), DEEP_N)
+        name = f"near-normal n={DEEP_N} k={gd.k} seed {seed}"
+        out[name] = _guarded(
+            lambda: _solve_record(hessqr.shifted_qr(h, workloads.QR_DELTA, workloads.QR_PHI, gd, seed=seed))
+        )
     return out
 
 

@@ -16,6 +16,7 @@ all retries or an iteration budget that ran out.
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -213,12 +214,14 @@ def _build_parser():
 
 def _config_from_args(args):
     """The SolveConfig the arguments ask for; out-of-range values raise ParseError."""
-    if args.delta <= 0:
-        raise ParseError(f"--delta must be > 0, got {args.delta}")
+    if not 0 < args.delta < math.inf:
+        raise ParseError(f"--delta must be finite and > 0, got {args.delta}")
     if not (0.0 < args.phi < 1.0):
         raise ParseError(f"--phi must be in (0,1), got {args.phi}")
     if args.bits < 24:
         raise ParseError(f"--bits must be >= 24, got {args.bits}")
+    if args.seed is not None and args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     return SolveConfig(
         delta=args.delta,
         phi=args.phi,

@@ -108,7 +108,12 @@ def default_bounds(n, scale, B=None, Gamma=None):
 
     A perturbation of size ``scale`` makes B = max(1, n/scale) and
     Gamma = (scale/n)^2 plausible bounds on kappa_V and on the eigenvalue
-    gap; values given explicitly are kept."""
+    gap; values given explicitly are kept, and must be finite, Gamma
+    positive too (B >= 1 is ``derive_degree``'s check)."""
+    if B is not None and not math.isfinite(B):
+        raise ParameterError(f"the given B={B!r} is not a finite number")
+    if Gamma is not None and not 0 < Gamma < math.inf:
+        raise ParameterError(f"the given Gamma={Gamma!r} must be positive and finite")
     if B is not None and Gamma is not None:
         return B, Gamma
     if scale <= 0:

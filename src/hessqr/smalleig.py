@@ -11,11 +11,12 @@ each rung solves only the blocks the rungs before it left uncertified, so a
 certified block is never solved again:
 
 1. clongdouble, for binary64 input where clongdouble has a 64-bit
-   significand (x87 extended): LAPACK's eigenvalues of the block, complex128,
-   go to the certificate below at beta_eff / 2 as they are, in one pass of
-   the recurrence, and are returned unchanged when they pass.  Only when
-   they fail do they seed Newton iterations on all roots at once, whose
-   roots must pass the same certificate.
+   significand (x87 extended): LAPACK's eigenvalues of the block, complex128
+   (``zgeev`` without eigenvectors, through ``scipy.linalg.lapack``, the
+   LAPACK the QR sweeps call), go to the certificate below at beta_eff / 2
+   as they are, in one pass of the recurrence, and are returned unchanged
+   when they pass.  Only when they fail do they seed Newton iterations on
+   all roots at once, whose roots must pass the same certificate.
 2. mpmath, from a precision derived from ||m||_F / beta_eff (at least 120
    bits), doubling up to 960 bits: Newton from the LAPACK seeds, always
    (a binary64 seed is far from a root at these precisions), and, where its
@@ -56,6 +57,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import SmallEigFailure
 from .iqr import HessenbergMatrix, split_blocks
@@ -263,8 +265,36 @@ def _cyclic_index(d):
     return idx, cols
 
 
+@lru_cache(maxsize=64)
+def _zgeev_lwork(n):
+    """zgeev's optimal workspace for eigenvalues alone, the size
+    ``np.linalg.eigvals`` asks for: with the wrapper's minimal default,
+    zgehrd and zhseqr take other code paths from n ~ 150 on, and round
+    differently."""
+    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
+
+
+def _lapack_seeds(blk):
+    """The eigenvalues of blk rounded to complex128, from ``zgeev`` without
+    eigenvectors, or None for a block that rounds to a non-finite entry (one
+    rounded from mpmath can) or that ``zgeev`` fails on.  It is the call
+    ``np.linalg.eigvals`` makes, with the same workspace, without its Python
+    wrapper.  numpy and scipy ship their own OpenBLAS builds; their results
+    agreed bit for bit on every block tried below n = 150, and up to
+    n = 256 with one BLAS thread.  From n ~ 150 on, scipy's depend on the
+    number of BLAS threads."""
+    a = blk.astype(np.complex128, order="F")
+    if not np.isfinite(a).all():
+        return None
+    seeds, _, _, info = lapack.zgeev(
+        a, compute_vl=0, compute_vr=0, lwork=_zgeev_lwork(a.shape[0]), overwrite_a=1
+    )
+    return seeds if info == 0 else None
+
+
 def _isolated_roots(blk, beta_cert, u):
-    """Roots from LAPACK seeds that pass ``_certify_block``, or None.
+    """Roots from LAPACK seeds (``_lapack_seeds``) that pass
+    ``_certify_block``, or None.
 
     In clongdouble the binary64 seeds are certified as they are, and
     returned as they are, complex128; only when they fail does Newton refine
@@ -272,9 +302,8 @@ def _isolated_roots(blk, beta_cert, u):
     once, in the arithmetic of blk (unit roundoff u), and stops once every
     step is within sqrt(u) (1 + |z|), after which one more step would be
     below the rounding level; its roots must pass the certificate too."""
-    try:
-        seeds = np.linalg.eigvals(blk.astype(np.complex128))
-    except np.linalg.LinAlgError:
+    seeds = _lapack_seeds(blk)
+    if seeds is None:
         return None
     tol = u**0.5
     with np.errstate(all="ignore"):
@@ -337,8 +366,9 @@ class CharPolySolver:
     driver's corners are certified at: on perfbench's qr_small inputs,
     ``ritz.ritz_or_decouple`` asks for about 1.5e-26, the solver certifies
     at beta_eff / 2 ~ 8.9e-16, and the bounds reach 0.61 of that, so the
-    running error bound eps leaves little room and must not be loosened.  Certified LAPACK seeds are complex128 already and are
-    returned as they are; a root Newton refined in clongdouble or mpmath is
+    running error bound eps leaves little room and must not be loosened.
+    The seeds are ``zgeev``'s eigenvalues through ``scipy.linalg.lapack``,
+    complex128; certified ones are returned as they are; a root Newton refined in clongdouble or mpmath is
     rounded to complex128, which moves it by at most
     2^-52.5 ||m||_F <= beta_eff / 2.  A 1 x 1 block returns its entry,
     exactly, in the type it has.

@@ -253,6 +253,24 @@ class TestMain:
         assert main(["solve", path, "--bits", "8"]) == EXIT_BAD_INPUT
         assert main(["solve", path, "--delta", "0"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("command", ["solve", "info"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--delta", "nan"], "--delta must be finite and > 0, got nan"),
+            (["--delta", "inf"], "--delta must be finite and > 0, got inf"),
+            (["--gamma-gap", "-1"], "the given Gamma=-1.0 must be positive and finite"),
+            (["--gamma-gap", "inf"], "the given Gamma=inf must be positive and finite"),
+            (["--B", "inf"], "the given B=inf is not a finite number"),
+            (["--B", "inf", "--gamma-gap", "1e-3"], "the given B=inf is not a finite number"),
+        ],
+    )
+    def test_out_of_range_values_are_named(self, tmp_path, capsys, command, options, message):
+        path = _identity_mtx(tmp_path)
+        assert main([command, path] + options) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_option_exit_two(self, tmp_path, capsys):
         # no --sigma: Sigma is always 2 ||H||_F
         for option in (["--threads", "2"], ["--sigma", "1e-3"]):

@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hessqr import driver, iqr, ritz, shifting
 from hessqr.driver import (
     SolveConfig,
+    block_seed,
     deflate,
     prepare,
     shifted_qr,
@@ -169,6 +171,36 @@ class TestShiftedQr:
         np.testing.assert_array_equal(
             res.eigenvalues, [v for leaf in leaves for v in leaf.eigenvalues]
         )
+
+
+class TestBlockStreams:
+    """``block_seed`` passes the path as one uint32 array; the entropy it
+    assembles must be that of the documented tuple spawn key, at any depth,
+    or every stream of a run changes."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1])
+    @pytest.mark.parametrize("n", [2, 128, 2**32])  # entries up to n - 1 = 2^32 - 1
+    def test_same_state_as_the_tuple_spawn_key(self, seed, n):
+        for depth in range(65):
+            paths = [(v,) * depth for v in (0, 1, n - 1)]
+            paths.append(tuple((0, 1, n - 1)[i % 3] for i in range(depth)))
+            for path in paths:
+                expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(8)
+                assert np.array_equal(block_seed(seed, path).generate_state(8), expected)
+
+    def test_each_loop_block_draws_from_its_own_path(self, monkeypatch):
+        paths = []
+
+        def spy(seed, path):
+            paths.append(path)
+            return block_seed(seed, path)
+
+        monkeypatch.setattr(driver, "block_seed", spy)
+        h, _ = near_normal_hessenberg(np.random.default_rng(5), 12, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=12)
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=3)
+        loops = [p for p, node in res.tree.nodes.items() if node.eigenvalues is None]
+        assert paths == loops and len(max(paths, key=len)) > 1
 
 
 class TestLoopGuardChecksOnce:
@@ -397,6 +429,20 @@ class TestSolveEntryPoint:
             with pytest.raises(ParameterError, match=r"\|\|A\|\| = 0") as info:
                 solve(np.zeros((3, 3)), SolveConfig(seed=1))
         assert "delta = 0 or" in str(info.value)
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, preprocess, seed):
+        config = SolveConfig(seed=seed, preprocess=preprocess, B=1.0, Gamma=1e-3)
+        with pytest.raises(ParameterError, match=f"seed must be a non-negative integer, got {seed}"):
+            solve(np.eye(3, dtype=complex), config)
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    @pytest.mark.parametrize("delta", [-1e-6, math.nan, math.inf])
+    def test_delta_must_be_finite_and_non_negative(self, preprocess, delta):
+        config = SolveConfig(seed=1, delta=delta, preprocess=preprocess, B=1.0, Gamma=1e-3)
+        with pytest.raises(ParameterError, match=f"delta must be finite and >= 0, got {delta}"):
+            solve(np.eye(3, dtype=complex), config)
 
     def test_full_pipeline_with_preprocess(self):
         rng = np.random.default_rng(82)

@@ -92,6 +92,23 @@ class TestHugeB:
             default_bounds(16, 2.0**e)
 
 
+class TestDefaultBounds:
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"B": math.inf}, "given B=inf"),
+            ({"B": math.nan, "Gamma": 1e-3}, "given B=nan"),
+            ({"Gamma": -1.0}, "given Gamma=-1.0"),
+            ({"B": 1.0, "Gamma": math.inf}, "given Gamma=inf"),
+            ({"Gamma": 0.0}, "given Gamma=0.0"),
+        ],
+    )
+    def test_default_bounds_names_a_given_value(self, given, message):
+        with pytest.raises(ParameterError, match=message) as info:
+            default_bounds(16, 1e-6, **given)
+        assert "auto" not in str(info.value)
+
+
 class TestGlobalData:
     def test_degree_power_of_two(self):
         with pytest.raises(ParameterError):

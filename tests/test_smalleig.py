@@ -471,6 +471,52 @@ class TestExtremeInputs:
             SOLVER.solve(obj, 1e-10)
 
 
+class TestLapackSeeds:
+    """The seeds are zgeev's eigenvalues, the ones ``np.linalg.eigvals``
+    returns, bit for bit; a block without seeds goes on to the next step."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 32, 128])
+    def test_same_bits_as_numpy(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            h = random_hessenberg(rng, n).a
+            assert same_bits(smalleig._lapack_seeds(h.astype(np.clongdouble)), np.linalg.eigvals(h))
+
+    def test_same_bits_as_numpy_where_the_workspace_matters(self):
+        # from n ~ 150 on, zgeev's code path depends on its workspace; with
+        # one BLAS thread numpy's and scipy's OpenBLAS builds agree
+        src = os.path.dirname(os.path.dirname(hessqr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        code = (
+            "import numpy as np; from hessqr import smalleig; "
+            "rng = np.random.default_rng(61); "
+            "a = [np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1) "
+            "for n in (150, 200)]; "
+            "print(all(smalleig._lapack_seeds(m).tobytes() == np.linalg.eigvals(m).tobytes() "
+            "for m in a))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert out.stdout.strip() == "True"
+
+    def test_a_block_beyond_binary64_has_no_seeds(self):
+        blk = smalleig.to_mp(np.array([[1.0, 2.0], [1.0, 0.0]], dtype=complex))
+        blk[0, 1] = mpmath.mpc(mpmath.mpf("1e400"))
+        assert smalleig._lapack_seeds(blk) is None
+
+    def test_a_failed_zgeev_is_a_failed_seed(self, monkeypatch):
+        def failing(a, **options):
+            return np.zeros(a.shape[0], complex), None, None, 1
+
+        monkeypatch.setattr(smalleig.lapack, "zgeev", failing)
+        blk = random_hessenberg(np.random.default_rng(62), 4).a.astype(np.clongdouble)
+        assert smalleig._lapack_seeds(blk) is None
+        assert smalleig._isolated_roots(blk, np.longdouble(1e-3), smalleig._U_LD) is None
+
+
 class TestHardInputs:
     @given(hard_matrices())
     def test_certified_or_loud(self, case):
