@@ -15,7 +15,11 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   takes the ritz_shift, decouple and exceptional branches) at each seed;
 - the same for ``shifted_qr`` at k = 4 on one 128 x 128 near-normal input
   per seed, made by perfbench's recipe, whose deflation tree goes about 120
-  levels deep (each block's random stream is derived from its path).
+  levels deep (each block's random stream is derived from its path);
+- the same for ``shifted_qr`` at k = 4 on the extended-precision route: the
+  Hessenberg form of one 10 x 10 near-normal input per seed, in mpmath
+  numbers at 80 bits, so that a change to the binary64 step shows that this
+  route did not move.
 
 Floats are compared by their bits (hex).  The exit code is 1 when any value
 both checkouts record differs, an input fails on one side only, or an item
@@ -34,11 +38,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
 CYCLIC_N, CYCLIC_K = 32, 8
 DEEP_N = 128
+MP_N, MP_BITS = 10, 80
 
 
 def _plain(x):
@@ -94,6 +100,7 @@ def collect(n_inputs, seeds):
     import hessqr
     import hessqr.cli
     from hessqr.params import globals_with_degree
+    from hessqr.smalleig import MP_LOCK
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,14 +132,18 @@ def collect(n_inputs, seeds):
     for seed in seeds:
         name = f"cyclic shift n={CYCLIC_N} k={CYCLIC_K} seed {seed}"
         out[name] = _guarded(lambda: _solve_record(hessqr.shifted_qr(h, 1e-7, 0.05, gd, seed=seed)))
-    for seed in seeds:
-        a = workloads.near_normal(np.random.default_rng(seed), DEEP_N)
-        h = hessqr.HessenbergMatrix(np.triu(scipy.linalg.hessenberg(a), -1))
-        gd = hessqr.derive_globals(workloads.QR_B, workloads.QR_GAMMA, 2 * float(h.frobenius_norm()), DEEP_N)
-        name = f"near-normal n={DEEP_N} k={gd.k} seed {seed}"
-        out[name] = _guarded(
-            lambda: _solve_record(hessqr.shifted_qr(h, workloads.QR_DELTA, workloads.QR_PHI, gd, seed=seed))
-        )
+    for n, bits in ((DEEP_N, 53), (MP_N, MP_BITS)):
+        for seed in seeds:
+            a = workloads.near_normal(np.random.default_rng(seed), n)
+            h = hessqr.HessenbergMatrix(np.triu(scipy.linalg.hessenberg(a), -1))
+            gd = hessqr.derive_globals(workloads.QR_B, workloads.QR_GAMMA, 2 * float(h.frobenius_norm()), n)
+            name = f"near-normal n={n} k={gd.k} seed {seed}" + (f" at {bits} bits" if bits != 53 else "")
+            with MP_LOCK, mpmath.workprec(bits):
+                if bits != 53:
+                    h = h.to_extended()
+                out[name] = _guarded(
+                    lambda: _solve_record(hessqr.shifted_qr(h, workloads.QR_DELTA, workloads.QR_PHI, gd, seed=seed))
+                )
     return out
 
 

@@ -4,8 +4,9 @@ A degree-1 step factors H - s = QR and forms the next iterate R*Q + s;
 higher degrees compose degree-1 steps in root order.  ``iqr_single`` has two
 implementations, one for each arithmetic: LAPACK's Householder QR for
 complex128 and a Givens sweep for mpmath numbers at the ambient precision.
-Both keep the diagonal of R real nonnegative (the unique positive-diagonal
-QR convention), which pins down the bottom-right entries (R_l)_{nn} whose
+The binary64 step keeps LAPACK's real, signed diagonal of R, the mpmath
+sweep a nonnegative one: their iterates differ by a +-1 diagonal similarity,
+which moves no modulus or eigenvalue, and r_nn = |R_nn| either way, whose
 product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain
 tuples of roots; ``Step`` is the record one step of the QR iteration hands to
 the driver.  Every step returns its factors (the reflectors or rotations it
@@ -152,19 +153,18 @@ class StepRotations(NamedTuple):
 
 
 class StepReflectors(NamedTuple):
-    """zgeqrf's (qr, tau) of one binary64 step, and the signs d = +-1 with
-    which (Q D)(D R) is the positive-diagonal factorization."""
+    """zgeqrf's (qr, tau) of one binary64 step: R is qr's upper triangle,
+    with a real diagonal of either sign, and Q the product of the reflectors."""
 
     qr: np.ndarray
     tau: np.ndarray
-    signs: np.ndarray
 
 
 class IqrResult:
     """The degree-m step of p on H: the r_nn of each degree-1 step, the
     factors each applied, and the next iterate ``next_h``.
 
-    A binary64 step forms its iterate D R Q D + s from its last
+    A binary64 step forms its iterate R Q + s from its last
     StepReflectors and its last shift the first time next_h is read, by the
     operations ``iqr_single`` describes, and keeps it: two reads return the
     same matrix.  A tau product reads only the r_nn values, so a sweep that
@@ -207,8 +207,8 @@ def iqr_single(h, s):
     next_h is first read.  On Hessenberg input each reflector is zero past
     its second entry, so R*Q is exactly Hessenberg, and lwork=n keeps LAPACK
     on its unblocked routines, which skip those zeros.  zlarfg leaves
-    diag(R) real; with D = sign(diag R), next_H = D R Q D + s and
-    r_nn = |R_nn| exactly.  Backward stable in either arithmetic
+    diag(R) real, of either sign; next_H = R Q + s and r_nn = |R_nn|
+    exactly.  Backward stable in either arithmetic
     (Householder: Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 19): for the Q accumulated from the step,
     ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
@@ -231,24 +231,22 @@ def iqr_single(h, s):
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
         if info:
             raise DomainError(f"LAPACK QR step failed (zgeqrf info={info})")
-        d = np.copysign(1.0, qr.real.diagonal())
-        return IqrResult(None, [abs(qr[n - 1, n - 1].real)], [StepReflectors(qr, tau, d)], s)
+        return IqrResult(None, [abs(qr[n - 1, n - 1].real)], [StepReflectors(qr, tau)], s)
     r_nn, step = _givens_sweep(a)
     a.ravel("K")[:: n + 1] += s
     return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step], s)
 
 
 def _form_iterate(step, s):
-    """next_H = D R Q D + s of the binary64 step with reflectors ``step``
-    and shift s: zunmqr applies Q to D R from the right."""
-    qr, tau, d = step
+    """next_H = R Q + s of the binary64 step with reflectors ``step`` and
+    shift s: zunmqr applies Q to R from the right."""
+    qr, tau = step
     n = qr.shape[0]
-    a = qr * d[:, None]
+    a = qr.copy(order="F")
     a.ravel("K")[1 :: n + 1] = 0
     a, _, info = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
     if info:
         raise DomainError(f"LAPACK QR step failed (zunmqr info={info})")
-    a *= d
     a.ravel("K")[:: n + 1] += s
     return HessenbergMatrix(a, validate=False)
 

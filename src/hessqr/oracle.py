@@ -319,8 +319,8 @@ def iqr_exact(h, shifts):
 
 def accumulate_q(steps, n):
     """Unitary Q implied by the binary64 steps of an ``IqrResult``: the
-    product of each step's Q D, with Q formed from its reflectors by zungqr."""
+    product of each step's LAPACK Q, formed from its reflectors by zungqr."""
     Q = np.eye(n, dtype=np.complex128)
     for step in steps:
-        Q = Q @ (lapack.zungqr(step.qr, step.tau)[0] * step.signs)
+        Q = Q @ lapack.zungqr(step.qr, step.tau)[0]
     return Q

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from conftest import random_hessenberg, same_bits
 from hessqr import iqr
@@ -245,12 +246,24 @@ class TestSweepBitIdentity:
                 self._check(hm, s)
 
 
+def _lapack_signs(steps):
+    """E = prod_l sign(diag R_l) over binary64 steps: the +-1 diagonal with
+    which E next_H E is the iterate of the nonnegative-diagonal convention,
+    which the mpmath sweep keeps."""
+    e = np.ones(steps[0].qr.shape[0])
+    for step in steps:
+        e *= np.copysign(1.0, step.qr.real.diagonal())
+    return e
+
+
 class TestBinary64Step:
     """The complex128 step (LAPACK Householder QR) against the mpmath sweep
-    at ``oracle.IQR_EXACT_PREC`` bits, which has the same positive-diagonal
-    convention, so no signs are fitted.  Shifts stay at least 1e-2 ||H||
-    from the spectrum: near an eigenvalue a QR step is forward unstable and
-    the two may legitimately part (Parlett and Le, 1993)."""
+    at ``oracle.IQR_EXACT_PREC`` bits.  The binary64 step keeps LAPACK's
+    real, signed diagonal of R and the sweep a nonnegative one, so the step's
+    own signs D = sign(diag R) are applied here, exactly: D R is the sweep's
+    R and D next_H D its iterate.  Shifts stay at least 1e-2 ||H|| from the
+    spectrum: near an eigenvalue a QR step is forward unstable and the two
+    may legitimately part (Parlett and Le, 1993)."""
 
     @staticmethod
     def _check(h, s, ref):
@@ -260,9 +273,11 @@ class TestBinary64Step:
         for i in range(2, n):
             assert (got[i, : i - 1] == 0).all()
         (step,) = res.steps
-        r_diag = step.signs * step.qr.diagonal()
+        d = _lapack_signs(res.steps)
+        r_diag = d * step.qr.diagonal()
         assert (r_diag.imag == 0).all() and (r_diag.real >= 0).all()
         assert res.r_nn_per_step == [r_diag.real[-1]]
+        got = d[:, None] * got * d
         tol = 4 * n * U * np.linalg.norm(h.a - s * np.eye(n), 2)
         assert np.linalg.norm(got - ref.next_h.a.astype(np.complex128), 2) <= tol
         assert abs(res.r_nn_per_step[0] - float(ref.r_nn_per_step[0])) <= tol
@@ -305,6 +320,52 @@ class TestBinary64Step:
         h = random_hessenberg(np.random.default_rng(21), 9)
         res = iqr_multi(h, (0.3, -0.2j, 1.1))
         assert all(isinstance(step, StepReflectors) for step in res.steps)
+
+
+def _signed_chain(a, shifts):
+    """The binary64 chain with the positive-diagonal normalization, next_H =
+    D R Q D + s with D = sign(diag R) at every step, by the same zgeqrf and
+    zunmqr calls as ``iqr``: (next_a, r_nn per step)."""
+    n = a.shape[0]
+    r_nns = []
+    for s in shifts:
+        a = a.copy(order="F")
+        a.ravel("K")[:: n + 1] -= s
+        qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
+        assert info == 0
+        d = np.copysign(1.0, qr.real.diagonal())
+        r_nns.append(abs(qr[n - 1, n - 1].real))
+        a = qr * d[:, None]
+        a.ravel("K")[1 :: n + 1] = 0
+        a, _, info = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
+        assert info == 0
+        a *= d
+        a.ravel("K")[:: n + 1] += s
+    return a, r_nns
+
+
+class TestLapackSignConvention:
+    """The binary64 step forms R Q + s as LAPACK factors it.  Up to the
+    diagonal similarity E = prod_l sign(diag R_l), that is the iterate of the
+    positive-diagonal chain, value for value, with the same r_nn: the signs
+    change no modulus, no eigenvalue and no tau product.  np.array_equal
+    compares values, since the two may differ in the sign of a zero below the
+    subdiagonal."""
+
+    def test_equals_the_positive_diagonal_chain(self):
+        rng = np.random.default_rng(22)
+        for n in (2, 3, 8, 32, 128):
+            for m in range(1, 6):
+                h = random_hessenberg(rng, n)
+                shifts = tuple(complex(*rng.standard_normal(2)) for _ in range(m))
+                for e in (0, -300, 300):
+                    a = ldexp(h.a, e)
+                    scaled = tuple(ldexp(s, e) for s in shifts)
+                    res = iqr_multi(HessenbergMatrix(a), scaled)
+                    want, r_nns = _signed_chain(a, scaled)
+                    d = _lapack_signs(res.steps)
+                    assert np.array_equal(d[:, None] * res.next_h.a * d, want)
+                    assert res.r_nn_per_step == r_nns
 
 
 class TestIqrMulti:
@@ -440,7 +501,9 @@ class TestForwardStability:
                 if min(abs(s - e) for e in eigs) >= 1e-2 * norm_h:
                     shifts.append(s)
             shifts = tuple(shifts)
-            got = iqr_multi(h, shifts).next_h.a
+            res = iqr_multi(h, shifts)
+            signs = _lapack_signs(res.steps)  # to the sweep's sign convention
+            got = signs[:, None] * res.next_h.a * signs
             ref = iqr_exact(h, shifts).to_float().a
             dist = min(abs(s - e) for e in eigs for s in shifts)
             c = max(abs(np.array(shifts))) / norm_h

@@ -25,10 +25,10 @@ def test_repository_matches_itself():
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    # one input per workload (the CLI route adds its JSON), the cyclic shift
-    # and the deep near-normal case
+    # one input per workload (the CLI route adds its JSON), the cyclic shift,
+    # the deep near-normal case and the 80-bit case
     assert out.stdout.strip().splitlines()[-1] == (
-        "5 items compared, 0 differences, 0 one-sided fields"
+        "6 items compared, 0 differences, 0 one-sided fields"
     )
 
 
