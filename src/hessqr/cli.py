@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import SolveConfig, plan_run, prepare, solve
+from .driver import MIN_BITS, SolveConfig, plan_run, prepare, solve
 from .errors import (
     BudgetExceeded,
     HessqrError,
@@ -41,13 +41,8 @@ EXIT_PROBABILISTIC = 3
 @dataclass
 class RunReport:
     document: dict
-    trace_rows: list
     wall_time: float
     seed: int
-
-    @property
-    def eigenvalues(self):
-        return [complex(e["re"], e["im"]) for e in self.document["eigenvalues"]]
 
 
 def read_matrix_market(path):
@@ -108,25 +103,6 @@ def _json_document(result, config):
     }
 
 
-def _trace_rows(result):
-    rows = []
-    for node in result.tree.nodes.values():
-        for rec in node.trace:
-            rows.append(
-                (
-                    node.block_id,
-                    rec.index,
-                    rec.psi_before,
-                    rec.branch,
-                    rec.shift.real,
-                    rec.shift.imag,
-                    rec.psi_after,
-                    rec.retries,
-                )
-            )
-    return rows
-
-
 def run(input_path, config, out_json=None, out_trace=None):
     """Solve the Matrix Market file; writes the outputs, returns a RunReport."""
     a = read_matrix_market(input_path)
@@ -135,7 +111,6 @@ def run(input_path, config, out_json=None, out_trace=None):
     wall = time.perf_counter() - t0
 
     document = _json_document(result, config)
-    rows = _trace_rows(result)
     if out_json:
         with open(out_json, "w", encoding="ascii") as fh:
             json.dump(document, fh, indent=2, sort_keys=True)
@@ -143,11 +118,13 @@ def run(input_path, config, out_json=None, out_trace=None):
     if out_trace:
         with open(out_trace, "w", encoding="ascii") as fh:
             fh.write("block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries\n")
-            for block_id, it, psi, branch, sre, sim, psi_after, retries in rows:
-                fh.write(
-                    f"{block_id},{it},{psi!r},{branch},{sre!r},{sim!r},{psi_after!r},{retries}\n"
-                )
-    return RunReport(document=document, trace_rows=rows, wall_time=wall, seed=result.seed)
+            for node in result.tree.nodes.values():
+                for rec in node.trace:
+                    fh.write(
+                        f"{node.block_id},{rec.index},{rec.psi_before!r},{rec.branch},"
+                        f"{rec.shift.real!r},{rec.shift.imag!r},{rec.psi_after!r},{rec.retries}\n"
+                    )
+    return RunReport(document=document, wall_time=wall, seed=result.seed)
 
 
 def info(input_path, config):
@@ -195,9 +172,9 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="master seed; drawn from entropy when omitted")
         p.add_argument("--bits", type=int, default=53,
-                       help="working mantissa bits (default 53); any other value "
-                            "runs the QR iteration on mpmath numbers at that "
-                            "precision")
+                       help=f"working mantissa bits, >= {MIN_BITS} (default 53); any "
+                            "other value runs the QR iteration on mpmath numbers "
+                            "at that precision")
         p.add_argument("--B", type=float, default=None,
                        help="eigenvector condition bound override")
         p.add_argument("--gamma-gap", type=float, default=None, dest="gamma_gap",
@@ -218,8 +195,6 @@ def _config_from_args(args):
         raise ParseError(f"--delta must be finite and > 0, got {args.delta}")
     if not (0.0 < args.phi < 1.0):
         raise ParseError(f"--phi must be in (0,1), got {args.phi}")
-    if args.bits < 24:
-        raise ParseError(f"--bits must be >= 24, got {args.bits}")
     if args.seed is not None and args.seed < 0:
         raise ParseError(f"--seed must be >= 0, got {args.seed}")
     return SolveConfig(

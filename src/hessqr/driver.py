@@ -63,6 +63,7 @@ from .shifting import sh_step
 from .smalleig import DEFAULT_SOLVER, MP_LOCK
 
 MAX_RETRIES = 3
+MIN_BITS = 24  # the fewest working mantissa bits a run accepts
 
 
 def deflate(h, omega, k):
@@ -330,14 +331,21 @@ class SolveConfig:
 def prepare(a, config):
     """The parameters a run works with: (h, gd, delta, seed).
 
-    The seed is drawn from the system entropy source when the config has
-    none; one it gives must be a non-negative integer (ParameterError).  With preprocessing on, ``preprocess`` perturbs and reduces the
-    input (its randomness derived from the seed), and delta is the absolute
-    accuracy delta_pre = delta*||A||_2/2.  Without it, the input must
-    already be upper Hessenberg, and delta is delta*||H||_F.  Sigma is
-    2||H||_F, and B and Gamma default to ``params.default_bounds`` at scale
-    delta_pre or delta/2.  ``solve`` runs on exactly this, and ``hessqr info``
-    prints it."""
+    ``bits`` must be an integer >= MIN_BITS (ParameterError), and the input
+    non-empty (DimensionError).  The seed is drawn from the system entropy
+    source when the config has none; one it gives must be a non-negative
+    integer (ParameterError).  With preprocessing on, ``preprocess``
+    perturbs and reduces the input (its randomness derived from the seed),
+    and delta is the absolute accuracy delta_pre = delta*||A||_2/2.  Without
+    it, the input must already be upper Hessenberg, and delta is
+    delta*||H||_F.  Sigma is 2||H||_F, and B and Gamma default to
+    ``params.default_bounds`` at scale delta_pre or delta/2.  ``solve`` runs
+    on exactly this, and ``hessqr info`` prints it."""
+    if not (isinstance(config.bits, (int, np.integer)) and config.bits >= MIN_BITS):
+        raise ParameterError(f"bits must be an integer >= {MIN_BITS}, got {config.bits!r}")
+    shape = np.shape(a.a if isinstance(a, HessenbergMatrix) else a)
+    if 0 in shape:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {shape}")
     seed = config.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))

@@ -9,12 +9,13 @@ sweep a nonnegative one: their iterates differ by a +-1 diagonal similarity,
 which moves no modulus or eigenvalue, and r_nn = |R_nn| either way, whose
 product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain
 tuples of roots; ``Step`` is the record one step of the QR iteration hands to
-the driver.  Every step returns its factors (the reflectors or rotations it
-applied) in an ``IqrResult``; Q itself is never formed here.  A binary64
-step's next iterate is formed on its first read (``IqrResult.next_h``), so
-a sweep whose r_nn only a tau product reads costs its zgeqrf alone: a step
-of the shifting strategy forms k log2(k) - 2 log2(k) + 2 of its
-k log2(k) + 1 sweeps (6 of 9 at k = 4).
+the driver.  A binary64 step returns its reflectors in an ``IqrResult``,
+and a chain of steps keeps only its last step's, which form its next
+iterate; Q itself is never formed here.  That iterate is formed on its
+first read (``IqrResult.next_h``), so a sweep whose r_nn only a tau
+product reads costs its zgeqrf alone: a step of the shifting strategy
+forms k log2(k) - 2 log2(k) + 2 of its k log2(k) + 1 sweeps (6 of 9 at
+k = 4).
 ``split_blocks`` is the one block splitter: the driver's deflation, the small
 solver and the oracle all cut Hessenberg matrices at exactly-zero
 subdiagonals through it.
@@ -144,14 +145,6 @@ class Step(NamedTuple):
     shift: complex
 
 
-class StepRotations(NamedTuple):
-    """Givens sweep of one mpmath step: the 2x2 rotations[i] on rows i, i+1
-    (None where the column was already zero), then phase on Q's last column."""
-
-    rotations: list
-    phase: complex
-
-
 class StepReflectors(NamedTuple):
     """zgeqrf's (qr, tau) of one binary64 step: R is qr's upper triangle,
     with a real diagonal of either sign, and Q the product of the reflectors."""
@@ -161,54 +154,60 @@ class StepReflectors(NamedTuple):
 
 
 class IqrResult:
-    """The degree-m step of p on H: the r_nn of each degree-1 step, the
-    factors each applied, and the next iterate ``next_h``.
+    """The degree-m step of p on H: the r_nn of each degree-1 step and the
+    next iterate ``next_h``.
 
-    A binary64 step forms its iterate R Q + s from its last
-    StepReflectors and its last shift the first time next_h is read, by the
-    operations ``iqr_single`` describes, and keeps it: two reads return the
-    same matrix.  A tau product reads only the r_nn values, so a sweep that
-    ``find`` only compares is never formed.  The mpmath Givens sweep forms
-    its iterate as it goes and comes with next_h set."""
+    ``factors`` is the StepReflectors of the last degree-1 step when it ran
+    in binary64, and None on the mpmath route and for the identity step;
+    the reflectors of earlier steps are not kept.  A binary64 step forms
+    its iterate R Q + s from ``factors`` and its last shift the first time
+    next_h is read, by the operations ``iqr_single`` describes, and keeps
+    it: two reads return the same matrix.  A tau product reads only the
+    r_nn values, so a sweep that ``find`` only compares is never formed.
+    The mpmath Givens sweep forms its iterate as it goes and comes with
+    next_h set.  A caller that needs every step's reflectors chains
+    ``iqr_single`` and collects each result's factors."""
 
-    __slots__ = ("_next_h", "r_nn_per_step", "steps", "shift")
+    __slots__ = ("_next_h", "r_nn_per_step", "factors", "shift")
 
-    def __init__(self, next_h, r_nn_per_step, steps, shift):
+    def __init__(self, next_h, r_nn_per_step, factors, shift):
         self._next_h = next_h  # None until a binary64 step's iterate is read
         self.r_nn_per_step = r_nn_per_step
-        self.steps = steps  # one StepReflectors or StepRotations per degree-1 step
+        self.factors = factors
         self.shift = shift  # of the last degree-1 step
 
     @property
     def next_h(self):
         if self._next_h is None:
-            self._next_h = _form_iterate(self.steps[-1], self.shift)
+            self._next_h = _form_iterate(self.factors, self.shift)
         return self._next_h
 
     def then(self, shifts):
         """This result continued by the degree-len(shifts) step on its next_h:
         bit for bit the step of the joined shift tuple from the same start,
         without sweeping the shared prefix again.  Each iterate but the last
-        is formed as the next sweep's input; the last is left unformed."""
+        is formed as the next sweep's input; the last is left unformed, and
+        only its factors are kept."""
         if not shifts:
             return self
-        res, r_nns, steps = self, list(self.r_nn_per_step), list(self.steps)
+        res, r_nns = self, list(self.r_nn_per_step)
         for s in shifts:
             res = iqr_single(res.next_h, s)
             r_nns += res.r_nn_per_step
-            steps += res.steps
-        return IqrResult(res._next_h, r_nns, steps, res.shift)
+        return IqrResult(res._next_h, r_nns, res.factors, res.shift)
 
 
 def iqr_single(h, s):
     """One implicit QR step with shift s, in the arithmetic of h.
 
-    complex128: zgeqrf factors H - s, and zunmqr forms R*Q when the result's
-    next_h is first read.  On Hessenberg input each reflector is zero past
-    its second entry, so R*Q is exactly Hessenberg, and lwork=n keeps LAPACK
-    on its unblocked routines, which skip those zeros.  zlarfg leaves
-    diag(R) real, of either sign; next_H = R Q + s and r_nn = |R_nn|
-    exactly.  Backward stable in either arithmetic
+    complex128: zgeqrf factors H - s, the result keeps its StepReflectors
+    as ``factors``, and zunmqr forms R*Q when the result's next_h is first
+    read.  On Hessenberg input each reflector is zero past its second
+    entry, so R*Q is exactly Hessenberg, and lwork=n keeps LAPACK on its
+    unblocked routines, which skip those zeros.  zlarfg leaves diag(R) real,
+    of either sign; next_H = R Q + s and r_nn = |R_nn| exactly.  mpmath:
+    ``_givens_sweep`` forms R*Q in place, and factors is None.  Backward
+    stable in either arithmetic
     (Householder: Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 19): for the Q accumulated from the step,
     ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
@@ -231,16 +230,16 @@ def iqr_single(h, s):
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
         if info:
             raise DomainError(f"LAPACK QR step failed (zgeqrf info={info})")
-        return IqrResult(None, [abs(qr[n - 1, n - 1].real)], [StepReflectors(qr, tau)], s)
-    r_nn, step = _givens_sweep(a)
+        return IqrResult(None, [abs(qr[n - 1, n - 1].real)], StepReflectors(qr, tau), s)
+    r_nn = _givens_sweep(a)
     a.ravel("K")[:: n + 1] += s
-    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], [step], s)
+    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], None, s)
 
 
-def _form_iterate(step, s):
-    """next_H = R Q + s of the binary64 step with reflectors ``step`` and
-    shift s: zunmqr applies Q to R from the right."""
-    qr, tau = step
+def _form_iterate(factors, s):
+    """next_H = R Q + s of the binary64 step with StepReflectors ``factors``
+    and shift s: zunmqr applies Q to R from the right."""
+    qr, tau = factors.qr, factors.tau
     n = qr.shape[0]
     a = qr.copy(order="F")
     a.ravel("K")[1 :: n + 1] = 0
@@ -252,9 +251,11 @@ def _form_iterate(step, s):
 
 
 def _givens_sweep(a):
-    """R*Q of the mpmath matrix a = H - s, in place: (r_nn, StepRotations).
-    Rotation i writes rows i, i+1 from column i+1 on (left) and rows < i+2
-    of columns i, i+1 (right), never below the subdiagonal."""
+    """R*Q of the mpmath matrix a = H - s, in place; returns r_nn = |R_nn|.
+    The rotations live only for the sweep: rotation i (None where the
+    column was already zero) writes rows i, i+1 from column i+1 on (left)
+    and rows < i+2 of columns i, i+1 (right), never below the subdiagonal;
+    the phase of R_nn goes into Q's last column."""
     n = len(a)
     rotations = []
     for i in range(n - 1):
@@ -277,13 +278,13 @@ def _givens_sweep(a):
         if L is not None:
             a[: i + 2, i : i + 2] = a[: i + 2, i : i + 2] @ L.conj().T
     a[:, n - 1] = a[:, n - 1] * phase
-    return r_nn, StepRotations(rotations, phase)
+    return r_nn
 
 
 def iqr_multi(h, shifts):
     """Degree-m implicit QR step: degree-1 steps composed in root order.
     The empty shift tuple is the identity step (next_h is h)."""
-    return IqrResult(h, [], [], None).then(shifts)
+    return IqrResult(h, [], None, None).then(shifts)
 
 
 def comp_tau(res):

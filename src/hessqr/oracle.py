@@ -317,10 +317,12 @@ def iqr_exact(h, shifts):
         return iqr_multi(hm, shifts).next_h
 
 
-def accumulate_q(steps, n):
-    """Unitary Q implied by the binary64 steps of an ``IqrResult``: the
-    product of each step's LAPACK Q, formed from its reflectors by zungqr."""
+def accumulate_q(factors, n):
+    """Unitary Q of a chain of binary64 steps, from the ``factors`` of each
+    step in order (an ``IqrResult`` keeps only its last step's, so collect
+    them by chaining ``iqr_single``): the product of each step's LAPACK Q,
+    formed from its reflectors by zungqr."""
     Q = np.eye(n, dtype=np.complex128)
-    for step in steps:
-        Q = Q @ lapack.zungqr(step.qr, step.tau)[0]
+    for f in factors:
+        Q = Q @ lapack.zungqr(f.qr, f.tau)[0]
     return Q

@@ -41,7 +41,7 @@ def find(h, ritz, gd):
     if len(ritz) != k:
         raise DimensionError(f"find needs degree k={k}, got {len(ritz)}")
     current = ritz
-    head = IqrResult(h, [], [], None)  # the last winner's sweeps of current[0]
+    head = IqrResult(h, [], None, None)  # the last winner's sweeps of current[0]
     rep = 1
     while True:
         half = len(current) // 2

@@ -191,9 +191,9 @@ class TestRun:
             out_json=str(tmp_path / "out.json"),
             out_trace=str(tmp_path / "out.csv"),
         )
-        assert sorted(v.real for v in report.eigenvalues) == pytest.approx([1.0, 1.0], abs=1e-9)
-        assert report.trace_rows == []
         doc = json.loads((tmp_path / "out.json").read_text())
+        assert doc == report.document
+        assert sorted(e["re"] for e in doc["eigenvalues"]) == pytest.approx([1.0, 1.0], abs=1e-9)
         assert len(doc["eigenvalues"]) == 2
         trace = (tmp_path / "out.csv").read_text().splitlines()
         assert trace == ["block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries"]
@@ -206,7 +206,7 @@ class TestRun:
         )
         doc = json.loads((tmp_path / "out.json").read_text())
         back = [complex(e["re"], e["im"]) for e in doc["eigenvalues"]]
-        assert back == report.eigenvalues
+        assert back == [complex(e["re"], e["im"]) for e in report.document["eigenvalues"]]
 
     def test_trace_rows_within_budget(self, tmp_path):
         report = run(
@@ -216,8 +216,9 @@ class TestRun:
         )
         budget = report.document["params"]["n_dec_budget"]
         per_block = {}
-        for row in report.trace_rows:
-            per_block[row[0]] = per_block.get(row[0], 0) + 1
+        for row in (tmp_path / "t.csv").read_text().splitlines()[1:]:
+            block_id = row.split(",")[0]
+            per_block[block_id] = per_block.get(block_id, 0) + 1
         assert per_block and all(v <= budget + 1 for v in per_block.values())
 
 
@@ -264,6 +265,7 @@ class TestMain:
             (["--gamma-gap", "inf"], "the given Gamma=inf must be positive and finite"),
             (["--B", "inf"], "the given B=inf is not a finite number"),
             (["--B", "inf", "--gamma-gap", "1e-3"], "the given B=inf is not a finite number"),
+            (["--bits", "23"], "bits must be an integer >= 24, got 23"),
         ],
     )
     def test_out_of_range_values_are_named(self, tmp_path, capsys, command, options, message):

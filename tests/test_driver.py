@@ -444,6 +444,23 @@ class TestSolveEntryPoint:
         with pytest.raises(ParameterError, match=f"delta must be finite and >= 0, got {delta}"):
             solve(np.eye(3, dtype=complex), config)
 
+    @pytest.mark.parametrize("bits", [0, -3, 1, 23, 80.5, 53.0, None])
+    def test_bits_must_be_an_integer_of_at_least_24(self, bits):
+        # below 24 bits mpmath would run at 1 bit and return far-off values
+        a = np.eye(3, dtype=complex)
+        config = SolveConfig(seed=1, bits=bits, B=1.0, Gamma=1e-3)
+        for call in (solve, prepare):
+            with pytest.raises(ParameterError, match=rf"^bits must be an integer >= 24, got {bits}$"):
+                call(a, config)
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_empty_matrix_is_a_dimension_error(self, preprocess):
+        config = SolveConfig(seed=1, preprocess=preprocess)
+        inputs = [np.zeros((0, 0))] + ([] if preprocess else [HessenbergMatrix(np.zeros((0, 0)))])
+        for a in inputs:
+            with pytest.raises(DimensionError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+                solve(a, config)
+
     def test_full_pipeline_with_preprocess(self):
         rng = np.random.default_rng(82)
         n = 10

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -33,6 +35,17 @@ from hessqr.oracle import (
 from hessqr.smalleig import MP_LOCK
 
 PERM2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _chain(h, shifts):
+    """``iqr_single`` chained over shifts from h: the result of each
+    degree-1 step, in order.  Each keeps its own step's factors, which a
+    degree-m ``IqrResult`` does not."""
+    results = []
+    for s in shifts:
+        results.append(iqr_single(h, s))
+        h = results[-1].next_h
+    return results
 
 
 class TestHessenbergMatrix:
@@ -81,7 +94,7 @@ class TestShifts:
     def test_empty_shift_tuple_is_identity(self):
         h = random_hessenberg(np.random.default_rng(10), 5)
         res = iqr_multi(h, ())
-        assert res.next_h is h and res.r_nn_per_step == [] and res.steps == []
+        assert res.next_h is h and res.r_nn_per_step == [] and res.factors is None
         assert comp_tau(res) == 1.0  # the empty polynomial
 
 
@@ -140,7 +153,7 @@ class TestIqrSingle:
                 norm_h = np.linalg.norm(h.a, 2)
                 s = complex(*rng.standard_normal(2)) * norm_h
                 res = iqr_single(h, s)
-                q = accumulate_q(res.steps, n)
+                q = accumulate_q([res.factors], n)
                 shifted = h.a - s * np.eye(n)
                 r = q.conj().T @ shifted
                 norm_shift = np.linalg.norm(shifted, 2)
@@ -162,7 +175,7 @@ def _frozen_givens(x0, x1):
 
 def _frozen_sweep(a, s):
     """The degree-1 step as first written, with scalar loops for the shift:
-    (next_a, r_nn, rotations, phase).  The reference for bit-identity."""
+    (next_a, r_nn).  The reference for bit-identity."""
     n = a.shape[0]
     a = a.copy()
     for i in range(n):
@@ -188,7 +201,7 @@ def _frozen_sweep(a, s):
     a[:, n - 1] = a[:, n - 1] * phase
     for i in range(n):
         a[i, i] = a[i, i] + s
-    return a, r_nn, rotations, phase
+    return a, r_nn
 
 
 def _zero_column_case():
@@ -202,19 +215,15 @@ def _zero_column_case():
 
 class TestSweepBitIdentity:
     """The mpmath step reproduces the frozen sweep above exactly: next
-    iterate, r_nn, every stored rotation (None where the column was already
-    zero) and the phase."""
+    iterate and r_nn, also where a column is already zero and the sweep
+    skips its rotation."""
 
     def _check(self, h, s):
         res = iqr_single(h, s)
-        a, r_nn, rotations, phase = _frozen_sweep(h.a, s)
+        a, r_nn = _frozen_sweep(h.a, s)
         assert same_bits(res.next_h.a, a)
         assert res.r_nn_per_step == [r_nn] and type(res.r_nn_per_step[0]) is type(r_nn)
-        (step,) = res.steps
-        assert [L is None for L in step.rotations] == [L is None for L in rotations]
-        for got, want in zip(step.rotations, rotations):
-            assert got is None or same_bits(got, want)
-        assert same_bits(step.phase, phase)
+        assert res.factors is None
 
     def _grid(self, bits, seed):
         rng = np.random.default_rng(seed)
@@ -241,18 +250,17 @@ class TestSweepBitIdentity:
         for bits in (53, 80):
             with mpmath.workprec(bits):
                 hm = h.to_extended()
-                res = iqr_single(hm, s)
-                assert res.steps[0].rotations[0] is None
+                assert hm.a[1, 0] == 0 and hm.a[0, 0] - s == 0  # no first rotation
                 self._check(hm, s)
 
 
-def _lapack_signs(steps):
-    """E = prod_l sign(diag R_l) over binary64 steps: the +-1 diagonal with
-    which E next_H E is the iterate of the nonnegative-diagonal convention,
-    which the mpmath sweep keeps."""
-    e = np.ones(steps[0].qr.shape[0])
-    for step in steps:
-        e *= np.copysign(1.0, step.qr.real.diagonal())
+def _lapack_signs(results):
+    """E = prod_l sign(diag R_l) over the binary64 steps of ``results``
+    (``_chain``'s): the +-1 diagonal with which E next_H E is the iterate of
+    the nonnegative-diagonal convention, which the mpmath sweep keeps."""
+    e = np.ones(results[0].factors.qr.shape[0])
+    for res in results:
+        e *= np.copysign(1.0, res.factors.qr.real.diagonal())
     return e
 
 
@@ -272,9 +280,8 @@ class TestBinary64Step:
         got = res.next_h.a
         for i in range(2, n):
             assert (got[i, : i - 1] == 0).all()
-        (step,) = res.steps
-        d = _lapack_signs(res.steps)
-        r_diag = d * step.qr.diagonal()
+        d = _lapack_signs([res])
+        r_diag = d * res.factors.qr.diagonal()
         assert (r_diag.imag == 0).all() and (r_diag.real >= 0).all()
         assert res.r_nn_per_step == [r_diag.real[-1]]
         got = d[:, None] * got * d
@@ -303,7 +310,7 @@ class TestBinary64Step:
                 ref_e = IqrResult(
                     HessenbergMatrix(ldexp(ref.next_h.a, e), validate=False),
                     [ldexp(ref.r_nn_per_step[0], e)],
-                    ref.steps,  # rotations and phase do not change with 2^e
+                    ref.factors,  # None: the sweep keeps no factors
                     ldexp(s, e),
                 )
                 self._check(HessenbergMatrix(ldexp(h.a, e)), ldexp(s, e), ref_e)
@@ -319,7 +326,8 @@ class TestBinary64Step:
         monkeypatch.setattr(iqr, "make_givens", refuse)
         h = random_hessenberg(np.random.default_rng(21), 9)
         res = iqr_multi(h, (0.3, -0.2j, 1.1))
-        assert all(isinstance(step, StepReflectors) for step in res.steps)
+        assert isinstance(res.factors, StepReflectors)
+        assert all(isinstance(r.factors, StepReflectors) for r in _chain(h, (0.3, -0.2j, 1.1)))
 
 
 def _signed_chain(a, shifts):
@@ -346,11 +354,11 @@ def _signed_chain(a, shifts):
 
 class TestLapackSignConvention:
     """The binary64 step forms R Q + s as LAPACK factors it.  Up to the
-    diagonal similarity E = prod_l sign(diag R_l), that is the iterate of the
-    positive-diagonal chain, value for value, with the same r_nn: the signs
-    change no modulus, no eigenvalue and no tau product.  np.array_equal
-    compares values, since the two may differ in the sign of a zero below the
-    subdiagonal."""
+    diagonal similarity E = prod_l sign(diag R_l), with each step's R from
+    chaining ``iqr_single``, that is the iterate of the positive-diagonal
+    chain, value for value, with the same r_nn: the signs change no modulus,
+    no eigenvalue and no tau product.  np.array_equal compares values, since
+    the two may differ in the sign of a zero below the subdiagonal."""
 
     def test_equals_the_positive_diagonal_chain(self):
         rng = np.random.default_rng(22)
@@ -363,12 +371,44 @@ class TestLapackSignConvention:
                     scaled = tuple(ldexp(s, e) for s in shifts)
                     res = iqr_multi(HessenbergMatrix(a), scaled)
                     want, r_nns = _signed_chain(a, scaled)
-                    d = _lapack_signs(res.steps)
+                    d = _lapack_signs(_chain(HessenbergMatrix(a), scaled))
                     assert np.array_equal(d[:, None] * res.next_h.a * d, want)
                     assert res.r_nn_per_step == r_nns
 
 
 class TestIqrMulti:
+    def test_keeps_only_the_last_steps_reflectors(self, monkeypatch):
+        # a degree-m step holds one n x n factor array, not m of them
+        alive = []
+        zgeqrf = iqr.lapack.zgeqrf
+
+        def keep_a_weakref(*args, **kwargs):
+            out = zgeqrf(*args, **kwargs)
+            alive.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(iqr.lapack, "zgeqrf", keep_a_weakref)
+        h = random_hessenberg(np.random.default_rng(23), 16)
+        res = iqr_multi(h, (0.3, -0.2j, 1.1, 0.5 + 0.5j))
+        gc.collect()
+        assert [ref() is not None for ref in alive] == [False, False, False, True]
+        assert alive[-1]() is res.factors.qr
+
+    def test_chained_singles_equal_the_multi_step(self):
+        # in both arithmetics, bit for bit
+        rng = np.random.default_rng(24)
+        with mpmath.workprec(80):
+            for n in (2, 8, 32):
+                h = random_hessenberg(rng, n)
+                shifts = tuple(complex(*rng.standard_normal(2)) for _ in range(5))
+                for start in (h, h.to_extended()) if n <= 8 else (h,):
+                    res = iqr_multi(start, shifts)
+                    chain = _chain(start, shifts)
+                    assert same_bits(res.next_h.a, chain[-1].next_h.a)
+                    got = np.array(res.r_nn_per_step, dtype=object)
+                    want = np.array([r for step in chain for r in step.r_nn_per_step], dtype=object)
+                    assert same_bits(got, want)
+
     def test_single_shift_equivalence(self):
         rng = np.random.default_rng(13)
         h = random_hessenberg(rng, 6)
@@ -502,7 +542,7 @@ class TestForwardStability:
                     shifts.append(s)
             shifts = tuple(shifts)
             res = iqr_multi(h, shifts)
-            signs = _lapack_signs(res.steps)  # to the sweep's sign convention
+            signs = _lapack_signs(_chain(h, shifts))  # to the sweep's sign convention
             got = signs[:, None] * res.next_h.a * signs
             ref = iqr_exact(h, shifts).to_float().a
             dist = min(abs(s - e) for e in eigs for s in shifts)
