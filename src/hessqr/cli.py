@@ -2,13 +2,15 @@
 
 `solve` reads a Matrix Market file through ``scipy.io.mmread`` (array or
 coordinate; real, integer, complex or pattern; any symmetry), runs the
-eigensolver, writes the eigenvalues as JSON and (optionally) the per-block
-potential trace as CSV, and prints a short summary.  `info` prints the seed
-and the parameters that `solve` with that seed would use, without solving;
-both take them from ``driver.prepare`` and the run plan of
-``driver.plan_run``, the one place k, omega, N_dec and the required bits
-are derived.  All randomness flows from --seed; when absent a seed is drawn
-from the system entropy source and recorded in the outputs.
+eigensolver, writes the run document with the eigenvalues as JSON and
+(optionally) the per-block potential trace as CSV, and prints a short
+summary.  `info` prints the same run document without the eigenvalues, as
+JSON, without solving.  Both build it in ``_run_document`` from
+``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
+k, omega, N_dec and the required bits are derived.  The library checks the
+options for both commands; only --delta > 0 is checked here, because the
+library accepts delta = 0.  All randomness flows from --seed; when absent a
+seed is drawn from the system entropy source and recorded in the outputs.
 Exit codes: 0 success, 2 bad input or configuration, or a small eigensolve
 that could not certify its accuracy, 3 probabilistic failure that survived
 all retries or an iteration budget that ran out.
@@ -20,17 +22,11 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .driver import MIN_BITS, SolveConfig, plan_run, prepare, solve
-from .errors import (
-    BudgetExceeded,
-    HessqrError,
-    ParseError,
-    SolveFailure,
-)
+from .errors import BudgetExceeded, HessqrError, ParseError, SolveFailure
 from .params import GAMMA
 
 EXIT_OK = 0
@@ -38,18 +34,12 @@ EXIT_BAD_INPUT = 2
 EXIT_PROBABILISTIC = 3
 
 
-@dataclass
-class RunReport:
-    document: dict
-    wall_time: float
-    seed: int
-
-
 def read_matrix_market(path):
     """The square matrix in a Matrix Market file, as complex128.
 
     Malformed files raise ParseError, with scipy's 1-based line number when
-    it names one."""
+    it names one.  Entries are not checked: the solver rejects non-finite
+    ones."""
     import scipy.io  # here, not at the top: it adds resident memory to runs that read no file
 
     try:
@@ -63,22 +53,16 @@ def read_matrix_market(path):
         raise ParseError(msg, line) from exc
     if m is None:
         raise ParseError(f"matrix must be square and non-empty, got {rows}x{cols}")
-    a = np.asarray(m.toarray() if scipy.sparse.issparse(m) else m, dtype=np.complex128)
-    if not np.isfinite(a).all():
-        raise ParseError("matrix has non-finite entries")
-    return a
+    return np.asarray(m.toarray() if scipy.sparse.issparse(m) else m, dtype=np.complex128)
 
 
-def _json_document(result, config):
-    gd = result.globals_used
-    rp = result.run_params
-    eigs = []
-    for node in result.tree.leaves():
-        for v in node.eigenvalues:
-            eigs.append({"re": v.real, "im": v.imag, "block": node.block_id})
+def _run_document(config, seed, gd, run_params, required_bits):
+    """The run's parameters, as both commands print them: the options, the
+    seed, the global data of ``prepare`` and the plan's run parameters and
+    required bits, all in the caller's units."""
     return {
         "n": int(gd.n0),
-        "seed": int(result.seed),
+        "seed": int(seed),
         "delta": config.delta,
         "phi": config.phi,
         "bits": config.bits,
@@ -92,29 +76,41 @@ def _json_document(result, config):
             "gamma": GAMMA,
         },
         "params": {
-            "omega": rp.omega,
-            "log2_omega": rp.log2_omega,
-            "phi_working": rp.phi_working,
-            "n_dec": rp.n_dec,
-            "n_dec_budget": rp.n_dec_budget,
-            "required_bits": result.required_bits,
+            "omega": run_params.omega,
+            "log2_omega": run_params.log2_omega,
+            "phi_working": run_params.phi_working,
+            "n_dec": run_params.n_dec,
+            "n_dec_budget": run_params.n_dec_budget,
+            "required_bits": required_bits,
         },
-        "eigenvalues": eigs,
     }
 
 
+def _dumps(document):
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
 def run(input_path, config, out_json=None, out_trace=None):
-    """Solve the Matrix Market file; writes the outputs, returns a RunReport."""
+    """Solve the Matrix Market file and write the outputs.
+
+    Returns (document, wall): the run document with its eigenvalues, as
+    --out-json holds it, and the solve's wall time in seconds."""
     a = read_matrix_market(input_path)
     t0 = time.perf_counter()
     result = solve(a, config)
     wall = time.perf_counter() - t0
 
-    document = _json_document(result, config)
+    document = _run_document(
+        config, result.seed, result.globals_used, result.run_params, result.required_bits
+    )
+    document["eigenvalues"] = [
+        {"re": v.real, "im": v.imag, "block": node.block_id}
+        for node in result.tree.leaves()
+        for v in node.eigenvalues
+    ]
     if out_json:
         with open(out_json, "w", encoding="ascii") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_dumps(document) + "\n")
     if out_trace:
         with open(out_trace, "w", encoding="ascii") as fh:
             fh.write("block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries\n")
@@ -124,32 +120,15 @@ def run(input_path, config, out_json=None, out_trace=None):
                         f"{node.block_id},{rec.index},{rec.psi_before!r},{rec.branch},"
                         f"{rec.shift.real!r},{rec.shift.imag!r},{rec.psi_after!r},{rec.retries}\n"
                     )
-    return RunReport(document=document, wall_time=wall, seed=result.seed)
+    return document, wall
 
 
 def info(input_path, config):
-    """The seed and parameters `solve` would run with; no solve.  Returns lines."""
+    """The run document `solve` would write, without the eigenvalues; no solve."""
     a = read_matrix_market(input_path)
     h, gd, delta, seed = prepare(a, config)
     plan = plan_run(h.n, delta, config.phi, gd)
-    rp = plan.run_params
-    return [
-        f"n = {h.n}",
-        f"seed = {seed}",
-        f"B = {gd.B:.6g}",
-        f"Gamma = {gd.Gamma:.6g}",
-        f"Sigma = {gd.Sigma:.6g}",
-        f"k = {gd.k}",
-        f"alpha = {gd.alpha:.6g}",
-        f"theta = {gd.theta:.6g}",
-        f"gamma = {GAMMA}",
-        f"omega = {rp.omega:.6g}",
-        f"log2 omega = {rp.log2_omega:.6g}",
-        f"phi_working = {rp.phi_working:.6g}",
-        f"N_dec = {rp.n_dec:.6g} (budget {rp.n_dec_budget})",
-        f"required bits = {plan.required_bits}",
-        f"configured bits = {config.bits}",
-    ]
+    return _run_document(config, seed, gd, plan.run_params, plan.required_bits)
 
 
 def _build_parser():
@@ -183,20 +162,18 @@ def _build_parser():
                        help="input is already Hessenberg; skip perturb+reduce")
         if name == "solve":
             p.add_argument("--out-json", default=None,
-                           help="eigenvalue output file (JSON)")
+                           help="run document and eigenvalues output file (JSON)")
             p.add_argument("--out-trace", default=None,
                            help="potential-trace output file (CSV)")
     return parser
 
 
 def _config_from_args(args):
-    """The SolveConfig the arguments ask for; out-of-range values raise ParseError."""
+    """The SolveConfig the arguments ask for.  --delta must be finite and
+    > 0 (ParseError), which is stricter than the library's delta >= 0; the
+    library checks the other values."""
     if not 0 < args.delta < math.inf:
         raise ParseError(f"--delta must be finite and > 0, got {args.delta}")
-    if not (0.0 < args.phi < 1.0):
-        raise ParseError(f"--phi must be in (0,1), got {args.phi}")
-    if args.seed is not None and args.seed < 0:
-        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     return SolveConfig(
         delta=args.delta,
         phi=args.phi,
@@ -214,17 +191,15 @@ def main(argv=None):
     try:
         config = _config_from_args(args)
         if args.command == "info":
-            for line in info(args.input, config):
-                print(line)
+            print(_dumps(info(args.input, config)))
             return EXIT_OK
-        report = run(args.input, config, out_json=args.out_json, out_trace=args.out_trace)
-        doc = report.document
+        doc, wall = run(args.input, config, out_json=args.out_json, out_trace=args.out_trace)
         print(
-            f"solved n={doc['n']} seed={report.seed} "
-            f"eigenvalues={len(doc['eigenvalues'])} wall={report.wall_time:.3f}s"
+            f"solved n={doc['n']} seed={doc['seed']} "
+            f"eigenvalues={len(doc['eigenvalues'])} wall={wall:.3f}s"
         )
         if not args.out_json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(_dumps(doc))
         return EXIT_OK
     except (SolveFailure, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

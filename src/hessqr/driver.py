@@ -153,7 +153,7 @@ def _process_block(node, h, plan, seed):
         return []
 
     rng = np.random.default_rng(block_seed(seed, node.path))
-    omega, phi_w = params.omega, params.phi_working
+    omega = params.omega
     moduli = h.bottom_subdiagonal_abs(k)
     log2_psi_pow_k = log2_potential_pow_k(moduli)
     iteration, psi = 0, 2.0 ** (log2_psi_pow_k / k)
@@ -164,13 +164,13 @@ def _process_block(node, h, plan, seed):
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
         (ritz, step), retries = _retry(
-            lambda: ritz_or_decouple(h, log2_psi_pow_k, omega, phi_w, DEFAULT_SOLVER, rng, gd),
+            lambda: ritz_or_decouple(h, log2_psi_pow_k, omega, DEFAULT_SOLVER, rng, gd),
             "ritz_or_decouple",
             node,
         )
         if step is None:
             step, retries_sh = _retry(
-                lambda: sh_step(h, log2_psi_pow_k, ritz, omega, phi_w, rng, gd), "sh_step", node
+                lambda: sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd), "sh_step", node
             )
             retries += retries_sh
         h = step.next_h

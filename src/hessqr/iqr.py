@@ -116,9 +116,6 @@ class HessenbergMatrix:
         """Copy with entries converted to mpmath numbers (exactly, at >= 53 bits)."""
         return HessenbergMatrix(to_mp(self.a), validate=False)
 
-    def to_float(self):
-        return HessenbergMatrix(self.a.astype(np.complex128), validate=False)
-
 
 def split_blocks(a, n):
     """Index ranges of the diagonal blocks of a between exactly-zero subdiagonals.

@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import DomainError
 
-BINARY64_BITS = 53
-UNIT_ROUNDOFF_64 = 2.0 ** (1 - BINARY64_BITS)
-
 
 def is_mp_array(a):
     return a.dtype == object
@@ -74,24 +71,10 @@ def log2(x):
     return math.log2(x) if x > 0 else -math.inf
 
 
-def sample_disk(center, radius, rng):
-    """Uniform sample from the closed disk D(center, radius).
-
-    radius = 0 returns the center without consuming randomness.  Uses the
-    standard radius = R*sqrt(U1), angle = 2*pi*U2 construction; deterministic
-    for a seeded generator.
-    """
-    if radius < 0:
-        raise DomainError(f"sample_disk: radius must be >= 0, got {radius!r}")
-    center = complex(center)
-    if radius == 0:
-        return center
-    return disk_point(center, radius, *rng.random(2))
-
-
 def disk_point(center, radius, u1, u2):
     """The point at distance radius*sqrt(u1) and angle 2*pi*u2 from the
-    complex center: ``sample_disk``'s construction from given uniforms."""
+    complex center: a uniform sample from the closed disk D(center, radius)
+    when u1 and u2 are independent uniforms on [0, 1)."""
     r = radius * math.sqrt(u1)
     ang = 2.0 * math.pi * u2
     return center + complex(r * math.cos(ang), r * math.sin(ang))

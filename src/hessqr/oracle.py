@@ -1,13 +1,14 @@
 """Brute-force reference computations for the test suite and diagnostics.
 
 Dense row iterations, resolvent solves, reference eigensolves, the spectral
-measure, kappa_V / gap estimation, promising-value verification, and
-eigenvalue matching. Row iterations, resolvent solves and determinant
-residuals run in mpmath at ~double-double precision; reference eigenvalues
-run in clongdouble first and in mpmath where that does not certify or the
-caller asks for mpmath values (see ``ref_eigs``); eigenvector-based
-quantities (kappa_V, gap, spectral weights) come from LAPACK at binary64,
-which sits many orders below every tolerance that consumes them.  The
+measure, kappa_V / gap estimation, promising-value verification, the size
+bound of the exceptional-shift net, and eigenvalue matching. Row
+iterations, resolvent solves and determinant residuals run in mpmath at
+~double-double precision; reference eigenvalues run in clongdouble first
+and in mpmath where that does not certify or the caller asks for mpmath
+values (see ``ref_eigs``); eigenvector-based quantities (kappa_V, gap,
+spectral weights) come from LAPACK at binary64, which sits many orders
+below every tolerance that consumes them.  The
 production solver never imports this module.  The oracle takes dense
 input and reduces it itself (``_hessenberg``: Householder reflections in
 mpmath or clongdouble); the production small solver takes Hessenberg input
@@ -43,7 +44,7 @@ DESK_DIM_LIMIT = 64
 
 def _as_array(m):
     if isinstance(m, HessenbergMatrix):
-        return np.asarray(m.to_float().a)
+        return m.a.astype(np.complex128)
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -272,6 +273,18 @@ def promising_check(h, r, ritz_set, alpha):
         return False
     with MP_LOCK, mpmath.workprec(ORACLE_PREC):
         return bool(lhs >= rhs / mpmath.mpf(alpha) ** k)
+
+
+def net_size_bound(epsilon):
+    """S(eps), the packing bound on the point count of
+    ``shifting.build_net(eps)``: hexagonal-density area bound plus a
+    perimeter correction."""
+    t = 1.99 + 1.0 / (0.99 * epsilon)
+    return (
+        (2.0 * math.pi / (3.0 * math.sqrt(3.0))) * t**2
+        + (4.0 * math.sqrt(2.0) / math.sqrt(3.0)) * t
+        + 1.0
+    )
 
 
 @dataclass(frozen=True)

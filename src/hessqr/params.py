@@ -140,7 +140,6 @@ class RunParams:
     """Per-run accuracy/failure/iteration budget."""
 
     delta: float
-    phi: float
     omega: float
     log2_omega: float     # log2(omega), finite where omega underflows in caller units
     phi_working: float
@@ -167,7 +166,7 @@ def derive_run_params(n, delta, phi, gd):
     if n_dec <= 0:
         raise ParameterError(f"degenerate iteration budget N_dec={n_dec!r}")
     phi_working = (phi / (3.0 * n**2)) / n_dec
-    return RunParams(delta=float(delta), phi=float(phi), omega=omega,
+    return RunParams(delta=float(delta), omega=omega,
                      log2_omega=math.log2(omega),
                      phi_working=phi_working, n_dec=n_dec,
                      n_dec_budget=max(1, math.floor(n_dec)))

@@ -38,8 +38,8 @@ def regularize(r_list, eta2, rng):
     For any exclusion radius eta1 <= eta2 with eta1 + eta2 <= gap(H)/2, the
     perturbed set keeps distance eta1 from Spec(H) with probability
     >= 1 - k (eta1/eta2)^2.  The 2k uniforms come from one draw, the
-    stream and the points of a ``sample_disk`` call per shift; eta2 = 0
-    draws nothing."""
+    stream and the points of ``disk_point(0j, eta2, *rng.random(2))`` per
+    shift; eta2 = 0 draws nothing."""
     if eta2 < 0:
         raise DomainError(f"regularize: radius must be >= 0, got {eta2!r}")
     if eta2 == 0.0:
@@ -76,18 +76,19 @@ def optimal(h, log2_psi_pow_k, shifts, gd):
     return not (log2(norm(v)) >= bound)
 
 
-def ritz_or_decouple(h, log2_psi_pow_k, omega, phi, solver, rng, gd):
+def ritz_or_decouple(h, log2_psi_pow_k, omega, solver, rng, gd):
     """Regularized corner eigenvalues: either theta-optimal or decoupling.
 
     Stated for an omega-unreduced H with ||H|| <= Sigma, gap(H) >= 2
-    omega^2/Sigma and k/phi >= 2.  The driver's loop guard establishes the
+    omega^2/Sigma and k/phi_w >= 2, where phi_w is the run's per-call
+    failure probability, below 1/300 whenever n > k >= 2
+    (``params.derive_run_params``).  The driver's loop guard establishes the
     first and hands down L = log2 psi_k(H)^k, formed for that guard, as
-    log2_psi_pow_k; the run's phi_w is below 1/300 whenever n > k >= 2
-    (``params.derive_run_params``).  Returns (ritz, step): the regularized
-    Ritz values, and None when they are theta-optimal, or else the
-    "decouple" Step of the first value whose degree-k step collapsed some
-    bottom-k subdiagonal below omega.  The probability-phi failure event
-    surfaces as DichotomyMiss."""
+    log2_psi_pow_k.  Returns (ritz, step): the regularized Ritz values, and
+    None when they are theta-optimal, or else the "decouple" Step of the
+    first value whose degree-k step collapsed some bottom-k subdiagonal
+    below omega.  The probability-phi_w failure event surfaces as
+    DichotomyMiss."""
     k = gd.k
     n = h.n
     if n <= k:
@@ -108,5 +109,5 @@ def ritz_or_decouple(h, log2_psi_pow_k, omega, phi, solver, rng, gd):
             return ritz, Step(res.next_h, "decouple", rv)
     raise DichotomyMiss(
         "no regularized Ritz value was optimal or decoupling "
-        f"(probability <= {phi:g} event, or preconditions violated)"
+        "(a probability-phi_w event, or preconditions violated)"
     )

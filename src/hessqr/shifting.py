@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .errors import DimensionError, DomainError, StagnationFailure
 from .iqr import IqrResult, Step, comp_tau, iqr_multi, potential
-from .kernel import log2, sample_disk
+from .kernel import disk_point, log2
 from .params import GAMMA, REDUCTION_FACTOR, exc_epsilon
 
 
@@ -66,7 +66,8 @@ def build_net(epsilon):
 
     Equilateral triangular lattice with spacing sqrt(3) * 0.99 eps clipped to
     D(0, 1 + 1.99 * 0.99 eps), enumerated row-major by lattice coordinates.
-    The point count is bounded by the packing function S(eps)."""
+    The point count is bounded by the packing function S(eps)
+    (``oracle.net_size_bound``)."""
     if not (0.0 < epsilon <= 2.0):
         raise DomainError(f"net resolution must be in (0, 2], got {epsilon!r}")
     c = 0.99 * epsilon
@@ -87,16 +88,6 @@ def build_net(epsilon):
     return tuple(points)
 
 
-def net_size_bound(epsilon):
-    """S(eps): hexagonal-density area bound plus a perimeter correction."""
-    t = 1.99 + 1.0 / (0.99 * epsilon)
-    return (
-        (2.0 * math.pi / (3.0 * math.sqrt(3.0))) * t**2
-        + (4.0 * math.sqrt(2.0) / math.sqrt(3.0)) * t
-        + 1.0
-    )
-
-
 def exc_params(gd, psi_hat):
     """Candidate-disk radius and net resolution from the global data."""
     k = gd.k
@@ -114,7 +105,7 @@ def exc(r, psi, rng, gd):
     decouples or contracts the potential (``sh_step`` reports a failure)."""
     r_hat, epsilon = exc_params(gd, psi)
     net = build_net(epsilon)
-    w = sample_disk(0.0, epsilon * r_hat, rng)
+    w = disk_point(0j, epsilon * r_hat, *rng.random(2))
     r = complex(r)
     out = []
     for p in net:
@@ -126,7 +117,7 @@ def exc(r, psi, rng, gd):
     return tuple(out)
 
 
-def sh_step(h, log2_psi_pow_k, ritz, omega, phi, rng, gd):
+def sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd):
     """One potential-reduction step of the degree-k shifting strategy.
 
     h is omega-unreduced (the driver's loop guard checked it), and its
@@ -135,7 +126,8 @@ def sh_step(h, log2_psi_pow_k, ritz, omega, phi, rng, gd):
     of the branch that fired: "ritz_shift" when the promising Ritz value r
     already contracts the tau product, or else "exceptional" with the first
     candidate of the exceptional-shift scan, in net order, that decouples or
-    lands below 1.002 (1 - gamma) psi_k(H).  The probability-phi failure
+    lands below 1.002 (1 - gamma) psi_k(H).  The failure event, of
+    probability at most the run's phi_w (``params.derive_run_params``),
     surfaces as StagnationFailure.  tau_k multiplies the r_nn values of
     ``find``'s half r^(k/2) and of the other k/2 sweeps."""
     k = gd.k
@@ -156,5 +148,5 @@ def sh_step(h, log2_psi_pow_k, ritz, omega, phi, rng, gd):
             return Step(res.next_h, "exceptional", s)
     raise StagnationFailure(
         f"none of {len(candidates)} exceptional candidates reduced the "
-        f"potential (probability <= {phi:g} event, or preconditions violated)"
+        "potential (a probability-phi_w event, or preconditions violated)"
     )

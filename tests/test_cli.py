@@ -185,36 +185,36 @@ def _identity_mtx(tmp_path):
 
 class TestRun:
     def test_identity_base_case(self, tmp_path):
-        report = run(
+        document, _ = run(
             _identity_mtx(tmp_path),
             SolveConfig(seed=3, preprocess=False, B=1.0, Gamma=1e-3),
             out_json=str(tmp_path / "out.json"),
             out_trace=str(tmp_path / "out.csv"),
         )
         doc = json.loads((tmp_path / "out.json").read_text())
-        assert doc == report.document
+        assert doc == document
         assert sorted(e["re"] for e in doc["eigenvalues"]) == pytest.approx([1.0, 1.0], abs=1e-9)
         assert len(doc["eigenvalues"]) == 2
         trace = (tmp_path / "out.csv").read_text().splitlines()
         assert trace == ["block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries"]
 
     def test_json_roundtrip_exact(self, tmp_path):
-        report = run(
+        document, _ = run(
             FIXTURE,
             SolveConfig(seed=11, preprocess=False, B=1.0, Gamma=1e-3),
             out_json=str(tmp_path / "out.json"),
         )
         doc = json.loads((tmp_path / "out.json").read_text())
         back = [complex(e["re"], e["im"]) for e in doc["eigenvalues"]]
-        assert back == [complex(e["re"], e["im"]) for e in report.document["eigenvalues"]]
+        assert back == [complex(e["re"], e["im"]) for e in document["eigenvalues"]]
 
     def test_trace_rows_within_budget(self, tmp_path):
-        report = run(
+        document, _ = run(
             FIXTURE,
             SolveConfig(seed=11, preprocess=False, B=1.0, Gamma=1e-3),
             out_trace=str(tmp_path / "t.csv"),
         )
-        budget = report.document["params"]["n_dec_budget"]
+        budget = document["params"]["n_dec_budget"]
         per_block = {}
         for row in (tmp_path / "t.csv").read_text().splitlines()[1:]:
             block_id = row.split(",")[0]
@@ -258,7 +258,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "options, message",
         [
-            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
             (["--delta", "nan"], "--delta must be finite and > 0, got nan"),
             (["--delta", "inf"], "--delta must be finite and > 0, got inf"),
             (["--gamma-gap", "-1"], "the given Gamma=-1.0 must be positive and finite"),
@@ -284,16 +284,13 @@ class TestMain:
         path = _identity_mtx(tmp_path)
         code = main(["info", path, "--seed", "4", "--B", "1", "--gamma-gap", "1e-3"])
         assert code == EXIT_OK
-        lines = _info_lines(capsys.readouterr().out)
-        assert lines["seed"] == "4"
-        assert lines["k"] == "4"
-        assert lines["gamma"] == "0.2"
-        assert int(lines["required bits"]) > 53  # binary64 is not covered here
-        assert lines["configured bits"] == "53"
-
-
-def _info_lines(out):
-    return dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["seed"] == 4
+        assert doc["globals"]["k"] == 4
+        assert doc["globals"]["gamma"] == 0.2
+        assert doc["params"]["required_bits"] > 53  # binary64 is not covered here
+        assert doc["bits"] == 53
+        assert "eigenvalues" not in doc
 
 
 def _random_mtx(tmp_path, n, hessenberg, e=0):
@@ -307,67 +304,59 @@ def _random_mtx(tmp_path, n, hessenberg, e=0):
     return _write(tmp_path, f"a{e}.mtx", "\n".join(lines) + "\n")
 
 
+def _solve_checking_info(tmp_path, capsys, path, options):
+    """The document `solve --out-json` writes, once `info` with the same
+    file and options has printed exactly that document without the
+    eigenvalues."""
+    assert main(["info", path] + options) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    out = tmp_path / "e.json"
+    assert main(["solve", path, "--out-json", str(out)] + options) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert printed == {k: v for k, v in doc.items() if k != "eigenvalues"}
+    return doc
+
+
+def _hessenberg_options(gamma_gap):
+    return ["--seed", "21", "--no-preprocess", "--B", "1", "--gamma-gap", repr(gamma_gap)]
+
+
 class TestInfoMatchesSolve:
-    """`info` prints the parameters that `solve` with the same seed runs with."""
+    """`info` prints the document that `solve` with the same options writes,
+    without the eigenvalues (``_solve_checking_info``, which the tests of
+    omega's underflow, the extreme scalings and B = 1e80 use too)."""
 
     @pytest.mark.parametrize(
         "options, hessenberg",
         [
-            ([], False),  # default parameters: k >= n, one direct solve
-            (["--no-preprocess", "--B", "1", "--gamma-gap", "1e-3"], True),
+            # default parameters: k >= n, one direct solve
+            (["--seed", "21"], False),
+            (_hessenberg_options(1e-3), True),
             # omega = delta/(4n): the absolute delta must agree as well
-            (["--no-preprocess", "--B", "1", "--gamma-gap", "1e-3", "--delta", "1e-9"], True),
+            (_hessenberg_options(1e-3) + ["--delta", "1e-9"], True),
+            # the QR iteration on mpmath numbers
+            (_hessenberg_options(1e-3) + ["--bits", "80"], True),
         ],
+        ids=["defaults", "qr", "qr-delta", "bits-80"],
     )
-    def test_printed_parameters_equal_solve_output(self, tmp_path, capsys, options, hessenberg):
+    def test_info_is_solve_without_eigenvalues(self, tmp_path, capsys, options, hessenberg):
         path = _random_mtx(tmp_path, 6, hessenberg)
-        assert main(["info", path, "--seed", "21"] + options) == EXIT_OK
-        printed = _info_lines(capsys.readouterr().out)
-        out = tmp_path / "e.json"
-        assert main(["solve", path, "--seed", "21", "--out-json", str(out)] + options) == EXIT_OK
-        doc = json.loads(out.read_text())
-        gd, params = doc["globals"], doc["params"]
-        for key in ("B", "Gamma", "Sigma"):
-            assert printed[key] == f"{gd[key]:.6g}", key
-        assert printed["k"] == str(gd["k"])
-        assert printed["omega"] == f"{params['omega']:.6g}"
-        assert printed["log2 omega"] == f"{params['log2_omega']:.6g}"
-        assert printed["required bits"] == str(params["required_bits"])
-        assert printed["seed"] == str(doc["seed"]) == "21"
-
-    def test_agree_where_omega_underflows_in_caller_units(self, tmp_path, capsys):
-        # at 2^-1000 omega = Gamma / (8 n^2 B^2) / (4n) underflows binary64 in
-        # the caller's units but not in the units the run derives it in
-        path = _random_mtx(tmp_path, 6, True, -1000)
-        options = ["--seed", "21", "--no-preprocess", "--B", "1"]
-        options += ["--gamma-gap", repr(1e-20 * 2.0**-1000)]
-        assert main(["info", path] + options) == EXIT_OK
-        printed = _info_lines(capsys.readouterr().out)
-        out = tmp_path / "e.json"
-        assert main(["solve", path, "--out-json", str(out)] + options) == EXIT_OK
-        params = json.loads(out.read_text())["params"]
-        assert printed["omega"] == f"{params['omega']:.6g}"
-        assert printed["N_dec"] == f"{params['n_dec']:.6g} (budget {params['n_dec_budget']})"
-        assert printed["required bits"] == str(params["required_bits"])
+        assert _solve_checking_info(tmp_path, capsys, path, options)["seed"] == 21
 
     def test_log2_omega_where_omega_underflows(self, tmp_path, capsys):
-        # omega 2^e underflows to 0 in the caller's units; log2 omega + e does not
+        # at 2^-1000 omega = Gamma / (8 n^2 B^2) / (4n) underflows binary64,
+        # and omega 2^e is 0, in the caller's units; log2 omega + e is not
         path = _random_mtx(tmp_path, 6, True, -1000)
-        options = ["--seed", "21", "--no-preprocess", "--B", "1"]
-        options += ["--gamma-gap", repr(1e-20 * 2.0**-1000)]
+        options = _hessenberg_options(1e-20 * 2.0**-1000)
         config = SolveConfig(seed=21, B=1.0, Gamma=1e-20 * 2.0**-1000, preprocess=False)
         h, gd, delta, _ = prepare(read_matrix_market(path), config)
         plan = plan_run(h.n, delta, config.phi, gd)
         expected = math.log2(plan.params.omega) + plan.e
         assert expected < -1074  # below the least subnormal
-        assert main(["info", path] + options) == EXIT_OK
-        printed = _info_lines(capsys.readouterr().out)
-        out = tmp_path / "e.json"
-        assert main(["solve", path, "--out-json", str(out)] + options) == EXIT_OK
-        params = json.loads(out.read_text())["params"]
+        params = _solve_checking_info(tmp_path, capsys, path, options)["params"]
         assert params["omega"] == 0.0
         assert params["log2_omega"] == expected
-        assert printed["log2 omega"] == f"{expected:.6g}"
 
 
 class TestSmallEigFailure:
@@ -400,15 +389,10 @@ class TestExtremeScaling:
         bits, eigs = {}, {}
         for e in (0, 600, -600):
             path = _random_mtx(tmp_path, 6, True, e)
-            options = ["--seed", "21", "--no-preprocess", "--B", "1"]
-            options += ["--gamma-gap", repr(1e-3 * 2.0**e)]
-            assert main(["info", path] + options) == EXIT_OK
-            bits[e] = _info_lines(capsys.readouterr().out)["required bits"]
-            out = tmp_path / f"e{e}.json"
-            assert main(["solve", path, "--out-json", str(out)] + options) == EXIT_OK
-            doc = json.loads(out.read_text())
+            doc = _solve_checking_info(tmp_path, capsys, path, _hessenberg_options(1e-3 * 2.0**e))
+            bits[e] = doc["params"]["required_bits"]
             eigs[e] = [complex(v["re"], v["im"]) * 2.0**-e for v in doc["eigenvalues"]]
-        assert bits[600] == bits[-600] == bits[0] and int(bits[0]) > 53
+        assert bits[600] == bits[-600] == bits[0] > 53
         assert eigs[600] == eigs[-600] == eigs[0]
 
     @pytest.mark.parametrize("e", [600, -600])
@@ -417,6 +401,23 @@ class TestExtremeScaling:
         path = _random_mtx(tmp_path, 6, True, e)
         assert main(["info", path, "--seed", "21", "--no-preprocess"]) == EXIT_BAD_INPUT
         assert "pass explicit B and Gamma" in capsys.readouterr().err
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["solve", "--no-preprocess"], ["info"]],
+        ids=["solve", "no-preprocess", "info"],
+    )
+    def test_exit_two(self, tmp_path, capsys, argv):
+        # scipy reads inf and nan; the solver rejects them, on either route
+        path = _write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix array real general\n2 2\n1.0\ninf\nnan\n2.0\n",
+        )
+        assert main(argv[:1] + [path, "--seed", "1"] + argv[1:]) == EXIT_BAD_INPUT
+        assert "non-finite entries" in capsys.readouterr().err
 
 
 class TestNormBeyondBinary64:
@@ -451,13 +452,10 @@ class TestHugeConditionBound:
     def test_b_1e80_info_and_solve(self, tmp_path, capsys):
         # B^4 overflows binary64; alpha, theta and the budget do not
         options = ["--seed", "21", "--B", "1e80", "--gamma-gap", "1e-3"]
-        assert main(["info", self.FIXTURE] + options) == EXIT_OK
-        lines = _info_lines(capsys.readouterr().out)
-        assert int(lines["k"]) >= 32  # a direct solve
-        assert int(lines["required bits"]) > 53
-        out = tmp_path / "b.json"
-        assert main(["solve", self.FIXTURE, "--out-json", str(out)] + options) == EXIT_OK
-        assert len(json.loads(out.read_text())["eigenvalues"]) == 32
+        doc = _solve_checking_info(tmp_path, capsys, self.FIXTURE, options)
+        assert doc["globals"]["k"] >= 32  # a direct solve
+        assert doc["params"]["required_bits"] > 53
+        assert len(doc["eigenvalues"]) == 32
 
     def test_b_1e300_is_a_parameter_error(self, capsys):
         # omega = Gamma / (8 n^2 B^2) / (4n) underflows binary64

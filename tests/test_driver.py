@@ -15,6 +15,7 @@ from hessqr.driver import (
     block_seed,
     deflate,
     prepare,
+    preprocess,
     shifted_qr,
     solve,
 )
@@ -360,6 +361,12 @@ class TestPreprocess:
         with pytest.raises(DimensionError):
             prepare(np.ones((3, 4)), SolveConfig(seed=0))
 
+    def test_non_finite_entries_rejected(self):
+        # the one check of finite input on this route: the CLI reader has none
+        a = np.array([[1.0, np.inf], [np.nan, 2.0]], dtype=complex)
+        with pytest.raises(StructureError, match="non-finite entries"):
+            preprocess(a, 1e-6, np.random.default_rng(0))
+
     def test_prepare_measures_the_input_norm_once(self, monkeypatch):
         # preprocess hands back delta_pre = delta ||A||_2 / 2, and prepare
         # takes its absolute accuracy from it instead of a second SVD of A
@@ -443,6 +450,13 @@ class TestSolveEntryPoint:
         config = SolveConfig(seed=1, delta=delta, preprocess=preprocess, B=1.0, Gamma=1e-3)
         with pytest.raises(ParameterError, match=f"delta must be finite and >= 0, got {delta}"):
             solve(np.eye(3, dtype=complex), config)
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_non_finite_entries_are_a_structure_error(self, preprocess):
+        a = np.array([[1.0, np.inf], [np.nan, 2.0]], dtype=complex)
+        config = SolveConfig(seed=1, preprocess=preprocess, B=1.0, Gamma=1e-3)
+        with pytest.raises(StructureError, match="non-finite entries"):
+            solve(a, config)
 
     @pytest.mark.parametrize("bits", [0, -3, 1, 23, 80.5, 53.0, None])
     def test_bits_must_be_an_integer_of_at_least_24(self, bits):

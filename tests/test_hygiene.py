@@ -93,29 +93,46 @@ def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_names(sources):
-    """(module, line, name) for every module-level private name (one leading
-    underscore) that nothing in ``sources`` ({module: source}) reads,
-    imports or reaches as an attribute; binding the name does not count."""
-    defined, refs = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((module, node.lineno, node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-                defined += [(module, n.lineno, n.id) for n in names]
-        for n in ast.walk(tree):
+def module_level_names(source):
+    """(line, name) for every function, class and assigned name at the top
+    level of ``source``."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defined += [(n.lineno, n.id) for n in names]
+    return defined
+
+
+def names_read(sources):
+    """Every name that ``sources`` (an iterable of sources) read, import or
+    reach as an attribute; binding a name does not count."""
+    refs = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 refs.add(n.id)
             elif isinstance(n, ast.Attribute):
                 refs.add(n.attr)
             elif isinstance(n, ast.ImportFrom):
                 refs.update(alias.name for alias in n.names)
-    private = [d for d in defined if d[2].startswith("_") and not d[2].startswith("__")]
-    return sorted(d for d in private if d[2] not in refs)
+    return refs
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) for every module-level private name (one leading
+    underscore) that nothing in ``sources`` ({module: source}) reads,
+    imports or reaches as an attribute; binding the name does not count."""
+    refs = names_read(sources.values())
+    return sorted(
+        (module, line, name)
+        for module, source in sources.items()
+        for line, name in module_level_names(source)
+        if name.startswith("_") and not name.startswith("__") and name not in refs
+    )
 
 
 def test_detects_an_unreferenced_private_name():
@@ -240,6 +257,75 @@ def test_every_record_field_is_read():
     # the tests, so it neither defines nor reads them
     defining = {p.name: p.read_text(encoding="utf-8") for p in PRODUCTION_MODULES}
     assert unread_fields(defining, production_sources()) == []
+
+
+def unread_public_names(defining, reading):
+    """(module, line, name) for every public module-level function, class or
+    constant, and every public method (as Class.method), in ``defining``
+    ({module: source}) that no source in ``reading`` (an iterable of
+    sources) reads, imports or reaches as an attribute.  Protocol classes,
+    which are interface stubs, are skipped with their methods."""
+    refs = names_read(reading)
+    found = []
+    for module, source in defining.items():
+        classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+        protocols = {
+            cls.name for cls in classes
+            if any(ast.unparse(base).endswith("Protocol") for base in cls.bases)
+        }
+        names = [(line, "", name) for line, name in module_level_names(source)
+                 if name not in protocols]
+        names += [
+            (fn.lineno, cls.name + ".", fn.name)
+            for cls in classes if cls.name not in protocols
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        found += [
+            (module, line, owner + name) for line, owner, name in names
+            if not name.startswith("_") and name not in refs
+        ]
+    return sorted(found)
+
+
+def test_detects_an_unread_public_name():
+    src = (
+        "from typing import Protocol\n"
+        "LIMIT = 3\n"
+        "UNUSED, _PRIVATE = 4, 5\n"
+        "class P(Protocol):\n"
+        "    def solve(self, m): ...\n"
+        "class C:\n"
+        "    def used(self):\n"
+        "        return LIMIT\n"
+        "    def spare(self):\n"
+        "        pass\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "def helper():\n"
+        "    return C().used()\n"
+        "def dead():\n"
+        "    pass\n"
+        "class Gone:\n"
+        "    pass\n"
+    )
+    reading = [src, "from m import helper\nhelper()\n"]
+    assert unread_public_names({"m": src}, reading) == [
+        ("m", 3, "UNUSED"),
+        ("m", 9, "C.spare"),
+        ("m", 15, "dead"),
+        ("m", 17, "Gone"),
+    ]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public name only tests read is test-only code; errors.py is exempt
+    # because the oracle alone raises some of its exception types
+    defining = {
+        p.name: p.read_text(encoding="utf-8")
+        for p in PRODUCTION_MODULES
+        if p.name != "errors.py"
+    }
+    assert unread_public_names(defining, production_sources()) == []
 
 
 def unpassed_defaults(defining, calling):

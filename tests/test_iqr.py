@@ -20,7 +20,6 @@ from hessqr.iqr import (
     log2_potential_pow_k,
     potential,
 )
-from hessqr.kernel import UNIT_ROUNDOFF_64 as U
 from hessqr.kernel import ldexp, to_mp
 from hessqr.oracle import (
     IQR_EXACT_PREC,
@@ -34,6 +33,7 @@ from hessqr.oracle import (
 )
 from hessqr.smalleig import MP_LOCK
 
+U = 2.0**-52  # binary64 unit roundoff
 PERM2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -544,7 +544,7 @@ class TestForwardStability:
             res = iqr_multi(h, shifts)
             signs = _lapack_signs(_chain(h, shifts))  # to the sweep's sign convention
             got = signs[:, None] * res.next_h.a * signs
-            ref = iqr_exact(h, shifts).to_float().a
+            ref = iqr_exact(h, shifts).a.astype(np.complex128)
             dist = min(abs(s - e) for e in eigs for s in shifts)
             c = max(abs(np.array(shifts))) / norm_h
             bound = (

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from hessqr.errors import DomainError
-from hessqr.kernel import UNIT_ROUNDOFF_64, make_givens, sample_disk
+from hessqr.kernel import disk_point, make_givens
 
-U = UNIT_ROUNDOFF_64
+U = 2.0**-52  # binary64 unit roundoff
 
 
 def _mp(*parts):
@@ -78,23 +78,15 @@ class TestGivens:
             assert abs(r - mpmath.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)) <= tol
 
 
-class TestSampleDisk:
-    def test_radius_zero(self):
-        rng = np.random.default_rng(4)
-        assert sample_disk(1 + 2j, 0.0, rng) == 1 + 2j
-
+class TestDiskPoint:
     def test_determinism(self):
-        a = sample_disk(0.5j, 2.0, np.random.default_rng(7))
-        b = sample_disk(0.5j, 2.0, np.random.default_rng(7))
+        a = disk_point(0.5j, 2.0, *np.random.default_rng(7).random(2))
+        b = disk_point(0.5j, 2.0, *np.random.default_rng(7).random(2))
         assert a == b
 
     def test_radial_law(self):
         rng = np.random.default_rng(5)
-        pts = np.array([sample_disk(0.0, 1.0, rng) for _ in range(100_000)])
+        pts = np.array([disk_point(0j, 1.0, *rng.random(2)) for _ in range(100_000)])
         assert abs(np.abs(pts).mean() - 2 / 3) <= 0.01
         assert abs((np.abs(pts) <= 0.5).mean() - 0.25) <= 0.01
         assert np.abs(pts).max() <= 1.0
-
-    def test_negative_radius(self):
-        with pytest.raises(DomainError):
-            sample_disk(0.0, -1.0, np.random.default_rng(0))

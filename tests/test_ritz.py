@@ -7,7 +7,7 @@ import pytest
 from conftest import near_normal_hessenberg, random_hessenberg, same_bits
 from hessqr.errors import DichotomyMiss, DimensionError, DomainError
 from hessqr.iqr import HessenbergMatrix, log2_potential_pow_k, potential
-from hessqr.kernel import sample_disk
+from hessqr.kernel import disk_point
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
 from hessqr.params import globals_with_degree
 from hessqr.ritz import optimal, regularize, ritz_or_decouple
@@ -46,15 +46,15 @@ class TestRegularize:
         assert rng.bit_generator.state == state  # nothing drawn
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
-    def test_one_draw_equals_a_sample_disk_per_shift(self, k):
+    def test_one_draw_equals_a_disk_point_per_shift(self, k):
         # the batched draw is the stream, and each point the value, that a
-        # sample_disk call per shift gives, bit for bit
+        # disk_point of two fresh uniforms per shift gives, bit for bit
         base = np.random.default_rng(42 + k)
         shifts = tuple(complex(z) for z in base.standard_normal(k) + 1j * base.standard_normal(k))
         for eta2 in (1e-12, 0.1, 3.0):
             batched, per_shift = np.random.default_rng(k), np.random.default_rng(k)
             got = regularize(shifts, eta2, batched)
-            ref = tuple(r + sample_disk(0.0, eta2, per_shift) for r in shifts)
+            ref = tuple(r + disk_point(0j, eta2, *per_shift.random(2)) for r in shifts)
             assert same_bits(np.array(got), np.array(ref))
             assert batched.bit_generator.state == per_shift.bit_generator.state
 
@@ -154,7 +154,7 @@ class TestRitzOrDecouple:
             omega = 1e-8
             if not h.is_unreduced(omega, k):
                 continue
-            ritz, step = ritz_or_decouple(h, _lpk(h, k), omega, 0.05, OracleSolver(), rng, gd)
+            ritz, step = ritz_or_decouple(h, _lpk(h, k), omega, OracleSolver(), rng, gd)
             assert len(ritz) == k
             if step is None:
                 lhs = float(dense_en_p_norm(h, ritz)) ** (1 / k)
@@ -172,7 +172,7 @@ class TestRitzOrDecouple:
         h, _ = near_normal_hessenberg(rng, n, perturb=1e-3)
         gd = _test_globals(2.0, k, 2 * float(h.frobenius_norm()), n)
         omega = 1e-6
-        ritz, _ = ritz_or_decouple(h, _lpk(h, k), omega, 0.05, OracleSolver(), rng, gd)
+        ritz, _ = ritz_or_decouple(h, _lpk(h, k), omega, OracleSolver(), rng, gd)
         beta = omega**2 / (16 * 101 * gd.Sigma)
         corner_eigs = ref_eigs(h.corner(k))
         for r in ritz:
@@ -183,7 +183,7 @@ class TestRitzOrDecouple:
         h = random_hessenberg(rng, 4)
         gd = _test_globals(1.0, 4, 4.0, 4)
         with pytest.raises(DimensionError):
-            ritz_or_decouple(h, 0.0, 1e-9, 0.05, OracleSolver(), rng, gd)
+            ritz_or_decouple(h, 0.0, 1e-9, OracleSolver(), rng, gd)
 
     def test_toeplitz_backward_perturbation_decouples(self):
         # superdiag 1, subdiag delta, corner T(1,n)=1: a backward corner
@@ -206,7 +206,7 @@ class TestRitzOrDecouple:
         assert not optimal(h, _lpk(h, k), tuple(pert_ritz), gd)
 
         ritz, step = ritz_or_decouple(
-            h, _lpk(h, k), 1e-6, 0.05, InjectSolver(pert_ritz), np.random.default_rng(5), gd
+            h, _lpk(h, k), 1e-6, InjectSolver(pert_ritz), np.random.default_rng(5), gd
         )
         assert step.branch == "decouple" and step.shift in ritz
         assert min(step.next_h.bottom_subdiagonal_abs(k)) <= 1e-6
@@ -219,13 +219,13 @@ class TestRitzOrDecouple:
         norm = float(np.linalg.norm(h.a, 2))
         with pytest.raises(DichotomyMiss):
             ritz_or_decouple(
-                h, _lpk(h, 2), 1e-9, 0.05, InjectSolver([37 * norm, -41j * norm]), rng, gd
+                h, _lpk(h, 2), 1e-9, InjectSolver([37 * norm, -41j * norm]), rng, gd
             )
 
     def test_default_solver_integration(self):
         rng = np.random.default_rng(51)
         h, _ = near_normal_hessenberg(rng, 10, perturb=1e-4)
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 10)
-        ritz, step = ritz_or_decouple(h, _lpk(h, 4), 1e-8, 0.05, CharPolySolver(), rng, gd)
+        ritz, step = ritz_or_decouple(h, _lpk(h, 4), 1e-8, CharPolySolver(), rng, gd)
         assert len(ritz) == 4
         assert step is None or step.branch == "decouple"

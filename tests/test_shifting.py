@@ -10,6 +10,7 @@ from hessqr import iqr, shifting
 from hessqr.iqr import iqr_multi, log2_potential_pow_k, potential
 from hessqr.oracle import (
     condition_report,
+    net_size_bound,
     promising_check,
     ref_eigs,
     resolvent_tau,
@@ -20,7 +21,6 @@ from hessqr.shifting import (
     exc,
     exc_params,
     find,
-    net_size_bound,
     sh_step,
 )
 
@@ -154,7 +154,7 @@ class TestWinningHalfHandedOn:
         log2 = shifting.log2
         monkeypatch.setattr(shifting, "log2", lambda x: logged.append(x) or log2(x))
         sweeps = _counting_sweeps(monkeypatch)
-        out = sh_step(h, _lpk(h, k), ritz, 1e-9, 0.05, np.random.default_rng(1), gd)
+        out = sh_step(h, _lpk(h, k), ritz, 1e-9, np.random.default_rng(1), gd)
         monkeypatch.undo()
         assert out.branch == "ritz_shift"
         # k log2(k) - k/2 + 1 distinct sweeps in find, k/2 more to complete r^k
@@ -179,7 +179,7 @@ class TestEachPrefixSweptOnce:
     def test_sh_step_sweep_count(self, k, monkeypatch):
         h, gd, ritz = self._case(k, 71)
         sweeps = _counting_sweeps(monkeypatch)
-        out = sh_step(h, _lpk(h, k), ritz, 1e-9, 0.05, np.random.default_rng(2), gd)
+        out = sh_step(h, _lpk(h, k), ritz, 1e-9, np.random.default_rng(2), gd)
         assert out.branch == "ritz_shift"
         assert sweeps[0] == k * int(math.log2(k)) + 1
 
@@ -237,7 +237,7 @@ class TestIteratesFormedOnRead:
     def test_lapack_calls_per_sh_step(self, k, monkeypatch):
         h, gd, ritz = self._case(k, 71)
         counts = _counting_lapack(monkeypatch)
-        out = sh_step(h, _lpk(h, k), ritz, 1e-9, 0.05, np.random.default_rng(2), gd)
+        out = sh_step(h, _lpk(h, k), ritz, 1e-9, np.random.default_rng(2), gd)
         assert out.branch == "ritz_shift"
         lg = int(math.log2(k))
         # 2, 6, 20 and 58 formations for k = 2, 4, 8 and 16
@@ -249,7 +249,7 @@ class TestIteratesFormedOnRead:
 
         def run():
             return [
-                (find(h, order, gd), sh_step(h, _lpk(h, k), order, 1e-9, 0.05,
+                (find(h, order, gd), sh_step(h, _lpk(h, k), order, 1e-9,
                                              np.random.default_rng(3), gd))
                 for order in (ritz, ritz[::-1])
             ]
@@ -370,7 +370,7 @@ class TestShStep:
             h, _ = near_normal_hessenberg(rng, 10, perturb=1e-3)
             gd = _globals(1.0, 4, h)
             ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
-            out = sh_step(h, _lpk(h, 4), ritz, 1e-9, 0.05, rng, gd)
+            out = sh_step(h, _lpk(h, 4), ritz, 1e-9, rng, gd)
             if out.branch == "ritz_shift":
                 hits += 1
                 assert (
@@ -384,8 +384,8 @@ class TestShStep:
         h, _ = near_normal_hessenberg(np.random.default_rng(68), 10, perturb=1e-3)
         gd = _globals(1.0, 4, h)
         ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
-        a = sh_step(h, _lpk(h, 4), ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
-        b = sh_step(h, _lpk(h, 4), ritz, 1e-9, 0.05, np.random.default_rng(99), gd)
+        a = sh_step(h, _lpk(h, 4), ritz, 1e-9, np.random.default_rng(99), gd)
+        b = sh_step(h, _lpk(h, 4), ritz, 1e-9, np.random.default_rng(99), gd)
         assert a.branch == b.branch
         assert a.shift == b.shift
         np.testing.assert_array_equal(a.next_h.a, b.next_h.a)
@@ -400,7 +400,7 @@ class TestShStep:
             norm = float(np.linalg.norm(h.a, 2))
             decoy = (norm * (3.0 + 1j),) * 4
             try:
-                out = sh_step(h, _lpk(h, 4), decoy, 1e-9, 0.05, rng, gd)
+                out = sh_step(h, _lpk(h, 4), decoy, 1e-9, rng, gd)
             except Exception:
                 continue
             if out.branch == "exceptional":
