@@ -19,7 +19,9 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
 - the same for ``shifted_qr`` at k = 4 on the extended-precision route: the
   Hessenberg form of one 10 x 10 near-normal input per seed, in mpmath
   numbers at 80 bits, so that a change to the binary64 step shows that this
-  route did not move.
+  route did not move, and at 32 bits, where a change to the mpmath
+  arithmetic shows (at 80 bits its outputs round to the same binary64
+  values).
 
 Floats are compared by their bits (hex).  The exit code is 1 when any value
 both checkouts record differs, an input fails on one side only, or an item
@@ -44,7 +46,7 @@ import scipy.linalg
 
 CYCLIC_N, CYCLIC_K = 32, 8
 DEEP_N = 128
-MP_N, MP_BITS = 10, 80
+MP_N, MP_BITS = 10, (80, 32)
 
 
 def _plain(x):
@@ -132,7 +134,7 @@ def collect(n_inputs, seeds):
     for seed in seeds:
         name = f"cyclic shift n={CYCLIC_N} k={CYCLIC_K} seed {seed}"
         out[name] = _guarded(lambda: _solve_record(hessqr.shifted_qr(h, 1e-7, 0.05, gd, seed=seed)))
-    for n, bits in ((DEEP_N, 53), (MP_N, MP_BITS)):
+    for n, bits in ((DEEP_N, 53),) + tuple((MP_N, b) for b in MP_BITS):
         for seed in seeds:
             a = workloads.near_normal(np.random.default_rng(seed), n)
             h = hessqr.HessenbergMatrix(np.triu(scipy.linalg.hessenberg(a), -1))

@@ -1,21 +1,18 @@
 """Implicit QR steps on Hessenberg matrices, tau products, and the potential.
 
 A degree-1 step factors H - s = QR and forms the next iterate R*Q + s;
-higher degrees compose degree-1 steps in root order.  ``iqr_single`` has two
-implementations, one for each arithmetic: LAPACK's Householder QR for
-complex128 and a Givens sweep for mpmath numbers at the ambient precision.
-The binary64 step keeps LAPACK's real, signed diagonal of R, the mpmath
-sweep a nonnegative one: their iterates differ by a +-1 diagonal similarity,
-which moves no modulus or eigenvalue, and r_nn = |R_nn| either way, whose
-product approximates tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain
-tuples of roots; ``Step`` is the record one step of the QR iteration hands to
-the driver.  A binary64 step returns its reflectors in an ``IqrResult``,
-and a chain of steps keeps only its last step's, which form its next
-iterate; Q itself is never formed here.  That iterate is formed on its
-first read (``IqrResult.next_h``), so a sweep whose r_nn only a tau
-product reads costs its zgeqrf alone: a step of the shifting strategy
-forms k log2(k) - 2 log2(k) + 2 of its k log2(k) + 1 sweeps (6 of 9 at
-k = 4).
+higher degrees compose degree-1 steps in root order.  ``iqr_single`` runs
+LAPACK's Householder QR in either arithmetic: zgeqrf and zunmqr on
+complex128, and their transcriptions on mpmath numbers at the ambient
+precision.  r_nn = |R_nn| of each step, whose product approximates
+tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain tuples of roots;
+``Step`` is the record one step of the QR iteration hands to the driver.
+A step returns its reflectors in an ``IqrResult``, and a chain of steps
+keeps only its last step's, which form its next iterate; Q itself is never
+formed here.  That iterate is formed on its first read
+(``IqrResult.next_h``), so a sweep whose r_nn only a tau product reads
+costs its factorization alone: a step of the shifting strategy forms
+k log2(k) - 2 log2(k) + 2 of its k log2(k) + 1 sweeps (6 of 9 at k = 4).
 ``split_blocks`` is the one block splitter: the driver's deflation, the small
 solver and the oracle all cut Hessenberg matrices at exactly-zero
 subdiagonals through it.
@@ -31,7 +28,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionError, DomainError, StructureError
-from .kernel import is_mp_array, ldexp, log2, make_givens, norm, to_mp
+from .kernel import is_mp_array, ldexp, log2, norm, to_mp
 
 
 def _finite_all(a):
@@ -143,8 +140,9 @@ class Step(NamedTuple):
 
 
 class StepReflectors(NamedTuple):
-    """zgeqrf's (qr, tau) of one binary64 step: R is qr's upper triangle,
-    with a real diagonal of either sign, and Q the product of the reflectors."""
+    """zgeqrf's (qr, tau) of one step, in the step's arithmetic: R is qr's
+    upper triangle, with a real diagonal, and Q the product of the
+    reflectors I - tau_i v_i v_i* with v_i = (1, qr[i+1, i])."""
 
     qr: np.ndarray
     tau: np.ndarray
@@ -154,21 +152,19 @@ class IqrResult:
     """The degree-m step of p on H: the r_nn of each degree-1 step and the
     next iterate ``next_h``.
 
-    ``factors`` is the StepReflectors of the last degree-1 step when it ran
-    in binary64, and None on the mpmath route and for the identity step;
-    the reflectors of earlier steps are not kept.  A binary64 step forms
-    its iterate R Q + s from ``factors`` and its last shift the first time
-    next_h is read, by the operations ``iqr_single`` describes, and keeps
-    it: two reads return the same matrix.  A tau product reads only the
-    r_nn values, so a sweep that ``find`` only compares is never formed.
-    The mpmath Givens sweep forms its iterate as it goes and comes with
-    next_h set.  A caller that needs every step's reflectors chains
+    ``factors`` is the StepReflectors of the last degree-1 step, and None
+    for the identity step only; the reflectors of earlier steps are not
+    kept.  The iterate R Q + s is formed from ``factors`` and the last shift
+    the first time next_h is read, by the operations ``iqr_single``
+    describes, and kept: two reads return the same matrix.  A tau product
+    reads only the r_nn values, so a sweep that ``find`` only compares is
+    never formed.  A caller that needs every step's reflectors chains
     ``iqr_single`` and collects each result's factors."""
 
     __slots__ = ("_next_h", "r_nn_per_step", "factors", "shift")
 
     def __init__(self, next_h, r_nn_per_step, factors, shift):
-        self._next_h = next_h  # None until a binary64 step's iterate is read
+        self._next_h = next_h  # None until the iterate is first read
         self.r_nn_per_step = r_nn_per_step
         self.factors = factors
         self.shift = shift  # of the last degree-1 step
@@ -197,14 +193,13 @@ class IqrResult:
 def iqr_single(h, s):
     """One implicit QR step with shift s, in the arithmetic of h.
 
-    complex128: zgeqrf factors H - s, the result keeps its StepReflectors
-    as ``factors``, and zunmqr forms R*Q when the result's next_h is first
-    read.  On Hessenberg input each reflector is zero past its second
-    entry, so R*Q is exactly Hessenberg, and lwork=n keeps LAPACK on its
-    unblocked routines, which skip those zeros.  zlarfg leaves diag(R) real,
-    of either sign; next_H = R Q + s and r_nn = |R_nn| exactly.  mpmath:
-    ``_givens_sweep`` forms R*Q in place, and factors is None.  Backward
-    stable in either arithmetic
+    Householder QR factors H - s as zgeqrf does (``_geqrf_mp`` on mpmath
+    input), the result keeps its StepReflectors as ``factors``, and R*Q is
+    formed as zunmqr forms it when the result's next_h is first read.  On
+    Hessenberg input each reflector is zero past its second entry, so R*Q
+    is exactly Hessenberg, and lwork=n keeps LAPACK on its unblocked
+    routines, which skip those zeros.  next_H = R Q + s and r_nn = |R_nn|.
+    Backward stable in either arithmetic
     (Householder: Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 19): for the Q accumulated from the step,
     ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
@@ -223,59 +218,66 @@ def iqr_single(h, s):
     # ravel("K") is a view of it: the diagonal is every (n+1)-th element and
     # the subdiagonal starts at 1.
     a.ravel("K")[:: n + 1] -= s
-    if not extended:
+    if extended:
+        qr, tau = a, _geqrf_mp(a)
+    else:
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
         if info:
             raise DomainError(f"LAPACK QR step failed (zgeqrf info={info})")
-        return IqrResult(None, [abs(qr[n - 1, n - 1].real)], StepReflectors(qr, tau), s)
-    r_nn = _givens_sweep(a)
-    a.ravel("K")[:: n + 1] += s
-    return IqrResult(HessenbergMatrix(a, validate=False), [r_nn], None, s)
+    return IqrResult(None, [abs(qr[n - 1, n - 1].real)], StepReflectors(qr, tau), s)
+
+
+def _geqrf_mp(a):
+    """zgeqrf of the mpmath Hessenberg matrix a, in place, as zlarfg and
+    zlarf run it: R in the upper triangle, v_i = (1, a[i+1, i]) below it;
+    returns tau.  Reflector i acts on rows i, i+1 only, and the last one,
+    on a[n-1, n-1] alone, only makes R_nn real.  The arrays stay the left
+    operands: ``mpc * ndarray`` first formats the whole array as a string."""
+    n = len(a)
+    tau = np.full(n, mpmath.mpc(0), dtype=object)
+    for i in range(n):
+        alpha = a[i, i]
+        x = a[i + 1, i] if i < n - 1 else 0
+        if x == 0 and alpha.imag == 0:
+            continue
+        # beta = -SIGN(||(alpha, x)||, Re alpha), mpmath's zero counting as +0
+        beta = mpmath.sqrt(mpmath.fsum((alpha, x), absolute=True, squared=True))
+        beta = beta if alpha.real < 0 else -beta
+        tau[i] = t = (beta - alpha) / beta
+        a[i, i] = mpmath.mpc(beta)
+        if i < n - 1:
+            a[i + 1, i] = v = x / (alpha - beta)
+            rows = a[i : i + 2, i + 1 :]  # (I - conj(t) v v*) rows
+            w = (rows[0] + rows[1] * v.conjugate()) * -t.conjugate()
+            rows[0] += w
+            rows[1] += w * v
+    return tau
 
 
 def _form_iterate(factors, s):
-    """next_H = R Q + s of the binary64 step with StepReflectors ``factors``
-    and shift s: zunmqr applies Q to R from the right."""
+    """next_H = R Q + s of the step with StepReflectors ``factors`` and
+    shift s: Q is applied to R from the right, by zunmqr on complex128 and
+    by its transcription on mpmath numbers."""
     qr, tau = factors.qr, factors.tau
     n = qr.shape[0]
     a = qr.copy(order="F")
     a.ravel("K")[1 :: n + 1] = 0
-    a, _, info = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
-    if info:
-        raise DomainError(f"LAPACK QR step failed (zunmqr info={info})")
+    if is_mp_array(a):
+        # a (I - t v v*) for each reflector in order, with v = (1, qr[i+1, i]):
+        # rows below i + 1 of columns i, i + 1 are still zero, and t = 0 is exact
+        for i in range(n - 1):
+            t, v = tau[i], qr[i + 1, i]
+            cols = a[: i + 2, i : i + 2]
+            w = (cols[:, 0] + cols[:, 1] * v) * -t
+            cols[:, 0] += w
+            cols[:, 1] += w * v.conjugate()
+        a[:, -1] -= a[:, -1] * tau[-1]
+    else:
+        a, _, info = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
+        if info:
+            raise DomainError(f"LAPACK QR step failed (zunmqr info={info})")
     a.ravel("K")[:: n + 1] += s
     return HessenbergMatrix(a, validate=False)
-
-
-def _givens_sweep(a):
-    """R*Q of the mpmath matrix a = H - s, in place; returns r_nn = |R_nn|.
-    The rotations live only for the sweep: rotation i (None where the
-    column was already zero) writes rows i, i+1 from column i+1 on (left)
-    and rows < i+2 of columns i, i+1 (right), never below the subdiagonal;
-    the phase of R_nn goes into Q's last column."""
-    n = len(a)
-    rotations = []
-    for i in range(n - 1):
-        x0, x1 = a[i, i], a[i + 1, i]
-        if x0 == 0 and x1 == 0:
-            L, r = None, 0.0
-        else:
-            L, r = make_givens(x0, x1)
-            a[i : i + 2, i + 1 :] = L @ a[i : i + 2, i + 1 :]
-        a[i, i] = r
-        a[i + 1, i] = 0
-        rotations.append(L)
-    # Make the last diagonal entry real nonnegative; the phase is absorbed
-    # into Q so the factorization keeps the positive-diagonal convention.
-    rnn = a[n - 1, n - 1]
-    r_nn = abs(rnn)
-    phase = rnn / r_nn if rnn != 0 else 1
-    a[n - 1, n - 1] = r_nn
-    for i, L in enumerate(rotations):
-        if L is not None:
-            a[: i + 2, i : i + 2] = a[: i + 2, i : i + 2] @ L.conj().T
-    a[:, n - 1] = a[:, n - 1] * phase
-    return r_nn
 
 
 def iqr_multi(h, shifts):

@@ -1,23 +1,20 @@
-"""Precision model, complex Givens rotations, power-of-two scaling, disk sampling.
+"""Precision model, power-of-two scaling, disk sampling.
 
 The helpers here serve numpy complex128 arrays (binary64, the production
 path) and object arrays of mpmath numbers at the ambient ``mpmath.mp.prec``
-(runs configured above 53 mantissa bits, and the oracle).  ``to_mp``
+(runs configured at other than 53 mantissa bits, and the oracle).  ``to_mp``
 converts a complex128 array to the second kind exactly and
 ``.astype(np.complex128)`` rounds back; ``norm`` takes its square root in
 the arithmetic of its input, and ``ldexp`` scales either kind by a power of
-two.  ``make_givens`` is mpmath only: a binary64 QR step runs in LAPACK.
-The floating point model is the usual one: add/sub/mul/div/sqrt with relative
-error at most one unit roundoff, overflow and underflow ignored.  Nothing
-the QR iteration forms can overflow, because the driver runs it on H / 2^e
-with ||H / 2^e|| < 1 (see ``driver.shifted_qr``).
+two.  The floating point model is the usual one: add/sub/mul/div/sqrt with
+relative error at most one unit roundoff, overflow and underflow ignored.
+Nothing the QR iteration forms can overflow, because the driver runs it on
+H / 2^e with ||H / 2^e|| < 1 (see ``driver.shifted_qr``).
 """
 import math
 
 import mpmath
 import numpy as np
-
-from .errors import DomainError
 
 
 def is_mp_array(a):
@@ -34,19 +31,6 @@ def norm(a):
     if is_mp_array(a):
         return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in a.ravel()))
     return float(np.linalg.norm(a))
-
-
-def make_givens(x0, x1):
-    """(L, r), in mpmath at the ambient precision: the unitary object array
-    L = [[c, s], [-conj(s), conj(c)]] with L @ x = (r, 0), where
-    (c, s) = conj(x) / r and r = ||x|| >= 0 is real (the positive-diagonal
-    QR convention), within about 2u.  Raises on the all-zero input."""
-    if x0 == 0 and x1 == 0:
-        raise DomainError("make_givens: zero vector has no defined rotation")
-    x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
-    r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
-    c, s = x0.conjugate() / r, x1.conjugate() / r
-    return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
 
 
 def ldexp(z, e):

@@ -324,7 +324,7 @@ def matched_distance(l1, l2):
 
 
 def iqr_exact(h, shifts):
-    """Reference iterate: the IQR step as the Givens sweep in mpmath."""
+    """Reference iterate: the IQR step in mpmath at ``IQR_EXACT_PREC`` bits."""
     with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
         hm = h.to_extended() if not h.is_extended else h
         return iqr_multi(hm, shifts).next_h

@@ -147,13 +147,20 @@ class RunParams:
     n_dec_budget: int     # usable iterations: floor(n_dec)
 
 
+def check_phi(phi):
+    """DomainError unless the failure tolerance phi lies in (0, 1)."""
+    if not (0.0 < phi < 1.0):
+        raise DomainError(f"failure tolerance must be in (0,1), got {phi!r}")
+
+
 def derive_run_params(n, delta, phi, gd):
+    """The RunParams of an n x n run; ParameterError where omega, or on the QR
+    route (n > k) beta of ``regularization_scales``, underflows binary64."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not (0 < delta <= gd.Sigma):
         raise DomainError(f"need 0 < delta <= Sigma, got delta={delta!r}")
-    if not (0.0 < phi < 1.0):
-        raise DomainError(f"failure tolerance must be in (0,1), got {phi!r}")
+    check_phi(phi)
     try:
         omega = min(delta, gd.Gamma / (8.0 * n**2 * gd.B**2)) / (4.0 * n)
     except OverflowError:  # B^2
@@ -161,6 +168,10 @@ def derive_run_params(n, delta, phi, gd):
     if not omega > 0:
         raise ParameterError(
             f"working accuracy omega underflows binary64 (B={gd.B:g}, Gamma={gd.Gamma:g})"
+        )
+    if n > gd.k and not regularization_scales(omega, gd.Sigma)[1] > 0:
+        raise ParameterError(
+            f"corner accuracy beta underflows binary64 (B={gd.B:g}, Gamma={gd.Gamma:g})"
         )
     n_dec = math.log(gd.Sigma / omega) / math.log(1.0 / REDUCTION_FACTOR)
     if n_dec <= 0:

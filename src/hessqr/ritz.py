@@ -69,7 +69,7 @@ def optimal(h, log2_psi_pow_k, shifts, gd):
     for lo, s in zip(range(k, 0, -1), shifts):
         # (H* v) on the rows v lives on, then subtract conj(s) v
         out = wh[lo - 1 :, lo:] @ v
-        out[1:] -= np.conj(s) * v
+        out[1:] -= np.multiply(np.conj(s), v)
         v = out
     # not optimal when ||v|| >= 0.999 theta^k psi_k(H)^k (compared in log2)
     bound = math.log2(0.999) + k * math.log2(gd.theta) + log2_psi_pow_k

@@ -9,6 +9,7 @@ import pytest
 import scipy.io
 import scipy.sparse
 
+from hessqr import driver
 from hessqr.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -273,6 +274,15 @@ class TestMain:
         assert main([command, path] + options) == EXIT_BAD_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "info"])
+    def test_bad_phi_is_rejected_before_preprocessing(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError("preprocess ran before phi was checked")
+
+        monkeypatch.setattr(driver, "preprocess", refuse)
+        assert main([command, _identity_mtx(tmp_path), "--phi", "2"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: failure tolerance must be in (0,1), got 2.0\n"
+
     def test_unknown_option_exit_two(self, tmp_path, capsys):
         # no --sigma: Sigma is always 2 ||H||_F
         for option in (["--threads", "2"], ["--sigma", "1e-3"]):
@@ -357,6 +367,23 @@ class TestInfoMatchesSolve:
         params = _solve_checking_info(tmp_path, capsys, path, options)["params"]
         assert params["omega"] == 0.0
         assert params["log2_omega"] == expected
+
+
+class TestBetaUnderflow:
+    """beta = omega^2 / (1616 Sigma) underflows binary64 at Gamma = 1e-160
+    although omega does not: both commands reject the QR route up front,
+    and the direct route (n <= k = 4) still solves."""
+
+    @pytest.mark.parametrize("command", ["solve", "info"])
+    def test_qr_route_is_a_parameter_error(self, tmp_path, capsys, command):
+        path = _random_mtx(tmp_path, 8, True)
+        assert main([command, path] + _hessenberg_options(1e-160)) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: corner accuracy beta underflows binary64")
+
+    def test_direct_route_solves(self, tmp_path, capsys):
+        path = _random_mtx(tmp_path, 4, True)
+        doc = _solve_checking_info(tmp_path, capsys, path, _hessenberg_options(1e-160))
+        assert doc["globals"]["k"] == 4 and len(doc["eigenvalues"]) == 4
 
 
 class TestSmallEigFailure:

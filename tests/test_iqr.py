@@ -145,63 +145,25 @@ class TestIqrSingle:
                 for i in range(2, 9):
                     assert all(z == 0 for z in a[i, : i - 1])
 
-    def test_backward_stability_sample(self):
+    @pytest.mark.parametrize("extended", [False, True], ids=["complex128", "mpmath"])
+    def test_backward_stability_sample(self, extended):
+        # the mpmath step runs at 53 bits, where u is binary64's and its
+        # reflectors round to complex128 exactly
         rng = np.random.default_rng(12)
-        for n in (8, 32, 128):
+        for n in (8, 32) if extended else (8, 32, 128):
             for _ in range(10):
                 h = random_hessenberg(rng, n)
                 norm_h = np.linalg.norm(h.a, 2)
                 s = complex(*rng.standard_normal(2)) * norm_h
-                res = iqr_single(h, s)
-                q = accumulate_q([res.factors], n)
+                with mpmath.workprec(53):
+                    res = iqr_single(h.to_extended() if extended else h, s)
+                    next_a = res.next_h.a.astype(np.complex128)
+                q = accumulate_q([StepReflectors(*(f.astype(np.complex128) for f in res.factors))], n)
                 shifted = h.a - s * np.eye(n)
                 r = q.conj().T @ shifted
                 norm_shift = np.linalg.norm(shifted, 2)
                 assert np.linalg.norm(np.tril(r, -1), 2) <= 16 * n**1.5 * U * norm_shift
-                assert (
-                    np.linalg.norm(res.next_h.a - q.conj().T @ h.a @ q, 2)
-                    <= 32 * n**1.5 * U * norm_shift
-                )
-
-
-
-def _frozen_givens(x0, x1):
-    """make_givens as first written, in mpmath."""
-    x0, x1 = mpmath.mpc(x0), mpmath.mpc(x1)
-    r = mpmath.sqrt(abs(x0) ** 2 + abs(x1) ** 2)
-    c, s = x0.conjugate() / r, x1.conjugate() / r
-    return np.array([[c, s], [-s.conjugate(), c.conjugate()]]), r
-
-
-def _frozen_sweep(a, s):
-    """The degree-1 step as first written, with scalar loops for the shift:
-    (next_a, r_nn).  The reference for bit-identity."""
-    n = a.shape[0]
-    a = a.copy()
-    for i in range(n):
-        a[i, i] = a[i, i] - s
-    rotations = []
-    for i in range(n - 1):
-        x0, x1 = a[i, i], a[i + 1, i]
-        if x0 == 0 and x1 == 0:
-            L, r = None, 0.0
-        else:
-            L, r = _frozen_givens(x0, x1)
-            a[i : i + 2, i + 1 :] = L @ a[i : i + 2, i + 1 :]
-        a[i, i] = r
-        a[i + 1, i] = 0
-        rotations.append(L)
-    rnn = a[n - 1, n - 1]
-    r_nn = abs(rnn)
-    phase = rnn / r_nn if rnn != 0 else 1
-    a[n - 1, n - 1] = r_nn
-    for i, L in enumerate(rotations):
-        if L is not None:
-            a[: i + 2, i : i + 2] = a[: i + 2, i : i + 2] @ L.conj().T
-    a[:, n - 1] = a[:, n - 1] * phase
-    for i in range(n):
-        a[i, i] = a[i, i] + s
-    return a, r_nn
+                assert np.linalg.norm(next_a - q.conj().T @ h.a @ q, 2) <= 32 * n**1.5 * U * norm_shift
 
 
 def _zero_column_case():
@@ -213,63 +175,10 @@ def _zero_column_case():
     return HessenbergMatrix(a), 0.5 + 2j
 
 
-class TestSweepBitIdentity:
-    """The mpmath step reproduces the frozen sweep above exactly: next
-    iterate and r_nn, also where a column is already zero and the sweep
-    skips its rotation."""
-
-    def _check(self, h, s):
-        res = iqr_single(h, s)
-        a, r_nn = _frozen_sweep(h.a, s)
-        assert same_bits(res.next_h.a, a)
-        assert res.r_nn_per_step == [r_nn] and type(res.r_nn_per_step[0]) is type(r_nn)
-        assert res.factors is None
-
-    def _grid(self, bits, seed):
-        rng = np.random.default_rng(seed)
-        with mpmath.workprec(bits):
-            for n in (2, 3, 8, 32):
-                for scale in (1.0, 2.0**-300, 2.0**300):
-                    h = random_hessenberg(rng, n, scale).to_extended()
-                    for s in (complex(*rng.standard_normal(2)) * scale, 0.25 * scale, 0.0):
-                        self._check(h, s)
-
-    def test_mpmath_53_bits(self):
-        self._grid(53, 13)
-
-    def test_mpmath_80_bits(self):
-        self._grid(80, 14)
-        rng = np.random.default_rng(14)
-        with mpmath.workprec(80):
-            h = random_hessenberg(rng, 7).to_extended()
-            h.a[3, 3] += mpmath.mpf(1) / 3
-            self._check(h, mpmath.mpc(1, 3) / 7)
-
-    def test_zero_column_gives_none_rotation(self):
-        h, s = _zero_column_case()
-        for bits in (53, 80):
-            with mpmath.workprec(bits):
-                hm = h.to_extended()
-                assert hm.a[1, 0] == 0 and hm.a[0, 0] - s == 0  # no first rotation
-                self._check(hm, s)
-
-
-def _lapack_signs(results):
-    """E = prod_l sign(diag R_l) over the binary64 steps of ``results``
-    (``_chain``'s): the +-1 diagonal with which E next_H E is the iterate of
-    the nonnegative-diagonal convention, which the mpmath sweep keeps."""
-    e = np.ones(results[0].factors.qr.shape[0])
-    for res in results:
-        e *= np.copysign(1.0, res.factors.qr.real.diagonal())
-    return e
-
-
 class TestBinary64Step:
-    """The complex128 step (LAPACK Householder QR) against the mpmath sweep
-    at ``oracle.IQR_EXACT_PREC`` bits.  The binary64 step keeps LAPACK's
-    real, signed diagonal of R and the sweep a nonnegative one, so the step's
-    own signs D = sign(diag R) are applied here, exactly: D R is the sweep's
-    R and D next_H D its iterate.  Shifts stay at least 1e-2 ||H|| from the
+    """The complex128 step (LAPACK Householder QR) against the mpmath step
+    at ``oracle.IQR_EXACT_PREC`` bits, which transcribes it: iterate, r_nn
+    and tau compared directly.  Shifts stay at least 1e-2 ||H|| from the
     spectrum: near an eigenvalue a QR step is forward unstable and the two
     may legitimately part (Parlett and Le, 1993)."""
 
@@ -280,23 +189,22 @@ class TestBinary64Step:
         got = res.next_h.a
         for i in range(2, n):
             assert (got[i, : i - 1] == 0).all()
-        d = _lapack_signs([res])
-        r_diag = d * res.factors.qr.diagonal()
-        assert (r_diag.imag == 0).all() and (r_diag.real >= 0).all()
-        assert res.r_nn_per_step == [r_diag.real[-1]]
-        got = d[:, None] * got * d
+        r_diag = res.factors.qr.diagonal()
+        assert (r_diag.imag == 0).all()
+        assert res.r_nn_per_step == [abs(r_diag.real[-1])]
         tol = 4 * n * U * np.linalg.norm(h.a - s * np.eye(n), 2)
         assert np.linalg.norm(got - ref.next_h.a.astype(np.complex128), 2) <= tol
         assert abs(res.r_nn_per_step[0] - float(ref.r_nn_per_step[0])) <= tol
+        assert np.abs(res.factors.tau - ref.factors.tau.astype(np.complex128)).max() <= 4 * n * U
 
     @staticmethod
     def _exact(h, s):
         with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
             return iqr_single(h.to_extended(), s)
 
-    def test_against_mpmath_sweep(self):
-        # The mpmath sweep is exact under scaling by 2^e, so one reference
-        # serves all three scales.
+    def test_against_mpmath_step(self):
+        # The mpmath step is exact under scaling by 2^e, so one reference
+        # serves all three scales; tau does not scale.
         rng = np.random.default_rng(20)
         for n in (2, 3, 8, 32, 128, 200):
             h = random_hessenberg(rng, n)
@@ -310,20 +218,23 @@ class TestBinary64Step:
                 ref_e = IqrResult(
                     HessenbergMatrix(ldexp(ref.next_h.a, e), validate=False),
                     [ldexp(ref.r_nn_per_step[0], e)],
-                    ref.factors,  # None: the sweep keeps no factors
+                    ref.factors,
                     ldexp(s, e),
                 )
                 self._check(HessenbergMatrix(ldexp(h.a, e)), ldexp(s, e), ref_e)
 
     def test_zero_column(self):
+        # no reflector for the zero first column, in either arithmetic
         h, s = _zero_column_case()
-        self._check(h, s, self._exact(h, s))
+        ref = self._exact(h, s)
+        self._check(h, s, ref)
+        assert iqr_single(h, s).factors.tau[0] == 0 and ref.factors.tau[0] == 0
 
-    def test_never_calls_make_givens(self, monkeypatch):
-        def refuse(x0, x1):
-            raise AssertionError(f"make_givens({x0}, {x1}) on binary64 input")
+    def test_never_runs_the_mpmath_factorization(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError(f"_geqrf_mp on {a.dtype} input")
 
-        monkeypatch.setattr(iqr, "make_givens", refuse)
+        monkeypatch.setattr(iqr, "_geqrf_mp", refuse)
         h = random_hessenberg(np.random.default_rng(21), 9)
         res = iqr_multi(h, (0.3, -0.2j, 1.1))
         assert isinstance(res.factors, StepReflectors)
@@ -350,6 +261,16 @@ def _signed_chain(a, shifts):
         a *= d
         a.ravel("K")[:: n + 1] += s
     return a, r_nns
+
+
+def _lapack_signs(results):
+    """E = prod_l sign(diag R_l) over the binary64 steps of ``results``
+    (``_chain``'s): the +-1 diagonal with which E next_H E is the iterate of
+    ``_signed_chain``."""
+    e = np.ones(results[0].factors.qr.shape[0])
+    for res in results:
+        e *= np.copysign(1.0, res.factors.qr.real.diagonal())
+    return e
 
 
 class TestLapackSignConvention:
@@ -541,9 +462,7 @@ class TestForwardStability:
                 if min(abs(s - e) for e in eigs) >= 1e-2 * norm_h:
                     shifts.append(s)
             shifts = tuple(shifts)
-            res = iqr_multi(h, shifts)
-            signs = _lapack_signs(_chain(h, shifts))  # to the sweep's sign convention
-            got = signs[:, None] * res.next_h.a * signs
+            got = iqr_multi(h, shifts).next_h.a
             ref = iqr_exact(h, shifts).a.astype(np.complex128)
             dist = min(abs(s - e) for e in eigs for s in shifts)
             c = max(abs(np.array(shifts))) / norm_h

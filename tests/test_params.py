@@ -157,6 +157,14 @@ class TestDeriveRunParams:
         with pytest.raises(DomainError):
             derive_run_params(10, 1e-3, 1.5, gd)
 
+    def test_beta_underflow_on_the_qr_route_only(self):
+        # omega = Gamma / (8 n^2 B^2) / (4n) ~ 1e-168 is positive, and
+        # beta = omega^2 / (1616 Sigma) underflows; n <= k solves directly
+        gd = globals_with_degree(1.0, 4, Gamma=1e-162, Sigma=1.0, n0=8)
+        with pytest.raises(ParameterError, match="^corner accuracy beta underflows binary64"):
+            derive_run_params(8, 1e-3, 0.05, gd)
+        assert derive_run_params(4, 1e-3, 0.05, gd).omega > 0
+
 
 def _bits(n, k, Sigma, B, Gamma, delta, phi):
     gd = globals_with_degree(B, k, Gamma, Sigma, n)

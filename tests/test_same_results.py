@@ -26,9 +26,9 @@ def test_repository_matches_itself():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     # one input per workload (the CLI route adds its JSON), the cyclic shift,
-    # the deep near-normal case and the 80-bit case
+    # the deep near-normal case and the 80-bit and 32-bit cases
     assert out.stdout.strip().splitlines()[-1] == (
-        "6 items compared, 0 differences, 0 one-sided fields"
+        "7 items compared, 0 differences, 0 one-sided fields"
     )
 
 
