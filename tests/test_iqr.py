@@ -145,10 +145,18 @@ class TestIqrSingle:
                 for i in range(2, 9):
                     assert all(z == 0 for z in a[i, : i - 1])
 
-    @pytest.mark.parametrize("extended", [False, True], ids=["complex128", "mpmath"])
-    def test_backward_stability_sample(self, extended):
+    def test_backward_stability_sample(self):
+        self._backward_stability_sample(extended=False)
+
+    def test_backward_stability_sample_on_mpmath(self):
         # the mpmath step runs at 53 bits, where u is binary64's and its
         # reflectors round to complex128 exactly
+        self._backward_stability_sample(extended=True)
+
+    @staticmethod
+    def _backward_stability_sample(extended):
+        """``iqr_single``'s bounds, through the step's own factors, on 10
+        draws per n."""
         rng = np.random.default_rng(12)
         for n in (8, 32) if extended else (8, 32, 128):
             for _ in range(10):
@@ -173,6 +181,145 @@ def _zero_column_case():
     a[1, 0] = 0
     a[0, 0] = 0.5 + 2j
     return HessenbergMatrix(a), 0.5 + 2j
+
+
+def _frozen_step(a, s):
+    """The mpmath degree-1 step written out entry by entry: zlarfg and
+    zlarf's left updates on H - s, then zunmqr's right updates, then + s:
+    (next_a, r_nn, tau).  The reference for bit-identity."""
+    n = a.shape[0]
+    a = a.copy()
+    for i in range(n):
+        a[i, i] = a[i, i] - s
+    tau = [mpmath.mpc(0)] * n
+    for i in range(n):
+        alpha = a[i, i]
+        x = a[i + 1, i] if i < n - 1 else 0
+        if x == 0 and alpha.imag == 0:
+            continue
+        beta = mpmath.sqrt(mpmath.fsum((alpha, x), absolute=True, squared=True))
+        if alpha.real >= 0:
+            beta = -beta
+        t = tau[i] = (beta - alpha) / beta
+        a[i, i] = mpmath.mpc(beta)
+        if i < n - 1:
+            v = a[i + 1, i] = x / (alpha - beta)
+            for j in range(i + 1, n):
+                w = (a[i, j] + a[i + 1, j] * v.conjugate()) * -t.conjugate()
+                a[i, j] = a[i, j] + w
+                a[i + 1, j] = a[i + 1, j] + w * v
+    r_nn = abs(a[n - 1, n - 1].real)
+    vs = [a[i + 1, i] for i in range(n - 1)]
+    for i in range(n - 1):
+        a[i + 1, i] = 0
+    for i in range(n - 1):
+        t, v = tau[i], vs[i]
+        for r in range(i + 2):
+            w = (a[r, i] + a[r, i + 1] * v) * -t
+            a[r, i] = a[r, i] + w
+            a[r, i + 1] = a[r, i + 1] + w * v.conjugate()
+    for r in range(n):
+        a[r, n - 1] = a[r, n - 1] - a[r, n - 1] * tau[n - 1]
+    for i in range(n):
+        a[i, i] = a[i, i] + s
+    return a, r_nn, np.array(tau, dtype=object)
+
+
+class TestSweepBitIdentity:
+    """The mpmath step reproduces ``_frozen_step`` exactly: next iterate,
+    r_nn and tau, also where a column is already zero and the step skips
+    its reflector."""
+
+    def _check(self, h, s):
+        res = iqr_single(h, s)
+        a, r_nn, tau = _frozen_step(h.a, s)
+        assert same_bits(res.next_h.a, a)
+        assert res.r_nn_per_step == [r_nn] and type(res.r_nn_per_step[0]) is type(r_nn)
+        assert same_bits(res.factors.tau, tau)
+
+    def _grid(self, bits, seed):
+        rng = np.random.default_rng(seed)
+        with mpmath.workprec(bits):
+            for n in (2, 3, 8, 32):
+                for scale in (1.0, 2.0**-300, 2.0**300):
+                    h = random_hessenberg(rng, n, scale).to_extended()
+                    for s in (complex(*rng.standard_normal(2)) * scale, 0.25 * scale, 0.0):
+                        self._check(h, s)
+
+    def test_mpmath_53_bits(self):
+        self._grid(53, 13)
+
+    def test_mpmath_80_bits(self):
+        self._grid(80, 14)
+        rng = np.random.default_rng(14)
+        with mpmath.workprec(80):
+            h = random_hessenberg(rng, 7).to_extended()
+            h.a[3, 3] += mpmath.mpf(1) / 3
+            self._check(h, mpmath.mpc(1, 3) / 7)
+
+    def test_zero_column_gives_none_rotation(self):
+        # no first reflector: tau[0] = 0, the identity
+        h, s = _zero_column_case()
+        for bits in (53, 80):
+            with mpmath.workprec(bits):
+                hm = h.to_extended()
+                assert hm.a[1, 0] == 0 and hm.a[0, 0] - s == 0
+                self._check(hm, s)
+                assert iqr_single(hm, s).factors.tau[0] == 0
+
+
+class TestGeqrfMp:
+    """``_geqrf_mp``'s reflectors against LAPACK's zlarfg, which it
+    transcribes, on 2 x 2 input: beta = R[0, 0], v = qr[1, 0] and tau."""
+
+    @staticmethod
+    def _reflect(alpha, x):
+        a = np.array([[alpha, 1.0], [x, 1.0]], dtype=complex)
+        with mpmath.workprec(53):
+            qr = to_mp(a)
+            tau = iqr._geqrf_mp(qr)
+        return qr[0, 0], qr[1, 0], tau[0]
+
+    def test_against_zlarfg(self):
+        # the sign cases by hand (mpmath's zero counts as +0), then a sample
+        rng = np.random.default_rng(25)
+        cases = [(3, 4), (-3, 4), (0, 1), (2j, 0), (complex(0.0, -2.0), 1e-300), (1 + 1j, 2 - 3j)]
+        cases += [tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(200)]
+        for alpha, x in cases:
+            beta, v, tau = (complex(z) for z in self._reflect(alpha, x))
+            want_beta, want_x, want_tau = lapack.zlarfg(2, alpha, np.array([x], dtype=complex))
+            assert abs(beta - want_beta) <= 4 * U * abs(want_beta)
+            assert abs(v - want_x[0]) <= 4 * U and abs(tau - want_tau) <= 4 * U
+        assert [complex(z) for z in self._reflect(3, 4)] == [-5, 0.5, 1.6]
+        assert [complex(z) for z in self._reflect(-3, 4)] == [5, -0.5, 1.6]
+
+    def test_real_alpha_and_zero_x_is_no_reflector(self):
+        # zlarfg's tau = 0 case: alpha kept as it is, even when negative
+        for alpha in (2.0, -2.0, 0.0):
+            beta, v, tau = self._reflect(alpha, 0.0)
+            assert tau == 0 and beta == alpha and v == 0
+            want_beta, _, want_tau = lapack.zlarfg(2, alpha, np.zeros(1, dtype=complex))
+            assert want_tau == 0 and want_beta == alpha
+
+    def test_reflector_is_unitary_and_zeroing_at_80_bits(self):
+        # H* (alpha, x) = (beta, 0) with |beta| = ||(alpha, x)|| real, and
+        # H* H = I, for H = I - tau v v*; 1 <= Re tau <= 2, |tau - 1| <= 1
+        rng = np.random.default_rng(26)
+        with mpmath.workprec(80):
+            tol = mpmath.mpf(2) ** -74
+            for _ in range(200):
+                col = to_mp(rng.standard_normal(2) + 1j * rng.standard_normal(2)) / 3
+                qr = np.array([[col[0], mpmath.mpc(1)], [col[1], mpmath.mpc(1)]], dtype=object)
+                t = iqr._geqrf_mp(qr)[0]
+                v = np.array([mpmath.mpc(1), qr[1, 0]], dtype=object)
+                refl = np.eye(2, dtype=object) - np.outer(v, v.conjugate()) * t
+                norm = mpmath.sqrt(abs(col[0]) ** 2 + abs(col[1]) ** 2)
+                out = refl.conj().T @ col
+                assert abs(out[0] - qr[0, 0]) <= tol * norm and abs(out[1]) <= tol * norm
+                assert qr[0, 0].imag == 0 and abs(abs(qr[0, 0]) - norm) <= tol * norm
+                gram = refl.conj().T @ refl
+                assert all(abs(gram[p, q] - (p == q)) <= tol for p in range(2) for q in range(2))
+                assert 1 <= t.real <= 2 and abs(t - 1) <= 1 + tol
 
 
 class TestBinary64Step:
@@ -202,7 +349,7 @@ class TestBinary64Step:
         with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
             return iqr_single(h.to_extended(), s)
 
-    def test_against_mpmath_step(self):
+    def test_against_mpmath_sweep(self):
         # The mpmath step is exact under scaling by 2^e, so one reference
         # serves all three scales; tau does not scale.
         rng = np.random.default_rng(20)
