@@ -333,15 +333,15 @@ def prepare(a, config):
     """The parameters a run works with: (h, gd, delta, seed).
 
     ``bits`` must be an integer >= MIN_BITS (ParameterError), phi in (0, 1)
-    (DomainError) and the input non-empty (DimensionError).  The seed is
+    (DomainError), and the input non-empty (DimensionError).  The seed is
     drawn from the system entropy source when the config has none; one it
     gives must be a non-negative integer (ParameterError).  With
     preprocessing on, ``preprocess`` perturbs and reduces the input (its
     randomness derived from the seed), and delta is the absolute accuracy
     delta_pre = delta*||A||_2/2.  Without it, the input must already be
-    Hessenberg, and delta is delta*||H||_F.  Sigma is 2||H||_F, and B and
-    Gamma default to ``params.default_bounds`` at scale delta_pre or
-    delta/2.  ``solve`` runs on this, and ``hessqr info`` prints it."""
+    upper Hessenberg, and delta is delta*||H||_F.  Sigma is 2||H||_F, and B
+    and Gamma default to ``params.default_bounds`` at scale delta_pre or
+    delta/2.  ``solve`` runs on exactly this, and ``hessqr info`` prints it."""
     if not (isinstance(config.bits, (int, np.integer)) and config.bits >= MIN_BITS):
         raise ParameterError(f"bits must be an integer >= {MIN_BITS}, got {config.bits!r}")
     check_phi(config.phi)

@@ -156,23 +156,24 @@ class IqrResult:
     for the identity step only; the reflectors of earlier steps are not
     kept.  The iterate R Q + s is formed from ``factors`` and the last shift
     the first time next_h is read, by the operations ``iqr_single``
-    describes, and kept: two reads return the same matrix.  A tau product
-    reads only the r_nn values, so a sweep that ``find`` only compares is
-    never formed.  A caller that needs every step's reflectors chains
-    ``iqr_single`` and collects each result's factors."""
+    describes, and kept: two reads return the same matrix.  An mpmath
+    iterate is formed at ``prec``, the precision the step ran at, whatever
+    precision is in force at the read.  A caller that needs every step's
+    reflectors chains ``iqr_single`` and collects each result's factors."""
 
-    __slots__ = ("_next_h", "r_nn_per_step", "factors", "shift")
+    __slots__ = ("_next_h", "r_nn_per_step", "factors", "shift", "prec")
 
-    def __init__(self, next_h, r_nn_per_step, factors, shift):
+    def __init__(self, next_h, r_nn_per_step, factors, shift, prec=None):
         self._next_h = next_h  # None until the iterate is first read
         self.r_nn_per_step = r_nn_per_step
         self.factors = factors
         self.shift = shift  # of the last degree-1 step
+        self.prec = prec
 
     @property
     def next_h(self):
         if self._next_h is None:
-            self._next_h = _form_iterate(self.factors, self.shift)
+            self._next_h = _form_iterate(self.factors, self.shift, self.prec)
         return self._next_h
 
     def then(self, shifts):
@@ -187,7 +188,7 @@ class IqrResult:
         for s in shifts:
             res = iqr_single(res.next_h, s)
             r_nns += res.r_nn_per_step
-        return IqrResult(res._next_h, r_nns, res.factors, res.shift)
+        return IqrResult(res._next_h, r_nns, res.factors, res.shift, res.prec)
 
 
 def iqr_single(h, s):
@@ -199,13 +200,11 @@ def iqr_single(h, s):
     Hessenberg input each reflector is zero past its second entry, so R*Q
     is exactly Hessenberg, and lwork=n keeps LAPACK on its unblocked
     routines, which skip those zeros.  next_H = R Q + s and r_nn = |R_nn|.
-    Backward stable in either arithmetic
-    (Householder: Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 19): for the Q accumulated from the step,
-    ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
-    ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.
-    DomainError when s is not finite.
-    """
+    Backward stable in either arithmetic (Householder: Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 19): for the Q accumulated
+    from the step, ||H - s - Q R|| <= 16 n^(3/2) u ||H - s|| and
+    ||next_H - Q* H Q|| <= 32 n^(3/2) u ||H - s||.  DomainError when s is
+    not finite."""
     a = h.a
     n = a.shape[0]
     if n < 2:
@@ -224,7 +223,7 @@ def iqr_single(h, s):
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
         if info:
             raise DomainError(f"LAPACK QR step failed (zgeqrf info={info})")
-    return IqrResult(None, [abs(qr[n - 1, n - 1].real)], StepReflectors(qr, tau), s)
+    return IqrResult(None, [abs(qr[-1, -1].real)], StepReflectors(qr, tau), s, mpmath.mp.prec)
 
 
 def _geqrf_mp(a):
@@ -254,15 +253,21 @@ def _geqrf_mp(a):
     return tau
 
 
-def _form_iterate(factors, s):
+def _form_iterate(factors, s, prec):
     """next_H = R Q + s of the step with StepReflectors ``factors`` and
     shift s: Q is applied to R from the right, by zunmqr on complex128 and
-    by its transcription on mpmath numbers."""
+    by its transcription on mpmath numbers, at prec bits."""
     qr, tau = factors.qr, factors.tau
     n = qr.shape[0]
     a = qr.copy(order="F")
     a.ravel("K")[1 :: n + 1] = 0
-    if is_mp_array(a):
+    if not is_mp_array(a):
+        a, _, info = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
+        if info:
+            raise DomainError(f"LAPACK QR step failed (zunmqr info={info})")
+        a.ravel("K")[:: n + 1] += s
+        return HessenbergMatrix(a, validate=False)
+    with mpmath.workprec(prec):
         # a (I - t v v*) for each reflector in order, with v = (1, qr[i+1, i]):
         # rows below i + 1 of columns i, i + 1 are still zero, and t = 0 is exact
         for i in range(n - 1):
@@ -272,11 +277,7 @@ def _form_iterate(factors, s):
             cols[:, 0] += w
             cols[:, 1] += w * v.conjugate()
         a[:, -1] -= a[:, -1] * tau[-1]
-    else:
-        a, _, info = lapack.zunmqr(b"R", b"N", qr, tau, a, lwork=n, overwrite_c=1)
-        if info:
-            raise DomainError(f"LAPACK QR step failed (zunmqr info={info})")
-    a.ravel("K")[:: n + 1] += s
+        a.ravel("K")[:: n + 1] += s
     return HessenbergMatrix(a, validate=False)
 
 

@@ -257,6 +257,16 @@ class TestSweepBitIdentity:
             h.a[3, 3] += mpmath.mpf(1) / 3
             self._check(h, mpmath.mpc(1, 3) / 7)
 
+    def test_iterate_read_after_the_precision_block(self):
+        # an 80-bit step read at the ambient 53 bits is still formed at 80
+        h = random_hessenberg(np.random.default_rng(15), 8)
+        with mpmath.workprec(80):
+            hm, shifts = h.to_extended(), (mpmath.mpc(1, 3) / 7, 0.25)
+            inside = iqr_multi(hm, shifts).next_h.a
+            late = iqr_multi(hm, shifts)
+        assert mpmath.mp.prec == 53
+        assert same_bits(late.next_h.a, inside)
+
     def test_zero_column_gives_none_rotation(self):
         # no first reflector: tau[0] = 0, the identity
         h, s = _zero_column_case()
