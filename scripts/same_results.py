@@ -21,7 +21,9 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   numbers at 80 bits, so that a change to the binary64 step shows that this
   route did not move, and at 32 bits, where a change to the mpmath
   arithmetic shows (at 80 bits its outputs round to the same binary64
-  values).
+  values).  Each checkout makes those numbers through its own API
+  (``_extended_solve``), so a checkout whose mpmath numbers round at the
+  global precision compares with one whose numbers carry their own.
 
 Floats are compared by their bits (hex).  The exit code is 1 when any value
 both checkouts record differs, an input fails on one side only, or an item
@@ -102,7 +104,6 @@ def collect(n_inputs, seeds):
     import hessqr
     import hessqr.cli
     from hessqr.params import globals_with_degree
-    from hessqr.smalleig import MP_LOCK
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -140,13 +141,26 @@ def collect(n_inputs, seeds):
             h = hessqr.HessenbergMatrix(np.triu(scipy.linalg.hessenberg(a), -1))
             gd = hessqr.derive_globals(workloads.QR_B, workloads.QR_GAMMA, 2 * float(h.frobenius_norm()), n)
             name = f"near-normal n={n} k={gd.k} seed {seed}" + (f" at {bits} bits" if bits != 53 else "")
-            with MP_LOCK, mpmath.workprec(bits):
-                if bits != 53:
-                    h = h.to_extended()
-                out[name] = _guarded(
-                    lambda: _solve_record(hessqr.shifted_qr(h, workloads.QR_DELTA, workloads.QR_PHI, gd, seed=seed))
-                )
+
+            def solve(h):
+                return _solve_record(hessqr.shifted_qr(h, workloads.QR_DELTA, workloads.QR_PHI, gd, seed=seed))
+
+            out[name] = _guarded(lambda: solve(h) if bits == 53 else _extended_solve(solve, h, bits))
     return out
+
+
+def _extended_solve(solve, h, bits):
+    """solve(h') for h' the bits-bit mpmath copy of h, made through the
+    checkout's own API.  This exists only to compare checkouts across the
+    change that gave mpmath numbers their own precision: one from before it
+    has ``smalleig.MP_LOCK`` and runs the whole solve at mpmath's global
+    precision."""
+    from hessqr import smalleig
+
+    if not hasattr(smalleig, "MP_LOCK"):
+        return solve(h.to_extended(bits))
+    with smalleig.MP_LOCK, mpmath.workprec(bits):
+        return solve(h.to_extended())
 
 
 def differences(a, b, where=""):

@@ -36,7 +36,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
-import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -61,7 +60,7 @@ from .params import (
 )
 from .ritz import ritz_or_decouple
 from .shifting import sh_step
-from .smalleig import DEFAULT_SOLVER, MP_LOCK
+from .smalleig import DEFAULT_SOLVER
 
 MAX_RETRIES = 3
 MIN_BITS = 24  # the fewest working mantissa bits a run accepts
@@ -224,7 +223,11 @@ def plan_run(n, delta, phi, gd):
     ``run_params.log2_omega`` = log2(omega) + e reports it there."""
     e = math.frexp(gd.Sigma)[1]
     gd_n = replace(gd, Sigma=math.ldexp(gd.Sigma, -e), Gamma=math.ldexp(gd.Gamma, -e))
-    params = derive_run_params(n, math.ldexp(delta, -e), phi, gd_n)
+    try:
+        params = derive_run_params(n, math.ldexp(delta, -e), phi, gd_n)
+    except ParameterError as exc:  # name the caller's Gamma, not Gamma / 2^e
+        msg = str(exc).replace(f"Gamma={gd_n.Gamma:g}", f"Gamma={gd.Gamma:g}")
+        raise ParameterError(msg) from None
     return RunPlan(
         e=e,
         gd=gd_n,
@@ -376,13 +379,11 @@ def solve(a, config=None):
     and Hessenberg-reduced, then the recursive driver runs with absolute
     accuracy delta*||A||/2; without it, the input must already be upper
     Hessenberg (see ``prepare``).  A run with ``bits`` other than 53 works on
-    mpmath numbers at that precision from the Hessenberg form on (IQR sweeps,
-    tau products, Ritz values); the small solver certifies at its own, higher
-    precision either way.  The result reports the mantissa bits the
-    worst-case analysis requires as ``required_bits``."""
+    mpmath numbers of that precision from the Hessenberg form on (IQR sweeps,
+    tau products, Ritz values), ``to_extended(bits)``; the small solver
+    certifies at its own, higher precision either way.  The result reports
+    the mantissa bits the worst-case analysis requires as ``required_bits``."""
     config = config or SolveConfig()
     h, gd, delta, seed = prepare(a, config)
-    if config.bits == 53:
-        return shifted_qr(h, delta, config.phi, gd, seed=seed)
-    with MP_LOCK, mpmath.workprec(config.bits):
-        return shifted_qr(h.to_extended(), delta, config.phi, gd, seed=seed)
+    h = h if config.bits == 53 else h.to_extended(config.bits)
+    return shifted_qr(h, delta, config.phi, gd, seed=seed)

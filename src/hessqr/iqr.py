@@ -3,8 +3,8 @@
 A degree-1 step factors H - s = QR and forms the next iterate R*Q + s;
 higher degrees compose degree-1 steps in root order.  ``iqr_single`` runs
 LAPACK's Householder QR in either arithmetic: zgeqrf and zunmqr on
-complex128, and their transcriptions on mpmath numbers at the ambient
-precision.  r_nn = |R_nn| of each step, whose product approximates
+complex128, and their transcriptions on mpmath numbers, in the numbers' own
+context.  r_nn = |R_nn| of each step, whose product approximates
 tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain tuples of roots;
 ``Step`` is the record one step of the QR iteration hands to the driver.
 A step returns its reflectors in an ``IqrResult``, and a chain of steps
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionError, DomainError, StructureError
-from .kernel import is_mp_array, ldexp, log2, norm, to_mp
+from .kernel import is_mp_array, ldexp, log2, mp_context, norm, to_mp
 
 
 def _finite_all(a):
@@ -65,6 +65,8 @@ class HessenbergMatrix:
                 a = a.astype(np.complex128, copy=False)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+            if is_mp_array(a) and not all(hasattr(z, "context") for z in a.flat):
+                raise StructureError("an object array must hold mpmath numbers")
             if not _finite_all(a):
                 raise StructureError("matrix has non-finite entries")
             n = a.shape[0]
@@ -109,9 +111,10 @@ class HessenbergMatrix:
             raise DomainError("matrix norm is not a finite binary64 number")
         return ldexp(scaled, e)
 
-    def to_extended(self):
-        """Copy with entries converted to mpmath numbers (exactly, at >= 53 bits)."""
-        return HessenbergMatrix(to_mp(self.a), validate=False)
+    def to_extended(self, prec):
+        """Copy with entries converted to prec-bit mpmath numbers (exactly,
+        from complex128 at prec >= 53 and from mpmath numbers at any prec)."""
+        return HessenbergMatrix(to_mp(self.a, mp_context(prec)), validate=False)
 
 
 def split_blocks(a, n):
@@ -156,24 +159,22 @@ class IqrResult:
     for the identity step only; the reflectors of earlier steps are not
     kept.  The iterate R Q + s is formed from ``factors`` and the last shift
     the first time next_h is read, by the operations ``iqr_single``
-    describes, and kept: two reads return the same matrix.  An mpmath
-    iterate is formed at ``prec``, the precision the step ran at, whatever
-    precision is in force at the read.  A caller that needs every step's
-    reflectors chains ``iqr_single`` and collects each result's factors."""
+    describes, and kept: two reads return the same matrix.  A caller that
+    needs every step's reflectors chains ``iqr_single`` and collects each
+    result's factors."""
 
-    __slots__ = ("_next_h", "r_nn_per_step", "factors", "shift", "prec")
+    __slots__ = ("_next_h", "r_nn_per_step", "factors", "shift")
 
-    def __init__(self, next_h, r_nn_per_step, factors, shift, prec=None):
+    def __init__(self, next_h, r_nn_per_step, factors, shift):
         self._next_h = next_h  # None until the iterate is first read
         self.r_nn_per_step = r_nn_per_step
         self.factors = factors
         self.shift = shift  # of the last degree-1 step
-        self.prec = prec
 
     @property
     def next_h(self):
         if self._next_h is None:
-            self._next_h = _form_iterate(self.factors, self.shift, self.prec)
+            self._next_h = _form_iterate(self.factors, self.shift)
         return self._next_h
 
     def then(self, shifts):
@@ -188,7 +189,7 @@ class IqrResult:
         for s in shifts:
             res = iqr_single(res.next_h, s)
             r_nns += res.r_nn_per_step
-        return IqrResult(res._next_h, r_nns, res.factors, res.shift, res.prec)
+        return IqrResult(res._next_h, r_nns, res.factors, res.shift)
 
 
 def iqr_single(h, s):
@@ -223,7 +224,7 @@ def iqr_single(h, s):
         qr, tau, _, info = lapack.zgeqrf(a, lwork=n, overwrite_a=1)
         if info:
             raise DomainError(f"LAPACK QR step failed (zgeqrf info={info})")
-    return IqrResult(None, [abs(qr[-1, -1].real)], StepReflectors(qr, tau), s, mpmath.mp.prec)
+    return IqrResult(None, [abs(qr[-1, -1].real)], StepReflectors(qr, tau), s)
 
 
 def _geqrf_mp(a):
@@ -233,17 +234,18 @@ def _geqrf_mp(a):
     on a[n-1, n-1] alone, only makes R_nn real.  The arrays stay the left
     operands: ``mpc * ndarray`` first formats the whole array as a string."""
     n = len(a)
-    tau = np.full(n, mpmath.mpc(0), dtype=object)
+    ctx = a[0, 0].context
+    tau = np.full(n, ctx.mpc(0), dtype=object)
     for i in range(n):
         alpha = a[i, i]
         x = a[i + 1, i] if i < n - 1 else 0
         if x == 0 and alpha.imag == 0:
             continue
         # beta = -SIGN(||(alpha, x)||, Re alpha), mpmath's zero counting as +0
-        beta = mpmath.sqrt(mpmath.fsum((alpha, x), absolute=True, squared=True))
+        beta = ctx.sqrt(ctx.fsum((alpha, x), absolute=True, squared=True))
         beta = beta if alpha.real < 0 else -beta
         tau[i] = t = (beta - alpha) / beta
-        a[i, i] = mpmath.mpc(beta)
+        a[i, i] = ctx.mpc(beta)
         if i < n - 1:
             a[i + 1, i] = v = x / (alpha - beta)
             rows = a[i : i + 2, i + 1 :]  # (I - conj(t) v v*) rows
@@ -253,10 +255,11 @@ def _geqrf_mp(a):
     return tau
 
 
-def _form_iterate(factors, s, prec):
+def _form_iterate(factors, s):
     """next_H = R Q + s of the step with StepReflectors ``factors`` and
     shift s: Q is applied to R from the right, by zunmqr on complex128 and
-    by its transcription on mpmath numbers, at prec bits."""
+    by its transcription on mpmath numbers, which rounds in the context of
+    the factors, at the precision the step ran at."""
     qr, tau = factors.qr, factors.tau
     n = qr.shape[0]
     a = qr.copy(order="F")
@@ -267,17 +270,16 @@ def _form_iterate(factors, s, prec):
             raise DomainError(f"LAPACK QR step failed (zunmqr info={info})")
         a.ravel("K")[:: n + 1] += s
         return HessenbergMatrix(a, validate=False)
-    with mpmath.workprec(prec):
-        # a (I - t v v*) for each reflector in order, with v = (1, qr[i+1, i]):
-        # rows below i + 1 of columns i, i + 1 are still zero, and t = 0 is exact
-        for i in range(n - 1):
-            t, v = tau[i], qr[i + 1, i]
-            cols = a[: i + 2, i : i + 2]
-            w = (cols[:, 0] + cols[:, 1] * v) * -t
-            cols[:, 0] += w
-            cols[:, 1] += w * v.conjugate()
-        a[:, -1] -= a[:, -1] * tau[-1]
-        a.ravel("K")[:: n + 1] += s
+    # a (I - t v v*) for each reflector in order, with v = (1, qr[i+1, i]):
+    # rows below i + 1 of columns i, i + 1 are still zero, and t = 0 is exact
+    for i in range(n - 1):
+        t, v = tau[i], qr[i + 1, i]
+        cols = a[: i + 2, i : i + 2]
+        w = (cols[:, 0] + cols[:, 1] * v) * -t
+        cols[:, 0] += w
+        cols[:, 1] += w * v.conjugate()
+    a[:, -1] -= a[:, -1] * tau[-1]
+    a.ravel("K")[:: n + 1] += s
     return HessenbergMatrix(a, validate=False)
 
 

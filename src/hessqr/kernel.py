@@ -1,17 +1,19 @@
 """Precision model, power-of-two scaling, disk sampling.
 
 The helpers here serve numpy complex128 arrays (binary64, the production
-path) and object arrays of mpmath numbers at the ambient ``mpmath.mp.prec``
-(runs configured at other than 53 mantissa bits, and the oracle).  ``to_mp``
-converts a complex128 array to the second kind exactly and
-``.astype(np.complex128)`` rounds back; ``norm`` takes its square root in
-the arithmetic of its input, and ``ldexp`` scales either kind by a power of
-two.  The floating point model is the usual one: add/sub/mul/div/sqrt with
-relative error at most one unit roundoff, overflow and underflow ignored.
-Nothing the QR iteration forms can overflow, because the driver runs it on
-H / 2^e with ||H / 2^e|| < 1 (see ``driver.shifted_qr``).
+path) and object arrays of mpmath numbers (runs configured at other than 53
+mantissa bits, and the oracle).  An mpmath number belongs to the context
+``mp_context(prec)`` that made it, and an operation rounds at its left
+operand's context, whatever mpmath's global precision.  ``to_mp`` converts
+into a context and ``.astype(np.complex128)`` rounds back; ``norm`` takes
+its square root in the arithmetic of its input, and ``ldexp`` scales either
+kind by a power of two.  The floating point model is the usual one:
+add/sub/mul/div/sqrt with relative error at most one unit roundoff, overflow
+and underflow ignored.  Nothing the QR iteration forms can overflow, because
+the driver runs it on H / 2^e with ||H / 2^e|| < 1 (see ``driver.shifted_qr``).
 """
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -21,15 +23,27 @@ def is_mp_array(a):
     return a.dtype == object
 
 
-# Elementwise mpmath.mpc: an object array rounded to the ambient precision
-# (exact from complex128 at 53 bits or more).
-to_mp = np.frompyfunc(mpmath.mpc, 1, 1)
+@lru_cache(maxsize=None)
+def mp_context(prec):
+    """The context of prec-bit mpmath numbers, made once (one costs ~0.1 ms)."""
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    return ctx
+
+
+def to_mp(a, ctx):
+    """a as an object array of complex numbers of the context ctx: mpmath
+    entries exactly, others rounded at ctx.prec (exactly, for complex128 at
+    53 bits or more)."""
+    exact = ctx.make_mpc
+    return np.frompyfunc(lambda z: exact(z._mpc_) if hasattr(z, "_mpc_") else ctx.mpc(z), 1, 1)(a)
 
 
 def norm(a):
     """Frobenius norm of a, in the arithmetic of a."""
     if is_mp_array(a):
-        return mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in a.ravel()))
+        ctx = a.flat[0].context
+        return ctx.sqrt(ctx.fsum(abs(z) ** 2 for z in a.flat))
     return float(np.linalg.norm(a))
 
 

@@ -2,37 +2,35 @@
 
 Dense row iterations, resolvent solves, reference eigensolves, the spectral
 measure, kappa_V / gap estimation, promising-value verification, the size
-bound of the exceptional-shift net, and eigenvalue matching. Row
+bound of the exceptional-shift net, and eigenvalue matching.  Row
 iterations, resolvent solves and determinant residuals run in mpmath at
-~double-double precision; reference eigenvalues run in clongdouble first
-and in mpmath where that does not certify or the caller asks for mpmath
-values (see ``ref_eigs``); eigenvector-based quantities (kappa_V, gap,
-spectral weights) come from LAPACK at binary64, which sits many orders
-below every tolerance that consumes them.  The
-production solver never imports this module.  The oracle takes dense
-input and reduces it itself (``_hessenberg``: Householder reflections in
-mpmath or clongdouble); the production small solver takes Hessenberg input
-only.  The numeric primitives both need have one implementation each,
-written for either arithmetic: the vectorized Hyman recurrence with its
-running error bound and the per-block routine (Newton from LAPACK seeds,
-Ehrlich-Aberth in mpmath, the Weierstrass-Gerschgorin root certificate,
-which covers clusters and multiple eigenvalues) live in ``smalleig`` (with
-the lock on mpmath's global precision), and block splitting is
-``iqr.split_blocks``.
+~double-double precision, each in a context of that precision; reference
+eigenvalues run in clongdouble first and in mpmath where that does not
+certify or the caller asks for mpmath values (see ``ref_eigs``);
+eigenvector-based quantities (kappa_V, gap, spectral weights) come from
+LAPACK at binary64, which sits many orders below every tolerance that
+consumes them.  The production solver never imports this module.  The oracle
+takes dense input and reduces it itself (``_hessenberg``: Householder
+reflections in mpmath or clongdouble); the production small solver takes
+Hessenberg input only.  The numeric primitives both need have one
+implementation each, written for either arithmetic: the vectorized Hyman
+recurrence with its running error bound and the per-block routine (Newton
+from LAPACK seeds, Ehrlich-Aberth in mpmath, the Weierstrass-Gerschgorin
+root certificate, which covers clusters and multiple eigenvalues) live in
+``smalleig``, and block splitting is ``iqr.split_blocks``.
 """
 
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, iqr_multi, split_blocks
-from .kernel import ldexp, to_mp
-from .smalleig import _LONG_DOUBLE_TIER, MP_LOCK, _hyman, _solve_blocks
+from .kernel import ldexp, mp_context, norm, to_mp
+from .smalleig import _LONG_DOUBLE_TIER, _hyman, _solve_blocks
 
 ORACLE_PREC = 120
 IQR_EXACT_PREC = 160
@@ -51,13 +49,6 @@ def _as_array(m):
     return a
 
 
-def _mpc_of(z):
-    """mpc conversion that keeps extended precision when already present."""
-    if isinstance(z, (mpmath.mpc, mpmath.mpf)):
-        return mpmath.mpc(z)
-    return mpmath.mpc(complex(z))
-
-
 # ---------------------------------------------------------------------------
 # dense row iteration and resolvent solves
 
@@ -66,14 +57,13 @@ def dense_en_p_norm(h, shifts):
     """||e_n* (H - s_1) ... (H - s_m)|| by dense row iteration (mpmath)."""
     a = _as_array(h)
     n = a.shape[0]
-    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
-        H = to_mp(a)
-        row = np.array([mpmath.mpc(0)] * n, dtype=object)
-        row[n - 1] = mpmath.mpc(1)
-        for s in shifts:
-            s = _mpc_of(s)
-            row = row @ H - s * row
-        return +mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in row))
+    ctx = mp_context(ORACLE_PREC)
+    H = to_mp(a, ctx)
+    row = np.array([ctx.mpc(0)] * n, dtype=object)
+    row[n - 1] = ctx.mpc(1)
+    for s in shifts:
+        row = row @ H - ctx.mpc(s) * row
+    return norm(row)
 
 
 def resolvent_power_norm(h, r, k):
@@ -84,30 +74,28 @@ def resolvent_power_norm(h, r, k):
 def _resolvent_row_norm(h, roots):
     a = _as_array(h)
     n = a.shape[0]
-    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
-        row = mpmath.matrix([[mpmath.mpc(0)] for _ in range(n)])
-        row[n - 1, 0] = mpmath.mpc(1)
-        for s in roots:
-            s = _mpc_of(s)
-            mt = mpmath.matrix(n, n)
-            for i in range(n):
-                for j in range(n):
-                    mt[i, j] = mpmath.mpc(complex(a[j, i]))  # transpose
-                mt[i, i] -= s
-            try:
-                row = mpmath.lu_solve(mt, row)
-            except ZeroDivisionError as exc:
-                raise SingularityError(
-                    f"H - ({s}) is singular at oracle precision"
-                ) from exc
-        return +mpmath.sqrt(mpmath.fsum(abs(row[i, 0]) ** 2 for i in range(n)))
+    ctx = mp_context(ORACLE_PREC)
+    row = ctx.matrix([[ctx.mpc(0)] for _ in range(n)])
+    row[n - 1, 0] = ctx.mpc(1)
+    for s in roots:
+        s = ctx.mpc(s)
+        mt = ctx.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                mt[i, j] = ctx.mpc(complex(a[j, i]))  # transpose
+            mt[i, i] -= s
+        try:
+            row = ctx.lu_solve(mt, row)
+        except ZeroDivisionError as exc:
+            raise SingularityError(
+                f"H - ({s}) is singular at oracle precision"
+            ) from exc
+    return ctx.sqrt(ctx.fsum(abs(row[i, 0]) ** 2 for i in range(n)))
 
 
 def resolvent_tau(h, shifts):
     """tau_p(H)^m = ||e_n* p(H)^{-1}||^{-1} via m dense row solves."""
-    nrm = _resolvent_row_norm(h, shifts)
-    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
-        return +(1 / nrm)
+    return 1 / _resolvent_row_norm(h, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +105,8 @@ def resolvent_tau(h, shifts):
 def _hessenberg(H):
     """Householder reduction to Hessenberg form in the arithmetic of H.
 
-    H is an object array of mpmath numbers (reduced at the ambient precision)
-    or a clongdouble array."""
+    H is an object array of mpmath numbers of one context, or a clongdouble
+    array."""
     n = H.shape[0]
     H = H.copy()
     zero = H[0, 0] * 0
@@ -147,37 +135,36 @@ def hyman_residual(m, lam):
     """|det(M - lam)| evaluated through the Hessenberg/Hyman route (mpmath)."""
     a = _as_array(m)
     n = a.shape[0]
-    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
-        H = _hessenberg(to_mp(a))
-        lam = np.array([_mpc_of(lam)], dtype=object)
-        det = mpmath.mpf(1)
-        for start, stop in split_blocks(H, n):
-            d = stop - start
-            blk = H[start:stop, start:stop]
-            if d == 1:
-                det *= abs(blk[0, 0] - lam[0])
-                continue
-            kap, _, _ = _hyman(blk, lam)
-            det *= abs(kap[0])
-            for i in range(1, d):
-                det *= abs(blk[i, i - 1])
-        return +det
+    ctx = mp_context(ORACLE_PREC)
+    H = _hessenberg(to_mp(a, ctx))
+    lam = np.array([ctx.mpc(lam)], dtype=object)
+    det = ctx.mpf(1)
+    for start, stop in split_blocks(H, n):
+        d = stop - start
+        blk = H[start:stop, start:stop]
+        if d == 1:
+            det *= abs(blk[0, 0] - lam[0])
+            continue
+        kap, _, _ = _hyman(blk, lam)
+        det *= abs(kap[0])
+        for i in range(1, d):
+            det *= abs(blk[i, i - 1])
+    return det
 
 
-def _certified_eigs(a, radius, prec=None):
+def _certified_eigs(a, radius):
     """Certified eigenvalues of a in its own arithmetic, sorted, or None.
 
-    a is a clongdouble array (prec None) or an object array of mpmath
-    numbers at the ambient precision prec.  It is reduced (``_hessenberg``)
-    and its unreduced blocks go through the small solver's own per-block
-    routine and certificate, ``smalleig._solve_blocks``, at radius
-    max |h_ij| times radius, on H / 2^e (exact) with max |h_ij| / 2^e in
-    [1/2, 1), so that it is alike at every scale.  None when a block is
-    left uncertified."""
+    a is a clongdouble array or an object array of mpmath numbers of one
+    context.  It is reduced (``_hessenberg``) and its unreduced blocks go
+    through the small solver's own per-block routine and certificate,
+    ``smalleig._solve_blocks``, at radius max |h_ij| times radius, on
+    H / 2^e (exact) with max |h_ij| / 2^e in [1/2, 1), so that it is alike
+    at every scale.  None when a block is left uncertified."""
     H = _hessenberg(a)
     peak = float(np.abs(H.astype(np.complex128)).max())
     e = math.frexp(peak)[1]
-    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H, len(H)), radius * ldexp(peak, -e), prec)
+    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H, len(H)), radius * ldexp(peak, -e))
     if left:
         return None
     vals = ldexp(np.array(vals, dtype=H.dtype), e)
@@ -212,8 +199,7 @@ def ref_eigs(m, mp_out=False):
         if vals is not None:
             return np.array([complex(z) for z in vals])
     for p in (REF_EIG_PREC, 2 * REF_EIG_PREC, 4 * REF_EIG_PREC):
-        with MP_LOCK, mpmath.workprec(p):
-            vals = _certified_eigs(to_mp(a), REF_MP_RADIUS, p)
+        vals = _certified_eigs(to_mp(a, mp_context(p)), REF_MP_RADIUS)
         if vals is not None:
             return vals if mp_out else np.array([complex(z) for z in vals])
     raise OracleError("reference eigensolve could not certify its accuracy")
@@ -247,18 +233,18 @@ def spectral_measure(h):
 
 def measure_expect_inv_poly(measure, roots):
     """E[ 1 / |p(Z)| ] for p with the given roots (mpmath; inf if any hits)."""
-    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
-        acc = mpmath.mpf(0)
-        for lam, wt in zip(measure.eigenvalues, measure.weights):
-            if wt == 0:
-                continue
-            prod = mpmath.mpf(1)
-            for r in roots:
-                prod *= abs(_mpc_of(lam) - _mpc_of(r))
-            if prod == 0:
-                return mpmath.inf
-            acc += mpmath.mpf(float(wt)) / prod
-        return +acc
+    ctx = mp_context(ORACLE_PREC)
+    acc = ctx.mpf(0)
+    for lam, wt in zip(measure.eigenvalues, measure.weights):
+        if wt == 0:
+            continue
+        prod = ctx.mpf(1)
+        for r in roots:
+            prod *= abs(ctx.mpc(lam) - ctx.mpc(r))
+        if prod == 0:
+            return ctx.inf
+        acc += ctx.mpf(float(wt)) / prod
+    return acc
 
 
 def promising_check(h, r, ritz_set, alpha):
@@ -267,12 +253,11 @@ def promising_check(h, r, ritz_set, alpha):
     measure = spectral_measure(h)
     lhs = measure_expect_inv_poly(measure, (r,) * k)
     rhs = measure_expect_inv_poly(measure, ritz_set)
-    if lhs == mpmath.inf:
+    if lhs == math.inf:
         return True
-    if rhs == mpmath.inf:
+    if rhs == math.inf:
         return False
-    with MP_LOCK, mpmath.workprec(ORACLE_PREC):
-        return bool(lhs >= rhs / mpmath.mpf(alpha) ** k)
+    return bool(lhs >= rhs / mp_context(ORACLE_PREC).mpf(alpha) ** k)
 
 
 def net_size_bound(epsilon):
@@ -324,10 +309,8 @@ def matched_distance(l1, l2):
 
 
 def iqr_exact(h, shifts):
-    """Reference iterate: the IQR step in mpmath at ``IQR_EXACT_PREC`` bits."""
-    with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
-        hm = h.to_extended() if not h.is_extended else h
-        return iqr_multi(hm, shifts).next_h
+    """Reference iterate: the IQR step in mpmath at ``IQR_EXACT_PREC`` bits, on h taken exactly."""
+    return iqr_multi(h.to_extended(IQR_EXACT_PREC), shifts).next_h
 
 
 def accumulate_q(factors, n):

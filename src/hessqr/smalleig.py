@@ -18,7 +18,8 @@ certified block is never solved again:
    when they pass.  Only when they fail do they seed Newton iterations on
    all roots at once, whose roots must pass the same certificate.
 2. mpmath, from a precision derived from ||m||_F / beta_eff (at least 120
-   bits), doubling up to 960 bits: Newton from the LAPACK seeds, always
+   bits), doubling up to 960 bits, each rung in its own context, into which
+   it takes its input exactly: Newton from the LAPACK seeds, always
    (a binary64 seed is far from a root at these precisions), and, where its
    roots fail the certificate (clusters, defective blocks), Ehrlich-Aberth
    from a circle, then Newton polish, under the same certificate.  An
@@ -48,23 +49,19 @@ Newton from LAPACK seeds, Ehrlich-Aberth, and the root certificate) are
 written once and run in the arithmetic of their input, clongdouble or
 mpmath.  ``oracle`` certifies its reference eigenvalues through the same
 per-block routine, ``_solve_blocks``, with Aberth on its mpmath rungs,
-behind the same clongdouble guard and under the same ``MP_LOCK``.
+behind the same clongdouble guard.
 """
 
 import math
-import threading
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import SmallEigFailure
 from .iqr import HessenbergMatrix, split_blocks
-from .kernel import is_mp_array, to_mp
+from .kernel import is_mp_array, mp_context, to_mp
 
-# mpmath working precision is process-global; serialize all uses.
-MP_LOCK = threading.RLock()
 _MIN_PREC = 120
 _MAX_PREC = 960
 _NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 1-3 steps
@@ -91,7 +88,7 @@ def _hyman(H, z, u=None, derivative=True):
     vector of the last n - 1 rows of H - z, and its derivative) are n x m
     arrays updated one row dot product at a time.  Everything runs in the
     arithmetic of H and z: numpy clongdouble, or object arrays of mpmath
-    numbers at the ambient precision.  Given that arithmetic's unit roundoff
+    numbers of one context.  Given that arithmetic's unit roundoff
     u, the bound (in its real type) satisfies |kappa_hat - kappa| <= eps for
     the exact kappa at the stored H and z; without u it is None.  kappa' is
     for Newton and Aberth steps and carries no bound; with derivative=False
@@ -143,40 +140,37 @@ def _hyman(H, z, u=None, derivative=True):
     return kap, kapp, eps
 
 
-def _aberth_block(blk, d, prec):
-    """All roots of the block's characteristic polynomial at ambient prec.
+def _aberth_block(blk, d):
+    """All roots of the d x d mpmath block's characteristic polynomial.
 
     Ehrlich-Aberth in its simultaneous form, from a circle enclosing the
     spectrum, then Newton polish.  It stops when the corrections reach the
     working precision, or, checked every 16 sweeps, when every |kappa| is
     within its rounding bound, which is where a multiple root leaves it."""
-    u = mpmath.mpf(2) ** -prec
-    radius = mpmath.mpf(0)
-    for i in range(d):
-        row = mpmath.fsum(abs(blk[i, j]) for j in range(d))
-        radius = max(radius, row)
-    radius = radius + 1
+    ctx = blk[0, 0].context
+    u = ctx.eps / 2
+    radius = max(ctx.fsum(abs(blk[i, j]) for j in range(d)) for i in range(d)) + 1
     z = np.array(
-        [radius * mpmath.exp(2j * mpmath.pi * (j + mpmath.mpf(1) / 4) / d) for j in range(d)],
+        [radius * ctx.exp(2j * ctx.pi * (j + ctx.mpf(1) / 4) / d) for j in range(d)],
         dtype=object,
     )
-    tol = mpmath.mpf(2) ** (-(prec - 8))
-    nudge = mpmath.mpf(2) ** (-(prec // 2))
+    tol = ctx.mpf(2) ** (8 - ctx.prec)
+    nudge = ctx.mpf(2) ** -(ctx.prec // 2)
     for sweep in range(1, 201):
         kap, kapp, eps = _hyman(blk, z, u if sweep % 16 == 0 else None)
         if eps is not None and (np.abs(kap) <= eps).all():
             break
         new = z.copy()
-        worst = mpmath.mpf(0)
+        worst = ctx.mpf(0)
         for j in range(d):
             if kap[j] == 0:
                 continue
             if kapp[j] == 0:
                 new[j] += nudge * (1 + abs(z[j]))
-                worst = mpmath.inf
+                worst = ctx.inf
                 continue
             w = kap[j] / kapp[j]
-            s = mpmath.mpc(0)
+            s = ctx.mpc(0)
             for l in range(d):
                 if l == j:
                     continue
@@ -308,7 +302,7 @@ def _isolated_roots(blk, beta_cert, u):
     tol = u**0.5
     with np.errstate(all="ignore"):
         if is_mp_array(blk):
-            z = to_mp(seeds)
+            z = to_mp(seeds, blk[0, 0].context)
         else:
             z = seeds.astype(blk.dtype)
             if _certify_block(blk, z, beta_cert, u) is not None:
@@ -326,15 +320,16 @@ def _isolated_roots(blk, beta_cert, u):
     return list(z)
 
 
-def _solve_blocks(H, spans, beta_cert, prec=None):
+def _solve_blocks(H, spans, beta_cert):
     """(roots, spans left): the certified roots of the diagonal blocks of H
     at the given spans, and the spans of the blocks not certified.
 
     A 1 x 1 block is its own root; every other block goes to
     ``_isolated_roots`` and, in mpmath, then to ``_aberth_block``; either
-    way its roots must pass ``_certify_block``.  H is clongdouble (prec
-    None) or holds mpmath numbers at the ambient precision prec."""
-    u = _U_LD if prec is None else mpmath.mpf(2) ** -prec
+    way its roots must pass ``_certify_block``.  H is clongdouble or holds
+    mpmath numbers of one context, whose u = eps / 2 = 2^-prec."""
+    extended = is_mp_array(H)
+    u = H[0, 0].context.eps / 2 if extended else _U_LD
     vals, left = [], []
     for start, stop in spans:
         blk = H[start:stop, start:stop]
@@ -342,8 +337,8 @@ def _solve_blocks(H, spans, beta_cert, prec=None):
             vals.append(blk[0, 0])
             continue
         roots = _isolated_roots(blk, beta_cert, u)
-        if roots is None and prec is not None:
-            roots = _aberth_block(blk, stop - start, prec)
+        if roots is None and extended:
+            roots = _aberth_block(blk, stop - start)
             if _certify_block(blk, roots, beta_cert, u) is None:
                 roots = None
         if roots is None:
@@ -400,12 +395,14 @@ class CharPolySolver:
 
         prec = min(max(_MIN_PREC, int(math.log2(scale / beta_eff)) + 60), _MAX_PREC)
         while True:
-            with MP_LOCK, mpmath.workprec(prec):
-                H = a if extended else to_mp(a)
-                found, spans = _solve_blocks(H, spans, mpmath.mpf(beta_eff) / 2, prec)
-                vals += found
-                if not spans:
-                    return _sorted(vals, mpmath.mpc if extended else complex)
+            ctx = mp_context(prec)
+            found, spans = _solve_blocks(to_mp(a, ctx), spans, ctx.mpf(beta_eff) / 2)
+            vals += found
+            if not spans:
+                if not extended:
+                    return _sorted(vals, complex)
+                into = a[0, 0].context.make_mpc
+                return _sorted(vals, lambda z: into(ctx.mpc(z)._mpc_))
             if prec >= _MAX_PREC:
                 blocks = ", ".join(f"rows {i}:{j} (dimension {j - i})" for i, j in spans)
                 raise SmallEigFailure(
@@ -430,8 +427,8 @@ def _scale(h):
 
 
 def _sorted(vals, kind):
-    """vals converted by kind (complex, or mpmath.mpc at the ambient
-    precision), sorted by (re, im)."""
+    """vals converted by kind (``complex``, or rounded at the last rung and
+    taken into the input's context), sorted by (re, im)."""
     vals = sorted(vals, key=lambda z: (float(z.real), float(z.imag)))
     return [kind(z) for z in vals]
 

@@ -2,7 +2,6 @@ import math
 import warnings
 from collections import Counter
 
-import mpmath
 import numpy as np
 import pytest
 from conftest import hard_matrices, near_normal_hessenberg, random_hessenberg
@@ -412,7 +411,7 @@ class TestSolveEntryPoint:
         original = iqr.iqr_single
 
         def spy(h, s):
-            precisions.append((mpmath.mp.prec, h.is_extended))
+            precisions.append((h.a[0, 0].context.prec, h.is_extended))
             return original(h, s)
 
         monkeypatch.setattr(iqr, "iqr_single", spy)
@@ -420,7 +419,6 @@ class TestSolveEntryPoint:
         a = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
         solve(a, SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, delta=1e-6, bits=80))
         assert precisions and set(precisions) == {(80, True)}
-        assert mpmath.mp.prec == 53
 
     def test_zero_matrix_without_preprocessing_raises_without_a_warning(self):
         # delta ||H||_F is 0 and falls back to the smallest normal number, so
@@ -466,6 +464,19 @@ class TestSolveEntryPoint:
         for call in (solve, prepare):
             with pytest.raises(ParameterError, match=rf"^bits must be an integer >= 24, got {bits}$"):
                 call(a, config)
+
+    @pytest.mark.parametrize(
+        "gamma, what", [(1e-160, "corner accuracy beta"), (1e-320, "working accuracy omega")]
+    )
+    def test_parameter_errors_name_the_callers_gamma(self, gamma, what):
+        # the run divides Gamma by 2^e (Sigma in [1/2, 1)); the message
+        # names the Gamma the caller gave
+        rng = np.random.default_rng(0)
+        a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1)
+        config = SolveConfig(B=1.0, Gamma=gamma, preprocess=False)
+        message = rf"^{what} underflows binary64 \(B=1, Gamma={gamma:g}\)$"
+        with pytest.raises(ParameterError, match=message):
+            solve(a, config)
 
     @pytest.mark.parametrize("preprocess", [True, False])
     def test_empty_matrix_is_a_dimension_error(self, preprocess):

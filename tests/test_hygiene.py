@@ -412,3 +412,63 @@ def test_every_default_is_passed_outside_the_tests():
     # is test tooling, so it neither defines nor passes them
     defining = {p.name: p.read_text(encoding="utf-8") for p in PRODUCTION_MODULES}
     assert unpassed_defaults(defining, production_sources()) == []
+
+
+# The attributes of the mpmath module that the package may use, each with the
+# reason it never rounds at mpmath's global precision.
+MPMATH_ALLOWED = {
+    "MPContext": "makes a context, whose precision is its own (kernel.mp_context)",
+    "isfinite": "tests a number's exponent field and forms no number",
+    "ldexp": "2^e from the integer 1 is exact at any precision",
+}
+
+
+def global_precision_uses(source):
+    """(line, name) for every attribute of the mpmath module that ``source``
+    reads, imported by name or reached through ``import mpmath [as m]``,
+    other than those in MPMATH_ALLOWED; ``ldexp`` only counts as allowed
+    when called on the literal 1."""
+    tree = ast.parse(source)
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "mpmath")
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            found += [(node.lineno, a.name) for a in node.names if a.name not in MPMATH_ALLOWED]
+    powers_of_two = {
+        id(node.func) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "ldexp" and node.args
+        and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1
+    }
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            allowed = node.attr in MPMATH_ALLOWED and (
+                node.attr != "ldexp" or id(node) in powers_of_two
+            )
+            if not allowed:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_detects_a_global_precision_use():
+    src = (
+        "import mpmath\n"
+        "import mpmath as m\n"
+        "from mpmath import mpf, isfinite\n"
+        "x = mpmath.mpc(1) + m.mp.prec\n"
+        "y = mpmath.ldexp(1, 5) * mpmath.ldexp(x, 2)\n"
+        "with mpmath.workprec(80):\n"
+        "    ctx = m.MPContext()\n"
+        "ok = mpmath.isfinite(x) and ctx.mpc(1)\n"
+    )
+    assert global_precision_uses(src) == [
+        (3, "mpf"), (4, "mp"), (4, "mpc"), (5, "ldexp"), (6, "workprec")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_rounds_at_the_global_precision(path):
+    # every mpmath number comes from a context of its own precision
+    assert global_precision_uses(path.read_text(encoding="utf-8")) == []

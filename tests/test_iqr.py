@@ -20,7 +20,7 @@ from hessqr.iqr import (
     log2_potential_pow_k,
     potential,
 )
-from hessqr.kernel import ldexp, to_mp
+from hessqr.kernel import ldexp, mp_context, to_mp
 from hessqr.oracle import (
     IQR_EXACT_PREC,
     accumulate_q,
@@ -31,7 +31,6 @@ from hessqr.oracle import (
     resolvent_tau,
     condition_report,
 )
-from hessqr.smalleig import MP_LOCK
 
 U = 2.0**-52  # binary64 unit roundoff
 PERM2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,18 +59,23 @@ class TestHessenbergMatrix:
         a[4, 0] = a[3, 1] = 1e-300j
         a[3, 0] = -0.0  # a signed zero is a zero
         with pytest.raises(StructureError, match=r"^entry \(3,1\) below the subdiagonal is nonzero$"):
-            HessenbergMatrix(to_mp(a) if extended else a)
+            HessenbergMatrix(to_mp(a, mp_context(53)) if extended else a)
         a[3, 1] = 0
         with pytest.raises(StructureError, match=r"^entry \(4,0\) below"):
-            HessenbergMatrix(to_mp(a) if extended else a)
+            HessenbergMatrix(to_mp(a, mp_context(53)) if extended else a)
         a[4, 0] = 0
-        assert HessenbergMatrix(to_mp(a) if extended else a).n == 5
+        assert HessenbergMatrix(to_mp(a, mp_context(53)) if extended else a).n == 5
 
     def test_nonfinite_rejected(self):
         a = np.triu(np.ones((3, 3), dtype=complex), -1)
         a[0, 0] = np.nan
         with pytest.raises(StructureError):
             HessenbergMatrix(a)
+
+    def test_object_entries_must_be_mpmath_numbers(self):
+        # a Python number has no context to compute in
+        with pytest.raises(StructureError, match="^an object array must hold mpmath numbers$"):
+            HessenbergMatrix(np.array([[0, 1], [1, 0]], dtype=object))
 
     def test_bottom_subdiagonals(self):
         a = np.triu(np.arange(16, dtype=float).reshape(4, 4) + 1, -1)
@@ -85,11 +89,11 @@ class TestShifts:
     def test_non_finite_shift_rejected(self):
         # on complex128 and on mpmath input, at the second root
         h = random_hessenberg(np.random.default_rng(10), 5)
-        with mpmath.workprec(80):
-            for bad in (complex("inf"), complex("nanj"), float("-inf")):
-                for start, s in ((h, bad), (h.to_extended(), bad), (h.to_extended(), mpmath.mpc(bad))):
-                    with pytest.raises(DomainError, match="non-finite shift"):
-                        iqr_multi(start, (0.5, s))
+        hx = h.to_extended(80)
+        for bad in (complex("inf"), complex("nanj"), float("-inf")):
+            for start, s in ((h, bad), (hx, bad), (hx, mp_context(80).mpc(bad))):
+                with pytest.raises(DomainError, match="non-finite shift"):
+                    iqr_multi(start, (0.5, s))
 
     def test_empty_shift_tuple_is_identity(self):
         h = random_hessenberg(np.random.default_rng(10), 5)
@@ -119,7 +123,7 @@ class TestIqrSingle:
     def test_dimension_error(self):
         # in both arithmetics
         h = HessenbergMatrix(np.array([[1.0]]))
-        for start in (h, h.to_extended()):
+        for start in (h, h.to_extended(53)):
             with pytest.raises(DimensionError):
                 iqr_single(start, 0.0)
 
@@ -127,23 +131,21 @@ class TestIqrSingle:
         # in both arithmetics; the step leaves its input unchanged
         rng = np.random.default_rng(12)
         h = random_hessenberg(rng, 5)
-        with mpmath.workprec(80):
-            for start in (h, h.to_extended()):
-                before = start.a.copy()
-                nxt = iqr_single(start, 0.25j).next_h
-                assert not np.shares_memory(nxt.a, start.a)
-                assert same_bits(start.a, before)
+        for start in (h, h.to_extended(80)):
+            before = start.a.copy()
+            nxt = iqr_single(start, 0.25j).next_h
+            assert not np.shares_memory(nxt.a, start.a)
+            assert same_bits(start.a, before)
 
     def test_structural_zeros_exact(self):
         # on complex128 and on mpmath input alike
         rng = np.random.default_rng(11)
         h = random_hessenberg(rng, 9)
-        with mpmath.workprec(80):
-            for start in (h, h.to_extended()):
-                a = iqr_multi(start, (0.3, -0.2j, 1.1)).next_h.a
-                assert a.dtype == start.a.dtype
-                for i in range(2, 9):
-                    assert all(z == 0 for z in a[i, : i - 1])
+        for start in (h, h.to_extended(80)):
+            a = iqr_multi(start, (0.3, -0.2j, 1.1)).next_h.a
+            assert a.dtype == start.a.dtype
+            for i in range(2, 9):
+                assert all(z == 0 for z in a[i, : i - 1])
 
     def test_backward_stability_sample(self):
         self._backward_stability_sample(extended=False)
@@ -163,9 +165,8 @@ class TestIqrSingle:
                 h = random_hessenberg(rng, n)
                 norm_h = np.linalg.norm(h.a, 2)
                 s = complex(*rng.standard_normal(2)) * norm_h
-                with mpmath.workprec(53):
-                    res = iqr_single(h.to_extended() if extended else h, s)
-                    next_a = res.next_h.a.astype(np.complex128)
+                res = iqr_single(h.to_extended(53) if extended else h, s)
+                next_a = res.next_h.a.astype(np.complex128)
                 q = accumulate_q([StepReflectors(*(f.astype(np.complex128) for f in res.factors))], n)
                 shifted = h.a - s * np.eye(n)
                 r = q.conj().T @ shifted
@@ -185,23 +186,25 @@ def _zero_column_case():
 
 def _frozen_step(a, s):
     """The mpmath degree-1 step written out entry by entry: zlarfg and
-    zlarf's left updates on H - s, then zunmqr's right updates, then + s:
-    (next_a, r_nn, tau).  The reference for bit-identity."""
+    zlarf's left updates on H - s, then zunmqr's right updates, then + s,
+    in the context of a's entries: (next_a, r_nn, tau).  The reference for
+    bit-identity."""
     n = a.shape[0]
+    ctx = a[0, 0].context
     a = a.copy()
     for i in range(n):
         a[i, i] = a[i, i] - s
-    tau = [mpmath.mpc(0)] * n
+    tau = [ctx.mpc(0)] * n
     for i in range(n):
         alpha = a[i, i]
         x = a[i + 1, i] if i < n - 1 else 0
         if x == 0 and alpha.imag == 0:
             continue
-        beta = mpmath.sqrt(mpmath.fsum((alpha, x), absolute=True, squared=True))
+        beta = ctx.sqrt(ctx.fsum((alpha, x), absolute=True, squared=True))
         if alpha.real >= 0:
             beta = -beta
         t = tau[i] = (beta - alpha) / beta
-        a[i, i] = mpmath.mpc(beta)
+        a[i, i] = ctx.mpc(beta)
         if i < n - 1:
             v = a[i + 1, i] = x / (alpha - beta)
             for j in range(i + 1, n):
@@ -239,12 +242,11 @@ class TestSweepBitIdentity:
 
     def _grid(self, bits, seed):
         rng = np.random.default_rng(seed)
-        with mpmath.workprec(bits):
-            for n in (2, 3, 8, 32):
-                for scale in (1.0, 2.0**-300, 2.0**300):
-                    h = random_hessenberg(rng, n, scale).to_extended()
-                    for s in (complex(*rng.standard_normal(2)) * scale, 0.25 * scale, 0.0):
-                        self._check(h, s)
+        for n in (2, 3, 8, 32):
+            for scale in (1.0, 2.0**-300, 2.0**300):
+                h = random_hessenberg(rng, n, scale).to_extended(bits)
+                for s in (complex(*rng.standard_normal(2)) * scale, 0.25 * scale, 0.0):
+                    self._check(h, s)
 
     def test_mpmath_53_bits(self):
         self._grid(53, 13)
@@ -252,30 +254,31 @@ class TestSweepBitIdentity:
     def test_mpmath_80_bits(self):
         self._grid(80, 14)
         rng = np.random.default_rng(14)
-        with mpmath.workprec(80):
-            h = random_hessenberg(rng, 7).to_extended()
-            h.a[3, 3] += mpmath.mpf(1) / 3
-            self._check(h, mpmath.mpc(1, 3) / 7)
+        ctx = mp_context(80)
+        h = random_hessenberg(rng, 7).to_extended(80)
+        h.a[3, 3] += ctx.mpf(1) / 3
+        self._check(h, ctx.mpc(1, 3) / 7)
 
     def test_iterate_read_after_the_precision_block(self):
-        # an 80-bit step read at the ambient 53 bits is still formed at 80
+        # an 80-bit step read under another global precision is still
+        # formed at 80 bits, and its iterate is made of 80-bit numbers
         h = random_hessenberg(np.random.default_rng(15), 8)
-        with mpmath.workprec(80):
-            hm, shifts = h.to_extended(), (mpmath.mpc(1, 3) / 7, 0.25)
-            inside = iqr_multi(hm, shifts).next_h.a
-            late = iqr_multi(hm, shifts)
-        assert mpmath.mp.prec == 53
-        assert same_bits(late.next_h.a, inside)
+        hm, shifts = h.to_extended(80), (mp_context(80).mpc(1, 3) / 7, 0.25)
+        inside = iqr_multi(hm, shifts).next_h.a
+        late = iqr_multi(hm, shifts)
+        with mpmath.workprec(30):
+            a = late.next_h.a
+        assert same_bits(a, inside)
+        assert {z.context.prec for z in a.flat} == {80}
 
     def test_zero_column_gives_none_rotation(self):
         # no first reflector: tau[0] = 0, the identity
         h, s = _zero_column_case()
         for bits in (53, 80):
-            with mpmath.workprec(bits):
-                hm = h.to_extended()
-                assert hm.a[1, 0] == 0 and hm.a[0, 0] - s == 0
-                self._check(hm, s)
-                assert iqr_single(hm, s).factors.tau[0] == 0
+            hm = h.to_extended(bits)
+            assert hm.a[1, 0] == 0 and hm.a[0, 0] - s == 0
+            self._check(hm, s)
+            assert iqr_single(hm, s).factors.tau[0] == 0
 
 
 class TestGeqrfMp:
@@ -285,9 +288,8 @@ class TestGeqrfMp:
     @staticmethod
     def _reflect(alpha, x):
         a = np.array([[alpha, 1.0], [x, 1.0]], dtype=complex)
-        with mpmath.workprec(53):
-            qr = to_mp(a)
-            tau = iqr._geqrf_mp(qr)
+        qr = to_mp(a, mp_context(53))
+        tau = iqr._geqrf_mp(qr)
         return qr[0, 0], qr[1, 0], tau[0]
 
     def test_against_zlarfg(self):
@@ -315,21 +317,21 @@ class TestGeqrfMp:
         # H* (alpha, x) = (beta, 0) with |beta| = ||(alpha, x)|| real, and
         # H* H = I, for H = I - tau v v*; 1 <= Re tau <= 2, |tau - 1| <= 1
         rng = np.random.default_rng(26)
-        with mpmath.workprec(80):
-            tol = mpmath.mpf(2) ** -74
-            for _ in range(200):
-                col = to_mp(rng.standard_normal(2) + 1j * rng.standard_normal(2)) / 3
-                qr = np.array([[col[0], mpmath.mpc(1)], [col[1], mpmath.mpc(1)]], dtype=object)
-                t = iqr._geqrf_mp(qr)[0]
-                v = np.array([mpmath.mpc(1), qr[1, 0]], dtype=object)
-                refl = np.eye(2, dtype=object) - np.outer(v, v.conjugate()) * t
-                norm = mpmath.sqrt(abs(col[0]) ** 2 + abs(col[1]) ** 2)
-                out = refl.conj().T @ col
-                assert abs(out[0] - qr[0, 0]) <= tol * norm and abs(out[1]) <= tol * norm
-                assert qr[0, 0].imag == 0 and abs(abs(qr[0, 0]) - norm) <= tol * norm
-                gram = refl.conj().T @ refl
-                assert all(abs(gram[p, q] - (p == q)) <= tol for p in range(2) for q in range(2))
-                assert 1 <= t.real <= 2 and abs(t - 1) <= 1 + tol
+        ctx = mp_context(80)
+        tol = ctx.mpf(2) ** -74
+        for _ in range(200):
+            col = to_mp(rng.standard_normal(2) + 1j * rng.standard_normal(2), ctx) / 3
+            qr = np.array([[col[0], ctx.mpc(1)], [col[1], ctx.mpc(1)]], dtype=object)
+            t = iqr._geqrf_mp(qr)[0]
+            v = np.array([ctx.mpc(1), qr[1, 0]], dtype=object)
+            refl = np.eye(2, dtype=object) - np.outer(v, v.conjugate()) * t
+            norm = ctx.sqrt(abs(col[0]) ** 2 + abs(col[1]) ** 2)
+            out = refl.conj().T @ col
+            assert abs(out[0] - qr[0, 0]) <= tol * norm and abs(out[1]) <= tol * norm
+            assert qr[0, 0].imag == 0 and abs(abs(qr[0, 0]) - norm) <= tol * norm
+            gram = refl.conj().T @ refl
+            assert all(abs(gram[p, q] - (p == q)) <= tol for p in range(2) for q in range(2))
+            assert 1 <= t.real <= 2 and abs(t - 1) <= 1 + tol
 
 
 class TestBinary64Step:
@@ -356,8 +358,7 @@ class TestBinary64Step:
 
     @staticmethod
     def _exact(h, s):
-        with MP_LOCK, mpmath.workprec(IQR_EXACT_PREC):
-            return iqr_single(h.to_extended(), s)
+        return iqr_single(h.to_extended(IQR_EXACT_PREC), s)
 
     def test_against_mpmath_sweep(self):
         # The mpmath step is exact under scaling by 2^e, so one reference
@@ -475,17 +476,16 @@ class TestIqrMulti:
     def test_chained_singles_equal_the_multi_step(self):
         # in both arithmetics, bit for bit
         rng = np.random.default_rng(24)
-        with mpmath.workprec(80):
-            for n in (2, 8, 32):
-                h = random_hessenberg(rng, n)
-                shifts = tuple(complex(*rng.standard_normal(2)) for _ in range(5))
-                for start in (h, h.to_extended()) if n <= 8 else (h,):
-                    res = iqr_multi(start, shifts)
-                    chain = _chain(start, shifts)
-                    assert same_bits(res.next_h.a, chain[-1].next_h.a)
-                    got = np.array(res.r_nn_per_step, dtype=object)
-                    want = np.array([r for step in chain for r in step.r_nn_per_step], dtype=object)
-                    assert same_bits(got, want)
+        for n in (2, 8, 32):
+            h = random_hessenberg(rng, n)
+            shifts = tuple(complex(*rng.standard_normal(2)) for _ in range(5))
+            for start in (h, h.to_extended(80)) if n <= 8 else (h,):
+                res = iqr_multi(start, shifts)
+                chain = _chain(start, shifts)
+                assert same_bits(res.next_h.a, chain[-1].next_h.a)
+                got = np.array(res.r_nn_per_step, dtype=object)
+                want = np.array([r for step in chain for r in step.r_nn_per_step], dtype=object)
+                assert same_bits(got, want)
 
     def test_single_shift_equivalence(self):
         rng = np.random.default_rng(13)
@@ -586,11 +586,11 @@ class TestPotential:
         mats = [graded] + [
             random_hessenberg(rng, 9, scale=2.0**e).a for e in (-50, 50) for _ in range(20)
         ]
+        ctx = mp_context(200)
         for a in mats:
-            with mpmath.workprec(200):
-                exact = mpmath.fprod(abs(mpmath.mpc(a[i, i - 1])) for i in range(9 - k, 9))
-                exact = exact ** (mpmath.mpf(1) / k)
-                err = abs(potential(HessenbergMatrix(a), k) - exact) / exact
+            exact = ctx.fprod(abs(ctx.mpc(a[i, i - 1])) for i in range(9 - k, 9))
+            exact = exact ** (ctx.mpf(1) / k)
+            err = abs(potential(HessenbergMatrix(a), k) - exact) / exact
             assert err <= 1e-13
 
     def test_variational_identity_sample(self):

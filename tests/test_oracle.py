@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +7,7 @@ from conftest import companion, random_hessenberg
 from hessqr import oracle, smalleig
 from hessqr.errors import DimensionError, SingularityError
 from hessqr.iqr import HessenbergMatrix
+from hessqr.kernel import mp_context
 from hessqr.oracle import (
     condition_report,
     dense_en_p_norm,
@@ -74,13 +74,13 @@ class TestRefEigs:
     def test_companion_cube_roots(self):
         c = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
         got = ref_eigs(c, mp_out=True)
-        with mpmath.workprec(200):
-            expected = sorted(
-                (mpmath.exp(2j * mpmath.pi * j / 3) for j in range(3)),
-                key=lambda z: (float(z.real), float(z.imag)),
-            )
-            for g, e in zip(got, expected):
-                assert abs(g - e) < 1e-25
+        ctx = mp_context(200)
+        expected = sorted(
+            (ctx.exp(2j * ctx.pi * j / 3) for j in range(3)),
+            key=lambda z: (float(z.real), float(z.imag)),
+        )
+        for g, e in zip(got, expected):
+            assert abs(e - g) < 1e-25  # e on the left: the difference rounds at 200 bits
 
     def test_residual_certificate(self):
         rng = np.random.default_rng(22)
@@ -135,9 +135,9 @@ def block_dtypes(monkeypatch):
     seen = []
     original = oracle._solve_blocks
 
-    def recording(H, spans, beta_cert, prec=None):
+    def recording(H, spans, beta_cert):
         seen.append(H.dtype)
-        return original(H, spans, beta_cert, prec)
+        return original(H, spans, beta_cert)
 
     monkeypatch.setattr(oracle, "_solve_blocks", recording)
     return seen
@@ -158,7 +158,7 @@ class TestRefEigsRungs:
         h = random_hessenberg(np.random.default_rng(29), 8).a
         got = ref_eigs(h, mp_out=True)
         assert block_dtypes == [np.dtype(object)]
-        assert all(isinstance(z, mpmath.mpc) for z in got)
+        assert all(z.context.prec == oracle.REF_EIG_PREC for z in got)
 
     @pytest.mark.skipif(
         not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -96,9 +95,8 @@ class TestOptimal:
             gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 8)
             ritz = tuple(complex(v) for v in ref_eigs(h.corner(4)))
             assert optimal(h, _lpk(h, 4), ritz, gd)
-            with mpmath.workprec(80):
-                hx = h.to_extended()
-                assert optimal(hx, _lpk(hx, 4), ritz, gd)
+            hx = h.to_extended(80)
+            assert optimal(hx, _lpk(hx, 4), ritz, gd)
 
     def test_far_shifts_not_optimal(self):
         rng = np.random.default_rng(43)
@@ -107,9 +105,8 @@ class TestOptimal:
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 6)
         far = (1e3 * norm,) * 4
         assert not optimal(h, _lpk(h, 4), far, gd)
-        with mpmath.workprec(80):
-            hx = h.to_extended()
-            assert not optimal(hx, _lpk(hx, 4), far, gd)
+        hx = h.to_extended(80)
+        assert not optimal(hx, _lpk(hx, 4), far, gd)
 
     def test_agrees_with_dense_oracle(self):
         # outside the comparison margin band the flag matches the oracle

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hessqr
-from hessqr import oracle, smalleig
+from hessqr import smalleig
 from hessqr.errors import (
     DomainError,
     HessqrError,
@@ -19,6 +19,7 @@ from hessqr.errors import (
     StructureError,
 )
 from hessqr.iqr import HessenbergMatrix
+from hessqr.kernel import mp_context, to_mp
 from hessqr.oracle import matched_distance, ref_eigs
 from hessqr.smalleig import CharPolySolver
 
@@ -36,9 +37,9 @@ def aberth_calls(monkeypatch):
     calls = []
     original = smalleig._aberth_block
 
-    def counting(blk, d, prec):
-        calls.append((d, prec))
-        return original(blk, d, prec)
+    def counting(blk, d):
+        calls.append((d, blk[0, 0].context.prec))
+        return original(blk, d)
 
     monkeypatch.setattr(smalleig, "_aberth_block", counting)
     return calls
@@ -101,10 +102,7 @@ class TestCharPolySolver:
 
     def test_defective_beyond_precision_fails_loudly(self):
         c = companion([4.0, -6.0, 4.0, -1.0])
-        obj = np.empty((4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                obj[i, j] = mpmath.mpc(c[i, j])
+        obj = to_mp(c, mp_context(53))
         # multiplicity 4 limits the cluster accuracy to ~2^(-prec/4); a demand
         # of 1e-80 would need more than the precision cap
         with pytest.raises(SmallEigFailure, match=r"1e-80 at 960 bits .* rows 0:4 \(dimension 4\)"):
@@ -113,12 +111,9 @@ class TestCharPolySolver:
     def test_extended_input_roundtrip(self):
         rng = np.random.default_rng(34)
         m = hessenberg_of(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        obj = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                obj[i, j] = mpmath.mpc(m[i, j])
-        vals = SOLVER.solve(obj, 1e-20)
-        assert all(isinstance(v, mpmath.mpc) for v in vals)
+        vals = SOLVER.solve(to_mp(m, mp_context(80)), 1e-20)
+        # certified at 120 bits or more, returned in the input's context
+        assert all(v.context.prec == 80 for v in vals)
         assert matched_distance(
             np.array([complex(v) for v in vals]), ref_eigs(m)
         ) <= 1e-13
@@ -137,17 +132,17 @@ class TestFixedCosts:
         assert same_bits(np.array(vals), np.array([z]))
 
     def test_one_by_one_mpmath_is_exact(self):
-        with mpmath.workprec(200):
-            z = mpmath.mpc(mpmath.mpf(1) / 3, -mpmath.mpf(2) / 7)
-            vals = SOLVER.solve(np.array([[z]], dtype=object), 1e-3)
-            # the rungs would round it to their own precision (120 bits here)
-            assert vals == [z]
+        ctx = mp_context(200)
+        z = ctx.mpc(ctx.mpf(1) / 3, -ctx.mpf(2) / 7)
+        vals = SOLVER.solve(np.array([[z]], dtype=object), 1e-3)
+        # the rungs would round it to their own precision (120 bits here)
+        assert vals == [z] and vals[0].context.prec == 200
 
     @pytest.mark.parametrize(
         "z", [complex(np.nan, 0.0), complex(0.0, np.inf), mpmath.mpc(mpmath.inf, 1)]
     )
     def test_one_by_one_non_finite_rejected(self, z):
-        dtype = object if isinstance(z, mpmath.mpc) else complex
+        dtype = complex if isinstance(z, complex) else object
         with pytest.raises(StructureError):
             SOLVER.solve(np.array([[z]], dtype=dtype), 1e-10)
 
@@ -223,14 +218,14 @@ class TestTwoTiers:
     def test_isolation_rejects_duplicated_root(self):
         # roots +-e of z^2 - e^2; the list [e, e] has exact residuals, yet
         # misses -e by 2e: equal approximations have no Weierstrass radius
-        with mpmath.workprec(120):
-            u = mpmath.mpf(2) ** -120
-            e = mpmath.mpf(2) ** -60
-            blk = np.array([[0, e * e], [1, 0]], dtype=object) * mpmath.mpc(1)
-            beta_cert = mpmath.mpf(1e-15)
-            assert smalleig._certify_block(blk, [e, e], beta_cert, u) is None
-            good = smalleig._certify_block(blk, [e, -e], beta_cert, u)
-            assert max(good) <= 2**-170  # kappa(+-e) = 0 exactly: rounding bound only
+        ctx = mp_context(120)
+        u = ctx.mpf(2) ** -120
+        e = ctx.mpf(2) ** -60
+        blk = np.array([[0, e * e], [1, 0]], dtype=object) * ctx.mpc(1)
+        beta_cert = ctx.mpf(1e-15)
+        assert smalleig._certify_block(blk, [e, e], beta_cert, u) is None
+        good = smalleig._certify_block(blk, [e, -e], beta_cert, u)
+        assert max(good) <= 2**-170  # kappa(+-e) = 0 exactly: rounding bound only
 
     def test_non_hessenberg_input_rejected(self):
         rng = np.random.default_rng(36)
@@ -322,10 +317,9 @@ class TestLongDoubleTier:
     def test_object_input_stays_in_mpmath(self, tier_blocks):
         rng = np.random.default_rng(38)
         h = random_hessenberg(rng, 6).a
-        with mpmath.workprec(80):
-            vals = SOLVER.solve(smalleig.to_mp(h), 1e-15)
+        vals = SOLVER.solve(to_mp(h, mp_context(80)), 1e-15)
         assert tier_blocks and all(dtype == object for dtype, _ in tier_blocks)
-        assert all(isinstance(v, mpmath.mpc) for v in vals)
+        assert all(v.context.prec == 80 for v in vals)
         assert matched_distance(np.array([complex(v) for v in vals]), ref_eigs(h)) <= 1e-13
 
     def test_certified_block_is_not_solved_again(self, aberth_calls, tier_blocks):
@@ -337,8 +331,7 @@ class TestLongDoubleTier:
         m[:3, :3] = top
         m[:3, 3:] = rng.standard_normal((3, 4))
         m[3:, 3:] = companion([4.0, -6.0, 4.0, -1.0])
-        with mpmath.workprec(80):
-            vals = SOLVER.solve(smalleig.to_mp(m), 1e-10)
+        vals = SOLVER.solve(to_mp(m, mp_context(80)), 1e-10)
         assert [d for _, d in tier_blocks].count(3) == 1
         assert [prec for _, prec in aberth_calls] == [120, 240]
         vals = np.array([complex(v) for v in vals])
@@ -380,14 +373,17 @@ class TestLongDoubleTier:
         assert matched_distance(np.array(vals), roots) <= beta_eff
 
 
+EXACT = mp_context(300)  # the reference arithmetic of the error bound tests
+
+
 def _mp_of(v):
-    """Exact mpmath value of a clongdouble or longdouble number."""
+    """Exact 300-bit value of a clongdouble or longdouble number."""
     def real(x):
         mant, e = np.frexp(np.longdouble(x))
-        return mpmath.ldexp(int(np.ldexp(mant, 64)), int(e) - 64)
+        return EXACT.ldexp(int(np.ldexp(mant, 64)), int(e) - 64)
 
     v = np.clongdouble(v)
-    return mpmath.mpc(real(v.real), real(v.imag))
+    return EXACT.mpc(real(v.real), real(v.imag))
 
 
 class TestRunningErrorBound:
@@ -396,9 +392,8 @@ class TestRunningErrorBound:
 
     @staticmethod
     def _exact(H, z):
-        with mpmath.workprec(300):
-            kap, _, _ = smalleig._hyman(H, np.array(list(z), dtype=object))
-            return kap
+        kap, _, _ = smalleig._hyman(to_mp(H, EXACT), to_mp(np.array(list(z)), EXACT))
+        return kap
 
     @staticmethod
     def _cases(sizes):
@@ -415,10 +410,9 @@ class TestRunningErrorBound:
         for m, z in self._cases((2, 4, 8, 16)):
             H, zl = m.astype(np.clongdouble), z.astype(np.clongdouble)
             kap, _, eps = smalleig._hyman(H, zl, smalleig._U_LD)
-            ek = self._exact(smalleig.to_mp(m), z)
-            with mpmath.workprec(300):
-                for j in range(len(z)):
-                    assert abs(_mp_of(kap[j]) - ek[j]) <= _mp_of(eps[j]).real
+            ek = self._exact(m, z)
+            for j in range(len(z)):
+                assert abs(_mp_of(kap[j]) - ek[j]) <= _mp_of(eps[j]).real
 
     def test_derivative_does_not_change_the_bound(self):
         # kappa and eps are bit for bit the same with and without kappa'
@@ -428,21 +422,21 @@ class TestRunningErrorBound:
             without = smalleig._hyman(H, zl, smalleig._U_LD, derivative=False)
             assert without[1] is None
             assert same_bits(with_d[0], without[0]) and same_bits(with_d[2], without[2])
-            with mpmath.workprec(40):
-                H, zm, u = smalleig.to_mp(m), smalleig.to_mp(z), mpmath.mpf(2) ** -40
-                with_d = smalleig._hyman(H, zm, u)
-                without = smalleig._hyman(H, zm, u, derivative=False)
+            ctx = mp_context(40)
+            H, zm, u = to_mp(m, ctx), to_mp(z, ctx), ctx.mpf(2) ** -40
+            with_d = smalleig._hyman(H, zm, u)
+            without = smalleig._hyman(H, zm, u, derivative=False)
             assert same_bits(with_d[0], without[0]) and same_bits(with_d[2], without[2])
 
     def test_mpmath_at_40_bits(self):
+        ctx = mp_context(40)
         for m, z in self._cases((2, 4, 8)):
-            with mpmath.workprec(40):
-                H, zm = smalleig.to_mp(m), smalleig.to_mp(z)
-                kap, _, eps = smalleig._hyman(H, zm, mpmath.mpf(2) ** -40)
+            H, zm = to_mp(m, ctx), to_mp(z, ctx)
+            kap, _, eps = smalleig._hyman(H, zm, ctx.mpf(2) ** -40)
             ek = self._exact(H, zm)
-            with mpmath.workprec(300):
-                for j in range(len(z)):
-                    assert abs(kap[j] - ek[j]) <= eps[j]
+            for j in range(len(z)):
+                # the 300-bit value is the left operand: the difference rounds at 300 bits
+                assert abs(ek[j] - kap[j]) <= eps[j]
 
 
 class TestExtremeInputs:
@@ -465,8 +459,9 @@ class TestExtremeInputs:
             SOLVER.solve(np.full((2, 2), 1e308, dtype=complex), 1e-10)
 
     def test_extended_entry_beyond_binary64_rejected(self):
-        obj = smalleig.to_mp(np.array([[1.0, 2.0], [1.0, 0.0]], dtype=complex))
-        obj[0, 1] = mpmath.mpc(mpmath.mpf("1e400"))
+        ctx = mp_context(53)
+        obj = to_mp(np.array([[1.0, 2.0], [1.0, 0.0]], dtype=complex), ctx)
+        obj[0, 1] = ctx.mpc(ctx.mpf("1e400"))
         with pytest.raises(HessqrError):
             SOLVER.solve(obj, 1e-10)
 
@@ -503,8 +498,9 @@ class TestLapackSeeds:
         assert out.stdout.strip() == "True"
 
     def test_a_block_beyond_binary64_has_no_seeds(self):
-        blk = smalleig.to_mp(np.array([[1.0, 2.0], [1.0, 0.0]], dtype=complex))
-        blk[0, 1] = mpmath.mpc(mpmath.mpf("1e400"))
+        ctx = mp_context(53)
+        blk = to_mp(np.array([[1.0, 2.0], [1.0, 0.0]], dtype=complex), ctx)
+        blk[0, 1] = ctx.mpc(ctx.mpf("1e400"))
         assert smalleig._lapack_seeds(blk) is None
 
     def test_a_failed_zgeev_is_a_failed_seed(self, monkeypatch):
@@ -550,12 +546,11 @@ def exact_roots(draw):
 
 def exact_companion(roots):
     """Companion matrix of prod (z - r), its coefficients checked exact."""
-    with mpmath.workprec(300):
-        coeffs = [mpmath.mpc(1)]
-        for r in roots:
-            coeffs = [a - mpmath.mpc(r) * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        first = np.array([complex(-a) for a in coeffs[1:]])
-        assert all(mpmath.mpc(f) == -a for f, a in zip(first, coeffs[1:]))
+    coeffs = [EXACT.mpc(1)]
+    for r in roots:
+        coeffs = [a - EXACT.mpc(r) * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    first = np.array([complex(-a) for a in coeffs[1:]])
+    assert all(EXACT.mpc(f) == -a for f, a in zip(first, coeffs[1:]))
     return companion(first)
 
 
@@ -573,8 +568,8 @@ class TestCertificate:
         if smalleig._LONG_DOUBLE_TIER:
             vals, left = smalleig._solve_blocks(c.astype(np.clongdouble), [(0, d)], np.longdouble(beta))
             certified += [] if left else [vals]
-        with smalleig.MP_LOCK, mpmath.workprec(120):
-            vals, left = smalleig._solve_blocks(smalleig.to_mp(c), [(0, d)], mpmath.mpf(beta), 120)
+        ctx = mp_context(120)
+        vals, left = smalleig._solve_blocks(to_mp(c, ctx), [(0, d)], ctx.mpf(beta))
         certified += [] if left else [vals]
         for vals in certified:
             assert matched_distance(np.array([complex(v) for v in vals]), roots) <= beta + 2.0**-50
@@ -640,6 +635,3 @@ class TestModuleBoundary:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
         )
         assert out.stdout.strip() == "[]"
-
-    def test_one_mpmath_lock(self):
-        assert oracle.MP_LOCK is smalleig.MP_LOCK
