@@ -21,9 +21,11 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   numbers at 80 bits, so that a change to the binary64 step shows that this
   route did not move, and at 32 bits, where a change to the mpmath
   arithmetic shows (at 80 bits its outputs round to the same binary64
-  values).  Each checkout makes those numbers through its own API
-  (``_extended_solve``), so a checkout whose mpmath numbers round at the
-  global precision compares with one whose numbers carry their own.
+  values);
+- ``CharPolySolver().solve`` on a fixed set of hard blocks, each in binary64
+  and as an 80-bit mpmath copy (``_hard_blocks``), which, unlike the
+  workloads' blocks, reach the small solver's refinement and its mpmath
+  rungs.
 
 Floats are compared by their bits (hex).  The exit code is 1 when any value
 both checkouts record differs, an input fails on one side only, or an item
@@ -42,13 +44,39 @@ import sys
 import tempfile
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import scipy.linalg
 
 CYCLIC_N, CYCLIC_K = 32, 8
 DEEP_N = 128
 MP_N, MP_BITS = 10, (80, 32)
+HARD_BITS = 80
+
+
+def _companion(first_row):
+    """Companion matrix with the given first row: unreduced Hessenberg."""
+    c = np.diag(np.ones(len(first_row) - 1, dtype=complex), -1)
+    c[0] = first_row
+    return c
+
+
+def _hard_blocks():
+    """[(name, Hessenberg block, beta)]: the companion of (z - 1)^4, a lower
+    Jordan block, a 2 x 2 near overflow (LAPACK's seeds are far from its
+    roots), a 16 x 16 companion with a double root at 0 (where LAPACK's
+    seeds coincide), and three random 8 x 8 blocks at beta = 1e-30."""
+    rng = np.random.default_rng(27)
+    blocks = [
+        ("companion (z-1)^4", _companion([4.0, -6.0, 4.0, -1.0]), 1e-10),
+        ("lower Jordan n=5", np.eye(5, k=-1, dtype=complex), 1e-10),
+        ("near overflow 2x2", np.array([[1e300, 2e300], [1e300, -1e300]], dtype=complex), 1e-10),
+        ("companion n=16 double root 0",
+         _companion([-3, 3, -2, 2, 1, -2, 2, 2, 2, 1, 0, 2, 3, 1, 0, 0]), 1e-10),
+    ]
+    for i in range(3):
+        a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1) / 4
+        blocks.append((f"random 8x8 #{i}", a, 1e-30))
+    return blocks
 
 
 def _plain(x):
@@ -86,12 +114,13 @@ def _solve_record(result):
 
 
 def _guarded(fn):
-    """fn() as a record, or the error it raised."""
+    """fn() as a record, or the error it raised: a library error, or an
+    arithmetic one (an overflow a checkout does not catch)."""
     from hessqr.errors import HessqrError
 
     try:
         return fn()
-    except HessqrError as exc:
+    except (HessqrError, ArithmeticError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -145,22 +174,17 @@ def collect(n_inputs, seeds):
             def solve(h):
                 return _solve_record(hessqr.shifted_qr(h, workloads.QR_DELTA, workloads.QR_PHI, gd, seed=seed))
 
-            out[name] = _guarded(lambda: solve(h) if bits == 53 else _extended_solve(solve, h, bits))
+            out[name] = _guarded(lambda: solve(h if bits == 53 else h.to_extended(bits)))
+    solver = hessqr.CharPolySolver()
+    hard = {}
+    for name, a, beta in _hard_blocks():
+        ext = hessqr.HessenbergMatrix(a).to_extended(HARD_BITS).a
+        hard[name] = {
+            "binary64": _guarded(lambda: _plain(solver.solve(a, beta))),
+            f"{HARD_BITS} bits": _guarded(lambda: [repr(z) for z in solver.solve(ext, beta)]),
+        }
+    out["small solver on hard blocks"] = hard
     return out
-
-
-def _extended_solve(solve, h, bits):
-    """solve(h') for h' the bits-bit mpmath copy of h, made through the
-    checkout's own API.  This exists only to compare checkouts across the
-    change that gave mpmath numbers their own precision: one from before it
-    has ``smalleig.MP_LOCK`` and runs the whole solve at mpmath's global
-    precision."""
-    from hessqr import smalleig
-
-    if not hasattr(smalleig, "MP_LOCK"):
-        return solve(h.to_extended(bits))
-    with smalleig.MP_LOCK, mpmath.workprec(bits):
-        return solve(h.to_extended())
 
 
 def differences(a, b, where=""):

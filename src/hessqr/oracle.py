@@ -14,10 +14,11 @@ takes dense input and reduces it itself (``_hessenberg``: Householder
 reflections in mpmath or clongdouble); the production small solver takes
 Hessenberg input only.  The numeric primitives both need have one
 implementation each, written for either arithmetic: the vectorized Hyman
-recurrence with its running error bound and the per-block routine (Newton
-from LAPACK seeds, Ehrlich-Aberth in mpmath, the Weierstrass-Gerschgorin
-root certificate, which covers clusters and multiple eigenvalues) live in
-``smalleig``, and block splitting is ``iqr.split_blocks``.
+recurrence with its running error bound and the per-block routine
+(Ehrlich-Aberth from LAPACK seeds, and in mpmath from a circle, then the
+Weierstrass-Gerschgorin root certificate, which covers clusters and
+multiple eigenvalues) live in ``smalleig``, and block splitting is
+``iqr.split_blocks``.
 """
 
 import math
@@ -178,18 +179,18 @@ def ref_eigs(m, mp_out=False):
     root certificate (``_certified_eigs``), on a ladder of arithmetics.  The
     first rung, in clongdouble where it has a 64-bit significand (x87
     extended, the guard the small solver uses), takes LAPACK's eigenvalues,
-    or Newton's refinement of them where they fail, and certifies radius
+    or Aberth's refinement of them where they fail, and certifies radius
     ``REF_RADIUS`` max |h_ij|, far below every binary64 tolerance consuming
     it.  With ``mp_out``, or when a block is left uncertified there, the
     matrix goes to mpmath at ``REF_EIG_PREC`` bits, doubling twice on
-    failure, with Aberth after Newton and one radius, ``REF_MP_RADIUS``
-    max |h_ij|, at every rung: an m-fold eigenvalue is found to about
-    2^-(p/m) at p bits, so a double one certifies from 280 bits and a
-    fourfold one at 560.  ``mp_out`` returns those mpmath values.  Values
-    are within the radius of the eigenvalues under a matching; the
-    certificate covers the Hessenberg form, not the rounding of the
-    reduction to it (about n^2 u ||m||).  OracleError when no rung
-    certifies every block.
+    failure, with Aberth from the seeds and then from a circle, and one
+    radius, ``REF_MP_RADIUS`` max |h_ij|, at every rung: an m-fold
+    eigenvalue is found to about 2^-(p/m) at p bits, so a double one
+    certifies from 280 bits and a fourfold one at 560.  ``mp_out`` returns
+    those mpmath values.  Values are within the radius of the eigenvalues
+    under a matching; the certificate covers the Hessenberg form, not the
+    rounding of the reduction to it (about n^2 u ||m||).  OracleError when
+    no rung certifies every block.
     """
     a = _as_array(m)
     if a.shape[0] > DESK_DIM_LIMIT:

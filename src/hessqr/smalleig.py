@@ -15,15 +15,16 @@ certified block is never solved again:
    (``zgeev`` without eigenvectors, through ``scipy.linalg.lapack``, the
    LAPACK the QR sweeps call), go to the certificate below at beta_eff / 2
    as they are, in one pass of the recurrence, and are returned unchanged
-   when they pass.  Only when they fail do they seed Newton iterations on
-   all roots at once, whose roots must pass the same certificate.
+   when they pass.  Only when they fail does Ehrlich-Aberth refine them, on
+   all roots at once, and its roots must pass the same certificate.
 2. mpmath, from a precision derived from ||m||_F / beta_eff (at least 120
    bits), doubling up to 960 bits, each rung in its own context, into which
-   it takes its input exactly: Newton from the LAPACK seeds, always
+   it takes its input exactly: Ehrlich-Aberth from the LAPACK seeds, always
    (a binary64 seed is far from a root at these precisions), and, where its
-   roots fail the certificate (clusters, defective blocks), Ehrlich-Aberth
-   from a circle, then Newton polish, under the same certificate.  An
-   m-fold root is found to about 2^-(p/m) at p bits.
+   roots fail the certificate (clusters, defective blocks, seeds far from
+   the roots), Ehrlich-Aberth again from a circle enclosing the spectrum,
+   under the same certificate.  An m-fold root is found to about 2^-(p/m)
+   at p bits.
 
 A block still uncertified at 960 bits raises SmallEigFailure.
 Deterministic: no randomness anywhere, output sorted by (re, im).
@@ -45,11 +46,11 @@ Any object with a compatible ``solve(m, beta)`` may be injected in its place
 silent wrong answer.
 
 The primitives defined here (the Hyman recurrence with its error bound,
-Newton from LAPACK seeds, Ehrlich-Aberth, and the root certificate) are
-written once and run in the arithmetic of their input, clongdouble or
-mpmath.  ``oracle`` certifies its reference eigenvalues through the same
-per-block routine, ``_solve_blocks``, with Aberth on its mpmath rungs,
-behind the same clongdouble guard.
+Ehrlich-Aberth, the one routine that moves roots, and the root
+certificate) are written once and run in the arithmetic of their input,
+clongdouble or mpmath.  ``oracle`` certifies its reference eigenvalues
+through the same per-block routine, ``_solve_blocks``, behind the same
+clongdouble guard.
 """
 
 import math
@@ -64,7 +65,6 @@ from .kernel import is_mp_array, mp_context, to_mp
 
 _MIN_PREC = 120
 _MAX_PREC = 960
-_NEWTON_STEPS = 12  # from a binary64 seed; a simple root needs 1-3 steps
 _U_LD = np.finfo(np.clongdouble).epsneg  # unit roundoff of clongdouble
 _TINY_LD = np.finfo(np.clongdouble).tiny  # its smallest normal number
 # The clongdouble rung needs clongdouble well above binary64 (x87 extended: 64-bit
@@ -91,8 +91,8 @@ def _hyman(H, z, u=None, derivative=True):
     numbers of one context.  Given that arithmetic's unit roundoff
     u, the bound (in its real type) satisfies |kappa_hat - kappa| <= eps for
     the exact kappa at the stored H and z; without u it is None.  kappa' is
-    for Newton and Aberth steps and carries no bound; with derivative=False
-    it is not formed and comes back as None.
+    for Aberth steps and carries no bound; with derivative=False it is not
+    formed and comes back as None.
 
     Running error analysis (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 5.1): each computed x_{i-1} carries a local
@@ -140,57 +140,46 @@ def _hyman(H, z, u=None, derivative=True):
     return kap, kapp, eps
 
 
-def _aberth_block(blk, d):
-    """All roots of the d x d mpmath block's characteristic polynomial.
+def _aberth(blk, z, u):
+    """Ehrlich-Aberth from the points z on all roots of the characteristic
+    polynomial of blk at once, in the arithmetic of blk (unit roundoff u):
+    the roots, or None when two points coincide or kappa' vanishes at one.
 
-    Ehrlich-Aberth in its simultaneous form, from a circle enclosing the
-    spectrum, then Newton polish.  It stops when the corrections reach the
-    working precision, or, checked every 16 sweeps, when every |kappa| is
-    within its rounding bound, which is where a multiple root leaves it."""
-    ctx = blk[0, 0].context
-    u = ctx.eps / 2
-    radius = max(ctx.fsum(abs(blk[i, j]) for j in range(d)) for i in range(d)) + 1
-    z = np.array(
-        [radius * ctx.exp(2j * ctx.pi * (j + ctx.mpf(1) / 4) / d) for j in range(d)],
-        dtype=object,
-    )
-    tol = ctx.mpf(2) ** (8 - ctx.prec)
-    nudge = ctx.mpf(2) ** -(ctx.prec // 2)
+    Each sweep moves every z_j by w_j / (1 - w_j sum_{l != j} 1 / (z_j - z_l)),
+    with the Newton step w_j = kappa / kappa' at z_j (w_j alone where the
+    denominator vanishes).  It stops when every move is within
+    2^8 u (1 + |z_j|), or, checked every 16 sweeps, when every |kappa| is
+    within its rounding bound (``_hyman``), which is where a multiple root
+    leaves it; else after 200 sweeps."""
+    idx, cols = _cyclic_index(len(z))
+    tol = 2**8 * u
     for sweep in range(1, 201):
         kap, kapp, eps = _hyman(blk, z, u if sweep % 16 == 0 else None)
         if eps is not None and (np.abs(kap) <= eps).all():
             break
-        new = z.copy()
-        worst = ctx.mpf(0)
-        for j in range(d):
-            if kap[j] == 0:
-                continue
-            if kapp[j] == 0:
-                new[j] += nudge * (1 + abs(z[j]))
-                worst = ctx.inf
-                continue
-            w = kap[j] / kapp[j]
-            s = ctx.mpc(0)
-            for l in range(d):
-                if l == j:
-                    continue
-                dz = z[j] - z[l]
-                if dz == 0:
-                    dz = nudge * (1 + abs(z[j]))
-                s += 1 / dz
-            denom = 1 - w * s
-            corr = w if denom == 0 else w / denom
-            new[j] -= corr
-            worst = max(worst, abs(corr) / (1 + abs(new[j])))
-        z = new
-        if worst <= tol:
+        diff = z[idx] - z[cols]
+        if not ((kapp != 0).all() and (diff != 0).all()):
+            return None
+        w = kap / kapp
+        denom = 1 - w * (1 / diff).sum(axis=1)
+        step = w / np.where(denom == 0, 1, denom)
+        z = z - step
+        if (np.abs(step) <= tol * (1 + np.abs(z))).all():
             break
-    for _ in range(3):  # Newton polish
-        kap, kapp, _ = _hyman(blk, z)
-        if not (kapp != 0).all():
-            break
-        z = z - kap / kapp
     return z
+
+
+def _circle(blk):
+    """Starting points for ``_aberth`` on the d x d mpmath block: d points
+    on a circle about 0 enclosing its spectrum (radius one more than its
+    largest absolute row sum), a quarter step off the real axis."""
+    ctx = blk[0, 0].context
+    d = blk.shape[0]
+    radius = max(ctx.fsum(abs(blk[i, j]) for j in range(d)) for i in range(d)) + 1
+    return np.array(
+        [radius * ctx.exp(2j * ctx.pi * (j + ctx.mpf(1) / 4) / d) for j in range(d)],
+        dtype=object,
+    )
 
 
 def _certify_block(blk, roots, beta_cert, u):
@@ -287,37 +276,30 @@ def _lapack_seeds(blk):
 
 
 def _isolated_roots(blk, beta_cert, u):
-    """Roots from LAPACK seeds (``_lapack_seeds``) that pass
-    ``_certify_block``, or None.
+    """Roots of blk that pass ``_certify_block``, or None.
 
-    In clongdouble the binary64 seeds are certified as they are, and
-    returned as they are, complex128; only when they fail does Newton refine
-    them.  In mpmath Newton always runs first.  Newton runs on all roots at
-    once, in the arithmetic of blk (unit roundoff u), and stops once every
-    step is within sqrt(u) (1 + |z|), after which one more step would be
-    below the rounding level; its roots must pass the certificate too."""
+    In clongdouble, LAPACK's binary64 seeds (``_lapack_seeds``) are
+    certified as they are, and returned as they are, complex128.  Where they
+    fail, and always in mpmath, ``_aberth`` refines them in the arithmetic
+    of blk (unit roundoff u).  In mpmath, where there are no seeds or the
+    roots refined from them fail (clusters, defective blocks, seeds far from
+    the roots), ``_aberth`` starts again from ``_circle``.  Refined roots
+    must pass the same certificate."""
+    extended = is_mp_array(blk)
     seeds = _lapack_seeds(blk)
-    if seeds is None:
-        return None
-    tol = u**0.5
     with np.errstate(all="ignore"):
-        if is_mp_array(blk):
-            z = to_mp(seeds, blk[0, 0].context)
-        else:
-            z = seeds.astype(blk.dtype)
-            if _certify_block(blk, z, beta_cert, u) is not None:
+        if seeds is not None:
+            z = to_mp(seeds, blk[0, 0].context) if extended else seeds.astype(blk.dtype)
+            if not extended and _certify_block(blk, z, beta_cert, u) is not None:
                 return list(seeds)
-        for _ in range(_NEWTON_STEPS):
-            kap, kapp, _ = _hyman(blk, z)
-            if not (kapp != 0).all():
-                return None
-            step = kap / kapp
-            z = z - step
-            if (np.abs(step) <= (1 + np.abs(z)) * tol).all():
-                break
-        if _certify_block(blk, z, beta_cert, u) is None:
-            return None
-    return list(z)
+            z = _aberth(blk, z, u)
+            if z is not None and _certify_block(blk, z, beta_cert, u) is not None:
+                return list(z)
+        if extended:
+            z = _aberth(blk, _circle(blk), u)
+            if z is not None and _certify_block(blk, z, beta_cert, u) is not None:
+                return list(z)
+    return None
 
 
 def _solve_blocks(H, spans, beta_cert):
@@ -325,22 +307,13 @@ def _solve_blocks(H, spans, beta_cert):
     at the given spans, and the spans of the blocks not certified.
 
     A 1 x 1 block is its own root; every other block goes to
-    ``_isolated_roots`` and, in mpmath, then to ``_aberth_block``; either
-    way its roots must pass ``_certify_block``.  H is clongdouble or holds
-    mpmath numbers of one context, whose u = eps / 2 = 2^-prec."""
-    extended = is_mp_array(H)
-    u = H[0, 0].context.eps / 2 if extended else _U_LD
+    ``_isolated_roots``.  H is clongdouble or holds mpmath numbers of one
+    context, whose u = eps / 2 = 2^-prec."""
+    u = H[0, 0].context.eps / 2 if is_mp_array(H) else _U_LD
     vals, left = [], []
     for start, stop in spans:
         blk = H[start:stop, start:stop]
-        if stop == start + 1:
-            vals.append(blk[0, 0])
-            continue
-        roots = _isolated_roots(blk, beta_cert, u)
-        if roots is None and extended:
-            roots = _aberth_block(blk, stop - start)
-            if _certify_block(blk, roots, beta_cert, u) is None:
-                roots = None
+        roots = [blk[0, 0]] if stop == start + 1 else _isolated_roots(blk, beta_cert, u)
         if roots is None:
             left.append((start, stop))
         else:
@@ -363,10 +336,10 @@ class CharPolySolver:
     at beta_eff / 2 ~ 8.9e-16, and the bounds reach 0.61 of that, so the
     running error bound eps leaves little room and must not be loosened.
     The seeds are ``zgeev``'s eigenvalues through ``scipy.linalg.lapack``,
-    complex128; certified ones are returned as they are; a root Newton refined in clongdouble or mpmath is
-    rounded to complex128, which moves it by at most
-    2^-52.5 ||m||_F <= beta_eff / 2.  A 1 x 1 block returns its entry,
-    exactly, in the type it has.
+    complex128; certified ones are returned as they are; a root that
+    Ehrlich-Aberth refined in clongdouble or mpmath is rounded to
+    complex128, which moves it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
+    A 1 x 1 block returns its entry, exactly, in the type it has.
     Input ``iqr.HessenbergMatrix`` rejects raises its errors
     (StructureError, DimensionError), a norm beyond binary64 raises
     DomainError, and a block no rung certifies (say, an eigenvalue too
@@ -393,7 +366,10 @@ class CharPolySolver:
             if not spans:
                 return _sorted(vals, complex)
 
-        prec = min(max(_MIN_PREC, int(math.log2(scale / beta_eff)) + 60), _MAX_PREC)
+        # extended input may ask for a beta so far below its scale that the
+        # quotient overflows binary64; that run starts at the cap
+        ratio = min(scale / beta_eff, 2.0**_MAX_PREC)
+        prec = min(max(_MIN_PREC, int(math.log2(ratio)) + 60), _MAX_PREC)
         while True:
             ctx = mp_context(prec)
             found, spans = _solve_blocks(to_mp(a, ctx), spans, ctx.mpf(beta_eff) / 2)

@@ -104,9 +104,9 @@ class TestRefEigs:
         assert matched_distance(got, evals) <= 1e-12
 
     def test_duplicated_seed_is_not_certified(self, monkeypatch):
-        # the clongdouble rung: when LAPACK hands it one seed twice, both
-        # polish onto the same root, two equal approximations have no
-        # Weierstrass radius, the certificate rejects the block, and the
+        # the clongdouble rung: when LAPACK hands it one seed twice, two
+        # equal approximations have no Weierstrass radius and Aberth cannot
+        # start from them, so the certificate rejects the block and the
         # matrix goes to the mpmath rung (a second, honest call)
         rng = np.random.default_rng(28)
         n = 20
@@ -190,6 +190,18 @@ class TestRefEigsRungs:
         # radius (a is Hessenberg already) once that is below it
         radius = oracle.REF_MP_RADIUS * np.abs(a).max()
         assert matched_distance(ref_eigs(a), np.full(len(a), lam)) <= radius
+
+    def test_coincident_seeds_at_a_double_root_certify_at_the_first_mpmath_rung(self, block_dtypes):
+        # this companion has the exact double root 0, where LAPACK's seeds
+        # coincide; Aberth restarts from the circle, and its stop near the
+        # unit roundoff takes the pair close enough to 0 to certify at 140
+        # bits (a stop at sqrt(u) left it at about 2^-70, certified at 280):
+        # one mpmath call, the first rung at REF_EIG_PREC
+        c = companion([-3, 3, -2, 2, 1, -2, 2, 2, 2, 1, 0, 2, 3, 1, 0, 0])
+        got = ref_eigs(c)
+        assert block_dtypes[-1] == np.dtype(object) and block_dtypes.count(np.dtype(object)) == 1
+        radius = oracle.REF_MP_RADIUS * np.abs(c).max()
+        assert (np.sort(np.abs(got))[:2] <= radius).all()
 
     def test_zero_matrix(self):
         got = ref_eigs(np.zeros((4, 4)))

@@ -26,9 +26,10 @@ def test_repository_matches_itself():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     # one input per workload (the CLI route adds its JSON), the cyclic shift,
-    # the deep near-normal case and the 80-bit and 32-bit cases
+    # the deep near-normal case, the 80-bit and 32-bit cases and the small
+    # solver's hard blocks
     assert out.stdout.strip().splitlines()[-1] == (
-        "7 items compared, 0 differences, 0 one-sided fields"
+        "8 items compared, 0 differences, 0 one-sided fields"
     )
 
 

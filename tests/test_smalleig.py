@@ -33,15 +33,19 @@ def hessenberg_of(m):
 
 @pytest.fixture
 def aberth_calls(monkeypatch):
-    """Counts the fallback tier's Ehrlich-Aberth block solves."""
+    """Records every ``_aberth`` call as (start, d, precision or dtype):
+    start is "circle" for ``_circle``'s points and "seeds" for others."""
     calls = []
-    original = smalleig._aberth_block
+    original = smalleig._aberth
 
-    def counting(blk, d):
-        calls.append((d, blk[0, 0].context.prec))
-        return original(blk, d)
+    def recording(blk, z, u):
+        extended = blk.dtype == object
+        circle = extended and (z == smalleig._circle(blk)).all()
+        arithmetic = blk[0, 0].context.prec if extended else blk.dtype
+        calls.append(("circle" if circle else "seeds", blk.shape[0], arithmetic))
+        return original(blk, z, u)
 
-    monkeypatch.setattr(smalleig, "_aberth_block", counting)
+    monkeypatch.setattr(smalleig, "_aberth", recording)
     return calls
 
 
@@ -93,10 +97,10 @@ class TestCharPolySolver:
 
     def test_multiple_root_cluster(self, aberth_calls):
         # companion of (z-1)^4: defective but unreduced; overlapping disks
-        # send it to the Aberth fallback, which certifies by escalating
+        # send it on to the mpmath rungs, which certify by escalating
         # precision
         vals = SOLVER.solve(companion([4.0, -6.0, 4.0, -1.0]), 1e-10)
-        assert aberth_calls
+        assert any(isinstance(arithmetic, int) for _, _, arithmetic in aberth_calls)
         assert len(vals) == 4
         assert all(abs(v - 1.0) <= 1e-10 for v in vals)
 
@@ -193,16 +197,19 @@ class TestFixedCosts:
 
 class TestTwoTiers:
     def test_fast_path_matches_forced_aberth(self, monkeypatch, aberth_calls):
-        # the mpmath tiers against each other, with the clongdouble tier off
+        # the mpmath rung's two starts against each other, with the
+        # clongdouble tier off: Aberth from LAPACK's seeds, and from the
+        # circle when there are no seeds
         monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
         rng = np.random.default_rng(35)
         sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
         cases = [random_hessenberg(rng, n).a for n in sizes]
         fast = [SOLVER.solve(m, 1e-10) for m in cases]
-        assert aberth_calls == []
-        monkeypatch.setattr(smalleig, "_isolated_roots", lambda blk, beta_cert, u: None)
+        assert aberth_calls == [("seeds", n, 120) for n in sizes]
+        aberth_calls.clear()
+        monkeypatch.setattr(smalleig, "_lapack_seeds", lambda blk: None)
         forced = [SOLVER.solve(m, 1e-10) for m in cases]
-        assert len(aberth_calls) == len(cases)
+        assert aberth_calls == [("circle", n, 120) for n in sizes]
         assert fast == forced
 
     def test_long_double_tier_matches_mpmath(self, monkeypatch):
@@ -279,9 +286,10 @@ needs_long_double = pytest.mark.skipif(
 class TestLongDoubleTier:
     @needs_long_double
     def test_solves_without_mpmath(self, monkeypatch):
-        # both mpmath tiers start from to_mp (binary64 input); Aberth is the last
+        # the mpmath rungs take binary64 input through to_mp, and restart
+        # Aberth from _circle
         monkeypatch.setattr(smalleig, "to_mp", _raise)
-        monkeypatch.setattr(smalleig, "_aberth_block", _raise)
+        monkeypatch.setattr(smalleig, "_circle", _raise)
         rng = np.random.default_rng(37)
         h, _ = near_normal_hessenberg(rng, 16, perturb=1e-4)
         beta = 1e-9
@@ -302,7 +310,7 @@ class TestLongDoubleTier:
     @needs_long_double
     def test_failed_seeds_are_refined_on_the_same_rung(self, hyman_calls, tier_blocks):
         # kappa(V) ~ 2.9: at the representation floor of beta the seeds fail,
-        # and Newton's roots certify in clongdouble
+        # and Aberth's roots certify in clongdouble
         m = np.array(
             [[0.1 + 0.2j, 0.3, 0.1j, 0.05], [0.2, 0.4 - 0.1j, 0.2, 0.1], [0, 0.3, -0.2 + 0.1j, 0.3j], [0, 0, 0.25, 0.15]]
         )
@@ -310,7 +318,7 @@ class TestLongDoubleTier:
         vals = SOLVER.solve(m, beta)
         assert tier_blocks == [(np.dtype(np.clongdouble), 4)]
         assert hyman_calls[0] == (True, False) and hyman_calls[-1] == (True, False)
-        assert (False, True) in hyman_calls  # a Newton step
+        assert (False, True) in hyman_calls  # an Aberth step
         beta_eff = 8 * 2.0**-52 * max(1.0, np.linalg.norm(m))
         assert matched_distance(np.array(vals), ref_eigs(m)) <= beta_eff
 
@@ -333,7 +341,7 @@ class TestLongDoubleTier:
         m[3:, 3:] = companion([4.0, -6.0, 4.0, -1.0])
         vals = SOLVER.solve(to_mp(m, mp_context(80)), 1e-10)
         assert [d for _, d in tier_blocks].count(3) == 1
-        assert [prec for _, prec in aberth_calls] == [120, 240]
+        assert {prec for _, d, prec in aberth_calls if d == 4} == {120, 240}
         vals = np.array([complex(v) for v in vals])
         near_one = np.abs(vals - 1) <= 1e-10
         assert near_one.sum() == 4
@@ -371,6 +379,30 @@ class TestLongDoubleTier:
         assert [dtype for dtype, _ in tier_blocks] == [np.dtype(np.clongdouble), np.dtype(object)]
         beta_eff = 2 * float(beta_cert)
         assert matched_distance(np.array(vals), roots) <= beta_eff
+
+
+class TestAberth:
+    @staticmethod
+    def _arithmetics(m, z):
+        """(m, z, u, real type) in clongdouble and as 80-bit mpmath copies."""
+        ctx = mp_context(80)
+        yield m.astype(np.clongdouble), z.astype(np.clongdouble), smalleig._U_LD, np.longdouble
+        yield to_mp(m, ctx), to_mp(z, ctx), ctx.eps / 2, ctx.mpf
+
+    def test_coincident_points_give_none(self):
+        m = random_hessenberg(np.random.default_rng(44), 3).a
+        for H, z, u, _ in self._arithmetics(m, np.array([0.5, 0.5, -1j])):
+            assert smalleig._aberth(H, z, u) is None
+
+    def test_both_arithmetics_refine_to_certified_roots(self):
+        # from LAPACK's eigenvalues moved 1e-6 apart from the roots
+        rng = np.random.default_rng(45)
+        for n in (2, 4, 8):
+            m = random_hessenberg(rng, n).a
+            start = np.linalg.eigvals(m) * (1 + 1e-6) + 1e-6j
+            for H, z, u, real in self._arithmetics(m, start):
+                roots = smalleig._aberth(H, z, u)
+                assert smalleig._certify_block(H, roots, real(1e-12), u) is not None
 
 
 EXACT = mp_context(300)  # the reference arithmetic of the error bound tests
@@ -453,6 +485,13 @@ class TestExtremeInputs:
         vals = SOLVER.solve(m, 1e-10)
         expected = np.array([-np.sqrt(3.0), np.sqrt(3.0)]) * 1e300
         assert np.allclose(np.array(vals), expected, rtol=1e-14, atol=0)
+
+    def test_extended_entries_near_overflow_fail_loudly(self):
+        # beta = 1e-10 is 2^-1030 of these entries at 80 bits, beyond the
+        # 960-bit cap; the quotient ||m||_F / beta overflows binary64
+        m = np.array([[1e300, 2e300], [1e300, -1e300]], dtype=complex)
+        with pytest.raises(SmallEigFailure, match="at 960 bits"):
+            SOLVER.solve(to_mp(m, mp_context(80)), 1e-10)
 
     def test_norm_overflow_rejected(self):
         with pytest.raises(DomainError):
@@ -559,9 +598,9 @@ class TestCertificate:
     def test_certified_roots_are_within_beta(self, roots, beta):
         # the Weierstrass-Gerschgorin certificate is sound for clusters and
         # multiple roots: whatever _solve_blocks certifies, in clongdouble
-        # (Newton) or in mpmath at 120 bits (Newton, then Aberth), matches
-        # the exact roots within beta.  2^-50 allows for rounding the
-        # certified values, of modulus below 3, to complex128.
+        # or in mpmath at 120 bits (Aberth from the seeds, then from the
+        # circle), matches the exact roots within beta.  2^-50 allows for
+        # rounding the certified values, of modulus below 3, to complex128.
         c = exact_companion(roots)
         d = len(roots)
         certified = []
