@@ -4,7 +4,9 @@
 coordinate; real, integer, complex or pattern; any symmetry), runs the
 eigensolver, writes the run document with the eigenvalues as JSON and
 (optionally) the per-block potential trace as CSV, and prints a short
-summary.  `info` prints the same run document without the eigenvalues, as
+summary.  For both outputs an existing regular file is replaced by a new one
+(hard links to it keep the old contents); symlinks and devices are written
+through.  `info` prints the same run document without the eigenvalues, as
 JSON, without solving.  Both build it in ``_run_document`` from
 ``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
 k, omega, N_dec and the required bits are derived.  The library checks the
@@ -17,8 +19,10 @@ all retries or an iteration budget that ran out.
 """
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -32,6 +36,8 @@ from .params import GAMMA
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_PROBABILISTIC = 3
+_REPLACED = ("; an existing regular file is replaced by a new one (hard links to it keep "
+             "the old contents); symlinks and devices are written through")
 
 
 def read_matrix_market(path):
@@ -86,6 +92,15 @@ def _run_document(config, seed, gd, run_params, required_bits):
     }
 
 
+def _new_file(path):
+    """``path`` opened as a new file: ext4's ``auto_da_alloc`` makes truncating a file whose
+    data is not yet on disk wait for that write, ~60 ms per rewrite of out.json."""
+    if os.path.isfile(path) and not os.path.islink(path):
+        with contextlib.suppress(OSError):  # not removable: truncate it instead
+            os.unlink(path)
+    return open(path, "w", encoding="ascii")
+
+
 def _dumps(document):
     return json.dumps(document, indent=2, sort_keys=True)
 
@@ -109,10 +124,10 @@ def run(input_path, config, out_json=None, out_trace=None):
         for v in node.eigenvalues
     ]
     if out_json:
-        with open(out_json, "w", encoding="ascii") as fh:
+        with _new_file(out_json) as fh:
             fh.write(_dumps(document) + "\n")
     if out_trace:
-        with open(out_trace, "w", encoding="ascii") as fh:
+        with _new_file(out_trace) as fh:
             fh.write("block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries\n")
             for node in result.tree.nodes.values():
                 for rec in node.trace:
@@ -162,9 +177,9 @@ def _build_parser():
                        help="input is already Hessenberg; skip perturb+reduce")
         if name == "solve":
             p.add_argument("--out-json", default=None,
-                           help="run document and eigenvalues output file (JSON)")
+                           help="run document and eigenvalues output file (JSON)" + _REPLACED)
             p.add_argument("--out-trace", default=None,
-                           help="potential-trace output file (CSV)")
+                           help="potential-trace output file (CSV)" + _REPLACED)
     return parser
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -301,6 +302,64 @@ class TestMain:
         assert doc["params"]["required_bits"] > 53  # binary64 is not covered here
         assert doc["bits"] == 53
         assert "eigenvalues" not in doc
+
+
+class TestOutputFiles:
+    """Each output is written as a new file over an existing regular file,
+    and through a symlink or a device."""
+
+    @staticmethod
+    def _solve(tmp_path, option, path):
+        argv = ["solve", _identity_mtx(tmp_path), "--seed", "5", "--no-preprocess",
+                "--B", "1", "--gamma-gap", "1e-3", option, str(path)]
+        return main(argv)
+
+    @pytest.mark.parametrize(
+        "option, header", [("--out-json", "{"), ("--out-trace", "block_id,iteration,")]
+    )
+    def test_rerun_leaves_hard_links_the_old_file(self, tmp_path, capsys, option, header):
+        # A truncating rewrite would show through the link.  Inode numbers
+        # cannot tell: ext4 hands a freed one straight back.
+        out, link = tmp_path / "out", tmp_path / "link"
+        out.write_text("old output\n")
+        os.link(out, link)
+        assert self._solve(tmp_path, option, out) == EXIT_OK
+        assert link.read_text() == "old output\n"
+        assert out.read_text().startswith(header)
+
+    def test_longer_stale_file_is_fully_replaced(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 10240)
+        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
+        assert json.loads(out.read_text())["seed"] == 5
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        target, out = tmp_path / "target.json", tmp_path / "out.json"
+        target.write_text("x" * 10240)
+        out.symlink_to(target)
+        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
+        assert out.is_symlink() and out.resolve() == target.resolve()
+        assert json.loads(target.read_text())["seed"] == 5
+
+    @pytest.mark.skipif(os.devnull != "/dev/null", reason="needs /dev/null")
+    def test_dev_null(self, tmp_path, capsys):
+        assert self._solve(tmp_path, "--out-json", "/dev/null") == EXIT_OK
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+    def test_failed_unlink_falls_back_to_truncating(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 10240)
+        inode, refused = out.stat().st_ino, []
+
+        def refuse(path, *args, **kwargs):
+            refused.append(str(path))
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
+        assert refused == [str(out)]
+        assert out.stat().st_ino == inode  # the same file, truncated
+        assert json.loads(out.read_text())["seed"] == 5
 
 
 def _random_mtx(tmp_path, n, hessenberg, e=0):

@@ -472,3 +472,52 @@ def test_detects_a_global_precision_use():
 def test_no_module_rounds_at_the_global_precision(path):
     # every mpmath number comes from a context of its own precision
     assert global_precision_uses(path.read_text(encoding="utf-8")) == []
+
+
+OUTPUT_WRITER = "_new_file"  # cli.py's writer: it replaces a file rather than truncating it
+
+
+def builtin_open_calls(source):
+    """(line, enclosing function) for every call to the builtin ``open``,
+    also when reached as ``io.open`` or ``builtins.open``, outside functions
+    named OUTPUT_WRITER; the enclosing function is "" at module level."""
+    found = []
+
+    def is_open(func):
+        if isinstance(func, ast.Name):
+            return func.id == "open"
+        return (isinstance(func, ast.Attribute) and func.attr == "open"
+                and isinstance(func.value, ast.Name) and func.value.id in ("io", "builtins"))
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name != OUTPUT_WRITER:
+                    visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Call) and is_open(child.func):
+                found.append((child.lineno, name))
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_detects_a_builtin_open():
+    src = (
+        "import io, os\n"
+        "def _new_file(path):\n"
+        "    return open(path, 'w')\n"
+        "class W:\n"
+        "    def save(self, path):\n"
+        "        with open(path, 'w') as fh, io.open(path) as g:\n"
+        "            os.open(path, os.O_RDONLY)\n"
+        "LOG = open('log.txt', 'a')\n"
+    )
+    assert builtin_open_calls(src) == [(6, "W.save"), (6, "W.save"), (8, "")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_outputs_are_opened_only_by_the_writer(path):
+    # a truncating open() of an existing file waits for ext4 to flush it
+    assert builtin_open_calls(path.read_text(encoding="utf-8")) == []
