@@ -4,10 +4,11 @@
 coordinate; real, integer, complex or pattern; any symmetry), runs the
 eigensolver, writes the run document with the eigenvalues as JSON and
 (optionally) the per-block potential trace as CSV, and prints a short
-summary.  For both outputs an existing regular file is replaced by a new one
-(hard links to it keep the old contents); symlinks and devices are written
-through.  `info` prints the same run document without the eigenvalues, as
-JSON, without solving.  Both build it in ``_run_document`` from
+summary.  On Linux an existing output file of the caller's, regular and
+writable, is replaced by a new one of the same mode (hard links to it keep
+the old contents); other paths are truncated or written through as usual.
+`info` prints the same run document without the eigenvalues, as JSON,
+without solving.  Both build it in ``_run_document`` from
 ``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
 k, omega, N_dec and the required bits are derived.  The library checks the
 options for both commands; only --delta > 0 is checked here, because the
@@ -19,11 +20,11 @@ all retries or an iteration budget that ran out.
 """
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import re
+import stat
 import sys
 import time
 
@@ -36,8 +37,8 @@ from .params import GAMMA
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_PROBABILISTIC = 3
-_REPLACED = ("; an existing regular file is replaced by a new one (hard links to it keep "
-             "the old contents); symlinks and devices are written through")
+_REPLACED = ("; on Linux an existing regular file of yours is replaced by a new one of the "
+             "same mode (hard links to it keep the old contents)")
 
 
 def read_matrix_market(path):
@@ -93,12 +94,33 @@ def _run_document(config, seed, gd, run_params, required_bits):
 
 
 def _new_file(path):
-    """``path`` opened as a new file: ext4's ``auto_da_alloc`` makes truncating a file whose
-    data is not yet on disk wait for that write, ~60 ms per rewrite of out.json."""
-    if os.path.isfile(path) and not os.path.islink(path):
-        with contextlib.suppress(OSError):  # not removable: truncate it instead
+    """``path`` opened for writing as ``open(path, "w")`` opens it, except that on Linux an
+    existing regular file that this process owns and may write, with no extended attributes
+    (so no ACLs), is replaced by a new file of the same owner, group and mode.  On ext4
+    (``auto_da_alloc``) closing a truncated file forces its data to disk, so that a crash
+    leaves the old or the new contents, and the next truncation frees those disk blocks:
+    40-80 ms on a virtual ext4 disk mounted with ``discard``.  A new file's data waits for
+    writeback (~30 s), and unlinking it before then frees no disk blocks; the price is that
+    a crash in that window can leave the output empty, with the old contents gone."""
+    try:
+        st = os.lstat(path)
+        replace = (sys.platform == "linux" and stat.S_ISREG(st.st_mode)
+                   and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+                   and os.access(path, os.W_OK) and not os.listxattr(path))
+        if replace:
             os.unlink(path)
-    return open(path, "w", encoding="ascii")
+    except OSError:  # no such file, or not removable: open it as before
+        replace = False
+    if not replace:
+        return open(path, "w", encoding="ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        os.fchown(fd, -1, st.st_gid)  # a set-group-ID directory gives its own group
+        os.fchmod(fd, stat.S_IMODE(st.st_mode))
+    except OSError:
+        os.close(fd)
+        raise
+    return open(fd, "w", encoding="ascii")
 
 
 def _dumps(document):

@@ -304,9 +304,13 @@ class TestMain:
         assert "eigenvalues" not in doc
 
 
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="outputs are replaced on Linux")
+
+
 class TestOutputFiles:
-    """Each output is written as a new file over an existing regular file,
-    and through a symlink or a device."""
+    """On Linux an output over an existing regular file of the caller's is
+    written as a new file of the same mode; every other path is truncated or
+    written through as ``open(path, "w")`` does."""
 
     @staticmethod
     def _solve(tmp_path, option, path):
@@ -314,24 +318,83 @@ class TestOutputFiles:
                 "--B", "1", "--gamma-gap", "1e-3", option, str(path)]
         return main(argv)
 
+    @staticmethod
+    def _linked(tmp_path, mode=0o644):
+        out, link = tmp_path / "out.json", tmp_path / "link"
+        out.write_text("old output\n")
+        out.chmod(mode)
+        os.link(out, link)
+        return out, link
+
+    @linux_only
     @pytest.mark.parametrize(
         "option, header", [("--out-json", "{"), ("--out-trace", "block_id,iteration,")]
     )
     def test_rerun_leaves_hard_links_the_old_file(self, tmp_path, capsys, option, header):
         # A truncating rewrite would show through the link.  Inode numbers
         # cannot tell: ext4 hands a freed one straight back.
-        out, link = tmp_path / "out", tmp_path / "link"
-        out.write_text("old output\n")
-        os.link(out, link)
+        out, link = self._linked(tmp_path)
         assert self._solve(tmp_path, option, out) == EXIT_OK
         assert link.read_text() == "old output\n"
         assert out.read_text().startswith(header)
+
+    @linux_only
+    def test_new_file_keeps_the_mode(self, tmp_path, capsys):
+        # 0o606 is not what the umask would give a new file
+        out, link = self._linked(tmp_path, 0o606)
+        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
+        assert link.read_text() == "old output\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o606
+        assert (out.stat().st_uid, out.stat().st_gid) == (link.stat().st_uid, link.stat().st_gid)
+
+    @linux_only
+    def test_new_file_keeps_the_group_in_a_set_group_id_directory(self, tmp_path, capsys):
+        # such a directory gives a new file its own group, not the caller's
+        other = next((g for g in os.getgroups() if g != os.getegid()), os.getegid() + 1)
+        (tmp_path / "d").mkdir()
+        try:
+            os.chown(tmp_path / "d", -1, other)
+        except PermissionError:
+            pytest.skip("needs a second group")
+        (tmp_path / "d").chmod(0o2775)
+        out, link = self._linked(tmp_path / "d")
+        os.chown(out, -1, os.getegid())
+        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
+        assert link.read_text() == "old output\n"
+        assert out.stat().st_gid == os.getegid()
 
     def test_longer_stale_file_is_fully_replaced(self, tmp_path, capsys):
         out = tmp_path / "out.json"
         out.write_text("x" * 10240)
         assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
         assert json.loads(out.read_text())["seed"] == 5
+
+    def test_read_only_file_gives_what_a_truncating_open_gives(self, tmp_path, capsys):
+        out, link = self._linked(tmp_path, 0o444)
+        probe = tmp_path / "probe"
+        probe.write_text("")
+        probe.chmod(0o444)
+        try:  # refused, unless the caller may write anything (root)
+            probe.open("w").close()
+        except PermissionError:
+            assert self._solve(tmp_path, "--out-json", out) == EXIT_BAD_INPUT
+            assert out.read_text() == "old output\n"
+        else:
+            assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
+            assert json.loads(out.read_text())["seed"] == 5
+        assert stat.S_IMODE(out.stat().st_mode) == 0o444
+
+    @pytest.mark.parametrize("attr, value", [
+        ("geteuid", lambda: -1),  # another owner's file
+        ("getegid", lambda: -1),  # another group's file
+        ("access", lambda path, mode: False),  # not writable
+        ("listxattr", lambda path: ["system.posix_acl_access"]),  # an ACL
+    ], ids=["owner", "group", "access", "xattr"])
+    def test_other_files_are_truncated(self, tmp_path, capsys, monkeypatch, attr, value):
+        out, link = self._linked(tmp_path)
+        monkeypatch.setattr(os, attr, value, raising=False)
+        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
+        assert json.loads(link.read_text())["seed"] == 5  # the same file, rewritten
 
     def test_symlink_is_written_through(self, tmp_path, capsys):
         target, out = tmp_path / "target.json", tmp_path / "out.json"
@@ -347,9 +410,8 @@ class TestOutputFiles:
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
     def test_failed_unlink_falls_back_to_truncating(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "out.json"
-        out.write_text("x" * 10240)
-        inode, refused = out.stat().st_ino, []
+        out, link = self._linked(tmp_path)
+        refused = []
 
         def refuse(path, *args, **kwargs):
             refused.append(str(path))
@@ -357,9 +419,8 @@ class TestOutputFiles:
 
         monkeypatch.setattr(os, "unlink", refuse)
         assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
-        assert refused == [str(out)]
-        assert out.stat().st_ino == inode  # the same file, truncated
-        assert json.loads(out.read_text())["seed"] == 5
+        assert refused == ([str(out)] if sys.platform == "linux" else [])
+        assert json.loads(link.read_text())["seed"] == 5  # the same file, rewritten
 
 
 def _random_mtx(tmp_path, n, hessenberg, e=0):

@@ -519,5 +519,5 @@ def test_detects_a_builtin_open():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_outputs_are_opened_only_by_the_writer(path):
-    # a truncating open() of an existing file waits for ext4 to flush it
+    # truncating an output frees the blocks ext4 forced to disk at its last close
     assert builtin_open_calls(path.read_text(encoding="utf-8")) == []
