@@ -10,9 +10,13 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   with its ``IterationRecord`` list and leaf eigenvalues, ``run_params`` and
   ``required_bits`` of the library solve the workload makes (``shifted_qr``
   on the QR route, ``hessqr.solve`` with the input's solver seed on the CLI
-  route), and on the CLI route also the JSON that ``hessqr solve`` writes;
+  route), and on the CLI route also the JSON that ``hessqr solve`` writes,
+  parsed and as raw text;
 - the same for ``shifted_qr`` on the 32 x 32 cyclic shift at k = 8 (which
-  takes the ritz_shift, decouple and exceptional branches) at each seed;
+  takes the ritz_shift, decouple and exceptional branches) at each seed,
+  and the raw text of both files ``hessqr solve --no-preprocess --B 1
+  --gamma-gap 1e-4`` writes for that matrix (its trace takes the ritz_shift
+  and exceptional branches);
 - the same for ``shifted_qr`` at k = 4 on one 128 x 128 near-normal input
   per seed, made by perfbench's recipe, whose deflation tree goes about 120
   levels deep (each block's random stream is derived from its path);
@@ -113,6 +117,20 @@ def _solve_record(result):
     )
 
 
+def _cli_texts(argv, outputs):
+    """{option: raw text} of the files ``hessqr solve`` writes for argv with
+    each ``option path`` of outputs added, or the exit code when it is not 0."""
+    import hessqr.cli
+
+    for option, path in outputs.items():
+        argv = argv + [option, str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hessqr.cli.main(argv)
+    if code != 0:
+        return {"error": f"exit code {code}"}
+    return {option: Path(path).read_text(encoding="ascii") for option, path in outputs.items()}
+
+
 def _guarded(fn):
     """fn() as a record, or the error it raised: a library error, or an
     arithmetic one (an overflow a checkout does not catch)."""
@@ -131,7 +149,6 @@ def collect(n_inputs, seeds):
     import workloads
 
     import hessqr
-    import hessqr.cli
     from hessqr.params import globals_with_degree
 
     out = {}
@@ -147,15 +164,22 @@ def collect(n_inputs, seeds):
                         continue
                     config = hessqr.SolveConfig(seed=inp.solver_seed)
                     out[name] = _guarded(lambda: _solve_record(hessqr.solve(inp.matrix, config)))
-                    doc = workdir / f"out{i}.json"
-                    argv = ["solve", str(inp.path), "--seed", str(inp.solver_seed), "--out-json", str(doc)]
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = hessqr.cli.main(argv)
-                    out[name + " cli json"] = (
-                        _plain(json.loads(doc.read_text(encoding="ascii")))
-                        if code == 0
-                        else {"error": f"exit code {code}"}
-                    )
+                    argv = ["solve", str(inp.path), "--seed", str(inp.solver_seed)]
+                    texts = _cli_texts(argv, {"--out-json": workdir / f"out{i}.json"})
+                    if "--out-json" in texts:
+                        texts["document"] = _plain(json.loads(texts["--out-json"]))
+                    out[name + " cli json"] = texts
+        # the cyclic shift below, through the CLI: column j has a 1 in row j + 1 (mod n)
+        cyclic = Path(tmp) / "cyclic.mtx"
+        entries = "".join(f"{(j + 1) % CYCLIC_N + 1} {j + 1} 1\n" for j in range(CYCLIC_N))
+        cyclic.write_text("%%MatrixMarket matrix coordinate real general\n"
+                          f"{CYCLIC_N} {CYCLIC_N} {CYCLIC_N}\n" + entries, encoding="ascii")
+        for seed in seeds:
+            argv = ["solve", str(cyclic), "--no-preprocess", "--B", "1", "--gamma-gap", "1e-4",
+                    "--seed", str(seed)]
+            outputs = {"--out-json": Path(tmp) / f"cyclic{seed}.json",
+                       "--out-trace": Path(tmp) / f"cyclic{seed}.csv"}
+            out[f"cyclic shift n={CYCLIC_N} cli seed {seed}"] = _cli_texts(argv, outputs)
     a = np.eye(CYCLIC_N, k=-1, dtype=complex)
     a[0, CYCLIC_N - 1] = 1.0
     h = hessqr.HessenbergMatrix(a)

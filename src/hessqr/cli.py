@@ -4,9 +4,8 @@
 coordinate; real, integer, complex or pattern; any symmetry), runs the
 eigensolver, writes the run document with the eigenvalues as JSON and
 (optionally) the per-block potential trace as CSV, and prints a short
-summary.  On Linux an existing output file of the caller's, regular and
-writable, is replaced by a new one of the same mode (hard links to it keep
-the old contents); other paths are truncated or written through as usual.
+summary.  An existing output file is overwritten in place and cut to the
+new length: the same file, so its mode, owner and hard links stay.
 `info` prints the same run document without the eigenvalues, as JSON,
 without solving.  Both build it in ``_run_document`` from
 ``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
@@ -37,8 +36,7 @@ from .params import GAMMA
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_PROBABILISTIC = 3
-_REPLACED = ("; on Linux an existing regular file of yours is replaced by a new one of the "
-             "same mode (hard links to it keep the old contents)")
+_OVERWRITTEN = "; an existing file is overwritten and cut to the new length"
 
 
 def read_matrix_market(path):
@@ -93,34 +91,19 @@ def _run_document(config, seed, gd, run_params, required_bits):
     }
 
 
-def _new_file(path):
-    """``path`` opened for writing as ``open(path, "w")`` opens it, except that on Linux an
-    existing regular file that this process owns and may write, with no extended attributes
-    (so no ACLs), is replaced by a new file of the same owner, group and mode.  On ext4
-    (``auto_da_alloc``) closing a truncated file forces its data to disk, so that a crash
-    leaves the old or the new contents, and the next truncation frees those disk blocks:
-    40-80 ms on a virtual ext4 disk mounted with ``discard``.  A new file's data waits for
-    writeback (~30 s), and unlinking it before then frees no disk blocks; the price is that
-    a crash in that window can leave the output empty, with the old contents gone."""
-    try:
-        st = os.lstat(path)
-        replace = (sys.platform == "linux" and stat.S_ISREG(st.st_mode)
-                   and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
-                   and os.access(path, os.W_OK) and not os.listxattr(path))
-        if replace:
-            os.unlink(path)
-    except OSError:  # no such file, or not removable: open it as before
-        replace = False
-    if not replace:
-        return open(path, "w", encoding="ascii")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-    try:
-        os.fchown(fd, -1, st.st_gid)  # a set-group-ID directory gives its own group
-        os.fchmod(fd, stat.S_IMODE(st.st_mode))
-    except OSError:
-        os.close(fd)
-        raise
-    return open(fd, "w", encoding="ascii")
+def _write(path, text):
+    """``open(path, "w")`` without ``O_TRUNC``: ``text`` over the old bytes, then a regular
+    file (not a device or pipe) is cut to its length.  On ext4 (``auto_da_alloc``) closing a
+    file truncated to zero forces its data to disk, and the next truncation pays to free
+    those blocks (44-67 ms on a virtual disk mounted with ``discard``); an overwrite frees
+    nothing unless the file shrinks across a 4 KiB block.  A crash before writeback can leave
+    the old bytes, or old and new pages mixed, cut to the new length; a failed write leaves
+    the new prefix and the old tail, and its OSError reaches ``main`` (exit 2)."""
+    with open(path, "w", encoding="ascii",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _dumps(document):
@@ -146,17 +129,13 @@ def run(input_path, config, out_json=None, out_trace=None):
         for v in node.eigenvalues
     ]
     if out_json:
-        with _new_file(out_json) as fh:
-            fh.write(_dumps(document) + "\n")
+        _write(out_json, _dumps(document) + "\n")
     if out_trace:
-        with _new_file(out_trace) as fh:
-            fh.write("block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries\n")
-            for node in result.tree.nodes.values():
-                for rec in node.trace:
-                    fh.write(
-                        f"{node.block_id},{rec.index},{rec.psi_before!r},{rec.branch},"
-                        f"{rec.shift.real!r},{rec.shift.imag!r},{rec.psi_after!r},{rec.retries}\n"
-                    )
+        header = "block_id,iteration,psi_k,branch,shift_re,shift_im,psi_after,retries\n"
+        _write(out_trace, header + "".join(
+            f"{node.block_id},{rec.index},{rec.psi_before!r},{rec.branch},"
+            f"{rec.shift.real!r},{rec.shift.imag!r},{rec.psi_after!r},{rec.retries}\n"
+            for node in result.tree.nodes.values() for rec in node.trace))
     return document, wall
 
 
@@ -199,9 +178,9 @@ def _build_parser():
                        help="input is already Hessenberg; skip perturb+reduce")
         if name == "solve":
             p.add_argument("--out-json", default=None,
-                           help="run document and eigenvalues output file (JSON)" + _REPLACED)
+                           help="run document and eigenvalues output file (JSON)" + _OVERWRITTEN)
             p.add_argument("--out-trace", default=None,
-                           help="potential-trace output file (CSV)" + _REPLACED)
+                           help="potential-trace output file (CSV)" + _OVERWRITTEN)
     return parser
 
 

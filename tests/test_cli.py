@@ -304,13 +304,14 @@ class TestMain:
         assert "eigenvalues" not in doc
 
 
-linux_only = pytest.mark.skipif(sys.platform != "linux", reason="outputs are replaced on Linux")
+OUTPUTS = pytest.mark.parametrize(
+    "option, header", [("--out-json", "{"), ("--out-trace", "block_id,iteration,")]
+)
 
 
 class TestOutputFiles:
-    """On Linux an output over an existing regular file of the caller's is
-    written as a new file of the same mode; every other path is truncated or
-    written through as ``open(path, "w")`` does."""
+    """An output over an existing file rewrites that file in place and cuts
+    it to the new length; a missing one is created."""
 
     @staticmethod
     def _solve(tmp_path, option, path):
@@ -326,48 +327,45 @@ class TestOutputFiles:
         os.link(out, link)
         return out, link
 
-    @linux_only
-    @pytest.mark.parametrize(
-        "option, header", [("--out-json", "{"), ("--out-trace", "block_id,iteration,")]
-    )
-    def test_rerun_leaves_hard_links_the_old_file(self, tmp_path, capsys, option, header):
-        # A truncating rewrite would show through the link.  Inode numbers
-        # cannot tell: ext4 hands a freed one straight back.
-        out, link = self._linked(tmp_path)
-        assert self._solve(tmp_path, option, out) == EXIT_OK
-        assert link.read_text() == "old output\n"
-        assert out.read_text().startswith(header)
-
-    @linux_only
-    def test_new_file_keeps_the_mode(self, tmp_path, capsys):
-        # 0o606 is not what the umask would give a new file
+    @OUTPUTS
+    def test_rerun_rewrites_the_same_file(self, tmp_path, capsys, option, header):
+        # 0o606 is not what the umask would give a new file; nothing is
+        # unlinked, so the inode number can tell
         out, link = self._linked(tmp_path, 0o606)
-        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
-        assert link.read_text() == "old output\n"
-        assert stat.S_IMODE(out.stat().st_mode) == 0o606
-        assert (out.stat().st_uid, out.stat().st_gid) == (link.stat().st_uid, link.stat().st_gid)
+        before = out.stat()
+        assert self._solve(tmp_path, option, out) == EXIT_OK
+        assert link.read_text().startswith(header)
+        assert link.read_text() == out.read_text()
+        after = out.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o606
 
-    @linux_only
-    def test_new_file_keeps_the_group_in_a_set_group_id_directory(self, tmp_path, capsys):
-        # such a directory gives a new file its own group, not the caller's
-        other = next((g for g in os.getgroups() if g != os.getegid()), os.getegid() + 1)
-        (tmp_path / "d").mkdir()
-        try:
-            os.chown(tmp_path / "d", -1, other)
-        except PermissionError:
-            pytest.skip("needs a second group")
-        (tmp_path / "d").chmod(0o2775)
-        out, link = self._linked(tmp_path / "d")
-        os.chown(out, -1, os.getegid())
-        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
-        assert link.read_text() == "old output\n"
-        assert out.stat().st_gid == os.getegid()
-
-    def test_longer_stale_file_is_fully_replaced(self, tmp_path, capsys):
-        out = tmp_path / "out.json"
+    @OUTPUTS
+    def test_longer_stale_file_is_fully_replaced(self, tmp_path, capsys, option, header):
+        out = tmp_path / "out"
         out.write_text("x" * 10240)
-        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
-        assert json.loads(out.read_text())["seed"] == 5
+        assert self._solve(tmp_path, option, out) == EXIT_OK
+        text = out.read_text()
+        assert text.startswith(header) and "x" not in text
+        if option == "--out-json":
+            assert json.loads(text)["seed"] == 5
+
+    @OUTPUTS
+    def test_rerun_opens_without_truncating(self, tmp_path, capsys, monkeypatch, option, header):
+        out = tmp_path / "out"
+        out.write_text("old output\n")
+        flags, real_open = [], os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            if str(path) == str(out):
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert self._solve(tmp_path, option, out) == EXIT_OK
+        assert len(flags) == 1
+        assert flags[0] & os.O_CREAT
+        assert not flags[0] & (os.O_TRUNC | os.O_EXCL)
 
     def test_read_only_file_gives_what_a_truncating_open_gives(self, tmp_path, capsys):
         out, link = self._linked(tmp_path, 0o444)
@@ -391,6 +389,7 @@ class TestOutputFiles:
         ("listxattr", lambda path: ["system.posix_acl_access"]),  # an ACL
     ], ids=["owner", "group", "access", "xattr"])
     def test_other_files_are_truncated(self, tmp_path, capsys, monkeypatch, attr, value):
+        # whoever owns the file and whatever it carries, it is rewritten in place
         out, link = self._linked(tmp_path)
         monkeypatch.setattr(os, attr, value, raising=False)
         assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
@@ -409,18 +408,10 @@ class TestOutputFiles:
         assert self._solve(tmp_path, "--out-json", "/dev/null") == EXIT_OK
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
-    def test_failed_unlink_falls_back_to_truncating(self, tmp_path, capsys, monkeypatch):
-        out, link = self._linked(tmp_path)
-        refused = []
-
-        def refuse(path, *args, **kwargs):
-            refused.append(str(path))
-            raise PermissionError(13, "Permission denied", str(path))
-
-        monkeypatch.setattr(os, "unlink", refuse)
-        assert self._solve(tmp_path, "--out-json", out) == EXIT_OK
-        assert refused == ([str(out)] if sys.platform == "linux" else [])
-        assert json.loads(link.read_text())["seed"] == 5  # the same file, rewritten
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_exits_2(self, tmp_path, capsys):
+        # every write to /dev/full fails with ENOSPC
+        assert self._solve(tmp_path, "--out-json", "/dev/full") == EXIT_BAD_INPUT
 
 
 def _random_mtx(tmp_path, n, hessenberg, e=0):

@@ -474,7 +474,7 @@ def test_no_module_rounds_at_the_global_precision(path):
     assert global_precision_uses(path.read_text(encoding="utf-8")) == []
 
 
-OUTPUT_WRITER = "_new_file"  # cli.py's writer: it replaces a file rather than truncating it
+OUTPUT_WRITER = "_write"  # cli.py's writer: it overwrites a file rather than truncating it
 
 
 def builtin_open_calls(source):
@@ -506,7 +506,7 @@ def builtin_open_calls(source):
 def test_detects_a_builtin_open():
     src = (
         "import io, os\n"
-        "def _new_file(path):\n"
+        "def _write(path):\n"
         "    return open(path, 'w')\n"
         "class W:\n"
         "    def save(self, path):\n"

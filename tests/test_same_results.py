@@ -25,11 +25,11 @@ def test_repository_matches_itself():
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    # one input per workload (the CLI route adds its JSON), the cyclic shift,
-    # the deep near-normal case, the 80-bit and 32-bit cases and the small
-    # solver's hard blocks
+    # one input per workload (the CLI route adds its JSON), the cyclic shift
+    # through the CLI and through shifted_qr, the deep near-normal case, the
+    # 80-bit and 32-bit cases and the small solver's hard blocks
     assert out.stdout.strip().splitlines()[-1] == (
-        "8 items compared, 0 differences, 0 one-sided fields"
+        "9 items compared, 0 differences, 0 one-sided fields"
     )
 
 
