@@ -11,7 +11,9 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   ``required_bits`` of the library solve the workload makes (``shifted_qr``
   on the QR route, ``hessqr.solve`` with the input's solver seed on the CLI
   route), and on the CLI route also the JSON that ``hessqr solve`` writes,
-  parsed and as raw text;
+  parsed and as raw text, what ``hessqr info`` prints for the same input
+  and seed, and the ``--help`` text of ``hessqr``, ``hessqr solve`` and
+  ``hessqr info``;
 - the same for ``shifted_qr`` on the 32 x 32 cyclic shift at k = 8 (which
   takes the ritz_shift, decouple and exceptional branches) at each seed,
   and the raw text of both files ``hessqr solve --no-preprocess --B 1
@@ -131,6 +133,20 @@ def _cli_texts(argv, outputs):
     return {option: Path(path).read_text(encoding="ascii") for option, path in outputs.items()}
 
 
+def _cli_stdout(argv):
+    """What ``hessqr`` prints to stdout for argv, followed by its exit code
+    when that is not 0 (``--help`` exits through SystemExit)."""
+    import hessqr.cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = hessqr.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue() + (f"exit code {code}" if code else "")
+
+
 def _guarded(fn):
     """fn() as a record, or the error it raised: a library error, or an
     arithmetic one (an overflow a checkout does not catch)."""
@@ -168,6 +184,9 @@ def collect(n_inputs, seeds):
                     texts = _cli_texts(argv, {"--out-json": workdir / f"out{i}.json"})
                     if "--out-json" in texts:
                         texts["document"] = _plain(json.loads(texts["--out-json"]))
+                    texts["info"] = _cli_stdout(["info"] + argv[1:])
+                    for command in ("", "solve ", "info "):
+                        texts[command + "--help"] = _cli_stdout(command.split() + ["--help"])
                     out[name + " cli json"] = texts
         # the cyclic shift below, through the CLI: column j has a 1 in row j + 1 (mod n)
         cyclic = Path(tmp) / "cyclic.mtx"
@@ -236,6 +255,7 @@ def _run_checkout(checkout, n_inputs, seeds, out_path):
     env["PYTHONPATH"] = os.pathsep.join([str(checkout / "src"), str(checkout / "perfbench")])
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    env["COLUMNS"] = "80"  # the width argparse wraps the help text to
     cmd = [sys.executable, str(Path(__file__).resolve()), "--collect", str(out_path)]
     cmd += ["--inputs", str(n_inputs), "--seeds", *map(str, seeds)]
     subprocess.run(cmd, env=env, cwd=checkout, check=True)

@@ -9,16 +9,20 @@ new length: the same file, so its mode, owner and hard links stay.
 `info` prints the same run document without the eigenvalues, as JSON,
 without solving.  Both build it in ``_run_document`` from
 ``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
-k, omega, N_dec and the required bits are derived.  The library checks the
-options for both commands; only --delta > 0 is checked here, because the
-library accepts delta = 0.  All randomness flows from --seed; when absent a
-seed is drawn from the system entropy source and recorded in the outputs.
+k, omega, N_dec and the required bits are derived; its ``globals`` and
+``params`` are the ``GlobalData`` and ``RunParams`` records by field name.
+Each option's dest is the ``SolveConfig`` field it sets (--gamma-gap sets
+Gamma, --no-preprocess clears preprocess).  The library checks the options
+for both commands; only --delta > 0 is checked here, because the library
+accepts delta = 0.  All randomness flows from --seed; when absent a seed is
+drawn from the system entropy source and recorded in the outputs.
 Exit codes: 0 success, 2 bad input or configuration, or a small eigensolve
 that could not certify its accuracy, 3 probabilistic failure that survived
 all retries or an iteration budget that ran out.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,6 +30,7 @@ import re
 import stat
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -63,31 +68,20 @@ def read_matrix_market(path):
 
 def _run_document(config, seed, gd, run_params, required_bits):
     """The run's parameters, as both commands print them: the options, the
-    seed, the global data of ``prepare`` and the plan's run parameters and
-    required bits, all in the caller's units."""
+    seed, the global data of ``prepare`` (its ``GlobalData`` but n0, which is
+    the top-level n, with the paper's gamma) and the plan's ``RunParams`` (but
+    the absolute delta) with its required bits, all in the caller's units."""
+    globals_, params = asdict(gd), asdict(run_params)
+    n = globals_.pop("n0")
+    del params["delta"]
     return {
-        "n": int(gd.n0),
+        "n": int(n),
         "seed": int(seed),
         "delta": config.delta,
         "phi": config.phi,
         "bits": config.bits,
-        "globals": {
-            "B": gd.B,
-            "Gamma": gd.Gamma,
-            "Sigma": gd.Sigma,
-            "k": gd.k,
-            "alpha": gd.alpha,
-            "theta": gd.theta,
-            "gamma": GAMMA,
-        },
-        "params": {
-            "omega": run_params.omega,
-            "log2_omega": run_params.log2_omega,
-            "phi_working": run_params.phi_working,
-            "n_dec": run_params.n_dec,
-            "n_dec_budget": run_params.n_dec_budget,
-            "required_bits": required_bits,
-        },
+        "globals": {**globals_, "gamma": GAMMA},
+        "params": {**params, "required_bits": required_bits},
     }
 
 
@@ -147,7 +141,10 @@ def info(input_path, config):
     return _run_document(config, seed, gd, plan.run_params, plan.required_bits)
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once: ``parse_args`` keeps no state between calls.
+    Each option's dest is the ``SolveConfig`` field it sets."""
     parser = argparse.ArgumentParser(
         prog="hessqr",
         description="Randomized shifted QR eigensolver for complex matrices",
@@ -172,9 +169,9 @@ def _build_parser():
                             "at that precision")
         p.add_argument("--B", type=float, default=None,
                        help="eigenvector condition bound override")
-        p.add_argument("--gamma-gap", type=float, default=None, dest="gamma_gap",
-                       help="minimum eigenvalue gap bound override (Gamma)")
-        p.add_argument("--no-preprocess", action="store_true",
+        p.add_argument("--gamma-gap", type=float, default=None, dest="Gamma",
+                       metavar="GAMMA_GAP", help="minimum eigenvalue gap bound override (Gamma)")
+        p.add_argument("--no-preprocess", action="store_false", dest="preprocess",
                        help="input is already Hessenberg; skip perturb+reduce")
         if name == "solve":
             p.add_argument("--out-json", default=None,
@@ -190,20 +187,11 @@ def _config_from_args(args):
     library checks the other values."""
     if not 0 < args.delta < math.inf:
         raise ParseError(f"--delta must be finite and > 0, got {args.delta}")
-    return SolveConfig(
-        delta=args.delta,
-        phi=args.phi,
-        seed=args.seed,
-        bits=args.bits,
-        B=args.B,
-        Gamma=args.gamma_gap,
-        preprocess=not args.no_preprocess,
-    )
+    return SolveConfig(**{f.name: getattr(args, f.name) for f in fields(SolveConfig)})
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         if args.command == "info":

@@ -83,7 +83,7 @@ def deflate(h, omega, k):
             a[i + 1, i] = 0
     return [
         HessenbergMatrix(a[start:stop, start:stop].copy(), validate=False)
-        for start, stop in split_blocks(a, n)
+        for start, stop in split_blocks(a)
     ]
 
 

@@ -117,11 +117,12 @@ class HessenbergMatrix:
         return HessenbergMatrix(to_mp(self.a, mp_context(prec)), validate=False)
 
 
-def split_blocks(a, n):
+def split_blocks(a):
     """Index ranges of the diagonal blocks of a between exactly-zero subdiagonals.
 
     Works on any square array (complex128, clongdouble or mpmath objects);
-    the ranges come back top to bottom and cover 0..n."""
+    the ranges come back top to bottom and cover 0..len(a)."""
+    n = len(a)
     spans = []
     start = 0
     for i in range(n - 1):

@@ -134,13 +134,11 @@ def _hessenberg(H):
 
 def hyman_residual(m, lam):
     """|det(M - lam)| evaluated through the Hessenberg/Hyman route (mpmath)."""
-    a = _as_array(m)
-    n = a.shape[0]
     ctx = mp_context(ORACLE_PREC)
-    H = _hessenberg(to_mp(a, ctx))
+    H = _hessenberg(to_mp(_as_array(m), ctx))
     lam = np.array([ctx.mpc(lam)], dtype=object)
     det = ctx.mpf(1)
-    for start, stop in split_blocks(H, n):
+    for start, stop in split_blocks(H):
         d = stop - start
         blk = H[start:stop, start:stop]
         if d == 1:
@@ -165,7 +163,7 @@ def _certified_eigs(a, radius):
     H = _hessenberg(a)
     peak = float(np.abs(H.astype(np.complex128)).max())
     e = math.frexp(peak)[1]
-    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H, len(H)), radius * ldexp(peak, -e))
+    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H), radius * ldexp(peak, -e))
     if left:
         return None
     vals = ldexp(np.array(vals, dtype=H.dtype), e)

@@ -359,7 +359,7 @@ class CharPolySolver:
         scale = _scale(h)
         # Representation floor: a binary64 result cannot certify below ~ulp.
         beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
-        vals, spans = [], split_blocks(a, n)
+        vals, spans = [], split_blocks(a)
         if _LONG_DOUBLE_TIER and not extended:
             beta_cert = np.longdouble(beta_eff) / 2
             vals, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_cert)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +17,8 @@ from hessqr.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_PROBABILISTIC,
+    _build_parser,
+    _config_from_args,
     main,
     read_matrix_market,
     run,
@@ -304,6 +308,78 @@ class TestMain:
         assert "eigenvalues" not in doc
 
 
+def _config(argv):
+    return _config_from_args(_build_parser().parse_args(argv))
+
+
+# Each option with a value, and the SolveConfig field it sets to that value.
+OPTION_FIELDS = [
+    (["--delta", "1e-9"], "delta", 1e-9),
+    (["--phi", "0.05"], "phi", 0.05),
+    (["--seed", "7"], "seed", 7),
+    (["--bits", "80"], "bits", 80),
+    (["--B", "2"], "B", 2.0),
+    (["--gamma-gap", "2"], "Gamma", 2.0),
+    (["--no-preprocess"], "preprocess", False),
+]
+
+
+class TestOptionsAreSolveConfig:
+    """The options fill ``SolveConfig`` by field name: no option gives the
+    library's defaults, and each option sets exactly its own field."""
+
+    @pytest.mark.parametrize("command", ["solve", "info"])
+    def test_no_options_is_the_default_config(self, command):
+        assert _config([command, "m.mtx"]) == SolveConfig()
+
+    @pytest.mark.parametrize("command", ["solve", "info"])
+    @pytest.mark.parametrize(
+        "option, field, value", OPTION_FIELDS, ids=[option[0] for option, *_ in OPTION_FIELDS]
+    )
+    def test_each_option_sets_its_field(self, command, option, field, value):
+        expected = dataclasses.replace(SolveConfig(), **{field: value})
+        assert _config([command, "m.mtx"] + option) == expected
+
+    def test_every_field_has_an_option(self):
+        fields = {f.name for f in dataclasses.fields(SolveConfig)}
+        assert {field for _, field, _ in OPTION_FIELDS} == fields
+
+
+class TestCachedParser:
+    """``main`` parses with one parser per process, so that parser must carry
+    nothing from one call to the next."""
+
+    def test_two_calls_write_what_fresh_runs_write(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        runs = [
+            [_random_mtx(tmp_path, 6, True), "--seed", "3", "--no-preprocess",
+             "--B", "1", "--gamma-gap", "1e-4"],
+            [_random_mtx(tmp_path, 5, False, e=1), "--seed", "4"],
+        ]
+        for i, args in enumerate(runs):
+            here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+            built.clear()
+            assert main(["solve"] + args + ["--out-json", str(here)]) == EXIT_OK
+            proc = subprocess.run(
+                [sys.executable, "-m", "hessqr.cli", "solve"] + args + ["--out-json", str(fresh)],
+                env={**os.environ, "PYTHONPATH": pythonpath},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert here.read_bytes() == fresh.read_bytes()
+        assert built == []  # the second call reused the first call's parser
+
+
 OUTPUTS = pytest.mark.parametrize(
     "option, header", [("--out-json", "{"), ("--out-trace", "block_id,iteration,")]
 )
@@ -443,6 +519,13 @@ def _hessenberg_options(gamma_gap):
     return ["--seed", "21", "--no-preprocess", "--B", "1", "--gamma-gap", repr(gamma_gap)]
 
 
+# The keys of the run document, pinned: globals and params are GlobalData and
+# RunParams by field name, so a field added to either shows up here.
+DOCUMENT_KEYS = {"n", "seed", "delta", "phi", "bits", "globals", "params"}
+GLOBALS_KEYS = {"B", "Gamma", "Sigma", "k", "alpha", "theta", "gamma"}
+PARAMS_KEYS = {"omega", "log2_omega", "phi_working", "n_dec", "n_dec_budget", "required_bits"}
+
+
 class TestInfoMatchesSolve:
     """`info` prints the document that `solve` with the same options writes,
     without the eigenvalues (``_solve_checking_info``, which the tests of
@@ -463,7 +546,11 @@ class TestInfoMatchesSolve:
     )
     def test_info_is_solve_without_eigenvalues(self, tmp_path, capsys, options, hessenberg):
         path = _random_mtx(tmp_path, 6, hessenberg)
-        assert _solve_checking_info(tmp_path, capsys, path, options)["seed"] == 21
+        doc = _solve_checking_info(tmp_path, capsys, path, options)
+        assert doc["seed"] == 21
+        assert set(doc) == DOCUMENT_KEYS | {"eigenvalues"}  # the run-time key info leaves out
+        assert set(doc["globals"]) == GLOBALS_KEYS
+        assert set(doc["params"]) == PARAMS_KEYS
 
     def test_log2_omega_where_omega_underflows(self, tmp_path, capsys):
         # at 2^-1000 omega = Gamma / (8 n^2 B^2) / (4n) underflows binary64,
