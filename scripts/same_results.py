@@ -31,7 +31,10 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
 - ``CharPolySolver().solve`` on a fixed set of hard blocks, each in binary64
   and as an 80-bit mpmath copy (``_hard_blocks``), which, unlike the
   workloads' blocks, reach the small solver's refinement and its mpmath
-  rungs.
+  rungs;
+- the ``required_bits`` of ``plan_run`` at each point of a fixed grid of
+  (n, k, Sigma, B, Gamma, delta, phi) with the degree k overridden
+  (``_budget_grid``), or the type of the error it raised there.
 
 Floats are compared by their bits (hex).  The exit code is 1 when any value
 both checkouts record differs, an input fails on one side only, or an item
@@ -57,6 +60,7 @@ CYCLIC_N, CYCLIC_K = 32, 8
 DEEP_N = 128
 MP_N, MP_BITS = 10, (80, 32)
 HARD_BITS = 80
+BUDGET_POINTS = 10_000
 
 
 def _companion(first_row):
@@ -83,6 +87,34 @@ def _hard_blocks():
         a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1) / 4
         blocks.append((f"random 8x8 #{i}", a, 1e-30))
     return blocks
+
+
+def _budget_grid():
+    """{point: required_bits or the name of the error raised} of
+    ``plan_run`` over BUDGET_POINTS seeded random points (n, k, Sigma, B,
+    Gamma, delta, phi): n from 1 to 4096, k a power of two from 2 to 2^20
+    (set with ``globals_with_degree``, not derived from B), and every other
+    value log-uniform over many decades.  A ValueError counts as an outcome,
+    so that a math domain error in one checkout shows as a difference."""
+    from hessqr.driver import plan_run
+    from hessqr.errors import HessqrError
+    from hessqr.params import globals_with_degree
+
+    rng = np.random.default_rng(31)
+    out = {}
+    for _ in range(BUDGET_POINTS):
+        n = int(np.exp(rng.uniform(0.0, np.log(4096.0))))
+        k = 2 ** int(rng.integers(1, 21))
+        sigma = float(10.0 ** rng.uniform(-30, 30))
+        B = float(10.0 ** rng.uniform(0, 25))
+        gamma, delta = (sigma * float(10.0 ** rng.uniform(lo, 0)) for lo in (-70, -20))
+        phi = float(10.0 ** rng.uniform(-6, -0.01))
+        try:
+            bits = plan_run(n, delta, phi, globals_with_degree(B, k, gamma, sigma, n)).required_bits
+        except (HessqrError, ArithmeticError, ValueError) as exc:
+            bits = type(exc).__name__
+        out[repr((n, k, sigma, B, gamma, delta, phi))] = bits
+    return out
 
 
 def _plain(x):
@@ -227,6 +259,7 @@ def collect(n_inputs, seeds):
             f"{HARD_BITS} bits": _guarded(lambda: [repr(z) for z in solver.solve(ext, beta)]),
         }
     out["small solver on hard blocks"] = hard
+    out["required_bits over a grid of degree overrides"] = _budget_grid()
     return out
 
 

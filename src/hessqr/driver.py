@@ -342,13 +342,16 @@ def prepare(a, config):
     preprocessing on, ``preprocess`` perturbs and reduces the input (its
     randomness derived from the seed), and delta is the absolute accuracy
     delta_pre = delta*||A||_2/2.  Without it, the input must already be
-    upper Hessenberg, and delta is delta*||H||_F.  Sigma is 2||H||_F, and B
-    and Gamma default to ``params.default_bounds`` at scale delta_pre or
-    delta/2.  ``solve`` runs on exactly this, and ``hessqr info`` prints it."""
+    upper Hessenberg, and delta is delta*||H||_F; at 53 bits an input of
+    mpmath numbers is rounded to binary64 first, as ``preprocess`` rounds
+    every input.  Sigma is 2||H||_F, and B and Gamma default to
+    ``params.default_bounds`` at scale delta_pre or delta/2.  ``solve`` runs
+    on exactly this, and ``hessqr info`` prints it."""
     if not (isinstance(config.bits, (int, np.integer)) and config.bits >= MIN_BITS):
         raise ParameterError(f"bits must be an integer >= {MIN_BITS}, got {config.bits!r}")
     check_phi(config.phi)
-    shape = np.shape(a.a if isinstance(a, HessenbergMatrix) else a)
+    a = a.a if isinstance(a, HessenbergMatrix) else a
+    shape = np.shape(a)
     if 0 in shape:
         raise DimensionError(f"expected a non-empty square matrix, got shape {shape}")
     seed = config.seed
@@ -364,7 +367,9 @@ def prepare(a, config):
         delta = max(scale, tiny)
     else:
         _check_delta(config.delta)
-        h = a if isinstance(a, HessenbergMatrix) else HessenbergMatrix(a)
+        h = HessenbergMatrix(a)
+        if h.is_extended and config.bits == 53:
+            h = HessenbergMatrix(h.a.astype(np.complex128), validate=False)
         norm_h = float(h.frobenius_norm())
         delta = max(config.delta * norm_h, tiny)
         scale = delta / 2.0

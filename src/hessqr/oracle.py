@@ -31,7 +31,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, iqr_multi, split_blocks
 from .kernel import ldexp, mp_context, norm, to_mp
-from .smalleig import _LONG_DOUBLE_TIER, _hyman, _solve_blocks
+from .smalleig import _LONG_DOUBLE_TIER, _solve_blocks
 
 ORACLE_PREC = 120
 IQR_EXACT_PREC = 160
@@ -100,7 +100,7 @@ def resolvent_tau(h, shifts):
 
 
 # ---------------------------------------------------------------------------
-# Hessenberg reduction, Hyman determinant recurrence and reference eigenvalues
+# Hessenberg reduction, determinant residuals and reference eigenvalues
 
 
 def _hessenberg(H):
@@ -132,23 +132,15 @@ def _hessenberg(H):
     return H
 
 
-def hyman_residual(m, lam):
-    """|det(M - lam)| evaluated through the Hessenberg/Hyman route (mpmath)."""
+def det_residual(m, lam):
+    """|det(M - lam)| as the LU determinant of the dense M - lam I (mpmath),
+    a route that shares no routine with ``ref_eigs``.  0 where mpmath's LU
+    finds M - lam numerically singular (a pivot at or below ||M - lam||_1
+    times the unit roundoff)."""
+    a = _as_array(m)
     ctx = mp_context(ORACLE_PREC)
-    H = _hessenberg(to_mp(_as_array(m), ctx))
-    lam = np.array([ctx.mpc(lam)], dtype=object)
-    det = ctx.mpf(1)
-    for start, stop in split_blocks(H):
-        d = stop - start
-        blk = H[start:stop, start:stop]
-        if d == 1:
-            det *= abs(blk[0, 0] - lam[0])
-            continue
-        kap, _, _ = _hyman(blk, lam)
-        det *= abs(kap[0])
-        for i in range(1, d):
-            det *= abs(blk[i, i - 1])
-    return det
+    mt = ctx.matrix(a.tolist()) - ctx.mpc(lam) * ctx.eye(a.shape[0])
+    return ctx.mpf(abs(ctx.det(mt)))
 
 
 def _certified_eigs(a, radius):

@@ -12,9 +12,9 @@ The formulas run in binary64 and some square magnitudes (omega^2 in
 ``regularization_scales``), so a run evaluates them once, with Sigma scaled
 into [1/2, 1) (``driver.plan_run``, for ``solve`` and ``hessqr info``
 alike), where only extreme ratios to Sigma under- or overflow.  Powers of B
-are taken in log2 (no B^4 is formed), the precision budget works with log2
-of its small distances, and a value that leaves binary64 range raises
-ParameterError.
+are taken in log2 (no B^4 is formed), every product in the precision budget
+(``budget_terms``) is taken in log2, and a value that leaves binary64 range
+raises ParameterError.
 """
 
 import math
@@ -207,90 +207,67 @@ def exc_epsilon(k, alpha, theta, B):
 # precision budget (everything in log2(u); bits = ceil(-log2 u))
 
 
-def _nu_iqr_log2(n):
-    return math.log2(32.0) + 1.5 * math.log2(n)
+def budget_terms(n, gd, rp):
+    """The terms of the worst-case precision budget, each a log2(u), by name.
 
-
-def _log2_u_psi(k):
-    t = 1.0 - 0.999 ** (1.0 / k)
-    return math.log2(t) - math.log2(k * (4.0 + t))
-
-
-def _log2_u_optimal(n, k, C, Sigma, theta, psi_lower):
-    return (
-        -math.log2(2.0e3 * n**2)
-        + k * (math.log2(psi_lower) - math.log2(theta * (2.0 + 2.0 * C) * Sigma))
+    The driver loop's term; the dichotomy subroutine's, for ``optimal`` and
+    for the decoupling IQR sweep; and the shifting strategy's (C = 3), for
+    the tau products of ``comp_tau``, the potential-reduction factor, the
+    exceptional-shift target and the potential approximation at the
+    exceptional and at the regularized distance.  The potential is
+    lower-bounded by the working accuracy omega.  gd and rp are the run's
+    own, in the units of H / 2^e, as ``driver.plan_run`` derives them.
+    Every product of small factors is taken as the sum of their log2s
+    (for large B, omega^2 underflows, and so can 0.1 times ``exc_epsilon``).
+    """
+    k, Sigma, B, alpha, theta = gd.k, gd.Sigma, gd.B, gd.alpha, gd.theta
+    l_omega, n_dec, phi_working = rp.log2_omega, rp.n_dec, rp.phi_working
+    l_sigma = math.log2(Sigma)
+    nu = 5.0 + 1.5 * math.log2(n)  # log2 of the IQR sweep's error factor 32 n^(3/2)
+    C = 3.0
+    # the exclusion radius eta1 = eta2 / sqrt(2k / phi_w) of the regularized
+    # shifts (eta2 of ``regularization_scales``)
+    l_eta1 = (
+        2.0 * l_omega - math.log2(16.0 * 101.0 * Sigma) - 1.0
+        - 0.5 * math.log2(2.0 * k / phi_working)
     )
+    eps = exc_epsilon(k, alpha, theta, B)
+    l_exc = math.log2(eps) + math.log2(1.998 * theta * alpha)
+    l_dist_exc = l_exc + math.log2(B) / k + l_omega + 0.5 * math.log2(phi_working / (3.0 * n))
+    t = -math.expm1(math.log(0.999) / k)  # 1 - 0.999^(1/k)
 
+    def potential_apx(l_dist):
+        return (
+            math.log2(0.001) + l_omega + k * l_dist
+            - (math.log2(32.0 * B) + 0.5 * math.log2(n) + nu)
+            - (k + 1.0) * l_sigma - k * math.log2(2.0 + 2.0 * C)
+        )
 
-def _log2_u_iqr(n, k, Sigma, B, log2_dist):
-    return (
-        -(math.log2(8.0 * B) + _nu_iqr_log2(n))
-        + k * (log2_dist - math.log2(Sigma))
-    )
-
-
-def _log2_u_comptau(n, m, C, Sigma, B, log2_dist):
-    return (
-        -(math.log2(6.0e3 * B) + _nu_iqr_log2(n))
-        + 2.0 * m * (log2_dist - math.log2((2.0 + 2.0 * C) * Sigma))
-    )
-
-
-def _log2_u_potential_apx(n, k, C, Sigma, B, log2_dist, omega):
-    return (
-        math.log2(0.001) + math.log2(omega)
-        + k * log2_dist
-        - (math.log2(32.0 * B) + 0.5 * math.log2(n) + _nu_iqr_log2(n))
-        - (k + 1.0) * math.log2(Sigma)
-        - k * math.log2(2.0 + 2.0 * C)
-    )
+    return {
+        "driver": l_omega - math.log2(4.5 * k * max(n_dec, 1.0) * n * Sigma) - nu,
+        "optimal": (
+            -math.log2(2.0e3 * n**2)
+            + k * (l_omega - math.log2(theta * (2.0 + 2.0 * 1.1) * Sigma))
+        ),
+        "decouple": (
+            l_omega - math.log2(8.0 * math.sqrt(n) * Sigma)
+            + (-(math.log2(8.0 * B) + nu) + k * (l_eta1 - l_sigma))
+        ),
+        "comp_tau": (
+            -(math.log2(6.0e3 * B) + nu)
+            + 2.0 * max(k // 2, 1) * (l_eta1 - math.log2((2.0 + 2.0 * C) * Sigma))
+        ),
+        "potential": math.log2(t) - math.log2(k * (4.0 + t)),
+        "exceptional": (
+            math.log2(0.1) + l_exc + math.log2(B) + l_omega
+            - math.log2(4.0 * (eps + 2.0 * (1.0 + eps) * C * Sigma))
+        ),
+        "potential_apx_exceptional": potential_apx(l_dist_exc),
+        "potential_apx_regularized": potential_apx(l_eta1),
+    }
 
 
 def required_precision(n, gd, rp):
-    """Mantissa bits demanded by the worst-case analysis, ceil(log2(1/u)).
-
-    Unpacks the explicit minimum over the driver term, the dichotomy
-    subroutine, and the shifting strategy, with the potential lower-bounded by
-    the working accuracy.  gd and rp are the run's own, in the units of
-    H / 2^e, as ``driver.plan_run`` derives them.
-    """
-    k, Sigma, B, alpha, theta = gd.k, gd.Sigma, gd.B, gd.alpha, gd.theta
-    omega, n_dec, phi_working = rp.omega, rp.n_dec, rp.phi_working
-    # the exclusion radius eta1 = eta2 / sqrt(2k / phi_w) of the regularized
-    # shifts (eta2 of ``regularization_scales``), in log2: omega^2 underflows
-    # for large B
-    log2_eta1 = (
-        2.0 * math.log2(omega) - math.log2(16.0 * 101.0 * Sigma) - 1.0
-        - 0.5 * math.log2(2.0 * k / phi_working)
-    )
-
-    # driver term
-    logs = [
-        math.log2(omega)
-        - math.log2(4.5 * k * max(n_dec, 1.0) * n * Sigma)
-        - _nu_iqr_log2(n)
-    ]
-    # dichotomy subroutine
-    logs.append(_log2_u_optimal(n, k, 1.1, Sigma, theta, omega))
-    logs.append(
-        math.log2(omega) - math.log2(8.0 * math.sqrt(n) * Sigma)
-        + _log2_u_iqr(n, k, Sigma, B, log2_eta1)
-    )
-    # shifting strategy (C = 3; regularized-shift distance eta1)
-    C = 3.0
-    logs.append(_log2_u_comptau(n, max(k // 2, 1), C, Sigma, B, log2_eta1))
-    eps = exc_epsilon(k, alpha, theta, B)
-    logs.append(_log2_u_psi(k))
-    logs.append(
-        math.log2(0.1 * eps * 1.998 * theta * alpha * B) + math.log2(omega)
-        - math.log2(4.0 * (eps + 2.0 * (1.0 + eps) * C * Sigma))
-    )
-    log2_dist_exc = (
-        math.log2(eps * 1.998 * theta * alpha * B ** (1.0 / k)) + math.log2(omega)
-        + 0.5 * math.log2(phi_working / (3.0 * n))
-    )
-    logs.append(_log2_u_potential_apx(n, k, C, Sigma, B, log2_dist_exc, omega))
-    logs.append(_log2_u_potential_apx(n, k, C, Sigma, B, log2_eta1, omega))
-
-    return math.ceil(-min(logs))
+    """Mantissa bits demanded by the worst-case analysis, ceil(log2(1/u)):
+    the least of the ``budget_terms``."""
+    return math.ceil(-min(budget_terms(n, gd, rp).values()))

@@ -1,6 +1,7 @@
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,14 +412,23 @@ class TestSolveEntryPoint:
         original = iqr.iqr_single
 
         def spy(h, s):
-            precisions.append((h.a[0, 0].context.prec, h.is_extended))
+            precisions.append(h.a[0, 0].context.prec if h.is_extended else 53)
             return original(h, s)
 
         monkeypatch.setattr(iqr, "iqr_single", spy)
         rng = np.random.default_rng(81)
         a = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
-        solve(a, SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, delta=1e-6, bits=80))
-        assert precisions and set(precisions) == {(80, True)}
+        config = SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, delta=1e-6)
+        solve(a, replace(config, bits=80))
+        assert precisions and set(precisions) == {80}
+        # at 53 bits an 80-bit input runs as its binary64 rounding
+        ext = HessenbergMatrix(HessenbergMatrix(a).to_extended(80).a / 3, validate=False)
+        precisions.clear()
+        res = solve(ext, config)
+        assert precisions and set(precisions) == {53}
+        ref = solve(ext.a.astype(np.complex128), config)
+        assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert (res.run_params, res.globals_used) == (ref.run_params, ref.globals_used)
 
     def test_zero_matrix_without_preprocessing_raises_without_a_warning(self):
         # delta ||H||_F is 0 and falls back to the smallest normal number, so
@@ -481,10 +491,17 @@ class TestSolveEntryPoint:
     @pytest.mark.parametrize("preprocess", [True, False])
     def test_empty_matrix_is_a_dimension_error(self, preprocess):
         config = SolveConfig(seed=1, preprocess=preprocess)
-        inputs = [np.zeros((0, 0))] + ([] if preprocess else [HessenbergMatrix(np.zeros((0, 0)))])
-        for a in inputs:
+        for a in (np.zeros((0, 0)), HessenbergMatrix(np.zeros((0, 0)))):
             with pytest.raises(DimensionError, match=r"non-empty square matrix, got shape \(0, 0\)"):
                 solve(a, config)
+
+    def test_hessenberg_input_with_preprocessing(self):
+        rng = np.random.default_rng(83)
+        a = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
+        res = solve(HessenbergMatrix(a), SolveConfig(seed=1))
+        ref = solve(a, SolveConfig(seed=1))
+        assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert (res.run_params, res.globals_used) == (ref.run_params, ref.globals_used)
 
     def test_full_pipeline_with_preprocess(self):
         rng = np.random.default_rng(82)

@@ -11,7 +11,7 @@ from hessqr.kernel import mp_context
 from hessqr.oracle import (
     condition_report,
     dense_en_p_norm,
-    hyman_residual,
+    det_residual,
     matched_distance,
     promising_check,
     ref_eigs,
@@ -88,7 +88,7 @@ class TestRefEigs:
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             norm = np.linalg.norm(a, 2)
             for lam in ref_eigs(a, mp_out=True):
-                assert float(hyman_residual(a, lam)) <= 1e-20 * norm**n
+                assert float(det_residual(a, lam)) <= 1e-20 * norm**n
 
     def test_desk_scale_limit(self):
         with pytest.raises(DimensionError):

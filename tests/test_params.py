@@ -2,12 +2,14 @@ import math
 
 import pytest
 
+from hessqr.driver import plan_run
 from hessqr.errors import DomainError, ParameterError
 from hessqr.params import (
     GAMMA,
     REDUCTION_FACTOR,
     XI,
     GlobalData,
+    budget_terms,
     derive_constants,
     derive_degree,
     derive_globals,
@@ -218,3 +220,55 @@ class TestRequiredPrecision:
         # the budget as it was when it rebuilt gd and rp from these seven
         # scalars itself; taking the run's own gd and rp changes no bit
         assert _bits(n, k, Sigma, B, Gamma, delta, phi) == bits
+
+
+class TestBudgetTerms:
+    # "potential" takes 1 - 0.999^(1/k) as -expm1(log(0.999) / k), without
+    # cancellation; 1 - 0.999**(1/k) is 3e-13 above it at k = 4 and 2e-12
+    # below it at k = 64
+    @pytest.mark.parametrize(
+        "n, k, Sigma, B, Gamma, delta, phi, terms",
+        [
+            (10, 4, 1.0, 2.0, 1e-2, 1e-3, 0.05, {
+                "driver": "-0x1.7a59d0dc0e8a4p+5",
+                "optimal": "-0x1.eb8f6e4887b85p+6",
+                "decouple": "-0x1.4148ada072886p+8",
+                "comp_tau": "-0x1.3a906507b6812p+8",
+                "potential": "-0x1.fee4029340473p+3",
+                "exceptional": "-0x1.2b2783a330999p+5",
+                "potential_apx_exceptional": "-0x1.ceff48a6f0436p+7",
+                "potential_apx_regularized": "-0x1.563feb440025bp+8",
+            }),
+            (100, 64, 0.75, 1e6, 1e-6, 1e-8, 0.01, {
+                "driver": "-0x1.e88be65206e57p+6",
+                "optimal": "-0x1.5d9f65b5d4cc3p+12",
+                "decouple": "-0x1.9123ea97f0269p+13",
+                "comp_tau": "-0x1.949b41cd1fb28p+13",
+                "potential": "-0x1.7f70f74172dacp+4",
+                "exceptional": "-0x1.469a1f049b50bp+6",
+                "potential_apx_exceptional": "-0x1.d5a1801a203e9p+12",
+                "potential_apx_regularized": "-0x1.976ba4850c938p+13",
+            }),
+        ],
+    )
+    def test_pinned_terms(self, n, k, Sigma, B, Gamma, delta, phi, terms):
+        gd = globals_with_degree(B, k, Gamma, Sigma, n)
+        rp = derive_run_params(n, delta, phi, gd)
+        got = budget_terms(n, gd, rp)
+        assert {name: v.hex() for name, v in got.items()} == terms
+        assert required_precision(n, gd, rp) == math.ceil(-min(got.values()))
+
+    @pytest.mark.parametrize(
+        "n, B, k, Gamma, Sigma, delta, phi",
+        [
+            # exc_epsilon is 5e-324: 0.1 eps underflows to 0
+            (16, 1.2174267848881478e20, 2, 3.743742441079876e-67, 0.7621661404769815,
+             1.042234886775248e-16, 0.011431856332465356),
+            # 0.999**(1/k) rounds to 1
+            (10, 2.0, 2**50, 1e-2, 1.0, 1e-3, 0.05),
+        ],
+    )
+    def test_degree_overrides_plan_without_domain_errors(self, n, B, k, Gamma, Sigma, delta, phi):
+        plan = plan_run(n, delta, phi, globals_with_degree(B, k, Gamma, Sigma, n))
+        assert all(math.isfinite(v) for v in budget_terms(n, plan.gd, plan.params).values())
+        assert isinstance(plan.required_bits, int) and plan.required_bits > 53

@@ -27,9 +27,10 @@ def test_repository_matches_itself():
     assert out.returncode == 0, out.stdout + out.stderr
     # one input per workload (the CLI route adds its JSON), the cyclic shift
     # through the CLI and through shifted_qr, the deep near-normal case, the
-    # 80-bit and 32-bit cases and the small solver's hard blocks
+    # 80-bit and 32-bit cases, the small solver's hard blocks and the
+    # required bits over a grid of degree overrides
     assert out.stdout.strip().splitlines()[-1] == (
-        "9 items compared, 0 differences, 0 one-sided fields"
+        "10 items compared, 0 differences, 0 one-sided fields"
     )
 
 
