@@ -22,6 +22,10 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
 - the same for ``shifted_qr`` at k = 4 on one 128 x 128 near-normal input
   per seed, made by perfbench's recipe, whose deflation tree goes about 120
   levels deep (each block's random stream is derived from its path);
+- the same for ``hessqr.solve`` with default options, solver seed 1, on
+  that input: the direct route hands the small solver one 128 x 128 block,
+  above the n = 75 from which zgeev's eigenvalues with eigenvectors and
+  without them may differ in the last bits;
 - the same for ``shifted_qr`` at k = 4 on the extended-precision route: the
   Hessenberg form of one 10 x 10 near-normal input per seed, in mpmath
   numbers at 80 bits, so that a change to the binary64 step shows that this
@@ -250,6 +254,9 @@ def collect(n_inputs, seeds):
                 return _solve_record(hessqr.shifted_qr(h, workloads.QR_DELTA, workloads.QR_PHI, gd, seed=seed))
 
             out[name] = _guarded(lambda: solve(h if bits == 53 else h.to_extended(bits)))
+            if bits == 53:
+                name = f"near-normal n={n} default solve seed {seed}"
+                out[name] = _guarded(lambda: _solve_record(hessqr.solve(a, hessqr.SolveConfig(seed=1))))
     solver = hessqr.CharPolySolver()
     hard = {}
     for name, a, beta in _hard_blocks():

@@ -18,6 +18,7 @@ raises ParameterError.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
@@ -155,7 +156,9 @@ def check_phi(phi):
 
 def derive_run_params(n, delta, phi, gd):
     """The RunParams of an n x n run; ParameterError where omega, or on the QR
-    route (n > k) beta of ``regularization_scales``, underflows binary64."""
+    route (n > k) beta of ``regularization_scales``, underflows binary64, and
+    where phi is so small that phi_working = phi / (3 n^2 N_dec) falls below
+    the normal range or the budget's 2k / phi_working overflows."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not (0 < delta <= gd.Sigma):
@@ -177,6 +180,11 @@ def derive_run_params(n, delta, phi, gd):
     if n_dec <= 0:
         raise ParameterError(f"degenerate iteration budget N_dec={n_dec!r}")
     phi_working = (phi / (3.0 * n**2)) / n_dec
+    if not (phi_working >= sys.float_info.min and 2.0 * gd.k / phi_working < math.inf):
+        raise ParameterError(
+            f"failure tolerance phi={phi!r} is too small: phi / (3 n^2 N_dec) = {phi_working!r}"
+            f" leaves the normal binary64 range at n={n}, k={gd.k}"
+        )
     return RunParams(delta=float(delta), omega=omega,
                      log2_omega=math.log2(omega),
                      phi_working=phi_working, n_dec=n_dec,

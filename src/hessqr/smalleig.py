@@ -3,43 +3,65 @@
 Takes upper Hessenberg input only, checked by ``iqr.HessenbergMatrix``
 (exact zeros below the subdiagonal, finite entries, a Frobenius norm inside
 binary64); the driver passes the k x k bottom-right corner and deflated
-blocks of dimension at most k, both Hessenberg.  The characteristic
-polynomial of each unreduced diagonal block (``iqr.split_blocks``) is
-evaluated through the Hyman determinant recurrence, together with a running
-bound on its rounding error.  The blocks climb one ladder of arithmetics;
-each rung solves only the blocks the rungs before it left uncertified, so a
-certified block is never solved again:
+blocks of dimension at most k, both Hessenberg.  Each unreduced diagonal
+block (``iqr.split_blocks``) climbs one ladder of certificates; each rung
+solves only the blocks the rungs before it left uncertified, so a certified
+block is never solved again:
 
-1. clongdouble, for binary64 input where clongdouble has a 64-bit
+1. the enclosure, for binary64 input where clongdouble has a 64-bit
    significand (x87 extended): LAPACK's eigenvalues of the block, complex128
-   (``zgeev`` without eigenvectors, through ``scipy.linalg.lapack``, the
-   LAPACK the QR sweeps call), go to the certificate below at beta_eff / 2
-   as they are, in one pass of the recurrence, and are returned unchanged
-   when they pass.  Only when they fail does Ehrlich-Aberth refine them, on
-   all roots at once, and its roots must pass the same certificate.
-2. mpmath, from a precision derived from ||m||_F / beta_eff (at least 120
-   bits), doubling up to 960 bits, each rung in its own context, into which
-   it takes its input exactly: Ehrlich-Aberth from the LAPACK seeds, always
-   (a binary64 seed is far from a root at these precisions), and, where its
-   roots fail the certificate (clusters, defective blocks, seeds far from
-   the roots), Ehrlich-Aberth again from a circle enclosing the spectrum,
-   under the same certificate.  An m-fold root is found to about 2^-(p/m)
-   at p bits.
+   (``zgeev`` with right eigenvectors, through ``scipy.linalg.lapack``, the
+   LAPACK the QR sweeps call), are the centres of Gerschgorin disks of
+   X^-1 m X, from its eigenvectors X and the residual m X - X diag(lam)
+   (``_enclosed_roots``), and are returned as they are when every disk
+   bounds its eigenvalue within beta_eff / 2.  Below n = 75, where zgeev
+   runs zlahqr, they are bit for bit the eigenvalues ``np.linalg.eigvals``
+   returns, and those of the next rung.  Where clongdouble is not wider
+   than binary64, the ladder starts at rung 3, as it did before this rung:
+   a corner at the binary64 floor of beta needs the wider residual.
+2. the characteristic polynomial in clongdouble, on the same guard: it is
+   evaluated through the Hyman determinant recurrence with a running bound
+   on its rounding error; LAPACK's eigenvalues (``zgeev`` without
+   eigenvectors) go to the root certificate below as they are, in one pass
+   of the recurrence, and are returned unchanged when they pass.  Only when
+   they fail does Ehrlich-Aberth refine them, on all roots at once, and its
+   roots must pass the same certificate.
+3. the characteristic polynomial in mpmath, from a precision derived from
+   ||m||_F / beta_eff (at least 120 bits), doubling up to 960 bits, each
+   rung in its own context, into which it takes its input exactly:
+   Ehrlich-Aberth from the LAPACK seeds, always (a binary64 seed is far
+   from a root at these precisions), and, where its roots fail the
+   certificate (clusters, defective blocks, seeds far from the roots),
+   Ehrlich-Aberth again from a circle enclosing the spectrum, under the
+   same certificate.  An m-fold root is found to about 2^-(p/m) at p bits.
 
 A block still uncertified at 960 bits raises SmallEigFailure.
 Deterministic: no randomness anywhere, output sorted by (re, im).
 
-The certificate (``_certify_block``) is Gerschgorin's theorem on the
+The enclosure certifies a block well conditioned as an eigenproblem whatever
+its characteristic polynomial: a default-option direct solve at n = 256
+certifies there in binary64, where the polynomial needed 120-bit mpmath.
+It leaves clusters, defective blocks and, at the binary64 floor of beta,
+most blocks beyond a few rows to the rungs after it.  Its bounds take the
+standard model of floating point arithmetic with gradual underflow, for a
+matrix product formed in any order, with or without fused multiply-adds:
+each entry within _slack(2n, u) times the same product of moduli.  The
+residual is formed in binary64 where that term is a small part of
+beta_eff / 2, and in clongdouble where it is not (every corner certified at
+the floor).
+
+The root certificate (``_certify_block``) is Gerschgorin's theorem on the
 Weierstrass matrix of the approximations: it bounds the distance from each
 approximation to the root matched to it, one to one, by its own inclusion
 radius, or for a cluster by the width of the cluster's component of disks,
-from the running error bound of kappa (see ``_hyman``).  A block's roots are
-accepted when every such bound is within beta, which certifies the whole
-output multiset for simple and multiple roots alike.  The bounds follow the
-running error analysis of Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., SIAM 2002, section 5.1, with the standard model of
-floating point arithmetic and gradual underflow; overflow gives inf or NaN,
-which fails the checks.  The certificate is about exactly the matrix given.
+from the running error bound of kappa (see ``_hyman``).  Both certificates
+turn their disks into matched bounds in one step (``_matched_bounds``).  A
+block's roots are accepted when every such bound is within beta, which
+certifies the whole output multiset for simple and multiple roots alike.
+The bounds follow the running error analysis of Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 5.1, with the
+standard model and gradual underflow; overflow gives inf or NaN, which
+fails the checks.  The certificate is about exactly the matrix given.
 
 Any object with a compatible ``solve(m, beta)`` may be injected in its place
 (``ritz.SmallEigSolver``); failure surfaces as an exception instead of a
@@ -50,7 +72,9 @@ Ehrlich-Aberth, the one routine that moves roots, and the root
 certificate) are written once and run in the arithmetic of their input,
 clongdouble or mpmath.  ``oracle`` certifies its reference eigenvalues
 through the same per-block routine, ``_solve_blocks``, behind the same
-clongdouble guard.
+clongdouble guard, but never through the enclosure: the tests check the
+solver against the reference, and a reference that went through the
+solver's first certificate could not show a fault in it.
 """
 
 import math
@@ -65,6 +89,8 @@ from .kernel import is_mp_array, mp_context, to_mp
 
 _MIN_PREC = 120
 _MAX_PREC = 960
+_U = np.finfo(np.complex128).epsneg  # unit roundoff of binary64
+_TINY = np.finfo(np.float64).tiny  # its smallest normal number
 _U_LD = np.finfo(np.clongdouble).epsneg  # unit roundoff of clongdouble
 _TINY_LD = np.finfo(np.clongdouble).tiny  # its smallest normal number
 # The clongdouble rung needs clongdouble well above binary64 (x87 extended: 64-bit
@@ -204,10 +230,8 @@ def _certify_block(blk, roots, beta_cert, u):
     1 + 2 (6 d + 20) u for its own rounding and for the three of each
     distance compared.
 
-    Any point of a component lies within r_i + 2 (sum of the other radii of
-    the component) of z_i: the bound returned for root i, r_i when it is
-    isolated.  None unless the z_i are distinct and every bound is within
-    beta_cert (NaN fails).  u is the unit roundoff of blk."""
+    The disks go to ``_matched_bounds``.  None unless the z_i are distinct
+    and every bound is within beta_cert.  u is the unit roundoff of blk."""
     d = blk.shape[0]
     z = np.asarray(roots)
     dist = np.abs(z[:, None] - z[None, :])
@@ -221,7 +245,20 @@ def _certify_block(blk, roots, beta_cert, u):
     w = np.abs(kap) + eps
     for j in range(d - 1):
         w = w * quot[:, j] + tiny
-    r = d * w * (1 + _slack(6 * d, u))
+    return _matched_bounds(dist, d * w * (1 + _slack(6 * d, u)), beta_cert)
+
+
+def _matched_bounds(dist, r, beta_cert):
+    """Matched error bounds from inclusion disks D(z_i, r_i), or None.
+
+    For disks whose union holds the eigenvalues, a connected component of m
+    of them holding exactly m: any point of a component lies within
+    r_i + 2 (sum of the other radii of the component) of z_i, which is the
+    bound returned for z_i, r_i when its disk is isolated.  dist holds the
+    distances |z_i - z_j|; r must already cover the rounding of dist and of
+    the sums formed here.  None unless every bound is within beta_cert (NaN
+    fails)."""
+    d = len(r)
     near = np.asarray(dist <= r[:, None] + r[None, :], dtype=bool)
     if np.count_nonzero(near) == d:  # every disk isolated (a NaN r fails below)
         bound = r
@@ -248,13 +285,13 @@ def _cyclic_index(d):
     return idx, cols
 
 
-@lru_cache(maxsize=64)
-def _zgeev_lwork(n):
-    """zgeev's optimal workspace for eigenvalues alone, the size
+@lru_cache(maxsize=128)
+def _zgeev_lwork(n, vectors=False):
+    """zgeev's optimal workspace, for eigenvalues alone the size
     ``np.linalg.eigvals`` asks for: with the wrapper's minimal default,
     zgehrd and zhseqr take other code paths from n ~ 150 on, and round
     differently."""
-    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
+    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=int(vectors))[0].real)
 
 
 def _lapack_seeds(blk):
@@ -273,6 +310,76 @@ def _lapack_seeds(blk):
         a, compute_vl=0, compute_vr=0, lwork=_zgeev_lwork(a.shape[0]), overwrite_a=1
     )
     return seeds if info == 0 else None
+
+
+def _enclosed_roots(blk, beta_cert):
+    """LAPACK's eigenvalues of the binary64 block blk, as they are, when
+    disks about them from its eigenvectors bound each within beta_cert of
+    the eigenvalue matched to it; else None.
+
+    ``zgeev`` gives the centres lam and the right eigenvectors X, and
+    ``zgetrf`` and ``zgetri`` an approximate inverse Y.  Let E = YX - I and
+    R = blk X - X diag(lam), exact for the stored blk, X, Y and lam.  When
+    ||E||_inf < 1, X is invertible with X^-1 = (I + E)^-1 Y, and
+    X^-1 blk X = diag(lam) + F with F = (I + E)^-1 Y R = YR - EF.  So row i
+    of |F| sums to at most s_i + e_i max_j s_j / (1 - ||E||_inf), where s
+    and e are the row sums of |Y||R| and |E|.  Gerschgorin's theorem, along
+    diag(lam) + tF for t from 0 to 1, puts the eigenvalues in the disks
+    about lam of those radii, m of them in each component of m disks
+    (Wilkinson, The Algebraic Eigenvalue Problem, 1965; Rump, Acta Numerica
+    19, 2010), and the disks go to ``_matched_bounds``.
+
+    Rounding model: a product of n x n matrices, formed by BLAS or numpy in
+    any order, with or without fused multiply-adds, is within
+    _slack(2n, u) |P||Q| of the exact product entrywise (each real part is
+    a sum of 2n real products: sqrt(2) gamma_2n), and so is
+    blk X - X diag(lam), with |blk||X| + |X| diag(|lam|); gradual underflow
+    loses at most 2^-1075 per real product, which the smallest normal number,
+    added to each row sum, covers.  E is formed in binary64.  R is formed
+    in binary64 when the part of the radii its rounding makes,
+    g |Y| (|blk||X| + |X||lam|) 1, found in O(n^2) before any product of
+    matrices, is within beta_cert / 8, and otherwise in clongdouble (x87
+    extended, under the caller's guard): blocks certified at the binary64
+    floor of beta need it.  Each radius is formed from nonnegative numbers in
+    fewer than 6n + 20 roundings to nearest, so 1 + _slack(6n, u) covers
+    them and the distances ``_matched_bounds`` compares.  None also where
+    ||E||_inf > 1/2, zgeev or zgetrf fails, or a value is not finite."""
+    n = blk.shape[0]
+    lam, _, x, info = lapack.zgeev(
+        blk.astype(np.complex128, order="F"), compute_vl=0, compute_vr=1,
+        lwork=_zgeev_lwork(n, vectors=True), overwrite_a=1,
+    )
+    if info != 0:
+        return None
+    lu, piv, info = lapack.zgetrf(x)
+    if info != 0:
+        return None
+    y, info = lapack.zgetri(lu, piv)
+    if info != 0:
+        return None
+    g = _slack(2 * n, _U)
+    with np.errstate(all="ignore"):
+        ax, ay = np.abs(x), np.abs(y)
+        xs = ax.sum(axis=1)
+        e = y @ x
+        e.flat[:: n + 1] -= 1
+        e = np.abs(e).sum(axis=1) + g * (ay @ xs) + _TINY
+        e_norm = e.max()
+        if not e_norm <= 0.5:
+            return None
+        v = ay @ (np.abs(blk) @ xs + ax @ np.abs(lam))
+        if g * v.max() <= beta_cert / 8:
+            r = blk @ x - x * lam
+        else:
+            g = _slack(2 * n, float(_U_LD))
+            xl = x.astype(np.clongdouble)
+            r = blk.astype(np.clongdouble) @ xl - xl * lam.astype(np.clongdouble)
+        s = ay @ (np.abs(r).sum(axis=1).astype(np.float64) + _TINY) + g * v
+        rho = (s + e * (s.max() / (1 - e_norm))) * (1 + _slack(6 * n, _U)) + _TINY
+        dist = np.abs(lam[:, None] - lam[None, :])
+        if _matched_bounds(dist, rho, beta_cert) is None:
+            return None
+    return list(lam)
 
 
 def _isolated_roots(blk, beta_cert, u):
@@ -302,18 +409,24 @@ def _isolated_roots(blk, beta_cert, u):
     return None
 
 
-def _solve_blocks(H, spans, beta_cert):
+def _solve_blocks(H, spans, beta_cert, enclose=False):
     """(roots, spans left): the certified roots of the diagonal blocks of H
     at the given spans, and the spans of the blocks not certified.
 
     A 1 x 1 block is its own root; every other block goes to
-    ``_isolated_roots``.  H is clongdouble or holds mpmath numbers of one
-    context, whose u = eps / 2 = 2^-prec."""
+    ``_enclosed_roots`` with enclose (H binary64), else to
+    ``_isolated_roots``, where H is clongdouble or holds mpmath numbers of
+    one context, whose u = eps / 2 = 2^-prec."""
     u = H[0, 0].context.eps / 2 if is_mp_array(H) else _U_LD
     vals, left = [], []
     for start, stop in spans:
         blk = H[start:stop, start:stop]
-        roots = [blk[0, 0]] if stop == start + 1 else _isolated_roots(blk, beta_cert, u)
+        if stop == start + 1:
+            roots = [blk[0, 0]]
+        elif enclose:
+            roots = _enclosed_roots(blk, beta_cert)
+        else:
+            roots = _isolated_roots(blk, beta_cert, u)
         if roots is None:
             left.append((start, stop))
         else:
@@ -322,8 +435,8 @@ def _solve_blocks(H, spans, beta_cert):
 
 
 class CharPolySolver:
-    """SmallEigSolver backed by the characteristic polynomial (see the
-    module docstring).
+    """SmallEigSolver backed by eigenvector enclosures and the
+    characteristic polynomial (see the module docstring).
 
     solve(m, beta) returns forward beta-approximations of Spec(m) for upper
     Hessenberg m: |lambda_hat_i - lambda_i| <= beta under a matching, for
@@ -333,9 +446,11 @@ class CharPolySolver:
     beta_eff = max(beta, 2^-49 max(1, ||m||_F)).  That floor is what the
     driver's corners are certified at: on perfbench's qr_small inputs,
     ``ritz.ritz_or_decouple`` asks for about 1.5e-26, the solver certifies
-    at beta_eff / 2 ~ 8.9e-16, and the bounds reach 0.61 of that, so the
-    running error bound eps leaves little room and must not be loosened.
-    The seeds are ``zgeev``'s eigenvalues through ``scipy.linalg.lapack``,
+    at beta_eff / 2 ~ 8.9e-16.  Over the 707 blocks of 24 such inputs, the
+    enclosure's bounds reach 0.44 of that (median 0.07), with the residual
+    formed in clongdouble, and the next rung's Hyman bounds would reach 0.70
+    (median 0.15): neither bound leaves room to be loosened.  The
+    seeds are ``zgeev``'s eigenvalues through ``scipy.linalg.lapack``,
     complex128; certified ones are returned as they are; a root that
     Ehrlich-Aberth refined in clongdouble or mpmath is rounded to
     complex128, which moves it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
@@ -361,8 +476,11 @@ class CharPolySolver:
         beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
         vals, spans = [], split_blocks(a)
         if _LONG_DOUBLE_TIER and not extended:
-            beta_cert = np.longdouble(beta_eff) / 2
-            vals, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_cert)
+            vals, spans = _solve_blocks(a, spans, beta_eff / 2, enclose=True)
+            if spans:
+                beta_cert = np.longdouble(beta_eff) / 2
+                found, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_cert)
+                vals += found
             if not spans:
                 return _sorted(vals, complex)
 

@@ -9,7 +9,7 @@ from conftest import hard_matrices, near_normal_hessenberg, random_hessenberg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hessqr import driver, iqr, ritz, shifting
+from hessqr import driver, iqr, ritz, shifting, smalleig
 from hessqr.driver import (
     SolveConfig,
     block_seed,
@@ -623,3 +623,25 @@ class TestWholeSolver:
             return
         assert len(eigs) == h.n and np.isfinite(eigs).all()
         assert matched_distance(eigs, ref_eigs(a)) <= rep.kappa_v * delta
+
+    @pytest.mark.skipif(
+        not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
+    )
+    def test_large_direct_block_certifies_in_binary64(self, monkeypatch):
+        # default options derive k = 2048, so a 256 x 256 input goes to the
+        # small solver whole.  Its characteristic polynomial is too badly
+        # conditioned for the clongdouble rung (the block climbed to mpmath,
+        # > 60 s), but the enclosure from zgeev's eigenvectors certifies it
+        # at beta = delta: no mpmath number is made.  perfbench's near-normal
+        # recipe at rng seed 3, solver seed 1; the gate is Bauer-Fike against
+        # LAPACK on the dense input.
+        def no_mpmath(*args):
+            raise AssertionError("the small solver entered an mpmath rung")
+
+        _, a = near_normal_hessenberg(np.random.default_rng(3), 256, perturb=1e-4)
+        config = SolveConfig(seed=1)
+        monkeypatch.setattr(smalleig, "to_mp", no_mpmath)
+        eigs = solve(a, config).eigenvalues
+        monkeypatch.undo()
+        rep = condition_report(a)
+        assert matched_distance(eigs, np.linalg.eigvals(a)) <= rep.kappa_v * config.delta * rep.norm

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import hessqr
 from hessqr.driver import plan_run
 from hessqr.errors import DomainError, ParameterError
 from hessqr.params import (
@@ -166,6 +168,19 @@ class TestDeriveRunParams:
         with pytest.raises(ParameterError, match="^corner accuracy beta underflows binary64"):
             derive_run_params(8, 1e-3, 0.05, gd)
         assert derive_run_params(4, 1e-3, 0.05, gd).omega > 0
+
+    @pytest.mark.parametrize("phi", [1e-310, 5e-324])
+    def test_subnormal_phi_is_a_parameter_error(self, phi):
+        # phi_working = phi / (3 n^2 N_dec) is subnormal at 1e-310 (2k /
+        # phi_working overflows) and 0 at 5e-324; both name phi, on the
+        # planning and on the solving entry point
+        gd = globals_with_degree(2.0, 4, Gamma=1e-2, Sigma=1.0, n0=10)
+        message = f"^failure tolerance phi={phi!r} is too small"
+        with pytest.raises(ParameterError, match=message):
+            plan_run(10, 1e-3, phi, gd)
+        a = np.diag(np.arange(1.0, 11.0)).astype(complex)
+        with pytest.raises(ParameterError, match=message):
+            hessqr.solve(a, hessqr.SolveConfig(phi=phi, seed=1))
 
 
 def _bits(n, k, Sigma, B, Gamma, delta, phi):

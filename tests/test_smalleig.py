@@ -6,8 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from conftest import companion, hard_matrices, near_normal_hessenberg, random_hessenberg, same_bits
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hessqr
@@ -274,6 +276,21 @@ def hyman_calls(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def enclosures(monkeypatch):
+    """Records (dimension, certified) for every ``_enclosed_roots`` call."""
+    seen = []
+    original = smalleig._enclosed_roots
+
+    def recording(blk, beta_cert):
+        roots = original(blk, beta_cert)
+        seen.append((blk.shape[0], roots is not None))
+        return roots
+
+    monkeypatch.setattr(smalleig, "_enclosed_roots", recording)
+    return seen
+
+
 def _raise(*args):
     raise AssertionError("an mpmath tier was entered")
 
@@ -298,13 +315,15 @@ class TestLongDoubleTier:
         assert matched_distance(np.array(vals), ref_eigs(h.a)) <= beta
 
     @needs_long_double
-    def test_certified_seeds_are_returned_as_they_are(self, hyman_calls):
-        # a well-separated 4x4: LAPACK's eigenvalues pass the certificate, in
-        # one recurrence pass without kappa', and come back unchanged
+    def test_certified_seeds_are_returned_as_they_are(self, hyman_calls, enclosures):
+        # a well-separated 4x4: the enclosure rung certifies LAPACK's
+        # eigenvalues without a pass of the recurrence, and they come back
+        # unchanged
         rng = np.random.default_rng(42)
         h = random_hessenberg(rng, 4).a
         vals = SOLVER.solve(h, 1e-10)
-        assert hyman_calls == [(True, False)]
+        assert enclosures == [(4, True)]
+        assert hyman_calls == []
         assert same_bits(vals, sorted(np.linalg.eigvals(h), key=lambda z: (z.real, z.imag)))
 
     @needs_long_double
@@ -379,6 +398,187 @@ class TestLongDoubleTier:
         assert [dtype for dtype, _ in tier_blocks] == [np.dtype(np.clongdouble), np.dtype(object)]
         beta_eff = 2 * float(beta_cert)
         assert matched_distance(np.array(vals), roots) <= beta_eff
+
+
+def _enclosure(blk, beta_cert):
+    """(centres, radii, matched bounds) where ``_enclosed_roots`` certifies
+    blk at beta_cert, else None."""
+    seen = []
+    original = smalleig._matched_bounds
+
+    def recording(dist, r, beta):
+        bound = original(dist, r, beta)
+        seen.append((r, bound))
+        return bound
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(smalleig, "_matched_bounds", recording)
+        roots = smalleig._enclosed_roots(blk, beta_cert)
+    if roots is None:
+        return None
+    r, bound = seen[-1]
+    return np.array(roots), r, bound
+
+
+def _matched_within(centres, bounds, ref, tol):
+    """Whether some one-to-one matching puts every centre i within
+    bounds[i] + tol of its reference eigenvalue."""
+    near = np.abs(centres[:, None] - ref[None, :]) <= (bounds + tol)[:, None]
+    match = maximum_bipartite_matching(csr_matrix(near), perm_type="column")
+    return bool((match >= 0).all())
+
+
+def _ref_tol(m):
+    """What the reference may be off by: the radius it certifies
+    (``oracle.REF_RADIUS`` = 2^-48 of max |h_ij|) and the rounding of its
+    own reduction to Hessenberg form."""
+    return 2.0**-44 * np.abs(m).max()
+
+
+@st.composite
+def enclosure_blocks(draw):
+    """(block, beta_cert): a Ginibre, graded or near-normal Hessenberg block
+    of dimension 2 to 64, or one of ``hard_matrices``, with beta_cert at the
+    binary64 floor of ``CharPolySolver`` or above it."""
+    kind = draw(st.sampled_from(["near-normal", "graded", "ginibre", "hard"]))
+    if kind == "hard":
+        m, _ = draw(hard_matrices())
+    else:
+        n = draw(st.sampled_from([64, 32, 16, 8, 4, 3, 2]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "near-normal":
+            m = near_normal_hessenberg(rng, n, perturb=1e-4)[0].a
+        else:
+            m = random_hessenberg(rng, n).a
+        if kind == "graded":
+            d = 2.0 ** rng.integers(-10, 11, n)
+            m = m * d[:, None] / d[None, :]
+    scale = max(1.0, float(np.linalg.norm(m)))
+    return m, draw(st.sampled_from([2.0**-50, 1e-12, 1e-6])) * scale
+
+
+class TestEnclosureRung:
+    """``_enclosed_roots``: Gerschgorin disks from zgeev's eigenvectors,
+    tried first on every binary64 block where clongdouble is x87 extended."""
+
+    @settings(max_examples=40)
+    @given(enclosure_blocks())
+    def test_certified_centres_are_within_their_bounds(self, case):
+        m, beta_cert = case
+        if m.shape[0] < 2 or not np.isfinite(np.linalg.norm(m)):
+            return
+        got = _enclosure(m, beta_cert)
+        if got is None:
+            return
+        centres, _, bound = got
+        assert (bound <= beta_cert).all()
+        assert _matched_within(centres, bound, ref_eigs(m), _ref_tol(m))
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_a_planted_error_is_not_certified(self, n):
+        # a centre moved by 10 times the largest radius is at least 9 radii
+        # from every eigenvalue its disk held: at 5 radii the block
+        # certifies, the moved centre does not
+        h, _ = near_normal_hessenberg(np.random.default_rng(70 + n), n, perturb=1e-4)
+        m = h.a
+        centres, r, _ = _enclosure(m, 1.0)
+        beta_cert = 5 * r.max()
+        assert _enclosure(m, beta_cert) is not None
+        zgeev = smalleig.lapack.zgeev
+        for i in range(n):
+            for direction in (1, 1j, -1 - 1j):
+                moved = 10 * r.max() * direction / abs(direction)
+
+                def planted(a, **options):
+                    w, *rest = zgeev(a, **options)
+                    w = w.copy()
+                    w[i] += moved
+                    return (w, *rest)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(smalleig.lapack, "zgeev", planted)
+                    assert smalleig._enclosed_roots(m, beta_cert) is None
+
+    @pytest.mark.parametrize("e", [-300, 300])
+    def test_extreme_scales_certify_soundly_or_fall_back(self, e):
+        rng = np.random.default_rng(71)
+        blocks = [random_hessenberg(rng, n).a for n in (2, 4, 8)]
+        blocks += [near_normal_hessenberg(rng, n, perturb=1e-4)[0].a for n in (4, 16)]
+        blocks += [companion(-np.poly([1, 2, 3j, -1 - 1j])[1:]), companion([4.0, -6.0, 4.0, -1.0])]
+        certified = 0
+        for m in blocks:
+            scaled = np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
+            scale = max(1.0, float(np.linalg.norm(scaled)))
+            for beta_cert in (2.0**-50 * scale, 1e-8 * scale):
+                got = _enclosure(scaled, beta_cert)
+                if got is None:
+                    continue
+                certified += 1
+                centres, _, bound = got
+                ref = ref_eigs(m)
+                ref = np.ldexp(ref.real, e) + 1j * np.ldexp(ref.imag, e)
+                assert _matched_within(centres, bound, ref, np.ldexp(_ref_tol(m), e))
+        assert certified >= len(blocks)
+
+    def test_the_solver_certifies_without_the_long_double_tier(self, monkeypatch):
+        # where clongdouble is not x87 extended the ladder is as before: no
+        # enclosure, mpmath from the first rung, and certified values
+        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
+        monkeypatch.setattr(smalleig, "_enclosed_roots", _raise)
+        rng = np.random.default_rng(72)
+        for n in (2, 4, 8):
+            m = random_hessenberg(rng, n).a
+            for beta in (1e-30, 1e-8):
+                beta_eff = max(beta, 8 * 2.0**-52 * max(1.0, np.linalg.norm(m)))
+                vals = SOLVER.solve(m, beta)
+                assert matched_distance(np.array(vals), ref_eigs(m)) <= beta_eff
+
+    def test_the_oracle_never_encloses(self, monkeypatch):
+        monkeypatch.setattr(smalleig, "_enclosed_roots", _raise)
+        rng = np.random.default_rng(73)
+        for n in (2, 4, 16, 64):
+            h, _ = near_normal_hessenberg(rng, n, perturb=1e-4)
+            assert matched_distance(ref_eigs(h.a), np.linalg.eigvals(h.a)) <= 1e-12
+        assert len(ref_eigs(random_hessenberg(rng, 4).a, mp_out=True)) == 4
+
+    @needs_long_double
+    def test_floor_corners_certify_with_a_clongdouble_residual(self, monkeypatch, enclosures):
+        # a 4 x 4 corner of norm 1/2 at the binary64 floor of beta: the
+        # binary64 residual's own rounding would exceed beta_eff / 2, the
+        # clongdouble one does not; the centres are LAPACK's eigenvalues
+        h, _ = near_normal_hessenberg(np.random.default_rng(0), 4, perturb=1e-4)
+        m = h.a * (0.5 / np.linalg.norm(h.a))
+        monkeypatch.setattr(smalleig, "_hyman", _raise)
+        vals = SOLVER.solve(m, 1e-30)
+        monkeypatch.undo()
+        assert enclosures == [(4, True)]
+        assert same_bits(vals, sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag)))
+        assert matched_distance(np.array(vals), ref_eigs(m)) <= 2.0**-49
+
+    @needs_long_double
+    def test_radii_cover_the_residual_rounding(self):
+        # the computed residual cannot show its own rounding, so every radius
+        # carries g |Y| (|A||X| + |X||lam|) 1 with g = _slack(2n, u), u the
+        # unit roundoff of the arithmetic the residual was formed in:
+        # binary64 above the floor, clongdouble at it
+        rng = np.random.default_rng(75)
+        for n in (2, 3, 4, 4):
+            h, _ = near_normal_hessenberg(rng, n, perturb=1e-4)
+            m = h.a * (0.5 / np.linalg.norm(h.a))
+            lam, _, x, _ = scipy.linalg.lapack.zgeev(m, compute_vr=1)
+            y = np.linalg.inv(x)
+            term = np.abs(y) @ (np.abs(m) @ np.abs(x).sum(axis=1) + np.abs(x) @ np.abs(lam))
+            for beta_cert, u in ((1e-6, smalleig._U), (2.0**-50, smalleig._U_LD)):
+                _, r, _ = _enclosure(m, beta_cert)
+                assert (r >= smalleig._slack(2 * n, float(u)) * term).all()
+
+    def test_a_failed_zgetrf_is_a_failed_enclosure(self, monkeypatch):
+        def singular(x):
+            return x, np.arange(1, x.shape[0] + 1, dtype=np.int32), 1
+
+        monkeypatch.setattr(smalleig.lapack, "zgetrf", singular)
+        m = random_hessenberg(np.random.default_rng(74), 4).a
+        assert smalleig._enclosed_roots(m, 1.0) is None
 
 
 class TestAberth:
