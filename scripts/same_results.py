@@ -26,6 +26,11 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   that input: the direct route hands the small solver one 128 x 128 block,
   above the n = 75 from which zgeev's eigenvalues with eigenvectors and
   without them may differ in the last bits;
+- the same for ``hessqr.solve`` with default options, solver seed 1, on one
+  16 x 16 near-normal input per seed, run with
+  ``smalleig._LONG_DOUBLE_TIER`` set to False (as where clongdouble is
+  binary64) and then restored, so that a change to the small solver's
+  ladder on such platforms shows;
 - the same for ``shifted_qr`` at k = 4 on the extended-precision route: the
   Hessenberg form of one 10 x 10 near-normal input per seed, in mpmath
   numbers at 80 bits, so that a change to the binary64 step shows that this
@@ -63,6 +68,7 @@ import scipy.linalg
 CYCLIC_N, CYCLIC_K = 32, 8
 DEEP_N = 128
 MP_N, MP_BITS = 10, (80, 32)
+GUARD_OFF_N = 16
 HARD_BITS = 80
 BUDGET_POINTS = 10_000
 
@@ -201,6 +207,7 @@ def collect(n_inputs, seeds):
     import workloads
 
     import hessqr
+    from hessqr import smalleig
     from hessqr.params import globals_with_degree
 
     out = {}
@@ -257,6 +264,15 @@ def collect(n_inputs, seeds):
             if bits == 53:
                 name = f"near-normal n={n} default solve seed {seed}"
                 out[name] = _guarded(lambda: _solve_record(hessqr.solve(a, hessqr.SolveConfig(seed=1))))
+    long_double_tier = smalleig._LONG_DOUBLE_TIER
+    for seed in seeds:
+        a = workloads.near_normal(np.random.default_rng(seed), GUARD_OFF_N)
+        name = f"near-normal n={GUARD_OFF_N} default solve seed {seed} without the clongdouble tier"
+        smalleig._LONG_DOUBLE_TIER = False
+        try:
+            out[name] = _guarded(lambda: _solve_record(hessqr.solve(a, hessqr.SolveConfig(seed=1))))
+        finally:
+            smalleig._LONG_DOUBLE_TIER = long_double_tier
     solver = hessqr.CharPolySolver()
     hard = {}
     for name, a, beta in _hard_blocks():

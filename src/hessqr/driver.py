@@ -139,6 +139,16 @@ def block_seed(seed, path):
     return np.random.SeedSequence(seed, spawn_key=(np.array(path, dtype=np.uint32),))
 
 
+def _resolve_seed(seed):
+    """seed, a non-negative integer (else ParameterError), or for None one
+    drawn from the system entropy source."""
+    if seed is None:
+        return int(np.random.SeedSequence().entropy % (2**63))
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _process_block(node, h, plan, seed):
     """Run one block to deflation (or solve it directly); returns children.
 
@@ -258,7 +268,9 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     The iteration runs on H / 2^e in the units of its ``plan_run``, which
     keeps every quantity the loop forms inside the binary64 range, for any
     e.  Everything returned is in the caller's units: eigenvalues, each
-    trace record's psi and shift, ``globals_used`` and ``run_params``."""
+    trace record's psi and shift, ``globals_used`` and ``run_params``, and
+    the seed the run used (``_resolve_seed``)."""
+    seed = _resolve_seed(seed)
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
     plan = plan_run(h.n, delta, phi, gd)
@@ -336,11 +348,10 @@ def prepare(a, config):
     """The parameters a run works with: (h, gd, delta, seed).
 
     ``bits`` must be an integer >= MIN_BITS (ParameterError), phi in (0, 1)
-    (DomainError), and the input non-empty (DimensionError).  The seed is
-    drawn from the system entropy source when the config has none; one it
-    gives must be a non-negative integer (ParameterError).  With
-    preprocessing on, ``preprocess`` perturbs and reduces the input (its
-    randomness derived from the seed), and delta is the absolute accuracy
+    (DomainError), and the input non-empty (DimensionError); the seed is
+    ``_resolve_seed`` of the config's.  With preprocessing on,
+    ``preprocess`` perturbs and reduces the input (its randomness derived
+    from the seed), and delta is the absolute accuracy
     delta_pre = delta*||A||_2/2.  Without it, the input must already be
     upper Hessenberg, and delta is delta*||H||_F; at 53 bits an input of
     mpmath numbers is rounded to binary64 first, as ``preprocess`` rounds
@@ -354,11 +365,7 @@ def prepare(a, config):
     shape = np.shape(a)
     if 0 in shape:
         raise DimensionError(f"expected a non-empty square matrix, got shape {shape}")
-    seed = config.seed
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**63))
-    elif not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _resolve_seed(config.seed)
     tiny = sys.float_info.min  # a Python float: n / tiny overflows to inf quietly
     if config.preprocess:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))

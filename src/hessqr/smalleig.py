@@ -8,24 +8,22 @@ block (``iqr.split_blocks``) climbs one ladder of certificates; each rung
 solves only the blocks the rungs before it left uncertified, so a certified
 block is never solved again:
 
-1. the enclosure, for binary64 input where clongdouble has a 64-bit
-   significand (x87 extended): LAPACK's eigenvalues of the block, complex128
-   (``zgeev`` with right eigenvectors, through ``scipy.linalg.lapack``, the
-   LAPACK the QR sweeps call), are the centres of Gerschgorin disks of
-   X^-1 m X, from its eigenvectors X and the residual m X - X diag(lam)
-   (``_enclosed_roots``), and are returned as they are when every disk
-   bounds its eigenvalue within beta_eff / 2.  Below n = 75, where zgeev
-   runs zlahqr, they are bit for bit the eigenvalues ``np.linalg.eigvals``
-   returns, and those of the next rung.  Where clongdouble is not wider
-   than binary64, the ladder starts at rung 3, as it did before this rung:
-   a corner at the binary64 floor of beta needs the wider residual.
-2. the characteristic polynomial in clongdouble, on the same guard: it is
-   evaluated through the Hyman determinant recurrence with a running bound
-   on its rounding error; LAPACK's eigenvalues (``zgeev`` without
-   eigenvectors) go to the root certificate below as they are, in one pass
-   of the recurrence, and are returned unchanged when they pass.  Only when
-   they fail does Ehrlich-Aberth refine them, on all roots at once, and its
-   roots must pass the same certificate.
+1. the enclosure, for binary64 input: LAPACK's eigenvalues of the block,
+   complex128 (``zgeev`` with right eigenvectors, through
+   ``scipy.linalg.lapack``, the LAPACK the QR sweeps call), are the centres
+   of Gerschgorin disks of X^-1 m X, from its eigenvectors X and the
+   residual m X - X diag(lam) (``_enclosed_roots``), and are returned as
+   they are when every disk bounds its eigenvalue within beta_eff / 2.
+   Below n = 75, where zgeev runs zlahqr, they are bit for bit the
+   eigenvalues ``np.linalg.eigvals`` returns, and those of the next rung.
+2. the characteristic polynomial in clongdouble, for binary64 input where
+   clongdouble has a 64-bit significand (x87 extended): it is evaluated
+   through the Hyman determinant recurrence with a running bound on its
+   rounding error; LAPACK's eigenvalues (``zgeev`` without eigenvectors) go
+   to the root certificate below as they are, in one pass of the
+   recurrence, and are returned unchanged when they pass.  Only when they
+   fail does Ehrlich-Aberth refine them, on all roots at once, and its roots
+   must pass the same certificate.
 3. the characteristic polynomial in mpmath, from a precision derived from
    ||m||_F / beta_eff (at least 120 bits), doubling up to 960 bits, each
    rung in its own context, into which it takes its input exactly:
@@ -36,43 +34,35 @@ block is never solved again:
    same certificate.  An m-fold root is found to about 2^-(p/m) at p bits.
 
 A block still uncertified at 960 bits raises SmallEigFailure.
-Deterministic: no randomness anywhere, output sorted by (re, im).
+Deterministic: no randomness anywhere, output sorted by (re, im).  Any
+``ritz.SmallEigSolver`` may be injected in its place.
 
 The enclosure certifies a block well conditioned as an eigenproblem whatever
 its characteristic polynomial: a default-option direct solve at n = 256
 certifies there in binary64, where the polynomial needed 120-bit mpmath.
 It leaves clusters, defective blocks and, at the binary64 floor of beta,
-most blocks beyond a few rows to the rungs after it.  Its bounds take the
-standard model of floating point arithmetic with gradual underflow, for a
-matrix product formed in any order, with or without fused multiply-adds:
-each entry within _slack(2n, u) times the same product of moduli.  The
-residual is formed in binary64 where that term is a small part of
-beta_eff / 2, and in clongdouble where it is not (every corner certified at
-the floor).
+most blocks beyond a few rows to the rungs after it.  Every corner it
+certifies at that floor needs its residual in clongdouble (see
+``_enclosed_roots`` for that and its rounding model): where clongdouble is
+binary64 (MSVC, macOS on arm64), such a block goes on uncertified, and the
+ladder is rungs 1 and 3.
 
 The root certificate (``_certify_block``) is Gerschgorin's theorem on the
-Weierstrass matrix of the approximations: it bounds the distance from each
-approximation to the root matched to it, one to one, by its own inclusion
-radius, or for a cluster by the width of the cluster's component of disks,
-from the running error bound of kappa (see ``_hyman``).  Both certificates
-turn their disks into matched bounds in one step (``_matched_bounds``).  A
-block's roots are accepted when every such bound is within beta, which
-certifies the whole output multiset for simple and multiple roots alike.
-The bounds follow the running error analysis of Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 5.1, with the
-standard model and gradual underflow; overflow gives inf or NaN, which
-fails the checks.  The certificate is about exactly the matrix given.
-
-Any object with a compatible ``solve(m, beta)`` may be injected in its place
-(``ritz.SmallEigSolver``); failure surfaces as an exception instead of a
-silent wrong answer.
+Weierstrass matrix of the approximations, from the running error bound of
+kappa (``_hyman``).  Both certificates turn their disks into matched bounds
+in one step (``_matched_bounds``): each approximation is within its own
+inclusion radius of the root matched to it, one to one, or for a cluster
+within the width of the cluster's component of disks.  A block's roots are
+accepted when every such bound is within beta, which certifies the whole
+output multiset for simple and multiple roots alike.  The certificate is
+about exactly the matrix given.
 
 The primitives defined here (the Hyman recurrence with its error bound,
 Ehrlich-Aberth, the one routine that moves roots, and the root
 certificate) are written once and run in the arithmetic of their input,
 clongdouble or mpmath.  ``oracle`` certifies its reference eigenvalues
-through the same per-block routine, ``_solve_blocks``, behind the same
-clongdouble guard, but never through the enclosure: the tests check the
+through the same per-block routine, ``_solve_blocks``, on clongdouble and
+mpmath blocks only, so never through the enclosure: the tests check the
 solver against the reference, and a reference that went through the
 solver's first certificate could not show a fault in it.
 """
@@ -83,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import SmallEigFailure
+from .errors import DomainError, SmallEigFailure
 from .iqr import HessenbergMatrix, split_blocks
 from .kernel import is_mp_array, mp_context, to_mp
 
@@ -93,8 +83,8 @@ _U = np.finfo(np.complex128).epsneg  # unit roundoff of binary64
 _TINY = np.finfo(np.float64).tiny  # its smallest normal number
 _U_LD = np.finfo(np.clongdouble).epsneg  # unit roundoff of clongdouble
 _TINY_LD = np.finfo(np.clongdouble).tiny  # its smallest normal number
-# The clongdouble rung needs clongdouble well above binary64 (x87 extended: 64-bit
-# significand); elsewhere clongdouble may be binary64 itself.
+# clongdouble well above binary64 (x87 extended: 64-bit significand), for the
+# clongdouble rung and the enclosure's residual; elsewhere it may be binary64.
 _LONG_DOUBLE_TIER = np.finfo(np.clongdouble).nmant >= 63
 
 
@@ -335,15 +325,16 @@ def _enclosed_roots(blk, beta_cert):
     a sum of 2n real products: sqrt(2) gamma_2n), and so is
     blk X - X diag(lam), with |blk||X| + |X| diag(|lam|); gradual underflow
     loses at most 2^-1075 per real product, which the smallest normal number,
-    added to each row sum, covers.  E is formed in binary64.  R is formed
-    in binary64 when the part of the radii its rounding makes,
-    g |Y| (|blk||X| + |X||lam|) 1, found in O(n^2) before any product of
-    matrices, is within beta_cert / 8, and otherwise in clongdouble (x87
-    extended, under the caller's guard): blocks certified at the binary64
-    floor of beta need it.  Each radius is formed from nonnegative numbers in
-    fewer than 6n + 20 roundings to nearest, so 1 + _slack(6n, u) covers
-    them and the distances ``_matched_bounds`` compares.  None also where
-    ||E||_inf > 1/2, zgeev or zgetrf fails, or a value is not finite."""
+    added to each row sum, covers.  E is formed in binary64, and so is R
+    when the part of the radii its rounding makes, g |Y| (|blk||X| +
+    |X||lam|) 1, found in O(n^2) before any product of matrices, is within
+    beta_cert / 8; blocks certified at the binary64 floor of beta need R in
+    clongdouble, formed only under this routine's own guard
+    (``_LONG_DOUBLE_TIER``: else None).  Each radius is formed from
+    nonnegative numbers in fewer than 6n + 20 roundings to nearest, so
+    1 + _slack(6n, u) covers them and the distances ``_matched_bounds``
+    compares.  None also where ||E||_inf > 1/2, zgeev or zgetrf fails, or a
+    value is not finite."""
     n = blk.shape[0]
     lam, _, x, info = lapack.zgeev(
         blk.astype(np.complex128, order="F"), compute_vl=0, compute_vr=1,
@@ -370,6 +361,8 @@ def _enclosed_roots(blk, beta_cert):
         v = ay @ (np.abs(blk) @ xs + ax @ np.abs(lam))
         if g * v.max() <= beta_cert / 8:
             r = blk @ x - x * lam
+        elif not _LONG_DOUBLE_TIER:
+            return None
         else:
             g = _slack(2 * n, float(_U_LD))
             xl = x.astype(np.clongdouble)
@@ -409,21 +402,21 @@ def _isolated_roots(blk, beta_cert, u):
     return None
 
 
-def _solve_blocks(H, spans, beta_cert, enclose=False):
+def _solve_blocks(H, spans, beta_cert):
     """(roots, spans left): the certified roots of the diagonal blocks of H
     at the given spans, and the spans of the blocks not certified.
 
-    A 1 x 1 block is its own root; every other block goes to
-    ``_enclosed_roots`` with enclose (H binary64), else to
-    ``_isolated_roots``, where H is clongdouble or holds mpmath numbers of
-    one context, whose u = eps / 2 = 2^-prec."""
+    A 1 x 1 block is its own root.  The dtype of H selects the certificate
+    of every other block: binary64 blocks go to ``_enclosed_roots``;
+    clongdouble blocks, and blocks of mpmath numbers of one context (whose
+    u = eps / 2 = 2^-prec), go to ``_isolated_roots``."""
     u = H[0, 0].context.eps / 2 if is_mp_array(H) else _U_LD
     vals, left = [], []
     for start, stop in spans:
         blk = H[start:stop, start:stop]
         if stop == start + 1:
             roots = [blk[0, 0]]
-        elif enclose:
+        elif H.dtype == np.complex128:
             roots = _enclosed_roots(blk, beta_cert)
         else:
             roots = _isolated_roots(blk, beta_cert, u)
@@ -449,16 +442,16 @@ class CharPolySolver:
     at beta_eff / 2 ~ 8.9e-16.  Over the 707 blocks of 24 such inputs, the
     enclosure's bounds reach 0.44 of that (median 0.07), with the residual
     formed in clongdouble, and the next rung's Hyman bounds would reach 0.70
-    (median 0.15): neither bound leaves room to be loosened.  The
-    seeds are ``zgeev``'s eigenvalues through ``scipy.linalg.lapack``,
-    complex128; certified ones are returned as they are; a root that
-    Ehrlich-Aberth refined in clongdouble or mpmath is rounded to
-    complex128, which moves it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
+    (median 0.15): neither bound leaves room to be loosened.  Certified
+    LAPACK eigenvalues are returned as they are; a root that Ehrlich-Aberth
+    refined in clongdouble or mpmath is rounded to complex128, which moves
+    it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
     A 1 x 1 block returns its entry, exactly, in the type it has.
     Input ``iqr.HessenbergMatrix`` rejects raises its errors
-    (StructureError, DimensionError), a norm beyond binary64 raises
-    DomainError, and a block no rung certifies (say, an eigenvalue too
-    multiple for beta at 960 bits) raises SmallEigFailure.
+    (StructureError, DimensionError), a norm beyond binary64 or a beta not
+    positive and finite raises DomainError, and a block no rung certifies
+    (say, an eigenvalue too multiple for beta at 960 bits) raises
+    SmallEigFailure.
     """
 
     def solve(self, m, beta):
@@ -467,7 +460,7 @@ class CharPolySolver:
         if n == 0:
             return []
         if beta <= 0 or not math.isfinite(beta):
-            raise SmallEigFailure(f"invalid forward accuracy beta={beta!r}")
+            raise DomainError(f"invalid forward accuracy beta={beta!r}")
         a, extended = h.a, h.is_extended
         if n == 1:
             return [a[0, 0] if extended else complex(a[0, 0])]
@@ -475,11 +468,10 @@ class CharPolySolver:
         # Representation floor: a binary64 result cannot certify below ~ulp.
         beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
         vals, spans = [], split_blocks(a)
-        if _LONG_DOUBLE_TIER and not extended:
-            vals, spans = _solve_blocks(a, spans, beta_eff / 2, enclose=True)
-            if spans:
-                beta_cert = np.longdouble(beta_eff) / 2
-                found, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_cert)
+        if not extended:
+            vals, spans = _solve_blocks(a, spans, beta_eff / 2)
+            if spans and _LONG_DOUBLE_TIER:
+                found, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_eff / 2)
                 vals += found
             if not spans:
                 return _sorted(vals, complex)

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -385,6 +386,32 @@ class TestPreprocess:
         assert delta == 1e-5 * float(np.linalg.norm(a, 2)) / 2.0
 
 
+class TestSeed:
+    """``shifted_qr`` and ``solve`` check and record the seed alike."""
+
+    @staticmethod
+    def _run(entry, seed):
+        h, a = near_normal_hessenberg(np.random.default_rng(74), 16, perturb=1e-4)
+        if entry == "solve":
+            return solve(a, SolveConfig(seed=seed, B=1.0, Gamma=1e-4))
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=16)
+        return shifted_qr(h, 1e-7, 0.05, gd, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_shifted_qr_seed_must_be_a_non_negative_integer(self, seed):
+        # as in solve (TestSolveEntryPoint), not numpy's own error mid-run
+        with pytest.raises(ParameterError, match=f"seed must be a non-negative integer, got {seed}"):
+            self._run("shifted_qr", seed)
+
+    @pytest.mark.parametrize("entry", ["shifted_qr", "solve"])
+    def test_a_drawn_seed_is_recorded_and_replays_the_run(self, entry):
+        first = self._run(entry, None)
+        assert isinstance(first.seed, int) and first.seed >= 0
+        again = self._run(entry, first.seed)
+        assert again.seed == first.seed
+        assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+
+
 class TestSolveEntryPoint:
     def test_identity_two_by_two(self):
         res = solve(np.eye(2, dtype=complex), SolveConfig(preprocess=False, seed=1, B=1.0, Gamma=1e-3))
@@ -643,5 +670,26 @@ class TestWholeSolver:
         monkeypatch.setattr(smalleig, "to_mp", no_mpmath)
         eigs = solve(a, config).eigenvalues
         monkeypatch.undo()
+        rep = condition_report(a)
+        assert matched_distance(eigs, np.linalg.eigvals(a)) <= rep.kappa_v * config.delta * rep.norm
+
+    def test_large_direct_block_certifies_where_clongdouble_is_binary64(self, monkeypatch):
+        # with the clongdouble guard off, as where clongdouble is binary64
+        # (MSVC, macOS on arm64), the enclosure still certifies the whole
+        # 256 x 256 block of a default-option solve in binary64, where the
+        # ladder without it climbed to 120-bit mpmath (> 140 s).
+        # perfbench's near-normal recipe at rng seed 1, solver seed 1.
+        def no_mpmath(*args):
+            raise AssertionError("the small solver entered an mpmath rung")
+
+        _, a = near_normal_hessenberg(np.random.default_rng(1), 256, perturb=1e-4)
+        config = SolveConfig(seed=1)
+        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
+        monkeypatch.setattr(smalleig, "to_mp", no_mpmath)
+        start = time.perf_counter()
+        eigs = solve(a, config).eigenvalues
+        elapsed = time.perf_counter() - start
+        monkeypatch.undo()
+        assert elapsed < 2.0
         rep = condition_report(a)
         assert matched_distance(eigs, np.linalg.eigvals(a)) <= rep.kappa_v * config.delta * rep.norm

@@ -197,11 +197,18 @@ class TestFixedCosts:
                 assert smalleig._scale(HessenbergMatrix(m)) == 1.0
 
 
+def _no_enclosure(blk, beta_cert):
+    """An ``_enclosed_roots`` that certifies nothing: every binary64 block
+    goes on to the characteristic polynomial."""
+    return None
+
+
 class TestTwoTiers:
     def test_fast_path_matches_forced_aberth(self, monkeypatch, aberth_calls):
         # the mpmath rung's two starts against each other, with the
-        # clongdouble tier off: Aberth from LAPACK's seeds, and from the
-        # circle when there are no seeds
+        # enclosure failing and the clongdouble tier off: Aberth from
+        # LAPACK's seeds, and from the circle when there are no seeds
+        monkeypatch.setattr(smalleig, "_enclosed_roots", _no_enclosure)
         monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
         rng = np.random.default_rng(35)
         sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
@@ -215,6 +222,9 @@ class TestTwoTiers:
         assert fast == forced
 
     def test_long_double_tier_matches_mpmath(self, monkeypatch):
+        # the characteristic polynomial on both sides, the enclosure failing:
+        # the clongdouble rung against the mpmath one
+        monkeypatch.setattr(smalleig, "_enclosed_roots", _no_enclosure)
         rng = np.random.default_rng(35)
         sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
         cases = [random_hessenberg(rng, n).a for n in sizes]
@@ -293,6 +303,15 @@ def enclosures(monkeypatch):
 
 def _raise(*args):
     raise AssertionError("an mpmath tier was entered")
+
+
+class _NumpyWithoutClongdouble:
+    """numpy, but for ``clongdouble``, whose use fails the test."""
+
+    def __getattr__(self, name):
+        if name == "clongdouble":
+            raise AssertionError("a clongdouble array was formed")
+        return getattr(np, name)
 
 
 needs_long_double = pytest.mark.skipif(
@@ -520,17 +539,21 @@ class TestEnclosureRung:
                 assert _matched_within(centres, bound, ref, np.ldexp(_ref_tol(m), e))
         assert certified >= len(blocks)
 
-    def test_the_solver_certifies_without_the_long_double_tier(self, monkeypatch):
-        # where clongdouble is not x87 extended the ladder is as before: no
-        # enclosure, mpmath from the first rung, and certified values
+    def test_the_solver_certifies_without_the_long_double_tier(self, monkeypatch, enclosures):
+        # where clongdouble is not x87 extended the enclosure still runs
+        # first, forms no clongdouble array (a block at the floor that needs
+        # one goes on to mpmath), and the values are certified
         monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
-        monkeypatch.setattr(smalleig, "_enclosed_roots", _raise)
         rng = np.random.default_rng(72)
         for n in (2, 4, 8):
             m = random_hessenberg(rng, n).a
             for beta in (1e-30, 1e-8):
                 beta_eff = max(beta, 8 * 2.0**-52 * max(1.0, np.linalg.norm(m)))
-                vals = SOLVER.solve(m, beta)
+                enclosures.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(smalleig, "np", _NumpyWithoutClongdouble())
+                    vals = SOLVER.solve(m, beta)
+                assert enclosures and enclosures[0][0] == n
                 assert matched_distance(np.array(vals), ref_eigs(m)) <= beta_eff
 
     def test_the_oracle_never_encloses(self, monkeypatch):
@@ -696,6 +719,13 @@ class TestExtremeInputs:
     def test_norm_overflow_rejected(self):
         with pytest.raises(DomainError):
             SOLVER.solve(np.full((2, 2), 1e308, dtype=complex), 1e-10)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        # an argument outside the domain, not a block that could not be certified
+        m = random_hessenberg(np.random.default_rng(34), 3).a
+        with pytest.raises(DomainError, match=rf"^invalid forward accuracy beta={beta!r}$"):
+            SOLVER.solve(m, beta)
 
     def test_extended_entry_beyond_binary64_rejected(self):
         ctx = mp_context(53)
