@@ -82,14 +82,16 @@ def _companion(first_row):
 
 def _hard_blocks():
     """[(name, Hessenberg block, beta)]: the companion of (z - 1)^4, a lower
-    Jordan block, a 2 x 2 near overflow (LAPACK's seeds are far from its
-    roots), a 16 x 16 companion with a double root at 0 (where LAPACK's
-    seeds coincide), and three random 8 x 8 blocks at beta = 1e-30."""
+    Jordan block, a 2 x 2 near overflow and one near underflow (where
+    scipy's zgeev leaves its eigenvalues at the scale it balanced them to), a
+    16 x 16 companion with a double root at 0 (where LAPACK's seeds
+    coincide), and three random 8 x 8 blocks at beta = 1e-30."""
     rng = np.random.default_rng(27)
     blocks = [
         ("companion (z-1)^4", _companion([4.0, -6.0, 4.0, -1.0]), 1e-10),
         ("lower Jordan n=5", np.eye(5, k=-1, dtype=complex), 1e-10),
         ("near overflow 2x2", np.array([[1e300, 2e300], [1e300, -1e300]], dtype=complex), 1e-10),
+        ("near underflow 2x2", np.array([[1e-300, 2e-300], [1e-300, -1e-300]], dtype=complex), 1e-10),
         ("companion n=16 double root 0",
          _companion([-3, 3, -2, 2, 1, -2, 2, 2, 2, 1, 0, 2, 3, 1, 0, 0]), 1e-10),
     ]

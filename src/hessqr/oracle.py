@@ -14,11 +14,14 @@ takes dense input and reduces it itself (``_hessenberg``: Householder
 reflections in mpmath or clongdouble); the production small solver takes
 Hessenberg input only.  The numeric primitives both need have one
 implementation each, written for either arithmetic: the vectorized Hyman
-recurrence with its running error bound and the per-block routine
-(Ehrlich-Aberth from LAPACK seeds, and in mpmath from a circle, then the
+recurrence with its running error bound and the char-poly routine for one
+block, ``smalleig._isolated_roots`` (LAPACK's eigenvalues as they are, then
+Ehrlich-Aberth from them, and in mpmath from a circle, under the
 Weierstrass-Gerschgorin root certificate, which covers clusters and
-multiple eigenvalues) live in ``smalleig``, and block splitting is
-``iqr.split_blocks``.
+multiple eigenvalues), live in ``smalleig``, and block splitting is
+``iqr.split_blocks``.  The oracle calls that routine block by block itself,
+so it cannot reach the small solver's eigenvector enclosure, the rung the
+reference is there to check.
 """
 
 import math
@@ -31,7 +34,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, iqr_multi, split_blocks
 from .kernel import ldexp, mp_context, norm, to_mp
-from .smalleig import _LONG_DOUBLE_TIER, _solve_blocks
+from .smalleig import _LONG_DOUBLE_TIER, _isolated_roots
 
 ORACLE_PREC = 120
 IQR_EXACT_PREC = 160
@@ -147,17 +150,22 @@ def _certified_eigs(a, radius):
     """Certified eigenvalues of a in its own arithmetic, sorted, or None.
 
     a is a clongdouble array or an object array of mpmath numbers of one
-    context.  It is reduced (``_hessenberg``) and its unreduced blocks go
-    through the small solver's own per-block routine and certificate,
-    ``smalleig._solve_blocks``, at radius max |h_ij| times radius, on
+    context.  It is reduced (``_hessenberg``), and each of its unreduced
+    blocks but a 1 x 1 one, which is its own entry, goes through the small
+    solver's char-poly routine and root certificate,
+    ``smalleig._isolated_roots``, at radius max |h_ij| times radius, on
     H / 2^e (exact) with max |h_ij| / 2^e in [1/2, 1), so that it is alike
     at every scale.  None when a block is left uncertified."""
     H = _hessenberg(a)
     peak = float(np.abs(H.astype(np.complex128)).max())
     e = math.frexp(peak)[1]
-    vals, left = _solve_blocks(ldexp(H, -e), split_blocks(H), radius * ldexp(peak, -e))
-    if left:
-        return None
+    scaled, beta_cert, vals = ldexp(H, -e), radius * ldexp(peak, -e), []
+    for start, stop in split_blocks(H):
+        blk = scaled[start:stop, start:stop]
+        roots = [blk[0, 0]] if stop == start + 1 else _isolated_roots(blk, beta_cert)
+        if roots is None:
+            return None
+        vals += roots
     vals = ldexp(np.array(vals, dtype=H.dtype), e)
     return sorted(vals, key=lambda z: (float(z.real), float(z.imag)))
 

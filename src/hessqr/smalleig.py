@@ -3,37 +3,38 @@
 Takes upper Hessenberg input only, checked by ``iqr.HessenbergMatrix``
 (exact zeros below the subdiagonal, finite entries, a Frobenius norm inside
 binary64); the driver passes the k x k bottom-right corner and deflated
-blocks of dimension at most k, both Hessenberg.  Each unreduced diagonal
-block (``iqr.split_blocks``) climbs one ladder of certificates; each rung
-solves only the blocks the rungs before it left uncertified, so a certified
-block is never solved again:
+blocks of dimension at most k, both Hessenberg.  The matrix is split once
+into its unreduced diagonal blocks (``iqr.split_blocks``), and each block
+climbs one ladder of certificates on its own (``_block_roots``), stopping at
+the first rung that certifies it, so a certified block is never solved
+again.  A 1 x 1 block is its own entry.  Every other block climbs:
 
-1. the enclosure, for binary64 input: LAPACK's eigenvalues of the block,
+1. the enclosure, for a binary64 block: LAPACK's eigenvalues of the block,
    complex128 (``zgeev`` with right eigenvectors, through
    ``scipy.linalg.lapack``, the LAPACK the QR sweeps call), are the centres
    of Gerschgorin disks of X^-1 m X, from its eigenvectors X and the
    residual m X - X diag(lam) (``_enclosed_roots``), and are returned as
    they are when every disk bounds its eigenvalue within beta_eff / 2.
-   Below n = 75, where zgeev runs zlahqr, they are bit for bit the
-   eigenvalues ``np.linalg.eigvals`` returns, and those of the next rung.
-2. the characteristic polynomial in clongdouble, for binary64 input where
+2. the characteristic polynomial in clongdouble, for a binary64 block where
    clongdouble has a 64-bit significand (x87 extended): it is evaluated
    through the Hyman determinant recurrence with a running bound on its
-   rounding error; LAPACK's eigenvalues (``zgeev`` without eigenvectors) go
-   to the root certificate below as they are, in one pass of the
-   recurrence, and are returned unchanged when they pass.  Only when they
-   fail does Ehrlich-Aberth refine them, on all roots at once, and its roots
-   must pass the same certificate.
+   rounding error; ``np.linalg.eigvals``' eigenvalues of the block
+   (``_lapack_seeds``) go to the root certificate below as they are, in one
+   pass of the recurrence, and are returned unchanged when they pass.  Only
+   when they fail does Ehrlich-Aberth refine them, on all roots at once,
+   and its roots must pass the same certificate.
 3. the characteristic polynomial in mpmath, from a precision derived from
    ||m||_F / beta_eff (at least 120 bits), doubling up to 960 bits, each
-   rung in its own context, into which it takes its input exactly:
-   Ehrlich-Aberth from the LAPACK seeds, always (a binary64 seed is far
+   rung in its own context, into which it takes the block exactly:
+   Ehrlich-Aberth from the same seeds, always (a binary64 seed is far
    from a root at these precisions), and, where its roots fail the
    certificate (clusters, defective blocks, seeds far from the roots),
    Ehrlich-Aberth again from a circle enclosing the spectrum, under the
    same certificate.  An m-fold root is found to about 2^-(p/m) at p bits.
 
-A block still uncertified at 960 bits raises SmallEigFailure.
+A block still uncertified at 960 bits raises SmallEigFailure.  Since every
+block climbs alone, a matrix's eigenvalues are those of its blocks, each
+solved as a matrix of its own at the same beta_eff and first precision.
 Deterministic: no randomness anywhere, output sorted by (re, im).  Any
 ``ritz.SmallEigSolver`` may be injected in its place.
 
@@ -61,10 +62,10 @@ The primitives defined here (the Hyman recurrence with its error bound,
 Ehrlich-Aberth, the one routine that moves roots, and the root
 certificate) are written once and run in the arithmetic of their input,
 clongdouble or mpmath.  ``oracle`` certifies its reference eigenvalues
-through the same per-block routine, ``_solve_blocks``, on clongdouble and
-mpmath blocks only, so never through the enclosure: the tests check the
-solver against the reference, and a reference that went through the
-solver's first certificate could not show a fault in it.
+through the char-poly rungs' own routine, ``_isolated_roots``, which cannot
+reach the enclosure: the tests check the solver against the reference, and
+a reference that went through the solver's first certificate could not show
+a fault in it.
 """
 
 import math
@@ -276,30 +277,25 @@ def _cyclic_index(d):
 
 
 @lru_cache(maxsize=128)
-def _zgeev_lwork(n, vectors=False):
-    """zgeev's optimal workspace, for eigenvalues alone the size
-    ``np.linalg.eigvals`` asks for: with the wrapper's minimal default,
-    zgehrd and zhseqr take other code paths from n ~ 150 on, and round
-    differently."""
-    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=int(vectors))[0].real)
+def _zgeev_lwork(n):
+    """zgeev's optimal workspace with right eigenvectors: with the wrapper's
+    minimal default, zgehrd and zhseqr take other code paths from n ~ 150
+    on, and round differently."""
+    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
 
 
 def _lapack_seeds(blk):
-    """The eigenvalues of blk rounded to complex128, from ``zgeev`` without
-    eigenvectors, or None for a block that rounds to a non-finite entry (one
-    rounded from mpmath can) or that ``zgeev`` fails on.  It is the call
-    ``np.linalg.eigvals`` makes, with the same workspace, without its Python
-    wrapper.  numpy and scipy ship their own OpenBLAS builds; their results
-    agreed bit for bit on every block tried below n = 150, and up to
-    n = 256 with one BLAS thread.  From n ~ 150 on, scipy's depend on the
-    number of BLAS threads."""
-    a = blk.astype(np.complex128, order="F")
-    if not np.isfinite(a).all():
+    """``np.linalg.eigvals`` of blk rounded to complex128, or None for a
+    block that rounds to a non-finite entry (one rounded from mpmath can) or
+    whose eigenvalues LAPACK fails to find.  Not scipy's ``zgeev``: in scipy
+    1.17.1 it leaves the eigenvalues of a block whose largest entry is above
+    about 1.5e138 or below about 6.7e-139 at the scale it balanced them to
+    (+-1.29e138 for [[1, 2], [1, -1]] 1e300, whose eigenvalues are
+    +-1.73e300)."""
+    try:
+        return np.linalg.eigvals(blk.astype(np.complex128))
+    except np.linalg.LinAlgError:
         return None
-    seeds, _, _, info = lapack.zgeev(
-        a, compute_vl=0, compute_vr=0, lwork=_zgeev_lwork(a.shape[0]), overwrite_a=1
-    )
-    return seeds if info == 0 else None
 
 
 def _enclosed_roots(blk, beta_cert):
@@ -338,7 +334,7 @@ def _enclosed_roots(blk, beta_cert):
     n = blk.shape[0]
     lam, _, x, info = lapack.zgeev(
         blk.astype(np.complex128, order="F"), compute_vl=0, compute_vr=1,
-        lwork=_zgeev_lwork(n, vectors=True), overwrite_a=1,
+        lwork=_zgeev_lwork(n), overwrite_a=1,
     )
     if info != 0:
         return None
@@ -375,17 +371,19 @@ def _enclosed_roots(blk, beta_cert):
     return list(lam)
 
 
-def _isolated_roots(blk, beta_cert, u):
+def _isolated_roots(blk, beta_cert):
     """Roots of blk that pass ``_certify_block``, or None.
 
     In clongdouble, LAPACK's binary64 seeds (``_lapack_seeds``) are
     certified as they are, and returned as they are, complex128.  Where they
     fail, and always in mpmath, ``_aberth`` refines them in the arithmetic
-    of blk (unit roundoff u).  In mpmath, where there are no seeds or the
+    of blk, whose unit roundoff u is 2^-64 in clongdouble and
+    eps / 2 = 2^-prec in mpmath.  In mpmath, where there are no seeds or the
     roots refined from them fail (clusters, defective blocks, seeds far from
     the roots), ``_aberth`` starts again from ``_circle``.  Refined roots
     must pass the same certificate."""
     extended = is_mp_array(blk)
+    u = blk[0, 0].context.eps / 2 if extended else _U_LD
     seeds = _lapack_seeds(blk)
     with np.errstate(all="ignore"):
         if seeds is not None:
@@ -402,29 +400,29 @@ def _isolated_roots(blk, beta_cert, u):
     return None
 
 
-def _solve_blocks(H, spans, beta_cert):
-    """(roots, spans left): the certified roots of the diagonal blocks of H
-    at the given spans, and the spans of the blocks not certified.
+def _block_roots(blk, beta_eff, prec):
+    """The roots of the unreduced block blk certified within beta_eff / 2 by
+    the first rung of the ladder that certifies them, or None.
 
-    A 1 x 1 block is its own root.  The dtype of H selects the certificate
-    of every other block: binary64 blocks go to ``_enclosed_roots``;
-    clongdouble blocks, and blocks of mpmath numbers of one context (whose
-    u = eps / 2 = 2^-prec), go to ``_isolated_roots``."""
-    u = H[0, 0].context.eps / 2 if is_mp_array(H) else _U_LD
-    vals, left = [], []
-    for start, stop in spans:
-        blk = H[start:stop, start:stop]
-        if stop == start + 1:
-            roots = [blk[0, 0]]
-        elif H.dtype == np.complex128:
-            roots = _enclosed_roots(blk, beta_cert)
-        else:
-            roots = _isolated_roots(blk, beta_cert, u)
-        if roots is None:
-            left.append((start, stop))
-        else:
-            vals.extend(roots)
-    return vals, left
+    A 1 x 1 block is its own entry.  A binary64 block goes to
+    ``_enclosed_roots``, then, where clongdouble is x87 extended, to
+    ``_isolated_roots`` in clongdouble; every block then goes to
+    ``_isolated_roots`` in mpmath from prec bits, doubling up to
+    ``_MAX_PREC``."""
+    if blk.shape[0] == 1:
+        return [blk[0, 0]]
+    if blk.dtype == np.complex128:
+        roots = _enclosed_roots(blk, beta_eff / 2)
+        if roots is None and _LONG_DOUBLE_TIER:
+            roots = _isolated_roots(blk.astype(np.clongdouble), beta_eff / 2)
+        if roots is not None:
+            return roots
+    while True:
+        ctx = mp_context(prec)
+        roots = _isolated_roots(to_mp(blk, ctx), ctx.mpf(beta_eff) / 2)
+        if roots is not None or prec >= _MAX_PREC:
+            return roots
+        prec = min(2 * prec, _MAX_PREC)
 
 
 class CharPolySolver:
@@ -456,46 +454,33 @@ class CharPolySolver:
 
     def solve(self, m, beta):
         h = HessenbergMatrix(m)
-        n = h.n
-        if n == 0:
+        if h.n == 0:
             return []
         if beta <= 0 or not math.isfinite(beta):
             raise DomainError(f"invalid forward accuracy beta={beta!r}")
         a, extended = h.a, h.is_extended
-        if n == 1:
-            return [a[0, 0] if extended else complex(a[0, 0])]
         scale = _scale(h)
         # Representation floor: a binary64 result cannot certify below ~ulp.
         beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
-        vals, spans = [], split_blocks(a)
-        if not extended:
-            vals, spans = _solve_blocks(a, spans, beta_eff / 2)
-            if spans and _LONG_DOUBLE_TIER:
-                found, spans = _solve_blocks(a.astype(np.clongdouble), spans, beta_eff / 2)
-                vals += found
-            if not spans:
-                return _sorted(vals, complex)
-
         # extended input may ask for a beta so far below its scale that the
         # quotient overflows binary64; that run starts at the cap
         ratio = min(scale / beta_eff, 2.0**_MAX_PREC)
         prec = min(max(_MIN_PREC, int(math.log2(ratio)) + 60), _MAX_PREC)
-        while True:
-            ctx = mp_context(prec)
-            found, spans = _solve_blocks(to_mp(a, ctx), spans, ctx.mpf(beta_eff) / 2)
-            vals += found
-            if not spans:
-                if not extended:
-                    return _sorted(vals, complex)
-                into = a[0, 0].context.make_mpc
-                return _sorted(vals, lambda z: into(ctx.mpc(z)._mpc_))
-            if prec >= _MAX_PREC:
-                blocks = ", ".join(f"rows {i}:{j} (dimension {j - i})" for i, j in spans)
+        vals = []
+        for start, stop in split_blocks(a):
+            roots = _block_roots(a[start:stop, start:stop], beta_eff, prec)
+            if roots is None:
                 raise SmallEigFailure(
                     f"could not certify forward accuracy {beta_eff:g} at {_MAX_PREC} bits "
-                    f"for the diagonal block(s) at {blocks}"
+                    f"for the diagonal block at rows {start}:{stop} (dimension {stop - start})"
                 )
-            prec = min(2 * prec, _MAX_PREC)
+            vals += roots
+        vals.sort(key=lambda z: (float(z.real), float(z.imag)))
+        if not extended:
+            return [complex(z) for z in vals]
+        # each root as it is, at the precision of the rung that certified it
+        into = a[0, 0].context.make_mpc
+        return [into(z._mpc_) for z in vals]
 
 
 def _scale(h):
@@ -510,13 +495,6 @@ def _scale(h):
     if not h.is_extended and np.vdot(a, a).real <= 0.5:
         return 1.0
     return max(1.0, float(h.frobenius_norm()))
-
-
-def _sorted(vals, kind):
-    """vals converted by kind (``complex``, or rounded at the last rung and
-    taken into the input's context), sorted by (re, im)."""
-    vals = sorted(vals, key=lambda z: (float(z.real), float(z.imag)))
-    return [kind(z) for z in vals]
 
 
 DEFAULT_SOLVER = CharPolySolver()

@@ -67,17 +67,17 @@ class TestPrecisionLivesInTheNumbers:
         # its rungs work at 120 bits or more, and the Ritz values it returns
         # are 32-bit numbers again, which regularize rounds at 32 bits
         rung_precs, ritz_precs = [], []
-        solve_blocks, regularize = smalleig._solve_blocks, ritz.regularize
+        isolated_roots, regularize = smalleig._isolated_roots, ritz.regularize
 
-        def rung_spy(H, spans, beta_cert):
-            rung_precs.append(H[0, 0].context.prec)
-            return solve_blocks(H, spans, beta_cert)
+        def rung_spy(blk, beta_cert):
+            rung_precs.append(blk[0, 0].context.prec)
+            return isolated_roots(blk, beta_cert)
 
         def ritz_spy(r_list, eta2, rng):
             ritz_precs.extend(r.context.prec for r in r_list)
             return regularize(r_list, eta2, rng)
 
-        monkeypatch.setattr(smalleig, "_solve_blocks", rung_spy)
+        monkeypatch.setattr(smalleig, "_isolated_roots", rung_spy)
         monkeypatch.setattr(ritz, "regularize", ritz_spy)
         a = random_hessenberg(np.random.default_rng(81), 6).a
         solve(a, SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, bits=32))

@@ -113,17 +113,17 @@ class TestRefEigs:
         evals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         a = q @ np.diag(evals) @ q.conj().T
-        zgeev = smalleig.lapack.zgeev
+        eigvals = np.linalg.eigvals
         calls = []
 
-        def duplicating(m, **options):
-            seeds, *rest = zgeev(m, **options)
+        def duplicating(m):
+            seeds = eigvals(m)
             if not calls:
                 seeds[1] = seeds[0]
             calls.append(m.shape[0])
-            return (seeds, *rest)
+            return seeds
 
-        monkeypatch.setattr(smalleig.lapack, "zgeev", duplicating)
+        monkeypatch.setattr(smalleig.np.linalg, "eigvals", duplicating)
         got = ref_eigs(a)
         assert matched_distance(got, evals) <= 1e-10
         assert calls == [n, n]
@@ -131,15 +131,15 @@ class TestRefEigs:
 
 @pytest.fixture
 def block_dtypes(monkeypatch):
-    """Records the dtype of every matrix ``ref_eigs`` hands to ``_solve_blocks``."""
+    """Records the dtype of every block ``ref_eigs`` hands to ``_isolated_roots``."""
     seen = []
-    original = oracle._solve_blocks
+    original = oracle._isolated_roots
 
-    def recording(H, spans, beta_cert):
-        seen.append(H.dtype)
-        return original(H, spans, beta_cert)
+    def recording(blk, beta_cert):
+        seen.append(blk.dtype)
+        return original(blk, beta_cert)
 
-    monkeypatch.setattr(oracle, "_solve_blocks", recording)
+    monkeypatch.setattr(oracle, "_isolated_roots", recording)
     return seen
 
 
