@@ -24,8 +24,12 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   levels deep (each block's random stream is derived from its path);
 - the same for ``hessqr.solve`` with default options, solver seed 1, on
   that input: the direct route hands the small solver one 128 x 128 block,
-  above the n = 75 from which zgeev's eigenvalues with eigenvectors and
+  above the n = 75 from which LAPACK's eigenvalues with eigenvectors and
   without them may differ in the last bits;
+- the same for ``hessqr.solve`` with default options, solver seed 1, on one
+  256 x 256 near-normal input at rng seed 3: the enclosure certifies its
+  one direct block, above the n ~ 150 from which LAPACK's Hessenberg
+  reduction and QR take their blocked code paths;
 - the same for ``hessqr.solve`` with default options, solver seed 1, on one
   16 x 16 near-normal input per seed, run with
   ``smalleig._LONG_DOUBLE_TIER`` set to False (as where clongdouble is
@@ -67,6 +71,7 @@ import scipy.linalg
 
 CYCLIC_N, CYCLIC_K = 32, 8
 DEEP_N = 128
+DIRECT_N, DIRECT_RNG_SEED = 256, 3
 MP_N, MP_BITS = 10, (80, 32)
 GUARD_OFF_N = 16
 HARD_BITS = 80
@@ -82,10 +87,12 @@ def _companion(first_row):
 
 def _hard_blocks():
     """[(name, Hessenberg block, beta)]: the companion of (z - 1)^4, a lower
-    Jordan block, a 2 x 2 near overflow and one near underflow (where
-    scipy's zgeev leaves its eigenvalues at the scale it balanced them to), a
-    16 x 16 companion with a double root at 0 (where LAPACK's seeds
-    coincide), and three random 8 x 8 blocks at beta = 1e-30."""
+    Jordan block, a 2 x 2 near overflow and one near underflow, a 16 x 16
+    companion with a double root at 0 (where LAPACK's seeds coincide), three
+    random 8 x 8 blocks at beta = 1e-30, and a fourth scaled by 2^-990, whose
+    certificate is the absolute floor 2^-49.  The extreme scales are where
+    scipy 1.17.1's ``zgeev`` leaves eigenvalues at the scale it balanced them
+    to; the small solver's eigenvalues must keep the block's scale."""
     rng = np.random.default_rng(27)
     blocks = [
         ("companion (z-1)^4", _companion([4.0, -6.0, 4.0, -1.0]), 1e-10),
@@ -98,6 +105,9 @@ def _hard_blocks():
     for i in range(3):
         a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1) / 4
         blocks.append((f"random 8x8 #{i}", a, 1e-30))
+    a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1)
+    tiny = np.ldexp(a.real, -990) + 1j * np.ldexp(a.imag, -990)
+    blocks.append(("random 8x8 scaled by 2^-990", tiny, 1e-30))
     return blocks
 
 
@@ -266,6 +276,9 @@ def collect(n_inputs, seeds):
             if bits == 53:
                 name = f"near-normal n={n} default solve seed {seed}"
                 out[name] = _guarded(lambda: _solve_record(hessqr.solve(a, hessqr.SolveConfig(seed=1))))
+    a = workloads.near_normal(np.random.default_rng(DIRECT_RNG_SEED), DIRECT_N)
+    name = f"near-normal n={DIRECT_N} rng seed {DIRECT_RNG_SEED} default solve"
+    out[name] = _guarded(lambda: _solve_record(hessqr.solve(a, hessqr.SolveConfig(seed=1))))
     long_double_tier = smalleig._LONG_DOUBLE_TIER
     for seed in seeds:
         a = workloads.near_normal(np.random.default_rng(seed), GUARD_OFF_N)

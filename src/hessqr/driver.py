@@ -13,7 +13,7 @@ failure events are retried a fixed number of times with fresh randomness
 before the run aborts.  Every block owns a deterministic random substream
 derived from the master seed and its position in the deflation tree, so a
 run is byte-reproducible from its seed at a fixed BLAS thread count (from
-n ~ 150 on, the small solver's zgeev seeds and the norm(a, 2) of
+n ~ 150 on, the small solver's ``np.linalg.eig`` and the norm(a, 2) of
 ``preprocess`` depend on that count).  ``block_seed`` hands the path to
 ``SeedSequence`` as one uint32 array: numpy turns a tuple spawn key into
 entropy words one integer at a time in Python (about 0.6 us per level on a

@@ -9,12 +9,11 @@ climbs one ladder of certificates on its own (``_block_roots``), stopping at
 the first rung that certifies it, so a certified block is never solved
 again.  A 1 x 1 block is its own entry.  Every other block climbs:
 
-1. the enclosure, for a binary64 block: LAPACK's eigenvalues of the block,
-   complex128 (``zgeev`` with right eigenvectors, through
-   ``scipy.linalg.lapack``, the LAPACK the QR sweeps call), are the centres
-   of Gerschgorin disks of X^-1 m X, from its eigenvectors X and the
-   residual m X - X diag(lam) (``_enclosed_roots``), and are returned as
-   they are when every disk bounds its eigenvalue within beta_eff / 2.
+1. the enclosure, for a binary64 block: ``np.linalg.eig``'s eigenvalues
+   of the block are the centres of Gerschgorin disks of X^-1 m X, from its
+   eigenvectors X and the residual m X - X diag(lam) (``_enclosed_roots``),
+   and are returned as they are when every disk bounds its eigenvalue
+   within beta_eff / 2.
 2. the characteristic polynomial in clongdouble, for a binary64 block where
    clongdouble has a 64-bit significand (x87 extended): it is evaluated
    through the Hyman determinant recurrence with a running bound on its
@@ -37,6 +36,12 @@ block climbs alone, a matrix's eigenvalues are those of its blocks, each
 solved as a matrix of its own at the same beta_eff and first precision.
 Deterministic: no randomness anywhere, output sorted by (re, im).  Any
 ``ritz.SmallEigSolver`` may be injected in its place.
+
+The enclosure and the seeds take LAPACK through ``np.linalg``, not
+``scipy.linalg.lapack``: scipy 1.17.1's ``zgeev`` leaves the eigenvalues of
+a block whose largest entry is above about 1.5e138 or below about 6.7e-139
+at the scale it balanced them to (+-1.29e138 for [[1, 2], [1, -1]] 1e300,
+whose eigenvalues are +-1.73e300).
 
 The enclosure certifies a block well conditioned as an eigenproblem whatever
 its characteristic polynomial: a default-option direct solve at n = 256
@@ -72,7 +77,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DomainError, SmallEigFailure
 from .iqr import HessenbergMatrix, split_blocks
@@ -276,22 +280,10 @@ def _cyclic_index(d):
     return idx, cols
 
 
-@lru_cache(maxsize=128)
-def _zgeev_lwork(n):
-    """zgeev's optimal workspace with right eigenvectors: with the wrapper's
-    minimal default, zgehrd and zhseqr take other code paths from n ~ 150
-    on, and round differently."""
-    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
-
-
 def _lapack_seeds(blk):
     """``np.linalg.eigvals`` of blk rounded to complex128, or None for a
     block that rounds to a non-finite entry (one rounded from mpmath can) or
-    whose eigenvalues LAPACK fails to find.  Not scipy's ``zgeev``: in scipy
-    1.17.1 it leaves the eigenvalues of a block whose largest entry is above
-    about 1.5e138 or below about 6.7e-139 at the scale it balanced them to
-    (+-1.29e138 for [[1, 2], [1, -1]] 1e300, whose eigenvalues are
-    +-1.73e300)."""
+    whose eigenvalues LAPACK fails to find."""
     try:
         return np.linalg.eigvals(blk.astype(np.complex128))
     except np.linalg.LinAlgError:
@@ -303,8 +295,8 @@ def _enclosed_roots(blk, beta_cert):
     disks about them from its eigenvectors bound each within beta_cert of
     the eigenvalue matched to it; else None.
 
-    ``zgeev`` gives the centres lam and the right eigenvectors X, and
-    ``zgetrf`` and ``zgetri`` an approximate inverse Y.  Let E = YX - I and
+    ``np.linalg.eig`` gives the centres lam and the right eigenvectors X,
+    and ``np.linalg.inv`` an approximate inverse Y.  Let E = YX - I and
     R = blk X - X diag(lam), exact for the stored blk, X, Y and lam.  When
     ||E||_inf < 1, X is invertible with X^-1 = (I + E)^-1 Y, and
     X^-1 blk X = diag(lam) + F with F = (I + E)^-1 Y R = YR - EF.  So row i
@@ -329,20 +321,13 @@ def _enclosed_roots(blk, beta_cert):
     (``_LONG_DOUBLE_TIER``: else None).  Each radius is formed from
     nonnegative numbers in fewer than 6n + 20 roundings to nearest, so
     1 + _slack(6n, u) covers them and the distances ``_matched_bounds``
-    compares.  None also where ||E||_inf > 1/2, zgeev or zgetrf fails, or a
-    value is not finite."""
+    compares.  None also where ||E||_inf > 1/2, either numpy call raises
+    LinAlgError, or a value is not finite."""
     n = blk.shape[0]
-    lam, _, x, info = lapack.zgeev(
-        blk.astype(np.complex128, order="F"), compute_vl=0, compute_vr=1,
-        lwork=_zgeev_lwork(n), overwrite_a=1,
-    )
-    if info != 0:
-        return None
-    lu, piv, info = lapack.zgetrf(x)
-    if info != 0:
-        return None
-    y, info = lapack.zgetri(lu, piv)
-    if info != 0:
+    try:
+        lam, x = np.linalg.eig(blk)
+        y = np.linalg.inv(x)
+    except np.linalg.LinAlgError:
         return None
     g = _slack(2 * n, _U)
     with np.errstate(all="ignore"):

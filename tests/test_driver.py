@@ -658,10 +658,10 @@ class TestWholeSolver:
         # default options derive k = 2048, so a 256 x 256 input goes to the
         # small solver whole.  Its characteristic polynomial is too badly
         # conditioned for the clongdouble rung (the block climbed to mpmath,
-        # > 60 s), but the enclosure from zgeev's eigenvectors certifies it
-        # at beta = delta: no mpmath number is made.  perfbench's near-normal
-        # recipe at rng seed 3, solver seed 1; the gate is Bauer-Fike against
-        # LAPACK on the dense input.
+        # > 60 s), but the enclosure from np.linalg.eig's eigenvectors
+        # certifies it at beta = delta: no mpmath number is made.  perfbench's
+        # near-normal recipe at rng seed 3, solver seed 1; the gate is
+        # Bauer-Fike against LAPACK on the dense input.
         def no_mpmath(*args):
             raise AssertionError("the small solver entered an mpmath rung")
 

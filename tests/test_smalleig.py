@@ -477,8 +477,8 @@ def enclosure_blocks(draw):
 
 
 class TestEnclosureRung:
-    """``_enclosed_roots``: Gerschgorin disks from zgeev's eigenvectors,
-    tried first on every binary64 block where clongdouble is x87 extended."""
+    """``_enclosed_roots``: Gerschgorin disks from ``np.linalg.eig``'s
+    eigenvectors, tried first on every binary64 block on every platform."""
 
     @settings(max_examples=40)
     @given(enclosure_blocks())
@@ -503,23 +503,27 @@ class TestEnclosureRung:
         centres, r, _ = _enclosure(m, 1.0)
         beta_cert = 5 * r.max()
         assert _enclosure(m, beta_cert) is not None
-        zgeev = smalleig.lapack.zgeev
+        eig = np.linalg.eig
         for i in range(n):
             for direction in (1, 1j, -1 - 1j):
                 moved = 10 * r.max() * direction / abs(direction)
 
-                def planted(a, **options):
-                    w, *rest = zgeev(a, **options)
+                def planted(a):
+                    w, x = eig(a)
                     w = w.copy()
                     w[i] += moved
-                    return (w, *rest)
+                    return w, x
 
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(smalleig.lapack, "zgeev", planted)
+                    mp.setattr(smalleig.np.linalg, "eig", planted)
                     assert smalleig._enclosed_roots(m, beta_cert) is None
 
-    @pytest.mark.parametrize("e", [-300, 300])
+    @pytest.mark.parametrize("e", [-990, -300, 300])
     def test_extreme_scales_certify_soundly_or_fall_back(self, e):
+        # below scale 1 the certificate is absolute (2^-49 at the floor), and
+        # would pass eigenvalues at the wrong scale: the solver's values must
+        # also be within 2^-40 ||m||_F of the scaled reference, but for the
+        # last block's 4-fold root, which binary64 finds only to about u^(1/4)
         rng = np.random.default_rng(71)
         blocks = [random_hessenberg(rng, n).a for n in (2, 4, 8)]
         blocks += [near_normal_hessenberg(rng, n, perturb=1e-4)[0].a for n in (4, 16)]
@@ -528,15 +532,18 @@ class TestEnclosureRung:
         for m in blocks:
             scaled = np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
             scale = max(1.0, float(np.linalg.norm(scaled)))
+            ref = ref_eigs(m)
+            ref = np.ldexp(ref.real, e) + 1j * np.ldexp(ref.imag, e)
             for beta_cert in (2.0**-50 * scale, 1e-8 * scale):
                 got = _enclosure(scaled, beta_cert)
                 if got is None:
                     continue
                 certified += 1
                 centres, _, bound = got
-                ref = ref_eigs(m)
-                ref = np.ldexp(ref.real, e) + 1j * np.ldexp(ref.imag, e)
                 assert _matched_within(centres, bound, ref, np.ldexp(_ref_tol(m), e))
+            if m is not blocks[-1]:
+                vals = np.array(SOLVER.solve(scaled, 1e-10))
+                assert matched_distance(vals, ref) <= np.ldexp(2.0**-40 * np.linalg.norm(m), e)
         assert certified >= len(blocks)
 
     def test_the_solver_certifies_without_the_long_double_tier(self, monkeypatch, enclosures):
@@ -588,19 +595,21 @@ class TestEnclosureRung:
         for n in (2, 3, 4, 4):
             h, _ = near_normal_hessenberg(rng, n, perturb=1e-4)
             m = h.a * (0.5 / np.linalg.norm(h.a))
-            lam, _, x, _ = scipy.linalg.lapack.zgeev(m, compute_vr=1)
+            lam, x = np.linalg.eig(m)
             y = np.linalg.inv(x)
             term = np.abs(y) @ (np.abs(m) @ np.abs(x).sum(axis=1) + np.abs(x) @ np.abs(lam))
             for beta_cert, u in ((1e-6, smalleig._U), (2.0**-50, smalleig._U_LD)):
                 _, r, _ = _enclosure(m, beta_cert)
                 assert (r >= smalleig._slack(2 * n, float(u)) * term).all()
 
-    def test_a_failed_zgetrf_is_a_failed_enclosure(self, monkeypatch):
-        def singular(x):
-            return x, np.arange(1, x.shape[0] + 1, dtype=np.int32), 1
+    @pytest.mark.parametrize("routine", ["eig", "inv"])
+    def test_a_failed_lapack_call_is_a_failed_enclosure(self, routine, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError(f"{routine} failed")
 
-        monkeypatch.setattr(smalleig.lapack, "zgetrf", singular)
         m = random_hessenberg(np.random.default_rng(74), 4).a
+        assert smalleig._enclosed_roots(m, 1.0) is not None
+        monkeypatch.setattr(smalleig.np.linalg, routine, failing)
         assert smalleig._enclosed_roots(m, 1.0) is None
 
 
@@ -703,19 +712,23 @@ class TestExtremeInputs:
         with pytest.raises(StructureError):
             SOLVER.solve(np.array([[1.0, np.nan], [1.0, 0.0]], dtype=complex), 1e-10)
 
-    def test_entries_near_overflow(self, aberth_calls):
-        # the seeds are numpy's eigenvalues, scaled back: scipy's zgeev
-        # returns +-1.29e138 for this block.  Where clongdouble is x87
-        # extended, the seeds certify as they are, with no Aberth sweep.
-        m = np.array([[1e300, 2e300], [1e300, -1e300]], dtype=complex)
-        expected = np.array([-np.sqrt(3.0), np.sqrt(3.0)]) * 1e300
-        seeds = np.sort_complex(smalleig._lapack_seeds(m))
-        assert (np.abs(seeds - expected) <= 4 * np.spacing(expected[1])).all()
-        vals = SOLVER.solve(m, 1e-10)
-        assert [v.imag for v in vals] == [0.0, 0.0]
-        assert np.allclose(np.array(vals), expected, rtol=1e-14, atol=0)
+    def test_entries_near_overflow(self, aberth_calls, enclosures):
+        # and near underflow: numpy's eigenvalues keep the block's scale,
+        # where scipy's zgeev returns +-1.29e138 and +-5.82e-139.  Where
+        # clongdouble is x87 extended, both blocks certify in the enclosure,
+        # with no Aberth sweep; the one near underflow certifies at the
+        # absolute floor 2^-49, which wrong values would pass too.
+        for scale in (1e300, 1e-300):
+            m = np.array([[1, 2], [1, -1]], dtype=complex) * scale
+            expected = np.array([-np.sqrt(3.0), np.sqrt(3.0)]) * scale
+            ulps = 4 * np.spacing(expected[1])
+            assert (np.abs(np.sort_complex(smalleig._lapack_seeds(m)) - expected) <= ulps).all()
+            vals = SOLVER.solve(m, 1e-10)
+            assert [v.imag for v in vals] == [0.0, 0.0]
+            assert (np.abs(np.array(vals) - expected) <= ulps).all()
         if smalleig._LONG_DOUBLE_TIER:
             assert aberth_calls == []
+            assert enclosures == [(2, True), (2, True)]
 
     def test_extended_entries_near_overflow_fail_loudly(self):
         # beta = 1e-10 is 2^-1030 of these entries at 80 bits, beyond the
