@@ -31,10 +31,10 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   one direct block, above the n ~ 150 from which LAPACK's Hessenberg
   reduction and QR take their blocked code paths;
 - the same for ``hessqr.solve`` with default options, solver seed 1, on one
-  16 x 16 near-normal input per seed, run with
-  ``smalleig._LONG_DOUBLE_TIER`` set to False (as where clongdouble is
-  binary64) and then restored, so that a change to the small solver's
-  ladder on such platforms shows;
+  16 x 16 near-normal input per seed, run with ``smalleig.np`` replaced by
+  a numpy whose ``clongdouble`` is ``complex128`` (as where clongdouble is
+  binary64: MSVC, macOS on arm64) and then restored, so that a change to
+  the small solver's ladder on such platforms shows;
 - the same for ``shifted_qr`` at k = 4 on the extended-precision route: the
   Hessenberg form of one 10 x 10 near-normal input per seed, in mpmath
   numbers at 80 bits, so that a change to the binary64 step shows that this
@@ -76,6 +76,13 @@ MP_N, MP_BITS = 10, (80, 32)
 GUARD_OFF_N = 16
 HARD_BITS = 80
 BUDGET_POINTS = 10_000
+
+
+class _NumpyWithBinary64Clongdouble:
+    """numpy, but for ``clongdouble``, which is ``complex128``."""
+
+    def __getattr__(self, name):
+        return np.complex128 if name == "clongdouble" else getattr(np, name)
 
 
 def _companion(first_row):
@@ -279,15 +286,14 @@ def collect(n_inputs, seeds):
     a = workloads.near_normal(np.random.default_rng(DIRECT_RNG_SEED), DIRECT_N)
     name = f"near-normal n={DIRECT_N} rng seed {DIRECT_RNG_SEED} default solve"
     out[name] = _guarded(lambda: _solve_record(hessqr.solve(a, hessqr.SolveConfig(seed=1))))
-    long_double_tier = smalleig._LONG_DOUBLE_TIER
     for seed in seeds:
         a = workloads.near_normal(np.random.default_rng(seed), GUARD_OFF_N)
         name = f"near-normal n={GUARD_OFF_N} default solve seed {seed} without the clongdouble tier"
-        smalleig._LONG_DOUBLE_TIER = False
+        smalleig.np = _NumpyWithBinary64Clongdouble()
         try:
             out[name] = _guarded(lambda: _solve_record(hessqr.solve(a, hessqr.SolveConfig(seed=1))))
         finally:
-            smalleig._LONG_DOUBLE_TIER = long_double_tier
+            smalleig.np = np
     solver = hessqr.CharPolySolver()
     hard = {}
     for name, a, beta in _hard_blocks():

@@ -140,11 +140,11 @@ def block_seed(seed, path):
 
 
 def _resolve_seed(seed):
-    """seed, a non-negative integer (else ParameterError), or for None one
-    drawn from the system entropy source."""
+    """seed, a non-negative integer (else ParameterError; a bool is not
+    one), or for None one drawn from the system entropy source."""
     if seed is None:
         return int(np.random.SeedSequence().entropy % (2**63))
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 

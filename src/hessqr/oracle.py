@@ -34,7 +34,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DimensionError, DomainError, OracleError, SingularityError
 from .iqr import HessenbergMatrix, iqr_multi, split_blocks
 from .kernel import ldexp, mp_context, norm, to_mp
-from .smalleig import _LONG_DOUBLE_TIER, _isolated_roots
+from .smalleig import _isolated_roots
 
 ORACLE_PREC = 120
 IQR_EXACT_PREC = 160
@@ -42,6 +42,9 @@ REF_EIG_PREC = 140  # first precision of the mpmath reference eigensolve
 REF_RADIUS = 2.0**-48  # relative radius the clongdouble reference certifies
 REF_MP_RADIUS = 2.0**-100  # relative radius every mpmath reference rung certifies
 DESK_DIM_LIMIT = 64
+# clongdouble well above binary64 (x87 extended: 64-bit significand), for the
+# clongdouble reference rung (see ``ref_eigs``); elsewhere it may be binary64.
+_LONG_DOUBLE_TIER = np.finfo(np.clongdouble).nmant >= 63
 
 
 def _as_array(m):
@@ -176,19 +179,24 @@ def ref_eigs(m, mp_out=False):
     Householder reduction, then the small solver's per-block routine and
     root certificate (``_certified_eigs``), on a ladder of arithmetics.  The
     first rung, in clongdouble where it has a 64-bit significand (x87
-    extended, the guard the small solver uses), takes LAPACK's eigenvalues,
-    or Aberth's refinement of them where they fail, and certifies radius
-    ``REF_RADIUS`` max |h_ij|, far below every binary64 tolerance consuming
-    it.  With ``mp_out``, or when a block is left uncertified there, the
-    matrix goes to mpmath at ``REF_EIG_PREC`` bits, doubling twice on
-    failure, with Aberth from the seeds and then from a circle, and one
-    radius, ``REF_MP_RADIUS`` max |h_ij|, at every rung: an m-fold
-    eigenvalue is found to about 2^-(p/m) at p bits, so a double one
-    certifies from 280 bits and a fourfold one at 560.  ``mp_out`` returns
-    those mpmath values.  Values are within the radius of the eigenvalues
-    under a matching; the certificate covers the Hessenberg form, not the
-    rounding of the reduction to it (about n^2 u ||m||).  OracleError when
-    no rung certifies every block.
+    extended), takes LAPACK's eigenvalues, or Aberth's refinement of them
+    where they fail, and certifies radius ``REF_RADIUS`` max |h_ij|, far
+    below every binary64 tolerance consuming it.  With ``mp_out``, or when
+    a block is left uncertified there, the matrix goes to mpmath at
+    ``REF_EIG_PREC`` bits, doubling twice on failure, with Aberth from the
+    seeds and then from a circle, and one radius, ``REF_MP_RADIUS``
+    max |h_ij|, at every rung: an m-fold eigenvalue is found to about
+    2^-(p/m) at p bits, so a double one certifies from 280 bits and a
+    fourfold one at 560.  ``mp_out`` returns those mpmath values.  Values
+    are within the radius of the eigenvalues under a matching; the
+    certificate covers the Hessenberg form, not the rounding of the
+    reduction to it (about n^2 u ||m||).  That is why the clongdouble rung
+    keeps its own guard (``_LONG_DOUBLE_TIER``), where the small solver's
+    ladder runs at whatever width clongdouble has: at n = 64 the reduction's
+    rounding is about 2^-52 ||m|| with the x87 u = 2^-64, below
+    ``REF_RADIUS``, but about 2^-41 ||m|| where clongdouble is binary64, so
+    there the reference starts in mpmath.  OracleError when no rung
+    certifies every block.
     """
     a = _as_array(m)
     if a.shape[0] > DESK_DIM_LIMIT:

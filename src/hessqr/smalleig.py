@@ -14,8 +14,9 @@ again.  A 1 x 1 block is its own entry.  Every other block climbs:
    eigenvectors X and the residual m X - X diag(lam) (``_enclosed_roots``),
    and are returned as they are when every disk bounds its eigenvalue
    within beta_eff / 2.
-2. the characteristic polynomial in clongdouble, for a binary64 block where
-   clongdouble has a 64-bit significand (x87 extended): it is evaluated
+2. the characteristic polynomial in clongdouble, for every binary64 block,
+   at whatever width clongdouble has (a 64-bit significand where it is x87
+   extended, binary64 under MSVC and on macOS on arm64): it is evaluated
    through the Hyman determinant recurrence with a running bound on its
    rounding error; ``np.linalg.eigvals``' eigenvalues of the block
    (``_lapack_seeds``) go to the root certificate below as they are, in one
@@ -47,11 +48,13 @@ The enclosure certifies a block well conditioned as an eigenproblem whatever
 its characteristic polynomial: a default-option direct solve at n = 256
 certifies there in binary64, where the polynomial needed 120-bit mpmath.
 It leaves clusters, defective blocks and, at the binary64 floor of beta,
-most blocks beyond a few rows to the rungs after it.  Every corner it
-certifies at that floor needs its residual in clongdouble (see
-``_enclosed_roots`` for that and its rounding model): where clongdouble is
-binary64 (MSVC, macOS on arm64), such a block goes on uncertified, and the
-ladder is rungs 1 and 3.
+most blocks beyond a few rows to the rungs after it.  Most corners it
+certifies at that floor need their residual in clongdouble (see
+``_enclosed_roots`` for that and its rounding model).  The ladder is the
+same on every platform: each certificate takes u and the smallest normal
+number from the numbers it runs on, so where clongdouble is binary64 the
+enclosure's residual and rung 2 run in binary64 with binary64's bounds, and
+what they leave goes on to rung 3.
 
 The root certificate (``_certify_block``) is Gerschgorin's theorem on the
 Weierstrass matrix of the approximations, from the running error bound of
@@ -65,12 +68,12 @@ about exactly the matrix given.
 
 The primitives defined here (the Hyman recurrence with its error bound,
 Ehrlich-Aberth, the one routine that moves roots, and the root
-certificate) are written once and run in the arithmetic of their input,
-clongdouble or mpmath.  ``oracle`` certifies its reference eigenvalues
-through the char-poly rungs' own routine, ``_isolated_roots``, which cannot
-reach the enclosure: the tests check the solver against the reference, and
-a reference that went through the solver's first certificate could not show
-a fault in it.
+certificate) are written once and run in the arithmetic of their input, a
+numpy complex dtype or mpmath.  ``oracle`` certifies its reference
+eigenvalues through the char-poly rungs' own routine, ``_isolated_roots``,
+which cannot reach the enclosure: the tests check the solver against the
+reference, and a reference that went through the solver's first
+certificate could not show a fault in it.
 """
 
 import math
@@ -84,13 +87,6 @@ from .kernel import is_mp_array, mp_context, to_mp
 
 _MIN_PREC = 120
 _MAX_PREC = 960
-_U = np.finfo(np.complex128).epsneg  # unit roundoff of binary64
-_TINY = np.finfo(np.float64).tiny  # its smallest normal number
-_U_LD = np.finfo(np.clongdouble).epsneg  # unit roundoff of clongdouble
-_TINY_LD = np.finfo(np.clongdouble).tiny  # its smallest normal number
-# clongdouble well above binary64 (x87 extended: 64-bit significand), for the
-# clongdouble rung and the enclosure's residual; elsewhere it may be binary64.
-_LONG_DOUBLE_TIER = np.finfo(np.clongdouble).nmant >= 63
 
 
 def _slack(n, u):
@@ -101,19 +97,29 @@ def _slack(n, u):
     return 2 * (n + 20) * u
 
 
-def _hyman(H, z, u=None, derivative=True):
+def _roundoff(a):
+    """(u, tiny) of the arithmetic the array a runs in: the unit roundoff and
+    smallest normal number of its numpy dtype, or eps / 2 = 2^-prec and 0
+    (mpmath has no gradual underflow) for mpmath numbers of one context."""
+    if is_mp_array(a):
+        return a.flat[0].context.eps / 2, 0
+    fin = np.finfo(a.dtype)
+    return fin.epsneg, fin.tiny
+
+
+def _hyman(H, z, bound=False, derivative=True):
     """kappa, kappa' and a running error bound eps at every point of z.
 
     det(H - z) = (-1)^(n-1) kappa(z) prod(subdiag) for unreduced Hessenberg
     H.  z is a vector of m points; x and x' (back substitution for the null
     vector of the last n - 1 rows of H - z, and its derivative) are n x m
     arrays updated one row dot product at a time.  Everything runs in the
-    arithmetic of H and z: numpy clongdouble, or object arrays of mpmath
-    numbers of one context.  Given that arithmetic's unit roundoff
-    u, the bound (in its real type) satisfies |kappa_hat - kappa| <= eps for
-    the exact kappa at the stored H and z; without u it is None.  kappa' is
-    for Aberth steps and carries no bound; with derivative=False it is not
-    formed and comes back as None.
+    arithmetic of H and z: a numpy complex dtype, or object arrays of mpmath
+    numbers of one context.  With bound=True, eps (in its real type, from
+    that arithmetic's unit roundoff, ``_roundoff``) satisfies
+    |kappa_hat - kappa| <= eps for the exact kappa at the stored H and z;
+    else it is None.  kappa' is for Aberth steps and carries no bound; with
+    derivative=False it is not formed and comes back as None.
 
     Running error analysis (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 5.1): each computed x_{i-1} carries a local
@@ -136,10 +142,10 @@ def _hyman(H, z, u=None, derivative=True):
             xp[i - 1] = (x[i] + z * xp[i] - row @ xp[i:]) / h
     kap = H[0] @ x - z * x[0]
     kapp = H[0] @ xp - x[0] - z * xp[0] if derivative else None
-    if u is None:
+    if not bound:
         return kap, kapp, None
 
-    tiny = 0 if is_mp_array(H) else _TINY_LD
+    u, tiny = _roundoff(H)
     g = _slack(n, u)
     grow = 1 + 2 * n * g  # the rounding of the n steps of each bound itself
     aH, az, ax = np.abs(H), np.abs(z), np.abs(x)
@@ -161,10 +167,11 @@ def _hyman(H, z, u=None, derivative=True):
     return kap, kapp, eps
 
 
-def _aberth(blk, z, u):
+def _aberth(blk, z):
     """Ehrlich-Aberth from the points z on all roots of the characteristic
-    polynomial of blk at once, in the arithmetic of blk (unit roundoff u):
-    the roots, or None when two points coincide or kappa' vanishes at one.
+    polynomial of blk at once, in the arithmetic of blk (unit roundoff u,
+    ``_roundoff``): the roots, or None when two points coincide or kappa'
+    vanishes at one.
 
     Each sweep moves every z_j by w_j / (1 - w_j sum_{l != j} 1 / (z_j - z_l)),
     with the Newton step w_j = kappa / kappa' at z_j (w_j alone where the
@@ -173,9 +180,9 @@ def _aberth(blk, z, u):
     within its rounding bound (``_hyman``), which is where a multiple root
     leaves it; else after 200 sweeps."""
     idx, cols = _cyclic_index(len(z))
-    tol = 2**8 * u
+    tol = 2**8 * _roundoff(blk)[0]
     for sweep in range(1, 201):
-        kap, kapp, eps = _hyman(blk, z, u if sweep % 16 == 0 else None)
+        kap, kapp, eps = _hyman(blk, z, bound=sweep % 16 == 0)
         if eps is not None and (np.abs(kap) <= eps).all():
             break
         diff = z[idx] - z[cols]
@@ -203,7 +210,7 @@ def _circle(blk):
     )
 
 
-def _certify_block(blk, roots, beta_cert, u):
+def _certify_block(blk, roots, beta_cert):
     """Matched error bounds of the roots, or None.
 
     Weierstrass-Gerschgorin inclusion (Carstensen, Linear Algebra Appl.
@@ -226,15 +233,16 @@ def _certify_block(blk, roots, beta_cert, u):
     distance compared.
 
     The disks go to ``_matched_bounds``.  None unless the z_i are distinct
-    and every bound is within beta_cert.  u is the unit roundoff of blk."""
+    and every bound is within beta_cert.  u and the smallest normal number
+    are those of the arithmetic of blk (``_roundoff``)."""
     d = blk.shape[0]
     z = np.asarray(roots)
     dist = np.abs(z[:, None] - z[None, :])
     # distinct: every off-diagonal distance is positive (the diagonal is 0 or NaN)
     if np.count_nonzero(dist > 0) != d * (d - 1):
         return None
-    kap, _, eps = _hyman(blk, z, u, derivative=False)
-    tiny = 0 if is_mp_array(blk) else _TINY_LD
+    kap, _, eps = _hyman(blk, z, bound=True, derivative=False)
+    u, tiny = _roundoff(blk)
     # quotients h_j / |z_i - z_{i+j}| (indices mod d), j = 1..d-1, per row i
     quot = np.abs(blk.diagonal(-1)) / dist[_cyclic_index(d)] + tiny
     w = np.abs(kap) + eps
@@ -316,40 +324,39 @@ def _enclosed_roots(blk, beta_cert):
     added to each row sum, covers.  E is formed in binary64, and so is R
     when the part of the radii its rounding makes, g |Y| (|blk||X| +
     |X||lam|) 1, found in O(n^2) before any product of matrices, is within
-    beta_cert / 8; blocks certified at the binary64 floor of beta need R in
-    clongdouble, formed only under this routine's own guard
-    (``_LONG_DOUBLE_TIER``: else None).  Each radius is formed from
-    nonnegative numbers in fewer than 6n + 20 roundings to nearest, so
-    1 + _slack(6n, u) covers them and the distances ``_matched_bounds``
-    compares.  None also where ||E||_inf > 1/2, either numpy call raises
-    LinAlgError, or a value is not finite."""
+    beta_cert / 8; else R is formed in clongdouble, with g from the unit
+    roundoff of clongdouble at whatever width it has.  The x87 u = 2^-64
+    leaves room for that term at the binary64 floor of beta; where
+    clongdouble is binary64 the term stays as large, and the block certifies
+    only where the rest of its radii leaves room for it.  Each radius is
+    formed from nonnegative numbers in fewer than 6n + 20 binary64 roundings
+    to nearest, so 1 + _slack(6n, u) covers them and the distances
+    ``_matched_bounds`` compares.  None also where ||E||_inf > 1/2, either
+    numpy call raises LinAlgError, or a value is not finite."""
     n = blk.shape[0]
     try:
         lam, x = np.linalg.eig(blk)
         y = np.linalg.inv(x)
     except np.linalg.LinAlgError:
         return None
-    g = _slack(2 * n, _U)
+    u, tiny = _roundoff(blk)
+    g = _slack(2 * n, u)
     with np.errstate(all="ignore"):
         ax, ay = np.abs(x), np.abs(y)
         xs = ax.sum(axis=1)
         e = y @ x
         e.flat[:: n + 1] -= 1
-        e = np.abs(e).sum(axis=1) + g * (ay @ xs) + _TINY
+        e = np.abs(e).sum(axis=1) + g * (ay @ xs) + tiny
         e_norm = e.max()
         if not e_norm <= 0.5:
             return None
         v = ay @ (np.abs(blk) @ xs + ax @ np.abs(lam))
-        if g * v.max() <= beta_cert / 8:
-            r = blk @ x - x * lam
-        elif not _LONG_DOUBLE_TIER:
-            return None
-        else:
-            g = _slack(2 * n, float(_U_LD))
-            xl = x.astype(np.clongdouble)
-            r = blk.astype(np.clongdouble) @ xl - xl * lam.astype(np.clongdouble)
-        s = ay @ (np.abs(r).sum(axis=1).astype(np.float64) + _TINY) + g * v
-        rho = (s + e * (s.max() / (1 - e_norm))) * (1 + _slack(6 * n, _U)) + _TINY
+        wide = blk.dtype if g * v.max() <= beta_cert / 8 else np.dtype(np.clongdouble)
+        g = _slack(2 * n, float(np.finfo(wide).epsneg))
+        xw = x.astype(wide, copy=False)
+        r = blk.astype(wide, copy=False) @ xw - xw * lam.astype(wide, copy=False)
+        s = ay @ (np.abs(r).sum(axis=1).astype(np.float64) + tiny) + g * v
+        rho = (s + e * (s.max() / (1 - e_norm))) * (1 + _slack(6 * n, u)) + tiny
         dist = np.abs(lam[:, None] - lam[None, :])
         if _matched_bounds(dist, rho, beta_cert) is None:
             return None
@@ -359,28 +366,27 @@ def _enclosed_roots(blk, beta_cert):
 def _isolated_roots(blk, beta_cert):
     """Roots of blk that pass ``_certify_block``, or None.
 
-    In clongdouble, LAPACK's binary64 seeds (``_lapack_seeds``) are
+    In a numpy dtype, LAPACK's binary64 seeds (``_lapack_seeds``) are
     certified as they are, and returned as they are, complex128.  Where they
     fail, and always in mpmath, ``_aberth`` refines them in the arithmetic
-    of blk, whose unit roundoff u is 2^-64 in clongdouble and
-    eps / 2 = 2^-prec in mpmath.  In mpmath, where there are no seeds or the
-    roots refined from them fail (clusters, defective blocks, seeds far from
-    the roots), ``_aberth`` starts again from ``_circle``.  Refined roots
-    must pass the same certificate."""
+    of blk, whose unit roundoff (``_roundoff``) is that of its dtype (2^-64
+    in x87 clongdouble) or eps / 2 = 2^-prec in mpmath.  In mpmath, where
+    there are no seeds or the roots refined from them fail (clusters,
+    defective blocks, seeds far from the roots), ``_aberth`` starts again
+    from ``_circle``.  Refined roots must pass the same certificate."""
     extended = is_mp_array(blk)
-    u = blk[0, 0].context.eps / 2 if extended else _U_LD
     seeds = _lapack_seeds(blk)
     with np.errstate(all="ignore"):
         if seeds is not None:
             z = to_mp(seeds, blk[0, 0].context) if extended else seeds.astype(blk.dtype)
-            if not extended and _certify_block(blk, z, beta_cert, u) is not None:
+            if not extended and _certify_block(blk, z, beta_cert) is not None:
                 return list(seeds)
-            z = _aberth(blk, z, u)
-            if z is not None and _certify_block(blk, z, beta_cert, u) is not None:
+            z = _aberth(blk, z)
+            if z is not None and _certify_block(blk, z, beta_cert) is not None:
                 return list(z)
         if extended:
-            z = _aberth(blk, _circle(blk), u)
-            if z is not None and _certify_block(blk, z, beta_cert, u) is not None:
+            z = _aberth(blk, _circle(blk))
+            if z is not None and _certify_block(blk, z, beta_cert) is not None:
                 return list(z)
     return None
 
@@ -390,15 +396,15 @@ def _block_roots(blk, beta_eff, prec):
     the first rung of the ladder that certifies them, or None.
 
     A 1 x 1 block is its own entry.  A binary64 block goes to
-    ``_enclosed_roots``, then, where clongdouble is x87 extended, to
-    ``_isolated_roots`` in clongdouble; every block then goes to
-    ``_isolated_roots`` in mpmath from prec bits, doubling up to
-    ``_MAX_PREC``."""
+    ``_enclosed_roots``, then to ``_isolated_roots`` in clongdouble, on
+    every platform and at whatever width clongdouble has there; every block
+    then goes to ``_isolated_roots`` in mpmath from prec bits, doubling up
+    to ``_MAX_PREC``."""
     if blk.shape[0] == 1:
         return [blk[0, 0]]
     if blk.dtype == np.complex128:
         roots = _enclosed_roots(blk, beta_eff / 2)
-        if roots is None and _LONG_DOUBLE_TIER:
+        if roots is None:
             roots = _isolated_roots(blk.astype(np.clongdouble), beta_eff / 2)
         if roots is not None:
             return roots
@@ -424,8 +430,12 @@ class CharPolySolver:
     ``ritz.ritz_or_decouple`` asks for about 1.5e-26, the solver certifies
     at beta_eff / 2 ~ 8.9e-16.  Over the 707 blocks of 24 such inputs, the
     enclosure's bounds reach 0.44 of that (median 0.07), with the residual
-    formed in clongdouble, and the next rung's Hyman bounds would reach 0.70
-    (median 0.15): neither bound leaves room to be loosened.  Certified
+    formed in x87 clongdouble, and the next rung's Hyman bounds would reach
+    0.70 (median 0.15): neither bound leaves room to be loosened.  Where
+    clongdouble is binary64 (simulated with a numpy whose clongdouble is
+    complex128), the enclosure certifies 112 of the 475 corners of the
+    first 16 such inputs at seed 11, the binary64 char-poly rung none of
+    the rest, and 120-bit mpmath all of those.  Certified
     LAPACK eigenvalues are returned as they are; a root that Ehrlich-Aberth
     refined in clongdouble or mpmath is rounded to complex128, which moves
     it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
@@ -439,10 +449,10 @@ class CharPolySolver:
 
     def solve(self, m, beta):
         h = HessenbergMatrix(m)
-        if h.n == 0:
-            return []
         if beta <= 0 or not math.isfinite(beta):
             raise DomainError(f"invalid forward accuracy beta={beta!r}")
+        if h.n == 0:
+            return []
         a, extended = h.a, h.is_extended
         scale = _scale(h)
         # Representation floor: a binary64 result cannot certify below ~ulp.

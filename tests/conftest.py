@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hessqr import driver
+from hessqr import driver, oracle, smalleig
 from hessqr.iqr import HessenbergMatrix, Step
 
 # Property tests draw the same examples on every run and may take as long as
@@ -13,6 +13,11 @@ settings.register_profile(
     "hessqr", deadline=None, derandomize=True, max_examples=50, database=None
 )
 settings.load_profile("hessqr")
+
+
+needs_long_double = pytest.mark.skipif(
+    not oracle._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
+)
 
 
 def same_bits(x, y):
@@ -108,3 +113,23 @@ def stalled_iteration(monkeypatch):
         driver, "sh_step", lambda h, *args: calls.append(h) or Step(h, "ritz_shift", 0j)
     )
     return calls
+
+
+class _NumpyWithBinary64Clongdouble:
+    """numpy, but for ``clongdouble``, which is ``complex128``."""
+
+    def __getattr__(self, name):
+        return np.complex128 if name == "clongdouble" else getattr(np, name)
+
+
+def use_binary64_clongdouble(monkeypatch):
+    """From here on the small solver runs as where clongdouble is binary64
+    (MSVC, macOS on arm64): ``smalleig`` sees a numpy whose ``clongdouble``
+    is complex128.  The oracle keeps the real numpy."""
+    monkeypatch.setattr(smalleig, "np", _NumpyWithBinary64Clongdouble())
+
+
+@pytest.fixture
+def binary64_clongdouble(monkeypatch):
+    """``use_binary64_clongdouble`` for the whole test."""
+    use_binary64_clongdouble(monkeypatch)

@@ -6,7 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import hard_matrices, near_normal_hessenberg, random_hessenberg
+from conftest import (
+    hard_matrices,
+    near_normal_hessenberg,
+    needs_long_double,
+    random_hessenberg,
+    use_binary64_clongdouble,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -397,7 +403,7 @@ class TestSeed:
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=16)
         return shifted_qr(h, 1e-7, 0.05, gd, seed=seed)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False])
     def test_shifted_qr_seed_must_be_a_non_negative_integer(self, seed):
         # as in solve (TestSolveEntryPoint), not numpy's own error mid-run
         with pytest.raises(ParameterError, match=f"seed must be a non-negative integer, got {seed}"):
@@ -473,7 +479,7 @@ class TestSolveEntryPoint:
         assert "delta = 0 or" in str(info.value)
 
     @pytest.mark.parametrize("preprocess", [True, False])
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False])
     def test_seed_must_be_a_non_negative_integer(self, preprocess, seed):
         config = SolveConfig(seed=seed, preprocess=preprocess, B=1.0, Gamma=1e-3)
         with pytest.raises(ParameterError, match=f"seed must be a non-negative integer, got {seed}"):
@@ -651,9 +657,7 @@ class TestWholeSolver:
         assert len(eigs) == h.n and np.isfinite(eigs).all()
         assert matched_distance(eigs, ref_eigs(a)) <= rep.kappa_v * delta
 
-    @pytest.mark.skipif(
-        not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
-    )
+    @needs_long_double
     def test_large_direct_block_certifies_in_binary64(self, monkeypatch):
         # default options derive k = 2048, so a 256 x 256 input goes to the
         # small solver whole.  Its characteristic polynomial is too badly
@@ -673,18 +677,19 @@ class TestWholeSolver:
         rep = condition_report(a)
         assert matched_distance(eigs, np.linalg.eigvals(a)) <= rep.kappa_v * config.delta * rep.norm
 
-    def test_large_direct_block_certifies_where_clongdouble_is_binary64(self, monkeypatch):
-        # with the clongdouble guard off, as where clongdouble is binary64
-        # (MSVC, macOS on arm64), the enclosure still certifies the whole
-        # 256 x 256 block of a default-option solve in binary64, where the
-        # ladder without it climbed to 120-bit mpmath (> 140 s).
-        # perfbench's near-normal recipe at rng seed 1, solver seed 1.
+    def test_large_direct_block_certifies_where_clongdouble_is_binary64(
+        self, monkeypatch, binary64_clongdouble
+    ):
+        # where clongdouble is binary64 (MSVC, macOS on arm64), the enclosure
+        # still certifies the whole 256 x 256 block of a default-option solve
+        # in binary64, where the ladder without it climbed to 120-bit mpmath
+        # (> 140 s).  perfbench's near-normal recipe at rng seed 1, solver
+        # seed 1.
         def no_mpmath(*args):
             raise AssertionError("the small solver entered an mpmath rung")
 
         _, a = near_normal_hessenberg(np.random.default_rng(1), 256, perturb=1e-4)
         config = SolveConfig(seed=1)
-        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
         monkeypatch.setattr(smalleig, "to_mp", no_mpmath)
         start = time.perf_counter()
         eigs = solve(a, config).eigenvalues
@@ -693,3 +698,19 @@ class TestWholeSolver:
         assert elapsed < 2.0
         rep = condition_report(a)
         assert matched_distance(eigs, np.linalg.eigvals(a)) <= rep.kappa_v * config.delta * rep.norm
+
+    def test_qr_small_inputs_pass_where_clongdouble_is_binary64(self, monkeypatch):
+        # perfbench's qr_small recipe (n = 32, k = 4, delta = 1e-7) with the
+        # small solver's clongdouble binary64: its corners at the binary64
+        # floor take the enclosure, the char-poly rung in binary64 and
+        # mpmath, and every run lands within kappa_V delta of the reference,
+        # which is computed with the real clongdouble
+        rng = np.random.default_rng(11)
+        cases = [near_normal_hessenberg(rng, 32, perturb=1e-4) for _ in range(4)]
+        refs = [(ref_eigs(h.a), condition_report(h.a).kappa_v) for h, _ in cases]
+        use_binary64_clongdouble(monkeypatch)
+        for (h, _), (ref, kappa_v) in zip(cases, refs):
+            gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+            assert gd.k == 4
+            eigs = shifted_qr(h, 1e-7, 0.05, gd, seed=1).eigenvalues
+            assert matched_distance(eigs, ref) <= kappa_v * 1e-7

@@ -521,3 +521,32 @@ def test_detects_a_builtin_open():
 def test_outputs_are_opened_only_by_the_writer(path):
     # truncating an output frees the blocks ext4 forced to disk at its last close
     assert builtin_open_calls(path.read_text(encoding="utf-8")) == []
+
+
+def significand_width_reads(source):
+    """Lines of ``source`` that read the ``nmant`` of a ``finfo``: a fork on
+    how wide a float type is on this platform."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "nmant"
+    )
+
+
+def test_detects_a_significand_width_read():
+    src = (
+        "import numpy as np\n"
+        "X87 = np.finfo(np.clongdouble).nmant >= 63\n"
+        "fin = np.finfo(np.float64)\n"
+        "wide = fin.nmant > 52 and fin.eps\n"
+        "nmant = 52\n"
+    )
+    assert significand_width_reads(src) == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "oracle.py"), ids=lambda p: p.name
+)
+def test_only_the_oracle_forks_on_the_platform_float_width(path):
+    # each certificate takes u and tiny from the numbers it runs on; the
+    # oracle's clongdouble reference rung alone needs the x87 width
+    assert significand_width_reads(path.read_text(encoding="utf-8")) == []

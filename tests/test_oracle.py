@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import companion, random_hessenberg
+from conftest import companion, needs_long_double, random_hessenberg
 from hessqr import oracle, smalleig
 from hessqr.errors import DimensionError, SingularityError
 from hessqr.iqr import HessenbergMatrix
@@ -144,9 +144,7 @@ def block_dtypes(monkeypatch):
 
 
 class TestRefEigsRungs:
-    @pytest.mark.skipif(
-        not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
-    )
+    @needs_long_double
     def test_clongdouble_certifies_without_mpmath(self, block_dtypes):
         h = random_hessenberg(np.random.default_rng(29), 8).a
         got = ref_eigs(h)
@@ -160,9 +158,7 @@ class TestRefEigsRungs:
         assert block_dtypes == [np.dtype(object)]
         assert all(z.context.prec == oracle.REF_EIG_PREC for z in got)
 
-    @pytest.mark.skipif(
-        not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
-    )
+    @needs_long_double
     @pytest.mark.parametrize("e", [0, -200])
     def test_clongdouble_rung_is_scale_invariant(self, e, block_dtypes):
         # roots 1 and 1 + 1e-6 are too close for the clongdouble rung to

@@ -28,9 +28,9 @@ def test_repository_matches_itself():
     # one input per workload (the CLI route adds its JSON), the cyclic shift
     # through the CLI and through shifted_qr, the deep near-normal case and
     # the default solve of its input, the 80-bit and 32-bit cases, the
-    # default solve at n = 256, a default solve without the clongdouble
-    # tier, the small solver's hard blocks and the required bits over a grid
-    # of degree overrides
+    # default solve at n = 256, a default solve with a numpy whose
+    # clongdouble is complex128, the small solver's hard blocks and the
+    # required bits over a grid of degree overrides
     assert out.stdout.strip().splitlines()[-1] == (
         "13 items compared, 0 differences, 0 one-sided fields"
     )

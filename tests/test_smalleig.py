@@ -8,12 +8,19 @@ import pytest
 import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
-from conftest import companion, hard_matrices, near_normal_hessenberg, random_hessenberg, same_bits
+from conftest import (
+    companion,
+    hard_matrices,
+    near_normal_hessenberg,
+    needs_long_double,
+    random_hessenberg,
+    same_bits,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hessqr
-from hessqr import smalleig
+from hessqr import oracle, smalleig
 from hessqr.errors import (
     DomainError,
     HessqrError,
@@ -40,12 +47,12 @@ def aberth_calls(monkeypatch):
     calls = []
     original = smalleig._aberth
 
-    def recording(blk, z, u):
+    def recording(blk, z):
         extended = blk.dtype == object
         circle = extended and (z == smalleig._circle(blk)).all()
         arithmetic = blk[0, 0].context.prec if extended else blk.dtype
         calls.append(("circle" if circle else "seeds", blk.shape[0], arithmetic))
-        return original(blk, z, u)
+        return original(blk, z)
 
     monkeypatch.setattr(smalleig, "_aberth", recording)
     return calls
@@ -203,13 +210,24 @@ def _no_enclosure(blk, beta_cert):
     return None
 
 
+def _skip_the_clongdouble_rung(monkeypatch):
+    """``_isolated_roots`` certifies no numpy block: a binary64 block the
+    enclosure leaves goes straight on to mpmath."""
+    original = smalleig._isolated_roots
+
+    def mpmath_only(blk, beta_cert):
+        return original(blk, beta_cert) if blk.dtype == object else None
+
+    monkeypatch.setattr(smalleig, "_isolated_roots", mpmath_only)
+
+
 class TestTwoTiers:
     def test_fast_path_matches_forced_aberth(self, monkeypatch, aberth_calls):
         # the mpmath rung's two starts against each other, with the
-        # enclosure failing and the clongdouble tier off: Aberth from
+        # enclosure failing and the clongdouble rung skipped: Aberth from
         # LAPACK's seeds, and from the circle when there are no seeds
         monkeypatch.setattr(smalleig, "_enclosed_roots", _no_enclosure)
-        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
+        _skip_the_clongdouble_rung(monkeypatch)
         rng = np.random.default_rng(35)
         sizes = (2, 2, 2, 3, 3, 3, 4, 4, 4, 8, 8, 8, 16)
         cases = [random_hessenberg(rng, n).a for n in sizes]
@@ -230,7 +248,7 @@ class TestTwoTiers:
         cases = [random_hessenberg(rng, n).a for n in sizes]
         beta = 1e-10
         fast = [SOLVER.solve(m, beta) for m in cases]
-        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
+        _skip_the_clongdouble_rung(monkeypatch)
         for m, vals in zip(cases, fast):
             assert matched_distance(np.array(vals), np.array(SOLVER.solve(m, beta))) <= beta
 
@@ -238,12 +256,11 @@ class TestTwoTiers:
         # roots +-e of z^2 - e^2; the list [e, e] has exact residuals, yet
         # misses -e by 2e: equal approximations have no Weierstrass radius
         ctx = mp_context(120)
-        u = ctx.mpf(2) ** -120
         e = ctx.mpf(2) ** -60
         blk = np.array([[0, e * e], [1, 0]], dtype=object) * ctx.mpc(1)
         beta_cert = ctx.mpf(1e-15)
-        assert smalleig._certify_block(blk, [e, e], beta_cert, u) is None
-        good = smalleig._certify_block(blk, [e, -e], beta_cert, u)
+        assert smalleig._certify_block(blk, [e, e], beta_cert) is None
+        good = smalleig._certify_block(blk, [e, -e], beta_cert)
         assert max(good) <= 2**-170  # kappa(+-e) = 0 exactly: rounding bound only
 
     def test_non_hessenberg_input_rejected(self):
@@ -278,9 +295,9 @@ def hyman_calls(monkeypatch):
     seen = []
     original = smalleig._hyman
 
-    def recording(H, z, u=None, derivative=True):
-        seen.append((u is not None, derivative))
-        return original(H, z, u, derivative)
+    def recording(H, z, bound=False, derivative=True):
+        seen.append((bound, derivative))
+        return original(H, z, bound, derivative)
 
     monkeypatch.setattr(smalleig, "_hyman", recording)
     return seen
@@ -303,20 +320,6 @@ def enclosures(monkeypatch):
 
 def _raise(*args):
     raise AssertionError("an mpmath tier was entered")
-
-
-class _NumpyWithoutClongdouble:
-    """numpy, but for ``clongdouble``, whose use fails the test."""
-
-    def __getattr__(self, name):
-        if name == "clongdouble":
-            raise AssertionError("a clongdouble array was formed")
-        return getattr(np, name)
-
-
-needs_long_double = pytest.mark.skipif(
-    not smalleig._LONG_DOUBLE_TIER, reason="clongdouble has no 64-bit significand here"
-)
 
 
 class TestLongDoubleTier:
@@ -385,12 +388,22 @@ class TestLongDoubleTier:
         assert near_one.sum() == 4
         assert matched_distance(vals[~near_one], ref_eigs(top)) <= 1e-10
 
-    def test_guard_off_runs_mpmath(self, monkeypatch, tier_blocks):
-        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
-        rng = np.random.default_rng(39)
-        h = random_hessenberg(rng, 6).a
+    def test_binary64_clongdouble_certifies_in_the_enclosure(
+        self, monkeypatch, binary64_clongdouble, enclosures
+    ):
+        # kappa(X) ~ 7.5: the binary64 residual's rounding term exceeds
+        # beta_cert / 8, so R is formed in clongdouble, here binary64, and
+        # its rounding counted at binary64's u still leaves the radii within
+        # beta_cert: no mpmath number is made
+        h = random_hessenberg(np.random.default_rng(39), 6).a
+        lam, x = np.linalg.eig(h)
+        ax = np.abs(x)
+        term = np.abs(np.linalg.inv(x)) @ (np.abs(h) @ ax.sum(axis=1) + ax @ np.abs(lam))
+        assert smalleig._slack(12, 2.0**-53) * term.max() > 1e-12 / 2 / 8
+        monkeypatch.setattr(smalleig, "to_mp", _raise)
         vals = SOLVER.solve(h, 1e-12)
-        assert tier_blocks == [(np.dtype(object), 6)]
+        monkeypatch.undo()
+        assert enclosures == [(6, True)]
         assert matched_distance(np.array(vals), ref_eigs(h)) <= 1e-12
 
     @needs_long_double
@@ -412,7 +425,7 @@ class TestLongDoubleTier:
         apart = np.abs(z[:, None] - z[None, :]) + np.eye(4)
         weierstrass = np.abs(kap) / apart.prod(axis=1)  # prod |h_j| = 1
         assert (4 * weierstrass <= beta_cert / 10).all()
-        assert smalleig._certify_block(H, z, beta_cert, smalleig._U_LD) is None
+        assert smalleig._certify_block(H, z, beta_cert) is None
         vals = SOLVER.solve(c, beta)
         assert [dtype for dtype, _ in tier_blocks] == [np.dtype(np.clongdouble), np.dtype(object)]
         beta_eff = 2 * float(beta_cert)
@@ -546,22 +559,22 @@ class TestEnclosureRung:
                 assert matched_distance(vals, ref) <= np.ldexp(2.0**-40 * np.linalg.norm(m), e)
         assert certified >= len(blocks)
 
-    def test_the_solver_certifies_without_the_long_double_tier(self, monkeypatch, enclosures):
-        # where clongdouble is not x87 extended the enclosure still runs
-        # first, forms no clongdouble array (a block at the floor that needs
-        # one goes on to mpmath), and the values are certified
-        monkeypatch.setattr(smalleig, "_LONG_DOUBLE_TIER", False)
+    def test_the_solver_certifies_without_the_long_double_tier(
+        self, binary64_clongdouble, enclosures, tier_blocks
+    ):
+        # where clongdouble is binary64 the enclosure still runs first, the
+        # char-poly rungs see binary64 and mpmath blocks only, and the
+        # values are certified
         rng = np.random.default_rng(72)
         for n in (2, 4, 8):
             m = random_hessenberg(rng, n).a
             for beta in (1e-30, 1e-8):
                 beta_eff = max(beta, 8 * 2.0**-52 * max(1.0, np.linalg.norm(m)))
                 enclosures.clear()
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(smalleig, "np", _NumpyWithoutClongdouble())
-                    vals = SOLVER.solve(m, beta)
+                vals = SOLVER.solve(m, beta)
                 assert enclosures and enclosures[0][0] == n
                 assert matched_distance(np.array(vals), ref_eigs(m)) <= beta_eff
+        assert {dtype for dtype, _ in tier_blocks} <= {np.dtype(np.complex128), np.dtype(object)}
 
     def test_the_oracle_never_encloses(self, monkeypatch):
         monkeypatch.setattr(smalleig, "_enclosed_roots", _raise)
@@ -598,7 +611,8 @@ class TestEnclosureRung:
             lam, x = np.linalg.eig(m)
             y = np.linalg.inv(x)
             term = np.abs(y) @ (np.abs(m) @ np.abs(x).sum(axis=1) + np.abs(x) @ np.abs(lam))
-            for beta_cert, u in ((1e-6, smalleig._U), (2.0**-50, smalleig._U_LD)):
+            for beta_cert, dtype in ((1e-6, np.complex128), (2.0**-50, np.clongdouble)):
+                u = np.finfo(dtype).epsneg
                 _, r, _ = _enclosure(m, beta_cert)
                 assert (r >= smalleig._slack(2 * n, float(u)) * term).all()
 
@@ -616,15 +630,17 @@ class TestEnclosureRung:
 class TestAberth:
     @staticmethod
     def _arithmetics(m, z):
-        """(m, z, u, real type) in clongdouble and as 80-bit mpmath copies."""
+        """(m, z, real type) in complex128, in clongdouble and as 80-bit
+        mpmath copies."""
         ctx = mp_context(80)
-        yield m.astype(np.clongdouble), z.astype(np.clongdouble), smalleig._U_LD, np.longdouble
-        yield to_mp(m, ctx), to_mp(z, ctx), ctx.eps / 2, ctx.mpf
+        yield m.astype(np.complex128), z.astype(np.complex128), np.float64
+        yield m.astype(np.clongdouble), z.astype(np.clongdouble), np.longdouble
+        yield to_mp(m, ctx), to_mp(z, ctx), ctx.mpf
 
     def test_coincident_points_give_none(self):
         m = random_hessenberg(np.random.default_rng(44), 3).a
-        for H, z, u, _ in self._arithmetics(m, np.array([0.5, 0.5, -1j])):
-            assert smalleig._aberth(H, z, u) is None
+        for H, z, _ in self._arithmetics(m, np.array([0.5, 0.5, -1j])):
+            assert smalleig._aberth(H, z) is None
 
     def test_both_arithmetics_refine_to_certified_roots(self):
         # from LAPACK's eigenvalues moved 1e-6 apart from the roots
@@ -632,9 +648,9 @@ class TestAberth:
         for n in (2, 4, 8):
             m = random_hessenberg(rng, n).a
             start = np.linalg.eigvals(m) * (1 + 1e-6) + 1e-6j
-            for H, z, u, real in self._arithmetics(m, start):
-                roots = smalleig._aberth(H, z, u)
-                assert smalleig._certify_block(H, roots, real(1e-12), u) is not None
+            for H, z, real in self._arithmetics(m, start):
+                roots = smalleig._aberth(H, z)
+                assert smalleig._certify_block(H, roots, real(1e-12)) is not None
 
 
 EXACT = mp_context(300)  # the reference arithmetic of the error bound tests
@@ -670,33 +686,40 @@ class TestRunningErrorBound:
                 points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 yield m, np.concatenate([seeds, seeds * (1 + 1e-9), points])
 
-    def test_clongdouble(self):
+    def _check_numpy(self, dtype):
+        # u and tiny from the block's dtype; z rounded to it first
         for m, z in self._cases((2, 4, 8, 16)):
-            H, zl = m.astype(np.clongdouble), z.astype(np.clongdouble)
-            kap, _, eps = smalleig._hyman(H, zl, smalleig._U_LD)
+            H, zl = m.astype(dtype), z.astype(dtype)
+            kap, _, eps = smalleig._hyman(H, zl, bound=True)
             ek = self._exact(m, z)
             for j in range(len(z)):
                 assert abs(_mp_of(kap[j]) - ek[j]) <= _mp_of(eps[j]).real
 
+    def test_clongdouble(self):
+        self._check_numpy(np.clongdouble)
+
+    def test_complex128(self):
+        self._check_numpy(np.complex128)
+
     def test_derivative_does_not_change_the_bound(self):
         # kappa and eps are bit for bit the same with and without kappa'
         for m, z in self._cases((2, 4, 8)):
-            H, zl = m.astype(np.clongdouble), z.astype(np.clongdouble)
-            with_d = smalleig._hyman(H, zl, smalleig._U_LD)
-            without = smalleig._hyman(H, zl, smalleig._U_LD, derivative=False)
-            assert without[1] is None
-            assert same_bits(with_d[0], without[0]) and same_bits(with_d[2], without[2])
             ctx = mp_context(40)
-            H, zm, u = to_mp(m, ctx), to_mp(z, ctx), ctx.mpf(2) ** -40
-            with_d = smalleig._hyman(H, zm, u)
-            without = smalleig._hyman(H, zm, u, derivative=False)
-            assert same_bits(with_d[0], without[0]) and same_bits(with_d[2], without[2])
+            for H, zh in (
+                (m, z),
+                (m.astype(np.clongdouble), z.astype(np.clongdouble)),
+                (to_mp(m, ctx), to_mp(z, ctx)),
+            ):
+                with_d = smalleig._hyman(H, zh, bound=True)
+                without = smalleig._hyman(H, zh, bound=True, derivative=False)
+                assert without[1] is None
+                assert same_bits(with_d[0], without[0]) and same_bits(with_d[2], without[2])
 
     def test_mpmath_at_40_bits(self):
         ctx = mp_context(40)
         for m, z in self._cases((2, 4, 8)):
             H, zm = to_mp(m, ctx), to_mp(z, ctx)
-            kap, _, eps = smalleig._hyman(H, zm, ctx.mpf(2) ** -40)
+            kap, _, eps = smalleig._hyman(H, zm, bound=True)
             ek = self._exact(H, zm)
             for j in range(len(z)):
                 # the 300-bit value is the left operand: the difference rounds at 300 bits
@@ -726,7 +749,7 @@ class TestExtremeInputs:
             vals = SOLVER.solve(m, 1e-10)
             assert [v.imag for v in vals] == [0.0, 0.0]
             assert (np.abs(np.array(vals) - expected) <= ulps).all()
-        if smalleig._LONG_DOUBLE_TIER:
+        if oracle._LONG_DOUBLE_TIER:
             assert aberth_calls == []
             assert enclosures == [(2, True), (2, True)]
 
@@ -743,10 +766,11 @@ class TestExtremeInputs:
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
     def test_beta_must_be_positive_and_finite(self, beta):
-        # an argument outside the domain, not a block that could not be certified
-        m = random_hessenberg(np.random.default_rng(34), 3).a
-        with pytest.raises(DomainError, match=rf"^invalid forward accuracy beta={beta!r}$"):
-            SOLVER.solve(m, beta)
+        # an argument outside the domain, not a block that could not be
+        # certified; checked before the empty matrix returns no eigenvalues
+        for m in (random_hessenberg(np.random.default_rng(34), 3).a, np.zeros((0, 0))):
+            with pytest.raises(DomainError, match=rf"^invalid forward accuracy beta={beta!r}$"):
+                SOLVER.solve(m, beta)
 
     def test_extended_entry_beyond_binary64_rejected(self):
         ctx = mp_context(53)
@@ -867,15 +891,17 @@ class TestCertificate:
     @given(exact_roots(), st.sampled_from([2.0**-10, 2.0**-20, 2.0**-40]))
     def test_certified_roots_are_within_beta(self, roots, beta):
         # the Weierstrass-Gerschgorin certificate is sound for clusters and
-        # multiple roots: whatever _isolated_roots certifies, in clongdouble
-        # or in mpmath at 120 bits (Aberth from the seeds, then from the
+        # multiple roots: whatever _isolated_roots certifies, in clongdouble,
+        # in complex128 or in mpmath at 120 bits (Aberth from the seeds, then from the
         # circle), matches the exact roots within beta.  2^-50 allows for
         # rounding the certified values, of modulus below 3, to complex128.
         c = exact_companion(roots)
         ctx = mp_context(120)
-        certified = [smalleig._isolated_roots(to_mp(c, ctx), ctx.mpf(beta))]
-        if smalleig._LONG_DOUBLE_TIER:
-            certified.append(smalleig._isolated_roots(c.astype(np.clongdouble), np.longdouble(beta)))
+        certified = [
+            smalleig._isolated_roots(to_mp(c, ctx), ctx.mpf(beta)),
+            smalleig._isolated_roots(c.astype(np.clongdouble), np.longdouble(beta)),
+            smalleig._isolated_roots(c, beta),
+        ]
         for vals in certified:
             if vals is not None:
                 assert matched_distance(np.array([complex(v) for v in vals]), roots) <= beta + 2.0**-50
@@ -886,28 +912,34 @@ class TestCertificate:
         rng = np.random.default_rng(43)
         for n in (2, 3, 4, 8):
             for _ in range(5):
-                blk = random_hessenberg(rng, n).a.astype(np.clongdouble)
-                z = np.linalg.eigvals(blk.astype(np.complex128)).astype(np.clongdouble)
-                bound = smalleig._certify_block(blk, z, np.longdouble(1e-3), smalleig._U_LD)
-                assert bound is not None
-                assert same_bits(bound, _reference_radii(blk, z, smalleig._U_LD))
+                m = random_hessenberg(rng, n).a
+                for dtype in (np.clongdouble, np.complex128):
+                    blk = m.astype(dtype)
+                    z = np.linalg.eigvals(m).astype(dtype)
+                    bound = smalleig._certify_block(blk, z, 1e-3)
+                    assert bound is not None
+                    assert same_bits(bound, _reference_radii(blk, z))
 
     def test_bound_spans_the_component(self):
         # z^2 with approximations 2^-7 and -2^-3: the disk about 2^-7 (radius
         # about 2^-10) lies inside the one about -2^-3 (about 2^-2), so both
         # roots need only lie in their union; 0 is 2^-7 from the first
         # approximation, outside its own disk but within its bound
-        blk = np.array([[0, 0], [1, 0]], dtype=np.clongdouble)
-        z = np.array([2.0**-7, -(2.0**-3)], dtype=np.clongdouble)
-        bound = smalleig._certify_block(blk, z, np.longdouble(1), smalleig._U_LD)
-        assert (bound >= np.abs(z)).all()
+        for dtype in (np.clongdouble, np.complex128):
+            blk = np.array([[0, 0], [1, 0]], dtype=dtype)
+            z = np.array([2.0**-7, -(2.0**-3)], dtype=dtype)
+            bound = smalleig._certify_block(blk, z, 1.0)
+            assert (bound >= np.abs(z)).all()
 
 
-def _reference_radii(blk, z, u):
-    """The Weierstrass radii r_i of ``_certify_block`` for clongdouble blk and
-    z, from kappa and eps formed one row and one factor at a time."""
+def _reference_radii(blk, z):
+    """The Weierstrass radii r_i of ``_certify_block`` for a numpy blk and
+    z, from kappa and eps formed one row and one factor at a time, with u
+    and tiny from the dtype of blk."""
     n = blk.shape[0]
-    tiny, g = np.finfo(blk.dtype).tiny, smalleig._slack(n, u)
+    fin = np.finfo(blk.dtype)
+    u, tiny = fin.epsneg, fin.tiny
+    g = smalleig._slack(n, u)
     kap, _, _ = smalleig._hyman(blk, z)
     x = np.zeros((n, n), dtype=blk.dtype)
     x[n - 1] = 1
