@@ -96,10 +96,17 @@ def _hard_blocks():
     """[(name, Hessenberg block, beta)]: the companion of (z - 1)^4, a lower
     Jordan block, a 2 x 2 near overflow and one near underflow, a 16 x 16
     companion with a double root at 0 (where LAPACK's seeds coincide), three
-    random 8 x 8 blocks at beta = 1e-30, and a fourth scaled by 2^-990, whose
-    certificate is the absolute floor 2^-49.  The extreme scales are where
-    scipy 1.17.1's ``zgeev`` leaves eigenvalues at the scale it balanced them
-    to; the small solver's eigenvalues must keep the block's scale."""
+    random 8 x 8 blocks at beta = 1e-30, a fourth scaled by 2^-990, whose
+    certificate is the absolute floor 2^-49, and [[1, 2], [1, -1]] scaled by
+    2^+-455 and 2^+-465.
+
+    scipy 1.17.1's ``zgeev`` scales a block whose largest modulus is outside
+    2^-459..2^459 and leaves its eigenvalues at that scale, so the small
+    solver's enclosure hands it a block whose largest modulus has a binary
+    exponent beyond +-400 scaled into [1/2, 1) and scales the eigenvalues
+    back; its eigenvalues must keep the block's scale.  The 2^+-455 blocks
+    are inside zgeev's band and beyond the enclosure's cut, the 2^+-465
+    blocks beyond both, so that a moved cut shows."""
     rng = np.random.default_rng(27)
     blocks = [
         ("companion (z-1)^4", _companion([4.0, -6.0, 4.0, -1.0]), 1e-10),
@@ -115,6 +122,8 @@ def _hard_blocks():
     a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1)
     tiny = np.ldexp(a.real, -990) + 1j * np.ldexp(a.imag, -990)
     blocks.append(("random 8x8 scaled by 2^-990", tiny, 1e-30))
+    for p in (-465, -455, 455, 465):
+        blocks.append((f"2x2 scaled by 2^{p}", np.ldexp([[1.0, 2.0], [1.0, -1.0]], p) + 0j, 1e-10))
     return blocks
 
 

@@ -8,20 +8,21 @@ guard is the one check of the omega-unreduced precondition under which both
 steps are stated: the driver forms each iterate's bottom-k subdiagonal moduli
 once, for that guard and for L = log2 psi_k(H)^k, and passes L down to
 ``ritz_or_decouple`` and ``sh_step``, which check neither again.  Blocks of
-dimension at most k go straight to the small eigenvalue solver.  Probabilistic
-failure events are retried a fixed number of times with fresh randomness
-before the run aborts.  Every block owns a deterministic random substream
-derived from the master seed and its position in the deflation tree, so a
-run is byte-reproducible from its seed at a fixed BLAS thread count (from
-n ~ 150 on, the small solver's ``np.linalg.eig`` and the norm(a, 2) of
-``preprocess`` depend on that count).  ``block_seed`` hands the path to
-``SeedSequence`` as one uint32 array: numpy turns a tuple spawn key into
-entropy words one integer at a time in Python (about 0.6 us per level on a
-2-vCPU x86-64 machine), and on the QR route nearly every iteration deflates
-one eigenvalue and goes on one level deeper (paths of depth 27 at n = 32,
-about 120 at n = 128).  Every entry is a block index below n < 2^32, one
-32-bit word either way, so the array assembles the same entropy as the
-tuple and every stream is the same.
+dimension at most k go straight to the small eigenvalue solver, but for a
+1 x 1 leaf, which is its entry.  Probabilistic failure events are retried a
+fixed number of times with fresh randomness before the run aborts.  Every
+block owns a deterministic random substream derived from the master seed
+and its position in the deflation tree, so a run is byte-reproducible from
+its seed at a fixed BLAS thread count (from n ~ 150 on, the ``zgeev`` of the
+small solver's enclosure and the norm(a, 2) of ``preprocess`` depend on
+that count).  ``block_seed`` hands the path to ``SeedSequence`` as one
+uint32 array: numpy turns a tuple spawn key into entropy words one integer
+at a time in Python (about 0.6 us per level on a 2-vCPU x86-64 machine),
+and on the QR route nearly every iteration deflates one eigenvalue and goes
+on one level deeper (paths of depth 27 at n = 32, about 120 at n = 128).
+Every entry is a block index below n < 2^32, one 32-bit word either way, so
+the array assembles the same entropy as the tuple and every stream is the
+same.
 
 Every quantity a run uses is derived once.  ``prepare`` works out the
 seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
@@ -153,12 +154,16 @@ def _process_block(node, h, plan, seed):
     """Run one block to deflation (or solve it directly); returns children.
 
     h is in the units of the plan; the eigenvalues and the trace records
-    written to the node are multiplied back by 2^e."""
+    written to the node are multiplied back by 2^e.  A block of dimension at
+    most k goes to the small solver, but for a 1 x 1 leaf, whose eigenvalue
+    is its entry, in either arithmetic: the solver would return that entry
+    as it is, after validating a block whose entries the QR iteration, a
+    unitary similarity of a validated matrix, keeps finite."""
     gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
     if h.n <= k:
         acc = params.delta / gd.n0 if node.path else params.delta
-        vals = DEFAULT_SOLVER.solve(h.a, acc)
+        vals = [h.a[0, 0]] if h.n == 1 else DEFAULT_SOLVER.solve(h.a, acc)
         node.eigenvalues = [ldexp(complex(v), e) for v in vals]
         return []
 
@@ -305,8 +310,8 @@ def preprocess(a, delta, rng):
 
     Adds an iid complex Gaussian perturbation scaled to spectral norm
     delta_pre = delta*||A||/2 (norm measured, then scaled) and reduces by
-    Householder reflectors."""
-    a = np.asarray(a, dtype=np.complex128)
+    Householder reflectors.  A ``HessenbergMatrix`` is taken by its array."""
+    a = np.asarray(a.a if isinstance(a, HessenbergMatrix) else a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():

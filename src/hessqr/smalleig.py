@@ -9,11 +9,12 @@ climbs one ladder of certificates on its own (``_block_roots``), stopping at
 the first rung that certifies it, so a certified block is never solved
 again.  A 1 x 1 block is its own entry.  Every other block climbs:
 
-1. the enclosure, for a binary64 block: ``np.linalg.eig``'s eigenvalues
-   of the block are the centres of Gerschgorin disks of X^-1 m X, from its
-   eigenvectors X and the residual m X - X diag(lam) (``_enclosed_roots``),
-   and are returned as they are when every disk bounds its eigenvalue
-   within beta_eff / 2.
+1. the enclosure, for a binary64 block: LAPACK's eigenvalues of the block
+   (``zgeev`` with right eigenvectors, through ``scipy.linalg.lapack``, the
+   LAPACK the QR sweeps call) are the centres of Gerschgorin disks of
+   X^-1 m X, from its eigenvectors X and the residual m X - X diag(lam)
+   (``_enclosed_roots``), and are returned as they are when every disk
+   bounds its eigenvalue within beta_eff / 2.
 2. the characteristic polynomial in clongdouble, for every binary64 block,
    at whatever width clongdouble has (a 64-bit significand where it is x87
    extended, binary64 under MSVC and on macOS on arm64): it is evaluated
@@ -38,11 +39,14 @@ solved as a matrix of its own at the same beta_eff and first precision.
 Deterministic: no randomness anywhere, output sorted by (re, im).  Any
 ``ritz.SmallEigSolver`` may be injected in its place.
 
-The enclosure and the seeds take LAPACK through ``np.linalg``, not
-``scipy.linalg.lapack``: scipy 1.17.1's ``zgeev`` leaves the eigenvalues of
-a block whose largest entry is above about 1.5e138 or below about 6.7e-139
-at the scale it balanced them to (+-1.29e138 for [[1, 2], [1, -1]] 1e300,
-whose eigenvalues are +-1.73e300).
+scipy 1.17.1's ``zgeev`` leaves the eigenvalues of a block whose largest
+entry is above 2^459 or below 2^-459 at the scale it balanced them to
+(+-1.29e138 for [[1, 2], [1, -1]] 1e300, whose eigenvalues are +-1.73e300),
+so the enclosure hands it a block whose largest entry has a binary exponent
+beyond +-400 scaled by a power of two into [1/2, 1), and scales the
+eigenvalues back.  The seeds take LAPACK through ``np.linalg.eigvals``: they
+are off the hot path, and the oracle's reference goes through them, so the
+reference shares no LAPACK binding with the enclosure it checks.
 
 The enclosure certifies a block well conditioned as an eigenproblem whatever
 its characteristic polynomial: a default-option direct solve at n = 256
@@ -80,10 +84,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DomainError, SmallEigFailure
 from .iqr import HessenbergMatrix, split_blocks
-from .kernel import is_mp_array, mp_context, to_mp
+from .kernel import is_mp_array, ldexp, mp_context, to_mp
 
 _MIN_PREC = 120
 _MAX_PREC = 960
@@ -288,6 +293,14 @@ def _cyclic_index(d):
     return idx, cols
 
 
+@lru_cache(maxsize=128)
+def _zgeev_lwork(n):
+    """zgeev's optimal workspace with right eigenvectors: with the wrapper's
+    minimal default, zgehrd and zhseqr take other code paths from n ~ 150
+    on, and round differently from ``np.linalg.eig``."""
+    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
+
+
 def _lapack_seeds(blk):
     """``np.linalg.eigvals`` of blk rounded to complex128, or None for a
     block that rounds to a non-finite entry (one rounded from mpmath can) or
@@ -303,8 +316,15 @@ def _enclosed_roots(blk, beta_cert):
     disks about them from its eigenvectors bound each within beta_cert of
     the eigenvalue matched to it; else None.
 
-    ``np.linalg.eig`` gives the centres lam and the right eigenvectors X,
-    and ``np.linalg.inv`` an approximate inverse Y.  Let E = YX - I and
+    ``zgeev`` gives the centres lam and the right eigenvectors X, and
+    ``zgetrf`` and ``zgetri`` an approximate inverse Y, all through
+    ``scipy.linalg.lapack``.  zgeev rescales a block whose largest modulus is
+    outside 2^-459..2^459 itself and, in scipy 1.17.1, does not scale its
+    eigenvalues back; so a block whose largest modulus has a binary exponent
+    p with |p| > 400 goes to zgeev as blk / 2^p, and lam is its eigenvalues
+    times 2^p.  Both scalings are exact but where a value underflows, and
+    the residual below is formed from blk as given either way.  A block
+    inside that band goes to zgeev as it is.  Let E = YX - I and
     R = blk X - X diag(lam), exact for the stored blk, X, Y and lam.  When
     ||E||_inf < 1, X is invertible with X^-1 = (I + E)^-1 Y, and
     X^-1 blk X = diag(lam) + F with F = (I + E)^-1 Y R = YR - EF.  So row i
@@ -331,13 +351,25 @@ def _enclosed_roots(blk, beta_cert):
     only where the rest of its radii leaves room for it.  Each radius is
     formed from nonnegative numbers in fewer than 6n + 20 binary64 roundings
     to nearest, so 1 + _slack(6n, u) covers them and the distances
-    ``_matched_bounds`` compares.  None also where ||E||_inf > 1/2, either
-    numpy call raises LinAlgError, or a value is not finite."""
+    ``_matched_bounds`` compares.  None also where ||E||_inf > 1/2, a LAPACK
+    call returns a nonzero info, or a value is not finite."""
     n = blk.shape[0]
-    try:
-        lam, x = np.linalg.eig(blk)
-        y = np.linalg.inv(x)
-    except np.linalg.LinAlgError:
+    ablk = np.abs(blk)
+    p = math.frexp(ablk.max())[1]
+    # zgeev rescales outside SMLNUM..BIGNUM = 2^-+459, and scipy 1.17.1's never scales back
+    scaled = abs(p) > 400
+    lam, _, x, info = lapack.zgeev(
+        ldexp(blk, -p) if scaled else blk, compute_vl=0, compute_vr=1, lwork=_zgeev_lwork(n)
+    )
+    if info != 0:
+        return None
+    if scaled:
+        lam = ldexp(lam, p)
+    lu, piv, info = lapack.zgetrf(x)
+    if info != 0:
+        return None
+    y, info = lapack.zgetri(lu, piv)
+    if info != 0:
         return None
     u, tiny = _roundoff(blk)
     g = _slack(2 * n, u)
@@ -350,7 +382,7 @@ def _enclosed_roots(blk, beta_cert):
         e_norm = e.max()
         if not e_norm <= 0.5:
             return None
-        v = ay @ (np.abs(blk) @ xs + ax @ np.abs(lam))
+        v = ay @ (ablk @ xs + ax @ np.abs(lam))
         wide = blk.dtype if g * v.max() <= beta_cert / 8 else np.dtype(np.clongdouble)
         g = _slack(2 * n, float(np.finfo(wide).epsneg))
         xw = x.astype(wide, copy=False)
@@ -440,6 +472,7 @@ class CharPolySolver:
     refined in clongdouble or mpmath is rounded to complex128, which moves
     it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
     A 1 x 1 block returns its entry, exactly, in the type it has.
+    m is an array or a ``HessenbergMatrix``, whose array is validated again.
     Input ``iqr.HessenbergMatrix`` rejects raises its errors
     (StructureError, DimensionError), a norm beyond binary64 or a beta not
     positive and finite raises DomainError, and a block no rung certifies
@@ -448,7 +481,7 @@ class CharPolySolver:
     """
 
     def solve(self, m, beta):
-        h = HessenbergMatrix(m)
+        h = HessenbergMatrix(m.a if isinstance(m, HessenbergMatrix) else m)
         if beta <= 0 or not math.isfinite(beta):
             raise DomainError(f"invalid forward accuracy beta={beta!r}")
         if h.n == 0:

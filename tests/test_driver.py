@@ -160,6 +160,48 @@ class TestShiftedQr:
                         rec.psi_after <= 0.8016 * rec.psi_before or decoupled
                     )
 
+    def test_one_by_one_leaves_skip_the_small_solver(self, monkeypatch):
+        # perfbench's qr_small recipe (n = 32, k = 4): the small solver sees
+        # each iteration's corner and each leaf of dimension 2 or more, and a
+        # 1 x 1 leaf is its entry, bit for bit what the solver returns for it
+        corners, shapes, ones = [], [], []
+        solve_, ritz_or_decouple, process = (
+            CharPolySolver.solve, driver.ritz_or_decouple, driver._process_block
+        )
+
+        def counting_solve(self, m, beta):
+            shapes.append(np.shape(m))
+            return solve_(self, m, beta)
+
+        def counting_ritz(*args):
+            corners.append(None)
+            return ritz_or_decouple(*args)
+
+        def recording(node, h, plan, seed):
+            if h.n == 1:
+                ones.append((node, h.a.copy(), plan.e))
+            return process(node, h, plan, seed)
+
+        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
+        monkeypatch.setattr(driver, "ritz_or_decouple", counting_ritz)
+        monkeypatch.setattr(driver, "_process_block", recording)
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            for seen in (corners, shapes, ones):
+                seen.clear()
+            h, _ = near_normal_hessenberg(rng, 32, perturb=1e-4)
+            gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+            assert gd.k == 4
+            res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
+            leaves = res.tree.leaves()
+            wide = [leaf for leaf in leaves if len(leaf.eigenvalues) > 1]
+            assert len(ones) == len(leaves) - len(wide) > 0
+            assert len(shapes) == len(corners) + len(wide)
+            assert (1, 1) not in shapes
+            for node, a, e in ones:
+                entry = [driver.ldexp(complex(v), e) for v in solve_(CharPolySolver(), a, 1e-7)]
+                assert np.array(node.eigenvalues).tobytes() == np.array(entry).tobytes()
+
     def test_tree_is_built_in_path_order(self):
         # the blocks run depth-first, top block first: the tree's nodes come
         # in path order, its leaves by increasing start, and the eigenvalues
@@ -373,6 +415,16 @@ class TestPreprocess:
         a = np.array([[1.0, np.inf], [np.nan, 2.0]], dtype=complex)
         with pytest.raises(StructureError, match="non-finite entries"):
             preprocess(a, 1e-6, np.random.default_rng(0))
+
+    def test_hessenberg_matrix_input_is_taken_by_its_array(self):
+        # as ``prepare`` takes it; the array is still checked
+        a = random_hessenberg(np.random.default_rng(82), 6).a
+        h, delta_pre = preprocess(HessenbergMatrix(a), 1e-6, np.random.default_rng(5))
+        ref, ref_delta = preprocess(a, 1e-6, np.random.default_rng(5))
+        assert h.a.tobytes() == ref.a.tobytes() and delta_pre == ref_delta
+        bad = HessenbergMatrix(np.array([[1.0, np.inf], [1.0, 0.0]], dtype=complex), validate=False)
+        with pytest.raises(StructureError, match="non-finite entries"):
+            preprocess(bad, 1e-6, np.random.default_rng(5))
 
     def test_prepare_measures_the_input_norm_once(self, monkeypatch):
         # preprocess hands back delta_pre = delta ||A||_2 / 2, and prepare

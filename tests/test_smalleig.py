@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,15 @@ class TestCharPolySolver:
         # of 1e-80 would need more than the precision cap
         with pytest.raises(SmallEigFailure, match=r"1e-80 at 960 bits .* rows 0:4 \(dimension 4\)"):
             SOLVER.solve(obj, 1e-80)
+
+    def test_hessenberg_matrix_input_is_taken_by_its_array(self):
+        # the package's own type, as ``driver.prepare`` takes it, and still
+        # validated
+        for m in (random_hessenberg(np.random.default_rng(35), 4).a, np.array([[2 + 1j]])):
+            assert same_bits(SOLVER.solve(HessenbergMatrix(m), 1e-8), SOLVER.solve(m, 1e-8))
+        bad = HessenbergMatrix(np.array([[1.0, np.nan], [1.0, 0.0]], dtype=complex), validate=False)
+        with pytest.raises(StructureError):
+            SOLVER.solve(bad, 1e-8)
 
     def test_extended_input_roundtrip(self):
         rng = np.random.default_rng(34)
@@ -490,8 +500,8 @@ def enclosure_blocks(draw):
 
 
 class TestEnclosureRung:
-    """``_enclosed_roots``: Gerschgorin disks from ``np.linalg.eig``'s
-    eigenvectors, tried first on every binary64 block on every platform."""
+    """``_enclosed_roots``: Gerschgorin disks from zgeev's eigenvectors,
+    tried first on every binary64 block on every platform."""
 
     @settings(max_examples=40)
     @given(enclosure_blocks())
@@ -516,19 +526,19 @@ class TestEnclosureRung:
         centres, r, _ = _enclosure(m, 1.0)
         beta_cert = 5 * r.max()
         assert _enclosure(m, beta_cert) is not None
-        eig = np.linalg.eig
+        zgeev = smalleig.lapack.zgeev
         for i in range(n):
             for direction in (1, 1j, -1 - 1j):
                 moved = 10 * r.max() * direction / abs(direction)
 
-                def planted(a):
-                    w, x = eig(a)
+                def planted(a, **options):
+                    w, *rest = zgeev(a, **options)
                     w = w.copy()
                     w[i] += moved
-                    return w, x
+                    return (w, *rest)
 
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(smalleig.np.linalg, "eig", planted)
+                    mp.setattr(smalleig.lapack, "zgeev", planted)
                     assert smalleig._enclosed_roots(m, beta_cert) is None
 
     @pytest.mark.parametrize("e", [-990, -300, 300])
@@ -616,15 +626,50 @@ class TestEnclosureRung:
                 _, r, _ = _enclosure(m, beta_cert)
                 assert (r >= smalleig._slack(2 * n, float(u)) * term).all()
 
-    @pytest.mark.parametrize("routine", ["eig", "inv"])
-    def test_a_failed_lapack_call_is_a_failed_enclosure(self, routine, monkeypatch):
-        def failing(a):
-            raise np.linalg.LinAlgError(f"{routine} failed")
+    @pytest.mark.parametrize(
+        "routine, info", [("zgeev", -1), ("zgeev", 1), ("zgetrf", 2), ("zgetri", 3)]
+    )
+    def test_a_failed_lapack_call_is_a_failed_enclosure(self, routine, info, monkeypatch):
+        # a negative info is an illegal argument, a positive one a QR that
+        # did not converge (zgeev) or a singular X (zgetrf, zgetri)
+        original = getattr(smalleig.lapack, routine)
+
+        def failing(*args, **options):
+            *out, _ = original(*args, **options)
+            return (*out, info)
 
         m = random_hessenberg(np.random.default_rng(74), 4).a
         assert smalleig._enclosed_roots(m, 1.0) is not None
-        monkeypatch.setattr(smalleig.np.linalg, routine, failing)
+        monkeypatch.setattr(smalleig.lapack, routine, failing)
         assert smalleig._enclosed_roots(m, 1.0) is None
+
+    def test_zgeev_sees_no_block_it_would_rescale(self, monkeypatch):
+        # scipy 1.17.1's zgeev leaves the eigenvalues of a block whose
+        # largest modulus is outside 2^-459..2^459 at the scale it balanced
+        # them to: a block whose largest modulus has a binary exponent
+        # beyond +-400 reaches it scaled into [1/2, 1), one inside that band
+        # as it is, and the eigenvalues keep the block's scale
+        seen = []
+        zgeev = smalleig.lapack.zgeev
+
+        def spy(a, **options):
+            seen.append(np.array(a))
+            return zgeev(a, **options)
+
+        monkeypatch.setattr(smalleig.lapack, "zgeev", spy)
+        base = np.array([[1, 2], [1, -1]], dtype=complex)
+        for p in (-1020, -990, -465, -455, -403, -402, 0, 398, 399, 455, 465, 1000):
+            m = np.ldexp(base.real, p) + 0j  # largest modulus 2^(p+1): exponent p + 2
+            seen.clear()
+            lam = smalleig._enclosed_roots(m, 2.0**-48 * max(1.0, 2.0**p))
+            assert len(seen) == 1
+            assert abs(math.frexp(np.abs(seen[0]).max())[1]) <= 400
+            if abs(p + 2) <= 400:
+                assert same_bits(seen[0], m)
+            else:
+                assert same_bits(seen[0], np.ldexp(base.real, -2) + 0j)
+            expected = np.array([-np.sqrt(3.0), np.sqrt(3.0)]) * 2.0**p
+            assert np.allclose(np.sort_complex(lam), expected, rtol=4e-16, atol=0)
 
 
 class TestAberth:
