@@ -21,7 +21,7 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   and exceptional branches);
 - the same for ``shifted_qr`` at k = 4 on one 128 x 128 near-normal input
   per seed, made by perfbench's recipe, whose deflation tree goes about 120
-  levels deep (each block's random stream is derived from its path);
+  levels deep (its blocks draw from the run's one random stream in turn);
 - the same for ``hessqr.solve`` with default options, solver seed 1, on
   that input: the direct route hands the small solver one 128 x 128 block,
   above the n = 75 from which LAPACK's eigenvalues with eigenvectors and

@@ -10,19 +10,14 @@ once, for that guard and for L = log2 psi_k(H)^k, and passes L down to
 ``ritz_or_decouple`` and ``sh_step``, which check neither again.  Blocks of
 dimension at most k go straight to the small eigenvalue solver, but for a
 1 x 1 leaf, which is its entry.  Probabilistic failure events are retried a
-fixed number of times with fresh randomness before the run aborts.  Every
-block owns a deterministic random substream derived from the master seed
-and its position in the deflation tree, so a run is byte-reproducible from
-its seed at a fixed BLAS thread count (from n ~ 150 on, the ``zgeev`` of the
-small solver's enclosure and the norm(a, 2) of ``preprocess`` depend on
-that count).  ``block_seed`` hands the path to ``SeedSequence`` as one
-uint32 array: numpy turns a tuple spawn key into entropy words one integer
-at a time in Python (about 0.6 us per level on a 2-vCPU x86-64 machine),
-and on the QR route nearly every iteration deflates one eigenvalue and goes
-on one level deeper (paths of depth 27 at n = 32, about 120 at n = 128).
-Every entry is a block index below n < 2^32, one 32-bit word either way, so
-the array assembles the same entropy as the tuple and every stream is the
-same.
+fixed number of times with fresh randomness before the run aborts.  The
+iteration draws from one random stream made from the seed, and the blocks
+consume it in the order they run (depth first, top block first), so a run is
+byte-reproducible from its seed at a fixed BLAS thread count (from n ~ 150
+on, the ``zgeev`` of the small solver's enclosure and the norm(a, 2) of
+``preprocess`` depend on that count).  Preprocessing draws from a stream of
+its own, so that ``hessqr info`` rebuilds ``solve``'s Hessenberg form without
+running the iteration.
 
 Every quantity a run uses is derived once.  ``prepare`` works out the
 seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
@@ -133,13 +128,6 @@ def _retry(fn, name, node):
     ) from last
 
 
-def block_seed(seed, path):
-    """The SeedSequence of the block at ``path`` in the deflation tree:
-    ``SeedSequence(seed, spawn_key=path)``, built in a time that does not
-    grow with the depth (see the module docstring)."""
-    return np.random.SeedSequence(seed, spawn_key=(np.array(path, dtype=np.uint32),))
-
-
 def _resolve_seed(seed):
     """seed, a non-negative integer (else ParameterError; a bool is not
     one), or for None one drawn from the system entropy source."""
@@ -150,7 +138,7 @@ def _resolve_seed(seed):
     return seed
 
 
-def _process_block(node, h, plan, seed):
+def _process_block(node, h, plan, rng):
     """Run one block to deflation (or solve it directly); returns children.
 
     h is in the units of the plan; the eigenvalues and the trace records
@@ -158,7 +146,9 @@ def _process_block(node, h, plan, seed):
     most k goes to the small solver, but for a 1 x 1 leaf, whose eigenvalue
     is its entry, in either arithmetic: the solver would return that entry
     as it is, after validating a block whose entries the QR iteration, a
-    unitary similarity of a validated matrix, keeps finite."""
+    unitary similarity of a validated matrix, keeps finite.  The loop draws
+    from ``rng``, the run's one Generator, which the blocks share in the
+    order they run."""
     gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
     if h.n <= k:
@@ -167,7 +157,6 @@ def _process_block(node, h, plan, seed):
         node.eigenvalues = [ldexp(complex(v), e) for v in vals]
         return []
 
-    rng = np.random.default_rng(block_seed(seed, node.path))
     omega = params.omega
     moduli = h.bottom_subdiagonal_abs(k)
     log2_psi_pow_k = log2_potential_pow_k(moduli)
@@ -274,8 +263,10 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     keeps every quantity the loop forms inside the binary64 range, for any
     e.  Everything returned is in the caller's units: eigenvalues, each
     trace record's psi and shift, ``globals_used`` and ``run_params``, and
-    the seed the run used (``_resolve_seed``)."""
+    the seed the run used (``_resolve_seed``).  Every block draws from one
+    Generator made from that seed, in the order the blocks run."""
     seed = _resolve_seed(seed)
+    rng = np.random.default_rng(seed)
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
     plan = plan_run(h.n, delta, phi, gd)
@@ -285,7 +276,7 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     while pending:
         node, blk = pending.pop()
         tree.nodes[node.path] = node
-        pending.extend(reversed(_process_block(node, blk, plan, seed)))
+        pending.extend(reversed(_process_block(node, blk, plan, rng)))
 
     eigs = np.array([v for leaf in tree.leaves() for v in leaf.eigenvalues], dtype=np.complex128)
     if len(eigs) != h.n:
@@ -355,14 +346,16 @@ def prepare(a, config):
     ``bits`` must be an integer >= MIN_BITS (ParameterError), phi in (0, 1)
     (DomainError), and the input non-empty (DimensionError); the seed is
     ``_resolve_seed`` of the config's.  With preprocessing on,
-    ``preprocess`` perturbs and reduces the input (its randomness derived
-    from the seed), and delta is the absolute accuracy
+    ``preprocess`` perturbs and reduces the input (drawing from a stream
+    of its own, made from the seed), and delta is the absolute accuracy
     delta_pre = delta*||A||_2/2.  Without it, the input must already be
     upper Hessenberg, and delta is delta*||H||_F; at 53 bits an input of
     mpmath numbers is rounded to binary64 first, as ``preprocess`` rounds
     every input.  Sigma is 2||H||_F, and B and Gamma default to
-    ``params.default_bounds`` at scale delta_pre or delta/2.  ``solve`` runs
-    on exactly this, and ``hessqr info`` prints it."""
+    ``params.default_bounds`` at scale delta_pre or delta/2, so that a zero
+    scale is reported as one; only then is delta raised to the smallest
+    normal number where it is below it.  ``solve`` runs on exactly this,
+    and ``hessqr info`` prints it."""
     if not (isinstance(config.bits, (int, np.integer)) and config.bits >= MIN_BITS):
         raise ParameterError(f"bits must be an integer >= {MIN_BITS}, got {config.bits!r}")
     check_phi(config.phi)
@@ -371,22 +364,21 @@ def prepare(a, config):
     if 0 in shape:
         raise DimensionError(f"expected a non-empty square matrix, got shape {shape}")
     seed = _resolve_seed(config.seed)
-    tiny = sys.float_info.min  # a Python float: n / tiny overflows to inf quietly
     if config.preprocess:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFEED,)))
-        h, scale = preprocess(a, config.delta, rng)
+        h, delta = preprocess(a, config.delta, rng)
         norm_h = float(h.frobenius_norm())
-        delta = max(scale, tiny)
+        scale = delta
     else:
         _check_delta(config.delta)
         h = HessenbergMatrix(a)
         if h.is_extended and config.bits == 53:
             h = HessenbergMatrix(h.a.astype(np.complex128), validate=False)
         norm_h = float(h.frobenius_norm())
-        delta = max(config.delta * norm_h, tiny)
+        delta = config.delta * norm_h
         scale = delta / 2.0
     B, Gamma = default_bounds(h.n, scale, config.B, config.Gamma)
-    return h, derive_globals(B, Gamma, 2.0 * norm_h, h.n), delta, seed
+    return h, derive_globals(B, Gamma, 2.0 * norm_h, h.n), max(delta, sys.float_info.min), seed
 
 
 def solve(a, config=None):

@@ -156,7 +156,8 @@ def check_phi(phi):
 
 def derive_run_params(n, delta, phi, gd):
     """The RunParams of an n x n run; ParameterError where omega, or on the QR
-    route (n > k) beta of ``regularization_scales``, underflows binary64, and
+    route (n > k) beta of ``regularization_scales``, underflows binary64,
+    where omega is so small against Sigma that N_dec is not finite, and
     where phi is so small that phi_working = phi / (3 n^2 N_dec) falls below
     the normal range or the budget's 2k / phi_working overflows."""
     if n < 1:
@@ -177,8 +178,8 @@ def derive_run_params(n, delta, phi, gd):
             f"corner accuracy beta underflows binary64 (B={gd.B:g}, Gamma={gd.Gamma:g})"
         )
     n_dec = math.log(gd.Sigma / omega) / math.log(1.0 / REDUCTION_FACTOR)
-    if n_dec <= 0:
-        raise ParameterError(f"degenerate iteration budget N_dec={n_dec!r}")
+    if not 0 < n_dec < math.inf:  # Sigma / omega overflows once omega is subnormal
+        raise ParameterError(f"omega = {omega / gd.Sigma:g} Sigma leaves no finite N_dec={n_dec!r}")
     phi_working = (phi / (3.0 * n**2)) / n_dec
     if not (phi_working >= sys.float_info.min and 2.0 * gd.k / phi_working < math.inf):
         raise ParameterError(

@@ -280,6 +280,16 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "info"])
+    def test_a_subnormal_working_accuracy_is_named(self, tmp_path, capsys, command):
+        # omega is subnormal at --delta 1e-310, which leaves N_dec infinite;
+        # the message names omega and N_dec, not the failure tolerance
+        options = ["--delta", "1e-310", "--B", "1", "--gamma-gap", "1e-3"]
+        assert main([command, _identity_mtx(tmp_path)] + options) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: omega = ")
+        assert err.endswith(" Sigma leaves no finite N_dec=inf\n")
+
+    @pytest.mark.parametrize("command", ["solve", "info"])
     def test_bad_phi_is_rejected_before_preprocessing(self, tmp_path, capsys, monkeypatch, command):
         def refuse(*args):
             raise AssertionError("preprocess ran before phi was checked")

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from hessqr import driver, iqr, ritz, shifting, smalleig
 from hessqr.driver import (
     SolveConfig,
-    block_seed,
     deflate,
     prepare,
     preprocess,
@@ -147,6 +146,45 @@ class TestShiftedQr:
         for path, node in r1.tree.nodes.items():
             assert records(node) == records(r2.tree.nodes[path])
 
+    def test_one_generator_per_run(self, monkeypatch):
+        # every loop block draws from the run's one Generator, made from the
+        # run's seed, in the order the blocks run
+        seeds = []
+        make = np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(seed)
+            return make(seed)
+
+        h, _ = near_normal_hessenberg(np.random.default_rng(5), 12, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=12)
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=3)
+        monkeypatch.undo()
+        loops = [node for node in res.tree.nodes.values() if node.eigenvalues is None]
+        assert len(loops) > 1 and max(len(node.path) for node in loops) > 1
+        assert seeds == [3]
+
+    def test_exceptional_steps_replay_from_the_seed(self):
+        # the 32 x 32 cyclic shift at k = 8 takes exceptional steps, whose
+        # net offset is drawn from the run's stream: one seed replays every
+        # eigenvalue and trace record, another draws other shifts
+        a = np.eye(32, k=-1, dtype=complex)
+        a[0, 31] = 1.0
+        h = HessenbergMatrix(a)
+        gd = globals_with_degree(1.0, 8, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+
+        def run(seed):
+            res = shifted_qr(h, 1e-7, 0.05, gd, seed=seed)
+            traces = {path: node.trace for path, node in res.tree.nodes.items()}
+            shifts = [r.shift for t in traces.values() for r in t if r.branch == "exceptional"]
+            return res.eigenvalues.tobytes(), traces, shifts
+
+        first, again, other = run(11), run(11), run(12)
+        assert first[2] and other[2]
+        assert first == again
+        assert other[2][0] != first[2][0]
+
     def test_monotone_potential_along_sh_steps(self):
         rng = np.random.default_rng(75)
         h, _ = near_normal_hessenberg(rng, 12, perturb=1e-4)
@@ -177,10 +215,10 @@ class TestShiftedQr:
             corners.append(None)
             return ritz_or_decouple(*args)
 
-        def recording(node, h, plan, seed):
+        def recording(node, h, plan, rng):
             if h.n == 1:
                 ones.append((node, h.a.copy(), plan.e))
-            return process(node, h, plan, seed)
+            return process(node, h, plan, rng)
 
         monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
         monkeypatch.setattr(driver, "ritz_or_decouple", counting_ritz)
@@ -221,36 +259,6 @@ class TestShiftedQr:
         np.testing.assert_array_equal(
             res.eigenvalues, [v for leaf in leaves for v in leaf.eigenvalues]
         )
-
-
-class TestBlockStreams:
-    """``block_seed`` passes the path as one uint32 array; the entropy it
-    assembles must be that of the documented tuple spawn key, at any depth,
-    or every stream of a run changes."""
-
-    @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1])
-    @pytest.mark.parametrize("n", [2, 128, 2**32])  # entries up to n - 1 = 2^32 - 1
-    def test_same_state_as_the_tuple_spawn_key(self, seed, n):
-        for depth in range(65):
-            paths = [(v,) * depth for v in (0, 1, n - 1)]
-            paths.append(tuple((0, 1, n - 1)[i % 3] for i in range(depth)))
-            for path in paths:
-                expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(8)
-                assert np.array_equal(block_seed(seed, path).generate_state(8), expected)
-
-    def test_each_loop_block_draws_from_its_own_path(self, monkeypatch):
-        paths = []
-
-        def spy(seed, path):
-            paths.append(path)
-            return block_seed(seed, path)
-
-        monkeypatch.setattr(driver, "block_seed", spy)
-        h, _ = near_normal_hessenberg(np.random.default_rng(5), 12, perturb=1e-4)
-        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=12)
-        res = shifted_qr(h, 1e-7, 0.05, gd, seed=3)
-        loops = [p for p, node in res.tree.nodes.items() if node.eigenvalues is None]
-        assert paths == loops and len(max(paths, key=len)) > 1
 
 
 class TestLoopGuardChecksOnce:
@@ -516,11 +524,12 @@ class TestSolveEntryPoint:
         assert (res.run_params, res.globals_used) == (ref.run_params, ref.globals_used)
 
     def test_zero_matrix_without_preprocessing_raises_without_a_warning(self):
-        # delta ||H||_F is 0 and falls back to the smallest normal number, so
-        # the default B = n / scale overflows; a Python float does so quietly
+        # delta ||H||_F is 0: the auto bounds see that scale, not the
+        # smallest normal number the run's delta falls back to, and name
+        # the zero norm as the preprocessing branch does
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="out of binary64 range"):
+            with pytest.raises(ParameterError, match=r"\|\|A\|\| = 0"):
                 solve(np.zeros((3, 3)), SolveConfig(seed=1, preprocess=False))
 
     def test_zero_matrix_message_names_the_zero_norm(self):

@@ -550,3 +550,50 @@ def test_only_the_oracle_forks_on_the_platform_float_width(path):
     # each certificate takes u and tiny from the numbers it runs on; the
     # oracle's clongdouble reference rung alone needs the x87 width
     assert significand_width_reads(path.read_text(encoding="utf-8")) == []
+
+
+def random_sources(source):
+    """Lines of ``source`` that reach ``numpy.random``: an import of it or of
+    names from it, or its ``random`` attribute read off the numpy module."""
+    tree = ast.parse(source)
+    numpy_names, lines = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if (alias.name + ".").startswith("numpy.random."):
+                    lines.add(node.lineno)
+                elif alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if (module + ".").startswith("numpy.random.") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names)
+            ):
+                lines.add(node.lineno)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_a_random_source():
+    src = (
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random as npr, linalg\n"
+        "from numpy.random import default_rng\n"
+        "g = np.random.default_rng(1)\n"
+        "x = rng.random() + linalg.norm(np.ones(2))\n"
+        "from .random import draw\n"
+    )
+    assert random_sources(src) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "driver.py"), ids=lambda p: p.name
+)
+def test_only_the_driver_makes_random_streams(path):
+    # every other layer draws from the Generator the driver hands it, so a
+    # run's one stream cannot split
+    assert random_sources(path.read_text(encoding="utf-8")) == []

@@ -182,6 +182,20 @@ class TestDeriveRunParams:
         with pytest.raises(ParameterError, match=message):
             hessqr.solve(a, hessqr.SolveConfig(phi=phi, seed=1))
 
+    def test_subnormal_omega_is_named_rather_than_phi(self):
+        # omega = delta / (4n) is subnormal, so Sigma / omega overflows and
+        # N_dec is inf; phi_working would be 0, but phi is not at fault.  A
+        # delta = 0 run with explicit bounds falls back to that delta
+        message = r"^omega = \S+ Sigma leaves no finite N_dec=inf$"
+        gd = derive_globals(1.0, 1e-3, 0.75, 3)
+        with pytest.raises(ParameterError, match=message):
+            derive_run_params(3, 2.2250738585072014e-308, 0.01, gd)
+        a = np.diag(np.arange(1.0, 4.0)).astype(complex)
+        for preprocess in (True, False):
+            config = hessqr.SolveConfig(delta=0.0, B=1.0, Gamma=1e-3, seed=1, preprocess=preprocess)
+            with pytest.raises(ParameterError, match=message):
+                hessqr.solve(a, config)
+
 
 def _bits(n, k, Sigma, B, Gamma, delta, phi):
     gd = globals_with_degree(B, k, Gamma, Sigma, n)
