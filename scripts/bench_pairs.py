@@ -8,10 +8,11 @@ For each workload and each seed, in that order, runs
 both checkouts, one right after the other, so that the two runs of a pair
 are next to each other in time; PARENT runs first at the first seed, CHANGE
 at the second, and so on alternately, so that neither side always runs
-first.  Then each checkout makes one ``--trace 1`` run per workload
-at the seed ``bench_summary.py`` reads the per-layer metrics from (11).
-Finally ``scripts/bench_summary.py CHANGE/.perfbench_out --baseline
-PARENT/.perfbench_out --out OUT`` folds the pairs into one summary.
+first.  Then each checkout makes one ``--trace 1`` run per workload at
+``bench_summary.TRACE_SEED``, the seed the summary reads the per-layer
+metrics from.  Finally ``scripts/bench_summary.py CHANGE/.perfbench_out
+--baseline PARENT/.perfbench_out --out OUT`` folds the pairs into one
+summary.
 
 perfbench writes its result files to ``.perfbench_out`` in each checkout,
 and the summary reads every result file there; the script refuses to start
@@ -28,8 +29,10 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))  # bench_summary.py sits next to this file
+import bench_summary  # noqa: E402
+
 RESULT = re.compile(r"^[a-z_]+-seed\d+-trace[01]\.json$")
-TRACE_SEED = 11  # the seed of bench_summary.py's per-layer metrics
 
 
 def parse_seeds(text):
@@ -50,7 +53,8 @@ def plan(parent, change, workloads, seeds, seconds):
                 runs.append((root, ["perfbench/run.py", "--workload", wl, "--seed", str(seed),
                                     "--seconds", str(seconds), "--trace", "0"]))
         for root in (parent, change):
-            runs.append((root, ["perfbench/run.py", "--workload", wl, "--seed", str(TRACE_SEED),
+            runs.append((root, ["perfbench/run.py", "--workload", wl, "--seed",
+                                str(bench_summary.TRACE_SEED),
                                 "--seconds", str(seconds), "--trace", "1"]))
     return runs
 

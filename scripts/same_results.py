@@ -24,12 +24,15 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   levels deep (its blocks draw from the run's one random stream in turn);
 - the same for ``hessqr.solve`` with default options, solver seed 1, on
   that input: the direct route hands the small solver one 128 x 128 block,
-  above the n = 75 from which LAPACK's eigenvalues with eigenvectors and
-  without them may differ in the last bits;
+  which the enclosure certifies, above the n = 75 from which the
+  eigenvalues of ``zgeev`` with eigenvectors (the enclosure's) and of
+  ``np.linalg.eigvals`` (the seeds') differ in the last bits for some
+  blocks;
 - the same for ``hessqr.solve`` with default options, solver seed 1, on one
   256 x 256 near-normal input at rng seed 3: the enclosure certifies its
-  one direct block, above the n ~ 150 from which LAPACK's Hessenberg
-  reduction and QR take their blocked code paths;
+  one direct block, above the n = 129 from which ``zgeev``'s eigenvalues of
+  a Ginibre Hessenberg block depend on its workspace (both thresholds
+  measured with scipy 1.17.1 and OpenBLAS 0.3.31);
 - the same for ``hessqr.solve`` with default options, solver seed 1, on one
   16 x 16 near-normal input per seed, run with ``smalleig.np`` replaced by
   a numpy whose ``clongdouble`` is ``complex128`` (as where clongdouble is

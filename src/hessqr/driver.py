@@ -13,11 +13,11 @@ dimension at most k go straight to the small eigenvalue solver, but for a
 fixed number of times with fresh randomness before the run aborts.  The
 iteration draws from one random stream made from the seed, and the blocks
 consume it in the order they run (depth first, top block first), so a run is
-byte-reproducible from its seed at a fixed BLAS thread count (from n ~ 150
-on, the ``zgeev`` of the small solver's enclosure and the norm(a, 2) of
-``preprocess`` depend on that count).  Preprocessing draws from a stream of
-its own, so that ``hessqr info`` rebuilds ``solve``'s Hessenberg form without
-running the iteration.
+byte-reproducible from its seed at a fixed BLAS thread count (with OpenBLAS
+0.3.31, from n = 76 on, the ``zgeev`` of the small solver's enclosure and
+the norm(a, 2) of ``preprocess`` can depend on that count).  Preprocessing
+draws from a stream of its own, so that ``hessqr info`` rebuilds
+``solve``'s Hessenberg form without running the iteration.
 
 Every quantity a run uses is derived once.  ``prepare`` works out the
 seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
@@ -68,14 +68,12 @@ def deflate(h, omega, k):
     The zeroing span matches the while-loop guard (the bottom min(k, n-1)
     entries).  Splits also happen at subdiagonal entries that are already
     exact zeros anywhere.  Blocks come back in top-to-bottom order; a matrix
-    with nothing at or below omega returns as a single block.  h is copied
-    only when an entry is zeroed; every block is a copy."""
-    a = h.a
+    with nothing at or below omega returns as a single block.  Every block is
+    a copy."""
+    a = h.a.copy()
     n = h.n
     for i in range(n - 1 - min(k, n - 1), n - 1):
         if abs(a[i + 1, i]) <= omega:
-            if a is h.a:
-                a = a.copy()
             a[i + 1, i] = 0
     return [
         HessenbergMatrix(a[start:stop, start:stop].copy(), validate=False)

@@ -44,9 +44,11 @@ entry is above 2^459 or below 2^-459 at the scale it balanced them to
 (+-1.29e138 for [[1, 2], [1, -1]] 1e300, whose eigenvalues are +-1.73e300),
 so the enclosure hands it a block whose largest entry has a binary exponent
 beyond +-400 scaled by a power of two into [1/2, 1), and scales the
-eigenvalues back.  The seeds take LAPACK through ``np.linalg.eigvals``: they
-are off the hot path, and the oracle's reference goes through them, so the
-reference shares no LAPACK binding with the enclosure it checks.
+eigenvalues back.  zgeev runs with the wrapper's default workspace: its
+eigenvalues are bounded by its own eigenvectors, so they need not round as
+another path's do.  The seeds take LAPACK through ``np.linalg.eigvals``:
+they are off the hot path, and the oracle's reference goes through them, so
+the reference shares no LAPACK binding with the enclosure it checks.
 
 The enclosure certifies a block well conditioned as an eigenproblem whatever
 its characteristic polynomial: a default-option direct solve at n = 256
@@ -293,14 +295,6 @@ def _cyclic_index(d):
     return idx, cols
 
 
-@lru_cache(maxsize=128)
-def _zgeev_lwork(n):
-    """zgeev's optimal workspace with right eigenvectors: with the wrapper's
-    minimal default, zgehrd and zhseqr take other code paths from n ~ 150
-    on, and round differently from ``np.linalg.eig``."""
-    return int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
-
-
 def _lapack_seeds(blk):
     """``np.linalg.eigvals`` of blk rounded to complex128, or None for a
     block that rounds to a non-finite entry (one rounded from mpmath can) or
@@ -358,9 +352,7 @@ def _enclosed_roots(blk, beta_cert):
     p = math.frexp(ablk.max())[1]
     # zgeev rescales outside SMLNUM..BIGNUM = 2^-+459, and scipy 1.17.1's never scales back
     scaled = abs(p) > 400
-    lam, _, x, info = lapack.zgeev(
-        ldexp(blk, -p) if scaled else blk, compute_vl=0, compute_vr=1, lwork=_zgeev_lwork(n)
-    )
+    lam, _, x, info = lapack.zgeev(ldexp(blk, -p) if scaled else blk, compute_vl=0, compute_vr=1)
     if info != 0:
         return None
     if scaled:

@@ -52,6 +52,26 @@ def test_pairs_alternate_which_side_runs_first(bench_pairs, tmp_path):
                            str(parent / ".perfbench_out"), "--out", str(tmp_path / "BENCH.json")]
 
 
+def test_traced_runs_use_the_summarys_seed(bench_pairs, monkeypatch):
+    # the one copy of the seed is bench_summary's: a traced run at any
+    # other seed would leave the summary without its per-layer metrics
+    path = SCRIPT.with_name("bench_summary.py")
+    spec = importlib.util.spec_from_file_location("bench_summary", path)
+    bench_summary = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_summary)
+
+    def traced_seeds():
+        runs = bench_pairs.plan("parent", "change", ["qr_small", "direct_default"], [1, 2, 3], 45)
+        return [(root, argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1]))
+                for root, argv in runs if argv[argv.index("--trace") + 1] == "1"]
+
+    seed = bench_summary.TRACE_SEED
+    assert traced_seeds() == [(root, wl, seed) for wl in ("qr_small", "direct_default")
+                              for root in ("parent", "change")]
+    monkeypatch.setattr(bench_pairs.bench_summary, "TRACE_SEED", seed + 1)
+    assert {s for _, _, s in traced_seeds()} == {seed + 1}
+
+
 def test_failed_runs_are_counted(bench_pairs, tmp_path):
     def stub(argv, cwd):
         return 1 if Path(cwd).name == "change" and "--trace" in argv and argv[-1] == "0" else 0

@@ -11,6 +11,7 @@ from conftest import (
     near_normal_hessenberg,
     needs_long_double,
     random_hessenberg,
+    same_bits,
     use_binary64_clongdouble,
 )
 from hypothesis import assume, given, settings
@@ -145,6 +146,30 @@ class TestShiftedQr:
 
         for path, node in r1.tree.nodes.items():
             assert records(node) == records(r2.tree.nodes[path])
+
+    def test_a_plain_array_runs_as_its_hessenberg_matrix(self):
+        # perfbench's QR workload hands shifted_qr an ndarray: it is checked
+        # as a HessenbergMatrix is and runs bit for bit as that matrix does
+        h, _ = near_normal_hessenberg(np.random.default_rng(75), 16, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=16)
+        r1 = shifted_qr(h, 1e-7, 0.05, gd, seed=5)
+        r2 = shifted_qr(h.a.copy(), 1e-7, 0.05, gd, seed=5)
+        assert same_bits(r1.eigenvalues, r2.eigenvalues)
+        assert len(r1.tree.nodes) > 1 and list(r1.tree.nodes) == list(r2.tree.nodes)
+
+        def bits(node):
+            return [
+                (r.index, r.branch, r.retries,
+                 np.array([r.psi_before, r.psi_after, r.shift]).tobytes())
+                for r in node.trace
+            ]
+
+        for path, node in r1.tree.nodes.items():
+            assert bits(node) == bits(r2.tree.nodes[path])
+        a = h.a.copy()
+        a[9, 3] = 1e-300
+        with pytest.raises(StructureError, match=r"entry \(9,3\) below the subdiagonal"):
+            shifted_qr(a, 1e-7, 0.05, gd, seed=5)
 
     def test_one_generator_per_run(self, monkeypatch):
         # every loop block draws from the run's one Generator, made from the

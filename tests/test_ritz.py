@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg, same_bits
-from hessqr.errors import DichotomyMiss, DimensionError, DomainError
+from hessqr.errors import DichotomyMiss, DimensionError, DomainError, ParameterError
 from hessqr.iqr import HessenbergMatrix, log2_potential_pow_k, potential
 from hessqr.kernel import disk_point
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
@@ -181,6 +181,14 @@ class TestRitzOrDecouple:
         gd = _test_globals(1.0, 4, 4.0, 4)
         with pytest.raises(DimensionError):
             ritz_or_decouple(h, 0.0, 1e-9, OracleSolver(), rng, gd)
+
+    def test_a_solver_that_returns_too_few_values_is_rejected(self):
+        rng = np.random.default_rng(52)
+        h = random_hessenberg(rng, 8)
+        gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 8)
+        too_few = InjectSolver(ref_eigs(h.corner(4))[:3])
+        with pytest.raises(ParameterError, match="returned 3 values for a 4x4 corner"):
+            ritz_or_decouple(h, _lpk(h, 4), 1e-9, too_few, rng, gd)
 
     def test_toeplitz_backward_perturbation_decouples(self):
         # superdiag 1, subdiag delta, corner T(1,n)=1: a backward corner

@@ -122,6 +122,9 @@ class TestCharPolySolver:
         with pytest.raises(SmallEigFailure, match=r"1e-80 at 960 bits .* rows 0:4 \(dimension 4\)"):
             SOLVER.solve(obj, 1e-80)
 
+    def test_empty_matrix_has_no_eigenvalues(self):
+        assert SOLVER.solve(np.zeros((0, 0)), 1e-3) == []
+
     def test_hessenberg_matrix_input_is_taken_by_its_array(self):
         # the package's own type, as ``driver.prepare`` takes it, and still
         # validated
@@ -642,6 +645,33 @@ class TestEnclosureRung:
         assert smalleig._enclosed_roots(m, 1.0) is not None
         monkeypatch.setattr(smalleig.lapack, routine, failing)
         assert smalleig._enclosed_roots(m, 1.0) is None
+
+    def test_an_inverse_far_from_x_is_a_failed_enclosure(self, monkeypatch, tier_blocks):
+        # zgetri's inverse doubled: E = YX - I = I, so ||E||_inf = 1 > 1/2
+        # and the enclosure gives up before forming any disk; the block
+        # goes on to the next rung, which certifies it
+        zgetri = smalleig.lapack.zgetri
+        disks = []
+        matched_bounds = smalleig._matched_bounds
+
+        def doubled(*args, **options):
+            y, info = zgetri(*args, **options)
+            return 2 * y, info
+
+        def recording(*args):
+            disks.append(args)
+            return matched_bounds(*args)
+
+        m = random_hessenberg(np.random.default_rng(74), 4).a
+        beta = 1e-10
+        assert smalleig._enclosed_roots(m, beta / 2) is not None
+        monkeypatch.setattr(smalleig.lapack, "zgetri", doubled)
+        monkeypatch.setattr(smalleig, "_matched_bounds", recording)
+        assert smalleig._enclosed_roots(m, beta / 2) is None
+        assert disks == []
+        vals = SOLVER.solve(m, beta)
+        assert tier_blocks and tier_blocks[0][1] == 4
+        assert matched_distance(np.array(vals), ref_eigs(m)) <= beta
 
     def test_zgeev_sees_no_block_it_would_rescale(self, monkeypatch):
         # scipy 1.17.1's zgeev leaves the eigenvalues of a block whose
