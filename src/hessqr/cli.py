@@ -9,8 +9,9 @@ new length: the same file, so its mode, owner and hard links stay.
 `info` prints the same run document without the eigenvalues, as JSON,
 without solving.  Both build it in ``_run_document`` from
 ``driver.prepare`` and the run plan of ``driver.plan_run``, the one place
-k, omega, N_dec and the required bits are derived; its ``globals`` and
-``params`` are the ``GlobalData`` and ``RunParams`` records by field name.
+k, omega, N_dec, the required bits, the route and whether the guarantee
+covers the run are derived; its ``globals`` and ``params`` are the
+``GlobalData`` and ``RunParams`` records by field name.
 Each option's dest is the ``SolveConfig`` field it sets (--gamma-gap sets
 Gamma, --no-preprocess clears preprocess).  The library checks the options
 for both commands; only --delta > 0 is checked here, because the library
@@ -66,12 +67,14 @@ def read_matrix_market(path):
     return np.asarray(m.toarray() if scipy.sparse.issparse(m) else m, dtype=np.complex128)
 
 
-def _run_document(config, seed, gd, run_params, required_bits):
+def _run_document(config, seed, gd, run):
     """The run's parameters, as both commands print them: the options, the
     seed, the global data of ``prepare`` (its ``GlobalData`` but n0, which is
-    the top-level n, with the paper's gamma) and the plan's ``RunParams`` (but
-    the absolute delta) with its required bits, all in the caller's units."""
-    globals_, params = asdict(gd), asdict(run_params)
+    the top-level n, with the paper's gamma), and from ``run``, the run plan
+    or the ``SolveResult`` that carries its values, the route, whether the
+    guarantee covers the run and the ``RunParams`` (but the absolute delta)
+    with the required bits, all in the caller's units."""
+    globals_, params = asdict(gd), asdict(run.run_params)
     n = globals_.pop("n0")
     del params["delta"]
     return {
@@ -80,8 +83,10 @@ def _run_document(config, seed, gd, run_params, required_bits):
         "delta": config.delta,
         "phi": config.phi,
         "bits": config.bits,
+        "route": run.route,
+        "guarantee_covered": run.guarantee_covered,
         "globals": {**globals_, "gamma": GAMMA},
-        "params": {**params, "required_bits": required_bits},
+        "params": {**params, "required_bits": run.required_bits},
     }
 
 
@@ -114,9 +119,7 @@ def run(input_path, config, out_json=None, out_trace=None):
     result = solve(a, config)
     wall = time.perf_counter() - t0
 
-    document = _run_document(
-        config, result.seed, result.globals_used, result.run_params, result.required_bits
-    )
+    document = _run_document(config, result.seed, result.globals_used, result)
     document["eigenvalues"] = [
         {"re": v.real, "im": v.imag, "block": node.block_id}
         for node in result.tree.leaves()
@@ -137,8 +140,7 @@ def info(input_path, config):
     """The run document `solve` would write, without the eigenvalues; no solve."""
     a = read_matrix_market(input_path)
     h, gd, delta, seed = prepare(a, config)
-    plan = plan_run(h.n, delta, config.phi, gd)
-    return _run_document(config, seed, gd, plan.run_params, plan.required_bits)
+    return _run_document(config, seed, gd, plan_run(h.n, delta, config.phi, gd, config.bits))
 
 
 @functools.cache

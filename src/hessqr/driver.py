@@ -7,24 +7,28 @@ deflated at every sub-threshold entry and the pieces recurse.  The loop's
 guard is the one check of the omega-unreduced precondition under which both
 steps are stated: the driver forms each iterate's bottom-k subdiagonal moduli
 once, for that guard and for L = log2 psi_k(H)^k, and passes L down to
-``ritz_or_decouple`` and ``sh_step``, which check neither again.  Blocks of
-dimension at most k go straight to the small eigenvalue solver, but for a
-1 x 1 leaf, which is its entry.  Probabilistic failure events are retried a
-fixed number of times with fresh randomness before the run aborts.  The
-iteration draws from one random stream made from the seed, and the blocks
-consume it in the order they run (depth first, top block first), so a run is
-byte-reproducible from its seed at a fixed BLAS thread count (with OpenBLAS
-0.3.31, from n = 76 on, the ``zgeev`` of the small solver's enclosure and
-the norm(a, 2) of ``preprocess`` can depend on that count).  Preprocessing
+``ritz_or_decouple`` and ``sh_step``, which check neither again.  The driver
+makes every small eigenvalue solver call: it certifies each iterate's k x k
+corner once and hands its eigenvalues to ``ritz_or_decouple`` with L, and
+a retry after a ``DichotomyMiss`` reuses them.  Blocks of dimension at most
+k go straight to the small solver, but for a 1 x 1 leaf, which is its
+entry.  Probabilistic failure events are retried a fixed number of times
+with fresh randomness before the run aborts.  The iteration draws from one
+random stream made from the seed, and the blocks consume it in the order
+they run (depth first, top block first), so a run is byte-reproducible
+from its seed at a fixed BLAS thread count (with OpenBLAS 0.3.31, from
+n = 76 on, the ``zgeev`` of the small solver's enclosure and the
+norm(a, 2) of ``preprocess`` can depend on that count).  Preprocessing
 draws from a stream of its own, so that ``hessqr info`` rebuilds
 ``solve``'s Hessenberg form without running the iteration.
 
 Every quantity a run uses is derived once.  ``prepare`` works out the
 seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
 accuracy from the input and a ``SolveConfig``; ``plan_run`` derives from
-those the run plan: the scale 2^e, k, omega, N_dec, phi_w and the required
-bits.  ``shifted_qr`` runs on the plan and ``hessqr info`` prints it, so the
-two cannot disagree.
+those the run plan: the scale 2^e, k, omega, N_dec, phi_w, the required
+bits, the route (the QR iteration, or for n <= k a direct small solve) and
+whether the worst-case guarantee covers the run.  ``shifted_qr`` runs on the
+plan and ``hessqr info`` prints it, so the two cannot disagree.
 """
 
 import math
@@ -50,8 +54,10 @@ from .params import (
     RunParams,
     check_phi,
     default_bounds,
+    derive_degree,
     derive_globals,
     derive_run_params,
+    regularization_scales,
     required_precision,
 )
 from .ritz import ritz_or_decouple
@@ -140,13 +146,17 @@ def _process_block(node, h, plan, rng):
     """Run one block to deflation (or solve it directly); returns children.
 
     h is in the units of the plan; the eigenvalues and the trace records
-    written to the node are multiplied back by 2^e.  A block of dimension at
-    most k goes to the small solver, but for a 1 x 1 leaf, whose eigenvalue
-    is its entry, in either arithmetic: the solver would return that entry
-    as it is, after validating a block whose entries the QR iteration, a
-    unitary similarity of a validated matrix, keeps finite.  The loop draws
-    from ``rng``, the run's one Generator, which the blocks share in the
-    order they run."""
+    written to the node are multiplied back by 2^e.  Every small solver call
+    of the run is made here.  Each loop iteration certifies the k x k corner
+    of its iterate once, at beta/2 with beta of
+    ``params.regularization_scales``, and a retry of ``ritz_or_decouple``
+    reuses those values: the solver draws no randomness, so a second solve
+    would return the same ones.  A block of dimension at most k goes to the
+    small solver, but for a 1 x 1 leaf, whose eigenvalue is its entry, in
+    either arithmetic: the solver would return that entry as it is, after
+    validating a block whose entries the QR iteration, a unitary similarity
+    of a validated matrix, keeps finite.  The loop draws from ``rng``, the
+    run's one Generator, which the blocks share in the order they run."""
     gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
     if h.n <= k:
@@ -156,6 +166,7 @@ def _process_block(node, h, plan, rng):
         return []
 
     omega = params.omega
+    beta = regularization_scales(omega, gd.Sigma)[0]
     moduli = h.bottom_subdiagonal_abs(k)
     log2_psi_pow_k = log2_potential_pow_k(moduli)
     iteration, psi = 0, 2.0 ** (log2_psi_pow_k / k)
@@ -165,8 +176,9 @@ def _process_block(node, h, plan, rng):
             raise BudgetExceeded(
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
+        corner_eigs = DEFAULT_SOLVER.solve(h.corner(k), beta / 2.0)
         (ritz, step), retries = _retry(
-            lambda: ritz_or_decouple(h, log2_psi_pow_k, omega, DEFAULT_SOLVER, rng, gd),
+            lambda: ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd),
             "ritz_or_decouple",
             node,
         )
@@ -203,18 +215,26 @@ class RunPlan(NamedTuple):
 
     ``gd`` and ``params`` are in the units of H / 2^e, on which the
     iteration runs; ``run_params`` is ``params`` in the caller's units, as
-    ``SolveResult`` and ``hessqr info`` report it."""
+    ``SolveResult`` and ``hessqr info`` report it.  ``route`` is "direct"
+    when n <= k, one small solve of the whole matrix, and "qr" otherwise.
+    ``guarantee_covered`` is whether the paper's worst-case guarantee covers
+    the run: false when the working precision is below ``required_bits``,
+    when k is not ``params.derive_degree(B)``, or when B < 2."""
 
     e: int
     gd: GlobalData
     params: RunParams
     run_params: RunParams
     required_bits: int
+    route: str
+    guarantee_covered: bool
 
 
-def plan_run(n, delta, phi, gd):
+def plan_run(n, delta, phi, gd, bits=53):
     """The RunPlan of an n x n run with absolute accuracy delta, failure
-    tolerance phi and global data gd, all in the caller's units.
+    tolerance phi and global data gd, all in the caller's units, working at
+    ``bits`` mantissa bits (53 for complex128, the mpmath context's
+    precision otherwise).
 
     e is the binary exponent of Sigma, and Sigma, Gamma and delta are divided
     by 2^e, so Sigma lies in [1/2, 1).  Division by a power of two is exact
@@ -230,13 +250,16 @@ def plan_run(n, delta, phi, gd):
     except ParameterError as exc:  # name the caller's Gamma, not Gamma / 2^e
         msg = str(exc).replace(f"Gamma={gd_n.Gamma:g}", f"Gamma={gd.Gamma:g}")
         raise ParameterError(msg) from None
+    required_bits = required_precision(n, gd_n, params)
     return RunPlan(
         e=e,
         gd=gd_n,
         params=params,
         run_params=replace(params, delta=float(delta), omega=ldexp(params.omega, e),
                            log2_omega=params.log2_omega + e),
-        required_bits=required_precision(n, gd_n, params),
+        required_bits=required_bits,
+        route="direct" if n <= gd.k else "qr",
+        guarantee_covered=bits >= required_bits and gd.B >= 2 and gd.k == derive_degree(gd.B),
     )
 
 
@@ -247,6 +270,8 @@ class SolveResult:
     globals_used: GlobalData
     run_params: RunParams
     required_bits: int
+    route: str
+    guarantee_covered: bool
     seed: int
 
 
@@ -262,12 +287,15 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     e.  Everything returned is in the caller's units: eigenvalues, each
     trace record's psi and shift, ``globals_used`` and ``run_params``, and
     the seed the run used (``_resolve_seed``).  Every block draws from one
-    Generator made from that seed, in the order the blocks run."""
+    Generator made from that seed, in the order the blocks run.  The route
+    and whether the guarantee covers the run are the plan's, at the working
+    precision of h."""
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
-    plan = plan_run(h.n, delta, phi, gd)
+    bits = h.a[0, 0].context.prec if h.is_extended else 53
+    plan = plan_run(h.n, delta, phi, gd, bits)
     tree = DeflationTree()
     root = DeflationNode(path=(), start=0)
     pending = [(root, HessenbergMatrix(ldexp(h.a, -plan.e), validate=False))]
@@ -285,6 +313,8 @@ def shifted_qr(h, delta, phi, gd, seed=0):
         globals_used=gd,
         run_params=plan.run_params,
         required_bits=plan.required_bits,
+        route=plan.route,
+        guarantee_covered=plan.guarantee_covered,
         seed=seed,
     )
 

@@ -163,7 +163,7 @@ def derive_run_params(n, delta, phi, gd):
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not (0 < delta <= gd.Sigma):
-        raise DomainError(f"need 0 < delta <= Sigma, got delta={delta!r}")
+        raise DomainError(f"need 0 < delta <= Sigma, got delta = {delta / gd.Sigma:g} Sigma")
     check_phi(phi)
     try:
         omega = min(delta, gd.Gamma / (8.0 * n**2 * gd.B**2)) / (4.0 * n)

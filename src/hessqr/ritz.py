@@ -2,34 +2,23 @@
 
 A set of shifts is theta-optimal when ||e_n* p(H)||^(1/k) <= theta psi_k(H);
 `optimal` certifies this one-sidedly from a k-step row iteration.  Forward
-approximations of the corner eigenvalues come from a pluggable small solver,
-get regularized by uniform disk noise so they keep their distance from the
-spectrum, and are then either certified optimal or driven through the
-decoupling loop: some regularized value must collapse a bottom subdiagonal in
+approximations of the corner eigenvalues, which the driver certifies with the
+small solver, get regularized by uniform disk noise so they keep their
+distance from the spectrum, and are then either certified optimal or driven
+through the decoupling loop: some regularized value must collapse a bottom subdiagonal in
 a single degree-k step, or the probabilistic guarantee failed and the caller
 may retry.  Shifts are tuples of roots; a decoupling step comes back as the
 driver's ``iqr.Step`` record.
 """
 
 import math
-from typing import Protocol
 
 import numpy as np
 
-from .errors import DichotomyMiss, DimensionError, DomainError, ParameterError
+from .errors import DichotomyMiss, DimensionError, DomainError
 from .iqr import Step, iqr_multi
 from .kernel import disk_point, log2, norm
 from .params import regularization_scales
-
-
-class SmallEigSolver(Protocol):
-    """Forward-approximate eigensolver for upper Hessenberg matrices of
-    dimension <= k: the k x k corner here, deflated blocks in the driver.
-
-    The outputs match Spec(M) within absolute distance beta under some
-    pairing; a solver that cannot certify that raises."""
-
-    def solve(self, m, beta: float) -> list: ...
 
 
 def regularize(r_list, eta2, rng):
@@ -76,7 +65,7 @@ def optimal(h, log2_psi_pow_k, shifts, gd):
     return not (log2(norm(v)) >= bound)
 
 
-def ritz_or_decouple(h, log2_psi_pow_k, omega, solver, rng, gd):
+def ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd):
     """Regularized corner eigenvalues: either theta-optimal or decoupling.
 
     Stated for an omega-unreduced H with ||H|| <= Sigma, gap(H) >= 2
@@ -84,23 +73,20 @@ def ritz_or_decouple(h, log2_psi_pow_k, omega, solver, rng, gd):
     failure probability, below 1/300 whenever n > k >= 2
     (``params.derive_run_params``).  The driver's loop guard establishes the
     first and hands down L = log2 psi_k(H)^k, formed for that guard, as
-    log2_psi_pow_k.  Returns (ritz, step): the regularized Ritz values, and
-    None when they are theta-optimal, or else the "decouple" Step of the
-    first value whose degree-k step collapsed some bottom-k subdiagonal
-    below omega.  The probability-phi_w failure event surfaces as
-    DichotomyMiss."""
+    log2_psi_pow_k.  The precondition on corner_eigs: they are
+    beta/2-approximations of the eigenvalues of the k x k corner of h, with
+    beta of ``regularization_scales``, as the driver certifies them with the
+    small solver; a list of another length than k raises ``optimal``'s
+    DimensionError before any sweep.  Returns (ritz, step): the regularized
+    Ritz values, and None when they are theta-optimal, or else the
+    "decouple" Step of the first value whose degree-k step collapsed some
+    bottom-k subdiagonal below omega.  The probability-phi_w failure event
+    surfaces as DichotomyMiss."""
     k = gd.k
     n = h.n
     if n <= k:
         raise DimensionError(f"ritz_or_decouple needs n > k, got n={n}")
-    beta, eta2 = regularization_scales(omega, gd.Sigma)
-    corner = h.corner(k)
-    ritz = solver.solve(corner, beta / 2.0)
-    if len(ritz) != k:
-        raise ParameterError(
-            f"small solver returned {len(ritz)} values for a {k}x{k} corner"
-        )
-    ritz = regularize(ritz, eta2, rng)
+    ritz = regularize(corner_eigs, regularization_scales(omega, gd.Sigma)[1], rng)
     if optimal(h, log2_psi_pow_k, ritz, gd):
         return ritz, None
     for rv in ritz:

@@ -36,8 +36,9 @@ again.  A 1 x 1 block is its own entry.  Every other block climbs:
 A block still uncertified at 960 bits raises SmallEigFailure.  Since every
 block climbs alone, a matrix's eigenvalues are those of its blocks, each
 solved as a matrix of its own at the same beta_eff and first precision.
-Deterministic: no randomness anywhere, output sorted by (re, im).  Any
-``ritz.SmallEigSolver`` may be injected in its place.
+Deterministic: no randomness anywhere, output sorted by (re, im).  The
+driver makes every call, through ``DEFAULT_SOLVER``: one per loop iteration
+for its corner, and one per leaf of dimension 2 or more.
 
 scipy 1.17.1's ``zgeev`` leaves the eigenvalues of a block whose largest
 entry is above 2^459 or below 2^-459 at the scale it balanced them to
@@ -441,7 +442,7 @@ def _block_roots(blk, beta_eff, prec):
 
 
 class CharPolySolver:
-    """SmallEigSolver backed by eigenvector enclosures and the
+    """The small eigenvalue solver: eigenvector enclosures and the
     characteristic polynomial (see the module docstring).
 
     solve(m, beta) returns forward beta-approximations of Spec(m) for upper
@@ -451,7 +452,7 @@ class CharPolySolver:
     output): the certified bound is beta_eff / 2, where binary64 input has
     beta_eff = max(beta, 2^-49 max(1, ||m||_F)).  That floor is what the
     driver's corners are certified at: on perfbench's qr_small inputs,
-    ``ritz.ritz_or_decouple`` asks for about 1.5e-26, the solver certifies
+    ``driver._process_block`` asks for about 1.5e-26, the solver certifies
     at beta_eff / 2 ~ 8.9e-16.  Over the 707 blocks of 24 such inputs, the
     enclosure's bounds reach 0.44 of that (median 0.07), with the residual
     formed in x87 clongdouble, and the next rung's Hyman bounds would reach

@@ -23,7 +23,7 @@ from hessqr.cli import (
     read_matrix_market,
     run,
 )
-from hessqr.driver import SolveConfig, plan_run, prepare
+from hessqr.driver import SolveConfig, plan_run, prepare, solve
 from hessqr.errors import ParseError, SmallEigFailure
 from hessqr.smalleig import CharPolySolver
 
@@ -531,7 +531,9 @@ def _hessenberg_options(gamma_gap):
 
 # The keys of the run document, pinned: globals and params are GlobalData and
 # RunParams by field name, so a field added to either shows up here.
-DOCUMENT_KEYS = {"n", "seed", "delta", "phi", "bits", "globals", "params"}
+DOCUMENT_KEYS = {
+    "n", "seed", "delta", "phi", "bits", "route", "guarantee_covered", "globals", "params",
+}
 GLOBALS_KEYS = {"B", "Gamma", "Sigma", "k", "alpha", "theta", "gamma"}
 PARAMS_KEYS = {"omega", "log2_omega", "phi_working", "n_dec", "n_dec_budget", "required_bits"}
 
@@ -561,6 +563,24 @@ class TestInfoMatchesSolve:
         assert set(doc) == DOCUMENT_KEYS | {"eigenvalues"}  # the run-time key info leaves out
         assert set(doc["globals"]) == GLOBALS_KEYS
         assert set(doc["params"]) == PARAMS_KEYS
+
+    @pytest.mark.parametrize(
+        "options, config, route",
+        [
+            (["--seed", "21"], SolveConfig(seed=21), "direct"),
+            (_hessenberg_options(1e-3),
+             SolveConfig(seed=21, preprocess=False, B=1.0, Gamma=1e-3), "qr"),
+        ],
+        ids=["direct", "qr"],
+    )
+    def test_route_and_guarantee_are_the_solves(self, tmp_path, capsys, options, config, route):
+        # info and solve print the SolveResult's route and guarantee_covered;
+        # neither route runs under the guarantee at 53 bits
+        path = _random_mtx(tmp_path, 6, not config.preprocess)
+        doc = _solve_checking_info(tmp_path, capsys, path, options)
+        res = solve(read_matrix_market(path), config)
+        assert (doc["route"], doc["guarantee_covered"]) == (res.route, res.guarantee_covered)
+        assert (res.route, res.guarantee_covered) == (route, False)
 
     def test_log2_omega_where_omega_underflows(self, tmp_path, capsys):
         # at 2^-1000 omega = Gamma / (8 n^2 B^2) / (4n) underflows binary64,

@@ -30,6 +30,7 @@ from hessqr.errors import (
     BudgetExceeded,
     DichotomyMiss,
     DimensionError,
+    DomainError,
     HessqrError,
     OracleError,
     ParameterError,
@@ -39,7 +40,7 @@ from hessqr.errors import (
 )
 from hessqr.iqr import HessenbergMatrix
 from hessqr.oracle import condition_report, matched_distance, ref_eigs
-from hessqr.params import derive_globals, globals_with_degree
+from hessqr.params import derive_degree, derive_globals, globals_with_degree
 from hessqr.smalleig import CharPolySolver
 
 
@@ -264,6 +265,51 @@ class TestShiftedQr:
             for node, a, e in ones:
                 entry = [driver.ldexp(complex(v), e) for v in solve_(CharPolySolver(), a, 1e-7)]
                 assert np.array(node.eigenvalues).tobytes() == np.array(entry).tobytes()
+
+    def test_a_retry_reuses_the_certified_corner(self, monkeypatch):
+        # the first ritz_or_decouple call of the run misses once, after it
+        # has run: the run still succeeds, and the small solver sees each
+        # iteration's corner once, not again on the retry, and each leaf of
+        # dimension 2 or more
+        shapes, misses = [], []
+        solve_, ritz_or_decouple = CharPolySolver.solve, driver.ritz_or_decouple
+
+        def counting_solve(self, m, beta):
+            shapes.append(np.shape(m))
+            return solve_(self, m, beta)
+
+        def missing_once(*args):
+            out = ritz_or_decouple(*args)
+            if not misses:
+                misses.append(None)
+                raise DichotomyMiss("miss")
+            return out
+
+        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
+        monkeypatch.setattr(driver, "ritz_or_decouple", missing_once)
+        h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
+        records = [rec for node in res.tree.nodes.values() for rec in node.trace]
+        wide = [leaf for leaf in res.tree.leaves() if len(leaf.eigenvalues) > 1]
+        assert misses and records[0].retries == 1
+        assert len(shapes) == len(records) + len(wide)
+
+    def test_the_qr_small_recipe_runs_outside_the_guarantee(self):
+        # perfbench's qr_small recipe: B = 1 < 2, so k = 4 < n = 32
+        h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
+        assert (res.route, res.guarantee_covered) == ("qr", False)
+
+    def test_delta_above_sigma_is_named_in_units_of_sigma(self):
+        # the run divides delta and Sigma by 2^14, which leaves their ratio
+        # as it is: the message gives delta = 1e5 as 1e5 / 9711 Sigma
+        h = random_hessenberg(np.random.default_rng(84), 6)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=9711.0, n0=6)
+        message = r"^need 0 < delta <= Sigma, got delta = 10\.2976 Sigma$"
+        with pytest.raises(DomainError, match=message):
+            shifted_qr(h, 1e5, 0.05, gd, seed=1)
 
     def test_tree_is_built_in_path_order(self):
         # the blocks run depth-first, top block first: the tree's nodes come
@@ -509,6 +555,11 @@ class TestSolveEntryPoint:
         np.testing.assert_allclose(sorted(res.eigenvalues.real), [1.0, 1.0], atol=1e-9)
         assert all(not n.trace for n in res.tree.nodes.values())
 
+    def test_default_options_take_the_direct_route(self):
+        _, a = near_normal_hessenberg(np.random.default_rng(3), 16)
+        res = solve(a, SolveConfig(seed=1))
+        assert res.globals_used.k >= 16 and res.route == "direct"
+
     def test_reports_required_bits_above_binary64(self):
         rng = np.random.default_rng(80)
         a = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
@@ -632,6 +683,45 @@ class TestSolveEntryPoint:
         rep = condition_report(a)
         tol = rep.kappa_v * 1e-6 * rep.norm
         assert matched_distance(res.eigenvalues, ref_eigs(a)) <= tol
+
+
+class TestRunPlan:
+    """The route is "direct" exactly when n <= k; the guarantee covers a run
+    unless its working precision is below required_bits, k is not
+    derive_degree(B), or B < 2."""
+
+    @staticmethod
+    def _plan(n, B, k=None, bits=53):
+        k = derive_degree(B) if k is None else k
+        gd = globals_with_degree(B, k, Gamma=1e-2, Sigma=1.0, n0=n)
+        return driver.plan_run(n, 1e-3, 0.05, gd, bits)
+
+    def test_route(self):
+        assert derive_degree(2.0) == 64
+        assert self._plan(64, 2.0).route == "direct"
+        assert self._plan(65, 2.0).route == "qr"
+        assert self._plan(65, 2.0, k=128).route == "direct"
+
+    def test_guarantee_covered(self):
+        bits = self._plan(200, 2.0).required_bits
+        assert bits > 53 and not self._plan(200, 2.0).guarantee_covered
+        assert self._plan(200, 2.0, bits=bits).guarantee_covered
+        assert not self._plan(200, 2.0, bits=bits - 1).guarantee_covered
+        assert not self._plan(200, 1.5, bits=10**6).guarantee_covered  # k derived
+        assert not self._plan(200, 2.0, k=32, bits=10**6).guarantee_covered
+        assert not self._plan(200, 2.0, k=128, bits=10**6).guarantee_covered
+
+    def test_bits_of_the_run_are_those_of_h(self, monkeypatch):
+        # shifted_qr plans at 53 bits for complex128 and at the mpmath
+        # context's precision otherwise
+        h = random_hessenberg(np.random.default_rng(84), 6)
+        gd = derive_globals(2.0, Gamma=1e-4, Sigma=4 * float(h.frobenius_norm()), n0=6)
+        seen = []
+        plan_run = driver.plan_run
+        monkeypatch.setattr(driver, "plan_run", lambda *args: seen.append(args[-1]) or plan_run(*args))
+        for m in (h, h.to_extended(80)):
+            assert shifted_qr(m, 1e-8, 0.05, gd, seed=1).route == "direct"
+        assert seen == [53, 80]
 
 
 class TestRetries:

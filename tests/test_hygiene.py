@@ -597,3 +597,34 @@ def test_only_the_driver_makes_random_streams(path):
     # every other layer draws from the Generator the driver hands it, so a
     # run's one stream cannot split
     assert random_sources(path.read_text(encoding="utf-8")) == []
+
+
+def small_solver_calls(source):
+    """(enclosing function, line) of every call of a ``solve`` attribute, the
+    small solver's one entry point."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "solve"):
+                found.append((where, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detects_a_small_solver_call():
+    src = "x = S.solve(m, b)\ndef f(h):\n    def g():\n        return S().solve(h, 1)\n    return g\n"
+    assert small_solver_calls(src) == [(None, 1), ("g", 4)]
+
+
+def test_the_driver_makes_every_small_solver_call():
+    # the corners and the leaves are solved in one place, so that the
+    # driver can count the calls and a retry can reuse a certified corner
+    calls = {p.name: small_solver_calls(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: [f for f, _ in found] for name, found in calls.items() if found} == {
+        "driver.py": ["_process_block", "_process_block"]
+    }

@@ -4,28 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import near_normal_hessenberg, random_hessenberg, same_bits
-from hessqr.errors import DichotomyMiss, DimensionError, DomainError, ParameterError
+from hessqr.errors import DichotomyMiss, DimensionError, DomainError
 from hessqr.iqr import HessenbergMatrix, log2_potential_pow_k, potential
 from hessqr.kernel import disk_point
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
-from hessqr.params import globals_with_degree
+from hessqr.params import globals_with_degree, regularization_scales
 from hessqr.ritz import optimal, regularize, ritz_or_decouple
 from hessqr.smalleig import CharPolySolver
 
 
-class OracleSolver:
-    """Reference-eigensolver-backed small solver for tests."""
-
-    def solve(self, m, beta):
-        return [complex(v) for v in ref_eigs(np.asarray(m, dtype=complex))]
-
-
-class InjectSolver:
-    def __init__(self, vals):
-        self.vals = [complex(v) for v in vals]
-
-    def solve(self, m, beta):
-        return list(self.vals)
+def _corner_eigs(h, k):
+    """The eigenvalues of the k x k corner, from the reference eigensolver."""
+    return [complex(v) for v in ref_eigs(h.corner(k))]
 
 
 def _test_globals(B, k, sigma, n):
@@ -151,7 +141,7 @@ class TestRitzOrDecouple:
             omega = 1e-8
             if not h.is_unreduced(omega, k):
                 continue
-            ritz, step = ritz_or_decouple(h, _lpk(h, k), omega, OracleSolver(), rng, gd)
+            ritz, step = ritz_or_decouple(h, _lpk(h, k), _corner_eigs(h, k), omega, rng, gd)
             assert len(ritz) == k
             if step is None:
                 lhs = float(dense_en_p_norm(h, ritz)) ** (1 / k)
@@ -169,7 +159,7 @@ class TestRitzOrDecouple:
         h, _ = near_normal_hessenberg(rng, n, perturb=1e-3)
         gd = _test_globals(2.0, k, 2 * float(h.frobenius_norm()), n)
         omega = 1e-6
-        ritz, _ = ritz_or_decouple(h, _lpk(h, k), omega, OracleSolver(), rng, gd)
+        ritz, _ = ritz_or_decouple(h, _lpk(h, k), _corner_eigs(h, k), omega, rng, gd)
         beta = omega**2 / (16 * 101 * gd.Sigma)
         corner_eigs = ref_eigs(h.corner(k))
         for r in ritz:
@@ -180,15 +170,15 @@ class TestRitzOrDecouple:
         h = random_hessenberg(rng, 4)
         gd = _test_globals(1.0, 4, 4.0, 4)
         with pytest.raises(DimensionError):
-            ritz_or_decouple(h, 0.0, 1e-9, OracleSolver(), rng, gd)
+            ritz_or_decouple(h, 0.0, _corner_eigs(h, 4), 1e-9, rng, gd)
 
     def test_a_solver_that_returns_too_few_values_is_rejected(self):
         rng = np.random.default_rng(52)
         h = random_hessenberg(rng, 8)
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 8)
-        too_few = InjectSolver(ref_eigs(h.corner(4))[:3])
-        with pytest.raises(ParameterError, match="returned 3 values for a 4x4 corner"):
-            ritz_or_decouple(h, _lpk(h, 4), 1e-9, too_few, rng, gd)
+        too_few = _corner_eigs(h, 4)[:3]
+        with pytest.raises(DimensionError, match="optimal needs degree k=4 shifts, got 3"):
+            ritz_or_decouple(h, _lpk(h, 4), too_few, 1e-9, rng, gd)
 
     def test_toeplitz_backward_perturbation_decouples(self):
         # superdiag 1, subdiag delta, corner T(1,n)=1: a backward corner
@@ -211,7 +201,7 @@ class TestRitzOrDecouple:
         assert not optimal(h, _lpk(h, k), tuple(pert_ritz), gd)
 
         ritz, step = ritz_or_decouple(
-            h, _lpk(h, k), 1e-6, InjectSolver(pert_ritz), np.random.default_rng(5), gd
+            h, _lpk(h, k), [complex(v) for v in pert_ritz], 1e-6, np.random.default_rng(5), gd
         )
         assert step.branch == "decouple" and step.shift in ritz
         assert min(step.next_h.bottom_subdiagonal_abs(k)) <= 1e-6
@@ -224,13 +214,15 @@ class TestRitzOrDecouple:
         norm = float(np.linalg.norm(h.a, 2))
         with pytest.raises(DichotomyMiss):
             ritz_or_decouple(
-                h, _lpk(h, 2), 1e-9, InjectSolver([37 * norm, -41j * norm]), rng, gd
+                h, _lpk(h, 2), [37 * norm + 0j, -41j * norm], 1e-9, rng, gd
             )
 
     def test_default_solver_integration(self):
         rng = np.random.default_rng(51)
         h, _ = near_normal_hessenberg(rng, 10, perturb=1e-4)
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 10)
-        ritz, step = ritz_or_decouple(h, _lpk(h, 4), 1e-8, CharPolySolver(), rng, gd)
+        beta = regularization_scales(1e-8, gd.Sigma)[0]
+        corner_eigs = CharPolySolver().solve(h.corner(4), beta / 2.0)
+        ritz, step = ritz_or_decouple(h, _lpk(h, 4), corner_eigs, 1e-8, rng, gd)
         assert len(ritz) == 4
         assert step is None or step.branch == "decouple"
