@@ -15,12 +15,12 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
   and seed, and the ``--help`` text of ``hessqr``, ``hessqr solve`` and
   ``hessqr info``;
 - the same for ``shifted_qr`` on the 32 x 32 cyclic shift at k = 8 (which
-  takes the ritz_shift, decouple and exceptional branches) at each seed,
+  takes the exceptional branch once and then plain steps) at each seed,
   and the raw text of both files ``hessqr solve --no-preprocess --B 1
-  --gamma-gap 1e-4`` writes for that matrix (its trace takes the ritz_shift
-  and exceptional branches);
+  --gamma-gap 1e-4`` writes for that matrix (at k = 4, with the same
+  branches);
 - the same for ``shifted_qr`` at k = 4 on one 128 x 128 near-normal input
-  per seed, made by perfbench's recipe, whose deflation tree goes about 120
+  per seed, made by perfbench's recipe, whose deflation tree goes about 50
   levels deep (its blocks draw from the run's one random stream in turn);
 - the same for ``hessqr.solve`` with default options, solver seed 1, on
   that input: the direct route hands the small solver one 128 x 128 block,
@@ -54,8 +54,11 @@ Each checkout runs in its own interpreter, with its own ``src/`` and
 
 Floats are compared by their bits (hex).  The exit code is 1 when any value
 both checkouts record differs, an input fails on one side only, or an item
-is recorded on one side only, and 0 otherwise.  A record field that only one checkout has (a field added to
-``RunParams`` or to the JSON, say) is listed but is not a difference.
+is recorded on one side only, and 0 otherwise.  A record field that only
+one checkout has (a field added to ``RunParams`` or to the JSON, say) is
+listed but is not a difference; two raw JSON texts (``--out-json``,
+``hessqr info``) in which such a key is on one side only are compared as
+the values they parse to.
 """
 
 import argparse
@@ -320,7 +323,9 @@ def collect(n_inputs, seeds):
 
 
 def differences(a, b, where=""):
-    """(differing paths, paths of dict keys only one side has)."""
+    """(differing paths, paths of dict keys only one side has).  Two JSON
+    texts in which some key is on one side only are compared as the values
+    they parse to; other texts are compared as they are."""
     if isinstance(a, dict) and isinstance(b, dict):
         diff, one_sided = [], [f"{where}/{k}" for k in sorted(set(a) ^ set(b))]
         for k in sorted(set(a) & set(b)):
@@ -335,6 +340,13 @@ def differences(a, b, where=""):
             diff += d
             one_sided += o
         return diff, one_sided
+    if isinstance(a, str) and isinstance(b, str) and a != b:
+        try:
+            parsed = differences(_plain(json.loads(a)), _plain(json.loads(b)), where)
+        except ValueError:
+            parsed = [], []
+        if parsed[1]:
+            return parsed
     return ([] if a == b else [where]), []
 
 

@@ -1,16 +1,21 @@
 """Recursive driver: decoupling loops, deflation, preprocessing, precision.
 
-Each Hessenberg block larger than the shift degree k runs a while loop that
-alternates the Ritz-or-decouple step with the potential-reduction step until a
-bottom-k subdiagonal falls below the working accuracy omega; the block is then
-deflated at every sub-threshold entry and the pieces recurse.  The loop's
-guard is the one check of the omega-unreduced precondition under which both
+Each Hessenberg block larger than the shift degree k runs a while loop until
+a bottom-k subdiagonal falls below the working accuracy omega; the block is
+then deflated at every sub-threshold entry and the pieces recurse.  Each
+iteration first tries a plain step (``_plain_step``): the degree-k step whose
+k shifts are the certified eigenvalues of the iterate's k x k corner, kept
+when it decouples or contracts psi_k by ``REDUCTION_FACTOR``.  Otherwise the
+iteration runs the paper's step from the same H: the Ritz-or-decouple step,
+then the potential-reduction step when that did not decouple.  The loop's
+guard is the one check of the omega-unreduced precondition under which these
 steps are stated: the driver forms each iterate's bottom-k subdiagonal moduli
 once, for that guard and for L = log2 psi_k(H)^k, and passes L down to
-``ritz_or_decouple`` and ``sh_step``, which check neither again.  The driver
-makes every small eigenvalue solver call: it certifies each iterate's k x k
-corner once and hands its eigenvalues to ``ritz_or_decouple`` with L, and
-a retry after a ``DichotomyMiss`` reuses them.  Blocks of dimension at most
+``ritz_or_decouple`` and ``sh_step``, which check neither again; a kept plain
+step hands on the moduli its test formed.  The driver makes every small
+eigenvalue solver call: it certifies each iterate's k x k corner once, and
+the plain step and ``ritz_or_decouple`` take the same values, as does a
+retry after a ``DichotomyMiss``.  Blocks of dimension at most
 k go straight to the small solver, but for a 1 x 1 leaf, which is its
 entry.  Probabilistic failure events are retried a fixed number of times
 with fresh randomness before the run aborts.  The iteration draws from one
@@ -29,6 +34,33 @@ those the run plan: the scale 2^e, k, omega, N_dec, phi_w, the required
 bits, the route (the QR iteration, or for n <= k a direct small solve) and
 whether the worst-case guarantee covers the run.  ``shifted_qr`` runs on the
 plan and ``hessqr info`` prints it, so the two cannot disagree.
+
+Why the plain step leaves the paper's bounds as they are:
+
+- N_dec bounds the iterations of a loop that each decouple H or contract
+  psi_k by ``REDUCTION_FACTOR``; psi_k starts at most Sigma and stays above
+  omega while the loop runs.  A kept plain step does one of the two, measured
+  on the very iterate the loop goes on from, so a loop that mixes plain and
+  paper steps keeps the same count (and the driver enforces it).
+- A rejected plain iterate is discarded: the paper's step starts from the H
+  the plain step started from, so the attempt adds no backward error.
+- Every sweep applied is the same backward-stable ``iqr_single``, and an
+  iteration applies k of them, from whichever branch it keeps.  The plain
+  shifts are the certified corner eigenvalues themselves, and the paper's
+  Ritz shifts are the same values plus noise of radius eta2, so the plain
+  shifts stay inside the bound on the shifts of the paper's steps.  Forward
+  instability of the shifted step (Parlett and Le 1993) can only make a
+  plain step fail its test, never enlarge its backward error.
+- The failure events of probability phi_w arise only in ``ritz_or_decouple``
+  and ``sh_step``, which run at most once per iteration (with their
+  retries), so at most N_dec times per loop, as the budget phi_w =
+  phi / (3 n^2 N_dec) assumes.  The plain step draws no randomness and
+  cannot fail: it is kept or it is not.
+- ``required_bits`` needs no term for the plain step.  Its sweeps are the k
+  sweeps per iteration that the "driver" term of ``params.budget_terms``
+  counts for every kept step, and its test compares computed moduli of the
+  iterate that is kept, with no tau product and no certificate whose
+  accuracy a term would have to secure.
 """
 
 import math
@@ -47,9 +79,10 @@ from .errors import (
     SolveFailure,
     StructureError,
 )
-from .iqr import HessenbergMatrix, log2_potential_pow_k, split_blocks
+from .iqr import HessenbergMatrix, Step, iqr_multi, log2_potential_pow_k, split_blocks
 from .kernel import ldexp
 from .params import (
+    REDUCTION_FACTOR,
     GlobalData,
     RunParams,
     check_phi,
@@ -92,8 +125,8 @@ class IterationRecord:
     index: int
     psi_before: float
     psi_after: float
-    branch: str  # "decouple" | "ritz_shift" | "exceptional"
-    shift: complex
+    branch: str  # "plain" | "decouple" | "ritz_shift" | "exceptional"
+    shift: complex  # of a "plain" record, the first of its k shifts
     retries: int
 
 
@@ -142,6 +175,25 @@ def _resolve_seed(seed):
     return seed
 
 
+def _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k):
+    """The degree-k step of the k corner eigenvalues as distinct shifts, as
+    (Step "plain", its bottom-k subdiagonal moduli, their L), when it
+    decouples or contracts the potential; None otherwise.
+
+    h is omega-unreduced with L = log2 psi_k(H)^k = log2_psi_pow_k.  The
+    step is kept when some bottom-k subdiagonal of the next iterate is at or
+    below omega, or when psi_k(next) < ``REDUCTION_FACTOR`` psi_k(H), the
+    test ``sh_step`` applies to its exceptional candidates, made in log2 on
+    the moduli that the driver's loop guard then reads.  It draws no
+    randomness, and the Step's shift is the first of its k shifts."""
+    res = iqr_multi(h, tuple(corner_eigs))
+    moduli = res.next_h.bottom_subdiagonal_abs(k)
+    log2_after = log2_potential_pow_k(moduli)
+    if min(moduli) <= omega or log2_after < k * math.log2(REDUCTION_FACTOR) + log2_psi_pow_k:
+        return Step(res.next_h, "plain", corner_eigs[0]), moduli, log2_after
+    return None
+
+
 def _process_block(node, h, plan, rng):
     """Run one block to deflation (or solve it directly); returns children.
 
@@ -149,14 +201,19 @@ def _process_block(node, h, plan, rng):
     written to the node are multiplied back by 2^e.  Every small solver call
     of the run is made here.  Each loop iteration certifies the k x k corner
     of its iterate once, at beta/2 with beta of
-    ``params.regularization_scales``, and a retry of ``ritz_or_decouple``
-    reuses those values: the solver draws no randomness, so a second solve
-    would return the same ones.  A block of dimension at most k goes to the
-    small solver, but for a 1 x 1 leaf, whose eigenvalue is its entry, in
-    either arithmetic: the solver would return that entry as it is, after
-    validating a block whose entries the QR iteration, a unitary similarity
-    of a validated matrix, keeps finite.  The loop draws from ``rng``, the
-    run's one Generator, which the blocks share in the order they run."""
+    ``params.regularization_scales``, and tries those values as the shifts
+    of a plain step (``_plain_step``).  When the step is rejected, the
+    paper's ``ritz_or_decouple`` and ``sh_step`` run from the same H, and
+    ``ritz_or_decouple`` and each of its retries take the same values: the
+    solver draws no randomness, so a second solve would return the same
+    ones.  A kept plain step is recorded with branch "plain" and 0 retries,
+    and its shift is the first of its k shifts.  A block of dimension at
+    most k goes to the small solver, but for a 1 x 1 leaf, whose eigenvalue
+    is its entry, in either arithmetic: the solver would return that entry
+    as it is, after validating a block whose entries the QR iteration, a
+    unitary similarity of a validated matrix, keeps finite.  The loop draws
+    from ``rng``, the run's one Generator, which the blocks share in the
+    order they run."""
     gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
     if h.n <= k:
@@ -177,19 +234,23 @@ def _process_block(node, h, plan, rng):
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
         corner_eigs = DEFAULT_SOLVER.solve(h.corner(k), beta / 2.0)
-        (ritz, step), retries = _retry(
-            lambda: ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd),
-            "ritz_or_decouple",
-            node,
-        )
-        if step is None:
-            step, retries_sh = _retry(
-                lambda: sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd), "sh_step", node
+        plain = _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k)
+        if plain is not None:
+            (step, moduli, log2_psi_pow_k), retries = plain, 0
+        else:
+            (ritz, step), retries = _retry(
+                lambda: ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd),
+                "ritz_or_decouple",
+                node,
             )
-            retries += retries_sh
+            if step is None:
+                step, retries_sh = _retry(
+                    lambda: sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd), "sh_step", node
+                )
+                retries += retries_sh
+            moduli = step.next_h.bottom_subdiagonal_abs(k)
+            log2_psi_pow_k = log2_potential_pow_k(moduli)
         h = step.next_h
-        moduli = h.bottom_subdiagonal_abs(k)
-        log2_psi_pow_k = log2_potential_pow_k(moduli)
         psi_before, psi = psi, 2.0 ** (log2_psi_pow_k / k)
         node.trace.append(
             IterationRecord(

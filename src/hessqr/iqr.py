@@ -135,8 +135,9 @@ def split_blocks(a):
 
 class Step(NamedTuple):
     """One iteration's outcome: the next iterate, the branch that produced
-    it ("decouple" | "ritz_shift" | "exceptional") and the shift it applied
-    k times."""
+    it ("plain" | "decouple" | "ritz_shift" | "exceptional") and the shift
+    it applied k times; a "plain" step applies k distinct shifts, and its
+    shift is the first of them."""
 
     next_h: HessenbergMatrix
     branch: str

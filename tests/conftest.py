@@ -103,10 +103,18 @@ def rng():
 
 
 @pytest.fixture
-def stalled_iteration(monkeypatch):
-    """The driver's steps never change H: Ritz values that are never optimal
-    and never decouple, then a ritz_shift step back to H itself.  Returns the
-    list of every sh_step call's H."""
+def paper_steps(monkeypatch):
+    """The driver's plain degree-k step is always rejected, so that every
+    iteration runs the paper's Ritz-or-decouple step and ``sh_step``."""
+    monkeypatch.setattr(driver, "_plain_step", lambda *args: None)
+
+
+@pytest.fixture
+def stalled_iteration(monkeypatch, paper_steps):
+    """The driver's steps never change H: a plain step that is rejected,
+    Ritz values that are never optimal and never decouple, then a
+    ritz_shift step back to H itself.  Returns the list of every sh_step
+    call's H."""
     calls = []
     monkeypatch.setattr(driver, "ritz_or_decouple", lambda h, *args: ((0j,) * 4, None))
     monkeypatch.setattr(

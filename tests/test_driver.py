@@ -40,7 +40,7 @@ from hessqr.errors import (
 )
 from hessqr.iqr import HessenbergMatrix
 from hessqr.oracle import condition_report, matched_distance, ref_eigs
-from hessqr.params import derive_degree, derive_globals, globals_with_degree
+from hessqr.params import REDUCTION_FACTOR, derive_degree, derive_globals, globals_with_degree
 from hessqr.smalleig import CharPolySolver
 
 
@@ -130,7 +130,9 @@ class TestShiftedQr:
         res = shifted_qr(h, delta, 0.05, gd, seed=3)
         assert matched_distance(res.eigenvalues, ref_eigs(h.a)) <= rep.kappa_v * delta * rep.norm
 
-    def test_deterministic_at_fixed_seed(self):
+    def test_deterministic_at_fixed_seed(self, paper_steps):
+        # on the paper's path, whose Ritz values are regularized with draws
+        # from the run's stream
         rng = np.random.default_rng(74)
         h, _ = near_normal_hessenberg(rng, 16, perturb=1e-4)
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=16)
@@ -147,6 +149,7 @@ class TestShiftedQr:
 
         for path, node in r1.tree.nodes.items():
             assert records(node) == records(r2.tree.nodes[path])
+        assert any(r.branch == "ritz_shift" for node in r1.tree.nodes.values() for r in node.trace)
 
     def test_a_plain_array_runs_as_its_hessenberg_matrix(self):
         # perfbench's QR workload hands shifted_qr an ndarray: it is checked
@@ -211,35 +214,32 @@ class TestShiftedQr:
         assert first == again
         assert other[2][0] != first[2][0]
 
-    def test_monotone_potential_along_sh_steps(self):
+    def test_monotone_potential_along_sh_steps(self, paper_steps):
         rng = np.random.default_rng(75)
         h, _ = near_normal_hessenberg(rng, 12, perturb=1e-4)
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=12)
         res = shifted_qr(h, 1e-7, 0.05, gd, seed=6)
+        checked = 0
         for node in res.tree.nodes.values():
             for rec in node.trace:
                 if rec.branch in ("ritz_shift", "exceptional"):
+                    checked += 1
                     decoupled = rec is node.trace[-1]
                     assert (
                         rec.psi_after <= 0.8016 * rec.psi_before or decoupled
                     )
+        assert checked > 0
 
     def test_one_by_one_leaves_skip_the_small_solver(self, monkeypatch):
         # perfbench's qr_small recipe (n = 32, k = 4): the small solver sees
         # each iteration's corner and each leaf of dimension 2 or more, and a
         # 1 x 1 leaf is its entry, bit for bit what the solver returns for it
-        corners, shapes, ones = [], [], []
-        solve_, ritz_or_decouple, process = (
-            CharPolySolver.solve, driver.ritz_or_decouple, driver._process_block
-        )
+        shapes, ones = [], []
+        solve_, process = CharPolySolver.solve, driver._process_block
 
         def counting_solve(self, m, beta):
             shapes.append(np.shape(m))
             return solve_(self, m, beta)
-
-        def counting_ritz(*args):
-            corners.append(None)
-            return ritz_or_decouple(*args)
 
         def recording(node, h, plan, rng):
             if h.n == 1:
@@ -247,11 +247,10 @@ class TestShiftedQr:
             return process(node, h, plan, rng)
 
         monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
-        monkeypatch.setattr(driver, "ritz_or_decouple", counting_ritz)
         monkeypatch.setattr(driver, "_process_block", recording)
         rng = np.random.default_rng(11)
         for _ in range(2):
-            for seen in (corners, shapes, ones):
+            for seen in (shapes, ones):
                 seen.clear()
             h, _ = near_normal_hessenberg(rng, 32, perturb=1e-4)
             gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
@@ -259,14 +258,15 @@ class TestShiftedQr:
             res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
             leaves = res.tree.leaves()
             wide = [leaf for leaf in leaves if len(leaf.eigenvalues) > 1]
+            iterations = sum(len(node.trace) for node in res.tree.nodes.values())
             assert len(ones) == len(leaves) - len(wide) > 0
-            assert len(shapes) == len(corners) + len(wide)
+            assert len(shapes) == iterations + len(wide)
             assert (1, 1) not in shapes
             for node, a, e in ones:
                 entry = [driver.ldexp(complex(v), e) for v in solve_(CharPolySolver(), a, 1e-7)]
                 assert np.array(node.eigenvalues).tobytes() == np.array(entry).tobytes()
 
-    def test_a_retry_reuses_the_certified_corner(self, monkeypatch):
+    def test_a_retry_reuses_the_certified_corner(self, monkeypatch, paper_steps):
         # the first ritz_or_decouple call of the run misses once, after it
         # has run: the run still succeeds, and the small solver sees each
         # iteration's corner once, not again on the retry, and each leaf of
@@ -346,7 +346,29 @@ class TestLoopGuardChecksOnce:
         (shifting, "exc"),
     )
 
-    def test_moduli_formed_once_per_iterate(self, monkeypatch):
+    def test_an_accepted_plain_step_hands_its_moduli_to_the_guard(self, monkeypatch):
+        # on this qr_small-recipe input every step is plain: each iterate's
+        # moduli are formed once, for the root block when its loop starts
+        # and for every other iterate when its plain step is tested
+        seen = []
+        bottom = HessenbergMatrix.bottom_subdiagonal_abs
+
+        def recording(m, k):
+            seen.append(m)
+            return bottom(m, k)
+
+        monkeypatch.setattr(HessenbergMatrix, "bottom_subdiagonal_abs", recording)
+        h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
+        monkeypatch.undo()
+
+        loops = [node for node in res.tree.nodes.values() if node.eigenvalues is None]
+        assert {rec.branch for node in loops for rec in node.trace} == {"plain"}
+        assert len(seen) == sum(len(node.trace) + 1 for node in loops)
+        assert max(Counter(map(id, seen)).values()) == 1
+
+    def test_moduli_formed_once_per_iterate(self, monkeypatch, paper_steps):
         # the 32 x 32 cyclic shift at k = 8 takes all three branches
         a = np.eye(32, k=-1, dtype=complex)
         a[0, 31] = 1.0
@@ -390,6 +412,114 @@ class TestLoopGuardChecksOnce:
         assert on_handed == []
 
 
+class TestPlainStep:
+    """Each loop iteration first applies the k certified corner eigenvalues
+    as one degree-k step, kept ("plain") when it decouples or contracts psi
+    by REDUCTION_FACTOR; otherwise the paper's step runs from the same H
+    and the same corner."""
+
+    @pytest.fixture(scope="class")
+    def qr_small_runs(self):
+        # perfbench's qr_small recipe: n = 32, k = 4
+        rng = np.random.default_rng(11)
+        runs = []
+        for _ in range(4):
+            h, _ = near_normal_hessenberg(rng, 32, perturb=1e-4)
+            gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+            runs.append(shifted_qr(h, 1e-7, 0.05, gd, seed=1))
+        return runs
+
+    @staticmethod
+    def _cyclic_run(seed):
+        # the 32 x 32 cyclic shift, unitary (kappa_V = 1), at k = 4
+        a = np.eye(32, k=-1, dtype=complex)
+        a[0, 31] = 1.0
+        h = HessenbergMatrix(a)
+        gd = globals_with_degree(1.0, 4, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        return shifted_qr(h, 1e-7, 0.05, gd, seed=seed)
+
+    def test_kept_when_it_decouples_or_contracts_by_the_reduction_factor(self):
+        h = random_hessenberg(np.random.default_rng(84), 8)
+        eigs = CharPolySolver().solve(h.corner(4), 1e-12)
+        step, moduli, after = driver._plain_step(h, eigs, math.inf, 0.0, 4)
+        assert (step.branch, step.shift) == ("plain", eigs[0])
+        assert same_bits(step.next_h.a, iqr.iqr_multi(h, tuple(eigs)).next_h.a)
+        assert moduli == step.next_h.bottom_subdiagonal_abs(4)
+        assert after == iqr.log2_potential_pow_k(moduli)
+        # L of an H whose psi_k is psi_k(next) / REDUCTION_FACTOR, in log2
+        even = after - 4 * math.log2(REDUCTION_FACTOR)
+        assert driver._plain_step(h, eigs, even - 1e-9, 0.0, 4) is None
+        assert driver._plain_step(h, eigs, even + 1e-9, 0.0, 4) is not None
+        # a bottom-k subdiagonal at or below omega keeps it at any L
+        assert driver._plain_step(h, eigs, -math.inf, min(moduli), 4) is not None
+        assert driver._plain_step(h, eigs, -math.inf, 0.999 * min(moduli), 4) is None
+
+    def test_a_rejected_plain_step_falls_back_with_the_same_corner(self, monkeypatch):
+        # every plain step is rejected: ritz_or_decouple gets the very
+        # values the plain step was handed, and the small solver sees each
+        # iteration's corner once and each leaf of dimension 2 or more
+        plain_corners, ritz_corners, shapes = [], [], []
+        solve_, ritz_or_decouple = CharPolySolver.solve, driver.ritz_or_decouple
+
+        def counting_solve(self, m, beta):
+            shapes.append(np.shape(m))
+            return solve_(self, m, beta)
+
+        def rejected(h, corner_eigs, *args):
+            plain_corners.append(corner_eigs)
+
+        def ritz_spy(h, log2_psi_pow_k, corner_eigs, *args):
+            ritz_corners.append(corner_eigs)
+            return ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, *args)
+
+        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
+        monkeypatch.setattr(driver, "_plain_step", rejected)
+        monkeypatch.setattr(driver, "ritz_or_decouple", ritz_spy)
+        h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
+        records = [rec for node in res.tree.nodes.values() for rec in node.trace]
+        wide = [leaf for leaf in res.tree.leaves() if len(leaf.eigenvalues) > 1]
+        assert records and "plain" not in {rec.branch for rec in records}
+        assert len(plain_corners) == len(ritz_corners) == len(records)
+        assert all(p is r for p, r in zip(plain_corners, ritz_corners))
+        assert len(shapes) == len(records) + len(wide)
+
+    def test_plain_records_contract_or_deflate(self, qr_small_runs):
+        plain = 0
+        for res in qr_small_runs:
+            for node in res.tree.nodes.values():
+                for rec in node.trace:
+                    if rec.branch == "plain":
+                        plain += 1
+                        deflated = rec is node.trace[-1]
+                        assert rec.psi_after < REDUCTION_FACTOR * rec.psi_before or deflated
+        assert plain > 0
+
+    def test_every_loop_stays_within_n_dec(self, qr_small_runs):
+        # every iteration but a loop's last contracts psi by REDUCTION_FACTOR,
+        # whatever its branch, which is what bounds a loop by N_dec
+        runs = qr_small_runs + [self._cyclic_run(1)]
+        for res in runs:
+            budget = res.run_params.n_dec_budget
+            for node in res.tree.nodes.values():
+                assert len(node.trace) <= budget
+                for rec in node.trace[:-1]:
+                    assert rec.psi_after <= REDUCTION_FACTOR * rec.psi_before
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_the_cyclic_shift_still_takes_an_exceptional_step(self, seed):
+        # its first corner is nilpotent, so the first plain step shifts by 0
+        # k times, which leaves the unitary H where it was: the paper's step
+        # runs, and only its exceptional branch moves H
+        res = self._cyclic_run(seed)
+        branches = Counter(rec.branch for node in res.tree.nodes.values() for rec in node.trace)
+        assert res.tree.nodes[()].trace[0].branch == "exceptional"
+        assert branches["plain"] > 0
+        roots = np.exp(2j * np.pi * np.arange(32) / 32)
+        assert matched_distance(res.eigenvalues, roots) <= 1e-7  # kappa_V delta
+
+
 class TestScaleEquivariance:
     """The iteration is homogeneous in H: scaling H, Sigma, Gamma and delta by
     2^e scales every eigenvalue, psi and shift by 2^e and changes nothing
@@ -415,17 +545,26 @@ class TestScaleEquivariance:
             for path, node in sorted(res.tree.nodes.items())
         ]
 
-    @pytest.mark.parametrize("e", [-1000, -600, -280, 0, 280, 600, 1000])
-    def test_power_of_two_scaling(self, e):
+    def _assert_scaled(self, e, branch):
         base, res = self._run(0), self._run(e)
         np.testing.assert_array_equal(res.eigenvalues, base.eigenvalues * 2.0**e)
-        assert any(rec[0] == "ritz_shift" for _, recs in self._records(base) for rec in recs)
+        assert any(rec[0] == branch for _, recs in self._records(base) for rec in recs)
         scaled = [
             (path, [(b, s * 2.0**e, p * 2.0**e, q * 2.0**e) for b, s, p, q in recs])
             for path, recs in self._records(base)
         ]
         assert self._records(res) == scaled
         assert res.required_bits == base.required_bits
+
+    @pytest.mark.parametrize("e", [-1000, -600, -280, 0, 280, 600, 1000])
+    def test_power_of_two_scaling(self, e, paper_steps):
+        self._assert_scaled(e, "ritz_shift")
+
+    @pytest.mark.parametrize("e", [-1000, 1000])
+    def test_power_of_two_scaling_with_plain_steps(self, e):
+        # the plain step's test is made in log2 on the moduli of the scaled
+        # iterate, and moves by k e on both sides
+        self._assert_scaled(e, "plain")
 
     @pytest.mark.parametrize("bits", [53, 80])
     def test_solve_with_preprocessing(self, bits):
@@ -726,7 +865,7 @@ class TestRunPlan:
 
 class TestRetries:
     @pytest.mark.parametrize("layer", ["ritz_or_decouple", "sh_step"])
-    def test_exhausted_retries_name_the_layer_and_block(self, monkeypatch, layer):
+    def test_exhausted_retries_name_the_layer_and_block(self, monkeypatch, paper_steps, layer):
         def missing(*args):
             raise DichotomyMiss("miss")
 

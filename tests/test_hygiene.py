@@ -39,15 +39,12 @@ def unused_parameters(source):
     """(line, qualified function name, parameter) for every parameter that its
     function's body never mentions.
 
-    self and cls are not counted, and methods of Protocol classes, which are
-    interface stubs, are skipped."""
+    self and cls are not counted."""
     found = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                if any(ast.unparse(base).endswith("Protocol") for base in child.bases):
-                    continue
                 visit(child, prefix + child.name + ".")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = prefix + child.name
@@ -69,9 +66,6 @@ def unused_parameters(source):
 
 def test_detects_an_unused_parameter():
     src = (
-        "from typing import Protocol\n"
-        "class P(Protocol):\n"
-        "    def solve(self, m, beta): ...\n"
         "class S:\n"
         "    def solve(self, m, beta):\n"
         "        def inner(x, y):\n"
@@ -81,10 +75,10 @@ def test_detects_an_unused_parameter():
         "    return lambda: a + b\n"
     )
     assert unused_parameters(src) == [
-        (5, "S.solve", "beta"),
-        (6, "S.solve.inner", "x"),
-        (9, "f", "args"),
-        (9, "f", "kw"),
+        (2, "S.solve", "beta"),
+        (3, "S.solve.inner", "x"),
+        (6, "f", "args"),
+        (6, "f", "kw"),
     ]
 
 
@@ -263,21 +257,15 @@ def unread_public_names(defining, reading):
     """(module, line, name) for every public module-level function, class or
     constant, and every public method (as Class.method), in ``defining``
     ({module: source}) that no source in ``reading`` (an iterable of
-    sources) reads, imports or reaches as an attribute.  Protocol classes,
-    which are interface stubs, are skipped with their methods."""
+    sources) reads, imports or reaches as an attribute."""
     refs = names_read(reading)
     found = []
     for module, source in defining.items():
         classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
-        protocols = {
-            cls.name for cls in classes
-            if any(ast.unparse(base).endswith("Protocol") for base in cls.bases)
-        }
-        names = [(line, "", name) for line, name in module_level_names(source)
-                 if name not in protocols]
+        names = [(line, "", name) for line, name in module_level_names(source)]
         names += [
             (fn.lineno, cls.name + ".", fn.name)
-            for cls in classes if cls.name not in protocols
+            for cls in classes
             for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         found += [
@@ -289,11 +277,8 @@ def unread_public_names(defining, reading):
 
 def test_detects_an_unread_public_name():
     src = (
-        "from typing import Protocol\n"
         "LIMIT = 3\n"
         "UNUSED, _PRIVATE = 4, 5\n"
-        "class P(Protocol):\n"
-        "    def solve(self, m): ...\n"
         "class C:\n"
         "    def used(self):\n"
         "        return LIMIT\n"
@@ -310,10 +295,10 @@ def test_detects_an_unread_public_name():
     )
     reading = [src, "from m import helper\nhelper()\n"]
     assert unread_public_names({"m": src}, reading) == [
-        ("m", 3, "UNUSED"),
-        ("m", 9, "C.spare"),
-        ("m", 15, "dead"),
-        ("m", 17, "Gone"),
+        ("m", 2, "UNUSED"),
+        ("m", 6, "C.spare"),
+        ("m", 12, "dead"),
+        ("m", 14, "Gone"),
     ]
 
 

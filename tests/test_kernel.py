@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 from conftest import random_hessenberg
 
-from hessqr import ritz, smalleig
+from hessqr import driver, ritz, smalleig
 from hessqr.driver import SolveConfig, solve
 from hessqr.iqr import iqr_single
 from hessqr.kernel import disk_point, mp_context, to_mp
@@ -65,21 +65,31 @@ class TestPrecisionLivesInTheNumbers:
 
     def test_the_small_solver_certifies_a_32_bit_run_at_its_own_precision(self, monkeypatch):
         # its rungs work at 120 bits or more, and the Ritz values it returns
-        # are 32-bit numbers again, which regularize rounds at 32 bits
-        rung_precs, ritz_precs = [], []
+        # are 32-bit numbers again, which the plain step applies as its
+        # shifts and regularize rounds at 32 bits
+        rung_precs, plain_precs, ritz_precs = [], [], []
         isolated_roots, regularize = smalleig._isolated_roots, ritz.regularize
+        plain_step = driver._plain_step
 
         def rung_spy(blk, beta_cert):
             rung_precs.append(blk[0, 0].context.prec)
             return isolated_roots(blk, beta_cert)
+
+        def plain_spy(h, corner_eigs, *args):
+            # the plain step runs on the corner's values and is then
+            # rejected, so that the iteration goes on to regularize them
+            plain_precs.extend(z.context.prec for z in corner_eigs)
+            plain_step(h, corner_eigs, *args)
 
         def ritz_spy(r_list, eta2, rng):
             ritz_precs.extend(r.context.prec for r in r_list)
             return regularize(r_list, eta2, rng)
 
         monkeypatch.setattr(smalleig, "_isolated_roots", rung_spy)
+        monkeypatch.setattr(driver, "_plain_step", plain_spy)
         monkeypatch.setattr(ritz, "regularize", ritz_spy)
         a = random_hessenberg(np.random.default_rng(81), 6).a
         solve(a, SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, bits=32))
         assert rung_precs and min(rung_precs) >= 120
+        assert plain_precs and set(plain_precs) == {32}
         assert ritz_precs and set(ritz_precs) == {32}

@@ -50,3 +50,14 @@ def test_differences_and_one_sided_fields(same_results):
     assert diff == ["/v[1]", "/w", "/x/p"]
     assert one_sided == ["/x/new", "/x/old"]
     assert same_results.differences(a, a) == ([], [])
+
+
+def test_a_key_only_one_raw_text_has_is_one_sided(same_results):
+    # json.dumps(..., indent=2, sort_keys=True) of the run document before
+    # and after a key is added, the last of its object and holding an object
+    old = '{\n  "k": 4,\n  "route": "qr"\n}'
+    new = '{\n  "k": 4,\n  "route": "qr",\n  "stats": {\n    "sweeps": 9\n  }\n}'
+    assert same_results.differences({"t": old}, {"t": new}) == ([], ["/t/stats"])
+    moved = new.replace('"qr"', '"direct"')
+    assert same_results.differences({"t": old}, {"t": moved}) == (["/t/route"], ["/t/stats"])
+    assert same_results.differences({"t": "a\nb"}, {"t": "a\nc"}) == (["/t"], [])
