@@ -8,7 +8,8 @@ preprocessing), smalleig (certified corner eigensolver), oracle (reference
 computations for tests), cli (command line).  Within one QR iteration the
 layers pass plain values: the driver's L = log2 psi_k(H)^k for the iterate,
 shifts as tuples of roots, and the step taken as one ``iqr.Step`` record
-(next iterate, branch, shift).
+(next iterate, branch, shift, and the iterate's bottom-k moduli and L, which
+``iqr.kept_step`` formed once).
 """
 
 from .driver import SolveConfig, SolveResult, preprocess, shifted_qr, solve

@@ -1,31 +1,31 @@
 """Recursive driver: decoupling loops, deflation, preprocessing, precision.
 
-Each Hessenberg block larger than the shift degree k runs a while loop until
-a bottom-k subdiagonal falls below the working accuracy omega; the block is
-then deflated at every sub-threshold entry and the pieces recurse.  Each
-iteration first tries a plain step (``_plain_step``): the degree-k step whose
-k shifts are the certified eigenvalues of the iterate's k x k corner, kept
-when it decouples or contracts psi_k by ``REDUCTION_FACTOR``.  Otherwise the
-iteration runs the paper's step from the same H: the Ritz-or-decouple step,
-then the potential-reduction step when that did not decouple.  The loop's
-guard is the one check of the omega-unreduced precondition under which these
-steps are stated: the driver forms each iterate's bottom-k subdiagonal moduli
-once, for that guard and for L = log2 psi_k(H)^k, and passes L down to
-``ritz_or_decouple`` and ``sh_step``, which check neither again; a kept plain
-step hands on the moduli its test formed.  The driver makes every small
-eigenvalue solver call: it certifies each iterate's k x k corner once, and
-the plain step and ``ritz_or_decouple`` take the same values, as does a
-retry after a ``DichotomyMiss``.  Blocks of dimension at most
-k go straight to the small solver, but for a 1 x 1 leaf, which is its
-entry.  Probabilistic failure events are retried a fixed number of times
-with fresh randomness before the run aborts.  The iteration draws from one
-random stream made from the seed, and the blocks consume it in the order
-they run (depth first, top block first), so a run is byte-reproducible
-from its seed at a fixed BLAS thread count (with OpenBLAS 0.3.31, from
-n = 76 on, the ``zgeev`` of the small solver's enclosure and the
-norm(a, 2) of ``preprocess`` can depend on that count).  Preprocessing
-draws from a stream of its own, so that ``hessqr info`` rebuilds
-``solve``'s Hessenberg form without running the iteration.
+Each Hessenberg block larger than the shift degree k runs a while loop until a
+bottom-k subdiagonal falls below the working accuracy omega; the block is then
+deflated at every sub-threshold entry and the pieces recurse.  Each iteration
+first tries a plain step (``_plain_step``): the degree-k step whose k shifts
+are the certified eigenvalues of the iterate's k x k corner, kept when it
+decouples or contracts psi_k by ``REDUCTION_FACTOR``.  Otherwise the iteration
+runs the paper's step from the same H: the Ritz-or-decouple step, then the
+potential-reduction step when that did not decouple.  The loop's guard is the
+one check of the omega-unreduced precondition under which these steps are
+stated.  Each iterate's bottom-k subdiagonal moduli are formed once, for that
+guard and for L = log2 psi_k(H)^k: by the driver where a block's loop starts,
+and else by ``iqr.kept_step``, on the Step each branch hands back.  The driver
+passes L down to ``ritz_or_decouple`` and ``sh_step``, which check neither
+again.  The driver makes every small eigenvalue solver call: it certifies each
+iterate's k x k corner once, and the plain step and ``ritz_or_decouple`` take
+the same values, as does a retry after a ``DichotomyMiss``.  Blocks of
+dimension at most k go straight to the small solver, but for a 1 x 1 leaf,
+which is its entry.  Probabilistic failure events are retried a fixed number of
+times with fresh randomness before the run aborts.  The iteration draws from
+one random stream made from the seed, and the blocks consume it in the order
+they run (depth first, top block first), so a run is byte-reproducible from
+its seed at a fixed BLAS thread count (with OpenBLAS 0.3.31, from n = 76 on,
+the ``zgeev`` of the small solver's enclosure and the norm(a, 2) of
+``preprocess`` can depend on that count).  Preprocessing draws from a stream of
+its own, so that ``hessqr info`` rebuilds ``solve``'s Hessenberg form without
+running the iteration.
 
 Every quantity a run uses is derived once.  ``prepare`` works out the
 seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
@@ -79,7 +79,7 @@ from .errors import (
     SolveFailure,
     StructureError,
 )
-from .iqr import HessenbergMatrix, Step, iqr_multi, log2_potential_pow_k, split_blocks
+from .iqr import HessenbergMatrix, iqr_multi, kept_step, log2_potential_pow_k, split_blocks
 from .kernel import ldexp
 from .params import (
     REDUCTION_FACTOR,
@@ -176,22 +176,17 @@ def _resolve_seed(seed):
 
 
 def _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k):
-    """The degree-k step of the k corner eigenvalues as distinct shifts, as
-    (Step "plain", its bottom-k subdiagonal moduli, their L), when it
-    decouples or contracts the potential; None otherwise.
+    """The "plain" Step of the degree-k step whose k distinct shifts are the
+    corner eigenvalues, when it decouples or contracts the potential; None
+    otherwise.
 
     h is omega-unreduced with L = log2 psi_k(H)^k = log2_psi_pow_k.  The
-    step is kept when some bottom-k subdiagonal of the next iterate is at or
-    below omega, or when psi_k(next) < ``REDUCTION_FACTOR`` psi_k(H), the
-    test ``sh_step`` applies to its exceptional candidates, made in log2 on
-    the moduli that the driver's loop guard then reads.  It draws no
-    randomness, and the Step's shift is the first of its k shifts."""
-    res = iqr_multi(h, tuple(corner_eigs))
-    moduli = res.next_h.bottom_subdiagonal_abs(k)
-    log2_after = log2_potential_pow_k(moduli)
-    if min(moduli) <= omega or log2_after < k * math.log2(REDUCTION_FACTOR) + log2_psi_pow_k:
-        return Step(res.next_h, "plain", corner_eigs[0]), moduli, log2_after
-    return None
+    test is ``iqr.kept_step``'s, as for ``sh_step``'s exceptional candidates:
+    some bottom-k subdiagonal of the next iterate is at or below omega, or
+    psi_k(next) < ``REDUCTION_FACTOR`` psi_k(H).  It draws no randomness,
+    and the Step's shift is the first of its k shifts."""
+    target = k * math.log2(REDUCTION_FACTOR) + log2_psi_pow_k
+    return kept_step(iqr_multi(h, tuple(corner_eigs)), "plain", corner_eigs[0], k, omega, target)
 
 
 def _process_block(node, h, plan, rng):
@@ -207,13 +202,14 @@ def _process_block(node, h, plan, rng):
     ``ritz_or_decouple`` and each of its retries take the same values: the
     solver draws no randomness, so a second solve would return the same
     ones.  A kept plain step is recorded with branch "plain" and 0 retries,
-    and its shift is the first of its k shifts.  A block of dimension at
-    most k goes to the small solver, but for a 1 x 1 leaf, whose eigenvalue
-    is its entry, in either arithmetic: the solver would return that entry
-    as it is, after validating a block whose entries the QR iteration, a
-    unitary similarity of a validated matrix, keeps finite.  The loop draws
-    from ``rng``, the run's one Generator, which the blocks share in the
-    order they run."""
+    and its shift is the first of its k shifts.  The guard reads the moduli
+    and L on the kept Step: no iterate is measured twice.  A block of
+    dimension at most k goes to the small solver, but for a 1 x 1 leaf,
+    whose eigenvalue is its entry, in either arithmetic: the solver would
+    return that entry as it is, after validating a block whose entries the
+    QR iteration, a unitary similarity of a validated matrix, keeps finite.
+    The loop draws from ``rng``, the run's one Generator, which the blocks
+    share in the order they run."""
     gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
     if h.n <= k:
@@ -234,10 +230,8 @@ def _process_block(node, h, plan, rng):
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
         corner_eigs = DEFAULT_SOLVER.solve(h.corner(k), beta / 2.0)
-        plain = _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k)
-        if plain is not None:
-            (step, moduli, log2_psi_pow_k), retries = plain, 0
-        else:
+        step, retries = _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k), 0
+        if step is None:
             (ritz, step), retries = _retry(
                 lambda: ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd),
                 "ritz_or_decouple",
@@ -248,9 +242,7 @@ def _process_block(node, h, plan, rng):
                     lambda: sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd), "sh_step", node
                 )
                 retries += retries_sh
-            moduli = step.next_h.bottom_subdiagonal_abs(k)
-            log2_psi_pow_k = log2_potential_pow_k(moduli)
-        h = step.next_h
+        h, moduli, log2_psi_pow_k = step.next_h, step.moduli, step.log2_psi_pow_k
         psi_before, psi = psi, 2.0 ** (log2_psi_pow_k / k)
         node.trace.append(
             IterationRecord(

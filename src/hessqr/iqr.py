@@ -6,7 +6,8 @@ LAPACK's Householder QR in either arithmetic: zgeqrf and zunmqr on
 complex128, and their transcriptions on mpmath numbers, in the numbers' own
 context.  r_nn = |R_nn| of each step, whose product approximates
 tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain tuples of roots;
-``Step`` is the record one step of the QR iteration hands to the driver.
+``Step`` is the record one step of the QR iteration hands to the driver;
+``kept_step``, the one rule for keeping a step, builds and measures each.
 A step returns its reflectors in an ``IqrResult``, and a chain of steps
 keeps only its last step's, which form its next iterate; Q itself is never
 formed here.  That iterate is formed on its first read
@@ -91,9 +92,6 @@ class HessenbergMatrix:
             raise DimensionError(f"bottom k={k} subdiagonals undefined for n={n}")
         return [abs(self.a[i, i - 1]) for i in range(n - k, n)]
 
-    def is_unreduced(self, omega, k):
-        return all(v > omega for v in self.bottom_subdiagonal_abs(k))
-
     def corner(self, k):
         """Bottom-right k x k corner (a copy)."""
         if not 1 <= k <= self.n:
@@ -135,13 +133,15 @@ def split_blocks(a):
 
 class Step(NamedTuple):
     """One iteration's outcome: the next iterate, the branch that produced
-    it ("plain" | "decouple" | "ritz_shift" | "exceptional") and the shift
-    it applied k times; a "plain" step applies k distinct shifts, and its
-    shift is the first of them."""
+    it ("plain" | "decouple" | "ritz_shift" | "exceptional"), the shift it
+    applied k times (of a "plain" step, the first of its k distinct shifts),
+    and the iterate's bottom-k moduli and L = log2 psi_k^k (``kept_step``)."""
 
     next_h: HessenbergMatrix
     branch: str
     shift: complex
+    moduli: list
+    log2_psi_pow_k: float
 
 
 class StepReflectors(NamedTuple):
@@ -310,14 +310,22 @@ def log2_potential_pow_k(moduli):
 
     math.fsum adds the logarithms with one rounding, so the error is that of
     the k logarithms, about u log2(psi^k) absolute; -inf when one modulus is
-    zero (or, on mpmath input, below the binary64 range)."""
+    zero (or, on mpmath input, below the binary64 range).  On the normalized
+    H of the iteration (||H|| < 1, ``driver.shifted_qr``), the relative error
+    of psi_k = 2^(L/k) is a small multiple of u log2(1/psi), far inside the
+    1 - 0.999^(1/k) budget of the analysis."""
     return math.fsum(log2(v) for v in moduli)
 
 
-def potential(h, k):
-    """psi_k(H) = 2^(L/k) with L = log2 psi_k(H)^k, as a float; needs n > k.
-
-    The iteration forms psi on the normalized matrix (||H|| < 1, see
-    ``driver.shifted_qr``), where the relative error is a small multiple of
-    u log2(1/psi), far inside the 1 - 0.999^(1/k) budget of the analysis."""
-    return 2.0 ** (log2_potential_pow_k(h.bottom_subdiagonal_abs(k)) / k)
+def kept_step(res, branch, shift, k, omega, log2_target):
+    """The Step of ``res``, the IqrResult of a candidate degree-k step, when
+    its next iterate decouples or contracts psi_k; None otherwise.  Forms
+    that iterate's bottom-k moduli and L = log2 psi_k^k once, for the Step
+    to carry: kept when min(moduli) <= omega or L < log2_target, which is
+    k log2(REDUCTION_FACTOR) + L(H) for a contraction by that factor, -inf
+    for decoupling alone, and +inf for a step its caller keeps anyway."""
+    moduli = res.next_h.bottom_subdiagonal_abs(k)
+    log2_psi_pow_k = log2_potential_pow_k(moduli)
+    if min(moduli) <= omega or log2_psi_pow_k < log2_target:
+        return Step(res.next_h, branch, shift, moduli, log2_psi_pow_k)
+    return None

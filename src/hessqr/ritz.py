@@ -8,7 +8,7 @@ distance from the spectrum, and are then either certified optimal or driven
 through the decoupling loop: some regularized value must collapse a bottom subdiagonal in
 a single degree-k step, or the probabilistic guarantee failed and the caller
 may retry.  Shifts are tuples of roots; a decoupling step comes back as the
-driver's ``iqr.Step`` record.
+driver's ``iqr.Step`` record, which ``iqr.kept_step`` builds and measures.
 """
 
 import math
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DichotomyMiss, DimensionError, DomainError
-from .iqr import Step, iqr_multi
+from .iqr import iqr_multi, kept_step
 from .kernel import disk_point, log2, norm
 from .params import regularization_scales
 
@@ -80,8 +80,8 @@ def ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd):
     DimensionError before any sweep.  Returns (ritz, step): the regularized
     Ritz values, and None when they are theta-optimal, or else the
     "decouple" Step of the first value whose degree-k step collapsed some
-    bottom-k subdiagonal below omega.  The probability-phi_w failure event
-    surfaces as DichotomyMiss."""
+    bottom-k subdiagonal to omega or below (``kept_step`` at target -inf).
+    The probability-phi_w failure event surfaces as DichotomyMiss."""
     k = gd.k
     n = h.n
     if n <= k:
@@ -90,9 +90,9 @@ def ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd):
     if optimal(h, log2_psi_pow_k, ritz, gd):
         return ritz, None
     for rv in ritz:
-        res = iqr_multi(h, (rv,) * k)
-        if not res.next_h.is_unreduced(omega, k):
-            return ritz, Step(res.next_h, "decouple", rv)
+        step = kept_step(iqr_multi(h, (rv,) * k), "decouple", rv, k, omega, -math.inf)
+        if step is not None:
+            return ritz, step
     raise DichotomyMiss(
         "no regularized Ritz value was optimal or decoupling "
         "(a probability-phi_w event, or preconditions violated)"

@@ -21,7 +21,7 @@ import math
 from functools import lru_cache
 
 from .errors import DimensionError, DomainError, StagnationFailure
-from .iqr import IqrResult, Step, comp_tau, iqr_multi, potential
+from .iqr import IqrResult, comp_tau, iqr_multi, kept_step
 from .kernel import disk_point, log2
 from .params import GAMMA, REDUCTION_FACTOR, exc_epsilon
 
@@ -121,15 +121,15 @@ def sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd):
     """One potential-reduction step of the degree-k shifting strategy.
 
     h is omega-unreduced (the driver's loop guard checked it), and its
-    L = log2 psi_k(H)^k comes as log2_psi_pow_k; psi_k(H) = 2^(L/k) is
-    formed once, for the exceptional target and ``exc``.  Returns the Step
-    of the branch that fired: "ritz_shift" when the promising Ritz value r
-    already contracts the tau product, or else "exceptional" with the first
+    L = log2 psi_k(H)^k comes as log2_psi_pow_k.  Returns the Step of the
+    branch that fired: "ritz_shift" when the promising Ritz value r already
+    contracts the tau product, or else "exceptional" with the first
     candidate of the exceptional-shift scan, in net order, that decouples or
-    lands below 1.002 (1 - gamma) psi_k(H).  The failure event, of
-    probability at most the run's phi_w (``params.derive_run_params``),
-    surfaces as StagnationFailure.  tau_k multiplies the r_nn values of
-    ``find``'s half r^(k/2) and of the other k/2 sweeps."""
+    lands below 1.002 (1 - gamma) psi_k(H): ``iqr.kept_step``'s test, in
+    log2.  The failure event, of probability at most the run's phi_w
+    (``params.derive_run_params``), surfaces as StagnationFailure.  tau_k
+    multiplies the r_nn values of ``find``'s half r^(k/2) and of the other
+    k/2 sweeps."""
     k = gd.k
     r, half = find(h, ritz, gd)
 
@@ -137,15 +137,14 @@ def sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd):
     full = half.then((r,) * (k // 2))
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
     if log2(comp_tau(full)) < k * math.log2(1.0 - GAMMA) + log2_psi_pow_k:
-        return Step(full.next_h, "ritz_shift", r)
+        return kept_step(full, "ritz_shift", r, k, omega, math.inf)
 
-    psi = 2.0 ** (log2_psi_pow_k / k)
-    candidates = exc(r, psi, rng, gd)
-    target = REDUCTION_FACTOR * psi
+    candidates = exc(r, 2.0 ** (log2_psi_pow_k / k), rng, gd)
+    target = k * math.log2(REDUCTION_FACTOR) + log2_psi_pow_k
     for s in candidates:
-        res = iqr_multi(h, (s,) * k)
-        if potential(res.next_h, k) < target or not res.next_h.is_unreduced(omega, k):
-            return Step(res.next_h, "exceptional", s)
+        step = kept_step(iqr_multi(h, (s,) * k), "exceptional", s, k, omega, target)
+        if step is not None:
+            return step
     raise StagnationFailure(
         f"none of {len(candidates)} exceptional candidates reduced the "
         "potential (a probability-phi_w event, or preconditions violated)"

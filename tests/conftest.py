@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hessqr import driver, oracle, smalleig
-from hessqr.iqr import HessenbergMatrix, Step
+from hessqr.iqr import HessenbergMatrix, iqr_multi, kept_step, log2_potential_pow_k
 
 # Property tests draw the same examples on every run and may take as long as
 # an mpmath solve needs.
@@ -57,6 +59,11 @@ def near_normal_hessenberg(rng, n, spread=1.0, perturb=1e-5):
     a = a + perturb * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
     h = scipy.linalg.hessenberg(a)
     return HessenbergMatrix(np.triu(h, -1)), a
+
+
+def psi_k(h, k):
+    """psi_k(H) = 2^(L/k) with L = log2 psi_k(H)^k, as a float; needs n > k."""
+    return 2.0 ** (log2_potential_pow_k(h.bottom_subdiagonal_abs(k)) / k)
 
 
 def hessenberg_of(a):
@@ -113,13 +120,17 @@ def paper_steps(monkeypatch):
 def stalled_iteration(monkeypatch, paper_steps):
     """The driver's steps never change H: a plain step that is rejected,
     Ritz values that are never optimal and never decouple, then a
-    ritz_shift step back to H itself.  Returns the list of every sh_step
-    call's H."""
+    ritz_shift step back to H itself: the identity step, kept by
+    ``iqr.kept_step`` as sh_step keeps its ritz_shift steps.  Returns the
+    list of every sh_step call's H."""
     calls = []
     monkeypatch.setattr(driver, "ritz_or_decouple", lambda h, *args: ((0j,) * 4, None))
-    monkeypatch.setattr(
-        driver, "sh_step", lambda h, *args: calls.append(h) or Step(h, "ritz_shift", 0j)
-    )
+
+    def sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd):
+        calls.append(h)
+        return kept_step(iqr_multi(h, ()), "ritz_shift", 0j, gd.k, omega, math.inf)
+
+    monkeypatch.setattr(driver, "sh_step", sh_step)
     return calls
 
 

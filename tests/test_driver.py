@@ -374,40 +374,50 @@ class TestLoopGuardChecksOnce:
         a[0, 31] = 1.0
         h = HessenbergMatrix(a)
         gd = globals_with_degree(1.0, 8, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
-        active, by_driver, on_handed = [], [], []
+        active, seen, by_driver, on_handed, steps = [], [], [], [], []
         bottom = HessenbergMatrix.bottom_subdiagonal_abs
 
         def recording(m, k):
+            seen.append(m)
             if not active:
                 by_driver.append(m)
             elif any(m is held for held in active):
                 on_handed.append(m)
             return bottom(m, k)
 
-        def layer(fn):
+        def layer(fn, name):
             # active holds the matrix each running layer was handed (exc
-            # is handed none)
+            # is handed none), and steps each Step the driver was handed
             def wrapper(*args):
                 active.append(args[0])
                 try:
-                    return fn(*args)
+                    out = fn(*args)
                 finally:
                     active.pop()
+                step = out[1] if name == "ritz_or_decouple" else out
+                if name in ("ritz_or_decouple", "sh_step") and step is not None:
+                    steps.append(step)
+                return out
 
             return wrapper
 
         monkeypatch.setattr(HessenbergMatrix, "bottom_subdiagonal_abs", recording)
         for owner, name in self.LAYERS:
-            monkeypatch.setattr(owner, name, layer(getattr(owner, name)))
+            monkeypatch.setattr(owner, name, layer(getattr(owner, name), name))
         res = shifted_qr(h, 1e-7, 0.05, gd, seed=11)
         monkeypatch.undo()
 
         loops = [node for node in res.tree.nodes.values() if node.eigenvalues is None]
         branches = Counter(rec.branch for node in loops for rec in node.trace)
         assert set(branches) == {"ritz_shift", "decouple", "exceptional"}
-        iterates = sum(len(node.trace) + 1 for node in loops)
-        assert len(by_driver) <= 2 * iterates
-        assert max(Counter(map(id, by_driver)).values()) <= 2
+        # no matrix is measured twice, and the driver measures only the
+        # iterate each loop starts from
+        assert max(Counter(map(id, seen)).values()) == 1
+        assert len(by_driver) == len(loops)
+        # every later iterate is measured once, by the rule that kept it
+        iterates = by_driver + [step.next_h for step in steps]
+        assert len(iterates) == sum(len(node.trace) + 1 for node in loops)
+        assert all(any(m is x for x in seen) for m in iterates)
         # inside the layers, only candidate next iterates are measured
         assert on_handed == []
 
@@ -441,9 +451,10 @@ class TestPlainStep:
     def test_kept_when_it_decouples_or_contracts_by_the_reduction_factor(self):
         h = random_hessenberg(np.random.default_rng(84), 8)
         eigs = CharPolySolver().solve(h.corner(4), 1e-12)
-        step, moduli, after = driver._plain_step(h, eigs, math.inf, 0.0, 4)
+        step = driver._plain_step(h, eigs, math.inf, 0.0, 4)
         assert (step.branch, step.shift) == ("plain", eigs[0])
         assert same_bits(step.next_h.a, iqr.iqr_multi(h, tuple(eigs)).next_h.a)
+        moduli, after = step.moduli, step.log2_psi_pow_k
         assert moduli == step.next_h.bottom_subdiagonal_abs(4)
         assert after == iqr.log2_potential_pow_k(moduli)
         # L of an H whose psi_k is psi_k(next) / REDUCTION_FACTOR, in log2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from conftest import random_hessenberg, same_bits
+from conftest import psi_k, random_hessenberg, same_bits
 from hessqr import iqr
 from hessqr.errors import DimensionError, DomainError, StructureError
 from hessqr.iqr import (
@@ -17,8 +17,8 @@ from hessqr.iqr import (
     comp_tau,
     iqr_multi,
     iqr_single,
+    kept_step,
     log2_potential_pow_k,
-    potential,
 )
 from hessqr.kernel import ldexp, mp_context, to_mp
 from hessqr.oracle import (
@@ -544,32 +544,76 @@ class TestCompTau:
         assert trials >= 30
 
 
+class TestKeptStep:
+    """``kept_step``, the one rule by which every branch keeps a candidate
+    step: some bottom-k modulus at or below omega, or L < target."""
+
+    def test_the_step_carries_its_iterate_and_measurement(self):
+        h = random_hessenberg(np.random.default_rng(85), 8)
+        res = iqr_multi(h, (0.1, -0.2j))
+        step = kept_step(res, "plain", 0.1, 4, 0.0, math.inf)
+        assert step.next_h is res.next_h and (step.branch, step.shift) == ("plain", 0.1)
+        assert step.moduli == res.next_h.bottom_subdiagonal_abs(4)
+        assert step.log2_psi_pow_k == log2_potential_pow_k(step.moduli)
+
+    def test_strict_below_the_target(self):
+        res = iqr_multi(random_hessenberg(np.random.default_rng(86), 8), (0.3,))
+        after = log2_potential_pow_k(res.next_h.bottom_subdiagonal_abs(4))
+        assert kept_step(res, "exceptional", 0.3, 4, 0.0, after) is None
+        assert kept_step(res, "exceptional", 0.3, 4, 0.0, after - 1e-9) is None
+        assert kept_step(res, "exceptional", 0.3, 4, 0.0, after + 1e-9) is not None
+
+    def test_omega_at_the_smallest_modulus(self):
+        res = iqr_multi(random_hessenberg(np.random.default_rng(87), 8), ())
+        low = min(res.next_h.bottom_subdiagonal_abs(4))
+        assert kept_step(res, "decouple", 0j, 4, low, -math.inf) is not None
+        assert kept_step(res, "decouple", 0j, 4, math.nextafter(low, 0), -math.inf) is None
+
+    def test_a_minus_infinite_target_keeps_only_a_decoupled_iterate(self):
+        a = random_hessenberg(np.random.default_rng(88), 8).a
+        unreduced = iqr_multi(HessenbergMatrix(a), ())
+        assert kept_step(unreduced, "decouple", 0j, 4, 0.0, -math.inf) is None
+        a[6, 5] = 0
+        decoupled = iqr_multi(HessenbergMatrix(a), ())
+        step = kept_step(decoupled, "decouple", 0j, 4, 0.0, -math.inf)
+        assert step.log2_psi_pow_k == -math.inf
+
+    def test_a_plus_infinite_target_keeps_every_iterate(self):
+        rng = np.random.default_rng(89)
+        for scale in (2.0**-500, 1.0, 2.0**500):
+            res = iqr_multi(random_hessenberg(rng, 8, scale=scale), (0.5j,))
+            assert kept_step(res, "ritz_shift", 0.5j, 4, 0.0, math.inf) is not None
+
+
 class TestPotential:
+    """psi_k = 2^(L/k) with L of ``log2_potential_pow_k``, as conftest's
+    ``psi_k`` forms it."""
+
     def test_unit_subdiagonals(self):
         a = np.triu(np.ones((5, 5), dtype=complex), -1)
-        assert potential(HessenbergMatrix(a), 3) == pytest.approx(1.0, rel=1e-12)
+        assert psi_k(HessenbergMatrix(a), 3) == pytest.approx(1.0, rel=1e-12)
 
     def test_geometric_mean(self):
         a = np.triu(np.ones((3, 3), dtype=complex), -1)
         a[1, 0] = 2.0
         a[2, 1] = 8.0
-        assert potential(HessenbergMatrix(a), 2) == pytest.approx(4.0, rel=5e-4)
+        assert psi_k(HessenbergMatrix(a), 2) == pytest.approx(4.0, rel=5e-4)
 
     def test_zero_subdiagonal(self):
         a = np.triu(np.ones((4, 4), dtype=complex), -1)
         a[3, 2] = 0.0
-        assert potential(HessenbergMatrix(a), 2) == 0.0
+        assert psi_k(HessenbergMatrix(a), 2) == 0.0
 
     def test_dimension_guard(self):
         a = np.triu(np.ones((3, 3), dtype=complex), -1)
         with pytest.raises(DimensionError):
-            potential(HessenbergMatrix(a), 3)
+            psi_k(HessenbergMatrix(a), 3)
 
     def test_extreme_magnitudes(self):
         a = np.triu(np.ones((5, 5), dtype=complex), -1)
         for i, v in enumerate([1e-160, 1e-170, 1e-150, 1e-140]):
             a[i + 1, i] = v
-        psi = potential(HessenbergMatrix(a), 4)
+        psi = psi_k(HessenbergMatrix(a), 4)
         assert psi == pytest.approx(10 ** (-155), rel=1e-3)
         log2_psi_k = log2_potential_pow_k(HessenbergMatrix(a).bottom_subdiagonal_abs(4))
         assert log2_psi_k == pytest.approx(-620 * math.log2(10), rel=1e-14)
@@ -590,7 +634,7 @@ class TestPotential:
         for a in mats:
             exact = ctx.fprod(abs(ctx.mpc(a[i, i - 1])) for i in range(9 - k, 9))
             exact = exact ** (ctx.mpf(1) / k)
-            err = abs(potential(HessenbergMatrix(a), k) - exact) / exact
+            err = abs(psi_k(HessenbergMatrix(a), k) - exact) / exact
             assert err <= 1e-13
 
     def test_variational_identity_sample(self):

@@ -4,10 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import near_normal_hessenberg, random_hessenberg, same_bits
+from conftest import near_normal_hessenberg, psi_k, random_hessenberg, same_bits
 from hessqr.errors import DimensionError, DomainError, ParameterError
 from hessqr import iqr, shifting
-from hessqr.iqr import iqr_multi, log2_potential_pow_k, potential
+from hessqr.iqr import iqr_multi, log2_potential_pow_k
 from hessqr.oracle import (
     condition_report,
     net_size_bound,
@@ -311,21 +311,21 @@ class TestExc:
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
         r = 0.2 + 0.1j
-        cands = exc(r, potential(h, 4), rng, gd)
-        r_hat, eps = exc_params(gd, potential(h, 4))
+        cands = exc(r, psi_k(h, 4), rng, gd)
+        r_hat, eps = exc_params(gd, psi_k(h, 4))
         assert all(abs(s - r) <= r_hat * (1 + 1e-12) for s in cands)
         # radius bound implied by the construction: 2^(1/k) (1.001) theta
         # alpha B^(1/k) psi (the printed bound drops the 2^(1/k) factor)
         assert r_hat <= 2 ** (1 / 4) * 1.001 * gd.theta * gd.alpha * gd.B ** (
             1 / 4
-        ) * potential(h, 4)
+        ) * psi_k(h, 4)
 
     def test_candidate_count_matches_net(self):
         rng = np.random.default_rng(65)
         h = random_hessenberg(rng, 8)
         gd = _globals(1.0, 4, h)
-        cands = exc(0.1, potential(h, 4), rng, gd)
-        _, eps = exc_params(gd, potential(h, 4))
+        cands = exc(0.1, psi_k(h, 4), rng, gd)
+        _, eps = exc_params(gd, psi_k(h, 4))
         assert len(cands) == len(build_net(eps))
         assert len(cands) <= net_size_bound(eps)
 
@@ -347,7 +347,7 @@ class TestExc:
             eigs = ref_eigs(h.a)
             ritz = ref_eigs(h.corner(k))
             r = complex(ritz[0])
-            psi = potential(h, k)
+            psi = psi_k(h, k)
             if psi == 0:
                 continue
             trials += 1
@@ -374,8 +374,8 @@ class TestShStep:
             if out.branch == "ritz_shift":
                 hits += 1
                 assert (
-                    potential(out.next_h, 4) <= REDUCTION_FACTOR * potential(h, 4)
-                    or not out.next_h.is_unreduced(1e-9, 4)
+                    psi_k(out.next_h, 4) <= REDUCTION_FACTOR * psi_k(h, 4)
+                    or min(out.next_h.bottom_subdiagonal_abs(4)) <= 1e-9
                 )
                 assert out.shift in ritz
         assert hits >= 10
@@ -406,7 +406,7 @@ class TestShStep:
             if out.branch == "exceptional":
                 found += 1
                 assert (
-                    potential(out.next_h, 4) < REDUCTION_FACTOR * potential(h, 4)
-                    or not out.next_h.is_unreduced(1e-9, 4)
+                    psi_k(out.next_h, 4) < REDUCTION_FACTOR * psi_k(h, 4)
+                    or min(out.next_h.bottom_subdiagonal_abs(4)) <= 1e-9
                 )
         assert found >= 1
