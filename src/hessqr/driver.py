@@ -82,15 +82,15 @@ from .errors import (
 from .iqr import HessenbergMatrix, iqr_multi, kept_step, log2_potential_pow_k, split_blocks
 from .kernel import ldexp
 from .params import (
-    REDUCTION_FACTOR,
     GlobalData,
     RunParams,
     check_phi,
+    contraction_target,
+    corner_accuracy,
     default_bounds,
     derive_degree,
     derive_globals,
     derive_run_params,
-    regularization_scales,
     required_precision,
 )
 from .ritz import ritz_or_decouple
@@ -185,7 +185,7 @@ def _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k):
     some bottom-k subdiagonal of the next iterate is at or below omega, or
     psi_k(next) < ``REDUCTION_FACTOR`` psi_k(H).  It draws no randomness,
     and the Step's shift is the first of its k shifts."""
-    target = k * math.log2(REDUCTION_FACTOR) + log2_psi_pow_k
+    target = contraction_target(log2_psi_pow_k, k)
     return kept_step(iqr_multi(h, tuple(corner_eigs)), "plain", corner_eigs[0], k, omega, target)
 
 
@@ -195,15 +195,15 @@ def _process_block(node, h, plan, rng):
     h is in the units of the plan; the eigenvalues and the trace records
     written to the node are multiplied back by 2^e.  Every small solver call
     of the run is made here.  Each loop iteration certifies the k x k corner
-    of its iterate once, at beta/2 with beta of
-    ``params.regularization_scales``, and tries those values as the shifts
-    of a plain step (``_plain_step``).  When the step is rejected, the
-    paper's ``ritz_or_decouple`` and ``sh_step`` run from the same H, and
-    ``ritz_or_decouple`` and each of its retries take the same values: the
-    solver draws no randomness, so a second solve would return the same
-    ones.  A kept plain step is recorded with branch "plain" and 0 retries,
-    and its shift is the first of its k shifts.  The guard reads the moduli
-    and L on the kept Step: no iterate is measured twice.  A block of
+    of its iterate once, at ``params.corner_accuracy``, and tries those
+    values as the shifts of a plain step (``_plain_step``).  When the step
+    is rejected, the paper's ``ritz_or_decouple`` and ``sh_step`` run from
+    the same H, and ``ritz_or_decouple`` and each of its retries take the
+    same values: the solver draws no randomness, so a second solve would
+    return the same ones.  A kept plain step is recorded with branch
+    "plain" and 0 retries, and its shift is the first of its k shifts.  The
+    guard reads the moduli and L on the kept Step: no iterate is measured
+    twice.  A block of
     dimension at most k goes to the small solver, but for a 1 x 1 leaf,
     whose eigenvalue is its entry, in either arithmetic: the solver would
     return that entry as it is, after validating a block whose entries the
@@ -219,7 +219,7 @@ def _process_block(node, h, plan, rng):
         return []
 
     omega = params.omega
-    beta = regularization_scales(omega, gd.Sigma)[0]
+    accuracy = corner_accuracy(omega, gd.Sigma)
     moduli = h.bottom_subdiagonal_abs(k)
     log2_psi_pow_k = log2_potential_pow_k(moduli)
     iteration, psi = 0, 2.0 ** (log2_psi_pow_k / k)
@@ -229,7 +229,7 @@ def _process_block(node, h, plan, rng):
             raise BudgetExceeded(
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
-        corner_eigs = DEFAULT_SOLVER.solve(h.corner(k), beta / 2.0)
+        corner_eigs = DEFAULT_SOLVER.solve(h.corner(k), accuracy)
         step, retries = _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k), 0
         if step is None:
             (ritz, step), retries = _retry(

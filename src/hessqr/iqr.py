@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionError, DomainError, StructureError
-from .kernel import is_mp_array, ldexp, log2, mp_context, norm, to_mp
+from .kernel import is_mp_array, log2, mp_context, norm, to_mp
 
 
 def _finite_all(a):
@@ -99,15 +99,12 @@ class HessenbergMatrix:
         return self.a[self.n - k :, self.n - k :].copy()
 
     def frobenius_norm(self):
-        """||H||_F in the arithmetic of H, formed on H / 2^e with 2^e above the
-        largest modulus, so that no square under- or overflows.  DomainError
-        when ||H||_F is not a finite binary64 number."""
-        peak = float(np.abs(self.a).max(initial=0))
-        e = math.frexp(peak)[1]
-        scaled = norm(ldexp(self.a, -e))
-        if not (math.isfinite(peak) and math.frexp(float(scaled))[1] + e <= 1024):
+        """||H||_F in the arithmetic of H (``kernel.norm``).  DomainError when
+        it is not a finite binary64 number."""
+        value = norm(self.a)
+        if not math.isfinite(float(value)):
             raise DomainError("matrix norm is not a finite binary64 number")
-        return ldexp(scaled, e)
+        return value
 
     def to_extended(self, prec):
         """Copy with entries converted to prec-bit mpmath numbers (exactly,
@@ -322,7 +319,7 @@ def kept_step(res, branch, shift, k, omega, log2_target):
     its next iterate decouples or contracts psi_k; None otherwise.  Forms
     that iterate's bottom-k moduli and L = log2 psi_k^k once, for the Step
     to carry: kept when min(moduli) <= omega or L < log2_target, which is
-    k log2(REDUCTION_FACTOR) + L(H) for a contraction by that factor, -inf
+    ``params.contraction_target`` for a contraction of psi_k(H), -inf
     for decoupling alone, and +inf for a step its caller keeps anyway."""
     moduli = res.next_h.bottom_subdiagonal_abs(k)
     log2_psi_pow_k = log2_potential_pow_k(moduli)

@@ -5,9 +5,10 @@ path) and object arrays of mpmath numbers (runs configured at other than 53
 mantissa bits, and the oracle).  An mpmath number belongs to the context
 ``mp_context(prec)`` that made it, and an operation rounds at its left
 operand's context, whatever mpmath's global precision.  ``to_mp`` converts
-into a context and ``.astype(np.complex128)`` rounds back; ``norm`` takes
-its square root in the arithmetic of its input, and ``ldexp`` scales either
-kind by a power of two.  The floating point model is the usual one:
+into a context and ``.astype(np.complex128)`` rounds back; ``norm``, the
+package's one Frobenius norm, is BLAS ``dznrm2`` on complex128 and an
+mpmath sum in the numbers' own context otherwise, and ``ldexp`` scales
+either kind by a power of two.  The floating point model is the usual one:
 add/sub/mul/div/sqrt with relative error at most one unit roundoff, overflow
 and underflow ignored.  Nothing the QR iteration forms can overflow, because
 the driver runs it on H / 2^e with ||H / 2^e|| < 1 (see ``driver.shifted_qr``).
@@ -17,6 +18,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+from scipy.linalg import blas
 
 
 def is_mp_array(a):
@@ -40,11 +42,14 @@ def to_mp(a, ctx):
 
 
 def norm(a):
-    """Frobenius norm of a, in the arithmetic of a."""
+    """Frobenius norm of a, in the arithmetic of a: for complex128, BLAS
+    ``dznrm2``, whose scaled sum of squares neither under- nor overflows
+    (inf only where the norm itself exceeds binary64); for mpmath numbers,
+    the square root of their sum of squares, in their context."""
     if is_mp_array(a):
         ctx = a.flat[0].context
         return ctx.sqrt(ctx.fsum(abs(z) ** 2 for z in a.flat))
-    return float(np.linalg.norm(a))
+    return float(blas.dznrm2(a.ravel(order="K"))) if a.size else 0.0
 
 
 def ldexp(z, e):

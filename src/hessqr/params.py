@@ -9,7 +9,7 @@ exceptional-shift net parameter xi = 0.999 (1 - gamma) are constants.  From
 and the iteration budget N_dec of each decoupling loop.
 
 The formulas run in binary64 and some square magnitudes (omega^2 in
-``regularization_scales``), so a run evaluates them once, with Sigma scaled
+``corner_accuracy``), so a run evaluates them once, with Sigma scaled
 into [1/2, 1) (``driver.plan_run``, for ``solve`` and ``hessqr info``
 alike), where only extreme ratios to Sigma under- or overflow.  Powers of B
 are taken in log2 (no B^4 is formed), every product in the precision budget
@@ -156,10 +156,10 @@ def check_phi(phi):
 
 def derive_run_params(n, delta, phi, gd):
     """The RunParams of an n x n run; ParameterError where omega, or on the QR
-    route (n > k) beta of ``regularization_scales``, underflows binary64,
-    where omega is so small against Sigma that N_dec is not finite, and
-    where phi is so small that phi_working = phi / (3 n^2 N_dec) falls below
-    the normal range or the budget's 2k / phi_working overflows."""
+    route (n > k) ``corner_accuracy``, underflows binary64, where omega is so
+    small against Sigma that N_dec is not finite, and where phi is so small
+    that phi_working = phi / (3 n^2 N_dec) falls below the normal range or the
+    budget's 2k / phi_working overflows."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not (0 < delta <= gd.Sigma):
@@ -173,7 +173,7 @@ def derive_run_params(n, delta, phi, gd):
         raise ParameterError(
             f"working accuracy omega underflows binary64 (B={gd.B:g}, Gamma={gd.Gamma:g})"
         )
-    if n > gd.k and not regularization_scales(omega, gd.Sigma)[1] > 0:
+    if n > gd.k and not corner_accuracy(omega, gd.Sigma) > 0:
         raise ParameterError(
             f"corner accuracy beta underflows binary64 (B={gd.B:g}, Gamma={gd.Gamma:g})"
         )
@@ -192,11 +192,17 @@ def derive_run_params(n, delta, phi, gd):
                      n_dec_budget=max(1, math.floor(n_dec)))
 
 
-def regularization_scales(omega, Sigma):
-    """(beta, eta2): the corner eigenvalues' accuracy and the radius of the
-    noise that turns them into shifts."""
-    beta = omega**2 / (16.0 * 101.0 * Sigma)
-    return beta, beta / 2.0
+def corner_accuracy(omega, Sigma):
+    """beta / 2 with beta = omega^2 / (16 * 101 Sigma): the accuracy the
+    driver certifies the corner eigenvalues at, and eta2, the radius of the
+    noise that turns them into shifts (``ritz.regularize``)."""
+    return omega**2 / (16.0 * 101.0 * Sigma) / 2.0
+
+
+def contraction_target(log2_psi_pow_k, k):
+    """k log2(``REDUCTION_FACTOR``) + L: the L = log2 psi_k^k below which a
+    step's next iterate has contracted psi_k by ``REDUCTION_FACTOR``."""
+    return k * math.log2(REDUCTION_FACTOR) + log2_psi_pow_k
 
 
 def exc_epsilon(k, alpha, theta, B):
@@ -235,7 +241,7 @@ def budget_terms(n, gd, rp):
     nu = 5.0 + 1.5 * math.log2(n)  # log2 of the IQR sweep's error factor 32 n^(3/2)
     C = 3.0
     # the exclusion radius eta1 = eta2 / sqrt(2k / phi_w) of the regularized
-    # shifts (eta2 of ``regularization_scales``)
+    # shifts (eta2, the ``corner_accuracy``)
     l_eta1 = (
         2.0 * l_omega - math.log2(16.0 * 101.0 * Sigma) - 1.0
         - 0.5 * math.log2(2.0 * k / phi_working)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DichotomyMiss, DimensionError, DomainError
 from .iqr import iqr_multi, kept_step
 from .kernel import disk_point, log2, norm
-from .params import regularization_scales
+from .params import corner_accuracy
 
 
 def regularize(r_list, eta2, rng):
@@ -73,20 +73,20 @@ def ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd):
     failure probability, below 1/300 whenever n > k >= 2
     (``params.derive_run_params``).  The driver's loop guard establishes the
     first and hands down L = log2 psi_k(H)^k, formed for that guard, as
-    log2_psi_pow_k.  The precondition on corner_eigs: they are
-    beta/2-approximations of the eigenvalues of the k x k corner of h, with
-    beta of ``regularization_scales``, as the driver certifies them with the
-    small solver; a list of another length than k raises ``optimal``'s
-    DimensionError before any sweep.  Returns (ritz, step): the regularized
-    Ritz values, and None when they are theta-optimal, or else the
-    "decouple" Step of the first value whose degree-k step collapsed some
-    bottom-k subdiagonal to omega or below (``kept_step`` at target -inf).
-    The probability-phi_w failure event surfaces as DichotomyMiss."""
+    log2_psi_pow_k.  The precondition on corner_eigs: they approximate the
+    eigenvalues of the k x k corner of h to within ``corner_accuracy``, as
+    the driver certifies them with the small solver; a list of another
+    length than k raises ``optimal``'s DimensionError before any sweep.
+    Returns (ritz, step): the regularized Ritz values, and None when they
+    are theta-optimal, or else the "decouple" Step of the first value whose
+    degree-k step collapsed some bottom-k subdiagonal to omega or below
+    (``kept_step`` at target -inf).  The probability-phi_w failure event
+    surfaces as DichotomyMiss."""
     k = gd.k
     n = h.n
     if n <= k:
         raise DimensionError(f"ritz_or_decouple needs n > k, got n={n}")
-    ritz = regularize(corner_eigs, regularization_scales(omega, gd.Sigma)[1], rng)
+    ritz = regularize(corner_eigs, corner_accuracy(omega, gd.Sigma), rng)
     if optimal(h, log2_psi_pow_k, ritz, gd):
         return ritz, None
     for rv in ritz:

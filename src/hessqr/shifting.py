@@ -23,7 +23,7 @@ from functools import lru_cache
 from .errors import DimensionError, DomainError, StagnationFailure
 from .iqr import IqrResult, comp_tau, iqr_multi, kept_step
 from .kernel import disk_point, log2
-from .params import GAMMA, REDUCTION_FACTOR, exc_epsilon
+from .params import GAMMA, contraction_target, exc_epsilon
 
 
 def find(h, ritz, gd):
@@ -140,7 +140,7 @@ def sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd):
         return kept_step(full, "ritz_shift", r, k, omega, math.inf)
 
     candidates = exc(r, 2.0 ** (log2_psi_pow_k / k), rng, gd)
-    target = k * math.log2(REDUCTION_FACTOR) + log2_psi_pow_k
+    target = contraction_target(log2_psi_pow_k, k)
     for s in candidates:
         step = kept_step(iqr_multi(h, (s,) * k), "exceptional", s, k, omega, target)
         if step is not None:

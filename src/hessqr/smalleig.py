@@ -450,8 +450,9 @@ class CharPolySolver:
     simple and multiple eigenvalues alike.  Certification is capped at the
     representation limit of the output type (binary64 input yields binary64
     output): the certified bound is beta_eff / 2, where binary64 input has
-    beta_eff = max(beta, 2^-49 max(1, ||m||_F)).  That floor is what the
-    driver's corners are certified at: on perfbench's qr_small inputs,
+    beta_eff = max(beta, 2^-49 max(1, ||m||_F)), ||m||_F its
+    ``frobenius_norm`` (BLAS ``dznrm2`` on binary64 input).  That floor is
+    what the driver's corners are certified at: on perfbench's qr_small inputs,
     ``driver._process_block`` asks for about 1.5e-26, the solver certifies
     at beta_eff / 2 ~ 8.9e-16.  Over the 707 blocks of 24 such inputs, the
     enclosure's bounds reach 0.44 of that (median 0.07), with the residual
@@ -480,7 +481,7 @@ class CharPolySolver:
         if h.n == 0:
             return []
         a, extended = h.a, h.is_extended
-        scale = _scale(h)
+        scale = max(1.0, float(h.frobenius_norm()))
         # Representation floor: a binary64 result cannot certify below ~ulp.
         beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
         # extended input may ask for a beta so far below its scale that the
@@ -502,20 +503,6 @@ class CharPolySolver:
         # each root as it is, at the precision of the rung that certified it
         into = a[0, 0].context.make_mpc
         return [into(z._mpc_) for z in vals]
-
-
-def _scale(h):
-    """max(1, ||h||_F), as ``h.frobenius_norm()`` gives it.
-
-    Binary64 input whose plain sum of squares is at most 1/2 returns 1
-    without the two scaled passes.  For n < 2^20 that sum carries a relative
-    rounding error below n^2 2^-52 and loses at most n^2 2^-1074 to
-    underflow, so ||h||_F < 0.71 and its computed value is below 1 too.  A
-    sum that overflows is inf and takes the scaled passes."""
-    a = h.a
-    if not h.is_extended and np.vdot(a, a).real <= 0.5:
-        return 1.0
-    return max(1.0, float(h.frobenius_norm()))
 
 
 DEFAULT_SOLVER = CharPolySolver()

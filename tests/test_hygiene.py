@@ -613,3 +613,51 @@ def test_the_driver_makes_every_small_solver_call():
     assert {name: [f for f, _ in found] for name, found in calls.items() if found} == {
         "driver.py": ["_process_block", "_process_block"]
     }
+
+
+SQUARE_SUMS = ("vdot", "dznrm2")  # kernel.norm's BLAS call, and a sum of squares
+
+
+def frobenius_norms(source):
+    """(line, name) for every call in ``source`` that forms a Frobenius norm
+    or a sum of squares: of ``vdot`` or ``dznrm2``, by name or as an
+    attribute, and of ``linalg.norm`` whose ord is absent, None or "fro"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in SQUARE_SUMS:
+            found.append((node.lineno, name))
+        elif (name == "norm" and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
+            ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+            if not ords or (isinstance(ords[0], ast.Constant) and ords[0].value in (None, "fro")):
+                found.append((node.lineno, "linalg.norm"))
+    return sorted(found)
+
+
+def test_detects_a_frobenius_norm():
+    src = (
+        "import numpy as np\n"
+        "from scipy.linalg import blas\n"
+        "a = np.vdot(x, x).real + blas.dznrm2(x)\n"
+        "b = np.linalg.norm(x) + np.linalg.norm(x, None) + np.linalg.norm(x, ord='fro')\n"
+        "c = np.linalg.norm(x, 2) + np.linalg.norm(x, ord=np.inf) + norm(x) + vdot(x, x)\n"
+    )
+    assert frobenius_norms(src) == [
+        (3, "dznrm2"), (3, "vdot"),
+        (4, "linalg.norm"), (4, "linalg.norm"), (4, "linalg.norm"),
+        (5, "vdot"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_kernel_norm_is_the_one_frobenius_norm(path):
+    # Sigma = 2||H||_F and the small solver's scale come from one norm, BLAS
+    # dznrm2 on complex128; spectral norms (ord 2) are another primitive
+    found = frobenius_norms(path.read_text(encoding="utf-8"))
+    if path.name == "kernel.py":
+        found = [(line, name) for line, name in found if name not in SQUARE_SUMS]
+    assert found == []

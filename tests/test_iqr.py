@@ -5,7 +5,7 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import block_diag, lapack
 
 from conftest import psi_k, random_hessenberg, same_bits
 from hessqr import iqr
@@ -20,7 +20,7 @@ from hessqr.iqr import (
     kept_step,
     log2_potential_pow_k,
 )
-from hessqr.kernel import ldexp, mp_context, to_mp
+from hessqr.kernel import ldexp, mp_context, norm, to_mp
 from hessqr.oracle import (
     IQR_EXACT_PREC,
     accumulate_q,
@@ -81,6 +81,64 @@ class TestHessenbergMatrix:
         a = np.triu(np.arange(16, dtype=float).reshape(4, 4) + 1, -1)
         h = HessenbergMatrix(a)
         assert h.bottom_subdiagonal_abs(2) == [abs(a[2, 1]), abs(a[3, 2])]
+
+    @staticmethod
+    def _blocks(norm_f):
+        """Hessenberg blocks of Frobenius norm norm_f (to rounding): random
+        ones of dimension 1 to 16, and one whose other entries are tiny
+        enough that their squares underflow; each also as the direct sum
+        with itself, of norm sqrt(2) norm_f."""
+        rng = np.random.default_rng(37)
+        blocks = []
+        for n in (1, 2, 4, 16):
+            m = random_hessenberg(rng, n).a
+            blocks.append(m / np.linalg.norm(m) * norm_f)
+        m = np.full((4, 4), 1e-170 + 1e-170j)
+        m[3, 0] = m[2, 0] = m[3, 1] = 0
+        m[0, 0] = norm_f
+        blocks.append(m)
+        return blocks + [block_diag(m, m) for m in blocks]
+
+    @pytest.mark.parametrize(
+        "norm_f",
+        [
+            2.0**-1074,
+            2.0**-600,
+            0.5,
+            np.nextafter(0.5**0.5, 0),
+            0.5**0.5,
+            np.nextafter(0.5**0.5, 1),
+            1 - 2**-40,
+            np.nextafter(1.0, 0),
+            1.0,
+            np.nextafter(1.0, 2),
+            1 + 2**-40,
+            2.0**600,
+            2.0**1023,
+            1.5 * 2.0**1023,
+        ],
+    )
+    def test_frobenius_norm_against_a_300_bit_reference(self, norm_f):
+        # within 1 ulp of a normal norm, within 2^-1074 of a subnormal one,
+        # and DomainError where the norm is beyond binary64 (the direct sums
+        # at 1.5 * 2^1023)
+        ctx = mp_context(300)
+        largest = ctx.mpf(np.finfo(np.float64).max)
+        for m in self._blocks(norm_f):
+            h = HessenbergMatrix(m)
+            ref = norm(to_mp(h.a, ctx))
+            if ref > largest:
+                with pytest.raises(DomainError, match="^matrix norm is not a finite binary64 number$"):
+                    h.frobenius_norm()
+                continue
+            got = h.frobenius_norm()
+            assert type(got) is float
+            tol = max(np.spacing(float(ref)), 2.0**-1074)
+            assert abs(ctx.mpf(got) - ref) <= tol, (m.shape, got, ref)
+
+    def test_frobenius_norm_of_the_empty_matrix_is_zero(self):
+        # dznrm2 itself rejects an empty vector
+        assert HessenbergMatrix(np.zeros((0, 0))).frobenius_norm() == 0.0
 
 
 class TestShifts:

@@ -8,7 +8,7 @@ from hessqr.errors import DichotomyMiss, DimensionError, DomainError
 from hessqr.iqr import HessenbergMatrix, log2_potential_pow_k
 from hessqr.kernel import disk_point
 from hessqr.oracle import condition_report, dense_en_p_norm, ref_eigs
-from hessqr.params import globals_with_degree, regularization_scales
+from hessqr.params import corner_accuracy, globals_with_degree
 from hessqr.ritz import optimal, regularize, ritz_or_decouple
 from hessqr.smalleig import CharPolySolver
 
@@ -221,8 +221,7 @@ class TestRitzOrDecouple:
         rng = np.random.default_rng(51)
         h, _ = near_normal_hessenberg(rng, 10, perturb=1e-4)
         gd = _test_globals(1.0, 4, 2 * float(h.frobenius_norm()), 10)
-        beta = regularization_scales(1e-8, gd.Sigma)[0]
-        corner_eigs = CharPolySolver().solve(h.corner(4), beta / 2.0)
+        corner_eigs = CharPolySolver().solve(h.corner(4), corner_accuracy(1e-8, gd.Sigma))
         ritz, step = ritz_or_decouple(h, _lpk(h, 4), corner_eigs, 1e-8, rng, gd)
         assert len(ritz) == 4
         assert step is None or step.branch == "decouple"

@@ -146,8 +146,8 @@ class TestCharPolySolver:
 
 
 class TestFixedCosts:
-    """The shortcuts ``solve`` takes before any rung: a 1 x 1 block is its
-    own eigenvalue, and a block with a small sum of squares has scale 1."""
+    """The shortcut ``solve`` takes before any rung: a 1 x 1 block is its
+    own eigenvalue."""
 
     @pytest.mark.parametrize(
         "z", [complex(-0.0, 2.5), complex(3.0, -0.0), complex(-0.0, -0.0), 1e-300 - 1e300j]
@@ -171,50 +171,6 @@ class TestFixedCosts:
         dtype = complex if isinstance(z, complex) else object
         with pytest.raises(StructureError):
             SOLVER.solve(np.array([[z]], dtype=dtype), 1e-10)
-
-    @staticmethod
-    def _blocks(norm_f):
-        """Hessenberg blocks of Frobenius norm norm_f (to rounding): random
-        ones of dimension 1 to 16, and one whose other entries are tiny
-        enough that their squares underflow."""
-        rng = np.random.default_rng(37)
-        for n in (1, 2, 4, 16):
-            m = random_hessenberg(rng, n).a
-            yield m * (norm_f / np.linalg.norm(m))
-        m = np.full((4, 4), 1e-170 + 1e-170j)
-        m[3, 0] = m[2, 0] = m[3, 1] = 0
-        m[0, 0] = norm_f
-        yield m
-
-    @pytest.mark.parametrize(
-        "norm_f",
-        [
-            2.0**-600,
-            0.5,
-            np.nextafter(0.5**0.5, 0),
-            0.5**0.5,
-            np.nextafter(0.5**0.5, 1),
-            1 - 2**-40,
-            np.nextafter(1.0, 0),
-            1.0,
-            np.nextafter(1.0, 2),
-            1 + 2**-40,
-            2.0**600,
-        ],
-    )
-    def test_scale_is_max_of_one_and_the_norm(self, norm_f):
-        for m in self._blocks(norm_f):
-            h = HessenbergMatrix(m)
-            assert smalleig._scale(h) == max(1.0, float(h.frobenius_norm()))
-
-    def test_scale_skips_the_norm_below_one_half(self, monkeypatch):
-        def unused(self):
-            raise AssertionError("frobenius_norm ran")
-
-        monkeypatch.setattr(HessenbergMatrix, "frobenius_norm", unused)
-        for norm_f in (0.0, 2.0**-600, 0.5):
-            for m in self._blocks(norm_f):
-                assert smalleig._scale(HessenbergMatrix(m)) == 1.0
 
 
 def _no_enclosure(blk, beta_cert):
