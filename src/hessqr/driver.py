@@ -4,28 +4,33 @@ Each Hessenberg block larger than the shift degree k runs a while loop until a
 bottom-k subdiagonal falls below the working accuracy omega; the block is then
 deflated at every sub-threshold entry and the pieces recurse.  Each iteration
 first tries a plain step (``_plain_step``): the degree-k step whose k shifts
-are the certified eigenvalues of the iterate's k x k corner, kept when it
-decouples or contracts psi_k by ``REDUCTION_FACTOR``.  Otherwise the iteration
-runs the paper's step from the same H: the Ritz-or-decouple step, then the
-potential-reduction step when that did not decouple.  The loop's guard is the
-one check of the omega-unreduced precondition under which these steps are
-stated.  Each iterate's bottom-k subdiagonal moduli are formed once, for that
-guard and for L = log2 psi_k(H)^k: by the driver where a block's loop starts,
-and else by ``iqr.kept_step``, on the Step each branch hands back.  The driver
-passes L down to ``ritz_or_decouple`` and ``sh_step``, which check neither
-again.  The driver makes every small eigenvalue solver call: it certifies each
-iterate's k x k corner once, and the plain step and ``ritz_or_decouple`` take
-the same values, as does a retry after a ``DichotomyMiss``.  Blocks of
-dimension at most k go straight to the small solver, but for a 1 x 1 leaf,
-which is its entry.  Probabilistic failure events are retried a fixed number of
-times with fresh randomness before the run aborts.  The iteration draws from
-one random stream made from the seed, and the blocks consume it in the order
-they run (depth first, top block first), so a run is byte-reproducible from
-its seed at a fixed BLAS thread count (with OpenBLAS 0.3.31, from n = 76 on,
-the ``zgeev`` of the small solver's enclosure and the norm(a, 2) of
-``preprocess`` can depend on that count).  Preprocessing draws from a stream of
-its own, so that ``hessqr info`` rebuilds ``solve``'s Hessenberg form without
-running the iteration.
+are LAPACK's eigenvalues of the iterate's k x k corner
+(``smalleig.corner_shifts``), kept when it decouples or contracts psi_k by
+``REDUCTION_FACTOR``.  Otherwise the iteration runs the paper's step from the
+same H: the Ritz-or-decouple step, then the potential-reduction step when that
+did not decouple.  The loop's guard is the one check of the omega-unreduced
+precondition under which these steps are stated.  Each iterate's bottom-k
+subdiagonal moduli are formed once, for that guard and for
+L = log2 psi_k(H)^k: by the driver where a block's loop starts, and else by
+``iqr.kept_step``, on the Step each branch hands back.  The driver passes L
+down to ``ritz_or_decouple`` and ``sh_step``, which check neither again.  The
+driver makes every small eigenvalue solver call.  It certifies an iterate's
+k x k corner only where the paper's step needs it: once, after a rejected
+plain step, for ``ritz_or_decouple``, ``sh_step`` and every retry after a
+``DichotomyMiss``.  A run at other than 53 bits certifies the corner first
+and shifts its plain step by those values, since zgeev's binary64 values
+would cap the step at 53 bits; so does a binary64 iteration where LAPACK
+fails on the corner.  Blocks of dimension at most k go straight to the small
+solver, but for a 1 x 1 leaf, which is its entry.  Probabilistic failure
+events are retried a fixed number of times with fresh randomness before the
+run aborts.  The iteration draws from one random stream made from the seed,
+and the blocks consume it in the order they run (depth first, top block
+first), so a run is byte-reproducible from its seed at a fixed BLAS thread
+count (with OpenBLAS 0.3.31, from n = 76 on, the ``zgeev`` of the small
+solver's enclosure and of ``smalleig.corner_shifts``, and the norm(a, 2) of
+``preprocess`` can depend on that count).  Preprocessing draws from a stream
+of its own, so that ``hessqr info`` rebuilds ``solve``'s Hessenberg form
+without running the iteration.
 
 Every quantity a run uses is derived once.  ``prepare`` works out the
 seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
@@ -44,13 +49,20 @@ Why the plain step leaves the paper's bounds as they are:
   paper steps keeps the same count (and the driver enforces it).
 - A rejected plain iterate is discarded: the paper's step starts from the H
   the plain step started from, so the attempt adds no backward error.
-- Every sweep applied is the same backward-stable ``iqr_single``, and an
-  iteration applies k of them, from whichever branch it keeps.  The plain
-  shifts are the certified corner eigenvalues themselves, and the paper's
-  Ritz shifts are the same values plus noise of radius eta2, so the plain
-  shifts stay inside the bound on the shifts of the paper's steps.  Forward
-  instability of the shifted step (Parlett and Le 1993) can only make a
-  plain step fail its test, never enlarge its backward error.
+- Every sweep applied is the same ``iqr_single``, backward stable for any
+  finite shift, and an iteration applies k of them, from whichever branch it
+  keeps.  The plain shifts are zgeev's eigenvalues of corner + E, with
+  ||E|| a small multiple of k u ||corner||_F (the QR algorithm is backward
+  stable), so |s| <= (1 + O(ku)) ||H||_F <= Sigma / 2 (1 + O(ku)): inside
+  the bound on the shifts that the "driver" term of ``params.budget_terms``
+  assumes for every sweep.  Forward instability of the shifted step (Parlett
+  and Le 1993) can only make a plain step fail its test, never enlarge its
+  backward error.
+- Nothing the paper's bounds read comes from an uncertified value: the Ritz
+  values of ``ritz_or_decouple`` and ``sh_step`` are the certified corner
+  eigenvalues, and every output eigenvalue comes from a certified leaf
+  solve.  A corner that no rung certifies stops a run only when a rejected
+  plain step needs its certificate.
 - The failure events of probability phi_w arise only in ``ritz_or_decouple``
   and ``sh_step``, which run at most once per iteration (with their
   retries), so at most N_dec times per loop, as the budget phi_w =
@@ -95,7 +107,7 @@ from .params import (
 )
 from .ritz import ritz_or_decouple
 from .shifting import sh_step
-from .smalleig import DEFAULT_SOLVER
+from .smalleig import DEFAULT_SOLVER, corner_shifts
 
 MAX_RETRIES = 3
 MIN_BITS = 24  # the fewest working mantissa bits a run accepts
@@ -126,7 +138,7 @@ class IterationRecord:
     psi_before: float
     psi_after: float
     branch: str  # "plain" | "decouple" | "ritz_shift" | "exceptional"
-    shift: complex  # of a "plain" record, the first of its k shifts
+    shift: complex  # of a "plain" record, the first of its k shifts, uncertified at 53 bits
     retries: int
 
 
@@ -175,10 +187,10 @@ def _resolve_seed(seed):
     return seed
 
 
-def _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k):
-    """The "plain" Step of the degree-k step whose k distinct shifts are the
-    corner eigenvalues, when it decouples or contracts the potential; None
-    otherwise.
+def _plain_step(h, shifts, log2_psi_pow_k, omega, k):
+    """The "plain" Step of the degree-k step whose k shifts are ``shifts``,
+    the eigenvalues of the corner, when it decouples or contracts the
+    potential; None otherwise.
 
     h is omega-unreduced with L = log2 psi_k(H)^k = log2_psi_pow_k.  The
     test is ``iqr.kept_step``'s, as for ``sh_step``'s exceptional candidates:
@@ -186,7 +198,7 @@ def _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k):
     psi_k(next) < ``REDUCTION_FACTOR`` psi_k(H).  It draws no randomness,
     and the Step's shift is the first of its k shifts."""
     target = contraction_target(log2_psi_pow_k, k)
-    return kept_step(iqr_multi(h, tuple(corner_eigs)), "plain", corner_eigs[0], k, omega, target)
+    return kept_step(iqr_multi(h, tuple(shifts)), "plain", shifts[0], k, omega, target)
 
 
 def _process_block(node, h, plan, rng):
@@ -194,20 +206,23 @@ def _process_block(node, h, plan, rng):
 
     h is in the units of the plan; the eigenvalues and the trace records
     written to the node are multiplied back by 2^e.  Every small solver call
-    of the run is made here.  Each loop iteration certifies the k x k corner
-    of its iterate once, at ``params.corner_accuracy``, and tries those
-    values as the shifts of a plain step (``_plain_step``).  When the step
-    is rejected, the paper's ``ritz_or_decouple`` and ``sh_step`` run from
-    the same H, and ``ritz_or_decouple`` and each of its retries take the
-    same values: the solver draws no randomness, so a second solve would
-    return the same ones.  A kept plain step is recorded with branch
-    "plain" and 0 retries, and its shift is the first of its k shifts.  The
-    guard reads the moduli and L on the kept Step: no iterate is measured
-    twice.  A block of
-    dimension at most k goes to the small solver, but for a 1 x 1 leaf,
-    whose eigenvalue is its entry, in either arithmetic: the solver would
-    return that entry as it is, after validating a block whose entries the
-    QR iteration, a unitary similarity of a validated matrix, keeps finite.
+    of the run is made here.  Each loop iteration tries LAPACK's eigenvalues
+    of the k x k corner of its iterate (``smalleig.corner_shifts``) as the
+    shifts of a plain step (``_plain_step``), and makes no solver call when
+    the step is kept.  When it is rejected, the corner is certified once, at
+    ``params.corner_accuracy``, and the paper's ``ritz_or_decouple`` and
+    ``sh_step`` run from the same H; ``ritz_or_decouple`` and each of its
+    retries take the same certified values: the solver draws no randomness,
+    so a second solve would return the same ones.  On mpmath numbers, and
+    where LAPACK fails on the corner, the corner is certified first and the
+    plain step shifts by those values.  A kept plain step is recorded
+    with branch "plain" and 0 retries, and its shift is the first of its k
+    shifts.  The guard reads the moduli and L on the kept Step: no iterate
+    is measured twice.  A block of dimension at most k goes to the small
+    solver, but for a 1 x 1 leaf, whose eigenvalue is its entry, in either
+    arithmetic: the solver would return that entry as it is, after
+    validating a block whose entries the QR iteration, a unitary similarity
+    of a validated matrix, keeps finite.
     The loop draws from ``rng``, the run's one Generator, which the blocks
     share in the order they run."""
     gd, params, e = plan.gd, plan.params, plan.e
@@ -229,8 +244,14 @@ def _process_block(node, h, plan, rng):
             raise BudgetExceeded(
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
-        corner_eigs = DEFAULT_SOLVER.solve(h.corner(k), accuracy)
-        step, retries = _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k), 0
+        corner = h.corner(k)
+        shifts = None if h.is_extended else corner_shifts(corner)
+        step = None if shifts is None else _plain_step(h, shifts, log2_psi_pow_k, omega, k)
+        retries = 0
+        if step is None:
+            corner_eigs = DEFAULT_SOLVER.solve(corner, accuracy)
+            if shifts is None:  # mpmath numbers, or LAPACK failed: shift by these
+                step = _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k)
         if step is None:
             (ritz, step), retries = _retry(
                 lambda: ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd),

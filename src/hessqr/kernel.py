@@ -45,11 +45,15 @@ def norm(a):
     """Frobenius norm of a, in the arithmetic of a: for complex128, BLAS
     ``dznrm2``, whose scaled sum of squares neither under- nor overflows
     (inf only where the norm itself exceeds binary64); for mpmath numbers,
-    the square root of their sum of squares, in their context."""
+    the square root of the sum of the squares of their real and imaginary
+    parts, summed exactly and rounded once, in their context.  0.0 for an
+    empty array of either kind."""
+    if not a.size:
+        return 0.0
     if is_mp_array(a):
         ctx = a.flat[0].context
-        return ctx.sqrt(ctx.fsum(abs(z) ** 2 for z in a.flat))
-    return float(blas.dznrm2(a.ravel(order="K"))) if a.size else 0.0
+        return ctx.sqrt(ctx.fsum(a.flat, absolute=True, squared=True))
+    return float(blas.dznrm2(a.ravel(order="K")))
 
 
 def ldexp(z, e):

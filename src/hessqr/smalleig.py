@@ -37,8 +37,12 @@ A block still uncertified at 960 bits raises SmallEigFailure.  Since every
 block climbs alone, a matrix's eigenvalues are those of its blocks, each
 solved as a matrix of its own at the same beta_eff and first precision.
 Deterministic: no randomness anywhere, output sorted by (re, im).  The
-driver makes every call, through ``DEFAULT_SOLVER``: one per loop iteration
-for its corner, and one per leaf of dimension 2 or more.
+driver makes every call, through ``DEFAULT_SOLVER``: one per leaf of
+dimension 2 or more, and one for the corner of each loop iteration whose
+plain step is rejected (before the plain step, on mpmath numbers and where
+``corner_shifts`` fails).  The plain
+step itself shifts by ``corner_shifts``: LAPACK's eigenvalues of the corner,
+uncertified, from the same ``zgeev`` call the enclosure centres its disks on.
 
 scipy 1.17.1's ``zgeev`` leaves the eigenvalues of a block whose largest
 entry is above 2^459 or below 2^-459 at the scale it balanced them to
@@ -306,20 +310,48 @@ def _lapack_seeds(blk):
         return None
 
 
+def _zgeev(blk):
+    """(lam, X): ``zgeev``'s eigenvalues and right eigenvectors of the
+    binary64 array blk, or None on a nonzero info.  zgeev rescales a block
+    whose largest modulus is outside 2^-459..2^459 itself and, in scipy
+    1.17.1, does not scale its eigenvalues back; so a block whose largest
+    modulus has a binary exponent p with |p| > 400 goes to zgeev as
+    blk / 2^p, and lam is its eigenvalues times 2^p.  Both scalings are
+    exact but where a value underflows.  A block inside that band goes to
+    zgeev as it is."""
+    p = math.frexp(np.abs(blk).max())[1]
+    scaled = abs(p) > 400
+    lam, _, x, info = lapack.zgeev(ldexp(blk, -p) if scaled else blk, compute_vl=0, compute_vr=1)
+    if info != 0:
+        return None
+    return (ldexp(lam, p) if scaled else lam), x
+
+
+def corner_shifts(m):
+    """LAPACK's eigenvalues of the binary64 Hessenberg array m, uncertified,
+    as complex numbers in ``CharPolySolver.solve``'s (re, im) order; None
+    on a nonzero info or a value that is not finite.
+
+    They come from ``_zgeev``, the routine the enclosure takes its centres
+    from, so where the enclosure certifies an unreduced m they are bit for
+    bit what ``CharPolySolver.solve`` returns for it.  The driver's plain
+    step shifts by them, and needs no certificate (see ``driver``)."""
+    eig = _zgeev(m)
+    if eig is None or not np.isfinite(eig[0]).all():
+        return None
+    return sorted((complex(z) for z in eig[0]), key=lambda z: (z.real, z.imag))
+
+
 def _enclosed_roots(blk, beta_cert):
     """LAPACK's eigenvalues of the binary64 block blk, as they are, when
     disks about them from its eigenvectors bound each within beta_cert of
     the eigenvalue matched to it; else None.
 
-    ``zgeev`` gives the centres lam and the right eigenvectors X, and
-    ``zgetrf`` and ``zgetri`` an approximate inverse Y, all through
-    ``scipy.linalg.lapack``.  zgeev rescales a block whose largest modulus is
-    outside 2^-459..2^459 itself and, in scipy 1.17.1, does not scale its
-    eigenvalues back; so a block whose largest modulus has a binary exponent
-    p with |p| > 400 goes to zgeev as blk / 2^p, and lam is its eigenvalues
-    times 2^p.  Both scalings are exact but where a value underflows, and
-    the residual below is formed from blk as given either way.  A block
-    inside that band goes to zgeev as it is.  Let E = YX - I and
+    ``zgeev`` gives the centres lam and the right eigenvectors X
+    (``_zgeev``, which scales a block far from 1 for it), and ``zgetrf``
+    and ``zgetri`` an approximate inverse Y, all through
+    ``scipy.linalg.lapack``.  The residual below is formed from blk as
+    given, scaled for zgeev or not.  Let E = YX - I and
     R = blk X - X diag(lam), exact for the stored blk, X, Y and lam.  When
     ||E||_inf < 1, X is invertible with X^-1 = (I + E)^-1 Y, and
     X^-1 blk X = diag(lam) + F with F = (I + E)^-1 Y R = YR - EF.  So row i
@@ -348,16 +380,12 @@ def _enclosed_roots(blk, beta_cert):
     to nearest, so 1 + _slack(6n, u) covers them and the distances
     ``_matched_bounds`` compares.  None also where ||E||_inf > 1/2, a LAPACK
     call returns a nonzero info, or a value is not finite."""
+    eig = _zgeev(blk)
+    if eig is None:
+        return None
+    lam, x = eig
     n = blk.shape[0]
     ablk = np.abs(blk)
-    p = math.frexp(ablk.max())[1]
-    # zgeev rescales outside SMLNUM..BIGNUM = 2^-+459, and scipy 1.17.1's never scales back
-    scaled = abs(p) > 400
-    lam, _, x, info = lapack.zgeev(ldexp(blk, -p) if scaled else blk, compute_vl=0, compute_vr=1)
-    if info != 0:
-        return None
-    if scaled:
-        lam = ldexp(lam, p)
     lu, piv, info = lapack.zgetrf(x)
     if info != 0:
         return None
@@ -452,16 +480,19 @@ class CharPolySolver:
     output): the certified bound is beta_eff / 2, where binary64 input has
     beta_eff = max(beta, 2^-49 max(1, ||m||_F)), ||m||_F its
     ``frobenius_norm`` (BLAS ``dznrm2`` on binary64 input).  That floor is
-    what the driver's corners are certified at: on perfbench's qr_small inputs,
-    ``driver._process_block`` asks for about 1.5e-26, the solver certifies
-    at beta_eff / 2 ~ 8.9e-16.  Over the 707 blocks of 24 such inputs, the
-    enclosure's bounds reach 0.44 of that (median 0.07), with the residual
-    formed in x87 clongdouble, and the next rung's Hyman bounds would reach
-    0.70 (median 0.15): neither bound leaves room to be loosened.  Where
-    clongdouble is binary64 (simulated with a numpy whose clongdouble is
-    complex128), the enclosure certifies 112 of the 475 corners of the
-    first 16 such inputs at seed 11, the binary64 char-poly rung none of
-    the rest, and 120-bit mpmath all of those.  Certified
+    what the driver's corners are certified at: for the iterates of
+    perfbench's qr_small inputs, ``driver._process_block`` asks for about
+    1.5e-26, the solver certifies at beta_eff / 2 ~ 8.9e-16.  Over the 707
+    corners and leaves of 24 such inputs, the enclosure's bounds reach 0.44
+    of that (median 0.07), with the residual formed in x87 clongdouble, and
+    the next rung's Hyman bounds would reach 0.70 (median 0.15): neither
+    bound leaves room to be loosened.  Where clongdouble is binary64
+    (simulated with a numpy whose clongdouble is complex128), the enclosure
+    certifies 112 of the 475 corners of the first 16 such inputs at seed
+    11, the binary64 char-poly rung none of the rest, and 120-bit mpmath
+    all of those.  The driver certifies a corner only after a rejected
+    plain step, which qr_small never takes, so there the solver sees only
+    leaves: 75 calls for the first 8 inputs at seed 11.  Certified
     LAPACK eigenvalues are returned as they are; a root that Ehrlich-Aberth
     refined in clongdouble or mpmath is rounded to complex128, which moves
     it by at most 2^-52.5 ||m||_F <= beta_eff / 2.

@@ -232,8 +232,9 @@ class TestShiftedQr:
 
     def test_one_by_one_leaves_skip_the_small_solver(self, monkeypatch):
         # perfbench's qr_small recipe (n = 32, k = 4): the small solver sees
-        # each iteration's corner and each leaf of dimension 2 or more, and a
-        # 1 x 1 leaf is its entry, bit for bit what the solver returns for it
+        # the corner of each iteration whose plain step is rejected and each
+        # leaf of dimension 2 or more, and a 1 x 1 leaf is its entry, bit for
+        # bit what the solver returns for it
         shapes, ones = [], []
         solve_, process = CharPolySolver.solve, driver._process_block
 
@@ -258,9 +259,10 @@ class TestShiftedQr:
             res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
             leaves = res.tree.leaves()
             wide = [leaf for leaf in leaves if len(leaf.eigenvalues) > 1]
-            iterations = sum(len(node.trace) for node in res.tree.nodes.values())
+            records = [rec for node in res.tree.nodes.values() for rec in node.trace]
+            rejected = sum(rec.branch != "plain" for rec in records)
             assert len(ones) == len(leaves) - len(wide) > 0
-            assert len(shapes) == iterations + len(wide)
+            assert len(shapes) == rejected + len(wide)
             assert (1, 1) not in shapes
             for node, a, e in ones:
                 entry = [driver.ldexp(complex(v), e) for v in solve_(CharPolySolver(), a, 1e-7)]
@@ -423,10 +425,10 @@ class TestLoopGuardChecksOnce:
 
 
 class TestPlainStep:
-    """Each loop iteration first applies the k certified corner eigenvalues
-    as one degree-k step, kept ("plain") when it decouples or contracts psi
-    by REDUCTION_FACTOR; otherwise the paper's step runs from the same H
-    and the same corner."""
+    """Each loop iteration first applies LAPACK's k corner eigenvalues
+    (``smalleig.corner_shifts``) as one degree-k step, kept ("plain") when
+    it decouples or contracts psi by REDUCTION_FACTOR; otherwise the corner
+    is certified and the paper's step runs from the same H."""
 
     @pytest.fixture(scope="class")
     def qr_small_runs(self):
@@ -466,24 +468,26 @@ class TestPlainStep:
         assert driver._plain_step(h, eigs, -math.inf, 0.999 * min(moduli), 4) is None
 
     def test_a_rejected_plain_step_falls_back_with_the_same_corner(self, monkeypatch):
-        # every plain step is rejected: ritz_or_decouple gets the very
-        # values the plain step was handed, and the small solver sees each
-        # iteration's corner once and each leaf of dimension 2 or more
-        plain_corners, ritz_corners, shapes = [], [], []
+        # every plain step is rejected: it shifts by corner_shifts' values
+        # before the corner is certified, ritz_or_decouple gets the one
+        # certified list of the iteration's corner, and the small solver
+        # sees each such corner once and each leaf of dimension 2 or more
+        plain_corners, ritz_corners, solved = [], [], []
         solve_, ritz_or_decouple = CharPolySolver.solve, driver.ritz_or_decouple
 
-        def counting_solve(self, m, beta):
-            shapes.append(np.shape(m))
-            return solve_(self, m, beta)
+        def recording_solve(self, m, beta):
+            vals = solve_(self, m, beta)
+            solved.append((np.array(m), vals))
+            return vals
 
-        def rejected(h, corner_eigs, *args):
-            plain_corners.append(corner_eigs)
+        def rejected(h, shifts, *args):
+            plain_corners.append((h.corner(4), shifts, len(solved)))
 
         def ritz_spy(h, log2_psi_pow_k, corner_eigs, *args):
-            ritz_corners.append(corner_eigs)
+            ritz_corners.append((h.corner(4), corner_eigs))
             return ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, *args)
 
-        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
+        monkeypatch.setattr(CharPolySolver, "solve", recording_solve)
         monkeypatch.setattr(driver, "_plain_step", rejected)
         monkeypatch.setattr(driver, "ritz_or_decouple", ritz_spy)
         h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
@@ -493,8 +497,84 @@ class TestPlainStep:
         wide = [leaf for leaf in res.tree.leaves() if len(leaf.eigenvalues) > 1]
         assert records and "plain" not in {rec.branch for rec in records}
         assert len(plain_corners) == len(ritz_corners) == len(records)
-        assert all(p is r for p, r in zip(plain_corners, ritz_corners))
-        assert len(shapes) == len(records) + len(wide)
+        for (corner, shifts, before), (same, corner_eigs) in zip(plain_corners, ritz_corners):
+            assert same_bits(corner, same)
+            assert same_bits(np.array(shifts), np.array(smalleig.corner_shifts(corner)))
+            # the one certified list of this corner, by identity, made after
+            # the plain step
+            certified = [
+                i for i, (m, _) in enumerate(solved) if m.shape == corner.shape and same_bits(m, corner)
+            ]
+            assert len(certified) == 1 and certified[0] >= before
+            assert solved[certified[0]][1] is corner_eigs
+        assert len(solved) == len(records) + len(wide)
+
+    def test_the_shifts_are_the_values_the_enclosure_certifies(self, monkeypatch):
+        # on qr_small's corners, wherever the enclosure certifies one (with
+        # every later rung failing), corner_shifts returns the solver's list
+        # bit for bit
+        corners = []
+        corner_shifts = smalleig.corner_shifts
+        monkeypatch.setattr(driver, "corner_shifts", lambda c: corners.append(c) or corner_shifts(c))
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            h, _ = near_normal_hessenberg(rng, 32, perturb=1e-4)
+            gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+            plan = driver.plan_run(32, 1e-7, 0.05, gd)
+            accuracy = driver.corner_accuracy(plan.params.omega, plan.gd.Sigma)
+            start = len(corners)
+            shifted_qr(h, 1e-7, 0.05, gd, seed=1)
+            corners[start:] = [(c, accuracy) for c in corners[start:]]
+        monkeypatch.setattr(smalleig, "_isolated_roots", lambda *args: None)
+        compared = 0
+        for c, accuracy in corners:
+            try:
+                vals = smalleig.DEFAULT_SOLVER.solve(c, accuracy)
+            except SmallEigFailure:
+                continue
+            assert same_bits(np.array(corner_shifts(c)), np.array(vals))
+            compared += 1
+        assert compared > len(corners) // 2 > 0
+
+    def test_a_kept_plain_step_makes_no_small_solver_call(self, monkeypatch):
+        # the root block of a qr_small input runs its whole loop on plain
+        # steps without calling the small solver; its leaves call it later
+        def failing(self, m, beta):
+            raise AssertionError("small solver called")
+
+        h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        plan = driver.plan_run(32, 1e-7, 0.05, gd)
+        node = driver.DeflationNode(path=(), start=0)
+        monkeypatch.setattr(CharPolySolver, "solve", failing)
+        blk = HessenbergMatrix(driver.ldexp(h.a, -plan.e), validate=False)
+        children = driver._process_block(node, blk, plan, np.random.default_rng(1))
+        assert len(children) > 1 and node.trace
+        assert {rec.branch for rec in node.trace} == {"plain"}
+
+    def test_where_lapack_fails_the_plain_step_shifts_by_the_certified_values(
+        self, monkeypatch, qr_small_runs
+    ):
+        # each iteration then certifies its corner first; on qr_small those
+        # are LAPACK's values bit for bit, so the run does not move
+        calls = []
+        solve_ = CharPolySolver.solve
+
+        def counting_solve(self, m, beta):
+            calls.append(np.shape(m))
+            return solve_(self, m, beta)
+
+        monkeypatch.setattr(driver, "corner_shifts", lambda corner: None)
+        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
+        h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
+        res, base = shifted_qr(h, 1e-7, 0.05, gd, seed=1), qr_small_runs[0]
+        records = [rec for node in res.tree.nodes.values() for rec in node.trace]
+        wide = [leaf for leaf in res.tree.leaves() if len(leaf.eigenvalues) > 1]
+        assert {rec.branch for rec in records} == {"plain"}
+        assert len(calls) == len(records) + len(wide)
+        assert same_bits(res.eigenvalues, base.eigenvalues)
+        assert records == [rec for node in base.tree.nodes.values() for rec in node.trace]
 
     def test_plain_records_contract_or_deflate(self, qr_small_runs):
         plain = 0
@@ -529,6 +609,36 @@ class TestPlainStep:
         assert branches["plain"] > 0
         roots = np.exp(2j * np.pi * np.arange(32) / 32)
         assert matched_distance(res.eigenvalues, roots) <= 1e-7  # kappa_V delta
+
+
+class TestUnderTheHypotheses:
+    """Runs at B = 2 kappa_V and Gamma = gap / 2, which give k = 64.  Both are
+    LAPACK's estimates (``condition_report``), not certified bounds."""
+
+    @pytest.mark.parametrize("rng_seed", [1, 5])
+    def test_n128_runs_on_plain_steps_without_an_mpmath_corner(self, monkeypatch, rng_seed):
+        # these two inputs each met a 64 x 64 corner that only 120-bit
+        # mpmath certifies, while the driver certified every corner
+        mp_blocks = []
+        isolated_roots = smalleig._isolated_roots
+
+        def spy(blk, beta_cert):
+            if blk.dtype == object:
+                mp_blocks.append(blk.shape[0])
+            return isolated_roots(blk, beta_cert)
+
+        monkeypatch.setattr(smalleig, "_isolated_roots", spy)
+        h, _ = near_normal_hessenberg(np.random.default_rng(rng_seed), 128, perturb=1e-4)
+        rep = condition_report(h.a)
+        sigma = 2 * float(h.frobenius_norm())
+        gd = derive_globals(2 * rep.kappa_v, Gamma=rep.gap / 2, Sigma=sigma, n0=128)
+        assert gd.k == 64
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
+        assert res.route == "qr"
+        for node in res.tree.nodes.values():
+            assert len(node.trace) <= res.run_params.n_dec_budget
+        assert matched_distance(res.eigenvalues, np.linalg.eigvals(h.a)) <= rep.kappa_v * 1e-7
+        assert mp_blocks == []
 
 
 class TestScaleEquivariance:
@@ -913,7 +1023,10 @@ class TestSmallEigFailure:
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         with pytest.raises(SmallEigFailure):
             solve(a, SolveConfig(seed=1, **options))
-        assert calls == [4 if options else 6]
+        # on the QR route the first call is for a leaf or for the corner of
+        # a rejected plain step: of dimension 2 to k = 4
+        assert len(calls) == 1
+        assert 2 <= calls[0] <= 4 if options else calls == [6]
 
 
 class TestWholeSolver:

@@ -140,6 +140,25 @@ class TestHessenbergMatrix:
         # dznrm2 itself rejects an empty vector
         assert HessenbergMatrix(np.zeros((0, 0))).frobenius_norm() == 0.0
 
+    def test_mpmath_frobenius_norm_rounds_the_sum_of_squares_once(self):
+        # the squares of the parts are exact and their sum is rounded once:
+        # the norm is the sqrt of the correctly rounded sum, which 300 bits
+        # hold exactly for entries of one magnitude (a sum of the rounded
+        # |z|^2 misses it at seed 61)
+        ctx, wide = mp_context(80), mp_context(300)
+        for seed in range(52, 64):
+            a = to_mp(random_hessenberg(np.random.default_rng(seed), 9).a, ctx) / 3
+            parts = [wide.mpf(p) for z in a.flat for p in (z.real, z.imag)]
+            exact = wide.fsum(p * p for p in parts)
+            assert norm(a) == ctx.sqrt(ctx.mpf(exact))
+            assert norm(a).context.prec == 80
+
+    def test_frobenius_norm_of_the_empty_mpmath_matrix_is_zero(self):
+        # an empty object array has no entry to take a context from
+        empty = np.empty((0, 0), dtype=object)
+        assert norm(empty) == 0.0
+        assert HessenbergMatrix(empty).frobenius_norm() == 0.0
+
 
 class TestShifts:
     """Shifts are plain tuples of roots; the step that consumes one checks it."""

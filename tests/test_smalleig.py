@@ -992,6 +992,29 @@ def _reference_radii(blk, z):
     return n * w * (1 + smalleig._slack(6 * n, u))
 
 
+class TestCornerShifts:
+    """LAPACK's eigenvalues of a corner, uncertified, from the zgeev call
+    the enclosure centres its disks on."""
+
+    def test_the_solver_s_values_and_order_where_the_enclosure_certifies(self, monkeypatch):
+        monkeypatch.setattr(smalleig, "_isolated_roots", lambda *args: None)
+        m = random_hessenberg(np.random.default_rng(60), 6).a
+        shifts = smalleig.corner_shifts(m)
+        assert {type(z) for z in shifts} == {complex}
+        assert shifts == sorted(shifts, key=lambda z: (z.real, z.imag))
+        assert same_bits(np.array(shifts), np.array(SOLVER.solve(m, 1e-12)))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_a_block_far_from_one_is_scaled_for_zgeev(self, scale):
+        shifts = smalleig.corner_shifts(np.array([[1, 2], [1, -1]], dtype=complex) * scale)
+        assert np.allclose(shifts, [-math.sqrt(3) * scale, math.sqrt(3) * scale], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("eig", [None, (np.array([1.0, np.nan + 0j]), None)], ids=["info", "nan"])
+    def test_none_where_lapack_fails(self, monkeypatch, eig):
+        monkeypatch.setattr(smalleig, "_zgeev", lambda blk: eig)
+        assert smalleig.corner_shifts(random_hessenberg(np.random.default_rng(61), 2).a) is None
+
+
 class TestModuleBoundary:
     def test_solver_import_leaves_oracle_unloaded(self):
         src = os.path.dirname(os.path.dirname(hessqr.__file__))
