@@ -5,10 +5,11 @@ bottom-k subdiagonal falls below the working accuracy omega; the block is then
 deflated at every sub-threshold entry and the pieces recurse.  Each iteration
 first tries a plain step (``_plain_step``): the degree-k step whose k shifts
 are LAPACK's eigenvalues of the iterate's k x k corner
-(``smalleig.corner_shifts``), kept when it decouples or contracts psi_k by
-``REDUCTION_FACTOR``.  Otherwise the iteration runs the paper's step from the
-same H: the Ritz-or-decouple step, then the potential-reduction step when that
-did not decouple.  The loop's guard is the one check of the omega-unreduced
+(``smalleig.corner_shifts``), one multishift sweep (``iqr.multishift_step``),
+kept when it decouples or contracts psi_k by ``REDUCTION_FACTOR``.
+Otherwise the iteration runs the paper's step from the same H: the
+Ritz-or-decouple step, then the potential-reduction step when that did not
+decouple.  The loop's guard is the one check of the omega-unreduced
 precondition under which these steps are stated.  Each iterate's bottom-k
 subdiagonal moduli are formed once, for that guard and for
 L = log2 psi_k(H)^k: by the driver where a block's loop starts, and else by
@@ -28,9 +29,12 @@ and the blocks consume it in the order they run (depth first, top block
 first), so a run is byte-reproducible from its seed at a fixed BLAS thread
 count (with OpenBLAS 0.3.31, from n = 76 on, the ``zgeev`` of the small
 solver's enclosure and of ``smalleig.corner_shifts``, and the norm(a, 2) of
-``preprocess`` can depend on that count).  Preprocessing draws from a stream
-of its own, so that ``hessqr info`` rebuilds ``solve``'s Hessenberg form
-without running the iteration.
+``preprocess`` can depend on that count, and so can the zlaqr5 sweep of a
+plain step, whose zgemm calls with accumulated reflectors at most
+max(3k - 3, 2k) wide gave other bits at one and two threads from n = 128,
+k = 16 on).  Preprocessing draws from a stream of its own, so that
+``hessqr info`` rebuilds ``solve``'s Hessenberg form without running the
+iteration.
 
 Every quantity a run uses is derived once.  ``prepare`` works out the
 seed, the Hessenberg form, the bounds (B, Gamma, Sigma) and the absolute
@@ -49,15 +53,38 @@ Why the plain step leaves the paper's bounds as they are:
   paper steps keeps the same count (and the driver enforces it).
 - A rejected plain iterate is discarded: the paper's step starts from the H
   the plain step started from, so the attempt adds no backward error.
-- Every sweep applied is the same ``iqr_single``, backward stable for any
-  finite shift, and an iteration applies k of them, from whichever branch it
-  keeps.  The plain shifts are zgeev's eigenvalues of corner + E, with
-  ||E|| a small multiple of k u ||corner||_F (the QR algorithm is backward
-  stable), so |s| <= (1 + O(ku)) ||H||_F <= Sigma / 2 (1 + O(ku)): inside
-  the bound on the shifts that the "driver" term of ``params.budget_terms``
-  assumes for every sweep.  Forward instability of the shifted step (Parlett
-  and Le 1993) can only make a plain step fail its test, never enlarge its
-  backward error.
+- Every step applied is a backward-stable unitary similarity, and an
+  iteration keeps one degree-k step, from whichever branch.  The paper's
+  steps are k ``iqr_single`` sweeps.  On complex128 a plain step is
+  ``iqr.multishift_step``: one zlaqr5 sweep, a product of 3 x 3 Householder
+  reflectors (about k n / 2 of them, each applied from both sides), whose
+  computed H' is Q*(H + E)Q with Q unitary and ||E||_F a modest multiple of
+  k n u ||H||_F (Higham, *Accuracy and Stability of Numerical Algorithms*,
+  Lemma 19.3).  Measured with zlaqr5's own Z on near-normal and Ginibre
+  draws up to n = 256, k = 64 (one BLAS thread): ||Z*HZ - H'||_F <=
+  23 u ||H||_F and ||Z*Z - I||_F <= 417 u, so ||E||_F <= 860 u ||H||_F.
+  The shifts enter only through the first column of (H - s1)(H - s2), so
+  they choose the similarity and not its backward error (an odd last shift
+  is an ``iqr_single`` sweep, as below).  Both bounds sit within the "driver"
+  term of ``params.budget_terms``, which counts k N_dec n sweeps (k per
+  iteration, N_dec iterations per loop, at most n loops) at
+  32 n^(3/2) u ||H - s|| each, with ||H - s|| read as 4.5 Sigma >= 9 ||H||_F:
+  a plain step's k n u-multiples of ||H||_F are below its k sweeps' share,
+  so that term and ``required_bits`` stay as they are.  On mpmath numbers a
+  plain step is k ``iqr_single`` sweeps.  The plain shifts are zgeev's
+  eigenvalues of corner + E, with ||E|| a small multiple of k u ||corner||_F
+  (the QR algorithm is backward stable), so |s| <= (1 + O(ku)) ||H||_F <=
+  Sigma / 2 (1 + O(ku)): inside the bound on the shifts that the term
+  assumes for an ``iqr_single`` sweep.  Forward instability of the shifted
+  step (Parlett and Le 1993) can only make a plain step fail its test,
+  never enlarge its backward error.
+- zlaqr5 sets to zero each subdiagonal it finds negligible during the chase
+  (Ahues and Tisseur's criterion: |h_(i+1,i)| at most about
+  u (|h_ii| + |h_(i+1,i+1)|)), and ``deflate`` then splits at that exact
+  zero.  Each such entry counts as deflation mass, at most 6 u ||H||_F
+  (zlaqr5's ulp is 2u, and it measures moduli as |Re| + |Im|): far below
+  the omega that ``deflate`` zeroes by design, since the "driver" term makes
+  u ||H||_F tiny against omega, and within the sweep's own E above.
 - Nothing the paper's bounds read comes from an uncertified value: the Ritz
   values of ``ritz_or_decouple`` and ``sh_step`` are the certified corner
   eigenvalues, and every output eigenvalue comes from a certified leaf
@@ -68,11 +95,11 @@ Why the plain step leaves the paper's bounds as they are:
   retries), so at most N_dec times per loop, as the budget phi_w =
   phi / (3 n^2 N_dec) assumes.  The plain step draws no randomness and
   cannot fail: it is kept or it is not.
-- ``required_bits`` needs no term for the plain step.  Its sweeps are the k
-  sweeps per iteration that the "driver" term of ``params.budget_terms``
-  counts for every kept step, and its test compares computed moduli of the
-  iterate that is kept, with no tau product and no certificate whose
-  accuracy a term would have to secure.
+- ``required_bits`` needs no term for the plain step.  Its backward error
+  is within the k sweeps per iteration that the "driver" term of
+  ``params.budget_terms`` counts for every kept step, and its test compares
+  computed moduli of the iterate that is kept, with no tau product and no
+  certificate whose accuracy a term would have to secure.
 """
 
 import math
@@ -91,7 +118,13 @@ from .errors import (
     SolveFailure,
     StructureError,
 )
-from .iqr import HessenbergMatrix, iqr_multi, kept_step, log2_potential_pow_k, split_blocks
+from .iqr import (
+    HessenbergMatrix,
+    kept_step,
+    log2_potential_pow_k,
+    multishift_step,
+    split_blocks,
+)
 from .kernel import ldexp
 from .params import (
     GlobalData,
@@ -120,15 +153,16 @@ def deflate(h, omega, k):
     entries).  Splits also happen at subdiagonal entries that are already
     exact zeros anywhere.  Blocks come back in top-to-bottom order; a matrix
     with nothing at or below omega returns as a single block.  Every block is
-    a copy."""
-    a = h.a.copy()
-    n = h.n
-    for i in range(n - 1 - min(k, n - 1), n - 1):
-        if abs(a[i + 1, i]) <= omega:
-            a[i + 1, i] = 0
+    a compact copy, and h is left as it is: an entry zeroed is one the split
+    drops, outside both blocks, so each block copies its entries from h.a
+    once."""
+    a, n = h.a, h.n
+    starts = {start for start, _ in split_blocks(a)}
+    starts.update(i for i in range(n - min(k, n - 1), n) if abs(a[i, i - 1]) <= omega)
+    bounds = sorted(starts) + [n]
     return [
         HessenbergMatrix(a[start:stop, start:stop].copy(), validate=False)
-        for start, stop in split_blocks(a)
+        for start, stop in zip(bounds, bounds[1:])
     ]
 
 
@@ -190,7 +224,8 @@ def _resolve_seed(seed):
 def _plain_step(h, shifts, log2_psi_pow_k, omega, k):
     """The "plain" Step of the degree-k step whose k shifts are ``shifts``,
     the eigenvalues of the corner, when it decouples or contracts the
-    potential; None otherwise.
+    potential; None otherwise.  The step is ``iqr.multishift_step``: one
+    zlaqr5 sweep on complex128, k ``iqr_single`` sweeps on mpmath numbers.
 
     h is omega-unreduced with L = log2 psi_k(H)^k = log2_psi_pow_k.  The
     test is ``iqr.kept_step``'s, as for ``sh_step``'s exceptional candidates:
@@ -198,7 +233,7 @@ def _plain_step(h, shifts, log2_psi_pow_k, omega, k):
     psi_k(next) < ``REDUCTION_FACTOR`` psi_k(H).  It draws no randomness,
     and the Step's shift is the first of its k shifts."""
     target = contraction_target(log2_psi_pow_k, k)
-    return kept_step(iqr_multi(h, tuple(shifts)), "plain", shifts[0], k, omega, target)
+    return kept_step(multishift_step(h, shifts), "plain", shifts[0], k, omega, target)
 
 
 def _process_block(node, h, plan, rng):

@@ -14,19 +14,28 @@ formed here.  That iterate is formed on its first read
 (``IqrResult.next_h``), so a sweep whose r_nn only a tau product reads
 costs its factorization alone: a step of the shifting strategy forms
 k log2(k) - 2 log2(k) + 2 of its k log2(k) + 1 sweeps (6 of 9 at k = 4).
+``multishift_step`` is the degree-k step whose r_nn nothing reads (the
+driver's plain step): on complex128 one call of LAPACK's small-bulge
+multishift sweep zlaqr5 chases the shifts two per bulge, reached through
+scipy's Cython LAPACK table by ctypes, and this module is the one place that
+calls it.  With KACC22 = 2 it applies each chain's accumulated reflectors by
+zgemm on blocks at most max(3k - 3, 2k) wide, so, like the zgeev of the small
+solver, its bits can depend on the BLAS thread count.
 ``split_blocks`` is the one block splitter: the driver's deflation, the small
 solver and the oracle all cut Hessenberg matrices at exactly-zero
 subdiagonals through it.
 """
 
 import cmath
+import ctypes
 import math
+import threading
 from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 
 from .errors import DimensionError, DomainError, StructureError
 from .kernel import is_mp_array, log2, mp_context, norm, to_mp
@@ -155,12 +164,13 @@ class IqrResult:
     next iterate ``next_h``.
 
     ``factors`` is the StepReflectors of the last degree-1 step, and None
-    for the identity step only; the reflectors of earlier steps are not
-    kept.  The iterate R Q + s is formed from ``factors`` and the last shift
-    the first time next_h is read, by the operations ``iqr_single``
-    describes, and kept: two reads return the same matrix.  A caller that
-    needs every step's reflectors chains ``iqr_single`` and collects each
-    result's factors."""
+    for the identity step and a ``multishift_step`` on complex128, whose
+    iterate comes formed and whose r_nn_per_step is None, since its sweep
+    forms no R.  The reflectors of earlier steps are not kept.  The iterate
+    R Q + s is formed from ``factors`` and the last shift the first time
+    next_h is read, by the operations ``iqr_single`` describes, and kept:
+    two reads return the same matrix.  A caller that needs every step's
+    reflectors chains ``iqr_single`` and collects each result's factors."""
 
     __slots__ = ("_next_h", "r_nn_per_step", "factors", "shift")
 
@@ -286,6 +296,130 @@ def iqr_multi(h, shifts):
     """Degree-m implicit QR step: degree-1 steps composed in root order.
     The empty shift tuple is the identity step (next_h is h)."""
     return IqrResult(h, [], None, None).then(shifts)
+
+
+# zlaqr5's arguments in LAPACK's order: "*" marks a complex*16 array, and
+# every other argument is an integer (a LOGICAL for WANTT and WANTZ) passed
+# by reference, as scipy's Cython table declares them
+_ZLAQR5_ARGS = (
+    "WANTT WANTZ KACC22 N KTOP KBOT NSHFTS *S *H LDH ILOZ IHIZ *Z LDZ "
+    "*V LDV *U LDU NV *WV LDWV NH *WH LDWH"
+).split()
+_ZLAQR5_SIGNATURE = "void (%s)" % ", ".join(
+    "__pyx_t_double_complex *" if arg[0] == "*" else "int *" for arg in _ZLAQR5_ARGS
+)
+_WANTT = 1  # update all of H, not only its active block
+_WANTZ = 0  # do not accumulate Z
+_KACC22 = 2  # accumulate each chain's reflectors in U and apply U by zgemm
+_PANEL = 64  # NV and NH: the rows of WV and the columns of WH each zgemm updates
+
+
+def _load_zlaqr5():
+    """zlaqr5 from scipy's Cython LAPACK table, as a ctypes function of 24
+    pointers.  ImportError when the table declares another signature, whose
+    argument list this module's calls would not match."""
+    capsule = cython_lapack.__pyx_capi__["zlaqr5"]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    name = get_name(capsule)
+    if name.decode() != _ZLAQR5_SIGNATURE:
+        raise ImportError(f"scipy's zlaqr5 is declared {name.decode()!r}, not {_ZLAQR5_SIGNATURE!r}")
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(_ZLAQR5_ARGS))(get_pointer(capsule, name))
+
+
+_ZLAQR5 = _load_zlaqr5()
+
+
+class _Zlaqr5Workspace:
+    """zlaqr5's arguments for ns shifts, but H: S, V (3 x ns/2), U (ldu x ldu),
+    WV (_PANEL x ldu) and WH (ldu x _PANEL), with ldu = max(3 ns - 3, 2 ns),
+    which LAPACK 3.10 and earlier releases both accept, and every integer.
+    N, KBOT and LDH are one integer, ``n``, set before each call.  Each
+    pointer is read once, here."""
+
+    __slots__ = ("n", "s", "head", "tail", "_keep")
+
+    def __init__(self, ns):
+        ldu = max(3 * ns - 3, 2 * ns)
+        self.s = np.empty(ns, dtype=np.complex128)
+        arrays = {
+            "Z": np.zeros(1, dtype=np.complex128),  # not referenced: WANTZ = 0
+            "V": np.zeros((3, ns // 2), dtype=np.complex128, order="F"),
+            "U": np.zeros((ldu, ldu), dtype=np.complex128, order="F"),
+            "WV": np.zeros((_PANEL, ldu), dtype=np.complex128, order="F"),
+            "WH": np.zeros((ldu, _PANEL), dtype=np.complex128, order="F"),
+            "S": self.s,
+        }
+        fixed = dict(WANTT=_WANTT, WANTZ=_WANTZ, KACC22=_KACC22, KTOP=1, NSHFTS=ns, ILOZ=1,
+                     IHIZ=1, LDZ=1, LDV=3, LDU=ldu, NV=_PANEL, LDWV=_PANEL, NH=_PANEL, LDWH=ldu)
+        ints = {arg: ctypes.c_int(value) for arg, value in fixed.items()}
+        self.n = ints["N"] = ints["KBOT"] = ints["LDH"] = ctypes.c_int()
+
+        def pointer(arg):
+            return arrays[arg[1:]].ctypes.data if arg[0] == "*" else ctypes.addressof(ints[arg])
+
+        h_at = _ZLAQR5_ARGS.index("*H")
+        self.head = tuple(map(pointer, _ZLAQR5_ARGS[:h_at]))
+        self.tail = tuple(map(pointer, _ZLAQR5_ARGS[h_at + 1 :]))
+        self._keep = (arrays, ints)  # what the pointers point into
+
+
+class _Workspaces(threading.local):
+    """Each thread's zlaqr5 workspaces by shift count: zlaqr5 runs without
+    the GIL, so two threads must not share one."""
+
+    def __init__(self):
+        self.by_shift_count = {}
+
+
+_WORKSPACES = _Workspaces()
+
+
+def _zlaqr5_sweep(a, shifts):
+    """The iterate of zlaqr5's small-bulge sweep of the even number of
+    ``shifts`` over the whole of the complex128 Hessenberg array a (KTOP = 1,
+    KBOT = n), as a HessenbergMatrix of a Fortran-ordered copy."""
+    if not all(map(cmath.isfinite, shifts)):
+        raise DomainError(f"non-finite shift in {shifts!r}")
+    ns = len(shifts)
+    ws = _WORKSPACES.by_shift_count.get(ns)
+    if ws is None:
+        ws = _WORKSPACES.by_shift_count[ns] = _Zlaqr5Workspace(ns)
+    ws.s[:] = shifts
+    a = np.array(a, dtype=np.complex128, order="F")
+    ws.n.value = a.shape[0]
+    _ZLAQR5(*ws.head, a.ctypes.data, *ws.tail)
+    return HessenbergMatrix(a, validate=False)
+
+
+def multishift_step(h, shifts):
+    """The degree-len(shifts) step of ``shifts`` on h, with its iterate
+    formed, for a caller that reads no r_nn.
+
+    On complex128, one zlaqr5 call (Braman, Byers and Mathias, *SIAM J.
+    Matrix Anal. Appl.* 23(4), 2002) chases the even part of the shifts
+    through the whole block as bulges of two shifts each, and an odd last
+    shift is an ``iqr_single`` step on its iterate; the result's r_nn and
+    factors are None, since the sweep forms no R.  On mpmath numbers it is
+    ``iqr_multi``.  The iterate is a unitary similarity of h, and exactly
+    Hessenberg; it equals ``iqr_multi``'s up to a unitary diagonal
+    similarity (the implicit Q theorem) and rounding, but for the
+    subdiagonals zlaqr5 sets to zero where they are negligible (Ahues and
+    Tisseur's criterion, about u (|h_ii| + |h_(i+1,i+1)|)).  DimensionError
+    unless n > len(shifts), DomainError on a non-finite shift."""
+    if h.n <= len(shifts):
+        raise DimensionError(f"a degree-{len(shifts)} step needs n > {len(shifts)}, got n={h.n}")
+    if h.is_extended:
+        return iqr_multi(h, tuple(shifts))
+    even = len(shifts) - len(shifts) % 2
+    if even:
+        h = _zlaqr5_sweep(h.a, shifts[:even])
+    if even < len(shifts):
+        h = iqr_single(h, shifts[-1]).next_h
+    return IqrResult(h, None, None, None)
 
 
 def comp_tau(res):

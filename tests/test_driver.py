@@ -455,7 +455,10 @@ class TestPlainStep:
         eigs = CharPolySolver().solve(h.corner(4), 1e-12)
         step = driver._plain_step(h, eigs, math.inf, 0.0, 4)
         assert (step.branch, step.shift) == ("plain", eigs[0])
-        assert same_bits(step.next_h.a, iqr.iqr_multi(h, tuple(eigs)).next_h.a)
+        assert same_bits(step.next_h.a, iqr.multishift_step(h, eigs).next_h.a)
+        # the k single sweeps' iterate, up to a unitary diagonal similarity
+        single = iqr.iqr_multi(h, tuple(eigs)).next_h.bottom_subdiagonal_abs(4)
+        assert np.allclose(step.moduli, single, rtol=1e-12, atol=0)
         moduli, after = step.moduli, step.log2_psi_pow_k
         assert moduli == step.next_h.bottom_subdiagonal_abs(4)
         assert after == iqr.log2_potential_pow_k(moduli)
@@ -838,11 +841,15 @@ class TestSolveEntryPoint:
 
     def test_bits_sets_the_sweep_precision(self, monkeypatch):
         precisions = []
-        original = iqr.iqr_single
+        single, sweep = iqr.iqr_single, iqr._zlaqr5_sweep
 
         def spy(h, s):
             precisions.append(h.a[0, 0].context.prec if h.is_extended else 53)
-            return original(h, s)
+            return single(h, s)
+
+        def sweep_spy(a, shifts):
+            sweeps.append(53 if a.dtype == np.complex128 else None)
+            return sweep(a, shifts)
 
         monkeypatch.setattr(iqr, "iqr_single", spy)
         rng = np.random.default_rng(81)
@@ -850,11 +857,15 @@ class TestSolveEntryPoint:
         config = SolveConfig(preprocess=False, seed=9, B=1.0, Gamma=1e-3, delta=1e-6)
         solve(a, replace(config, bits=80))
         assert precisions and set(precisions) == {80}
-        # at 53 bits an 80-bit input runs as its binary64 rounding
+        # at 53 bits an 80-bit input runs as its binary64 rounding, whose
+        # plain steps are zlaqr5 sweeps
+        sweeps = []
+        monkeypatch.setattr(iqr, "_zlaqr5_sweep", sweep_spy)
         ext = HessenbergMatrix(HessenbergMatrix(a).to_extended(80).a / 3, validate=False)
         precisions.clear()
         res = solve(ext, config)
-        assert precisions and set(precisions) == {53}
+        assert sweeps and set(sweeps) == {53}
+        assert set(precisions) <= {53}
         ref = solve(ext.a.astype(np.complex128), config)
         assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
         assert (res.run_params, res.globals_used) == (ref.run_params, ref.globals_used)

@@ -1,13 +1,17 @@
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, lapack
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import block_diag, cython_lapack, lapack
 
-from conftest import psi_k, random_hessenberg, same_bits
+from conftest import near_normal_hessenberg, psi_k, random_hessenberg, same_bits
 from hessqr import iqr
 from hessqr.errors import DimensionError, DomainError, StructureError
 from hessqr.iqr import (
@@ -19,6 +23,7 @@ from hessqr.iqr import (
     iqr_single,
     kept_step,
     log2_potential_pow_k,
+    multishift_step,
 )
 from hessqr.kernel import ldexp, mp_context, norm, to_mp
 from hessqr.oracle import (
@@ -593,6 +598,125 @@ class TestIqrMulti:
             c = max(abs(np.array(shifts))) / norm_h
             backward = 1.4 * 4 * (1 + c) * norm_h * 32 * 8**1.5 * U
             assert dist <= max(rep.kappa_v * backward, 1e-12)
+
+
+def _corner_eigs(h, k):
+    return [complex(z) for z in np.linalg.eigvals(h.corner(k))]
+
+
+class TestMultishiftStep:
+    """One zlaqr5 sweep for the even part of the shifts, an ``iqr_single``
+    step for an odd last one, and ``iqr_multi`` on mpmath numbers."""
+
+    def test_lapack_has_the_workspace_layout_the_calls_assume(self):
+        # U, WV and WH changed layout in LAPACK 3.10
+        assert lapack.ilaver() >= (3, 10)
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("size", ["k+1", "2k", "32"])
+    def test_the_iterate_is_exactly_hessenberg(self, k, size):
+        n = {"k+1": k + 1, "2k": 2 * k, "32": 32}[size]
+        h = random_hessenberg(np.random.default_rng(100 + n + k), n)
+        res = multishift_step(h, _corner_eigs(h, k))
+        a = res.next_h.a
+        assert a.dtype == np.complex128 and a.shape == (n, n)
+        assert not np.tril(a, -2).any()
+        assert (res.r_nn_per_step, res.factors) == (None, None)
+        assert not np.shares_memory(a, h.a)
+
+    def test_the_iterate_is_the_single_sweeps_up_to_phases(self):
+        # the implicit Q theorem: the same moduli below the diagonal
+        h = random_hessenberg(np.random.default_rng(101), 12)
+        shifts = _corner_eigs(h, 4)
+        got = multishift_step(h, shifts).next_h.a
+        want = iqr_multi(h, tuple(shifts)).next_h.a
+        np.testing.assert_allclose(np.abs(np.diag(got, -1)), np.abs(np.diag(want, -1)), rtol=1e-10)
+        np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-10)
+
+    def test_degree_one_is_iqr_single(self):
+        h = random_hessenberg(np.random.default_rng(102), 10)
+        (s,) = _corner_eigs(h, 1)
+        assert same_bits(multishift_step(h, [s]).next_h.a, iqr_single(h, s).next_h.a)
+
+    def test_an_odd_last_shift_is_an_iqr_single_step_after_the_sweep(self):
+        h = random_hessenberg(np.random.default_rng(103), 10)
+        shifts = _corner_eigs(h, 3)
+        swept = iqr._zlaqr5_sweep(h.a, shifts[:2])
+        want = iqr_single(swept, shifts[2]).next_h.a
+        assert same_bits(multishift_step(h, shifts).next_h.a, want)
+
+    def test_mpmath_numbers_take_iqr_multi(self):
+        h = random_hessenberg(np.random.default_rng(104), 8).to_extended(80)
+        shifts = (0.3 - 0.1j, -0.2j, 0.5, 0.1 + 0.4j)
+        got, want = multishift_step(h, list(shifts)), iqr_multi(h, shifts)
+        assert same_bits(got.next_h.a, want.next_h.a)
+        assert same_bits(np.array(got.r_nn_per_step), np.array(want.r_nn_per_step))
+
+    def test_a_negligible_subdiagonal_becomes_an_exact_zero(self):
+        # zlaqr5's deflation check during the chase, at which deflate splits
+        a = random_hessenberg(np.random.default_rng(105), 16).a
+        a[8, 7] = 1e-20
+        h = HessenbergMatrix(a)
+        assert multishift_step(h, _corner_eigs(h, 4)).next_h.a[8, 7] == 0
+
+    def test_needs_more_rows_than_shifts_and_finite_shifts(self):
+        h = random_hessenberg(np.random.default_rng(106), 4)
+        with pytest.raises(DimensionError):
+            multishift_step(h, [0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(DomainError):
+            multishift_step(h, [0.1, complex(math.nan, 0)])
+
+    def test_the_workspace_is_kept_by_shift_count_alone(self):
+        shifts = [0.1, -0.2j, 0.3, 0.4j]
+        for n in (5, 40):
+            multishift_step(random_hessenberg(np.random.default_rng(n), n), shifts)
+            if n == 5:
+                ws = iqr._WORKSPACES.by_shift_count[4]
+        assert iqr._WORKSPACES.by_shift_count[4] is ws
+
+    def test_each_thread_sweeps_in_its_own_workspace(self):
+        # zlaqr5 runs without the GIL: more threads than cores, switching
+        # often, each must get the serial iterate
+        hs = [random_hessenberg(np.random.default_rng(107 + i), 48) for i in range(4)]
+        shifts = [0.1, -0.2j, 0.3, 0.4j, -0.5, 0.2 + 0.2j]
+        want = [multishift_step(h, shifts).next_h.a for h in hs]
+        got = [[] for _ in hs]
+
+        def run(i):
+            for _ in range(30):
+                got[i].append(multishift_step(hs[i], shifts).next_h.a)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(hs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(g) == 30 for g in got)
+        assert all(same_bits(a, want[i]) for i in range(len(hs)) for a in got[i])
+
+    def test_a_zlaqr5_of_another_signature_is_refused(self, monkeypatch):
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "zlaqr5", cython_lapack.__pyx_capi__["zlaqr3"])
+        with pytest.raises(ImportError, match="zlaqr5 is declared"):
+            iqr._load_zlaqr5()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.sampled_from([2, 4, 8]))
+    def test_a_unitary_similarity_on_near_normal_draws(self, seed, n, k):
+        # ||H'||_F = ||H||_F and the spectrum, each to c n u (c = 16), the
+        # spectrum through Bauer-Fike with kappa_V
+        k = min(k, n - 1)
+        rng = np.random.default_rng(seed)
+        h, _ = near_normal_hessenberg(rng, n, perturb=1e-4)
+        after = multishift_step(h, _corner_eigs(h, k)).next_h.a
+        norm_h = np.linalg.norm(h.a)
+        assert abs(np.linalg.norm(after) - norm_h) <= 16 * n * U * norm_h
+        dist = matched_distance(np.linalg.eigvals(after), np.linalg.eigvals(h.a))
+        assert dist <= 16 * n * U * norm_h * condition_report(h.a).kappa_v
 
 
 class TestCompTau:
