@@ -21,8 +21,10 @@ plain step, for ``ritz_or_decouple``, ``sh_step`` and every retry after a
 ``DichotomyMiss``.  A run at other than 53 bits certifies the corner first
 and shifts its plain step by those values, since zgeev's binary64 values
 would cap the step at 53 bits; so does a binary64 iteration where LAPACK
-fails on the corner.  Blocks of dimension at most k go straight to the small
-solver, but for a 1 x 1 leaf, which is its entry.  Probabilistic failure
+fails on the corner.  Blocks of dimension at most k are the leaves: a 1 x 1
+leaf is its entry, and the others go to the small solver together, in one
+``solve_each`` call after every block has run (``_certify_leaves``), which
+names the leaf it could not certify.  Probabilistic failure
 events are retried a fixed number of times with fresh randomness before the
 run aborts.  The iteration draws from one random stream made from the seed,
 and the blocks consume it in the order they run (depth first, top block
@@ -115,6 +117,7 @@ from .errors import (
     DimensionError,
     ParameterError,
     RetryableFailure,
+    SmallEigFailure,
     SolveFailure,
     StructureError,
 )
@@ -237,7 +240,7 @@ def _plain_step(h, shifts, log2_psi_pow_k, omega, k):
 
 
 def _process_block(node, h, plan, rng):
-    """Run one block to deflation (or solve it directly); returns children.
+    """Run one block larger than k to deflation; returns its children.
 
     h is in the units of the plan; the eigenvalues and the trace records
     written to the node are multiplied back by 2^e.  Every small solver call
@@ -253,21 +256,12 @@ def _process_block(node, h, plan, rng):
     plain step shifts by those values.  A kept plain step is recorded
     with branch "plain" and 0 retries, and its shift is the first of its k
     shifts.  The guard reads the moduli and L on the kept Step: no iterate
-    is measured twice.  A block of dimension at most k goes to the small
-    solver, but for a 1 x 1 leaf, whose eigenvalue is its entry, in either
-    arithmetic: the solver would return that entry as it is, after
-    validating a block whose entries the QR iteration, a unitary similarity
-    of a validated matrix, keeps finite.
+    is measured twice.  h is larger than k: the leaves, of dimension at
+    most k, are certified by ``_certify_leaves``, after every block has run.
     The loop draws from ``rng``, the run's one Generator, which the blocks
     share in the order they run."""
     gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
-    if h.n <= k:
-        acc = params.delta / gd.n0 if node.path else params.delta
-        vals = [h.a[0, 0]] if h.n == 1 else DEFAULT_SOLVER.solve(h.a, acc)
-        node.eigenvalues = [ldexp(complex(v), e) for v in vals]
-        return []
-
     omega = params.omega
     accuracy = corner_accuracy(omega, gd.Sigma)
     moduli = h.bottom_subdiagonal_abs(k)
@@ -317,6 +311,30 @@ def _process_block(node, h, plan, rng):
         children.append((DeflationNode(path=node.path + (i,), start=offset), blk))
         offset += blk.n
     return children
+
+
+def _certify_leaves(leaves, plan):
+    """Set the eigenvalues of every leaf (node, array), the array in the
+    units of the plan and the eigenvalues in the caller's.
+
+    A 1 x 1 leaf is its entry, in either arithmetic: the solver would return
+    that entry as it is, after validating a block whose entries the QR
+    iteration, a unitary similarity of a validated matrix, keeps finite.
+    The other leaves go to the small solver together, in one ``solve_each``
+    call at delta / n (delta for the direct route's one leaf, the whole
+    matrix); a leaf it cannot certify raises SmallEigFailure naming its
+    block and its rows in the caller's matrix."""
+    acc = plan.params.delta / plan.gd.n0 if plan.route == "qr" else plan.params.delta
+    wide = [(node, a) for node, a in leaves if len(a) > 1]
+    try:
+        solved = iter(DEFAULT_SOLVER.solve_each([a for _, a in wide], acc))
+    except SmallEigFailure as exc:
+        node, a = wide[exc.index]
+        rows = f"{node.start}:{node.start + len(a)}"
+        raise SmallEigFailure(f"leaf block {node.block_id} at rows {rows}: {exc}") from exc
+    for node, a in leaves:
+        vals = [a[0, 0]] if len(a) == 1 else next(solved)
+        node.eigenvalues = ldexp(np.array(vals, dtype=np.complex128), plan.e).tolist()
 
 
 class RunPlan(NamedTuple):
@@ -395,23 +413,31 @@ def shifted_qr(h, delta, phi, gd, seed=0):
     keeps every quantity the loop forms inside the binary64 range, for any
     e.  Everything returned is in the caller's units: eigenvalues, each
     trace record's psi and shift, ``globals_used`` and ``run_params``, and
-    the seed the run used (``_resolve_seed``).  Every block draws from one
-    Generator made from that seed, in the order the blocks run.  The route
-    and whether the guarantee covers the run are the plan's, at the working
-    precision of h."""
+    the seed the run used (``_resolve_seed``).  Every block larger than k
+    runs its loop (``_process_block``) and draws from one Generator made
+    from that seed, in the order the blocks run; the blocks of dimension at
+    most k are the leaves, which draw nothing, and once the loop blocks
+    have run ``_certify_leaves`` sets their eigenvalues, with one small
+    solver call for all of them.  The route and whether the guarantee covers
+    the run are the plan's, at the working precision of h."""
     seed = _resolve_seed(seed)
-    rng = np.random.default_rng(seed)
     if not isinstance(h, HessenbergMatrix):
         h = HessenbergMatrix(h)
     bits = h.a[0, 0].context.prec if h.is_extended else 53
     plan = plan_run(h.n, delta, phi, gd, bits)
+    rng = np.random.default_rng(seed) if plan.route == "qr" else None  # the direct route draws nothing
     tree = DeflationTree()
     root = DeflationNode(path=(), start=0)
     pending = [(root, HessenbergMatrix(ldexp(h.a, -plan.e), validate=False))]
+    leaves = []
     while pending:
         node, blk = pending.pop()
         tree.nodes[node.path] = node
-        pending.extend(reversed(_process_block(node, blk, plan, rng)))
+        if blk.n <= plan.gd.k:
+            leaves.append((node, blk.a))
+        else:
+            pending.extend(reversed(_process_block(node, blk, plan, rng)))
+    _certify_leaves(leaves, plan)
 
     eigs = np.array([v for leaf in tree.leaves() for v in leaf.eigenvalues], dtype=np.complex128)
     if len(eigs) != h.n:

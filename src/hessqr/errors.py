@@ -45,7 +45,13 @@ class StagnationFailure(RetryableFailure):
 
 
 class SmallEigFailure(HessqrError, RuntimeError):
-    """The small eigenvalue solver could not certify its forward accuracy."""
+    """The small eigenvalue solver could not certify its forward accuracy;
+    ``index`` is the position of the matrix it failed on in the list
+    ``CharPolySolver.solve_each`` was given."""
+
+    def __init__(self, msg, index=None):
+        super().__init__(msg)
+        self.index = index
 
 
 class BudgetExceeded(HessqrError, RuntimeError):

@@ -3,18 +3,21 @@
 Takes upper Hessenberg input only, checked by ``iqr.HessenbergMatrix``
 (exact zeros below the subdiagonal, finite entries, a Frobenius norm inside
 binary64); the driver passes the k x k bottom-right corner and deflated
-blocks of dimension at most k, both Hessenberg.  The matrix is split once
-into its unreduced diagonal blocks (``iqr.split_blocks``), and each block
-climbs one ladder of certificates on its own (``_block_roots``), stopping at
-the first rung that certifies it, so a certified block is never solved
-again.  A 1 x 1 block is its own entry.  Every other block climbs:
+blocks of dimension at most k, both Hessenberg.  ``CharPolySolver.solve``
+takes one matrix and ``solve_each`` a list of them.  Each matrix is split
+once into its unreduced diagonal blocks (``iqr.split_blocks``), and each
+block climbs one ladder of certificates, stopping at the first rung that
+certifies it, so a certified block is never solved again.  A 1 x 1 block is
+its own entry.  Every other block climbs:
 
 1. the enclosure, for a binary64 block: LAPACK's eigenvalues of the block
    (``zgeev`` with right eigenvectors, through ``scipy.linalg.lapack``, the
    LAPACK the QR sweeps call) are the centres of Gerschgorin disks of
    X^-1 m X, from its eigenvectors X and the residual m X - X diag(lam)
    (``_enclosed_roots``), and are returned as they are when every disk
-   bounds its eigenvalue within beta_eff / 2.
+   bounds its eigenvalue within beta_eff / 2.  The binary64 blocks of every
+   matrix of a call take this rung together, in one pass over their direct
+   sum, and each is judged on its own disks.
 2. the characteristic polynomial in clongdouble, for every binary64 block,
    at whatever width clongdouble has (a 64-bit significand where it is x87
    extended, binary64 under MSVC and on macOS on arm64): it is evaluated
@@ -33,14 +36,15 @@ again.  A 1 x 1 block is its own entry.  Every other block climbs:
    Ehrlich-Aberth again from a circle enclosing the spectrum, under the
    same certificate.  An m-fold root is found to about 2^-(p/m) at p bits.
 
-A block still uncertified at 960 bits raises SmallEigFailure.  Since every
-block climbs alone, a matrix's eigenvalues are those of its blocks, each
-solved as a matrix of its own at the same beta_eff and first precision.
-Deterministic: no randomness anywhere, output sorted by (re, im).  The
-driver makes every call, through ``DEFAULT_SOLVER``: one per leaf of
-dimension 2 or more, and one for the corner of each loop iteration whose
-plain step is rejected (before the plain step, on mpmath numbers and where
-``corner_shifts`` fails).  The plain
+A block the enclosure leaves climbs rungs 2 and 3 alone (``_block_roots``),
+and one still uncertified at 960 bits raises SmallEigFailure.  A matrix's
+eigenvalues are those of its blocks, each solved as a matrix of its own at
+the same beta_eff and first precision.  Deterministic: no randomness
+anywhere, output sorted by (re, im).  The driver makes every call, through
+``DEFAULT_SOLVER``: one ``solve_each`` call per run for all its leaves of
+dimension 2 or more, and one ``solve`` call for the corner of each loop
+iteration whose plain step is rejected (before the plain step, on mpmath
+numbers and where ``corner_shifts`` fails).  The plain
 step itself shifts by ``corner_shifts``: LAPACK's eigenvalues of the corner,
 uncertified, from the same ``zgeev`` call the enclosure centres its disks on.
 
@@ -260,34 +264,33 @@ def _certify_block(blk, roots, beta_cert):
     w = np.abs(kap) + eps
     for j in range(d - 1):
         w = w * quot[:, j] + tiny
-    return _matched_bounds(dist, d * w * (1 + _slack(6 * d, u)), beta_cert)
+    bound = _matched_bounds(dist, d * w * (1 + _slack(6 * d, u)))
+    return bound if (bound <= beta_cert).all() else None
 
 
-def _matched_bounds(dist, r, beta_cert):
-    """Matched error bounds from inclusion disks D(z_i, r_i), or None.
+def _matched_bounds(dist, r):
+    """Matched error bounds from inclusion disks D(z_i, r_i).
 
     For disks whose union holds the eigenvalues, a connected component of m
     of them holding exactly m: any point of a component lies within
     r_i + 2 (sum of the other radii of the component) of z_i, which is the
     bound returned for z_i, r_i when its disk is isolated.  dist holds the
-    distances |z_i - z_j|; r must already cover the rounding of dist and of
-    the sums formed here.  None unless every bound is within beta_cert (NaN
-    fails)."""
+    distances |z_i - z_j|, or NaN for two disks that lie apart by
+    construction (of different blocks of a direct sum, see
+    ``_enclosed_roots``); r must already cover the rounding of dist and of
+    the sums formed here.  A NaN r gives a NaN bound, which fails every
+    check of it against beta."""
     d = len(r)
     near = np.asarray(dist <= r[:, None] + r[None, :], dtype=bool)
-    if np.count_nonzero(near) == d:  # every disk isolated (a NaN r fails below)
-        bound = r
-    else:
-        label = np.arange(d)
-        while True:  # each root takes the least index in its component
-            least = np.where(near, label, d).min(axis=1)
-            if (least == label).all():
-                break
-            label = least
-        bound = 2 * np.where(label[:, None] == label, r, 0).sum(axis=1) - r
-    if not (bound <= beta_cert).all():
-        return None
-    return bound
+    if np.count_nonzero(near) == d:  # every disk isolated (a NaN r fails later)
+        return r
+    label = np.arange(d)
+    while True:  # each root takes the least index in its component
+        least = np.where(near, label, d).min(axis=1)
+        if (least == label).all():
+            break
+        label = least
+    return 2 * np.where(label[:, None] == label, r, 0).sum(axis=1) - r
 
 
 @lru_cache(maxsize=64)
@@ -342,16 +345,19 @@ def corner_shifts(m):
     return sorted((complex(z) for z in eig[0]), key=lambda z: (z.real, z.imag))
 
 
-def _enclosed_roots(blk, beta_cert):
-    """LAPACK's eigenvalues of the binary64 block blk, as they are, when
-    disks about them from its eigenvectors bound each within beta_cert of
-    the eigenvalue matched to it; else None.
+def _enclosed_roots(blocks, beta_cert):
+    """For each unreduced binary64 block of the list blocks, of dimension
+    2 or more: LAPACK's eigenvalues of it, as they are, when disks about
+    them from its eigenvectors bound each within beta_cert[i], its block's
+    own bound, of the eigenvalue matched to it; else None.
 
-    ``zgeev`` gives the centres lam and the right eigenvectors X
+    Per block, ``zgeev`` gives the centres lam and the right eigenvectors X
     (``_zgeev``, which scales a block far from 1 for it), and ``zgetrf``
     and ``zgetri`` an approximate inverse Y, all through
-    ``scipy.linalg.lapack``.  The residual below is formed from blk as
-    given, scaled for zgeev or not.  Let E = YX - I and
+    ``scipy.linalg.lapack``.  Then the blocks are certified together, as
+    one direct sum: blk, X and Y are the block-diagonal matrices of the
+    blocks' own, lam their centres in order.  The residual below is formed
+    from each block as given, scaled for zgeev or not.  Let E = YX - I and
     R = blk X - X diag(lam), exact for the stored blk, X, Y and lam.  When
     ||E||_inf < 1, X is invertible with X^-1 = (I + E)^-1 Y, and
     X^-1 blk X = diag(lam) + F with F = (I + E)^-1 Y R = YR - EF.  So row i
@@ -360,60 +366,100 @@ def _enclosed_roots(blk, beta_cert):
     diag(lam) + tF for t from 0 to 1, puts the eigenvalues in the disks
     about lam of those radii, m of them in each component of m disks
     (Wilkinson, The Algebraic Eigenvalue Problem, 1965; Rump, Acta Numerica
-    19, 2010), and the disks go to ``_matched_bounds``.
+    19, 2010), and the disks go to ``_matched_bounds``.  Every one of these
+    matrices is block diagonal, so the argument holds for each block on its
+    own: its ||E||_inf and max_j s_j are taken over its own rows, and the
+    distance between centres of different blocks is NaN, so that no
+    component spans two blocks.  Its centres are those it has alone, and its
+    radii differ from its own only by the rounding noise of E and R, which
+    BLAS sums in another order over N columns (about 1 % of a radius in the
+    tests).  A block whose products overflow binary64 (entries within a
+    small factor of its largest number) turns the radii of the others NaN:
+    they then fail with it, and are never certified by it.  A list of one
+    block works on that block's own arrays.
 
-    Rounding model: a product of n x n matrices, formed by BLAS or numpy in
+    Rounding model: a product of N x N matrices, formed by BLAS or numpy in
     any order, with or without fused multiply-adds, is within
-    _slack(2n, u) |P||Q| of the exact product entrywise (each real part is
-    a sum of 2n real products: sqrt(2) gamma_2n), and so is
-    blk X - X diag(lam), with |blk||X| + |X| diag(|lam|); gradual underflow
-    loses at most 2^-1075 per real product, which the smallest normal number,
-    added to each row sum, covers.  E is formed in binary64, and so is R
-    when the part of the radii its rounding makes, g |Y| (|blk||X| +
-    |X||lam|) 1, found in O(n^2) before any product of matrices, is within
-    beta_cert / 8; else R is formed in clongdouble, with g from the unit
-    roundoff of clongdouble at whatever width it has.  The x87 u = 2^-64
-    leaves room for that term at the binary64 floor of beta; where
-    clongdouble is binary64 the term stays as large, and the block certifies
-    only where the rest of its radii leaves room for it.  Each radius is
-    formed from nonnegative numbers in fewer than 6n + 20 binary64 roundings
-    to nearest, so 1 + _slack(6n, u) covers them and the distances
-    ``_matched_bounds`` compares.  None also where ||E||_inf > 1/2, a LAPACK
-    call returns a nonzero info, or a value is not finite."""
-    eig = _zgeev(blk)
-    if eig is None:
-        return None
-    lam, x = eig
-    n = blk.shape[0]
-    ablk = np.abs(blk)
-    lu, piv, info = lapack.zgetrf(x)
-    if info != 0:
-        return None
-    y, info = lapack.zgetri(lu, piv)
-    if info != 0:
-        return None
-    u, tiny = _roundoff(blk)
-    g = _slack(2 * n, u)
+    _slack(2d, u) |P||Q| of the exact product entrywise in a row of a block
+    of dimension d (each real part is a sum of 2d real products: sqrt(2)
+    gamma_2d), and so is blk X - X diag(lam), with |blk||X| +
+    |X| diag(|lam|): the other terms have an exact zero factor, and a zero
+    product, or adding one, is exact.  Gradual underflow loses at most
+    2^-1075 per real product, which the smallest normal number, added to
+    each row sum, covers.  E is formed in binary64, and so is a block's R
+    when the part of its radii its rounding makes, g |Y| (|blk||X| +
+    |X||lam|) 1, found in O(N^2) before any product of matrices, is within
+    beta_cert / 8; else the block's R is formed in clongdouble, with g from
+    the unit roundoff of clongdouble at whatever width it has.  The x87
+    u = 2^-64 leaves room for that term at the binary64 floor of beta;
+    where clongdouble is binary64 the term stays as large, and the block
+    certifies only where the rest of its radii leaves room for it.  Each
+    radius is formed from nonnegative numbers in fewer than 6d + 20
+    binary64 roundings to nearest, so 1 + _slack(6d, u) covers them and the
+    distances ``_matched_bounds`` compares.  None also for a block whose
+    ||E||_inf > 1/2, where a LAPACK call returns a nonzero info, or where a
+    value is not finite."""
+    out, parts = [None] * len(blocks), []
+    for i, blk in enumerate(blocks):
+        eig = _zgeev(blk)
+        if eig is None:
+            continue
+        lu, piv, info = lapack.zgetrf(eig[1])
+        if info == 0:
+            y, info = lapack.zgetri(lu, piv)
+        if info == 0:
+            parts.append((i, blk, *eig, y))
+    if not parts:
+        return out
+    # per-block values are Python lists; per_row expands one to the rows of
+    # the direct sum, and for one block it is that block's value
+    dims = [len(p[2]) for p in parts]
+    if len(parts) == 1:
+        _, a, lam, x, y = parts[0]
+        starts, apart = [0], 0.0
+        per_row = lambda vals: vals[0]  # noqa: E731
+    else:
+        n = sum(dims)
+        starts = np.cumsum(dims) - dims
+        a, x, y = np.zeros((3, n, n), dtype=np.complex128)
+        for (_, blk, _, xb, yb), o, d in zip(parts, starts, dims):
+            a[o : o + d, o : o + d], x[o : o + d, o : o + d], y[o : o + d, o : o + d] = blk, xb, yb
+        lam = np.concatenate([p[2] for p in parts])
+        rows = np.repeat(np.arange(len(parts)), dims)
+        apart = np.where(rows[:, None] == rows, 0.0, np.nan)
+        per_row = lambda vals: np.array(vals)[rows]  # noqa: E731
+    beta = [beta_cert[p[0]] for p in parts]
+    u, tiny = _roundoff(a)
+    g = [_slack(2 * d, u) for d in dims]
     with np.errstate(all="ignore"):
         ax, ay = np.abs(x), np.abs(y)
         xs = ax.sum(axis=1)
         e = y @ x
-        e.flat[:: n + 1] -= 1
-        e = np.abs(e).sum(axis=1) + g * (ay @ xs) + tiny
-        e_norm = e.max()
-        if not e_norm <= 0.5:
-            return None
-        v = ay @ (ablk @ xs + ax @ np.abs(lam))
-        wide = blk.dtype if g * v.max() <= beta_cert / 8 else np.dtype(np.clongdouble)
-        g = _slack(2 * n, float(np.finfo(wide).epsneg))
-        xw = x.astype(wide, copy=False)
-        r = blk.astype(wide, copy=False) @ xw - xw * lam.astype(wide, copy=False)
-        s = ay @ (np.abs(r).sum(axis=1).astype(np.float64) + tiny) + g * v
-        rho = (s + e * (s.max() / (1 - e_norm))) * (1 + _slack(6 * n, u)) + tiny
-        dist = np.abs(lam[:, None] - lam[None, :])
-        if _matched_bounds(dist, rho, beta_cert) is None:
-            return None
-    return list(lam)
+        e.flat[:: len(lam) + 1] -= 1
+        e = np.abs(e).sum(axis=1) + per_row(g) * (ay @ xs) + tiny
+        e_norm = np.maximum.reduceat(e, starts).tolist()
+        if not any(t <= 0.5 for t in e_norm):
+            return out
+        v = ay @ (np.abs(a) @ xs + ax @ np.abs(lam))
+        r = np.abs(a @ x - x * lam).sum(axis=1)
+        for j, v_max in enumerate(np.maximum.reduceat(v, starts).tolist()):
+            if not g[j] * v_max <= beta[j] / 8:  # this block's R in clongdouble
+                _, blk, lam_j, x_j, _ = parts[j]
+                xw = x_j.astype(np.clongdouble)
+                rw = blk.astype(np.clongdouble) @ xw - xw * lam_j.astype(np.clongdouble)
+                r[starts[j] : starts[j] + dims[j]] = np.abs(rw).sum(axis=1)
+                g[j] = _slack(2 * dims[j], float(np.finfo(np.clongdouble).epsneg))
+        s = ay @ (r + tiny) + per_row(g) * v
+        s_max = np.maximum.reduceat(s, starts).tolist()
+        spill = e * per_row([m / (1 - t) for m, t in zip(s_max, e_norm)])
+        rho = (s + spill) * per_row([1 + _slack(6 * d, u) for d in dims]) + tiny
+        dist = np.abs(lam[:, None] - lam[None, :]) + apart
+        fits = _matched_bounds(dist, rho) <= per_row(beta)
+        fits = np.logical_and.reduceat(fits, starts).tolist()
+    for (i, _, lam_i, _, _), t, ok in zip(parts, e_norm, fits):
+        if ok and t <= 0.5:
+            out[i] = list(lam_i)
+    return out
 
 
 def _isolated_roots(blk, beta_cert):
@@ -445,20 +491,16 @@ def _isolated_roots(blk, beta_cert):
 
 
 def _block_roots(blk, beta_eff, prec):
-    """The roots of the unreduced block blk certified within beta_eff / 2 by
-    the first rung of the ladder that certifies them, or None.
+    """The roots of the unreduced block blk, of dimension 2 or more,
+    certified within beta_eff / 2 by the first rung after the enclosure that
+    certifies them, or None.
 
-    A 1 x 1 block is its own entry.  A binary64 block goes to
-    ``_enclosed_roots``, then to ``_isolated_roots`` in clongdouble, on
-    every platform and at whatever width clongdouble has there; every block
-    then goes to ``_isolated_roots`` in mpmath from prec bits, doubling up
-    to ``_MAX_PREC``."""
-    if blk.shape[0] == 1:
-        return [blk[0, 0]]
+    A binary64 block goes to ``_isolated_roots`` in clongdouble, on every
+    platform and at whatever width clongdouble has there; every block then
+    goes to ``_isolated_roots`` in mpmath from prec bits, doubling up to
+    ``_MAX_PREC``."""
     if blk.dtype == np.complex128:
-        roots = _enclosed_roots(blk, beta_eff / 2)
-        if roots is None:
-            roots = _isolated_roots(blk.astype(np.clongdouble), beta_eff / 2)
+        roots = _isolated_roots(blk.astype(np.clongdouble), beta_eff / 2)
         if roots is not None:
             return roots
     while True:
@@ -467,6 +509,55 @@ def _block_roots(blk, beta_eff, prec):
         if roots is not None or prec >= _MAX_PREC:
             return roots
         prec = min(2 * prec, _MAX_PREC)
+
+
+def _solve_each(ms, beta):
+    """``CharPolySolver.solve_each``: every unreduced binary64 block of
+    dimension 2 or more of every matrix goes to one ``_enclosed_roots``
+    call, and each block it leaves climbs the rest of the ladder alone
+    (``_block_roots``)."""
+    hs = [HessenbergMatrix(m.a if isinstance(m, HessenbergMatrix) else m) for m in ms]
+    if beta <= 0 or not math.isfinite(beta):
+        raise DomainError(f"invalid forward accuracy beta={beta!r}")
+    jobs = []  # (matrix, block, start, stop, beta_eff, prec, to the enclosure) per unreduced block
+    for i, h in enumerate(hs):
+        if h.n == 0:
+            continue
+        a, binary64 = h.a, not h.is_extended
+        scale = max(1.0, float(h.frobenius_norm()))
+        # Representation floor: a binary64 result cannot certify below ~ulp.
+        beta_eff = max(float(beta), 8.0 * 2.0**-52 * scale) if binary64 else float(beta)
+        # extended input may ask for a beta so far below its scale that the
+        # quotient overflows binary64; that run starts at the cap
+        ratio = min(scale / beta_eff, 2.0**_MAX_PREC)
+        prec = min(max(_MIN_PREC, int(math.log2(ratio)) + 60), _MAX_PREC)
+        jobs += [
+            (i, a[start:stop, start:stop], start, stop, beta_eff, prec, binary64 and stop - start > 1)
+            for start, stop in split_blocks(a)
+        ]
+    enclosed = iter(_enclosed_roots([j[1] for j in jobs if j[6]], [j[4] / 2 for j in jobs if j[6]]))
+    vals = [[] for _ in hs]
+    for i, blk, start, stop, beta_eff, prec, enclose in jobs:
+        roots = next(enclosed) if enclose else None
+        if stop - start == 1:
+            roots = [blk[0, 0]]
+        elif roots is None:
+            roots = _block_roots(blk, beta_eff, prec)
+        if roots is None:
+            raise SmallEigFailure(
+                f"could not certify forward accuracy {beta_eff:g} at {_MAX_PREC} bits "
+                f"for the diagonal block at rows {start}:{stop} (dimension {stop - start})",
+                index=i,
+            )
+        vals[i] += roots
+    out = []
+    for h, v in zip(hs, vals):
+        v.sort(key=lambda z: (float(z.real), float(z.imag)))
+        if not h.is_extended:
+            out.append([complex(z) for z in v])
+        else:  # each root as it is, at the precision of the rung that certified it
+            out.append([h.a[0, 0].context.make_mpc(z._mpc_) for z in v])
+    return out
 
 
 class CharPolySolver:
@@ -492,7 +583,8 @@ class CharPolySolver:
     11, the binary64 char-poly rung none of the rest, and 120-bit mpmath
     all of those.  The driver certifies a corner only after a rejected
     plain step, which qr_small never takes, so there the solver sees only
-    leaves: 75 calls for the first 8 inputs at seed 11.  Certified
+    leaves: one ``solve_each`` call per input, for 79 leaves over the first
+    8 inputs at seed 11.  Certified
     LAPACK eigenvalues are returned as they are; a root that Ehrlich-Aberth
     refined in clongdouble or mpmath is rounded to complex128, which moves
     it by at most 2^-52.5 ||m||_F <= beta_eff / 2.
@@ -503,37 +595,19 @@ class CharPolySolver:
     positive and finite raises DomainError, and a block no rung certifies
     (say, an eigenvalue too multiple for beta at 960 bits) raises
     SmallEigFailure.
+
+    solve_each(ms, beta) returns, for each matrix of the list ms, exactly
+    the list solve(m, beta) returns for it; the binary64 blocks of all of
+    them take the enclosure in one pass.  Every matrix is validated before
+    any is solved, and the SmallEigFailure of a block no rung certifies
+    carries the position of its matrix in ms as ``index``.
     """
 
     def solve(self, m, beta):
-        h = HessenbergMatrix(m.a if isinstance(m, HessenbergMatrix) else m)
-        if beta <= 0 or not math.isfinite(beta):
-            raise DomainError(f"invalid forward accuracy beta={beta!r}")
-        if h.n == 0:
-            return []
-        a, extended = h.a, h.is_extended
-        scale = max(1.0, float(h.frobenius_norm()))
-        # Representation floor: a binary64 result cannot certify below ~ulp.
-        beta_eff = float(beta) if extended else max(float(beta), 8.0 * 2.0**-52 * scale)
-        # extended input may ask for a beta so far below its scale that the
-        # quotient overflows binary64; that run starts at the cap
-        ratio = min(scale / beta_eff, 2.0**_MAX_PREC)
-        prec = min(max(_MIN_PREC, int(math.log2(ratio)) + 60), _MAX_PREC)
-        vals = []
-        for start, stop in split_blocks(a):
-            roots = _block_roots(a[start:stop, start:stop], beta_eff, prec)
-            if roots is None:
-                raise SmallEigFailure(
-                    f"could not certify forward accuracy {beta_eff:g} at {_MAX_PREC} bits "
-                    f"for the diagonal block at rows {start}:{stop} (dimension {stop - start})"
-                )
-            vals += roots
-        vals.sort(key=lambda z: (float(z.real), float(z.imag)))
-        if not extended:
-            return [complex(z) for z in vals]
-        # each root as it is, at the precision of the rung that certified it
-        into = a[0, 0].context.make_mpc
-        return [into(z._mpc_) for z in vals]
+        return _solve_each([m], beta)[0]
+
+    def solve_each(self, ms, beta):
+        return _solve_each(ms, beta)
 
 
 DEFAULT_SOLVER = CharPolySolver()

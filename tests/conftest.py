@@ -22,6 +22,21 @@ needs_long_double = pytest.mark.skipif(
 )
 
 
+def fail_on(monkeypatch, target):
+    """Patch the small solver's ladder so that every rung leaves a block
+    bit for bit equal to the array target uncertified."""
+    enclosed, block_roots = smalleig._enclosed_roots, smalleig._block_roots
+
+    def hit(blk):
+        return blk.shape == target.shape and same_bits(blk, target)
+
+    def enclosing(blocks, beta_cert):
+        return [None if hit(b) else r for b, r in zip(blocks, enclosed(blocks, beta_cert))]
+
+    monkeypatch.setattr(smalleig, "_enclosed_roots", enclosing)
+    monkeypatch.setattr(smalleig, "_block_roots", lambda blk, *args: None if hit(blk) else block_roots(blk, *args))
+
+
 def same_bits(x, y):
     """Equal arrays, bit for bit (numpy dtypes) or number for number (mpmath).
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+from conftest import fail_on
 
 from hessqr import driver
 from hessqr.cli import (
@@ -619,13 +620,32 @@ class TestSmallEigFailure:
         "options", [["--B", "1", "--gamma-gap", "1e-3"], []], ids=["qr", "direct"]
     )
     def test_exit_two_on_both_routes(self, tmp_path, capsys, monkeypatch, options):
-        def failing(self, m, beta):
-            raise SmallEigFailure("could not certify")
-
-        monkeypatch.setattr(CharPolySolver, "solve", failing)
+        # the last leaf of dimension 2 or more is one no rung certifies: exit
+        # 2, an error naming its block and its rows, and no run document
         path = _random_mtx(tmp_path, 6, False)
-        assert main(["solve", path, "--seed", "21"] + options) == EXIT_BAD_INPUT
-        assert capsys.readouterr().err == "error: could not certify\n"
+        out = tmp_path / "out.json"
+        argv = ["solve", path, "--seed", "21", "--out-json", str(out)] + options
+        leaves = []
+        solve_each = CharPolySolver.solve_each
+
+        def spy(self, ms, beta):
+            leaves[:] = [np.array(m) for m in ms]
+            return solve_each(self, ms, beta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CharPolySolver, "solve_each", spy)
+            assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        blocks = [v["block"] for v in json.loads(out.read_text())["eigenvalues"]]
+        wide = [b for b in dict.fromkeys(blocks) if blocks.count(b) > 1]
+        assert len(wide) == len(leaves) > 0
+        start, n = blocks.index(wide[-1]), blocks.count(wide[-1])
+        out.unlink()
+        fail_on(monkeypatch, leaves[-1])
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: leaf block {wide[-1]} at rows {start}:{start + n}: could not certify")
+        assert not out.exists()
 
 
 class TestBudgetExceeded:

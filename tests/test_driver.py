@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
+    fail_on,
     hard_matrices,
     near_normal_hessenberg,
     needs_long_double,
@@ -42,6 +43,30 @@ from hessqr.iqr import HessenbergMatrix
 from hessqr.oracle import condition_report, matched_distance, ref_eigs
 from hessqr.params import REDUCTION_FACTOR, derive_degree, derive_globals, globals_with_degree
 from hessqr.smalleig import CharPolySolver
+
+
+def spy_small_solver(monkeypatch):
+    """Patch both entry points of the small solver to record, in order,
+    (entry point, matrix, values) for every matrix they solve: each corner
+    through ``solve`` and each leaf of a ``solve_each`` call; returns the
+    records and the list of ``solve_each`` calls, as their list sizes."""
+    seen, each_calls = [], []
+    solve_, solve_each_ = CharPolySolver.solve, CharPolySolver.solve_each
+
+    def solve(self, m, beta):
+        vals = solve_(self, m, beta)
+        seen.append(("solve", np.array(m), vals))
+        return vals
+
+    def solve_each(self, ms, beta):
+        out = solve_each_(self, ms, beta)
+        each_calls.append(len(ms))
+        seen.extend(("solve_each", np.array(m), vals) for m, vals in zip(ms, out))
+        return out
+
+    monkeypatch.setattr(CharPolySolver, "solve", solve)
+    monkeypatch.setattr(CharPolySolver, "solve_each", solve_each)
+    return seen, each_calls
 
 
 class TestDeflate:
@@ -194,6 +219,15 @@ class TestShiftedQr:
         assert len(loops) > 1 and max(len(node.path) for node in loops) > 1
         assert seeds == [3]
 
+    def test_the_direct_route_makes_no_generator(self, monkeypatch):
+        # its one block is a leaf, and leaves draw nothing
+        h, _ = near_normal_hessenberg(np.random.default_rng(5), 12, perturb=1e-4)
+        gd = globals_with_degree(1.0, 16, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=12)
+        ref = shifted_qr(h, 1e-7, 0.05, gd, seed=3)
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("a Generator was made"))
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=3)
+        assert res.route == "direct" and same_bits(res.eigenvalues, ref.eigenvalues)
+
     def test_exceptional_steps_replay_from_the_seed(self):
         # the 32 x 32 cyclic shift at k = 8 takes exceptional steps, whose
         # net offset is drawn from the run's stream: one seed replays every
@@ -232,27 +266,22 @@ class TestShiftedQr:
 
     def test_one_by_one_leaves_skip_the_small_solver(self, monkeypatch):
         # perfbench's qr_small recipe (n = 32, k = 4): the small solver sees
-        # the corner of each iteration whose plain step is rejected and each
-        # leaf of dimension 2 or more, and a 1 x 1 leaf is its entry, bit for
-        # bit what the solver returns for it
-        shapes, ones = [], []
-        solve_, process = CharPolySolver.solve, driver._process_block
+        # the corner of each iteration whose plain step is rejected and, in
+        # one solve_each call per run, each leaf of dimension 2 or more; a
+        # 1 x 1 leaf is its entry, bit for bit what the solver returns for it
+        ones = []
+        solve_, certify_leaves = CharPolySolver.solve, driver._certify_leaves
 
-        def counting_solve(self, m, beta):
-            shapes.append(np.shape(m))
-            return solve_(self, m, beta)
+        def recording(leaves, plan):
+            ones.extend((node, a.copy(), plan.e) for node, a in leaves if len(a) == 1)
+            return certify_leaves(leaves, plan)
 
-        def recording(node, h, plan, rng):
-            if h.n == 1:
-                ones.append((node, h.a.copy(), plan.e))
-            return process(node, h, plan, rng)
-
-        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
-        monkeypatch.setattr(driver, "_process_block", recording)
+        seen, each_calls = spy_small_solver(monkeypatch)
+        monkeypatch.setattr(driver, "_certify_leaves", recording)
         rng = np.random.default_rng(11)
         for _ in range(2):
-            for seen in (shapes, ones):
-                seen.clear()
+            for calls in (seen, each_calls, ones):
+                calls.clear()
             h, _ = near_normal_hessenberg(rng, 32, perturb=1e-4)
             gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
             assert gd.k == 4
@@ -261,8 +290,10 @@ class TestShiftedQr:
             wide = [leaf for leaf in leaves if len(leaf.eigenvalues) > 1]
             records = [rec for node in res.tree.nodes.values() for rec in node.trace]
             rejected = sum(rec.branch != "plain" for rec in records)
+            shapes = [m.shape for _, m, _ in seen]
             assert len(ones) == len(leaves) - len(wide) > 0
             assert len(shapes) == rejected + len(wide)
+            assert each_calls == [len(wide)]
             assert (1, 1) not in shapes
             for node, a, e in ones:
                 entry = [driver.ldexp(complex(v), e) for v in solve_(CharPolySolver(), a, 1e-7)]
@@ -273,12 +304,8 @@ class TestShiftedQr:
         # has run: the run still succeeds, and the small solver sees each
         # iteration's corner once, not again on the retry, and each leaf of
         # dimension 2 or more
-        shapes, misses = [], []
-        solve_, ritz_or_decouple = CharPolySolver.solve, driver.ritz_or_decouple
-
-        def counting_solve(self, m, beta):
-            shapes.append(np.shape(m))
-            return solve_(self, m, beta)
+        misses = []
+        ritz_or_decouple = driver.ritz_or_decouple
 
         def missing_once(*args):
             out = ritz_or_decouple(*args)
@@ -287,7 +314,7 @@ class TestShiftedQr:
                 raise DichotomyMiss("miss")
             return out
 
-        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
+        seen, _ = spy_small_solver(monkeypatch)
         monkeypatch.setattr(driver, "ritz_or_decouple", missing_once)
         h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
@@ -295,7 +322,7 @@ class TestShiftedQr:
         records = [rec for node in res.tree.nodes.values() for rec in node.trace]
         wide = [leaf for leaf in res.tree.leaves() if len(leaf.eigenvalues) > 1]
         assert misses and records[0].retries == 1
-        assert len(shapes) == len(records) + len(wide)
+        assert len(seen) == len(records) + len(wide)
 
     def test_the_qr_small_recipe_runs_outside_the_guarantee(self):
         # perfbench's qr_small recipe: B = 1 < 2, so k = 4 < n = 32
@@ -475,22 +502,18 @@ class TestPlainStep:
         # before the corner is certified, ritz_or_decouple gets the one
         # certified list of the iteration's corner, and the small solver
         # sees each such corner once and each leaf of dimension 2 or more
-        plain_corners, ritz_corners, solved = [], [], []
-        solve_, ritz_or_decouple = CharPolySolver.solve, driver.ritz_or_decouple
-
-        def recording_solve(self, m, beta):
-            vals = solve_(self, m, beta)
-            solved.append((np.array(m), vals))
-            return vals
+        plain_corners, ritz_corners = [], []
+        ritz_or_decouple = driver.ritz_or_decouple
 
         def rejected(h, shifts, *args):
             plain_corners.append((h.corner(4), shifts, len(solved)))
+
+        solved, _ = spy_small_solver(monkeypatch)  # (entry point, matrix, values)
 
         def ritz_spy(h, log2_psi_pow_k, corner_eigs, *args):
             ritz_corners.append((h.corner(4), corner_eigs))
             return ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, *args)
 
-        monkeypatch.setattr(CharPolySolver, "solve", recording_solve)
         monkeypatch.setattr(driver, "_plain_step", rejected)
         monkeypatch.setattr(driver, "ritz_or_decouple", ritz_spy)
         h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
@@ -506,10 +529,10 @@ class TestPlainStep:
             # the one certified list of this corner, by identity, made after
             # the plain step
             certified = [
-                i for i, (m, _) in enumerate(solved) if m.shape == corner.shape and same_bits(m, corner)
+                i for i, (_, m, _) in enumerate(solved) if m.shape == corner.shape and same_bits(m, corner)
             ]
             assert len(certified) == 1 and certified[0] >= before
-            assert solved[certified[0]][1] is corner_eigs
+            assert solved[certified[0]][2] is corner_eigs
         assert len(solved) == len(records) + len(wide)
 
     def test_the_shifts_are_the_values_the_enclosure_certifies(self, monkeypatch):
@@ -560,15 +583,8 @@ class TestPlainStep:
     ):
         # each iteration then certifies its corner first; on qr_small those
         # are LAPACK's values bit for bit, so the run does not move
-        calls = []
-        solve_ = CharPolySolver.solve
-
-        def counting_solve(self, m, beta):
-            calls.append(np.shape(m))
-            return solve_(self, m, beta)
-
         monkeypatch.setattr(driver, "corner_shifts", lambda corner: None)
-        monkeypatch.setattr(CharPolySolver, "solve", counting_solve)
+        calls, _ = spy_small_solver(monkeypatch)
         h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
         res, base = shifted_qr(h, 1e-7, 0.05, gd, seed=1), qr_small_runs[0]
@@ -1026,18 +1042,47 @@ class TestSmallEigFailure:
         calls = []
 
         def failing(self, m, beta):
-            calls.append(m.shape[0])
+            calls.append([m.shape[0]])
             raise SmallEigFailure("could not certify")
 
+        def failing_each(self, ms, beta):
+            calls.append([m.shape[0] for m in ms])
+            raise SmallEigFailure("could not certify", index=0)
+
         monkeypatch.setattr(CharPolySolver, "solve", failing)
+        monkeypatch.setattr(CharPolySolver, "solve_each", failing_each)
         rng = np.random.default_rng(83)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         with pytest.raises(SmallEigFailure):
             solve(a, SolveConfig(seed=1, **options))
-        # on the QR route the first call is for a leaf or for the corner of
-        # a rejected plain step: of dimension 2 to k = 4
+        # on the QR route the first call is for the leaves or for the corner
+        # of a rejected plain step: each of dimension 2 to k = 4
         assert len(calls) == 1
-        assert 2 <= calls[0] <= 4 if options else calls == [6]
+        assert all(2 <= d <= 4 for d in calls[0]) if options else calls == [[6]]
+
+    @pytest.mark.parametrize("options", [{"B": 1.0, "Gamma": 1e-3}, {}], ids=["qr", "direct"])
+    def test_the_failing_leaf_is_named(self, monkeypatch, options):
+        # one leaf that no rung certifies: the error names its block and
+        # its rows in the caller's matrix, not the rows inside the leaf
+        rng = np.random.default_rng(83)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        config = SolveConfig(seed=1, **options)
+        with pytest.MonkeyPatch.context() as mp:
+            seen, _ = spy_small_solver(mp)
+            res = solve(a, config)
+        wide = [leaf for leaf in res.tree.leaves() if len(leaf.eigenvalues) > 1]
+        arrays = [m for entry, m, _ in seen if entry == "solve_each"]
+        assert len(arrays) == len(wide) > 0 and (len(wide) > 1 or not options)
+        leaf, n = wide[-1], len(wide[-1].eigenvalues)
+        fail_on(monkeypatch, arrays[-1])
+        message = (
+            rf"^leaf block {leaf.block_id} at rows {leaf.start}:{leaf.start + n}: could not "
+            rf"certify forward accuracy .* at 960 bits for the diagonal block at rows 0:{n} "
+            rf"\(dimension {n}\)$"
+        )
+        with pytest.raises(SmallEigFailure, match=message):
+            solve(a, config)
+        assert (leaf.block_id == "0") == (not options)
 
 
 class TestWholeSolver:

@@ -584,16 +584,19 @@ def test_only_the_driver_makes_random_streams(path):
     assert random_sources(path.read_text(encoding="utf-8")) == []
 
 
+SMALL_SOLVER_METHODS = ("solve", "solve_each")  # the small solver's entry points
+
+
 def small_solver_calls(source):
-    """(enclosing function, line) of every call of a ``solve`` attribute, the
-    small solver's one entry point."""
+    """(enclosing function, line) of every call of a ``solve`` or
+    ``solve_each`` attribute, the small solver's entry points."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "solve"):
+                    and child.func.attr in SMALL_SOLVER_METHODS):
                 found.append((where, child.lineno))
             visit(child, inner)
 
@@ -602,16 +605,20 @@ def small_solver_calls(source):
 
 
 def test_detects_a_small_solver_call():
-    src = "x = S.solve(m, b)\ndef f(h):\n    def g():\n        return S().solve(h, 1)\n    return g\n"
-    assert small_solver_calls(src) == [(None, 1), ("g", 4)]
+    src = (
+        "x = S.solve(m, b)\ndef f(h):\n    def g():\n        return S().solve(h, 1)\n"
+        "    return g, S.solve_each([h], 1), solve_each([h], 1)\n"
+    )
+    assert small_solver_calls(src) == [(None, 1), ("g", 4), ("f", 5)]
 
 
 def test_the_driver_makes_every_small_solver_call():
-    # the corners and the leaves are solved in one place, so that the
-    # driver can count the calls and a retry can reuse a certified corner
+    # the corners and the leaves are solved in one place each, so that the
+    # driver can count the calls, a retry can reuse a certified corner and
+    # a run's leaves go to the solver together
     calls = {p.name: small_solver_calls(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: [f for f, _ in found] for name, found in calls.items() if found} == {
-        "driver.py": ["_process_block", "_process_block"]
+        "driver.py": ["_process_block", "_certify_leaves"]
     }
 
 

@@ -173,10 +173,10 @@ class TestFixedCosts:
             SOLVER.solve(np.array([[z]], dtype=dtype), 1e-10)
 
 
-def _no_enclosure(blk, beta_cert):
+def _no_enclosure(blocks, beta_cert):
     """An ``_enclosed_roots`` that certifies nothing: every binary64 block
     goes on to the characteristic polynomial."""
-    return None
+    return [None] * len(blocks)
 
 
 def _skip_the_clongdouble_rung(monkeypatch):
@@ -274,13 +274,14 @@ def hyman_calls(monkeypatch):
 
 @pytest.fixture
 def enclosures(monkeypatch):
-    """Records (dimension, certified) for every ``_enclosed_roots`` call."""
+    """Records (dimension, certified) for every block of every
+    ``_enclosed_roots`` call."""
     seen = []
     original = smalleig._enclosed_roots
 
-    def recording(blk, beta_cert):
-        roots = original(blk, beta_cert)
-        seen.append((blk.shape[0], roots is not None))
+    def recording(blocks, beta_cert):
+        roots = original(blocks, beta_cert)
+        seen.extend((blk.shape[0], r is not None) for blk, r in zip(blocks, roots))
         return roots
 
     monkeypatch.setattr(smalleig, "_enclosed_roots", recording)
@@ -401,24 +402,35 @@ class TestLongDoubleTier:
         assert matched_distance(np.array(vals), roots) <= beta_eff
 
 
-def _enclosure(blk, beta_cert):
-    """(centres, radii, matched bounds) where ``_enclosed_roots`` certifies
-    blk at beta_cert, else None."""
+def _enclosed(blk, beta_cert):
+    """``_enclosed_roots`` on the one block blk: its roots or None."""
+    return smalleig._enclosed_roots([blk], [beta_cert])[0]
+
+
+def _disks(blocks, beta_cert):
+    """(roots, radii, bounds) of one ``_enclosed_roots`` call; radii and
+    bounds are those of its one pass over the direct sum, None where it
+    formed no disk."""
     seen = []
     original = smalleig._matched_bounds
 
-    def recording(dist, r, beta):
-        bound = original(dist, r, beta)
+    def recording(dist, r):
+        bound = original(dist, r)
         seen.append((r, bound))
         return bound
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(smalleig, "_matched_bounds", recording)
-        roots = smalleig._enclosed_roots(blk, beta_cert)
-    if roots is None:
-        return None
-    r, bound = seen[-1]
-    return np.array(roots), r, bound
+        roots = smalleig._enclosed_roots(blocks, beta_cert)
+    assert len(seen) <= 1
+    return (roots, *seen[0]) if seen else (roots, None, None)
+
+
+def _enclosure(blk, beta_cert):
+    """(centres, radii, matched bounds) where ``_enclosed_roots`` certifies
+    blk at beta_cert, else None."""
+    (roots,), r, bound = _disks([blk], [beta_cert])
+    return None if roots is None else (np.array(roots), r, bound)
 
 
 def _matched_within(centres, bounds, ref, tol):
@@ -498,7 +510,7 @@ class TestEnclosureRung:
 
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(smalleig.lapack, "zgeev", planted)
-                    assert smalleig._enclosed_roots(m, beta_cert) is None
+                    assert _enclosed(m, beta_cert) is None
 
     @pytest.mark.parametrize("e", [-990, -300, 300])
     def test_extreme_scales_certify_soundly_or_fall_back(self, e):
@@ -598,9 +610,9 @@ class TestEnclosureRung:
             return (*out, info)
 
         m = random_hessenberg(np.random.default_rng(74), 4).a
-        assert smalleig._enclosed_roots(m, 1.0) is not None
+        assert _enclosed(m, 1.0) is not None
         monkeypatch.setattr(smalleig.lapack, routine, failing)
-        assert smalleig._enclosed_roots(m, 1.0) is None
+        assert _enclosed(m, 1.0) is None
 
     def test_an_inverse_far_from_x_is_a_failed_enclosure(self, monkeypatch, tier_blocks):
         # zgetri's inverse doubled: E = YX - I = I, so ||E||_inf = 1 > 1/2
@@ -620,10 +632,10 @@ class TestEnclosureRung:
 
         m = random_hessenberg(np.random.default_rng(74), 4).a
         beta = 1e-10
-        assert smalleig._enclosed_roots(m, beta / 2) is not None
+        assert _enclosed(m, beta / 2) is not None
         monkeypatch.setattr(smalleig.lapack, "zgetri", doubled)
         monkeypatch.setattr(smalleig, "_matched_bounds", recording)
-        assert smalleig._enclosed_roots(m, beta / 2) is None
+        assert _enclosed(m, beta / 2) is None
         assert disks == []
         vals = SOLVER.solve(m, beta)
         assert tier_blocks and tier_blocks[0][1] == 4
@@ -647,7 +659,7 @@ class TestEnclosureRung:
         for p in (-1020, -990, -465, -455, -403, -402, 0, 398, 399, 455, 465, 1000):
             m = np.ldexp(base.real, p) + 0j  # largest modulus 2^(p+1): exponent p + 2
             seen.clear()
-            lam = smalleig._enclosed_roots(m, 2.0**-48 * max(1.0, 2.0**p))
+            lam = _enclosed(m, 2.0**-48 * max(1.0, 2.0**p))
             assert len(seen) == 1
             assert abs(math.frexp(np.abs(seen[0]).max())[1]) <= 400
             if abs(p + 2) <= 400:
@@ -656,6 +668,115 @@ class TestEnclosureRung:
                 assert same_bits(seen[0], np.ldexp(base.real, -2) + 0j)
             expected = np.array([-np.sqrt(3.0), np.sqrt(3.0)]) * 2.0**p
             assert np.allclose(np.sort_complex(lam), expected, rtol=4e-16, atol=0)
+
+
+def _ill_conditioned():
+    """A 2 x 2 block with eigenvalues 1 and 2 whose eigenvectors are 2^-50
+    apart: zgeev's X has |X^-1||X| about 4e15, so ||E||_inf > 1/2 and the
+    enclosure gives it up before forming a disk."""
+    x = np.array([[1, 1], [1, 1 + 2.0**-50]], dtype=complex)
+    return x @ np.diag([1.0, 2.0]) @ np.linalg.inv(x)
+
+
+@st.composite
+def direct_sums(draw):
+    """(blocks, beta_cert): 1 to 12 unreduced Hessenberg blocks of
+    dimension 2 to 6, each with its own bound.  A block is a Ginibre or a
+    near-normal one, a near-defective one (a Jordan block with 2^-s below
+    its diagonal), a Ginibre one scaled by 2^+-450 (which zgeev gets
+    scaled), a near-normal one of norm 1/2 at the binary64 floor 2^-50 of
+    beta_cert (whose residual goes to clongdouble), or ``_ill_conditioned``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["ginibre", "near-normal", "near-defective", "scaled", "floor", "ill"])
+    blocks, beta_cert = [], []
+    for kind, d in draw(st.lists(st.tuples(kinds, st.integers(2, 6)), min_size=1, max_size=12)):
+        beta = draw(st.sampled_from([2.0**-50, 1e-12, 1e-6]))
+        if kind == "ginibre" or kind == "scaled":
+            m = random_hessenberg(rng, d).a
+        elif kind == "near-defective":
+            m = np.eye(d, k=1, dtype=complex) + 2.0 ** -draw(st.integers(20, 60)) * np.eye(d, k=-1)
+            m += complex(*rng.standard_normal(2)) * np.eye(d)
+        elif kind == "ill":
+            m = _ill_conditioned()
+        else:
+            m = near_normal_hessenberg(rng, d, perturb=1e-4)[0].a
+        if kind == "scaled":
+            p = draw(st.sampled_from([-450, 450]))
+            m = np.ldexp(m.real, p) + 1j * np.ldexp(m.imag, p)
+        elif kind == "floor":
+            m, beta = m * (0.5 / np.linalg.norm(m)), 2.0**-50
+        blocks.append(m)
+        beta_cert.append(beta * max(1.0, float(np.linalg.norm(m))))
+    return blocks, beta_cert
+
+
+# How far a block's radii in a direct sum may lie from its own.  Most of a
+# radius is the a-priori term g |Y| (|blk||X| + |X||lam|) 1, a sum of the
+# same nonnegative products in another order, which agrees to a few ulps;
+# the computed E = YX - I and R = blk X - X diag(lam) are rounding noise,
+# which BLAS sums in another order over N columns than over d, so the radii
+# agree to about 1 % (1.2 % at most over 2400 blocks of ``direct_sums``).
+RADIUS_SPREAD = 0.05
+
+
+class TestDirectSum:
+    """``_enclosed_roots`` over a list of blocks: one pass over their direct
+    sum, and each block's verdict its own."""
+
+    @settings(max_examples=60)
+    @given(direct_sums())
+    def test_each_block_as_if_alone(self, case):
+        blocks, beta_cert = case
+        roots, radii, _ = _disks(blocks, beta_cert)
+        starts = np.cumsum([0] + [len(b) for b in blocks])
+        for i, (blk, beta) in enumerate(zip(blocks, beta_cert)):
+            (alone,), r, bound = _disks([blk], [beta])
+            if alone is not None and roots[i] is not None:
+                assert same_bits(np.array(roots[i]), np.array(alone))
+            if r is None:  # no disk: ||E||_inf > 1/2 on its own
+                assert roots[i] is None
+                continue
+            ours = radii[starts[i] : starts[i + 1]]
+            finite = np.isfinite(r)
+            assert (np.isfinite(ours) == finite).all()
+            assert np.allclose(ours[finite], r[finite], rtol=RADIUS_SPREAD, atol=0)
+            if abs(np.max(bound) / beta - 1) > RADIUS_SPREAD:
+                assert (roots[i] is None) == (alone is None)
+
+    def test_a_failing_block_leaves_the_others_certified(self):
+        rng = np.random.default_rng(76)
+        blocks = [random_hessenberg(rng, 3).a, _ill_conditioned(), random_hessenberg(rng, 4).a]
+        blocks.append(near_normal_hessenberg(rng, 5, perturb=1e-4)[0].a)
+        beta_cert = [1e-9 * np.linalg.norm(b) for b in blocks]
+        roots, radii, _ = _disks(blocks, beta_cert)
+        assert roots[1] is None and radii is not None and len(radii) == 14
+        for i in (0, 2, 3):
+            assert roots[i] is not None
+            assert same_bits(np.array(roots[i]), np.array(_enclosed(blocks[i], beta_cert[i])))
+        assert _disks([blocks[1]], [beta_cert[1]])[1:] == (None, None)
+
+    def test_solve_each_is_solve_per_matrix(self, enclosures):
+        # one enclosure pass for every unreduced binary64 block of 2 or
+        # more rows of every matrix, and per matrix solve's list bit for bit
+        rng = np.random.default_rng(77)
+        split = random_hessenberg(rng, 5).a
+        split[2, 1] = 0
+        ms = [random_hessenberg(rng, 4).a, split, np.array([[2 - 1j]]), np.zeros((0, 0), dtype=complex)]
+        ms += [to_mp(random_hessenberg(rng, 3).a, mp_context(80)), _ill_conditioned() * 1e-3]
+        each = SOLVER.solve_each(ms, 1e-9)
+        assert enclosures == [(4, True), (2, True), (3, True), (2, False)]
+        enclosures.clear()
+        for m, vals in zip(ms, each):
+            assert same_bits(np.array(vals), np.array(SOLVER.solve(m, 1e-9)))
+        assert SOLVER.solve_each([], 1e-9) == []
+
+    def test_solve_each_names_the_matrix_it_fails_on(self, monkeypatch):
+        monkeypatch.setattr(smalleig, "_block_roots", lambda *args: None)
+        rng = np.random.default_rng(78)
+        ms = [random_hessenberg(rng, 3).a, np.array([[1.0]]), _ill_conditioned()]
+        with pytest.raises(SmallEigFailure, match=r"rows 0:2 \(dimension 2\)$") as failure:
+            SOLVER.solve_each(ms, 1e-9)
+        assert failure.value.index == 2
 
 
 class TestAberth:
