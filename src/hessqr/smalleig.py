@@ -274,23 +274,24 @@ def _matched_bounds(dist, r):
     For disks whose union holds the eigenvalues, a connected component of m
     of them holding exactly m: any point of a component lies within
     r_i + 2 (sum of the other radii of the component) of z_i, which is the
-    bound returned for z_i, r_i when its disk is isolated.  dist holds the
-    distances |z_i - z_j|, or NaN for two disks that lie apart by
-    construction (of different blocks of a direct sum, see
-    ``_enclosed_roots``); r must already cover the rounding of dist and of
-    the sums formed here.  A NaN r gives a NaN bound, which fails every
-    check of it against beta."""
-    d = len(r)
-    near = np.asarray(dist <= r[:, None] + r[None, :], dtype=bool)
-    if np.count_nonzero(near) == d:  # every disk isolated (a NaN r fails later)
+    bound returned for z_i, r_i when no other disk meets its own.  dist
+    holds the distances |z_i - z_j|; r must already cover the rounding of
+    dist and of the sums formed here.  A NaN r gives a NaN bound, which
+    fails every check of it against beta, and meets no disk.  Leading axes
+    of r (and of dist, before its last two) are a stack of separate sets
+    of disks, the blocks of ``_enclosed_roots``."""
+    d = r.shape[-1]
+    near = np.asarray(dist <= r[..., :, None] + r[..., None, :], dtype=bool)
+    if np.count_nonzero(near) == np.count_nonzero(near.diagonal(0, -2, -1)):  # no two disks meet
         return r
-    label = np.arange(d)
+    label = np.broadcast_to(np.arange(d), r.shape)
     while True:  # each root takes the least index in its component
-        least = np.where(near, label, d).min(axis=1)
+        least = np.where(near, label[..., None, :], d).min(axis=-1)
         if (least == label).all():
             break
         label = least
-    return 2 * np.where(label[:, None] == label, r, 0).sum(axis=1) - r
+    same = label[..., :, None] == label[..., None, :]
+    return 2 * np.where(same, r[..., None, :], 0).sum(axis=-1) - r
 
 
 @lru_cache(maxsize=64)
@@ -356,9 +357,13 @@ def _enclosed_roots(blocks, beta_cert):
     and ``zgetri`` an approximate inverse Y, all through
     ``scipy.linalg.lapack``.  Then the blocks are certified together, as
     one direct sum: blk, X and Y are the block-diagonal matrices of the
-    blocks' own, lam their centres in order.  The residual below is formed
-    from each block as given, scaled for zgeev or not.  Let E = YX - I and
-    R = blk X - X diag(lam), exact for the stored blk, X, Y and lam.  When
+    blocks' own, lam their centres in order, and each is stored as the
+    stack of its diagonal blocks, one page per block, padded to the
+    largest dimension d by zeros in blk and lam and by I in X and Y, so
+    that every product is one stacked product.  The residual below is
+    formed from each block as given, scaled for zgeev or not.  Let
+    E = YX - I and R = blk X - X diag(lam), exact for the stored blk, X, Y
+    and lam.  When
     ||E||_inf < 1, X is invertible with X^-1 = (I + E)^-1 Y, and
     X^-1 blk X = diag(lam) + F with F = (I + E)^-1 Y R = YR - EF.  So row i
     of |F| sums to at most s_i + e_i max_j s_j / (1 - ||E||_inf), where s
@@ -368,34 +373,36 @@ def _enclosed_roots(blocks, beta_cert):
     (Wilkinson, The Algebraic Eigenvalue Problem, 1965; Rump, Acta Numerica
     19, 2010), and the disks go to ``_matched_bounds``.  Every one of these
     matrices is block diagonal, so the argument holds for each block on its
-    own: its ||E||_inf and max_j s_j are taken over its own rows, and the
-    distance between centres of different blocks is NaN, so that no
-    component spans two blocks.  Its centres are those it has alone, and its
-    radii differ from its own only by the rounding noise of E and R, which
-    BLAS sums in another order over N columns (about 1 % of a radius in the
-    tests).  A block whose products overflow binary64 (entries within a
-    small factor of its largest number) turns the radii of the others NaN:
-    they then fail with it, and are never certified by it.  A list of one
-    block works on that block's own arrays.
+    own page: its ||E||_inf and max_j s_j are taken over its page, and the
+    disks of a page meet no other page's.  The padding's rows of E and R
+    are exact zeros, and its rows of e are g + tiny, which can raise a
+    page's max over the block's own ||E||_inf by at most g: a larger value
+    only widens the radii.  Its radii are NaN, so its disks meet no disk
+    and it adds no root to a component.  A block whose ||E||_inf exceeds
+    1/2 gets NaN radii too, with the same effect.  A block's centres are
+    those it has alone, and its radii differ from its own only by the
+    rounding noise of E and R, which BLAS may sum in another order over d
+    columns (about 1 % of a radius in the tests).  A list of one block
+    works on that block's own arrays.
 
-    Rounding model: a product of N x N matrices, formed by BLAS or numpy in
+    Rounding model: a product of the stacks, formed by BLAS or numpy in
     any order, with or without fused multiply-adds, is within
-    _slack(2d, u) |P||Q| of the exact product entrywise in a row of a block
-    of dimension d (each real part is a sum of 2d real products: sqrt(2)
-    gamma_2d), and so is blk X - X diag(lam), with |blk||X| +
-    |X| diag(|lam|): the other terms have an exact zero factor, and a zero
-    product, or adding one, is exact.  Gradual underflow loses at most
+    _slack(2k, u) |P||Q| of the exact product entrywise in a row of a block
+    of dimension k (each real part is a sum of 2k real products: sqrt(2)
+    gamma_2k), and so is blk X - X diag(lam), with |blk||X| +
+    |X| diag(|lam|): the padding's terms have an exact zero factor, and a
+    zero product, or adding one, is exact.  Gradual underflow loses at most
     2^-1075 per real product, which the smallest normal number, added to
     each row sum, covers.  E is formed in binary64, and so is a block's R
     when the part of its radii its rounding makes, g |Y| (|blk||X| +
-    |X||lam|) 1, found in O(N^2) before any product of matrices, is within
+    |X||lam|) 1, found in O(d^2) before any product of matrices, is within
     beta_cert / 8; else the block's R is formed in clongdouble, with g from
     the unit roundoff of clongdouble at whatever width it has.  The x87
     u = 2^-64 leaves room for that term at the binary64 floor of beta;
     where clongdouble is binary64 the term stays as large, and the block
     certifies only where the rest of its radii leaves room for it.  Each
-    radius is formed from nonnegative numbers in fewer than 6d + 20
-    binary64 roundings to nearest, so 1 + _slack(6d, u) covers them and the
+    radius is formed from nonnegative numbers in fewer than 6k + 20
+    binary64 roundings to nearest, so 1 + _slack(6k, u) covers them and the
     distances ``_matched_bounds`` compares.  None also for a block whose
     ||E||_inf > 1/2, where a LAPACK call returns a nonzero info, or where a
     value is not finite."""
@@ -411,53 +418,51 @@ def _enclosed_roots(blocks, beta_cert):
             parts.append((i, blk, *eig, y))
     if not parts:
         return out
-    # per-block values are Python lists; per_row expands one to the rows of
-    # the direct sum, and for one block it is that block's value
-    dims = [len(p[2]) for p in parts]
-    if len(parts) == 1:
-        _, a, lam, x, y = parts[0]
-        starts, apart = [0], 0.0
-        per_row = lambda vals: vals[0]  # noqa: E731
-    else:
-        n = sum(dims)
-        starts = np.cumsum(dims) - dims
-        a, x, y = np.zeros((3, n, n), dtype=np.complex128)
-        for (_, blk, _, xb, yb), o, d in zip(parts, starts, dims):
-            a[o : o + d, o : o + d], x[o : o + d, o : o + d], y[o : o + d, o : o + d] = blk, xb, yb
-        lam = np.concatenate([p[2] for p in parts])
-        rows = np.repeat(np.arange(len(parts)), dims)
-        apart = np.where(rows[:, None] == rows, 0.0, np.nan)
-        per_row = lambda vals: np.array(vals)[rows]  # noqa: E731
-    beta = [beta_cert[p[0]] for p in parts]
-    u, tiny = _roundoff(a)
-    g = [_slack(2 * d, u) for d in dims]
+    dims, beta = [len(p[2]) for p in parts], [beta_cert[p[0]] for p in parts]
+    u, tiny = _roundoff(parts[0][1])
+    if len(parts) == 1:  # a stack of one is its block's own arrays
+        (_, a, lam, x, y), d = parts[0], dims[0]
+        per_block, cover, pad = (lambda vals: vals[0]), 1 + _slack(6 * d, u), False  # noqa: E731
+    else:  # one page per block, padded to the largest d by I in X and Y
+        d = max(dims)
+        a, x, y = np.zeros((3, len(parts), d, d), dtype=np.complex128)
+        x[:] = y[:] = np.eye(d)
+        lam = np.zeros((len(parts), d), dtype=np.complex128)
+        for j, (_, blk, lam_j, x_j, y_j) in enumerate(parts):
+            k = len(lam_j)
+            a[j, :k, :k], lam[j, :k], x[j, :k, :k], y[j, :k, :k] = blk, lam_j, x_j, y_j
+        per_block = lambda vals: np.array(vals)[:, None, None]  # noqa: E731
+        # NaN radii on the padding, whose disks meet no other
+        cover = np.array([[1 + _slack(6 * k, u)] * k + [np.nan] * (d - k) for k in dims])[..., None]
+        pad = np.isnan(cover)
+    # row sums are columns (..., d, 1), and per_block makes per-block values (..., 1, 1)
+    g = [_slack(2 * k, u) for k in dims]
     with np.errstate(all="ignore"):
         ax, ay = np.abs(x), np.abs(y)
-        xs = ax.sum(axis=1)
+        xs = ax.sum(axis=-1, keepdims=True)
         e = y @ x
-        e.flat[:: len(lam) + 1] -= 1
-        e = np.abs(e).sum(axis=1) + per_row(g) * (ay @ xs) + tiny
-        e_norm = np.maximum.reduceat(e, starts).tolist()
-        if not any(t <= 0.5 for t in e_norm):
+        e.reshape(-1, d * d)[:, :: d + 1] -= 1
+        e = np.abs(e).sum(axis=-1, keepdims=True) + per_block(g) * (ay @ xs) + tiny
+        # a block with ||E||_inf > 1/2 fails: its t is NaN, which makes its radii NaN
+        t = [m if m <= 0.5 else math.nan for m in e.max(axis=-2).ravel().tolist()]
+        if not any(t_j <= 0.5 for t_j in t):
             return out
-        v = ay @ (np.abs(a) @ xs + ax @ np.abs(lam))
-        r = np.abs(a @ x - x * lam).sum(axis=1)
-        for j, v_max in enumerate(np.maximum.reduceat(v, starts).tolist()):
-            if not g[j] * v_max <= beta[j] / 8:  # this block's R in clongdouble
+        v = ay @ (np.abs(a) @ xs + ax @ np.abs(lam)[..., None])
+        r = np.abs(a @ x - x * lam[..., None, :]).sum(axis=-1, keepdims=True)
+        for j, v_max in enumerate(v.max(axis=-2).ravel().tolist()):
+            if t[j] <= 0.5 and not g[j] * v_max <= beta[j] / 8:  # this block's R in clongdouble
                 _, blk, lam_j, x_j, _ = parts[j]
                 xw = x_j.astype(np.clongdouble)
                 rw = blk.astype(np.clongdouble) @ xw - xw * lam_j.astype(np.clongdouble)
-                r[starts[j] : starts[j] + dims[j]] = np.abs(rw).sum(axis=1)
-                g[j] = _slack(2 * dims[j], float(np.finfo(np.clongdouble).epsneg))
-        s = ay @ (r + tiny) + per_row(g) * v
-        s_max = np.maximum.reduceat(s, starts).tolist()
-        spill = e * per_row([m / (1 - t) for m, t in zip(s_max, e_norm)])
-        rho = (s + spill) * per_row([1 + _slack(6 * d, u) for d in dims]) + tiny
-        dist = np.abs(lam[:, None] - lam[None, :]) + apart
-        fits = _matched_bounds(dist, rho) <= per_row(beta)
-        fits = np.logical_and.reduceat(fits, starts).tolist()
-    for (i, _, lam_i, _, _), t, ok in zip(parts, e_norm, fits):
-        if ok and t <= 0.5:
+                r.reshape(len(parts), d)[j, : len(lam_j)] = np.abs(rw).sum(axis=1)
+                g[j] = _slack(2 * len(lam_j), float(np.finfo(np.clongdouble).epsneg))
+        s = ay @ (r + tiny) + per_block(g) * v
+        spill = e * (s.max(axis=-2, keepdims=True) / per_block([1 - t_j for t_j in t]))
+        rho = (s + spill) * cover + tiny
+        dist = np.abs(lam[..., :, None] - lam[..., None, :])
+        fits = (_matched_bounds(dist, rho[..., 0])[..., None] <= per_block(beta)) | pad
+    for (i, _, lam_i, _, _), ok in zip(parts, fits.reshape(len(parts), d).all(axis=1)):
+        if ok:
             out[i] = list(lam_i)
     return out
 
@@ -550,14 +555,11 @@ def _solve_each(ms, beta):
                 index=i,
             )
         vals[i] += roots
-    out = []
     for h, v in zip(hs, vals):
         v.sort(key=lambda z: (float(z.real), float(z.imag)))
-        if not h.is_extended:
-            out.append([complex(z) for z in v])
-        else:  # each root as it is, at the precision of the rung that certified it
-            out.append([h.a[0, 0].context.make_mpc(z._mpc_) for z in v])
-    return out
+        # an mpmath root as it is, at the precision of the rung that certified it
+        v[:] = [h.a[0, 0].context.make_mpc(z._mpc_) if h.is_extended else complex(z) for z in v]
+    return vals
 
 
 class CharPolySolver:

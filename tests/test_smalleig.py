@@ -410,7 +410,8 @@ def _enclosed(blk, beta_cert):
 def _disks(blocks, beta_cert):
     """(roots, radii, bounds) of one ``_enclosed_roots`` call; radii and
     bounds are those of its one pass over the direct sum, None where it
-    formed no disk."""
+    formed no disk, each block's rows in order without the padding of its
+    page (so every block of two or more must have passed LAPACK)."""
     seen = []
     original = smalleig._matched_bounds
 
@@ -423,7 +424,13 @@ def _disks(blocks, beta_cert):
         m.setattr(smalleig, "_matched_bounds", recording)
         roots = smalleig._enclosed_roots(blocks, beta_cert)
     assert len(seen) <= 1
-    return (roots, *seen[0]) if seen else (roots, None, None)
+    if not seen:
+        return roots, None, None
+    r, bound = seen[0]
+    if r.ndim == 2:  # one page per block
+        assert len(r) == len(blocks)
+        r, bound = (np.concatenate([v[: len(b)] for v, b in zip(page, blocks)]) for page in (r, bound))
+    return roots, r, bound
 
 
 def _enclosure(blk, beta_cert):
@@ -714,8 +721,9 @@ def direct_sums(draw):
 # radius is the a-priori term g |Y| (|blk||X| + |X||lam|) 1, a sum of the
 # same nonnegative products in another order, which agrees to a few ulps;
 # the computed E = YX - I and R = blk X - X diag(lam) are rounding noise,
-# which BLAS sums in another order over N columns than over d, so the radii
-# agree to about 1 % (1.2 % at most over 2400 blocks of ``direct_sums``).
+# which BLAS may sum in another order over a page padded to the largest
+# dimension than over the block alone, so the radii agree to about 1 % (1.0 %
+# at most over 2000 blocks of ``direct_sums``).
 RADIUS_SPREAD = 0.05
 
 
@@ -754,6 +762,30 @@ class TestDirectSum:
             assert roots[i] is not None
             assert same_bits(np.array(roots[i]), np.array(_enclosed(blocks[i], beta_cert[i])))
         assert _disks([blocks[1]], [beta_cert[1]])[1:] == (None, None)
+
+    def test_a_failing_block_leaves_a_component_whole(self):
+        # a normal 2 x 2 block whose eigenvalues lie closer than its radii:
+        # its two disks form one component, with bounds of about 3 r, and
+        # beta_cert lies between r and them, so it fails on its own.  Beside
+        # a block with ||E||_inf > 1/2, whose radii are NaN, it must fail too.
+        pair = np.array([[1, 2.0**-52], [2.0**-52, 1]], dtype=complex)
+        beta = 1e-15
+        (alone,), r, bound = _disks([pair], [beta])
+        assert alone is None and r.max() < beta < bound.min()
+        roots, radii, bounds = _disks([_ill_conditioned(), pair], [1.0, beta])
+        assert roots == [None, None] and np.isnan(radii[:2]).all()
+        assert np.allclose(bounds[2:], bound, rtol=RADIUS_SPREAD, atol=0)
+
+    def test_matched_bounds_of_nan_radii_and_a_pair(self):
+        # two NaN disks add no entry, not even on the diagonal, and two
+        # overlapping disks add four: NaN bounds, and r_i + 2 r_j for the pair
+        nan = math.nan
+        dist = np.array([[0, 1, nan, nan], [1, 0, nan, nan], [nan, nan, 0, 1], [nan, nan, 1, 0]])
+        bounds = smalleig._matched_bounds(dist, np.array([nan, nan, 0.75, 0.5]))
+        assert np.isnan(bounds[:2]).all() and bounds[2:].tolist() == [1.75, 2.0]
+        # and so do the two blocks as a stack of two pages
+        pages = smalleig._matched_bounds(dist[None, :2, :2].repeat(2, axis=0), np.array([[nan, nan], [0.75, 0.5]]))
+        assert np.isnan(pages[0]).all() and pages[1].tolist() == [1.75, 2.0]
 
     def test_solve_each_is_solve_per_matrix(self, enclosures):
         # one enclosure pass for every unreduced binary64 block of 2 or
