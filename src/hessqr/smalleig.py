@@ -557,8 +557,10 @@ def _solve_each(ms, beta):
         vals[i] += roots
     for h, v in zip(hs, vals):
         v.sort(key=lambda z: (float(z.real), float(z.imag)))
-        # an mpmath root as it is, at the precision of the rung that certified it
-        v[:] = [h.a[0, 0].context.make_mpc(z._mpc_) if h.is_extended else complex(z) for z in v]
+        if h.is_extended:  # each root as it is, at the precision of the rung that certified it
+            v[:] = [h.a[0, 0].context.make_mpc(z._mpc_) for z in v]
+        else:
+            v[:] = [complex(z) for z in v]
     return vals
 
 

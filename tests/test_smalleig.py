@@ -680,7 +680,8 @@ class TestEnclosureRung:
 def _ill_conditioned():
     """A 2 x 2 block with eigenvalues 1 and 2 whose eigenvectors are 2^-50
     apart: zgeev's X has |X^-1||X| about 4e15, so ||E||_inf > 1/2 and the
-    enclosure gives it up before forming a disk."""
+    enclosure gives it up: alone before forming a disk, in a list with NaN
+    radii."""
     x = np.array([[1, 1], [1, 1 + 2.0**-50]], dtype=complex)
     return x @ np.diag([1.0, 2.0]) @ np.linalg.inv(x)
 
