@@ -2,8 +2,9 @@
 
     python scripts/same_results.py CHECKOUT_A CHECKOUT_B [--inputs N] [--seeds S ...]
 
-Each checkout runs in its own interpreter, with its own ``src/`` and
-``perfbench/`` first on the path and one BLAS thread, and records:
+Each checkout runs in its own interpreter, the two at the same time, with
+its own ``src/`` and ``perfbench/`` first on the path and one BLAS thread,
+and records:
 
 - for the first N inputs (default 8) of every perfbench workload at each
   seed (default 11 and 12): the eigenvalue bytes, every deflation-tree node
@@ -350,7 +351,9 @@ def differences(a, b, where=""):
     return ([] if a == b else [where]), []
 
 
-def _run_checkout(checkout, n_inputs, seeds, out_path):
+def _start_collector(checkout, n_inputs, seeds, out_path):
+    """The collecting interpreter of one checkout, started, writing its
+    records to out_path."""
     checkout = Path(checkout).resolve()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(checkout / "src"), str(checkout / "perfbench")])
@@ -359,8 +362,7 @@ def _run_checkout(checkout, n_inputs, seeds, out_path):
     env["COLUMNS"] = "80"  # the width argparse wraps the help text to
     cmd = [sys.executable, str(Path(__file__).resolve()), "--collect", str(out_path)]
     cmd += ["--inputs", str(n_inputs), "--seeds", *map(str, seeds)]
-    subprocess.run(cmd, env=env, cwd=checkout, check=True)
-    return json.loads(Path(out_path).read_text(encoding="utf-8"))
+    return subprocess.Popen(cmd, env=env, cwd=checkout)
 
 
 def main(argv=None):
@@ -377,10 +379,15 @@ def main(argv=None):
     if len(args.checkouts) != 2:
         p.error("give two checkouts")
     with tempfile.TemporaryDirectory() as tmp:
-        a, b = (
-            _run_checkout(c, args.inputs, args.seeds, Path(tmp) / f"{i}.json")
-            for i, c in enumerate(args.checkouts)
-        )
+        # the two checkouts collect at the same time, one BLAS thread each
+        outs = [Path(tmp) / f"{i}.json" for i in range(2)]
+        procs = [_start_collector(c, args.inputs, args.seeds, out) for c, out in zip(args.checkouts, outs)]
+        for proc in procs:
+            proc.wait()
+        for proc in procs:
+            if proc.returncode:
+                raise subprocess.CalledProcessError(proc.returncode, proc.args)
+        a, b = (json.loads(out.read_text(encoding="utf-8")) for out in outs)
     diff, one_sided = [f"/{name}" for name in sorted(set(a) ^ set(b))], []
     for name in sorted(set(a) & set(b)):
         d, o = differences(a[name], b[name], f"/{name}")

@@ -16,21 +16,20 @@ L = log2 psi_k(H)^k: by the driver where a block's loop starts, and else by
 ``iqr.kept_step``, on the Step each branch hands back.  The driver passes L
 down to ``ritz_or_decouple`` and ``sh_step``, which check neither again.  The
 driver makes every small eigenvalue solver call.  It certifies an iterate's
-k x k corner only where the paper's step needs it: once, after a rejected
-plain step, for ``ritz_or_decouple``, ``sh_step`` and every retry after a
-``DichotomyMiss``.  A run at other than 53 bits certifies the corner first
-and shifts its plain step by those values, since zgeev's binary64 values
-would cap the step at 53 bits; so does a binary64 iteration where LAPACK
-fails on the corner.  Blocks of dimension at most k are the leaves: a 1 x 1
+k x k corner only for the paper's step, once per iteration that runs it
+(after a rejected plain step, or where LAPACK fails on the corner), for
+``ritz_or_decouple``, ``sh_step`` and every retry after a
+``DichotomyMiss``.  Blocks of dimension at most k are the leaves: a 1 x 1
 leaf is its entry, and the others go to the small solver together, in one
-``solve_each`` call after every block has run (``_certify_leaves``), which
-names the leaf it could not certify.  Probabilistic failure
-events are retried a fixed number of times with fresh randomness before the
-run aborts.  The iteration draws from one random stream made from the seed,
-and the blocks consume it in the order they run (depth first, top block
-first), so a run is byte-reproducible from its seed at a fixed BLAS thread
-count (with OpenBLAS 0.3.31, from n = 76 on, the ``zgeev`` of the small
-solver's enclosure and of ``smalleig.corner_shifts``, and the norm(a, 2) of
+``solve_each`` call after every block has run (``_certify_leaves``).  A
+corner or leaf that no rung certifies raises SmallEigFailure naming its
+block and its rows.  Probabilistic failure events are retried a fixed
+number of times with fresh randomness before the run aborts.  The
+iteration draws from one random stream made from the seed, and the blocks
+consume it in the order they run (depth first, top block first), so a run
+is byte-reproducible from its seed at a fixed BLAS thread count (with
+OpenBLAS 0.3.31, from n = 76 on, the ``zgeev`` of the small solver's
+enclosure and of ``smalleig.corner_shifts``, and the norm(a, 2) of
 ``preprocess`` can depend on that count, and so can the zlaqr5 sweep of a
 plain step, whose zgemm calls with accumulated reflectors at most
 max(3k - 3, 2k) wide gave other bits at one and two threads from n = 128,
@@ -66,20 +65,21 @@ Why the plain step leaves the paper's bounds as they are:
   draws up to n = 256, k = 64 (one BLAS thread): ||Z*HZ - H'||_F <=
   23 u ||H||_F and ||Z*Z - I||_F <= 417 u, so ||E||_F <= 860 u ||H||_F.
   The shifts enter only through the first column of (H - s1)(H - s2), so
-  they choose the similarity and not its backward error (an odd last shift
-  is an ``iqr_single`` sweep, as below).  Both bounds sit within the "driver"
-  term of ``params.budget_terms``, which counts k N_dec n sweeps (k per
-  iteration, N_dec iterations per loop, at most n loops) at
-  32 n^(3/2) u ||H - s|| each, with ||H - s|| read as 4.5 Sigma >= 9 ||H||_F:
-  a plain step's k n u-multiples of ||H||_F are below its k sweeps' share,
-  so that term and ``required_bits`` stay as they are.  On mpmath numbers a
-  plain step is k ``iqr_single`` sweeps.  The plain shifts are zgeev's
-  eigenvalues of corner + E, with ||E|| a small multiple of k u ||corner||_F
-  (the QR algorithm is backward stable), so |s| <= (1 + O(ku)) ||H||_F <=
-  Sigma / 2 (1 + O(ku)): inside the bound on the shifts that the term
-  assumes for an ``iqr_single`` sweep.  Forward instability of the shifted
-  step (Parlett and Le 1993) can only make a plain step fail its test,
-  never enlarge its backward error.
+  they choose the similarity and not its backward error.  Both bounds sit
+  within the "driver" term of ``params.budget_terms``, which counts
+  k N_dec n sweeps (k per iteration, N_dec iterations per loop, at most n
+  loops) at 32 n^(3/2) u ||H - s|| each, with ||H - s|| read as
+  4.5 Sigma >= 9 ||H||_F: a plain step's k n u-multiples of ||H||_F are
+  below its k sweeps' share, so that term and ``required_bits`` stay as
+  they are.  On mpmath numbers a plain step is k ``iqr_single`` sweeps.
+- The plain shifts are zgeev's eigenvalues of corner + E (an mpmath corner
+  rounded to binary64 first), ||E|| a small multiple of k u ||corner||_F at
+  binary64's u, so |s| <= (1 + O(ku)) ||H||_F <= Sigma / 2 (1 + O(ku)), as
+  the term assumes.  A shift only chooses the similarity, so a binary64
+  shift serves a sweep at any precision, with that precision's backward
+  error.  How near s lies to the corner's eigenvalues (2^-53 relative at
+  best) and forward instability of the shifted step (Parlett and Le 1993)
+  decide only how far a step contracts, which its test measures.
 - zlaqr5 sets to zero each subdiagonal it finds negligible during the chase
   (Ahues and Tisseur's criterion: |h_(i+1,i)| at most about
   u (|h_ii| + |h_(i+1,i+1)|)), and ``deflate`` then splits at that exact
@@ -90,8 +90,8 @@ Why the plain step leaves the paper's bounds as they are:
 - Nothing the paper's bounds read comes from an uncertified value: the Ritz
   values of ``ritz_or_decouple`` and ``sh_step`` are the certified corner
   eigenvalues, and every output eigenvalue comes from a certified leaf
-  solve.  A corner that no rung certifies stops a run only when a rejected
-  plain step needs its certificate.
+  solve.  A corner that no rung certifies stops a run only when the paper's
+  step needs its certificate.
 - The failure events of probability phi_w arise only in ``ritz_or_decouple``
   and ``sh_step``, which run at most once per iteration (with their
   retries), so at most N_dec times per loop, as the budget phi_w =
@@ -175,7 +175,7 @@ class IterationRecord:
     psi_before: float
     psi_after: float
     branch: str  # "plain" | "decouple" | "ritz_shift" | "exceptional"
-    shift: complex  # of a "plain" record, the first of its k shifts, uncertified at 53 bits
+    shift: complex  # of a "plain" record, the first of its k shifts: binary64, uncertified
     retries: int
 
 
@@ -226,7 +226,7 @@ def _resolve_seed(seed):
 
 def _plain_step(h, shifts, log2_psi_pow_k, omega, k):
     """The "plain" Step of the degree-k step whose k shifts are ``shifts``,
-    the eigenvalues of the corner, when it decouples or contracts the
+    LAPACK's eigenvalues of the corner, when it decouples or contracts the
     potential; None otherwise.  The step is ``iqr.multishift_step``: one
     zlaqr5 sweep on complex128, k ``iqr_single`` sweeps on mpmath numbers.
 
@@ -245,21 +245,22 @@ def _process_block(node, h, plan, rng):
     h is in the units of the plan; the eigenvalues and the trace records
     written to the node are multiplied back by 2^e.  Every small solver call
     of the run is made here.  Each loop iteration tries LAPACK's eigenvalues
-    of the k x k corner of its iterate (``smalleig.corner_shifts``) as the
-    shifts of a plain step (``_plain_step``), and makes no solver call when
-    the step is kept.  When it is rejected, the corner is certified once, at
-    ``params.corner_accuracy``, and the paper's ``ritz_or_decouple`` and
-    ``sh_step`` run from the same H; ``ritz_or_decouple`` and each of its
-    retries take the same certified values: the solver draws no randomness,
-    so a second solve would return the same ones.  On mpmath numbers, and
-    where LAPACK fails on the corner, the corner is certified first and the
-    plain step shifts by those values.  A kept plain step is recorded
-    with branch "plain" and 0 retries, and its shift is the first of its k
-    shifts.  The guard reads the moduli and L on the kept Step: no iterate
-    is measured twice.  h is larger than k: the leaves, of dimension at
-    most k, are certified by ``_certify_leaves``, after every block has run.
-    The loop draws from ``rng``, the run's one Generator, which the blocks
-    share in the order they run."""
+    of the k x k corner of its iterate (``smalleig.corner_shifts``, in
+    either arithmetic) as the shifts of a plain step (``_plain_step``), and
+    makes no solver call when the step is kept.  When it is rejected, or
+    LAPACK fails on the corner, the corner is certified once, at
+    ``params.corner_accuracy`` (SmallEigFailure names the block and the
+    corner's rows in the caller's matrix), and the paper's
+    ``ritz_or_decouple`` and ``sh_step`` run from the same H;
+    ``ritz_or_decouple`` and each of its retries take the same certified
+    values: the solver draws no randomness, so a second solve would return
+    the same ones.  A kept plain step is recorded with branch "plain" and
+    0 retries, and its shift is the first of its k shifts.  The guard reads
+    the moduli and L on the kept Step: no iterate is measured twice.  h is
+    larger than k: the leaves, of dimension at most k, are certified by
+    ``_certify_leaves``, after every block has run.  The loop draws from
+    ``rng``, the run's one Generator, which the blocks share in the order
+    they run."""
     gd, params, e = plan.gd, plan.params, plan.e
     k = gd.k
     omega = params.omega
@@ -274,14 +275,15 @@ def _process_block(node, h, plan, rng):
                 f"block {node.block_id} exceeded N_dec={params.n_dec_budget} iterations"
             )
         corner = h.corner(k)
-        shifts = None if h.is_extended else corner_shifts(corner)
+        shifts = corner_shifts(corner)
         step = None if shifts is None else _plain_step(h, shifts, log2_psi_pow_k, omega, k)
         retries = 0
         if step is None:
-            corner_eigs = DEFAULT_SOLVER.solve(corner, accuracy)
-            if shifts is None:  # mpmath numbers, or LAPACK failed: shift by these
-                step = _plain_step(h, corner_eigs, log2_psi_pow_k, omega, k)
-        if step is None:
+            try:
+                corner_eigs = DEFAULT_SOLVER.solve(corner, accuracy)
+            except SmallEigFailure as exc:
+                rows = f"rows {node.start + h.n - k}:{node.start + h.n}"
+                raise SmallEigFailure(f"corner of block {node.block_id} at {rows}: {exc}") from exc
             (ritz, step), retries = _retry(
                 lambda: ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd),
                 "ritz_or_decouple",

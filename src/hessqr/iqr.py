@@ -8,19 +8,20 @@ context.  r_nn = |R_nn| of each step, whose product approximates
 tau_p(H)^k = ||e_n* p(H)^{-1}||^{-1}.  Shifts are plain tuples of roots;
 ``Step`` is the record one step of the QR iteration hands to the driver;
 ``kept_step``, the one rule for keeping a step, builds and measures each.
-A step returns its reflectors in an ``IqrResult``, and a chain of steps
-keeps only its last step's, which form its next iterate; Q itself is never
-formed here.  That iterate is formed on its first read
+A chain of Householder sweeps returns its r_nn and its last sweep's
+reflectors in an ``IqrResult``, whose reflectors form its next iterate; Q
+itself is never formed here.  That iterate is formed on its first read
 (``IqrResult.next_h``), so a sweep whose r_nn only a tau product reads
 costs its factorization alone: a step of the shifting strategy forms
 k log2(k) - 2 log2(k) + 2 of its k log2(k) + 1 sweeps (6 of 9 at k = 4).
 ``multishift_step`` is the degree-k step whose r_nn nothing reads (the
-driver's plain step): on complex128 one call of LAPACK's small-bulge
-multishift sweep zlaqr5 chases the shifts two per bulge, reached through
-scipy's Cython LAPACK table by ctypes, and this module is the one place that
-calls it.  With KACC22 = 2 it applies each chain's accumulated reflectors by
-zgemm on blocks at most max(3k - 3, 2k) wide, so, like the zgeev of the small
-solver, its bits can depend on the BLAS thread count.
+driver's plain step), and returns its iterate alone: on complex128 one call
+of LAPACK's small-bulge multishift sweep zlaqr5 chases the shifts two per
+bulge, reached through scipy's Cython LAPACK table by ctypes, and this
+module is the one place that calls it.  With KACC22 = 2 it applies each
+chain's accumulated reflectors by zgemm on blocks at most max(3k - 3, 2k)
+wide, so, like the zgeev of the small solver, its bits can depend on the
+BLAS thread count.
 ``split_blocks`` is the one block splitter: the driver's deflation, the small
 solver and the oracle all cut Hessenberg matrices at exactly-zero
 subdiagonals through it.
@@ -160,15 +161,14 @@ class StepReflectors(NamedTuple):
 
 
 class IqrResult:
-    """The degree-m step of p on H: the r_nn of each degree-1 step and the
-    next iterate ``next_h``.
+    """The degree-m step of p on H as m Householder sweeps: the r_nn of
+    each degree-1 step and the next iterate ``next_h``.
 
     ``factors`` is the StepReflectors of the last degree-1 step, and None
-    for the identity step and a ``multishift_step`` on complex128, whose
-    iterate comes formed and whose r_nn_per_step is None, since its sweep
-    forms no R.  The reflectors of earlier steps are not kept.  The iterate
-    R Q + s is formed from ``factors`` and the last shift the first time
-    next_h is read, by the operations ``iqr_single`` describes, and kept:
+    for the identity step, whose r_nn list is empty and whose next_h is H.
+    The reflectors of earlier steps are not kept.  The iterate R Q + s is
+    formed from ``factors`` and the last shift the first time next_h is
+    read, by the operations ``iqr_single`` describes, and kept:
     two reads return the same matrix.  A caller that needs every step's
     reflectors chains ``iqr_single`` and collects each result's factors."""
 
@@ -396,30 +396,25 @@ def _zlaqr5_sweep(a, shifts):
 
 
 def multishift_step(h, shifts):
-    """The degree-len(shifts) step of ``shifts`` on h, with its iterate
-    formed, for a caller that reads no r_nn.
+    """The iterate of the degree-len(shifts) step of ``shifts`` on h, a
+    ``HessenbergMatrix``, for a caller that reads no r_nn.
 
-    On complex128, one zlaqr5 call (Braman, Byers and Mathias, *SIAM J.
-    Matrix Anal. Appl.* 23(4), 2002) chases the even part of the shifts
-    through the whole block as bulges of two shifts each, and an odd last
-    shift is an ``iqr_single`` step on its iterate; the result's r_nn and
-    factors are None, since the sweep forms no R.  On mpmath numbers it is
-    ``iqr_multi``.  The iterate is a unitary similarity of h, and exactly
-    Hessenberg; it equals ``iqr_multi``'s up to a unitary diagonal
-    similarity (the implicit Q theorem) and rounding, but for the
+    The shift count is even, non-zero and below n, as zlaqr5's NSHFTS is:
+    DimensionError otherwise, and DomainError on a non-finite shift.  On
+    complex128 the step is one zlaqr5 call (Braman, Byers and Mathias,
+    *SIAM J. Matrix Anal. Appl.* 23(4), 2002), which chases the shifts
+    through the whole block as bulges of two shifts each; on mpmath numbers
+    it is ``iqr_multi``'s iterate.  The iterate is a unitary similarity of
+    h, and exactly Hessenberg; it equals ``iqr_multi``'s up to a unitary
+    diagonal similarity (the implicit Q theorem) and rounding, but for the
     subdiagonals zlaqr5 sets to zero where they are negligible (Ahues and
-    Tisseur's criterion, about u (|h_ii| + |h_(i+1,i+1)|)).  DimensionError
-    unless n > len(shifts), DomainError on a non-finite shift."""
-    if h.n <= len(shifts):
-        raise DimensionError(f"a degree-{len(shifts)} step needs n > {len(shifts)}, got n={h.n}")
+    Tisseur's criterion, about u (|h_ii| + |h_(i+1,i+1)|))."""
+    ns = len(shifts)
+    if ns == 0 or ns % 2 or h.n <= ns:
+        raise DimensionError(f"shift count must be even and in 2..n-1, got {ns} for n={h.n}")
     if h.is_extended:
-        return iqr_multi(h, tuple(shifts))
-    even = len(shifts) - len(shifts) % 2
-    if even:
-        h = _zlaqr5_sweep(h.a, shifts[:even])
-    if even < len(shifts):
-        h = iqr_single(h, shifts[-1]).next_h
-    return IqrResult(h, None, None, None)
+        return iqr_multi(h, tuple(shifts)).next_h
+    return _zlaqr5_sweep(h.a, shifts)
 
 
 def comp_tau(res):
@@ -448,15 +443,15 @@ def log2_potential_pow_k(moduli):
     return math.fsum(log2(v) for v in moduli)
 
 
-def kept_step(res, branch, shift, k, omega, log2_target):
-    """The Step of ``res``, the IqrResult of a candidate degree-k step, when
-    its next iterate decouples or contracts psi_k; None otherwise.  Forms
-    that iterate's bottom-k moduli and L = log2 psi_k^k once, for the Step
-    to carry: kept when min(moduli) <= omega or L < log2_target, which is
+def kept_step(next_h, branch, shift, k, omega, log2_target):
+    """The Step of ``next_h``, the iterate of a candidate degree-k step,
+    when it decouples or contracts psi_k; None otherwise.  Forms that
+    iterate's bottom-k moduli and L = log2 psi_k^k once, for the Step to
+    carry: kept when min(moduli) <= omega or L < log2_target, which is
     ``params.contraction_target`` for a contraction of psi_k(H), -inf
     for decoupling alone, and +inf for a step its caller keeps anyway."""
-    moduli = res.next_h.bottom_subdiagonal_abs(k)
+    moduli = next_h.bottom_subdiagonal_abs(k)
     log2_psi_pow_k = log2_potential_pow_k(moduli)
     if min(moduli) <= omega or log2_psi_pow_k < log2_target:
-        return Step(res.next_h, branch, shift, moduli, log2_psi_pow_k)
+        return Step(next_h, branch, shift, moduli, log2_psi_pow_k)
     return None

@@ -90,7 +90,7 @@ def ritz_or_decouple(h, log2_psi_pow_k, corner_eigs, omega, rng, gd):
     if optimal(h, log2_psi_pow_k, ritz, gd):
         return ritz, None
     for rv in ritz:
-        step = kept_step(iqr_multi(h, (rv,) * k), "decouple", rv, k, omega, -math.inf)
+        step = kept_step(iqr_multi(h, (rv,) * k).next_h, "decouple", rv, k, omega, -math.inf)
         if step is not None:
             return ritz, step
     raise DichotomyMiss(

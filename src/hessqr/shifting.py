@@ -137,12 +137,12 @@ def sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd):
     full = half.then((r,) * (k // 2))
     # tau_k < ((1 - gamma) psi_k(H))^k, compared in log2
     if log2(comp_tau(full)) < k * math.log2(1.0 - GAMMA) + log2_psi_pow_k:
-        return kept_step(full, "ritz_shift", r, k, omega, math.inf)
+        return kept_step(full.next_h, "ritz_shift", r, k, omega, math.inf)
 
     candidates = exc(r, 2.0 ** (log2_psi_pow_k / k), rng, gd)
     target = contraction_target(log2_psi_pow_k, k)
     for s in candidates:
-        step = kept_step(iqr_multi(h, (s,) * k), "exceptional", s, k, omega, target)
+        step = kept_step(iqr_multi(h, (s,) * k).next_h, "exceptional", s, k, omega, target)
         if step is not None:
             return step
     raise StagnationFailure(

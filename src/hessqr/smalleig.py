@@ -43,10 +43,10 @@ the same beta_eff and first precision.  Deterministic: no randomness
 anywhere, output sorted by (re, im).  The driver makes every call, through
 ``DEFAULT_SOLVER``: one ``solve_each`` call per run for all its leaves of
 dimension 2 or more, and one ``solve`` call for the corner of each loop
-iteration whose plain step is rejected (before the plain step, on mpmath
-numbers and where ``corner_shifts`` fails).  The plain
-step itself shifts by ``corner_shifts``: LAPACK's eigenvalues of the corner,
-uncertified, from the same ``zgeev`` call the enclosure centres its disks on.
+iteration that runs the paper's step (the plain step was rejected, or
+``corner_shifts`` failed).  The plain step shifts by ``corner_shifts`` in
+either arithmetic: LAPACK's eigenvalues of the corner, uncertified, from
+the same ``zgeev`` call the enclosure centres its disks on.
 
 scipy 1.17.1's ``zgeev`` leaves the eigenvalues of a block whose largest
 entry is above 2^459 or below 2^-459 at the scale it balanced them to
@@ -332,15 +332,16 @@ def _zgeev(blk):
 
 
 def corner_shifts(m):
-    """LAPACK's eigenvalues of the binary64 Hessenberg array m, uncertified,
-    as complex numbers in ``CharPolySolver.solve``'s (re, im) order; None
-    on a nonzero info or a value that is not finite.
+    """LAPACK's eigenvalues of the Hessenberg array m (mpmath numbers are
+    rounded to complex128), uncertified, as complex numbers in
+    ``CharPolySolver.solve``'s (re, im) order; None on a nonzero info or a
+    value that is not finite.
 
     They come from ``_zgeev``, the routine the enclosure takes its centres
-    from, so where the enclosure certifies an unreduced m they are bit for
-    bit what ``CharPolySolver.solve`` returns for it.  The driver's plain
-    step shifts by them, and needs no certificate (see ``driver``)."""
-    eig = _zgeev(m)
+    from, so where the enclosure certifies an unreduced binary64 m they are
+    bit for bit what ``CharPolySolver.solve`` returns for it.  The driver's
+    plain step shifts by them, and needs no certificate (see ``driver``)."""
+    eig = _zgeev(np.asarray(m, dtype=np.complex128))
     if eig is None or not np.isfinite(eig[0]).all():
         return None
     return sorted((complex(z) for z in eig[0]), key=lambda z: (z.real, z.imag))
@@ -585,8 +586,8 @@ class CharPolySolver:
     (simulated with a numpy whose clongdouble is complex128), the enclosure
     certifies 112 of the 475 corners of the first 16 such inputs at seed
     11, the binary64 char-poly rung none of the rest, and 120-bit mpmath
-    all of those.  The driver certifies a corner only after a rejected
-    plain step, which qr_small never takes, so there the solver sees only
+    all of those.  The driver certifies a corner only for the paper's
+    step, which qr_small never takes, so there the solver sees only
     leaves: one ``solve_each`` call per input, for 79 leaves over the first
     8 inputs at seed 11.  Certified
     LAPACK eigenvalues are returned as they are; a root that Ehrlich-Aberth

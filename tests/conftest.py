@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hessqr import driver, oracle, smalleig
-from hessqr.iqr import HessenbergMatrix, iqr_multi, kept_step, log2_potential_pow_k
+from hessqr.iqr import HessenbergMatrix, kept_step, log2_potential_pow_k
 
 # Property tests draw the same examples on every run and may take as long as
 # an mpmath solve needs.
@@ -135,15 +135,15 @@ def paper_steps(monkeypatch):
 def stalled_iteration(monkeypatch, paper_steps):
     """The driver's steps never change H: a plain step that is rejected,
     Ritz values that are never optimal and never decouple, then a
-    ritz_shift step back to H itself: the identity step, kept by
-    ``iqr.kept_step`` as sh_step keeps its ritz_shift steps.  Returns the
-    list of every sh_step call's H."""
+    ritz_shift step whose iterate is H itself, kept by ``iqr.kept_step``
+    as sh_step keeps its ritz_shift steps.  Returns the list of every
+    sh_step call's H."""
     calls = []
     monkeypatch.setattr(driver, "ritz_or_decouple", lambda h, *args: ((0j,) * 4, None))
 
     def sh_step(h, log2_psi_pow_k, ritz, omega, rng, gd):
         calls.append(h)
-        return kept_step(iqr_multi(h, ()), "ritz_shift", 0j, gd.k, omega, math.inf)
+        return kept_step(h, "ritz_shift", 0j, gd.k, omega, math.inf)
 
     monkeypatch.setattr(driver, "sh_step", sh_step)
     return calls

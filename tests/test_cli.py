@@ -647,6 +647,32 @@ class TestSmallEigFailure:
         assert err.startswith(f"error: leaf block {wide[-1]} at rows {start}:{start + n}: could not certify")
         assert not out.exists()
 
+    def test_exit_two_on_a_corner(self, tmp_path, capsys, monkeypatch, paper_steps):
+        # under the paper's step, the root block's first corner is one no
+        # rung certifies: exit 2, an error naming the block and the corner's
+        # rows, and no run document
+        path = _random_mtx(tmp_path, 6, False)
+        out = tmp_path / "out.json"
+        argv = ["solve", path, "--seed", "21", "--B", "1", "--gamma-gap", "1e-3", "--out-json", str(out)]
+        corners = []
+        solve = CharPolySolver.solve
+
+        def spy(self, m, beta):
+            corners.append(np.array(m))
+            return solve(self, m, beta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CharPolySolver, "solve", spy)
+            assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert corners
+        out.unlink()
+        fail_on(monkeypatch, corners[0])
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: corner of block 0 at rows 2:6: could not certify")
+        assert not out.exists()
+
 
 class TestBudgetExceeded:
     def test_exit_three(self, tmp_path, capsys, stalled_iteration):

@@ -454,8 +454,9 @@ class TestLoopGuardChecksOnce:
 class TestPlainStep:
     """Each loop iteration first applies LAPACK's k corner eigenvalues
     (``smalleig.corner_shifts``) as one degree-k step, kept ("plain") when
-    it decouples or contracts psi by REDUCTION_FACTOR; otherwise the corner
-    is certified and the paper's step runs from the same H."""
+    it decouples or contracts psi by REDUCTION_FACTOR; otherwise, and where
+    LAPACK fails on the corner, the corner is certified and the paper's step
+    runs from the same H."""
 
     @pytest.fixture(scope="class")
     def qr_small_runs(self):
@@ -482,7 +483,7 @@ class TestPlainStep:
         eigs = CharPolySolver().solve(h.corner(4), 1e-12)
         step = driver._plain_step(h, eigs, math.inf, 0.0, 4)
         assert (step.branch, step.shift) == ("plain", eigs[0])
-        assert same_bits(step.next_h.a, iqr.multishift_step(h, eigs).next_h.a)
+        assert same_bits(step.next_h.a, iqr.multishift_step(h, eigs).a)
         # the k single sweeps' iterate, up to a unitary diagonal similarity
         single = iqr.iqr_multi(h, tuple(eigs)).next_h.bottom_subdiagonal_abs(4)
         assert np.allclose(step.moduli, single, rtol=1e-12, atol=0)
@@ -578,22 +579,67 @@ class TestPlainStep:
         assert len(children) > 1 and node.trace
         assert {rec.branch for rec in node.trace} == {"plain"}
 
-    def test_where_lapack_fails_the_plain_step_shifts_by_the_certified_values(
-        self, monkeypatch, qr_small_runs
-    ):
-        # each iteration then certifies its corner first; on qr_small those
-        # are LAPACK's values bit for bit, so the run does not move
+    def test_where_lapack_fails_the_paper_step_runs_on_the_certified_corner(self, monkeypatch):
+        # with no LAPACK values there is no plain step: each iteration
+        # certifies its corner once, for the paper's step, and the run stays
+        # within the oracle's bound
         monkeypatch.setattr(driver, "corner_shifts", lambda corner: None)
-        calls, _ = spy_small_solver(monkeypatch)
+        seen, _ = spy_small_solver(monkeypatch)
         h, _ = near_normal_hessenberg(np.random.default_rng(11), 32, perturb=1e-4)
         gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=32)
-        res, base = shifted_qr(h, 1e-7, 0.05, gd, seed=1), qr_small_runs[0]
+        res = shifted_qr(h, 1e-7, 0.05, gd, seed=1)
         records = [rec for node in res.tree.nodes.values() for rec in node.trace]
-        wide = [leaf for leaf in res.tree.leaves() if len(leaf.eigenvalues) > 1]
-        assert {rec.branch for rec in records} == {"plain"}
-        assert len(calls) == len(records) + len(wide)
-        assert same_bits(res.eigenvalues, base.eigenvalues)
-        assert records == [rec for node in base.tree.nodes.values() for rec in node.trace]
+        assert records and "plain" not in {rec.branch for rec in records}
+        assert [entry for entry, _, _ in seen].count("solve") == len(records)
+        rep = condition_report(h.a)
+        assert matched_distance(res.eigenvalues, ref_eigs(h.a)) <= rep.kappa_v * 1e-7
+
+    @pytest.mark.parametrize("bits", [80, 32])
+    def test_on_mpmath_numbers_a_kept_plain_step_makes_no_small_solver_call(self, monkeypatch, bits):
+        # as in binary64, the root block of a near-normal input runs its
+        # whole loop on plain steps, each shifted by corner_shifts of its
+        # corner rounded to binary64, without calling the small solver
+        def failing(self, m, beta):
+            raise AssertionError("small solver called")
+
+        shifted = []
+        plain_step = driver._plain_step
+
+        def plain_spy(h, shifts, *args):
+            shifted.append((h.corner(4), shifts))
+            return plain_step(h, shifts, *args)
+
+        h, _ = near_normal_hessenberg(np.random.default_rng(11), 12, perturb=1e-4)
+        gd = derive_globals(1.0, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=12)
+        plan = driver.plan_run(12, 1e-7, 0.05, gd, bits)
+        node = driver.DeflationNode(path=(), start=0)
+        monkeypatch.setattr(CharPolySolver, "solve", failing)
+        monkeypatch.setattr(driver, "_plain_step", plain_spy)
+        blk = HessenbergMatrix(driver.ldexp(h.to_extended(bits).a, -plan.e), validate=False)
+        children = driver._process_block(node, blk, plan, np.random.default_rng(1))
+        assert len(children) > 1 and node.trace
+        assert {rec.branch for rec in node.trace} == {"plain"}
+        assert len(shifted) == len(node.trace)
+        for corner, shifts in shifted:
+            assert corner.dtype == object and {type(s) for s in shifts} == {complex}
+            rounded = corner.astype(np.complex128)
+            assert same_bits(np.array(shifts), np.array(smalleig.corner_shifts(rounded)))
+
+    @pytest.mark.parametrize("n, bits", [(32, 53), (16, 32)])
+    def test_the_corner_is_certified_once_per_paper_step(self, monkeypatch, n, bits):
+        # the cyclic shift mixes plain and paper's steps in either
+        # arithmetic: one corner solve for each record that is not "plain",
+        # and none for the others
+        seen, _ = spy_small_solver(monkeypatch)
+        a = np.eye(n, k=-1, dtype=complex)
+        a[0, n - 1] = 1.0
+        h = HessenbergMatrix(a)
+        gd = globals_with_degree(1.0, 4, Gamma=1e-4, Sigma=2 * float(h.frobenius_norm()), n0=n)
+        res = shifted_qr(h if bits == 53 else h.to_extended(bits), 1e-7, 0.05, gd, seed=1)
+        branches = Counter(rec.branch for node in res.tree.nodes.values() for rec in node.trace)
+        assert branches["plain"] > 0 and len(branches) > 1
+        solves = [entry for entry, _, _ in seen].count("solve")
+        assert solves == sum(branches.values()) - branches["plain"]
 
     def test_plain_records_contract_or_deflate(self, qr_small_runs):
         plain = 0
@@ -1083,6 +1129,33 @@ class TestSmallEigFailure:
         with pytest.raises(SmallEigFailure, match=message):
             solve(a, config)
         assert (leaf.block_id == "0") == (not options)
+
+    def test_the_failing_corner_is_named(self, monkeypatch, paper_steps):
+        # the last corner the paper's step certifies, of a block below the
+        # exact zero at row 2, is one no rung certifies: the error names the
+        # block and the corner's rows in the caller's matrix, not the rows
+        # inside the corner
+        rng = np.random.default_rng(83)
+        a = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), -1)
+        a[2, 1] = 0
+        config = SolveConfig(seed=1, B=1.0, Gamma=1e-3, preprocess=False)
+        with pytest.MonkeyPatch.context() as mp:
+            seen, _ = spy_small_solver(mp)
+            res = solve(a, config)
+        corners = [m for entry, m, _ in seen if entry == "solve"]
+        loops = [node for node in res.tree.nodes.values() if node.trace]
+        assert len(corners) == sum(len(node.trace) for node in loops)
+        node = loops[-1]
+        below = [leaf for leaf in res.tree.leaves() if leaf.path[: len(node.path)] == node.path]
+        stop = node.start + sum(len(leaf.eigenvalues) for leaf in below)
+        assert node.start > 0 and stop - node.start > 4
+        fail_on(monkeypatch, corners[-1])
+        message = (
+            rf"^corner of block {node.block_id} at rows {stop - 4}:{stop}: could not certify "
+            r"forward accuracy .* at 960 bits for the diagonal block at rows 0:4 \(dimension 4\)$"
+        )
+        with pytest.raises(SmallEigFailure, match=message):
+            solve(a, config)
 
 
 class TestWholeSolver:

@@ -36,6 +36,13 @@ def test_repository_matches_itself():
     )
 
 
+def test_a_failing_collector_stops_the_comparison(same_results, tmp_path):
+    # a checkout without the sources: both collectors exit nonzero, and the
+    # run raises rather than compare what they did not write
+    with pytest.raises(subprocess.CalledProcessError):
+        same_results.main([str(tmp_path), str(tmp_path), "--inputs", "1", "--seeds", "11"])
+
+
 def test_floats_are_compared_by_their_bits(same_results):
     plain = same_results._plain
     assert plain(-0.0) != plain(0.0)
